@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/preprocess"
 	"repro/internal/tensor"
 )
 
@@ -242,40 +243,93 @@ func (s *System) runMemberRange(ctx context.Context, start, end int, xs []*tenso
 	return rows, nil
 }
 
-// batchScratch is one worker's scratch-arena pair. Both arenas are created
-// lazily so a pure-f64 system never allocates float32 scratch and a pure
+// batchScratch is one worker's scratch: an arena pair and the slab the
+// member inputs are preprocessed into. Both arenas are created lazily so a
+// pure-f64 system never allocates float32 scratch and a pure
 // reduced-precision system never allocates float64 scratch.
 type batchScratch struct {
 	a   *tensor.Arena
 	a32 *tensor.Arena32
+
+	// Preprocessed member inputs of the call in flight: pre[i] points at
+	// preT[i], whose pixels are a window of preSlab. All three are reused
+	// by the next member call that draws this scratch from the free list.
+	preSlab []float64
+	preT    []tensor.T
+	pre     []*tensor.T
 }
 
-// batchArenaInfer returns a batched member execution strategy: preprocess
-// each image, run the member's network over the whole set — InferBatchArena
-// for float64 members, the compiled Net32 for reduced-precision ones — and
-// return the probability rows. Scratch is drawn from the pool so concurrent
-// member calls never share arenas.
-func (s *System) batchArenaInfer(pool *sync.Pool) batchInferFn {
-	stage := s.batchStageArenaInfer(pool)
-	return func(m int, xs []*tensor.T) [][]float64 {
-		return stage(m, BackendF64, false, xs)
+// preprocess runs p over xs into the scratch slab and returns the member
+// inputs, valid until the scratch goes back to its free list.
+func (sc *batchScratch) preprocess(p preprocess.Preprocessor, xs []*tensor.T) []*tensor.T {
+	total := 0
+	for _, x := range xs {
+		total += len(x.Data)
 	}
+	if cap(sc.preSlab) < total {
+		sc.preSlab = make([]float64, total)
+	}
+	if cap(sc.preT) < len(xs) {
+		sc.preT = make([]tensor.T, len(xs))
+		sc.pre = make([]*tensor.T, len(xs))
+	}
+	pre, slab := sc.pre[:len(xs)], sc.preSlab[:total]
+	for i, x := range xs {
+		t := &sc.preT[i]
+		t.Shape, t.Data = x.Shape, slab[:len(x.Data):len(x.Data)]
+		slab = slab[len(x.Data):]
+		p.ApplyTo(t, x)
+		pre[i] = t
+	}
+	return pre
 }
 
-// batchStageArenaInfer is batchArenaInfer with per-stage backend overrides:
-// when the policy requests a backend, the member runs its adaptive variant
-// compiled by PrepareAdaptive (falling back to the configured path when the
-// variant is absent, so a half-prepared system degrades to correct-but-
-// static rather than failing).
-func (s *System) batchStageArenaInfer(pool *sync.Pool) batchStageInferFn {
+// scratchList is the free list of batch scratch one ClassifyBatch call
+// shares between its concurrent member calls. It dies with the call: the
+// arenas recycle buffers by exact size, so a list that outlived the call
+// would pile up one buffer set per batch size it ever saw. (A sync.Pool
+// created per call does outlive it — the runtime keeps every pool's
+// contents reachable until the second collection after the last Put, and
+// with little other garbage left on the request path that was enough to
+// make the heap grow without bound under load.)
+type scratchList struct {
+	mu   sync.Mutex
+	free []*batchScratch
+}
+
+func (l *scratchList) get() *batchScratch {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.free); n > 0 {
+		sc := l.free[n-1]
+		l.free = l.free[:n-1]
+		return sc
+	}
+	return &batchScratch{}
+}
+
+func (l *scratchList) put(sc *batchScratch) {
+	l.mu.Lock()
+	l.free = append(l.free, sc)
+	l.mu.Unlock()
+}
+
+// batchStageArenaInfer returns the batched member execution strategy of one
+// ClassifyBatch call: preprocess each image into the scratch slab, run the
+// member's network over the whole set — InferBatchArena for float64 members,
+// the compiled Net32 for reduced-precision ones — and return the probability
+// rows. Scratch is drawn from the call's free list, so concurrent member
+// calls never share arenas. When the policy requests a backend, the member
+// runs its adaptive variant compiled by PrepareAdaptive (falling back to
+// the configured path when the variant is absent, so a half-prepared system
+// degrades to correct-but-static rather than failing).
+func (s *System) batchStageArenaInfer() batchStageInferFn {
+	scratch := &scratchList{}
 	return func(m int, be Backend, override bool, xs []*tensor.T) [][]float64 {
-		sc := pool.Get().(*batchScratch)
+		sc := scratch.get()
 		mem := &s.Members[m]
 		st := s.verifySink(mem)
-		pre := make([]*tensor.T, len(xs))
-		for i, x := range xs {
-			pre[i] = mem.Pre.Apply(x)
-		}
+		pre := sc.preprocess(mem.Pre, xs)
 		net32 := mem.resolveNet(be, override)
 		var rows [][]float64
 		if net32 != nil {
@@ -305,7 +359,7 @@ func (s *System) batchStageArenaInfer(pool *sync.Pool) batchStageInferFn {
 				suspectRow(row)
 			}
 		}
-		pool.Put(sc)
+		scratch.put(sc)
 		return rows
 	}
 }

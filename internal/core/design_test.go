@@ -7,6 +7,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/model"
 	"repro/internal/nn"
+	"repro/internal/preprocess"
 	"repro/internal/tensor"
 )
 
@@ -214,10 +215,7 @@ func TestNewSystemValidation(t *testing.T) {
 	}
 }
 
-func mustPre(t *testing.T, name string) interface {
-	Name() string
-	Apply(*tensor.T) *tensor.T
-} {
+func mustPre(t *testing.T, name string) preprocess.Preprocessor {
 	t.Helper()
 	v := model.Variant{Preproc: name}
 	p, err := v.Preprocessor()

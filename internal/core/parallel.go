@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"runtime"
-	"sync"
 
 	"repro/internal/metrics"
 	"repro/internal/tensor"
@@ -244,6 +243,5 @@ func (s *System) classifyBatchUncachedTagged(ctx context.Context, xs []*tensor.T
 		}
 		return out, true, nil
 	}
-	pool := &sync.Pool{New: func() any { return &batchScratch{} }}
-	return s.classifyBatchStaged(ctx, xs, s.batchStageArenaInfer(pool))
+	return s.classifyBatchStaged(ctx, xs, s.batchStageArenaInfer())
 }

@@ -34,12 +34,20 @@ func (c Compose) Name() string {
 }
 
 // Apply implements Preprocessor.
-func (c Compose) Apply(x *tensor.T) *tensor.T {
-	out := x.Clone()
-	for _, s := range c.Steps {
-		out = s.Apply(out)
+func (c Compose) Apply(x *tensor.T) *tensor.T { return applyNew(c, x) }
+
+// ApplyTo implements Preprocessor. An empty chain copies x unclamped.
+func (c Compose) ApplyTo(dst, x *tensor.T) {
+	planes(dst, x)
+	if len(c.Steps) == 0 {
+		copy(dst.Data, x.Data)
+		return
 	}
-	return out
+	last := len(c.Steps) - 1
+	for _, s := range c.Steps[:last] {
+		x = s.Apply(x)
+	}
+	c.Steps[last].ApplyTo(dst, x)
 }
 
 // Rotate90 rotates the image by 90° clockwise. Height and width must match
@@ -53,21 +61,22 @@ var _ Preprocessor = Rotate90{}
 func (Rotate90) Name() string { return "Rotate90" }
 
 // Apply implements Preprocessor.
-func (Rotate90) Apply(x *tensor.T) *tensor.T {
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
+func (p Rotate90) Apply(x *tensor.T) *tensor.T { return applyNew(p, x) }
+
+// ApplyTo implements Preprocessor.
+func (Rotate90) ApplyTo(dst, x *tensor.T) {
+	c, h, w := planes(dst, x)
 	if h != w {
 		panic(fmt.Sprintf("preprocess: Rotate90 requires a square image, got %dx%d", h, w))
 	}
-	out := tensor.New(c, h, w)
 	for ci := 0; ci < c; ci++ {
 		for y := 0; y < h; y++ {
 			for xx := 0; xx < w; xx++ {
 				// (y, x) -> (x, h-1-y)
-				out.Data[ci*h*w+xx*w+(h-1-y)] = clamp01(x.Data[ci*h*w+y*w+xx])
+				dst.Data[ci*h*w+xx*w+(h-1-y)] = clamp01(x.Data[ci*h*w+y*w+xx])
 			}
 		}
 	}
-	return out
 }
 
 // Noise adds zero-mean Gaussian pixel noise (clipped to [0,1]). Each Apply
@@ -92,12 +101,14 @@ func NewNoise(std float64, seed int64) *Noise {
 func (n *Noise) Name() string { return fmt.Sprintf("Noise(%g)", n.Std) }
 
 // Apply implements Preprocessor.
-func (n *Noise) Apply(x *tensor.T) *tensor.T {
-	out := tensor.New(x.Shape...)
+func (n *Noise) Apply(x *tensor.T) *tensor.T { return applyNew(n, x) }
+
+// ApplyTo implements Preprocessor.
+func (n *Noise) ApplyTo(dst, x *tensor.T) {
+	planes(dst, x)
 	for i, v := range x.Data {
-		out.Data[i] = clamp01(v + n.Std*n.rng.NormFloat64())
+		dst.Data[i] = clamp01(v + n.Std*n.rng.NormFloat64())
 	}
-	return out
 }
 
 // CenterCrop crops the central fraction of the image and resizes it back to
@@ -120,22 +131,21 @@ func (c CenterCrop) frac() float64 {
 }
 
 // Apply implements Preprocessor.
-func (c CenterCrop) Apply(x *tensor.T) *tensor.T {
+func (c CenterCrop) Apply(x *tensor.T) *tensor.T { return applyNew(c, x) }
+
+// ApplyTo implements Preprocessor.
+func (c CenterCrop) ApplyTo(dst, x *tensor.T) {
 	frac := c.frac()
-	ch, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
+	ch, h, w := planes(dst, x)
 	ch2, cw := maxInt(1, int(float64(h)*frac)), maxInt(1, int(float64(w)*frac))
 	y0, x0 := (h-ch2)/2, (w-cw)/2
-	crop := tensor.New(ch, ch2, cw)
+	crop := make([]float64, ch*ch2*cw)
 	for ci := 0; ci < ch; ci++ {
 		for y := 0; y < ch2; y++ {
 			src := x.Data[ci*h*w+(y0+y)*w+x0 : ci*h*w+(y0+y)*w+x0+cw]
-			copy(crop.Data[ci*ch2*cw+y*cw:ci*ch2*cw+(y+1)*cw], src)
+			copy(crop[ci*ch2*cw+y*cw:ci*ch2*cw+(y+1)*cw], src)
 		}
 	}
-	out := tensor.New(ch, h, w)
-	resizeBilinear(out, crop)
-	for i, v := range out.Data {
-		out.Data[i] = clamp01(v)
-	}
-	return out
+	resizeBilinear(dst.Data, h, w, crop, ch2, cw, ch)
+	clampInto(dst.Data, dst.Data)
 }

@@ -13,6 +13,7 @@ package preprocess
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/tensor"
@@ -25,8 +26,28 @@ type Preprocessor interface {
 	// Name is a stable identifier, e.g. "FlipX" or "Gamma(2)". It is used
 	// in system configurations and zoo cache keys.
 	Name() string
-	// Apply returns the transformed image.
+	// Apply returns the transformed image in a freshly allocated tensor.
 	Apply(x *tensor.T) *tensor.T
+	// ApplyTo writes the transformed image into dst, which must have x's
+	// shape and must not share memory with x. Every element of dst is
+	// overwritten, so dst may hold anything on entry, and the result is
+	// bit-identical to Apply(x): Apply is ApplyTo into a new tensor.
+	ApplyTo(dst, x *tensor.T)
+}
+
+// applyNew is the body of every Apply: ApplyTo into a new tensor.
+func applyNew(p Preprocessor, x *tensor.T) *tensor.T {
+	out := tensor.New(x.Shape...)
+	p.ApplyTo(out, x)
+	return out
+}
+
+// planes checks ApplyTo's contract on dst and returns x's [C,H,W] extents.
+func planes(dst, x *tensor.T) (c, h, w int) {
+	if len(dst.Data) != len(x.Data) {
+		panic(fmt.Sprintf("preprocess: ApplyTo destination holds %d pixels, input %d", len(dst.Data), len(x.Data)))
+	}
+	return x.Shape[0], x.Shape[1], x.Shape[2]
 }
 
 // Identity passes in-range input through unchanged (modulo the package-wide
@@ -40,12 +61,12 @@ var _ Preprocessor = Identity{}
 func (Identity) Name() string { return "ORG" }
 
 // Apply implements Preprocessor.
-func (Identity) Apply(x *tensor.T) *tensor.T {
-	out := tensor.New(x.Shape...)
-	for i, v := range x.Data {
-		out.Data[i] = clamp01(v)
-	}
-	return out
+func (p Identity) Apply(x *tensor.T) *tensor.T { return applyNew(p, x) }
+
+// ApplyTo implements Preprocessor.
+func (Identity) ApplyTo(dst, x *tensor.T) {
+	planes(dst, x)
+	clampInto(dst.Data, x.Data)
 }
 
 // FlipX mirrors the image across the vertical axis (left-right flip).
@@ -57,19 +78,20 @@ var _ Preprocessor = FlipX{}
 func (FlipX) Name() string { return "FlipX" }
 
 // Apply implements Preprocessor.
-func (FlipX) Apply(x *tensor.T) *tensor.T {
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	out := tensor.New(c, h, w)
+func (p FlipX) Apply(x *tensor.T) *tensor.T { return applyNew(p, x) }
+
+// ApplyTo implements Preprocessor.
+func (FlipX) ApplyTo(dst, x *tensor.T) {
+	c, h, w := planes(dst, x)
 	for ci := 0; ci < c; ci++ {
 		for y := 0; y < h; y++ {
 			row := x.Data[ci*h*w+y*w : ci*h*w+(y+1)*w]
-			orow := out.Data[ci*h*w+y*w : ci*h*w+(y+1)*w]
+			orow := dst.Data[ci*h*w+y*w : ci*h*w+(y+1)*w]
 			for i := 0; i < w; i++ {
 				orow[i] = clamp01(row[w-1-i])
 			}
 		}
 	}
-	return out
 }
 
 // FlipY mirrors the image across the horizontal axis (top-bottom flip).
@@ -81,19 +103,16 @@ var _ Preprocessor = FlipY{}
 func (FlipY) Name() string { return "FlipY" }
 
 // Apply implements Preprocessor.
-func (FlipY) Apply(x *tensor.T) *tensor.T {
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	out := tensor.New(c, h, w)
+func (p FlipY) Apply(x *tensor.T) *tensor.T { return applyNew(p, x) }
+
+// ApplyTo implements Preprocessor.
+func (FlipY) ApplyTo(dst, x *tensor.T) {
+	c, h, w := planes(dst, x)
 	for ci := 0; ci < c; ci++ {
 		for y := 0; y < h; y++ {
-			src := x.Data[ci*h*w+(h-1-y)*w : ci*h*w+(h-y)*w]
-			dst := out.Data[ci*h*w+y*w : ci*h*w+(y+1)*w]
-			for i, v := range src {
-				dst[i] = clamp01(v)
-			}
+			clampInto(dst.Data[ci*h*w+y*w:ci*h*w+(y+1)*w], x.Data[ci*h*w+(h-1-y)*w:ci*h*w+(h-y)*w])
 		}
 	}
-	return out
 }
 
 // Gamma applies gamma correction v → v^G, controlling overall brightness.
@@ -107,13 +126,48 @@ var _ Preprocessor = Gamma{}
 func (g Gamma) Name() string { return fmt.Sprintf("Gamma(%g)", g.G) }
 
 // Apply implements Preprocessor.
-func (g Gamma) Apply(x *tensor.T) *tensor.T {
-	out := tensor.New(x.Shape...)
-	for i, v := range x.Data {
-		// The outer clamp guards the G<=0 and G=NaN corners (Pow(0,-1)=+Inf).
-		out.Data[i] = clamp01(math.Pow(clamp01(v), g.G))
+func (g Gamma) Apply(x *tensor.T) *tensor.T { return applyNew(g, x) }
+
+// minNormal is the smallest positive normal float64.
+const minNormal = 0x1p-1022
+
+// ApplyTo implements Preprocessor. For an integral exponent n ≥ 2 it
+// multiplies instead of calling math.Pow, bit for bit the same result:
+// Pow(v, n) runs the same square-and-multiply over the bits of n on v's
+// mantissa, rounding after every product, and scales by a power of two at
+// the end. Scaling by a power of two is exact while every value stays
+// normal, so rounding the mantissa products and rounding the full products
+// agree. All factors are ≤ 1, so no intermediate is smaller than the final
+// product: a normal result proves the whole chain was normal. Anything
+// below that (zeros, results Pow would round twice on the way to a
+// subnormal) is left to Pow.
+func (g Gamma) ApplyTo(dst, x *tensor.T) {
+	planes(dst, x)
+	n := int64(0)
+	if g.G >= 2 && g.G <= 1<<30 && g.G == math.Trunc(g.G) {
+		n = int64(g.G)
 	}
-	return out
+	for i, v := range x.Data {
+		v = clamp01(v)
+		if n != 0 {
+			p, sq := 1.0, v
+			for b := n; ; {
+				if b&1 == 1 {
+					p *= sq
+				}
+				if b >>= 1; b == 0 {
+					break
+				}
+				sq *= sq
+			}
+			if p >= minNormal {
+				dst.Data[i] = p // p ≤ 1: the clamp below would not change it
+				continue
+			}
+		}
+		// The outer clamp guards the G<=0 and G=NaN corners (Pow(0,-1)=+Inf).
+		dst.Data[i] = clamp01(math.Pow(v, g.G))
+	}
 }
 
 // Hist performs global histogram equalization per channel, enhancing
@@ -128,30 +182,33 @@ func (Hist) Name() string { return "Hist" }
 const histBins = 64
 
 // Apply implements Preprocessor.
-func (Hist) Apply(x *tensor.T) *tensor.T {
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	out := tensor.New(c, h, w)
+func (p Hist) Apply(x *tensor.T) *tensor.T { return applyNew(p, x) }
+
+// ApplyTo implements Preprocessor.
+func (Hist) ApplyTo(dst, x *tensor.T) {
+	c, h, w := planes(dst, x)
 	for ci := 0; ci < c; ci++ {
-		plane := x.Data[ci*h*w : (ci+1)*h*w]
-		oplane := out.Data[ci*h*w : (ci+1)*h*w]
-		equalize(oplane, plane, 0)
+		equalize(dst.Data[ci*h*w:(ci+1)*h*w], x.Data[ci*h*w:(ci+1)*h*w], w, 0, 0, w, h, 0)
 	}
-	return out
 }
 
-// equalize histogram-equalizes src into dst. clipLimit > 0 enables CLAHE
+// equalize histogram-equalizes the tile [x0,x1)×[y0,y1) of the plane src
+// (rows of w pixels) into the same tile of dst. clipLimit > 0 enables CLAHE
 // style clipping: histogram counts above clipLimit×uniform are clipped and
 // redistributed, bounding contrast amplification.
-func equalize(dst, src []float64, clipLimit float64) {
-	if len(src) == 0 {
+func equalize(dst, src []float64, w, x0, y0, x1, y1 int, clipLimit float64) {
+	n := (x1 - x0) * (y1 - y0)
+	if n <= 0 {
 		return
 	}
 	var hist [histBins]float64
-	for _, v := range src {
-		hist[binOf(v)]++
+	for y := y0; y < y1; y++ {
+		for _, v := range src[y*w+x0 : y*w+x1] {
+			hist[binOf(v)]++
+		}
 	}
 	if clipLimit > 0 {
-		limit := clipLimit * float64(len(src)) / histBins
+		limit := clipLimit * float64(n) / histBins
 		excess := 0.0
 		for i := range hist {
 			if hist[i] > limit {
@@ -172,8 +229,11 @@ func equalize(dst, src []float64, clipLimit float64) {
 		cdf[i] = sum
 	}
 	total := cdf[histBins-1]
-	for i, v := range src {
-		dst[i] = cdf[binOf(v)] / total
+	for y := y0; y < y1; y++ {
+		row := dst[y*w+x0 : y*w+x1]
+		for i, v := range src[y*w+x0 : y*w+x1] {
+			row[i] = cdf[binOf(v)] / total
+		}
 	}
 }
 
@@ -202,37 +262,24 @@ var _ Preprocessor = AdHist{}
 func (AdHist) Name() string { return "AdHist" }
 
 // Apply implements Preprocessor.
-func (a AdHist) Apply(x *tensor.T) *tensor.T {
+func (a AdHist) Apply(x *tensor.T) *tensor.T { return applyNew(a, x) }
+
+// ApplyTo implements Preprocessor.
+func (a AdHist) ApplyTo(dst, x *tensor.T) {
 	tiles := a.Tiles
 	if tiles <= 0 {
 		tiles = 4
 	}
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	out := tensor.New(c, h, w)
+	c, h, w := planes(dst, x)
 	for ci := 0; ci < c; ci++ {
 		plane := x.Data[ci*h*w : (ci+1)*h*w]
-		oplane := out.Data[ci*h*w : (ci+1)*h*w]
+		oplane := dst.Data[ci*h*w : (ci+1)*h*w]
 		for ty := 0; ty < tiles; ty++ {
 			for tx := 0; tx < tiles; tx++ {
-				y0, y1 := ty*h/tiles, (ty+1)*h/tiles
-				x0, x1 := tx*w/tiles, (tx+1)*w/tiles
-				var src []float64
-				var flatIdx []int
-				for y := y0; y < y1; y++ {
-					for xx := x0; xx < x1; xx++ {
-						src = append(src, plane[y*w+xx])
-						flatIdx = append(flatIdx, y*w+xx)
-					}
-				}
-				dst := make([]float64, len(src))
-				equalize(dst, src, 3)
-				for i, fi := range flatIdx {
-					oplane[fi] = dst[i]
-				}
+				equalize(oplane, plane, w, tx*w/tiles, ty*h/tiles, (tx+1)*w/tiles, (ty+1)*h/tiles, 3)
 			}
 		}
 	}
-	return out
 }
 
 // ConNorm performs local contrast normalization: each pixel is standardized
@@ -249,16 +296,18 @@ var _ Preprocessor = ConNorm{}
 func (ConNorm) Name() string { return "ConNorm" }
 
 // Apply implements Preprocessor.
-func (n ConNorm) Apply(x *tensor.T) *tensor.T {
+func (n ConNorm) Apply(x *tensor.T) *tensor.T { return applyNew(n, x) }
+
+// ApplyTo implements Preprocessor.
+func (n ConNorm) ApplyTo(dst, x *tensor.T) {
 	r := n.Radius
 	if r <= 0 {
 		r = 2
 	}
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	out := tensor.New(c, h, w)
+	c, h, w := planes(dst, x)
 	for ci := 0; ci < c; ci++ {
 		plane := x.Data[ci*h*w : (ci+1)*h*w]
-		oplane := out.Data[ci*h*w : (ci+1)*h*w]
+		oplane := dst.Data[ci*h*w : (ci+1)*h*w]
 		for y := 0; y < h; y++ {
 			for xx := 0; xx < w; xx++ {
 				var sum, sq float64
@@ -286,7 +335,6 @@ func (n ConNorm) Apply(x *tensor.T) *tensor.T {
 			}
 		}
 	}
-	return out
 }
 
 // ImAdj maps image intensities so the [1%, 99%] percentile range stretches
@@ -300,28 +348,136 @@ var _ Preprocessor = ImAdj{}
 func (ImAdj) Name() string { return "ImAdj" }
 
 // Apply implements Preprocessor.
-func (ImAdj) Apply(x *tensor.T) *tensor.T {
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	out := tensor.New(c, h, w)
+func (p ImAdj) Apply(x *tensor.T) *tensor.T { return applyNew(p, x) }
+
+// ApplyTo implements Preprocessor. The two percentiles are the order
+// statistics sort.Float64s would leave at n/100 and n-1-n/100 (NaNs sort
+// first); they are selected in place in dst's plane, which is overwritten
+// with the result afterwards.
+func (ImAdj) ApplyTo(dst, x *tensor.T) {
+	c, h, w := planes(dst, x)
 	for ci := 0; ci < c; ci++ {
 		plane := x.Data[ci*h*w : (ci+1)*h*w]
-		oplane := out.Data[ci*h*w : (ci+1)*h*w]
-		sorted := append([]float64(nil), plane...)
-		sort.Float64s(sorted)
-		lo := sorted[len(sorted)/100]
-		hi := sorted[len(sorted)-1-len(sorted)/100]
+		oplane := dst.Data[ci*h*w : (ci+1)*h*w]
+		if len(plane) == 0 {
+			continue
+		}
+		lo, hi := percentiles(oplane, plane, len(plane)/100)
 		span := hi - lo
 		if span < 1e-9 {
-			for i, v := range plane {
-				oplane[i] = clamp01(v)
-			}
+			clampInto(oplane, plane)
 			continue
 		}
 		for i, v := range plane {
 			oplane[i] = clamp01((v - lo) / span)
 		}
 	}
-	return out
+}
+
+// percentiles returns the values at indices k and len(src)-1-k of src in
+// sort.Float64s order, using buf (len(src) elements, clobbered) as scratch.
+func percentiles(buf, src []float64, k int) (lo, hi float64) {
+	// NaNs to the front; the rest is ordered by plain <.
+	nan := 0
+	j := len(buf)
+	for _, v := range src {
+		if v != v {
+			buf[nan] = v
+			nan++
+		} else {
+			j--
+			buf[j] = v
+		}
+	}
+	kHi := len(src) - 1 - k
+	hi = buf[kHi]
+	rest := buf[nan:]
+	if kHi >= nan {
+		hi = selectKth(rest, kHi-nan)
+		rest = rest[:kHi-nan]
+	}
+	if k < nan {
+		return buf[k], hi
+	}
+	lo = hi // k == kHi on a one-pixel plane
+	if k < kHi {
+		lo = selectKth(rest, k-nan)
+	}
+	// -0 and +0 compare equal, so which of them a sort leaves at index k
+	// depends on the sort; the sign reaches the output through v - lo for
+	// v = -0. Ask the sort itself in that one case.
+	if lo == 0 {
+		var neg, pos bool
+		for _, v := range src {
+			if v == 0 {
+				if math.Signbit(v) {
+					neg = true
+				} else {
+					pos = true
+				}
+			}
+		}
+		if neg && pos {
+			copy(buf, src)
+			sort.Float64s(buf)
+			lo = buf[k]
+		}
+	}
+	return lo, hi
+}
+
+// selectKth returns the k-th smallest element of a (no NaNs), permuting a
+// so that a[:k] ≤ a[k] ≤ a[k+1:].
+func selectKth(a []float64, k int) float64 {
+	return selectWithin(a, k, 2*bits.Len(uint(len(a))))
+}
+
+// selectWithin is Hoare quickselect on a median-of-three pivot. An input
+// built against that pivot rule could make it quadratic, so after budget
+// partitions whatever range is left is handed to the sort.
+func selectWithin(a []float64, k, budget int) float64 {
+	l, r := 0, len(a)-1
+	for ; l < r; budget-- {
+		if budget == 0 {
+			sort.Float64s(a[l : r+1])
+			break
+		}
+		m := l + (r-l)/2
+		if a[m] < a[l] {
+			a[m], a[l] = a[l], a[m]
+		}
+		if a[r] < a[l] {
+			a[r], a[l] = a[l], a[r]
+		}
+		if a[r] < a[m] {
+			a[r], a[m] = a[m], a[r]
+		}
+		pivot := a[m]
+		i, j := l, r
+		for i <= j {
+			for a[i] < pivot {
+				i++
+			}
+			for pivot < a[j] {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		// a[l..j] ≤ pivot ≤ a[i..r], and everything between j and i equals it.
+		switch {
+		case k <= j:
+			r = j
+		case k >= i:
+			l = i
+		default:
+			return a[k]
+		}
+	}
+	return a[k]
 }
 
 // Scale downsamples the image by factor P (e.g. 0.8) with bilinear sampling
@@ -336,33 +492,30 @@ var _ Preprocessor = Scale{}
 func (s Scale) Name() string { return fmt.Sprintf("Scale(%g)", s.P) }
 
 // Apply implements Preprocessor.
-func (s Scale) Apply(x *tensor.T) *tensor.T {
+func (s Scale) Apply(x *tensor.T) *tensor.T { return applyNew(s, x) }
+
+// ApplyTo implements Preprocessor.
+func (s Scale) ApplyTo(dst, x *tensor.T) {
 	p := s.P
 	if p <= 0 || p > 1 {
 		p = 0.8
 	}
-	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
+	c, h, w := planes(dst, x)
 	sh, sw := maxInt(1, int(float64(h)*p)), maxInt(1, int(float64(w)*p))
-	small := tensor.New(c, sh, sw)
-	resizeBilinear(small, x)
-	out := tensor.New(c, h, w)
-	resizeBilinear(out, small)
+	small := make([]float64, c*sh*sw)
+	resizeBilinear(small, sh, sw, x.Data, h, w, c)
+	resizeBilinear(dst.Data, h, w, small, sh, sw, c)
 	// Bilinear output is a convex combination of inputs, so the clamp is a
 	// no-op for in-range images and only sanitizes out-of-contract pixels.
-	for i, v := range out.Data {
-		out.Data[i] = clamp01(v)
-	}
-	return out
+	clampInto(dst.Data, dst.Data)
 }
 
-// resizeBilinear resamples src into dst (both [C,H,W], same channel count).
-func resizeBilinear(dst, src *tensor.T) {
-	c := src.Shape[0]
-	sh, sw := src.Shape[1], src.Shape[2]
-	dh, dw := dst.Shape[1], dst.Shape[2]
+// resizeBilinear resamples the c planes of src (sh×sw each) into dst
+// (dh×dw each).
+func resizeBilinear(dst []float64, dh, dw int, src []float64, sh, sw, c int) {
 	for ci := 0; ci < c; ci++ {
-		sp := src.Data[ci*sh*sw : (ci+1)*sh*sw]
-		dp := dst.Data[ci*dh*dw : (ci+1)*dh*dw]
+		sp := src[ci*sh*sw : (ci+1)*sh*sw]
+		dp := dst[ci*dh*dw : (ci+1)*dh*dw]
 		for y := 0; y < dh; y++ {
 			fy := (float64(y) + 0.5) * float64(sh) / float64(dh)
 			y0 := int(fy - 0.5)
@@ -410,6 +563,14 @@ func clamp01(v float64) float64 {
 		return v
 	}
 	return 0
+}
+
+// clampInto writes clamp01 of every src element into dst (same length; dst
+// may be src itself).
+func clampInto(dst, src []float64) {
+	for i, v := range src {
+		dst[i] = clamp01(v)
+	}
 }
 
 func maxInt(a, b int) int {

@@ -159,6 +159,7 @@ func (s *Server) dispatch(batch []*item) {
 		s.metrics.ObserveDecision(preds[i].Reliable, preds[i].Agreement, preds[i].Activated)
 		it.done <- itemResult{pred: preds[i]}
 	}
+	s.mirrorCache()
 	if rep, ok := s.cfg.Backend.(AbftReporter); ok && rep.Verified() {
 		c := rep.AbftCounts()
 		s.metrics.ObserveAbft(c.Checks, c.Detected, c.Corrected, c.Uncorrectable)

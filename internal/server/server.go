@@ -209,8 +209,34 @@ func (s *Server) Handler() http.Handler {
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprintln(w, "ready")
 	})
-	mux.Handle("/metrics", s.metrics.Registry.Handler())
+	exposition := s.metrics.Registry.Handler()
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		s.mirrorCache()
+		exposition.ServeHTTP(w, r)
+	})
 	return mux
+}
+
+// mirrorCache refreshes the pgmr_cache_* occupancy and L2 gauges from the
+// backend's cache. Reading the stats locks every cache shard, so it runs
+// once per dispatched batch and per scrape, not per request.
+func (s *Server) mirrorCache() {
+	prober, ok := s.cfg.Backend.(CacheProber)
+	if !ok {
+		return
+	}
+	st := prober.CacheStats()
+	s.metrics.ObserveCache(telemetry.CacheSample{
+		Coalesced: st.Coalesced,
+		Entries:   st.Entries,
+		Bytes:     st.Bytes,
+		L2Hits:    st.L2Hits,
+		L2Entries: st.L2Entries,
+		L2Bytes:   st.L2Bytes,
+		L2Backlog: st.L2Backlog,
+		L2Flushed: st.L2Flushed,
+		L2Dropped: st.L2Dropped,
+	})
 }
 
 // BeginDrain flips the server into draining mode: /readyz turns 503 and new
@@ -334,9 +360,19 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(nodeHeader, cr.ClusterNodeID())
 	}
 
-	var req classifyRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	body, err := readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength)
+	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			fail(http.StatusRequestEntityTooLarge, "request body exceeds the limit of %d bytes", tooLarge.Limit)
+			return
+		}
+		fail(http.StatusBadRequest, "reading request: %v", err)
+		return
+	}
+	req, err := decodeClassify(*body)
+	releaseBody(body)
+	if err != nil {
 		fail(http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
@@ -390,20 +426,8 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 				s.metrics.ObserveDecision(p.Reliable, p.Agreement, p.Activated)
 			}
 		}
-		st := prober.CacheStats()
-		s.metrics.ObserveCacheProbe(telemetry.CacheProbe{
-			Hits:      hits,
-			Misses:    len(ims) - hits,
-			Coalesced: st.Coalesced,
-			Entries:   st.Entries,
-			Bytes:     st.Bytes,
-			L2Hits:    st.L2Hits,
-			L2Entries: st.L2Entries,
-			L2Bytes:   st.L2Bytes,
-			L2Backlog: st.L2Backlog,
-			L2Flushed: st.L2Flushed,
-			L2Dropped: st.L2Dropped,
-		})
+		s.metrics.CacheHits.Add(uint64(hits))
+		s.metrics.CacheMisses.Add(uint64(len(ims) - hits))
 		switch {
 		case hits == len(ims):
 			w.Header().Set(cacheHeader, "hit")

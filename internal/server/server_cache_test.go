@@ -128,8 +128,8 @@ func TestCacheHeader(t *testing.T) {
 		t.Fatalf("mixed request computed %d total images, want 2 (B only)", n)
 	}
 
-	// One more warm probe: the occupancy gauges are snapshots taken at probe
-	// time, so this refreshes them after B's insertion.
+	// One more warm probe. It dispatches nothing, so the occupancy gauges
+	// below are the ones the scrape itself refreshes.
 	resp, _ = postJSON(t, ts.URL, classifyRequest{Image: ptrTo(toJSON(imB))})
 	if resp.StatusCode != http.StatusOK || resp.Header.Get(cacheHeader) != "hit" {
 		t.Fatalf("warm B request: status %d, %s=%q", resp.StatusCode, cacheHeader, resp.Header.Get(cacheHeader))

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"regexp"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -419,7 +420,7 @@ func TestAdmissionControl(t *testing.T) {
 // TestBadRequests covers the input-validation envelope.
 func TestBadRequests(t *testing.T) {
 	fb := newFakeBackend()
-	_, ts := startServer(t, Config{Backend: fb, BatchWindow: -1, MaxImagesPerRequest: 2})
+	_, ts := startServer(t, Config{Backend: fb, BatchWindow: -1, MaxImagesPerRequest: 2, MaxBodyBytes: 1024})
 
 	get, err := http.Get(ts.URL + "/v1/classify")
 	if err != nil {
@@ -437,6 +438,24 @@ func TestBadRequests(t *testing.T) {
 	raw.Body.Close()
 	if raw.StatusCode != http.StatusBadRequest {
 		t.Errorf("invalid JSON = %d, want 400", raw.StatusCode)
+	}
+
+	// A body over MaxBodyBytes is the client's to shrink, not malformed:
+	// 413, with the length declared up front and without (chunked).
+	oversize := []byte(`{"image":{"channels":1,"height":2,"width":2,"pixels":[1,2,3,4]}}` + strings.Repeat(" ", 1024))
+	for _, declared := range []bool{true, false} {
+		var body io.Reader = bytes.NewReader(oversize)
+		if !declared {
+			body = io.MultiReader(body) // hides the length from net/http
+		}
+		big, err := http.Post(ts.URL+"/v1/classify", "application/json", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		big.Body.Close()
+		if big.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("oversize body (length declared: %v) = %d, want 413", declared, big.StatusCode)
+		}
 	}
 
 	ok := imageJSON{Channels: 1, Height: 2, Width: 2, Pixels: testImage(1).Pixels}

@@ -41,7 +41,8 @@ type Metrics struct {
 
 	// Prediction cache (internal/cache). Hits/Misses count the server's
 	// pre-admission probe outcomes; the gauges mirror the backend cache's
-	// own cumulative counters and occupancy, refreshed on every probe.
+	// own cumulative counters and occupancy, refreshed by ObserveCache
+	// after every dispatched batch and before every scrape.
 	CacheHits      *Counter // images answered from the cache before admission
 	CacheMisses    *Counter // probed images that had to be enqueued
 	CacheCoalesced *Gauge   // inputs served by inflight coalescing / batch dedup
@@ -49,8 +50,8 @@ type Metrics struct {
 	CacheBytes     *Gauge   // bytes currently charged against the cache budget
 
 	// Persistent L2 cache tier (internal/cache/persist). All mirrored from
-	// the backend cache's cumulative counters on every probe; zero when the
-	// server runs without a disk tier.
+	// the backend cache's cumulative counters by ObserveCache; zero when
+	// the server runs without a disk tier.
 	CacheL2Hits    *Gauge // decisions served from disk and promoted to memory
 	CacheL2Entries *Gauge // live records indexed on disk
 	CacheL2Bytes   *Gauge // live record bytes on disk
@@ -194,17 +195,16 @@ func (m *Metrics) ObserveAbft(checks, detected, corrected, uncorrectable uint64)
 	m.AbftUncorrectable.Set(int64(uncorrectable))
 }
 
-// CacheProbe carries one pre-admission probe outcome plus the backend
-// cache's counters for the mirrored gauges. The L2 fields stay zero for
-// memory-only caches, which parks the pgmr_cache_l2_* gauges at zero.
-type CacheProbe struct {
-	// Hits and Misses are this probe's per-image outcomes.
-	Hits, Misses int
-	// Mirrored cumulative counters / occupancy from the cache.
+// CacheSample is one snapshot of the backend cache's cumulative counters
+// and occupancy. The L2 fields stay zero for memory-only caches, which
+// parks the pgmr_cache_l2_* gauges at zero. (The per-request probe
+// outcomes are not part of it: the handler adds them to CacheHits and
+// CacheMisses directly.)
+type CacheSample struct {
 	Coalesced uint64
 	Entries   int
 	Bytes     int64
-	// Mirrored persistent-tier counters.
+	// Persistent-tier counters.
 	L2Hits               uint64
 	L2Entries            int
 	L2Bytes              int64
@@ -212,20 +212,17 @@ type CacheProbe struct {
 	L2Flushed, L2Dropped uint64
 }
 
-// ObserveCacheProbe records one pre-admission cache probe over a request's
-// images and refreshes the occupancy gauges from the cache's counters.
-func (m *Metrics) ObserveCacheProbe(p CacheProbe) {
-	m.CacheHits.Add(uint64(p.Hits))
-	m.CacheMisses.Add(uint64(p.Misses))
-	m.CacheCoalesced.Set(int64(p.Coalesced))
-	m.CacheEntries.Set(int64(p.Entries))
-	m.CacheBytes.Set(p.Bytes)
-	m.CacheL2Hits.Set(int64(p.L2Hits))
-	m.CacheL2Entries.Set(int64(p.L2Entries))
-	m.CacheL2Bytes.Set(p.L2Bytes)
-	m.CacheL2Backlog.Set(p.L2Backlog)
-	m.CacheL2Flushed.Set(int64(p.L2Flushed))
-	m.CacheL2Dropped.Set(int64(p.L2Dropped))
+// ObserveCache refreshes the cache gauges from a snapshot.
+func (m *Metrics) ObserveCache(c CacheSample) {
+	m.CacheCoalesced.Set(int64(c.Coalesced))
+	m.CacheEntries.Set(int64(c.Entries))
+	m.CacheBytes.Set(c.Bytes)
+	m.CacheL2Hits.Set(int64(c.L2Hits))
+	m.CacheL2Entries.Set(int64(c.L2Entries))
+	m.CacheL2Bytes.Set(c.L2Bytes)
+	m.CacheL2Backlog.Set(c.L2Backlog)
+	m.CacheL2Flushed.Set(int64(c.L2Flushed))
+	m.CacheL2Dropped.Set(int64(c.L2Dropped))
 }
 
 // ClusterSample is one cumulative snapshot of the cluster routing counters,
