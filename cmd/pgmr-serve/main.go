@@ -1,11 +1,11 @@
 // Command pgmr-serve runs the PolygraphMR HTTP serving subsystem: it builds
 // (or loads from the zoo cache) a system for one benchmark and serves the
-// classify API with dynamic batching, admission control and /metrics.
+// classify API with work-conserving batching, admission control and /metrics.
 //
 // Usage:
 //
 //	pgmr-serve -benchmark convnet -addr :8080
-//	pgmr-serve -benchmark convnet -batch-window 2ms -max-batch 32 -queue 512
+//	pgmr-serve -benchmark convnet -max-batch 32 -queue 512
 //	pgmr-serve -benchmark convnet -cache-mb 64 -cache-ttl 10m
 //	pgmr-serve -benchmark convnet -cache-mb 64 -cache-dir /var/lib/pgmr/cache -cache-disk-mb 512
 //	pgmr-serve -benchmark convnet -backend int8 -late-backend f64
@@ -46,7 +46,6 @@ func main() {
 	lateBackend := flag.String("late-backend", "", "backend for late-stage tie-breaker members (default: same as -backend)")
 	noStage := flag.Bool("no-stage", false, "disable RADE staged activation")
 	workers := flag.Int("workers", 0, "worker-pool size inside ClassifyBatch (0 = NumCPU)")
-	batchWindow := flag.Duration("batch-window", 5*time.Millisecond, "how long the batcher waits to coalesce images after the first")
 	maxBatch := flag.Int("max-batch", 64, "max images per backend batch")
 	queue := flag.Int("queue", 256, "admission queue depth in images (429 beyond it)")
 	deadline := flag.Duration("deadline", 30*time.Second, "default per-request deadline when the request carries no timeout_ms")
@@ -136,9 +135,9 @@ func main() {
 	}
 	if *slo > 0 {
 		opts.SLO = *slo
-		// The controller plans around the same batch shape the server is
+		// The controller plans around the same batch cap the server is
 		// configured with.
-		opts.Policy = &polygraph.PolicyOptions{BatchWindow: *batchWindow, MaxBatch: *maxBatch}
+		opts.Policy = &polygraph.PolicyOptions{MaxBatch: *maxBatch}
 	}
 	// The metrics bundle exists before Build so the cluster layer's forward
 	// observer can feed pgmr_cluster_forward_seconds from the first request.
@@ -163,7 +162,6 @@ func main() {
 	}
 	scfg := server.Config{
 		Backend:         sys,
-		BatchWindow:     *batchWindow,
 		MaxBatch:        *maxBatch,
 		QueueDepth:      *queue,
 		DefaultDeadline: *deadline,

@@ -40,7 +40,7 @@ func TestServeRestartWarm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := server.New(server.Config{Backend: sys, BatchWindow: -1})
+		srv, err := server.New(server.Config{Backend: sys})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -63,56 +62,55 @@ func backendSystem(t *testing.T, b model.Benchmark, backend Backend) (*System, [
 	return sys, xs
 }
 
-// backendDecisionsMatch compares decisions under the reduced-precision
-// batch contract: every discrete field — Label, Reliable, the vote
-// histogram, and (critically for RADE) the Activated count — must be
-// exact; Confidence may drift within 1e-4 because the f32 FMA GEMM's tile
-// boundaries depend on the batch geometry (B=1 and B=32 accumulate the
-// same products in different orders; int8 nets keep f32 nodes inside
-// composite blocks, so they inherit the same wobble).
-func backendDecisionsMatch(a, b Decision) bool {
-	if a.Label != b.Label || a.Reliable != b.Reliable || a.Activated != b.Activated {
-		return false
+// checkBatchEqualsSingle asserts the engine identity for one topology on
+// one backend: Classify is the batched engine at a batch of one and the
+// kernels are batch-composition invariant (nn.TestBatchCompositionInvariant),
+// so for B ∈ {1, 2, 7, 32} at each Workers setting ClassifyBatch(xs)[i] must
+// DeepEqual Classify(xs[i]) — label, reliability, votes, the RADE dropout
+// schedule via Activated, and the Confidence to the bit.
+func checkBatchEqualsSingle(t *testing.T, b model.Benchmark, backend Backend, workers ...int) {
+	t.Helper()
+	sys, xs := backendSystem(t, b, backend)
+	want := make([]Decision, len(xs))
+	for i, x := range xs {
+		want[i] = sys.Classify(x)
 	}
-	if !reflect.DeepEqual(a.Votes, b.Votes) {
-		return false
+	for _, w := range workers {
+		sys.Workers = w
+		for _, bsz := range []int{1, 2, 7, 32} {
+			got := sys.ClassifyBatch(xs[:bsz])
+			for i := range got {
+				if !reflect.DeepEqual(want[i], got[i]) {
+					t.Fatalf("workers=%d B=%d image %d: batched %+v != single %+v", w, bsz, i, got[i], want[i])
+				}
+			}
+		}
 	}
-	return math.Abs(a.Confidence-b.Confidence) <= 1e-4
 }
 
-// TestBackendBatchMatchesSequential locks the engine-equivalence property
-// WITHIN each reduced-precision backend: the batched ClassifyBatch path and
-// the per-image sequential path run the very same compiled nets, so for
-// every zoo topology and B ∈ {1, 2, 7, 32} the decisions — label,
-// reliability, votes, and the RADE dropout schedule via Activated — must
-// match (see backendDecisionsMatch for the Confidence tolerance).
+// TestBackendBatchMatchesSequential locks the engine identity WITHIN each
+// reduced-precision backend on a multi-worker pool, for every zoo topology
+// (see checkBatchEqualsSingle).
 func TestBackendBatchMatchesSequential(t *testing.T) {
 	for _, backend := range []Backend{BackendF32, BackendInt8} {
 		for _, b := range model.Benchmarks() {
 			b := b
 			t.Run(backend.String()+"/"+b.Name, func(t *testing.T) {
-				sys, xs := backendSystem(t, b, backend)
-				want := make([]Decision, len(xs))
-				for i, x := range xs {
-					want[i] = sys.Classify(x)
-				}
-				for _, bsz := range []int{1, 2, 7, 32} {
-					sys.Workers = 3
-					got := sys.ClassifyBatch(xs[:bsz])
-					for i := range got {
-						if !backendDecisionsMatch(want[i], got[i]) {
-							t.Fatalf("B=%d image %d: batched %+v !~ sequential %+v", bsz, i, got[i], want[i])
-						}
-					}
-					// Workers == 1 forces the sequential arena path; same contract.
-					sys.Workers = 1
-					got = sys.ClassifyBatch(xs[:bsz])
-					for i := range got {
-						if !backendDecisionsMatch(want[i], got[i]) {
-							t.Fatalf("B=%d workers=1 image %d: %+v !~ %+v", bsz, i, got[i], want[i])
-						}
-					}
-				}
+				checkBatchEqualsSingle(t, b, backend, 3)
+			})
+		}
+	}
+}
+
+// TestClassifyEqualsClassifyBatch is the same identity on all three
+// backends at Workers 1 and default — the two settings that used to select
+// different engines for a single image.
+func TestClassifyEqualsClassifyBatch(t *testing.T) {
+	for _, backend := range []Backend{BackendF64, BackendF32, BackendInt8} {
+		for _, b := range model.Benchmarks() {
+			b := b
+			t.Run(backend.String()+"/"+b.Name, func(t *testing.T) {
+				checkBatchEqualsSingle(t, b, backend, 1, 0)
 			})
 		}
 	}

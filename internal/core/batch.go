@@ -24,9 +24,9 @@ import (
 // of max(Thr_Freq, 2) members, then +Batch per stage), images drop out of the
 // batch at the stage boundary where classifySequential would have stopped,
 // and the per-image Decision — label, reliability, votes, Activated count —
-// matches the sequential result. Confidence matches within the batched-kernel
-// float tolerance (|Δ| ≤ 1e-9 on softmax outputs; see internal/nn/batch.go
-// for the floating-point contract).
+// matches what classifySequential returns on the same member rows. The
+// kernels are batch-composition invariant (internal/nn/batch.go), so the
+// Decision of an image, Confidence included, is the same bits in any batch.
 
 // batchInferFn runs one member on a set of images and returns index-aligned
 // probability rows. It is the batched counterpart of inferFn and must be safe

@@ -8,13 +8,12 @@ import (
 	"repro/internal/tensor"
 )
 
-// This file implements the concurrent execution strategies of the system:
-// parallel member evaluation inside a single Classify (with RADE staged
-// activation preserved through speculative stages plus context-based
-// cancellation), and batched classification that fans items across a worker
-// pool with per-worker scratch arenas. Both paths produce decisions
-// identical to classifySequential — the concurrency changes wall-clock
-// time, never semantics.
+// This file holds the batched entry points of the system and
+// classifyParallel, the speculative per-image strategy that survives (with
+// classifySequential) as an executable statement of the RADE semantics the
+// batched engine is tested against. Every path produces decisions identical
+// to classifySequential on the same member rows — concurrency changes
+// wall-clock time, never semantics.
 
 // workerCount resolves the effective worker-pool size for n units of work.
 func (s *System) workerCount(n int) int {
@@ -154,47 +153,14 @@ func (s *System) classifyParallel(parent context.Context, x *tensor.T, infer inf
 	return Decide(consumed, s.Th), nil
 }
 
-// arenaInfer returns a member execution strategy whose forward passes draw
-// every intermediate tensor from the given arena. The arena is reset after
-// each member, so the strategy makes almost no heap allocations. Members on
-// a reduced-precision backend draw from a lazily created float32 arena
-// instead. Not safe for concurrent use — each worker owns its arenas.
-func (s *System) arenaInfer(a *tensor.Arena) inferFn {
-	var a32 *tensor.Arena32
-	return func(i int, x *tensor.T) []float64 {
-		m := &s.Members[i]
-		st := s.verifySink(m)
-		var row []float64
-		if m.net32 != nil {
-			if a32 == nil {
-				a32 = tensor.NewArena32()
-			}
-			a32.SetAbft(st)
-			row = m.net32.InferBatch([]*tensor.T{m.Pre.Apply(x)}, a32)[0]
-			a32.Reset()
-		} else {
-			a.SetAbft(st)
-			probs := m.Net.InferArena(m.Pre.Apply(x), a)
-			row = append([]float64(nil), probs.Data...)
-			a.Reset()
-		}
-		if s.finishVerify(st) {
-			suspectRow(row)
-		}
-		return row
-	}
-}
-
 // ClassifyBatch classifies every input and returns index-aligned decisions.
-// With Workers > 1 (or unset on a multi-core host) it takes the per-network
-// batched path: every still-undecided image runs through each member network
-// in one fused minibatch forward pass (see classifyBatchNetworks), which is
-// substantially faster than per-image fan-out because each member's weights
-// stream through the cache once per stage for the whole batch. Decisions
-// match Classify on label, reliability, votes and Activated count; the
-// Confidence may differ within the batched-kernel float tolerance (softmax
-// |Δ| ≤ 1e-9). With Workers == 1 it runs the bit-exact sequential per-image
-// path.
+// It takes the per-network batched path: every still-undecided image runs
+// through each member network in one fused minibatch forward pass (see
+// classifyBatchStagedWith), which is substantially faster than per-image
+// fan-out because each member's weights stream through the cache once per
+// stage for the whole batch. Classify is this engine at a batch of one, and
+// the kernels are batch-composition invariant, so ClassifyBatch(xs)[i]
+// DeepEquals Classify(xs[i]) whatever else is in xs and whatever Workers is.
 func (s *System) ClassifyBatch(xs []*tensor.T) []Decision {
 	out, _ := s.ClassifyBatchContext(context.Background(), xs)
 	return out
@@ -215,8 +181,7 @@ func (s *System) ClassifyBatchContext(ctx context.Context, xs []*tensor.T) ([]De
 }
 
 // classifyBatchUncached runs the batched engine, bypassing any attached
-// cache: the per-network fused path when the worker pool allows it, the
-// bit-exact sequential per-image arena path otherwise.
+// cache.
 func (s *System) classifyBatchUncached(ctx context.Context, xs []*tensor.T) ([]Decision, error) {
 	ds, _, err := s.classifyBatchUncachedTagged(ctx, xs)
 	return ds, err
@@ -225,23 +190,8 @@ func (s *System) classifyBatchUncached(ctx context.Context, xs []*tensor.T) ([]D
 // classifyBatchUncachedTagged is classifyBatchUncached plus the clean flag:
 // true when every stage followed the static schedule (so the decisions are
 // the reference ones and may be cached), false when an attached policy
-// degraded the batch. With a policy attached the fused staged engine always
-// runs — even at Workers == 1 — because the policy's stage semantics only
-// exist there; without one, Workers == 1 keeps the bit-exact sequential
-// per-image path.
+// degraded the batch. Every batch size and every Workers setting runs the
+// one fused staged engine.
 func (s *System) classifyBatchUncachedTagged(ctx context.Context, xs []*tensor.T) ([]Decision, bool, error) {
-	if s.Policy == nil && s.workerCount(len(xs)) == 1 {
-		out := make([]Decision, len(xs))
-		a := tensor.NewArena()
-		infer := s.arenaInfer(a)
-		for i, x := range xs {
-			d, err := s.classifySequential(ctx, x, infer)
-			if err != nil {
-				return nil, false, err
-			}
-			out[i] = d
-		}
-		return out, true, nil
-	}
 	return s.classifyBatchStaged(ctx, xs, s.batchStageArenaInfer())
 }

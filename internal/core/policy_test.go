@@ -587,10 +587,7 @@ func TestStagedPolicyConcurrentSharedSystem(t *testing.T) {
 				if (g+it)%2 == 0 {
 					ds := shared.ClassifyBatch(window)
 					for i, d := range ds {
-						// Policy-attached batches take the fused staged
-						// engine, so agreement is within the batched-kernel
-						// float tolerance rather than bit-exact.
-						if !decisionsEquivalent(d, want[lo+i]) {
+						if !reflect.DeepEqual(d, want[lo+i]) {
 							t.Error("passthrough-policy decision diverged under concurrency")
 							return
 						}

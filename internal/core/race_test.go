@@ -94,10 +94,7 @@ func TestClassifyConcurrentSharedSystem(t *testing.T) {
 					window := xs[lo : lo+len(xs)/2]
 					ds := seq.ClassifyBatch(window)
 					for i, d := range ds {
-						// The per-network batched path (Workers > 1) agrees
-						// with the sequential reference within the fused-
-						// kernel float tolerance, not bit-exactly.
-						if !decisionsEquivalent(d, ref[lo+i]) {
+						if !reflect.DeepEqual(d, ref[lo+i]) {
 							errs <- "batch decision diverged under concurrency"
 							return
 						}

@@ -84,16 +84,14 @@ type System struct {
 	// Batch is the number of members activated together per stage (models
 	// the number of available GPUs); minimum 1.
 	Batch int
-	// Parallel enables concurrent member evaluation inside Classify: member
-	// forward passes fan out across a bounded worker pool, and with Staged
-	// set, later stages run speculatively and are cancelled once the
-	// decision is determined. Decisions are identical to the sequential
-	// path (see TestClassifyParallelMatchesSequential).
+	// Parallel no longer selects an engine: Classify is the batched engine
+	// at a batch of one, which already fans the members of a stage across
+	// the Workers pool. The field is kept so existing configurations
+	// compile; it goes with the per-image engine (ROADMAP).
 	Parallel bool
-	// Workers caps concurrent member inferences, both inside a single
-	// Classify and per stage of the batched ClassifyBatch engine; 0 or
-	// negative selects runtime.NumCPU(). Workers == 1 forces ClassifyBatch
-	// onto the bit-exact sequential per-image path.
+	// Workers caps concurrent member inferences per stage of the engine; 0
+	// or negative selects runtime.NumCPU(). It changes wall-clock time
+	// only: every setting runs the same kernels and returns the same bits.
 	Workers int
 	// Cache, when non-nil, short-circuits Classify/ClassifyBatch with
 	// content-addressed cached decisions, coalesces concurrent identical
@@ -130,51 +128,25 @@ func NewSystem(members []Member, th Thresholds) (*System, error) {
 	return &System{Members: members, Th: th, Batch: 1}, nil
 }
 
-// inferFn abstracts running member i on an input. The engine is written
-// against this seam so the sequential, parallel, and arena-backed execution
-// strategies share one set of decision semantics — and so the property
-// tests can drive the engine with synthetic softmax vectors.
+// inferFn abstracts running member i on an input: the seam classifySequential
+// and classifyParallel are written against, so the property tests can drive
+// them with synthetic softmax vectors.
 type inferFn func(member int, x *tensor.T) []float64
-
-// memberInfer is the plain (heap-allocating) member execution strategy.
-// Verified members run through a throwaway arena so the kernels can carry
-// the checksum sink; the f64 arena path is bit-identical to Infer.
-func (s *System) memberInfer(i int, x *tensor.T) []float64 {
-	m := &s.Members[i]
-	st := s.verifySink(m)
-	if st == nil {
-		return m.Infer(x)
-	}
-	var row []float64
-	if m.net32 != nil {
-		a32 := tensor.NewArena32()
-		a32.SetAbft(st)
-		row = m.net32.InferBatch([]*tensor.T{m.Pre.Apply(x)}, a32)[0]
-	} else {
-		a := tensor.NewArena()
-		a.SetAbft(st)
-		row = append([]float64(nil), m.Net.InferArena(m.Pre.Apply(x), a).Data...)
-	}
-	if s.finishVerify(st) {
-		suspectRow(row)
-	}
-	return row
-}
 
 // Classify runs the system on one input image and returns the decision.
 // With Staged set, members are activated in priority order until the
-// decision is determined, and Decision.Activated reports how many ran.
-// With Parallel set, member forward passes run concurrently on a bounded
-// worker pool; the decision is identical either way.
+// decision is determined, and Decision.Activated reports how many ran. It
+// is ClassifyBatch at a batch of one: the same fused kernels, so the
+// decision — Confidence included — is bit-identical to the one the image
+// gets inside any batch.
 func (s *System) Classify(x *tensor.T) Decision {
 	d, _ := s.ClassifyContext(context.Background(), x)
 	return d
 }
 
 // ClassifyContext is Classify with cooperative cancellation: the engine
-// checks the context between member activations (sequential path) and
-// aborts in-flight waits (parallel path), returning ctx.Err() when the
-// context is done before a decision is reached. With a never-done context
+// polls the context before every member forward pass and returns ctx.Err()
+// when it is done before a decision is reached. With a never-done context
 // it behaves exactly like Classify.
 func (s *System) ClassifyContext(ctx context.Context, x *tensor.T) (Decision, error) {
 	if s.Cache != nil {
@@ -183,12 +155,17 @@ func (s *System) ClassifyContext(ctx context.Context, x *tensor.T) (Decision, er
 	return s.classifyUncached(ctx, x)
 }
 
-// classifyUncached runs the full engine, bypassing any attached cache.
+// classifyUncached runs the full engine on one image, bypassing any attached
+// cache: a batch of one through the batched engine. It never consults an
+// attached Policy — single-image Classify is the static reference schedule,
+// which is also what lets the cached single-image path store its result
+// unconditionally.
 func (s *System) classifyUncached(ctx context.Context, x *tensor.T) (Decision, error) {
-	if s.Parallel {
-		return s.classifyParallel(ctx, x, s.memberInfer)
+	ds, _, err := s.classifyBatchStagedWith(ctx, []*tensor.T{x}, nil, s.batchStageArenaInfer())
+	if err != nil {
+		return Decision{}, err
 	}
-	return s.classifySequential(ctx, x, s.memberInfer)
+	return ds[0], nil
 }
 
 // classifySequential runs members one after another on the calling

@@ -93,11 +93,10 @@ func ExtServing(ctx *Context) (*Result, error) {
 
 	metrics := telemetry.NewMetrics(len(sys.Members))
 	srv, err := server.New(server.Config{
-		Backend:     servingBackend{sys: sys, inShape: ds.InShape},
-		BatchWindow: 2 * time.Millisecond,
-		MaxBatch:    32,
-		QueueDepth:  1024,
-		Metrics:     metrics,
+		Backend:    servingBackend{sys: sys, inShape: ds.InShape},
+		MaxBatch:   32,
+		QueueDepth: 1024,
+		Metrics:    metrics,
 	})
 	if err != nil {
 		return nil, err

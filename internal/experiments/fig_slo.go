@@ -54,13 +54,12 @@ func ExtSLO(ctx *Context) (*Result, error) {
 		return nil, err
 	}
 
-	// The serving batch shape both modes share; the controller adapts
+	// The serving batch cap both modes share; the controller adapts
 	// around it, the static server is stuck with it. Requests carry 8
 	// images each so the cascade — not per-request HTTP/JSON overhead —
 	// is what saturates first; on a small machine single-image requests
 	// bottleneck on the transport, which no cascade tier can fix.
 	const (
-		batchWindow  = 2 * time.Millisecond
 		maxBatch     = 32
 		queueDepth   = 512
 		imagesPerReq = 8
@@ -96,7 +95,6 @@ func ExtSLO(ctx *Context) (*Result, error) {
 		StageBatch:   sysAdapt.Batch,
 		BaseEarly:    core.BackendF64,
 		BaseLate:     core.BackendF64,
-		BaseWindow:   batchWindow,
 		BaseMaxBatch: maxBatch,
 	})
 	if err != nil {
@@ -122,12 +120,11 @@ func ExtSLO(ctx *Context) (*Result, error) {
 
 	serve := func(sys *core.System, pol server.Policy) (string, func(), error) {
 		srv, err := server.New(server.Config{
-			Backend:     servingBackend{sys: sys, inShape: ds.InShape},
-			BatchWindow: batchWindow,
-			MaxBatch:    maxBatch,
-			QueueDepth:  queueDepth,
-			Metrics:     telemetry.NewMetrics(len(sys.Members)),
-			Policy:      pol,
+			Backend:    servingBackend{sys: sys, inShape: ds.InShape},
+			MaxBatch:   maxBatch,
+			QueueDepth: queueDepth,
+			Metrics:    telemetry.NewMetrics(len(sys.Members)),
+			Policy:     pol,
 		})
 		if err != nil {
 			return "", nil, err

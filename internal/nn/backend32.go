@@ -114,10 +114,11 @@ func compileNode32(l Layer) node32 {
 // InferBatch classifies a minibatch and returns one float64 softmax row per
 // input, index-aligned with xs. Inputs are float64 tensors (the engine's
 // image type) converted to float32 on entry; softmax runs in float64 over
-// the f32 logits. All batch sizes including 1 take the same fused kernels;
-// int8 results are bit-identical across batch sizes (the integer GEMM is
-// blocking-invariant), f32 results agree within float32 rounding (the FMA
-// tile boundaries depend on the batch geometry). A nil arena allocates a
+// the f32 logits. All batch sizes including 1 take the same fused kernels,
+// and on both compiled backends an image's row is bit-identical whatever
+// batch it was computed in (TestBatchCompositionInvariant): the integer
+// GEMM is blocking-invariant and the f32 FMA GEMM runs its column tail
+// through the same microkernel as its full panels. A nil arena allocates a
 // private one.
 func (n *Net32) InferBatch(xs []*tensor.T, a *tensor.Arena32) [][]float64 {
 	bsz := len(xs)

@@ -118,9 +118,8 @@ func TestCompile32MatchesF64(t *testing.T) {
 
 // TestNet32BatchSizeInvariant locks that every batch size runs the same
 // fused kernels: row 0 of a B=32 inference matches a B=1 inference of the
-// same image — bit-identically on the int8 backend (the integer GEMM is
-// blocking-invariant), within f32 rounding on the f32 backend (the FMA
-// tile boundaries depend on the batch geometry).
+// same image bit for bit on both compiled backends (the full composition
+// property across the zoo is TestBatchCompositionInvariant).
 func TestNet32BatchSizeInvariant(t *testing.T) {
 	for _, f := range backendFixtures(t)[:2] { // lenet5, convnet
 		f := f
@@ -139,13 +138,9 @@ func TestNet32BatchSizeInvariant(t *testing.T) {
 				a.Reset()
 				single := net.InferBatch(f.xs[:1], a)
 				for j := range single[0] {
-					if net.Quantized {
-						if single[0][j] != batch[0][j] {
-							t.Fatalf("int8 class %d: B=1 %v != B=32 row 0 %v (bit-exact required)",
-								j, single[0][j], batch[0][j])
-						}
-					} else if d := math.Abs(single[0][j] - batch[0][j]); d > 1e-6 {
-						t.Fatalf("f32 class %d: |Δ| = %g between B=1 and B=32 row 0", j, d)
+					if single[0][j] != batch[0][j] {
+						t.Fatalf("quantized=%v class %d: B=1 %v != B=32 row 0 %v (bit-exact required)",
+							net.Quantized, j, single[0][j], batch[0][j])
 					}
 				}
 			}

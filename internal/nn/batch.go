@@ -20,16 +20,17 @@ import (
 // whose row b is image b's activation in the same [C,H,W] row-major order
 // the per-image path uses.
 //
-// Floating-point contract (verified by TestInferBatchArenaMatchesInferArena
-// across every zoo topology): predictions (argmax) are identical to the
-// per-image InferArena path; softmax probabilities agree within 1e-9. Two
-// batched kernels reassociate floating-point arithmetic — the Winograd
-// convolution (transform-domain sums, ~1e-13 relative agreement, locked by
-// TestWinogradConvMatchesIm2Col) and the Dense matmul (MatMulTransBInto's
-// unrolled dot + bias-after instead of bias-first) — so results are not
-// guaranteed bit-exact; the remaining kernels, including the blocked GEMM
-// and im2col lowering, reproduce the per-image arithmetic bit for bit. A
-// batch of one falls back to InferArena and is bit-exact by construction.
+// Floating-point contract. Batch composition never changes an image's
+// output: every kernel computes each image's elements with one fixed chain
+// of operations whatever the batch size, the image's position or its
+// batchmates, so B=1, any split and any permutation are Float64bits-equal
+// to the same image inside B=32 (TestBatchCompositionInvariant, every zoo
+// topology × f64/f32/int8). Against the per-image InferArena path, which
+// survives as a test oracle, predictions (argmax) are identical and softmax
+// probabilities agree within 1e-9 (TestInferBatchArenaMatchesInferArena):
+// the Winograd convolution sums in the transform domain (~1e-13 relative,
+// locked by TestWinogradConvMatchesIm2Col) and the Dense matmul uses
+// MatMulTransBInto's unrolled dot + bias-after instead of bias-first.
 //
 // Like InferArena, the path never mutates network state and is safe for
 // concurrent use on a shared *Network; the arena (and the batchState built
@@ -66,15 +67,17 @@ func (st *batchState) imageViews(src *tensor.T, shape []int, bsz int) []*tensor.
 // InferBatchArena classifies a minibatch with the fused per-layer kernels
 // and returns one softmax probability tensor per input, index-aligned with
 // xs. All inputs must share one shape. The returned tensors are owned by
-// the arena: copy anything kept before a.Reset(). A nil arena or a batch of
-// one falls back to the per-image path (bit-exact with InferArena).
+// the arena: copy anything kept before a.Reset(). A batch of one is an
+// ordinary batch — it runs the same kernels, so an image's output does not
+// depend on the batch it was computed in. Only a nil arena falls back to the
+// per-image path.
 func (n *Network) InferBatchArena(xs []*tensor.T, a *tensor.Arena) []*tensor.T {
 	bsz := len(xs)
 	out := make([]*tensor.T, bsz)
 	if bsz == 0 {
 		return out
 	}
-	if a == nil || bsz == 1 {
+	if a == nil {
 		for i, x := range xs {
 			out[i] = n.InferArena(x, a)
 		}

@@ -50,11 +50,20 @@ func batchFixtures(t testing.TB) []struct {
 	return fs
 }
 
-// TestInferBatchArenaMatchesInferArena is the batched/per-image equivalence
-// contract: for every zoo topology and B ∈ {1, 2, 7, 32}, the fused batch
-// path must agree with per-image InferArena on the argmax always and on
-// every softmax probability within 1e-9 (the batched Dense kernel
-// reassociates floating-point sums; every other kernel is bit-exact).
+// perImageTol bounds |Δsoftmax| between the batched engine and the per-image
+// InferArena oracle. The two differ by named reassociations only: Winograd
+// F(4×4,3×3) sums in the transform domain where the per-image path lowers to
+// a direct im2col GEMM (~1e-13 relative per activation), and the batched
+// Dense adds the bias after an unrolled dot where the per-image one starts
+// from it.
+const perImageTol = 1e-9
+
+// TestInferBatchArenaMatchesInferArena holds the batched engine to the
+// per-image oracle: for every zoo topology and B ∈ {1, 2, 7, 32}, the fused
+// batch path must agree with InferArena on the argmax always and on every
+// softmax probability within perImageTol. B=1 is an ordinary batch here —
+// that batches agree with each other bit for bit, whatever their
+// composition, is TestBatchCompositionInvariant's job.
 func TestInferBatchArenaMatchesInferArena(t *testing.T) {
 	for _, f := range batchFixtures(t) {
 		f := f
@@ -78,17 +87,9 @@ func TestInferBatchArenaMatchesInferArena(t *testing.T) {
 						t.Errorf("B=%d image %d: argmax %d != per-image %d", bsz, i, gi, wi)
 					}
 					for j := range p.Data {
-						if d := math.Abs(p.Data[j] - want[i].Data[j]); d > 1e-9 {
-							t.Fatalf("B=%d image %d class %d: |Δsoftmax| = %g > 1e-9 (batched %v, per-image %v)",
-								bsz, i, j, d, p.Data[j], want[i].Data[j])
-						}
-					}
-				}
-				// B=1 must be bit-exact: it takes the per-image path.
-				if bsz == 1 {
-					for j := range got[0].Data {
-						if got[0].Data[j] != want[0].Data[j] {
-							t.Fatalf("B=1 image 0 class %d: not bit-exact", j)
+						if d := math.Abs(p.Data[j] - want[i].Data[j]); d > perImageTol {
+							t.Fatalf("B=%d image %d class %d: |Δsoftmax| = %g > %g (batched %v, per-image %v)",
+								bsz, i, j, d, perImageTol, p.Data[j], want[i].Data[j])
 						}
 					}
 				}
@@ -154,7 +155,7 @@ func TestInferBatchArenaEdgeCases(t *testing.T) {
 	want := f.net.InferBatchArena(f.xs[:2], a)
 	for i := range out {
 		for j := range out[i].Data {
-			if math.Abs(out[i].Data[j]-want[i].Data[j]) > 1e-9 {
+			if math.Abs(out[i].Data[j]-want[i].Data[j]) > perImageTol {
 				t.Fatalf("nil-arena path diverged at image %d class %d", i, j)
 			}
 		}

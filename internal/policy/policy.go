@@ -1,7 +1,7 @@
 // Package policy implements the SLO-driven adaptive cascade controller: a
 // runtime policy that reshapes PolygraphMR's staged schedule per batch —
-// stage depth, early/late backend precision, and the server's batch window
-// and size — so the p99 of the per-request latency budget is met at the
+// stage depth, early/late backend precision, and the server's batch cap —
+// so the p99 of the per-request latency budget is met at the
 // highest accuracy tier the load allows (DESIGN.md §12).
 //
 // The controller implements core.StagePolicy. It keeps an online cost model
@@ -47,11 +47,15 @@ type Config struct {
 	BaseEarly core.Backend
 	BaseLate  core.Backend
 
-	// BaseWindow and BaseMaxBatch are the server's configured batch shape;
-	// PlanBatch adapts around them. MaxBatchCap bounds how far the
-	// controller may grow MaxBatch under load (default 4×BaseMaxBatch,
+	// BaseWindow is ignored: the server's batcher is work-conserving and
+	// has no window to plan.
+	//
+	// Deprecated: kept only so the frozen benchmark module compiles; the
+	// next benchmark issue removes it.
+	BaseWindow time.Duration
+	// BaseMaxBatch is the server's configured batch cap; PlanBatch grows it
+	// with the backlog. MaxBatchCap bounds how far (default 4×BaseMaxBatch,
 	// at least 256).
-	BaseWindow   time.Duration
 	BaseMaxBatch int
 	MaxBatchCap  int
 
@@ -79,9 +83,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Freq < 1 {
 		c.Freq = 1
-	}
-	if c.BaseWindow <= 0 {
-		c.BaseWindow = 5 * time.Millisecond
 	}
 	if c.BaseMaxBatch <= 0 {
 		c.BaseMaxBatch = 64
@@ -199,7 +200,6 @@ type Controller struct {
 	upHold     atomic.Int64 // current step-up hold (nanos); backs off on failed probes
 
 	lastDepth    atomic.Int64 // members activated through the last observed stage
-	lastWindow   atomic.Int64 // last planned batch window (nanos)
 	lastMaxBatch atomic.Int64 // last planned max batch
 
 	queueWait ewma // EWMA of observed queue wait (µs); a tier-decision signal and exported
@@ -226,7 +226,6 @@ func New(cfg Config) (*Controller, error) {
 	}
 	cfg = cfg.withDefaults()
 	c := &Controller{cfg: cfg, tiers: buildTiers(cfg.BaseEarly, cfg.BaseLate)}
-	c.lastWindow.Store(int64(cfg.BaseWindow))
 	c.lastMaxBatch.Store(int64(cfg.BaseMaxBatch))
 	c.upHold.Store(int64(cfg.StepUpHold))
 	return c, nil
@@ -503,35 +502,16 @@ func (c *Controller) decideTier(req core.StageRequest) int {
 	}
 }
 
-// PlanBatch picks the next batch window and size from the live queue depth:
-// an empty queue keeps the configured window (latency spent waiting for
-// batchmates is wasted only when none are coming), a filling queue shrinks
-// it linearly, and a queue at or past the batch size zeroes it — there is
-// no point waiting when a full batch is already waiting. MaxBatch grows
+// PlanBatch picks the next batch cap from the live queue depth: it grows
 // with the backlog up to MaxBatchCap so drain throughput rises with load.
 // Called by the server's batcher before each collect; also records the
 // queue depth for tier decisions.
-func (c *Controller) PlanBatch(queueDepth int) (window time.Duration, maxBatch int) {
-	if queueDepth < 0 {
-		queueDepth = 0
-	}
+func (c *Controller) PlanBatch(queueDepth int) (maxBatch int) {
+	queueDepth = max(queueDepth, 0)
 	c.queue.Store(int64(queueDepth))
-	maxBatch = c.cfg.BaseMaxBatch
-	if queueDepth > maxBatch {
-		maxBatch = queueDepth
-		if maxBatch > c.cfg.MaxBatchCap {
-			maxBatch = c.cfg.MaxBatchCap
-		}
-	}
-	window = c.cfg.BaseWindow
-	if queueDepth >= maxBatch {
-		window = 0
-	} else if queueDepth > 0 {
-		window = c.cfg.BaseWindow * time.Duration(maxBatch-queueDepth) / time.Duration(maxBatch)
-	}
-	c.lastWindow.Store(int64(window))
+	maxBatch = min(max(c.cfg.BaseMaxBatch, queueDepth), c.cfg.MaxBatchCap)
 	c.lastMaxBatch.Store(int64(maxBatch))
-	return window, maxBatch
+	return maxBatch
 }
 
 // SetQueueDepth records the admission-queue depth outside a batch plan
@@ -580,11 +560,10 @@ type Snapshot struct {
 	Tier         int
 	TierName     string
 	Tiers        int
-	StageDepth   int           // members activated through the last observed stage
-	EarlyBackend string        // stage-0 backend of the current tier
-	LateBackend  string        // escalation backend of the current tier
-	Window       time.Duration // last planned batch window
-	MaxBatch     int           // last planned max batch size
+	StageDepth   int    // members activated through the last observed stage
+	EarlyBackend string // stage-0 backend of the current tier
+	LateBackend  string // escalation backend of the current tier
+	MaxBatch     int    // last planned batch cap
 	QueueDepth   int
 	QueueWait    time.Duration // EWMA of observed queue wait
 	Requests     uint64
@@ -608,7 +587,6 @@ func (c *Controller) Snapshot() Snapshot {
 		StageDepth:   int(c.lastDepth.Load()),
 		EarlyBackend: t.early.String(),
 		LateBackend:  t.late.String(),
-		Window:       time.Duration(c.lastWindow.Load()),
 		MaxBatch:     int(c.lastMaxBatch.Load()),
 		QueueDepth:   int(c.queue.Load()),
 		Requests:     c.requests.Load(),

@@ -37,8 +37,7 @@ func testController(t *testing.T, slo time.Duration, clk *fakeClock) *Controller
 	c, err := New(Config{
 		SLO: slo, Members: 4, Freq: 2, StageBatch: 1,
 		BaseEarly: core.BackendF64, BaseLate: core.BackendF64,
-		BaseWindow: 5 * time.Millisecond, BaseMaxBatch: 64,
-		StepUpAfter: 3, Now: clk.now,
+		BaseMaxBatch: 64, StepUpAfter: 3, Now: clk.now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -208,27 +207,24 @@ func TestStepUpRequiresHold(t *testing.T) {
 	}
 }
 
-func TestPlanBatchShapesWindow(t *testing.T) {
+// TestPlanBatchGrowsWithBacklog: the batch cap follows the queue depth from
+// BaseMaxBatch up to MaxBatchCap, and the snapshot mirrors the last plan.
+func TestPlanBatchGrowsWithBacklog(t *testing.T) {
 	c := testController(t, 10*time.Millisecond, newFakeClock())
-	cases := []struct {
-		depth    int
-		window   time.Duration
-		maxBatch int
-	}{
-		{0, 5 * time.Millisecond, 64},
-		{32, 2500 * time.Microsecond, 64},
-		{64, 0, 64},
-		{100, 0, 100},
-		{10_000, 0, 256}, // MaxBatchCap
-	}
-	for _, tc := range cases {
-		w, m := c.PlanBatch(tc.depth)
-		if w != tc.window || m != tc.maxBatch {
-			t.Errorf("PlanBatch(%d) = (%v, %d); want (%v, %d)", tc.depth, w, m, tc.window, tc.maxBatch)
+	for _, tc := range []struct{ depth, maxBatch int }{
+		{-3, 64},
+		{0, 64},
+		{32, 64},
+		{64, 64},
+		{100, 100},
+		{10_000, 256}, // MaxBatchCap
+	} {
+		if m := c.PlanBatch(tc.depth); m != tc.maxBatch {
+			t.Errorf("PlanBatch(%d) = %d; want %d", tc.depth, m, tc.maxBatch)
 		}
 	}
-	if s := c.Snapshot(); s.Window != 0 || s.MaxBatch != 256 || s.QueueDepth != 10_000 {
-		t.Errorf("snapshot after plans = window %v max %d depth %d", s.Window, s.MaxBatch, s.QueueDepth)
+	if s := c.Snapshot(); s.MaxBatch != 256 || s.QueueDepth != 10_000 {
+		t.Errorf("snapshot after plans = max %d depth %d", s.MaxBatch, s.QueueDepth)
 	}
 }
 

@@ -10,7 +10,8 @@ import (
 )
 
 // item is one image queued for classification, plus the channel its
-// request handler is waiting on.
+// request handler is waiting on. The admission queue carries items in
+// groups, one group per admitted request, in request order.
 type item struct {
 	img  polygraph.Image
 	ctx  context.Context
@@ -27,31 +28,56 @@ type itemResult struct {
 // told to stop (only possible when their handlers already gave up).
 var errServerStopped = errors.New("server: stopped before the image was classified")
 
+// admit reserves one admission slot per image and queues them as one group,
+// so the batcher sees the request whole. All-or-nothing: when the images do
+// not fit under QueueDepth nothing is reserved and ok is false. The queue
+// channel has room for QueueDepth groups and every group holds at least one
+// reserved slot, so the send never blocks.
+func (s *Server) admit(ctx context.Context, images []polygraph.Image) (group []*item, ok bool) {
+	k := int64(len(images))
+	depth := s.depth.Add(k)
+	if depth > int64(s.cfg.QueueDepth) {
+		s.depth.Add(-k)
+		return nil, false
+	}
+	s.metrics.QueueDepth.Set(depth)
+	enq := time.Now()
+	items := make([]item, len(images)) // one allocation for the whole request
+	group = make([]*item, len(images))
+	for i, im := range images {
+		items[i] = item{img: im, ctx: ctx, enq: enq, done: make(chan itemResult, 1)}
+		group[i] = &items[i]
+	}
+	s.queue <- group
+	return group, true
+}
+
 // runBatcher is the single goroutine that turns the admission queue into
-// ClassifyBatch calls: it blocks for the first queued image, coalesces
-// whatever else arrives within BatchWindow (up to MaxBatch), and dispatches
-// the batch to the backend. One goroutine is enough — the parallelism lives
-// inside ClassifyBatch's worker pool, and a single consumer keeps batch
-// formation free of cross-goroutine coordination.
+// ClassifyBatch calls. It is work-conserving: it blocks only for the first
+// queued group, takes whatever else is already queued (up to the batch cap)
+// and dispatches at once. While a batch runs, arrivals queue behind it, so
+// the service time is the coalescing window — an idle engine never waits
+// for batchmates that may not come. One goroutine is enough — the
+// parallelism lives inside ClassifyBatch's worker pool, and a single
+// consumer keeps batch formation free of cross-goroutine coordination.
 func (s *Server) runBatcher() {
 	defer close(s.batcherDone)
-	// One timer serves every batch: collect re-arms it per window instead of
-	// allocating a fresh timer (and its runtime bookkeeping) per batch. The
-	// invariant across collect calls is "stopped with a drained channel".
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
+	var carry []*item // what collect left for the head of the next batch
 	for {
-		var first *item
-		select {
-		case first = <-s.queue:
-		case <-s.stop:
-			s.failLeftovers()
-			return
+		if len(carry) == 0 {
+			select {
+			case carry = <-s.queue:
+			case <-s.stop:
+			}
 		}
-		batch := s.collect(first, timer)
+		select {
+		case <-s.stop:
+			s.failLeftovers(carry)
+			return
+		default:
+		}
+		var batch []*item
+		batch, carry = s.collect(carry)
 		s.release(len(batch))
 		s.dispatch(batch)
 		if s.cfg.Policy != nil {
@@ -60,49 +86,36 @@ func (s *Server) runBatcher() {
 	}
 }
 
-// collect gathers a batch starting from first: up to maxBatch images, not
-// waiting longer than window past the first. The shape comes from the SLO
-// policy when one is configured (fed the live queue depth, which still
-// counts first's reserved slot), otherwise from the static config. timer
-// arrives stopped-and-drained and is returned the same way.
-func (s *Server) collect(first *item, timer *time.Timer) []*item {
-	window, maxBatch := s.cfg.BatchWindow, s.cfg.MaxBatch
+// collect forms one batch starting from the group head: head plus every
+// already-queued group that still fits under the batch cap. The cap comes
+// from the SLO policy when one is configured (fed the live queue depth,
+// which still counts head's reserved slots), otherwise from the static
+// config. A request is never split across batches unless it alone exceeds
+// the cap: a group that does not fit is returned whole as carry and heads
+// the next batch; an oversized head is chunked at the cap.
+func (s *Server) collect(head []*item) (batch, carry []*item) {
+	maxBatch := s.cfg.MaxBatch
 	if s.cfg.Policy != nil {
-		window, maxBatch = s.cfg.Policy.PlanBatch(int(s.depth.Load()))
-		if maxBatch < 1 {
-			maxBatch = 1
-		}
+		maxBatch = max(s.cfg.Policy.PlanBatch(int(s.depth.Load())), 1)
 	}
-	batch := append(make([]*item, 0, maxBatch), first)
-	if window <= 0 {
-		// No waiting: take only what is already queued.
-		for len(batch) < maxBatch {
-			select {
-			case it := <-s.queue:
-				batch = append(batch, it)
-			default:
-				return batch
-			}
-		}
-		return batch
+	if len(head) > maxBatch {
+		return head[:maxBatch], head[maxBatch:]
 	}
-	timer.Reset(window)
+	// The handler still reads its group; cap the slice so appending
+	// batchmates copies instead of growing into the handler's array.
+	batch = head[:len(head):len(head)]
 	for len(batch) < maxBatch {
 		select {
-		case it := <-s.queue:
-			batch = append(batch, it)
-		case <-timer.C:
-			// The timer fired and its channel is drained — already back in
-			// the invariant state.
-			return batch
+		case g := <-s.queue:
+			if len(batch)+len(g) > maxBatch {
+				return batch, g
+			}
+			batch = append(batch, g...)
+		default:
+			return batch, nil
 		}
 	}
-	// Filled to maxBatch before the window closed: disarm the timer,
-	// draining the channel if it fired concurrently.
-	if !timer.Stop() {
-		<-timer.C
-	}
-	return batch
+	return batch, nil
 }
 
 // release returns n reserved admission slots.
@@ -116,7 +129,7 @@ func (s *Server) release(n int) {
 // latest deadline among them, so the RADE cancellation plumbing in
 // internal/core stops member evaluation once nobody is left waiting.
 func (s *Server) dispatch(batch []*item) {
-	live := batch[:0]
+	live := make([]*item, 0, len(batch)) // batch may alias a handler's group
 	for _, it := range batch {
 		wait := time.Since(it.enq)
 		s.metrics.QueueWait.Observe(wait.Seconds())
@@ -196,15 +209,18 @@ func batchContext(live []*item) (context.Context, context.CancelFunc) {
 	return context.WithDeadline(context.Background(), latest)
 }
 
-// failLeftovers answers any items still queued at stop time. Drain only
-// closes the stop channel after every in-flight request finished, so
-// leftovers can only belong to handlers that already timed out.
-func (s *Server) failLeftovers() {
-	for {
-		select {
-		case it := <-s.queue:
-			s.release(1)
+// failLeftovers answers and releases every item still held at stop time:
+// the carried-over group first, then every queued one. Drain only closes
+// the stop channel after every in-flight request finished, so leftovers can
+// only belong to handlers that already timed out.
+func (s *Server) failLeftovers(carry []*item) {
+	for g := carry; ; {
+		for _, it := range g {
 			it.done <- itemResult{err: errServerStopped}
+		}
+		s.release(len(g))
+		select {
+		case g = <-s.queue:
 		default:
 			return
 		}

@@ -14,10 +14,11 @@
 //	GET  /readyz       readiness (503 once draining)
 //	GET  /metrics      Prometheus text exposition
 //
-// The dynamic batcher coalesces images that arrive within Config.BatchWindow
-// (up to Config.MaxBatch) into one ClassifyBatch call, so concurrent
-// single-image requests exercise the arena/worker-pool fast path instead of
-// paying one Classify each.
+// The batcher is work-conserving and request-granular: it dispatches
+// whatever requests are queued (up to Config.MaxBatch images) the moment the
+// engine is free, so a lone request never waits and requests that arrive
+// while a batch runs share the next ClassifyBatch call. A request is only
+// split across calls when it alone exceeds the cap.
 package server
 
 import (
@@ -76,12 +77,12 @@ type ClusterReporter interface {
 }
 
 // Policy is the optional SLO batch planner — satisfied by
-// *policy.Controller. When set, the batcher asks it for the next batch
-// window and size before each collect (feeding it the live queue depth),
-// reports per-item queue waits and per-request latencies back, and mirrors
-// its snapshot into the pgmr_policy_* gauges after every dispatch.
+// *policy.Controller. When set, the batcher asks it for the batch cap
+// before each collect (feeding it the live queue depth), reports per-item
+// queue waits and per-request latencies back, and mirrors its snapshot into
+// the pgmr_policy_* gauges after every dispatch.
 type Policy interface {
-	PlanBatch(queueDepth int) (window time.Duration, maxBatch int)
+	PlanBatch(queueDepth int) (maxBatch int)
 	ObserveQueueWait(d time.Duration)
 	ObserveRequest(latency time.Duration)
 	Snapshot() policy.Snapshot
@@ -103,9 +104,11 @@ const nodeHeader = "X-PGMR-Node"
 type Config struct {
 	// Backend is the classification system behind the API. Required.
 	Backend Backend
-	// BatchWindow is how long the batcher waits, after the first queued
-	// image, for more images to coalesce. Negative batches only what is
-	// already queued without waiting; 0 selects the 5ms default.
+	// BatchWindow is ignored: the batcher is work-conserving and never
+	// waits for batchmates.
+	//
+	// Deprecated: kept only so the frozen benchmark module compiles; the
+	// next benchmark issue removes it.
 	BatchWindow time.Duration
 	// MaxBatch caps images per ClassifyBatch call. Default 64.
 	MaxBatch int
@@ -125,17 +128,13 @@ type Config struct {
 	// Metrics receives everything the server observes. Default: a fresh
 	// telemetry.NewMetrics(8) bundle.
 	Metrics *telemetry.Metrics
-	// Policy, when non-nil, supplies the batch window and max batch per
-	// collect instead of the static BatchWindow/MaxBatch, and receives the
-	// latency and queue-wait feedback it steers by. nil serves with the
-	// static configuration.
+	// Policy, when non-nil, supplies the max batch per collect instead of
+	// the static MaxBatch, and receives the latency and queue-wait feedback
+	// it steers by. nil serves with the static configuration.
 	Policy Policy
 }
 
 func (c Config) withDefaults() Config {
-	if c.BatchWindow == 0 {
-		c.BatchWindow = 5 * time.Millisecond
-	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
 	}
@@ -166,7 +165,7 @@ type Server struct {
 	cfg     Config
 	metrics *telemetry.Metrics
 
-	queue chan *item
+	queue chan []*item // one group per admitted request
 	depth atomic.Int64 // reserved queue slots, ≤ cfg.QueueDepth
 
 	draining    atomic.Bool
@@ -185,7 +184,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:         cfg,
 		metrics:     cfg.Metrics,
-		queue:       make(chan *item, cfg.QueueDepth),
+		queue:       make(chan []*item, cfg.QueueDepth),
 		stop:        make(chan struct{}),
 		batcherDone: make(chan struct{}),
 	}
@@ -460,31 +459,22 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	// Admission gate 2: bounded queue with load shedding. Slots are
-	// reserved atomically for the request's uncached remainder, so a
-	// multi-image request is admitted all-or-nothing and the channel send
-	// below can never block. Cache hits were answered above and consume
-	// nothing here.
-	k := int64(len(ims) - hits)
-	if depth := s.depth.Add(k); depth > int64(s.cfg.QueueDepth) {
-		s.depth.Add(-k)
+	// Admission gate 2: bounded queue with load shedding. The request's
+	// uncached remainder is admitted all-or-nothing as one group. Cache
+	// hits were answered above and consume nothing here.
+	idxs := make([]int, 0, len(ims)-hits)
+	for i := range ims {
+		if !served[i] {
+			ims[len(idxs)] = ims[i]
+			idxs = append(idxs, i)
+		}
+	}
+	items, ok := s.admit(ctx, ims[:len(idxs)])
+	if !ok {
 		s.metrics.Rejected.Inc()
 		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
 		fail(http.StatusTooManyRequests, "admission queue full (%d images)", s.cfg.QueueDepth)
 		return
-	}
-	s.metrics.QueueDepth.Set(s.depth.Load())
-
-	items := make([]*item, 0, k)
-	idxs := make([]int, 0, k)
-	for i, im := range ims {
-		if served[i] {
-			continue
-		}
-		it := &item{img: im, ctx: ctx, enq: time.Now(), done: make(chan itemResult, 1)}
-		items = append(items, it)
-		idxs = append(idxs, i)
-		s.queue <- it
 	}
 
 	// Collect results in request order.
@@ -520,7 +510,6 @@ func policySample(sn policy.Snapshot) telemetry.PolicySample {
 		StageDepth:   sn.StageDepth,
 		EarlyBackend: sn.EarlyBackend,
 		LateBackend:  sn.LateBackend,
-		Window:       sn.Window,
 		MaxBatch:     sn.MaxBatch,
 		BudgetMisses: sn.BudgetMisses,
 		Escalations:  sn.Escalations,

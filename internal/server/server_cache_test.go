@@ -79,7 +79,7 @@ func (f *fakeCachingBackend) computedImages() int {
 // uncached remainder computed; no header without a caching backend.
 func TestCacheHeader(t *testing.T) {
 	fb := newFakeCachingBackend()
-	_, ts := startServer(t, Config{Backend: fb, BatchWindow: -1})
+	_, ts := startServer(t, Config{Backend: fb})
 
 	imA, imB := testImage(10), testImage(20)
 	toJSON := func(im polygraph.Image) imageJSON {
@@ -155,7 +155,7 @@ func TestCacheHeader(t *testing.T) {
 // must not grow the header.
 func TestNoCacheHeaderWithoutProber(t *testing.T) {
 	fb := newFakeBackend()
-	_, ts := startServer(t, Config{Backend: fb, BatchWindow: -1})
+	_, ts := startServer(t, Config{Backend: fb})
 	resp, _ := postJSON(t, ts.URL, classifyRequest{Image: &imageJSON{Channels: 1, Height: 2, Width: 2, Pixels: testImage(1).Pixels}})
 	if h, ok := resp.Header[cacheHeader]; ok {
 		t.Errorf("%s=%q set without a caching backend", cacheHeader, h)
@@ -167,7 +167,7 @@ func TestNoCacheHeaderWithoutProber(t *testing.T) {
 // shedding new work with 429 — hits never consume queue slots.
 func TestCacheHitServedWhileSaturated(t *testing.T) {
 	fb := newFakeCachingBackend()
-	s, ts := startServer(t, Config{Backend: fb, BatchWindow: -1, QueueDepth: 1})
+	s, ts := startServer(t, Config{Backend: fb, QueueDepth: 1})
 
 	// Prime the cache with image 1 while the backend is open.
 	prime, _ := postJSON(t, ts.URL, classifyRequest{Image: &imageJSON{Channels: 1, Height: 2, Width: 2, Pixels: testImage(1).Pixels}})

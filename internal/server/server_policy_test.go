@@ -12,12 +12,11 @@ import (
 	"repro/internal/policy"
 )
 
-// fakePolicy is an instrumented Policy that returns a fixed batch shape, so
+// fakePolicy is an instrumented Policy that returns a fixed batch cap, so
 // the tests can verify the batcher consults it per batch and feeds the
 // observation hooks back.
 type fakePolicy struct {
-	window time.Duration
-	max    int
+	max int
 
 	plans     atomic.Int64
 	waits     atomic.Int64
@@ -25,10 +24,10 @@ type fakePolicy struct {
 	lastDepth atomic.Int64
 }
 
-func (p *fakePolicy) PlanBatch(queueDepth int) (time.Duration, int) {
+func (p *fakePolicy) PlanBatch(queueDepth int) int {
 	p.plans.Add(1)
 	p.lastDepth.Store(int64(queueDepth))
-	return p.window, p.max
+	return p.max
 }
 
 func (p *fakePolicy) ObserveQueueWait(time.Duration) { p.waits.Add(1) }
@@ -41,7 +40,6 @@ func (p *fakePolicy) Snapshot() policy.Snapshot {
 		TierName:     "fused-f32",
 		EarlyBackend: "int8",
 		LateBackend:  "f32",
-		Window:       p.window,
 		MaxBatch:     p.max,
 		BudgetMisses: 7,
 		Escalations:  11,
@@ -49,20 +47,19 @@ func (p *fakePolicy) Snapshot() policy.Snapshot {
 	}
 }
 
-// TestPolicyShapesBatches: with a policy forcing maxBatch=2 and no window,
-// the batcher must never hand the backend more than 2 images even though the
+// TestPolicyShapesBatches: with a policy forcing maxBatch=2, the batcher
+// must never hand the backend more than 2 images even though the
 // static config would allow 64, must call PlanBatch per batch, and must feed
 // queue waits and request latencies back.
 func TestPolicyShapesBatches(t *testing.T) {
 	fb := newFakeBackend()
 	fb.delayNS.Store(int64(time.Millisecond)) // let the queue build between dispatches
-	pol := &fakePolicy{window: -1, max: 2}
+	pol := &fakePolicy{max: 2}
 	_, ts := startServer(t, Config{
-		Backend:     fb,
-		BatchWindow: 20 * time.Millisecond,
-		MaxBatch:    64,
-		QueueDepth:  256,
-		Policy:      pol,
+		Backend:    fb,
+		MaxBatch:   64,
+		QueueDepth: 256,
+		Policy:     pol,
 	})
 
 	const n = 12
@@ -104,12 +101,12 @@ func TestPolicyShapesBatches(t *testing.T) {
 	// and every dispatched item must land in the queue-wait histogram.
 	exp := scrape(t, ts.URL)
 	for series, want := range map[string]int{
-		"pgmr_policy_tier":          3,
-		"pgmr_policy_max_batch":     2,
-		"pgmr_policy_budget_misses": 7,
-		"pgmr_policy_escalations":   11,
-		`pgmr_policy_backend{backend="int8",role="early"}`: 1,
-		`pgmr_policy_backend{backend="f32",role="late"}`:   1,
+		"pgmr_policy_tier":                                    3,
+		"pgmr_policy_max_batch":                               2,
+		"pgmr_policy_budget_misses":                           7,
+		"pgmr_policy_escalations":                             11,
+		`pgmr_policy_backend{backend="int8",role="early"}`:    1,
+		`pgmr_policy_backend{backend="f32",role="late"}`:      1,
 		`pgmr_policy_stage_cost_ns{backend="int8",stage="0"}`: 1500,
 		"pgmr_queue_wait_seconds_count":                       n,
 	} {
@@ -126,7 +123,7 @@ func TestPolicyControllerEndToEnd(t *testing.T) {
 	fb := newFakeBackend()
 	ctl, err := policy.New(policy.Config{
 		SLO: 5 * time.Second, Members: 4, Freq: 2, StageBatch: 1,
-		BaseWindow: time.Millisecond, BaseMaxBatch: 8,
+		BaseMaxBatch: 8,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -26,10 +26,19 @@ import (
 type fakeBackend struct {
 	delayNS  atomic.Int64  // per-call sleep
 	gated    atomic.Bool   // when set, calls block on gate (or ctx)
-	gate     chan struct{} // closed by tests to release gated calls
+	gate     chan struct{} // a send releases one gated call, close releases all
 	entered  chan struct{} // signaled (non-blocking) at each call start
 	calls    atomic.Int64
 	maxBatch atomic.Int64
+
+	mu    sync.Mutex
+	sizes []int // batch size of every call, in call order
+}
+
+func (f *fakeBackend) batchSizes() []int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]int(nil), f.sizes...)
 }
 
 func newFakeBackend() *fakeBackend {
@@ -51,6 +60,9 @@ func (f *fakeBackend) predict(im polygraph.Image) polygraph.Prediction {
 
 func (f *fakeBackend) ClassifyBatchContext(ctx context.Context, images []polygraph.Image) ([]polygraph.Prediction, error) {
 	f.calls.Add(1)
+	f.mu.Lock()
+	f.sizes = append(f.sizes, len(images))
+	f.mu.Unlock()
 	for {
 		max := f.maxBatch.Load()
 		if int64(len(images)) <= max || f.maxBatch.CompareAndSwap(max, int64(len(images))) {
@@ -154,19 +166,18 @@ func scrape(t *testing.T, url string) string {
 }
 
 // TestServeConcurrentBatchedIntegration is the acceptance-criteria
-// integration test: ≥64 concurrent requests through the dynamic batcher,
+// integration test: ≥64 concurrent requests through the batcher,
 // checking (a) every response equals the direct backend prediction, (b) at
 // least one coalesced batch of size > 1 formed, (c) /metrics agrees with
 // the load, and (d) drain completes in-flight requests then refuses new
 // ones.
 func TestServeConcurrentBatchedIntegration(t *testing.T) {
 	fb := newFakeBackend()
-	fb.delayNS.Store(int64(2 * time.Millisecond)) // give the window time to coalesce
+	fb.delayNS.Store(int64(2 * time.Millisecond)) // arrivals queue behind the running batch
 	s, ts := startServer(t, Config{
-		Backend:     fb,
-		BatchWindow: 10 * time.Millisecond,
-		MaxBatch:    32,
-		QueueDepth:  512,
+		Backend:    fb,
+		MaxBatch:   32,
+		QueueDepth: 512,
 	})
 
 	const n = 80
@@ -310,7 +321,7 @@ func TestServeConcurrentBatchedIntegration(t *testing.T) {
 // identical to per-image direct calls.
 func TestMultiImageRequest(t *testing.T) {
 	fb := newFakeBackend()
-	_, ts := startServer(t, Config{Backend: fb, BatchWindow: -1})
+	_, ts := startServer(t, Config{Backend: fb})
 
 	req := classifyRequest{}
 	var want []predictionJSON
@@ -338,7 +349,7 @@ func TestRequestDeadline(t *testing.T) {
 	fb := newFakeBackend()
 	fb.gated.Store(true)
 	defer close(fb.gate)
-	_, ts := startServer(t, Config{Backend: fb, BatchWindow: -1})
+	_, ts := startServer(t, Config{Backend: fb})
 
 	req := classifyRequest{
 		Image:     &imageJSON{Channels: 1, Height: 2, Width: 2, Pixels: testImage(3).Pixels},
@@ -355,7 +366,7 @@ func TestRequestDeadline(t *testing.T) {
 func TestAdmissionControl(t *testing.T) {
 	fb := newFakeBackend()
 	fb.gated.Store(true)
-	s, ts := startServer(t, Config{Backend: fb, BatchWindow: -1, QueueDepth: 1})
+	s, ts := startServer(t, Config{Backend: fb, QueueDepth: 1})
 
 	send := func(seed int, out chan<- *http.Response) {
 		req := classifyRequest{Image: &imageJSON{Channels: 1, Height: 2, Width: 2, Pixels: testImage(seed).Pixels}}
@@ -420,7 +431,7 @@ func TestAdmissionControl(t *testing.T) {
 // TestBadRequests covers the input-validation envelope.
 func TestBadRequests(t *testing.T) {
 	fb := newFakeBackend()
-	_, ts := startServer(t, Config{Backend: fb, BatchWindow: -1, MaxImagesPerRequest: 2, MaxBodyBytes: 1024})
+	_, ts := startServer(t, Config{Backend: fb, MaxImagesPerRequest: 2, MaxBodyBytes: 1024})
 
 	get, err := http.Get(ts.URL + "/v1/classify")
 	if err != nil {
@@ -482,7 +493,7 @@ func TestBadRequests(t *testing.T) {
 // request succeeds and the percentiles are ordered.
 func TestLoadGenerator(t *testing.T) {
 	fb := newFakeBackend()
-	_, ts := startServer(t, Config{Backend: fb, BatchWindow: 2 * time.Millisecond, QueueDepth: 1024})
+	_, ts := startServer(t, Config{Backend: fb, QueueDepth: 1024})
 
 	images := make([]polygraph.Image, 16)
 	for i := range images {

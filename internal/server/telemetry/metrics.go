@@ -92,7 +92,6 @@ type Metrics struct {
 	// server runs without a policy.
 	PolicyTier         *Gauge // current degradation tier (0 = static)
 	PolicyStageDepth   *Gauge // members activated through the last observed stage
-	PolicyWindowUs     *Gauge // last planned batch window (µs)
 	PolicyMaxBatch     *Gauge // last planned max batch size
 	PolicyBudgetMisses *Gauge // requests that exceeded the SLO (cumulative)
 	PolicyEscalations  *Gauge // escalation stages executed (cumulative)
@@ -172,7 +171,6 @@ func NewMetrics(maxMembers int) *Metrics {
 
 		PolicyTier:         r.Gauge("pgmr_policy_tier", "Current SLO-controller degradation tier (0 = static configuration)."),
 		PolicyStageDepth:   r.Gauge("pgmr_policy_stage_depth", "Members activated through the last policy-observed stage."),
-		PolicyWindowUs:     r.Gauge("pgmr_policy_window_us", "Last batch window planned by the SLO controller, in microseconds."),
 		PolicyMaxBatch:     r.Gauge("pgmr_policy_max_batch", "Last max batch size planned by the SLO controller."),
 		PolicyBudgetMisses: r.Gauge("pgmr_policy_budget_misses", "Requests whose latency exceeded the SLO budget (cumulative, mirrored)."),
 		PolicyEscalations:  r.Gauge("pgmr_policy_escalations", "Escalation stages executed under the policy (cumulative, mirrored)."),
@@ -332,7 +330,6 @@ type PolicySample struct {
 	StageDepth   int
 	EarlyBackend string
 	LateBackend  string
-	Window       time.Duration
 	MaxBatch     int
 	BudgetMisses uint64
 	Escalations  uint64
@@ -348,7 +345,6 @@ type PolicySample struct {
 func (m *Metrics) ObservePolicy(p PolicySample) {
 	m.PolicyTier.Set(int64(p.Tier))
 	m.PolicyStageDepth.Set(int64(p.StageDepth))
-	m.PolicyWindowUs.Set(p.Window.Microseconds())
 	m.PolicyMaxBatch.Set(int64(p.MaxBatch))
 	m.PolicyBudgetMisses.Set(int64(p.BudgetMisses))
 	m.PolicyEscalations.Set(int64(p.Escalations))

@@ -320,11 +320,11 @@ func ConvGemmIm2Col32(cm, weight *T32, src []float32, bsz int, g ConvGeom) {
 				fmaGemm4x16(&ad[i*k], k, &b[jj], bw, &cd[i*n+jb+jj], n, k)
 			}
 		}
-		if mb < m && nb16 > 0 {
-			gemm32ScalarRegion(cd[jb:], ad, b, mb, m, 0, nb16, k, n, bw)
-		}
 		if nb16 < bw {
-			gemm32ScalarRegion(cd[jb:], ad, b, 0, m, nb16, bw, k, n, bw)
+			fmaGemmTail16(cd[jb:], ad, b, mb, nb16, bw-nb16, k, n, bw)
+		}
+		if mb < m {
+			gemm32ScalarRegion(cd[jb:], ad, b, mb, m, 0, bw, k, n, bw)
 		}
 	}
 	putBlk32(blkp)

@@ -34,9 +34,12 @@ func SetSIMD(on bool) bool {
 // GemmInto32Fast computes C = A×B like GemmInto32, dispatching to the FMA
 // microkernel when available. Unlike GemmInto32 it does NOT guarantee
 // bit-identical results to the naive i-k-j kernel: the 4×16 FMA blocks
-// accumulate in a different association (fused, 16 lanes). It is the GEMM
-// of the f32 backend's convolution path, where float32 rounding already
-// bounds accuracy (DESIGN.md §9).
+// accumulate in a different association (fused, 16 lanes). Every column
+// of rows < m&^3 takes that microkernel — the n mod 16 tail through
+// fmaGemmTail16 — and the remaining rows are scalar for every column, so a
+// column's result does not depend on how many columns sit beside it. It is
+// the GEMM of the f32 backend's convolution path, where float32 rounding
+// already bounds accuracy (DESIGN.md §9).
 func GemmInto32Fast(c, a, b *T32) {
 	m, k := a.Shape[0], a.Shape[1]
 	n := b.Shape[1]
@@ -54,18 +57,48 @@ func GemmInto32Fast(c, a, b *T32) {
 			fmaGemm4x16(&ad[i*k], k, &bd[j], n, &cd[i*n+j], n, k)
 		}
 	}
-	if mb < m {
-		gemm32ScalarRegion(cd, ad, bd, mb, m, 0, nb, k, n, n)
-	}
 	if nb < n {
-		gemm32ScalarRegion(cd, ad, bd, 0, m, nb, n, k, n, n)
+		fmaGemmTail16(cd, ad, bd, mb, nb, n-nb, k, n, n)
+	}
+	if mb < m {
+		gemm32ScalarRegion(cd, ad, bd, mb, m, 0, n, k, n, n)
 	}
 }
 
+// fmaGemmTail16 computes the C sub-block [0,mb)×[j0,j0+w), w < 16 and mb a
+// multiple of 4, with the same fused microkernel as the full 16-column
+// panels: the k×w tail of B is copied into a zero-padded k×16 scratch,
+// fmaGemm4x16 runs into a 4×16 scratch C, and the w valid columns are
+// copied out. Lanes are independent, so a tail column gets exactly the
+// arithmetic it would get inside a full panel — which is what makes an
+// image's output independent of where in the batch it sits (the columns
+// are B·OH·OW, so the tail is the last image's). ldc/ldb as in
+// gemm32ScalarRegion.
+func fmaGemmTail16(cd, ad, bd []float32, mb, j0, w, k, ldc, ldb int) {
+	if mb == 0 {
+		return
+	}
+	sp := getBlk32(k*16 + 4*16)
+	bp, cp := (*sp)[:k*16], (*sp)[k*16:]
+	for p := 0; p < k; p++ {
+		row := bp[p*16 : (p+1)*16]
+		clear(row[copy(row, bd[p*ldb+j0:p*ldb+j0+w]):])
+	}
+	for i := 0; i < mb; i += 4 {
+		fmaGemm4x16(&ad[i*k], k, &bp[0], 16, &cp[0], 16, k)
+		for r := 0; r < 4; r++ {
+			copy(cd[(i+r)*ldc+j0:(i+r)*ldc+j0+w], cp[r*16:])
+		}
+	}
+	putBlk32(sp)
+}
+
 // gemm32ScalarRegion computes the C sub-block [i0,i1)×[j0,j1) with the
-// scalar i-k-j kernel — the remainder path of GemmInto32Fast. ldc/ldb are
-// C's and B's row strides (both n on the explicit path; the implicit conv
-// path passes a generated block with ldb = block width).
+// scalar i-k-j kernel — the row remainder (m mod 4) of GemmInto32Fast,
+// which runs scalar for every column so no column is treated differently
+// from its neighbours. ldc/ldb are C's and B's row strides (both n on the
+// explicit path; the implicit conv path passes a generated block with
+// ldb = block width).
 func gemm32ScalarRegion(cd, ad, bd []float32, i0, i1, j0, j1, k, ldc, ldb int) {
 	for i := i0; i < i1; i++ {
 		crow := cd[i*ldc+j0 : i*ldc+j1]

@@ -125,15 +125,12 @@ type Options struct {
 	// sizes (measured in internal/perf/BENCH_abft.json). Counters are
 	// exposed via System.AbftCounts and the serving /metrics registry.
 	Verified bool
-	// Parallel enables concurrent member evaluation inside Classify: member
-	// forward passes fan out across a bounded worker pool, with staged
-	// activation preserved through speculative stages that are cancelled
-	// once the decision is determined. Decisions are identical to the
-	// sequential path. ClassifyBatch always uses the pool regardless of
-	// this flag.
+	// Parallel no longer selects an engine: Classify is ClassifyBatch at a
+	// batch of one, which already fans the members of a stage across the
+	// Workers pool. Kept so existing callers compile.
 	Parallel bool
-	// Workers caps concurrent member inferences (Classify with Parallel)
-	// and in-flight images (ClassifyBatch). 0 selects runtime.NumCPU().
+	// Workers caps concurrent member inferences per stage. 0 selects
+	// runtime.NumCPU(). It never changes a result.
 	Workers int
 	// FPBudget, when positive, selects decision thresholds that maximize
 	// answered correct predictions subject to the undetected-misprediction
@@ -229,11 +226,9 @@ type ClusterStats struct {
 // PolicyOptions tunes the SLO controller (Options.SLO). Zero fields select
 // the defaults documented on policy.Config.
 type PolicyOptions struct {
-	// BatchWindow and MaxBatch describe the serving batch shape the
-	// controller adapts around — pass the same values the server is
-	// configured with. Defaults: 5ms, 64.
-	BatchWindow time.Duration
-	MaxBatch    int
+	// MaxBatch is the serving batch cap the controller adapts around —
+	// pass the same value the server is configured with. Default 64.
+	MaxBatch int
 	// MaxBatchCap bounds how far the controller may grow the batch under
 	// load. Default max(4×MaxBatch, 256).
 	MaxBatchCap int
@@ -434,7 +429,6 @@ func Build(benchmark string, opts Options) (*System, error) {
 			BaseLate:   late,
 		}
 		if po := opts.Policy; po != nil {
-			pcfg.BaseWindow = po.BatchWindow
 			pcfg.BaseMaxBatch = po.MaxBatch
 			pcfg.MaxBatchCap = po.MaxBatchCap
 			pcfg.Safety = po.Safety
@@ -545,10 +539,9 @@ func (s *System) Classify(im Image) (Prediction, error) {
 }
 
 // ClassifyContext is Classify with a deadline/cancellation context: the
-// engine checks ctx between member activations (and aborts speculative
-// waits on the parallel path), returning ctx.Err() when the context is done
-// before the decision is reached. This is the entry point network servers
-// use to honor per-request deadlines.
+// engine checks ctx between member activations, returning ctx.Err() when
+// the context is done before the decision is reached. This is the entry
+// point network servers use to honor per-request deadlines.
 func (s *System) ClassifyContext(ctx context.Context, im Image) (Prediction, error) {
 	if err := s.checkImage(im); err != nil {
 		return Prediction{}, err
@@ -567,11 +560,12 @@ func (s *System) ClassifyContext(ctx context.Context, im Image) (Prediction, err
 }
 
 // ClassifyBatch classifies every image and returns index-aligned
-// predictions — the throughput mode of the system. Images fan out across a
-// bounded worker pool (Options.Workers, default NumCPU) and each worker
-// reuses inference scratch buffers, so the batch path is both parallel and
-// allocation-light. Each prediction is identical to what Classify would
-// return for the same image.
+// predictions — the throughput mode of the system. Each member network runs
+// the still-undecided images as one fused minibatch, members of a stage fan
+// out across a bounded worker pool (Options.Workers, default NumCPU) and
+// each worker reuses inference scratch buffers. Each prediction is
+// bit-identical to what Classify returns for the same image, whatever else
+// is in the batch.
 func (s *System) ClassifyBatch(images []Image) ([]Prediction, error) {
 	return s.ClassifyBatchContext(context.Background(), images)
 }

@@ -13,7 +13,6 @@ import (
 func cachedTestSystem(t *testing.T) *System {
 	t.Helper()
 	s := testSystem(t)
-	s.sys.Workers = 1 // bit-exact engine: cached results must DeepEqual uncached
 	s.sys.EnableCache(cache.Config{MaxBytes: 1 << 20, TTL: time.Hour, Shards: 4}, "bits=0")
 	return s
 }

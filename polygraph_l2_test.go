@@ -15,7 +15,6 @@ import (
 func tieredTestSystem(t *testing.T, dir string) *System {
 	t.Helper()
 	s := testSystem(t)
-	s.sys.Workers = 1 // bit-exact engine: cached results must DeepEqual uncached
 	_, err := s.sys.EnableTieredCache(
 		cache.Config{MaxBytes: 1 << 20, TTL: time.Hour, Shards: 4},
 		persist.Config{Dir: dir, TTL: time.Hour},
