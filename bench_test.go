@@ -135,8 +135,8 @@ func BenchmarkExtSoftVote(b *testing.B) { benchExperiment(b, "ext-softvote") }
 func BenchmarkExtOutOfDistribution(b *testing.B) { benchExperiment(b, "ext-ood") }
 
 // BenchmarkExtThroughput runs the live-inference throughput comparison of
-// the sequential, parallel, and batched execution strategies (extension;
-// paper §IV cost containment).
+// per-image Classify and batched ClassifyBatch (extension; paper §IV cost
+// containment).
 func BenchmarkExtThroughput(b *testing.B) { benchExperiment(b, "ext-throughput") }
 
 // BenchmarkExtServing runs the HTTP serving throughput/latency study over

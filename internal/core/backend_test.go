@@ -149,6 +149,32 @@ func TestBackendAgreementWithF64(t *testing.T) {
 	}
 }
 
+// TestMemberInferMatchesClassify: the rows Member.Infer returns are the
+// rows Classify votes on, on every backend — with staging off, Decide over
+// every member's Infer row must DeepEqual Classify, Confidence bits
+// included.
+func TestMemberInferMatchesClassify(t *testing.T) {
+	for _, be := range []Backend{BackendF64, BackendF32, BackendInt8} {
+		sys, xs := raceFixture(t)
+		sys.Staged = false
+		for i := range sys.Members {
+			sys.Members[i].Backend = be
+		}
+		if err := sys.PrepareBackends(xs[:4]); err != nil {
+			t.Fatal(err)
+		}
+		for i, x := range xs {
+			rows := make([][]float64, len(sys.Members))
+			for m, mem := range sys.Members {
+				rows[m] = mem.Infer(x)
+			}
+			if got, want := Decide(rows, sys.Th), sys.Classify(x); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s frame %d: Decide(Member.Infer rows) %+v != Classify %+v", be, i, got, want)
+			}
+		}
+	}
+}
+
 // TestPrepareBackendsErrors covers the refusal paths.
 func TestPrepareBackendsErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))

@@ -24,13 +24,58 @@ import (
 // of max(Thr_Freq, 2) members, then +Batch per stage), images drop out of the
 // batch at the stage boundary where classifySequential would have stopped,
 // and the per-image Decision — label, reliability, votes, Activated count —
-// matches what classifySequential returns on the same member rows. The
-// kernels are batch-composition invariant (internal/nn/batch.go), so the
-// Decision of an image, Confidence included, is the same bits in any batch.
+// matches what classifySequential returns on the same member rows.
+// classifySequential, the executable statement of the paper's RADE semantics
+// (activate in contribution order, stop once Thr_Freq is decided), lives in
+// oracle_test.go: it is the reference the property tests hold this engine
+// to, never a serving path. The kernels are batch-composition invariant
+// (internal/nn/batch.go), so the Decision of an image, Confidence included,
+// is the same bits in any batch.
+
+// ClassifyBatch classifies every input and returns index-aligned decisions.
+// Every still-undecided image runs through each member network in one fused
+// minibatch forward pass (see classifyBatchStaged), so each member's weights
+// stream through the cache once per stage for the whole batch. Classify is
+// this engine at a batch of one, and the kernels are batch-composition
+// invariant, so ClassifyBatch(xs)[i] DeepEquals Classify(xs[i]) whatever
+// else is in xs and whatever Workers is.
+func (s *System) ClassifyBatch(xs []*tensor.T) []Decision {
+	out, _ := s.ClassifyBatchContext(context.Background(), xs)
+	return out
+}
+
+// ClassifyBatchContext is ClassifyBatch with cooperative cancellation: when
+// the context is done before every item has been classified, the engine stops
+// before the next member inference and ctx.Err() is returned with a nil
+// slice. With a never-done context it behaves exactly like ClassifyBatch.
+func (s *System) ClassifyBatchContext(ctx context.Context, xs []*tensor.T) ([]Decision, error) {
+	if len(xs) == 0 {
+		return []Decision{}, nil
+	}
+	if s.Cache != nil {
+		return s.classifyBatchCached(ctx, xs)
+	}
+	return s.classifyBatchUncached(ctx, xs)
+}
+
+// classifyBatchUncached runs the batched engine, bypassing any attached
+// cache.
+func (s *System) classifyBatchUncached(ctx context.Context, xs []*tensor.T) ([]Decision, error) {
+	ds, _, err := s.classifyBatchUncachedTagged(ctx, xs)
+	return ds, err
+}
+
+// classifyBatchUncachedTagged is classifyBatchUncached plus the clean flag:
+// true when every stage followed the static schedule (so the decisions are
+// the reference ones and may be cached), false when an attached policy
+// degraded the batch.
+func (s *System) classifyBatchUncachedTagged(ctx context.Context, xs []*tensor.T) ([]Decision, bool, error) {
+	return s.classifyBatchStaged(ctx, xs, s.Policy, s.batchStageArenaInfer())
+}
 
 // batchInferFn runs one member on a set of images and returns index-aligned
-// probability rows. It is the batched counterpart of inferFn and must be safe
-// for concurrent calls on distinct members.
+// probability rows. It must be safe for concurrent calls on distinct
+// members.
 type batchInferFn func(member int, xs []*tensor.T) [][]float64
 
 // batchStageInferFn is batchInferFn with a per-stage backend override: when
@@ -46,34 +91,17 @@ type batchImgState struct {
 	accepted int
 }
 
-// classifyBatchNetworks is the per-network batched decision engine under the
-// static schedule. It is a thin wrapper over classifyBatchStaged that ignores
-// any attached policy — kept as the seam the equivalence property tests and
-// the cacheable reference path are written against.
-func (s *System) classifyBatchNetworks(ctx context.Context, xs []*tensor.T, infer batchInferFn) ([]Decision, error) {
-	ds, _, err := s.classifyBatchStagedWith(ctx, xs, nil,
-		func(m int, _ Backend, _ bool, pend []*tensor.T) [][]float64 { return infer(m, pend) })
-	return ds, err
-}
-
-// classifyBatchStaged runs the batched staged engine consulting the
-// system's attached policy (if any). The returned clean flag reports
-// whether every stage followed the static schedule — only clean batches may
-// be stored in the prediction cache.
-func (s *System) classifyBatchStaged(ctx context.Context, xs []*tensor.T, infer batchStageInferFn) ([]Decision, bool, error) {
-	return s.classifyBatchStagedWith(ctx, xs, s.Policy, infer)
-}
-
-// classifyBatchStagedWith is the batched staged decision engine. Chunk
+// classifyBatchStaged is the batched staged decision engine. Chunk
 // boundaries replicate the sequential activate() checkpoints; within a chunk,
 // members run over the pending images (concurrently up to the Workers cap),
 // and their rows are consumed in member order so vote accounting is
 // order-identical to classifySequential. With a non-nil policy, each stage
 // boundary is offered to the policy, which may deepen/flatten the schedule,
 // halt escalation, or override the stage backend; the clean result reports
-// whether the batch stayed on the static schedule (nil policy is always
-// clean, and bit-identical to the engine before the seam existed).
-func (s *System) classifyBatchStagedWith(ctx context.Context, xs []*tensor.T, policy StagePolicy, infer batchStageInferFn) ([]Decision, bool, error) {
+// whether the batch stayed on the static schedule — only clean batches may
+// be stored in the prediction cache (nil policy is always clean, and
+// bit-identical to the engine before the seam existed).
+func (s *System) classifyBatchStaged(ctx context.Context, xs []*tensor.T, policy StagePolicy, infer batchStageInferFn) ([]Decision, bool, error) {
 	n := len(s.Members)
 	out := make([]Decision, len(xs))
 
@@ -193,6 +221,21 @@ func (s *System) classifyBatchStagedWith(ctx context.Context, xs []*tensor.T, po
 		pending = keep
 	}
 	return out, clean, nil
+}
+
+// workerCount resolves the effective worker-pool size for n units of work.
+func (s *System) workerCount(n int) int {
+	w := s.Workers
+	if w <= 0 {
+		w = runtime.NumCPU()
+	}
+	if w > n {
+		w = n
+	}
+	if w < 1 {
+		w = 1
+	}
+	return w
 }
 
 // runMemberRange evaluates members [start, end) on the given images, fanning

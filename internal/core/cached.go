@@ -192,8 +192,8 @@ func (p *PredictionCache) Stats() CacheStats {
 // kernels shift softmax rows), and the attached stage-policy descriptor —
 // plus a caller salt for transformations the member names cannot see (e.g.
 // RAMR precision bits, which rewrite network weights after assembly).
-// Workers/Parallel are deliberately excluded: they change wall-clock time,
-// never decisions. The policy descriptor is belt-and-braces: degraded
+// Workers is deliberately excluded: it changes wall-clock time, never
+// decisions. The policy descriptor is belt-and-braces: degraded
 // batches are never stored anyway (see classifyBatchCachedWith), but
 // keying on the descriptor keeps persistent tiers written under different
 // policies disjoint by construction.
@@ -269,9 +269,9 @@ func isCtxErr(err error) bool {
 // the static schedule and therefore storeable. A policy-degraded batch
 // (clean == false) is served and published to coalesced followers but never
 // inserted, so the cache only ever holds reference decisions. The cached
-// paths are written against these seams — mirroring the inferFn seam of the
-// engines — so the equivalence property tests can drive them with exact
-// synthetic softmax tables.
+// paths are written against these seams — mirroring the member-inference
+// seam of the engine — so the equivalence property tests can drive them with
+// exact synthetic softmax tables.
 type runOneFn func(context.Context, *tensor.T) (Decision, error)
 type runBatchFn func(context.Context, []*tensor.T) ([]Decision, bool, error)
 

@@ -353,8 +353,8 @@ func TestConfigFingerprint(t *testing.T) {
 	if sys.ConfigFingerprint("bits=8") == base {
 		t.Error("salt change kept the fingerprint")
 	}
-	if mutate(func(s *System) { s.Workers = 7; s.Parallel = true }) != base {
-		t.Error("execution-only knobs must not re-key the cache")
+	if mutate(func(s *System) { s.Workers = 7 }) != base {
+		t.Error("Workers, an execution-only knob, must not re-key the cache")
 	}
 	// Batch<1 normalizes like the engines do.
 	if mutate(func(s *System) { s.Batch = 0 }) != mutate(func(s *System) { s.Batch = 1 }) {

@@ -5,19 +5,17 @@ import (
 	"errors"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/tensor"
 )
 
 // TestClassifyContextMatchesClassify checks the context variants are exact
 // aliases of the plain calls under a never-done context, on a real (shared
-// network) system and on both execution strategies.
+// network) system with a serial and a concurrent member fan-out.
 func TestClassifyContextMatchesClassify(t *testing.T) {
 	sys, xs := raceFixture(t)
-	for _, parallel := range []bool{false, true} {
-		sys.Parallel = parallel
-		sys.Workers = 4
+	for _, workers := range []int{1, 4} {
+		sys.Workers = workers
 		for i, x := range xs {
 			want := sys.Classify(x)
 			got, err := sys.ClassifyContext(context.Background(), x)
@@ -25,11 +23,10 @@ func TestClassifyContextMatchesClassify(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Errorf("parallel=%v frame %d: %+v != %+v", parallel, i, got, want)
+				t.Errorf("workers=%d frame %d: %+v != %+v", workers, i, got, want)
 			}
 		}
 	}
-	sys.Parallel = false
 	want := sys.ClassifyBatch(xs)
 	got, err := sys.ClassifyBatchContext(context.Background(), xs)
 	if err != nil {
@@ -41,7 +38,8 @@ func TestClassifyContextMatchesClassify(t *testing.T) {
 }
 
 // TestClassifyContextCancelled checks a pre-cancelled context aborts before
-// any member runs, on both execution strategies.
+// any member runs, in the oracle and in the served engine at a serial and a
+// concurrent member fan-out.
 func TestClassifyContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -58,36 +56,12 @@ func TestClassifyContextCancelled(t *testing.T) {
 	if ran != 0 {
 		t.Errorf("sequential ran %d members under a cancelled context", ran)
 	}
-	if _, err := s.classifyParallel(ctx, x, tableInfer([][]float64{{1, 0}, {1, 0}, {1, 0}})); !errors.Is(err, context.Canceled) {
-		t.Errorf("parallel err = %v, want context.Canceled", err)
-	}
-}
-
-// TestClassifyParallelDeadlineAborts checks the parallel wait arm: member
-// inferences that never finish must not hang ClassifyContext past its
-// deadline.
-func TestClassifyParallelDeadlineAborts(t *testing.T) {
-	release := make(chan struct{})
-	defer close(release)
-	blocked := func(i int, _ *tensor.T) []float64 {
-		<-release
-		return []float64{1, 0}
-	}
-	s := tableSystem(3, Thresholds{Conf: 0.5, Freq: 2}, true, 1, 3)
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	done := make(chan error, 1)
-	go func() {
-		_, err := s.classifyParallel(ctx, tensor.New(1), blocked)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Errorf("err = %v, want context.DeadlineExceeded", err)
+	sys, xs := raceFixture(t)
+	for _, workers := range []int{1, 4} {
+		sys.Workers = workers
+		if _, err := sys.ClassifyContext(ctx, xs[0]); !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d err = %v, want context.Canceled", workers, err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("classifyParallel did not honor the deadline")
 	}
 }
 

@@ -94,7 +94,7 @@ func TestStagedNilPolicyBitIdentical(t *testing.T) {
 					overrides.Add(1)
 				}
 			})
-			got, clean, err := s.classifyBatchStagedWith(context.Background(), xs, nil, infer)
+			got, clean, err := s.classifyBatchStaged(context.Background(), xs, nil, infer)
 			if err != nil {
 				t.Fatalf("B=%d case %d: %v", B, c, err)
 			}
@@ -153,7 +153,7 @@ func TestStagedPassthroughPolicyBitIdentical(t *testing.T) {
 					},
 					desc: "passthrough",
 				}
-				got, clean, err := s.classifyBatchStagedWith(context.Background(), xs, pol, tableStageInfer(tables, nil))
+				got, clean, err := s.classifyBatchStaged(context.Background(), xs, pol, tableStageInfer(tables, nil))
 				if err != nil {
 					t.Fatalf("pass %d B=%d case %d: %v", pi, B, c, err)
 				}
@@ -216,7 +216,7 @@ func TestStagedHaltPolicyDecidesFromGatheredRows(t *testing.T) {
 			},
 			desc: "halt@1",
 		}
-		got, clean, err := s.classifyBatchStagedWith(context.Background(), xs, pol, tableStageInfer(tables, nil))
+		got, clean, err := s.classifyBatchStaged(context.Background(), xs, pol, tableStageInfer(tables, nil))
 		if err != nil {
 			t.Fatalf("case %d: %v", c, err)
 		}
@@ -279,7 +279,7 @@ func TestStagedHaltAtStageZeroSuppressed(t *testing.T) {
 			},
 			desc: "halt@0",
 		}
-		got, clean, err := s.classifyBatchStagedWith(context.Background(), xs, pol, tableStageInfer(tables, nil))
+		got, clean, err := s.classifyBatchStaged(context.Background(), xs, pol, tableStageInfer(tables, nil))
 		if err != nil {
 			t.Fatalf("case %d: %v", c, err)
 		}
@@ -340,7 +340,7 @@ func TestStagedBackendOverrideReachesInfer(t *testing.T) {
 		},
 		desc: "int8@1",
 	}
-	_, clean, err := s.classifyBatchStagedWith(context.Background(), xs, pol, infer)
+	_, clean, err := s.classifyBatchStaged(context.Background(), xs, pol, infer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func TestStagedFusedFullPass(t *testing.T) {
 			next: func(req StageRequest) StageDecision { return StageDecision{End: req.Members} },
 			desc: "fused",
 		}
-		got, clean, err := s.classifyBatchStagedWith(context.Background(), xs, pol, tableStageInfer(tables, nil))
+		got, clean, err := s.classifyBatchStaged(context.Background(), xs, pol, tableStageInfer(tables, nil))
 		if err != nil {
 			t.Fatalf("case %d: %v", c, err)
 		}
@@ -473,7 +473,7 @@ func TestDegradedBatchNotCached(t *testing.T) {
 	var computes atomic.Int64
 	runBatch := func(ctx context.Context, batch []*tensor.T) ([]Decision, bool, error) {
 		computes.Add(int64(len(batch)))
-		return s.classifyBatchStagedWith(ctx, batch, haltPol, tableStageInfer(tables, nil))
+		return s.classifyBatchStaged(ctx, batch, haltPol, tableStageInfer(tables, nil))
 	}
 	runOne := func(ctx context.Context, x *tensor.T) (Decision, error) {
 		computes.Add(1)
@@ -506,7 +506,7 @@ func TestDegradedBatchNotCached(t *testing.T) {
 	// Clean batches through the same seam do get stored.
 	cleanBatch := func(ctx context.Context, batch []*tensor.T) ([]Decision, bool, error) {
 		computes.Add(int64(len(batch)))
-		return s.classifyBatchStagedWith(ctx, batch, nil, tableStageInfer(tables, nil))
+		return s.classifyBatchStaged(ctx, batch, nil, tableStageInfer(tables, nil))
 	}
 	if _, err := s.classifyBatchCachedWith(context.Background(), xs, cleanBatch, runOne); err != nil {
 		t.Fatal(err)

@@ -47,15 +47,16 @@ func raceFixture(t *testing.T) (*System, []*tensor.T) {
 }
 
 // TestClassifyConcurrentSharedSystem hammers one shared System from many
-// goroutines with overlapping inputs, mixing all three execution strategies,
-// and checks every decision against a reference computed up front. Run under
+// goroutines with overlapping inputs, mixing serial and concurrent member
+// fan-outs with batched calls, and checks every decision against a
+// reference computed up front. Run under
 // -race (the CI race job does), this test fails if any forward pass mutates
 // shared state; run without, it still catches cross-talk corruption through
 // the reference comparison.
 func TestClassifyConcurrentSharedSystem(t *testing.T) {
 	seq, xs := raceFixture(t)
+	seq.Workers = 1
 	par, _ := raceFixture(t)
-	par.Parallel = true
 	par.Workers = 4
 	// par shares seq's members so every goroutine really hits one network.
 	par.Members = seq.Members
@@ -75,17 +76,17 @@ func TestClassifyConcurrentSharedSystem(t *testing.T) {
 			defer wg.Done()
 			for it := 0; it < iters; it++ {
 				switch (g + it) % 3 {
-				case 0: // sequential Classify over overlapping inputs
+				case 0: // serial member fan-out over overlapping inputs
 					for i, x := range xs {
 						if d := seq.Classify(x); !reflect.DeepEqual(d, ref[i]) {
 							errs <- "sequential decision diverged under concurrency"
 							return
 						}
 					}
-				case 1: // parallel Classify
+				case 1: // concurrent member fan-out
 					for i, x := range xs {
 						if d := par.Classify(x); !reflect.DeepEqual(d, ref[i]) {
-							errs <- "parallel decision diverged under concurrency"
+							errs <- "concurrent fan-out decision diverged under concurrency"
 							return
 						}
 					}

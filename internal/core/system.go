@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/nn"
 	"repro/internal/preprocess"
@@ -56,12 +55,14 @@ func (m *Member) resolveNet(be Backend, override bool) *nn.Net32 {
 	return m.net32
 }
 
-// Infer runs the member on a raw input image.
+// Infer runs the member on a raw input image: a batch of one through the
+// kernels the engine serves with, so its row is the one Classify votes on.
 func (m Member) Infer(x *tensor.T) []float64 {
+	in := []*tensor.T{m.Pre.Apply(x)}
 	if m.net32 != nil {
-		return m.net32.InferBatch([]*tensor.T{m.Pre.Apply(x)}, nil)[0]
+		return m.net32.InferBatch(in, nil)[0]
 	}
-	return append([]float64(nil), m.Net.Infer(m.Pre.Apply(x)).Data...)
+	return m.Net.InferBatchArena(in, nil)[0].Data
 }
 
 // System is a runnable PolygraphMR instance: members in priority order, the
@@ -84,11 +85,6 @@ type System struct {
 	// Batch is the number of members activated together per stage (models
 	// the number of available GPUs); minimum 1.
 	Batch int
-	// Parallel no longer selects an engine: Classify is the batched engine
-	// at a batch of one, which already fans the members of a stage across
-	// the Workers pool. The field is kept so existing configurations
-	// compile; it goes with the per-image engine (ROADMAP).
-	Parallel bool
 	// Workers caps concurrent member inferences per stage of the engine; 0
 	// or negative selects runtime.NumCPU(). It changes wall-clock time
 	// only: every setting runs the same kernels and returns the same bits.
@@ -128,11 +124,6 @@ func NewSystem(members []Member, th Thresholds) (*System, error) {
 	return &System{Members: members, Th: th, Batch: 1}, nil
 }
 
-// inferFn abstracts running member i on an input: the seam classifySequential
-// and classifyParallel are written against, so the property tests can drive
-// them with synthetic softmax vectors.
-type inferFn func(member int, x *tensor.T) []float64
-
 // Classify runs the system on one input image and returns the decision.
 // With Staged set, members are activated in priority order until the
 // decision is determined, and Decision.Activated reports how many ran. It
@@ -161,73 +152,11 @@ func (s *System) ClassifyContext(ctx context.Context, x *tensor.T) (Decision, er
 // which is also what lets the cached single-image path store its result
 // unconditionally.
 func (s *System) classifyUncached(ctx context.Context, x *tensor.T) (Decision, error) {
-	ds, _, err := s.classifyBatchStagedWith(ctx, []*tensor.T{x}, nil, s.batchStageArenaInfer())
+	ds, _, err := s.classifyBatchStaged(ctx, []*tensor.T{x}, nil, s.batchStageArenaInfer())
 	if err != nil {
 		return Decision{}, err
 	}
 	return ds[0], nil
-}
-
-// classifySequential runs members one after another on the calling
-// goroutine. It is the reference implementation of the engine semantics.
-// The context is polled before each member forward pass.
-func (s *System) classifySequential(ctx context.Context, x *tensor.T, infer inferFn) (Decision, error) {
-	n := len(s.Members)
-	if !s.Staged {
-		rows := make([][]float64, n)
-		for i := range rows {
-			if err := ctx.Err(); err != nil {
-				return Decision{}, err
-			}
-			rows[i] = infer(i, x)
-		}
-		return Decide(rows, s.Th), nil
-	}
-
-	batch := s.Batch
-	if batch < 1 {
-		batch = 1
-	}
-	votes := make(map[int]int)
-	accepted := 0
-	var rows [][]float64
-	active := 0
-	activate := func(k int) error {
-		for ; active < k && active < n; active++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			row := infer(active, x)
-			rows = append(rows, row)
-			pred := metrics.Argmax(row)
-			if row[pred] >= s.Th.Conf {
-				votes[pred]++
-				accepted++
-			}
-		}
-		return nil
-	}
-	// At least two members in the initial stage (see Recorded.Staged).
-	initial := s.Th.Freq
-	if initial < 2 {
-		initial = 2
-	}
-	if err := activate(initial); err != nil {
-		return Decision{}, err
-	}
-	decided := func() bool {
-		_, leaderVotes, unique := modalVote(votes)
-		if accepted > 0 && unique && leaderVotes >= s.Th.Freq {
-			return true
-		}
-		return leaderVotes+(n-active) < s.Th.Freq
-	}
-	for !decided() && active < n {
-		if err := activate(active + batch); err != nil {
-			return Decision{}, err
-		}
-	}
-	return Decide(rows, s.Th), nil
 }
 
 // BuildSystem constructs a live system for a benchmark from zoo-trained

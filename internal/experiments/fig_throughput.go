@@ -16,19 +16,13 @@ func init() {
 }
 
 // ExtThroughput is an extension beyond the paper's figures: it measures the
-// wall-clock throughput of the three live execution strategies of
-// core.System — sequential member evaluation, parallel member evaluation
-// inside Classify (speculative staged activation on a worker pool), and
-// batched classification with per-worker scratch arenas — on one real
-// benchmark system. The paper argues MR is affordable because redundant
-// networks run concurrently on parallel hardware ("Cost Containment");
-// this experiment is the software realization of that claim.
-//
-// Since Classify became ClassifyBatch at a batch of one, the first two
-// strategies time the same call (Parallel selects nothing) and the third is
-// one fused pass over all frames; the table is kept for continuity. All
-// three must produce DeepEqual decisions; the experiment verifies that on
-// every frame before reporting numbers.
+// wall-clock throughput of core.System one image at a time (Classify) and
+// as one fused pass over all frames (ClassifyBatch) on one real benchmark
+// system. The paper argues MR is affordable because redundant networks run
+// concurrently on parallel hardware ("Cost Containment"); this experiment
+// is the software realization of that claim. Classify is ClassifyBatch at a
+// batch of one, so both must produce DeepEqual decisions; the experiment
+// verifies that on every frame before reporting numbers.
 func ExtThroughput(ctx *Context) (*Result, error) {
 	b, err := model.ByName("convnet")
 	if err != nil {
@@ -82,35 +76,20 @@ func ExtThroughput(ctx *Context) (*Result, error) {
 		return d, time.Since(start)
 	}
 	seqOne := func() []core.Decision {
-		sys.Parallel = false
 		out := make([]core.Decision, n)
 		for i, x := range xs {
 			out[i] = sys.Classify(x)
 		}
-		return out
-	}
-	parOne := func() []core.Decision {
-		sys.Parallel = true
-		out := make([]core.Decision, n)
-		for i, x := range xs {
-			out[i] = sys.Classify(x)
-		}
-		sys.Parallel = false
 		return out
 	}
 	batched := func() []core.Decision { return sys.ClassifyBatch(xs) }
 
 	seqD, seqT := run(seqOne)
-	parD, parT := run(parOne)
 	batD, batT := run(batched)
 
-	// All three strategies run one engine whose kernels are
-	// batch-composition invariant on every backend, so any divergence is a
-	// bug.
+	// Both strategies run one engine whose kernels are batch-composition
+	// invariant on every backend, so any divergence is a bug.
 	for i := range seqD {
-		if !reflect.DeepEqual(seqD[i], parD[i]) {
-			return nil, fmt.Errorf("ext-throughput: parallel decision diverges on frame %d", i)
-		}
 		if !reflect.DeepEqual(seqD[i], batD[i]) {
 			return nil, fmt.Errorf("ext-throughput: %s batch decision diverges on frame %d", backend, i)
 		}
@@ -127,7 +106,6 @@ func ExtThroughput(ctx *Context) (*Result, error) {
 			fmt.Sprintf("%.2fx", seqT.Seconds()/wall.Seconds()))
 	}
 	row("sequential Classify", seqT)
-	row("parallel Classify", parT)
 	row("ClassifyBatch", batT)
 	workers := ctx.Workers
 	if workers <= 0 {

@@ -60,11 +60,9 @@ func withBackendSIMD(t *testing.T, f func(t *testing.T)) {
 
 // f64Reference computes the per-image float64 softmax rows.
 func f64Reference(f backendFixture) [][]float64 {
-	a := tensor.NewArena()
 	out := make([][]float64, len(f.xs))
 	for i, x := range f.xs {
-		out[i] = append([]float64(nil), f.net.InferArena(x, a).Data...)
-		a.Reset()
+		out[i] = f.net.Infer(x).Data
 	}
 	return out
 }

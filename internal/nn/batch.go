@@ -18,21 +18,22 @@ import (
 // and norm layers stream the batch buffer in one branchless pass. The
 // batched activation layout is image-major: one backing tensor [B, elems]
 // whose row b is image b's activation in the same [C,H,W] row-major order
-// the per-image path uses.
+// Forward uses.
 //
 // Floating-point contract. Batch composition never changes an image's
 // output: every kernel computes each image's elements with one fixed chain
 // of operations whatever the batch size, the image's position or its
 // batchmates, so B=1, any split and any permutation are Float64bits-equal
 // to the same image inside B=32 (TestBatchCompositionInvariant, every zoo
-// topology × f64/f32/int8). Against the per-image InferArena path, which
-// survives as a test oracle, predictions (argmax) are identical and softmax
-// probabilities agree within 1e-9 (TestInferBatchArenaMatchesInferArena):
-// the Winograd convolution sums in the transform domain (~1e-13 relative,
-// locked by TestWinogradConvMatchesIm2Col) and the Dense matmul uses
+// topology × f64/f32/int8). Against Network.Infer — the training Forward,
+// which survives as the test oracle — predictions (argmax) are identical
+// and softmax probabilities agree within 1e-9
+// (TestInferBatchArenaMatchesInfer): the Winograd convolution sums in the
+// transform domain (~1e-13 relative, locked by
+// TestWinogradConvMatchesIm2Col) and the Dense matmul uses
 // MatMulTransBInto's unrolled dot + bias-after instead of bias-first.
 //
-// Like InferArena, the path never mutates network state and is safe for
+// Like Infer, the path never mutates network state and is safe for
 // concurrent use on a shared *Network; the arena (and the batchState built
 // on it) is single-goroutine.
 
@@ -69,8 +70,7 @@ func (st *batchState) imageViews(src *tensor.T, shape []int, bsz int) []*tensor.
 // xs. All inputs must share one shape. The returned tensors are owned by
 // the arena: copy anything kept before a.Reset(). A batch of one is an
 // ordinary batch — it runs the same kernels, so an image's output does not
-// depend on the batch it was computed in. Only a nil arena falls back to the
-// per-image path.
+// depend on the batch it was computed in. A nil arena runs on a private one.
 func (n *Network) InferBatchArena(xs []*tensor.T, a *tensor.Arena) []*tensor.T {
 	bsz := len(xs)
 	out := make([]*tensor.T, bsz)
@@ -78,10 +78,7 @@ func (n *Network) InferBatchArena(xs []*tensor.T, a *tensor.Arena) []*tensor.T {
 		return out
 	}
 	if a == nil {
-		for i, x := range xs {
-			out[i] = n.InferArena(x, a)
-		}
-		return out
+		a = tensor.NewArena()
 	}
 	for _, x := range xs[1:] {
 		if !x.SameShape(xs[0]) {
@@ -120,17 +117,17 @@ func (n *Network) InferBatchArena(xs []*tensor.T, a *tensor.Arena) []*tensor.T {
 }
 
 // forwardBatchFallback runs a layer without a fused kernel image by image
-// through the arena path and repacks the outputs contiguously. It keeps
-// InferBatchArena correct for layer types added outside this file.
+// through its inference Forward and repacks the outputs contiguously. It
+// keeps InferBatchArena correct for layer types added outside this file.
 func forwardBatchFallback(l Layer, src *tensor.T, inShape []int, bsz int, st *batchState) (*tensor.T, []int) {
 	views := st.imageViews(src, inShape, bsz)
-	y0 := forwardInfer(l, views[0], st.a)
+	y0 := l.Forward(views[0], false)
 	outShape := append([]int(nil), y0.Shape...)
 	on := y0.Len()
 	dst := st.a.NewRaw(bsz, on)
 	copy(dst.Data[0:on], y0.Data)
 	for b := 1; b < bsz; b++ {
-		yb := forwardInfer(l, views[b], st.a)
+		yb := l.Forward(views[b], false)
 		copy(dst.Data[b*on:(b+1)*on], yb.Data)
 	}
 	return dst, outShape

@@ -18,7 +18,7 @@ import (
 func batchFixtures(t testing.TB) []struct {
 	name string
 	net  interface {
-		InferArena(*tensor.T, *tensor.Arena) *tensor.T
+		Infer(*tensor.T) *tensor.T
 		InferBatchArena([]*tensor.T, *tensor.Arena) []*tensor.T
 	}
 	xs []*tensor.T
@@ -27,7 +27,7 @@ func batchFixtures(t testing.TB) []struct {
 	type fixture = struct {
 		name string
 		net  interface {
-			InferArena(*tensor.T, *tensor.Arena) *tensor.T
+			Infer(*tensor.T) *tensor.T
 			InferBatchArena([]*tensor.T, *tensor.Arena) []*tensor.T
 		}
 		xs []*tensor.T
@@ -50,29 +50,27 @@ func batchFixtures(t testing.TB) []struct {
 	return fs
 }
 
-// perImageTol bounds |Δsoftmax| between the batched engine and the per-image
-// InferArena oracle. The two differ by named reassociations only: Winograd
-// F(4×4,3×3) sums in the transform domain where the per-image path lowers to
-// a direct im2col GEMM (~1e-13 relative per activation), and the batched
-// Dense adds the bias after an unrolled dot where the per-image one starts
-// from it.
+// perImageTol bounds |Δsoftmax| between the batched engine and the
+// Network.Infer oracle (the training Forward). The two differ by named
+// reassociations only: Winograd F(4×4,3×3) sums in the transform domain
+// where Forward lowers to a direct im2col GEMM (~1e-13 relative per
+// activation), and the batched Dense adds the bias after an unrolled dot
+// where Forward starts from it.
 const perImageTol = 1e-9
 
-// TestInferBatchArenaMatchesInferArena holds the batched engine to the
-// per-image oracle: for every zoo topology and B ∈ {1, 2, 7, 32}, the fused
-// batch path must agree with InferArena on the argmax always and on every
-// softmax probability within perImageTol. B=1 is an ordinary batch here —
-// that batches agree with each other bit for bit, whatever their
-// composition, is TestBatchCompositionInvariant's job.
-func TestInferBatchArenaMatchesInferArena(t *testing.T) {
+// TestInferBatchArenaMatchesInfer holds the batched engine to the oracle:
+// for every zoo topology and B ∈ {1, 2, 7, 32}, the fused batch path must
+// agree with Network.Infer on the argmax always and on every softmax
+// probability within perImageTol. B=1 is an ordinary batch here — that
+// batches agree with each other bit for bit, whatever their composition, is
+// TestBatchCompositionInvariant's job.
+func TestInferBatchArenaMatchesInfer(t *testing.T) {
 	for _, f := range batchFixtures(t) {
 		f := f
 		t.Run(f.name, func(t *testing.T) {
-			ref := tensor.NewArena()
 			want := make([]*tensor.T, len(f.xs))
 			for i, x := range f.xs {
-				want[i] = f.net.InferArena(x, ref).Clone()
-				ref.Reset()
+				want[i] = f.net.Infer(x)
 			}
 			for _, bsz := range []int{1, 2, 7, 32} {
 				a := tensor.NewArena()
@@ -84,11 +82,11 @@ func TestInferBatchArenaMatchesInferArena(t *testing.T) {
 					wi, _ := want[i].MaxIndex()
 					gi, _ := p.MaxIndex()
 					if wi != gi {
-						t.Errorf("B=%d image %d: argmax %d != per-image %d", bsz, i, gi, wi)
+						t.Errorf("B=%d image %d: argmax %d != Infer %d", bsz, i, gi, wi)
 					}
 					for j := range p.Data {
 						if d := math.Abs(p.Data[j] - want[i].Data[j]); d > perImageTol {
-							t.Fatalf("B=%d image %d class %d: |Δsoftmax| = %g > %g (batched %v, per-image %v)",
+							t.Fatalf("B=%d image %d class %d: |Δsoftmax| = %g > %g (batched %v, Infer %v)",
 								bsz, i, j, d, perImageTol, p.Data[j], want[i].Data[j])
 						}
 					}
@@ -149,13 +147,13 @@ func TestInferBatchArenaEdgeCases(t *testing.T) {
 	if out := f.net.InferBatchArena(nil, tensor.NewArena()); len(out) != 0 {
 		t.Errorf("empty batch returned %d outputs", len(out))
 	}
-	// nil arena falls back to Infer per image.
+	// A nil arena runs the same kernels on a private arena.
 	out := f.net.InferBatchArena(f.xs[:2], nil)
 	a := tensor.NewArena()
 	want := f.net.InferBatchArena(f.xs[:2], a)
 	for i := range out {
 		for j := range out[i].Data {
-			if math.Abs(out[i].Data[j]-want[i].Data[j]) > perImageTol {
+			if math.Float64bits(out[i].Data[j]) != math.Float64bits(want[i].Data[j]) {
 				t.Fatalf("nil-arena path diverged at image %d class %d", i, j)
 			}
 		}

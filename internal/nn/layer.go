@@ -9,9 +9,9 @@
 // what Backward needs, and Backward accumulates parameter gradients in
 // place, so a Network must not be shared across goroutines while training.
 // Inference is read-only by contract: Forward with train=false (and the
-// arena path InferArena) must not mutate layer state, parameters, or the
-// input tensor, which makes Network.Infer/InferArena safe for concurrent
-// use on a single shared *Network. The race tests in internal/core exercise
+// fused batch path InferBatchArena) must not mutate layer state, parameters,
+// or the input tensor, which makes Network.Infer/InferBatchArena safe for
+// concurrent use on a single shared *Network. The race tests in internal/core exercise
 // this guarantee under -race; any new layer must preserve it.
 package nn
 

@@ -6,56 +6,6 @@ import (
 	"math"
 )
 
-// This file implements the allocation-free inference path: every built-in
-// layer knows how to run its (read-only) forward computation with
-// temporaries drawn from a tensor.Arena instead of the heap. The numerical
-// results are bit-identical to Forward(x, false); only the allocation
-// strategy differs (verified by TestInferArenaMatchesInfer).
-//
-// The arena path exists because batched classification (core.ClassifyBatch)
-// runs millions of forward passes whose intermediate activations are
-// immediately garbage; recycling them per worker removes almost all
-// allocations from the hot loop.
-
-// arenaForwarder is implemented by layers that support arena-backed
-// inference. The method must behave exactly like Forward(x, false) except
-// that temporaries (including the returned tensor) may come from a. Layers
-// outside this package fall back to Forward via forwardInfer.
-type arenaForwarder interface {
-	forwardArena(x *tensor.T, a *tensor.Arena) *tensor.T
-}
-
-// forwardInfer runs one layer in inference mode, using the arena path when
-// the layer supports it.
-func forwardInfer(l Layer, x *tensor.T, a *tensor.Arena) *tensor.T {
-	if af, ok := l.(arenaForwarder); ok {
-		return af.forwardArena(x, a)
-	}
-	return l.Forward(x, false)
-}
-
-// InferArena runs inference with every intermediate tensor drawn from the
-// arena and returns the softmax probability vector. The returned tensor is
-// owned by the arena: callers must copy anything they keep before calling
-// a.Reset(). A nil arena falls back to Infer.
-//
-// Like Infer, this path never mutates network state and is safe for
-// concurrent use on a shared *Network — but the arena itself is single-
-// goroutine, so each worker must own its own arena.
-func (n *Network) InferArena(x *tensor.T, a *tensor.Arena) *tensor.T {
-	if a == nil {
-		return n.Infer(x)
-	}
-	h := x
-	for i, l := range n.Layers {
-		h = forwardInfer(l, h, a)
-		if n.ActivationHook != nil {
-			n.ActivationHook(i, h)
-		}
-	}
-	return softmaxInto(a.New(h.Shape...), h)
-}
-
 // softmaxInto writes softmax(logits) into out (same algorithm as Softmax).
 func softmaxInto(out, logits *tensor.T) *tensor.T {
 	_, maxV := logits.MaxIndex()
@@ -75,153 +25,5 @@ func softmaxInto(out, logits *tensor.T) *tensor.T {
 	for i := range out.Data {
 		out.Data[i] *= inv
 	}
-	return out
-}
-
-// forwardArena implements arenaForwarder for Conv2D.
-func (c *Conv2D) forwardArena(x *tensor.T, a *tensor.Arena) *tensor.T {
-	g := c.geometry(x.Shape)
-	oh, ow := g.OutH(), g.OutW()
-	cols := a.New(c.InC*c.KH*c.KW, oh*ow)
-	tensor.Im2Col(cols, x, g)
-
-	out := a.New(c.OutC, oh*ow)
-	tensor.MatMulInto(out, c.weight.Value, cols)
-	if s := a.Abft(); s != nil {
-		s.Record(tensor.VerifyGemm(out, c.weight.Value, cols))
-	}
-	for oc := 0; oc < c.OutC; oc++ {
-		b := c.bias.Value.Data[oc]
-		row := out.Data[oc*oh*ow : (oc+1)*oh*ow]
-		for i := range row {
-			row[i] += b
-		}
-	}
-	return out.Reshape(c.OutC, oh, ow)
-}
-
-// forwardArena implements arenaForwarder for Dense.
-func (d *Dense) forwardArena(x *tensor.T, a *tensor.Arena) *tensor.T {
-	out := a.New(d.Out)
-	wd := d.weight.Value.Data
-	for o := 0; o < d.Out; o++ {
-		row := wd[o*d.In : (o+1)*d.In]
-		s := d.bias.Value.Data[o]
-		for i, v := range x.Data {
-			s += row[i] * v
-		}
-		out.Data[o] = s
-	}
-	if s := a.Abft(); s != nil {
-		s.Record(tensor.VerifyMatVec(out.Data, wd, x.Data, d.bias.Value.Data, d.Out, d.In))
-	}
-	return out
-}
-
-// forwardArena implements arenaForwarder for ReLU.
-func (r *ReLU) forwardArena(x *tensor.T, a *tensor.Arena) *tensor.T {
-	out := a.New(x.Shape...)
-	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
-		}
-	}
-	return out
-}
-
-// forwardArena implements arenaForwarder for LeakyReLU.
-func (l *LeakyReLU) forwardArena(x *tensor.T, a *tensor.Arena) *tensor.T {
-	out := a.New(x.Shape...)
-	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
-		} else {
-			out.Data[i] = l.Alpha * v
-		}
-	}
-	return out
-}
-
-// forwardArena implements arenaForwarder for Flatten.
-func (f *Flatten) forwardArena(x *tensor.T, _ *tensor.Arena) *tensor.T {
-	return x.Reshape(x.Len())
-}
-
-// forwardArena implements arenaForwarder for MaxPool2D.
-func (p *MaxPool2D) forwardArena(x *tensor.T, a *tensor.Arena) *tensor.T {
-	ch, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	out := a.New(ch, h/p.K, w/p.K)
-	maxPoolInto(out.Data, x.Data, ch, h, w, p.K)
-	return out
-}
-
-// forwardArena implements arenaForwarder for AvgPool2D.
-func (p *AvgPool2D) forwardArena(x *tensor.T, a *tensor.Arena) *tensor.T {
-	ch, hw := x.Shape[0], x.Shape[1]*x.Shape[2]
-	out := a.New(ch)
-	for c := 0; c < ch; c++ {
-		s := 0.0
-		for _, v := range x.Data[c*hw : (c+1)*hw] {
-			s += v
-		}
-		out.Data[c] = s / float64(hw)
-	}
-	return out
-}
-
-// forwardArena implements arenaForwarder for ChannelNorm.
-func (n *ChannelNorm) forwardArena(x *tensor.T, a *tensor.Arena) *tensor.T {
-	hw := x.Shape[1] * x.Shape[2]
-	out := a.New(x.Shape...)
-	for c := 0; c < n.C; c++ {
-		row := x.Data[c*hw : (c+1)*hw]
-		std := math.Sqrt(n.runVar[c] + n.Eps)
-		g, b, mu := n.gamma.Value.Data[c], n.beta.Value.Data[c], n.runMean[c]
-		orow := out.Data[c*hw : (c+1)*hw]
-		for i, v := range row {
-			orow[i] = g*(v-mu)/std + b
-		}
-	}
-	return out
-}
-
-// forwardArena implements arenaForwarder for Dropout (inference is a copy).
-func (d *Dropout) forwardArena(x *tensor.T, a *tensor.Arena) *tensor.T {
-	out := a.New(x.Shape...)
-	copy(out.Data, x.Data)
-	return out
-}
-
-// forwardArena implements arenaForwarder for ResidualBlock.
-func (b *ResidualBlock) forwardArena(x *tensor.T, a *tensor.Arena) *tensor.T {
-	h := b.conv1.forwardArena(x, a)
-	if b.norm1 != nil {
-		h = b.norm1.forwardArena(h, a)
-	}
-	h = b.relu1.forwardArena(h, a)
-	h = b.conv2.forwardArena(h, a)
-	if b.norm2 != nil {
-		h = b.norm2.forwardArena(h, a)
-	}
-	var shortcut *tensor.T
-	if b.proj != nil {
-		shortcut = b.proj.forwardArena(x, a)
-	} else {
-		shortcut = x
-	}
-	h.AddInPlace(shortcut)
-	return b.outRelu.forwardArena(h, a)
-}
-
-// forwardArena implements arenaForwarder for DenseUnit.
-func (u *DenseUnit) forwardArena(x *tensor.T, a *tensor.Arena) *tensor.T {
-	branch := u.conv.forwardArena(x, a)
-	branch = u.norm.forwardArena(branch, a)
-	branch = u.relu.forwardArena(branch, a)
-
-	h, w := x.Shape[1], x.Shape[2]
-	out := a.New(x.Shape[0]+branch.Shape[0], h, w)
-	copy(out.Data[:x.Len()], x.Data)
-	copy(out.Data[x.Len():], branch.Data)
 	return out
 }

@@ -1,16 +1,15 @@
 package nn
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/tensor"
 )
 
-// arenaTestNet covers every layer with an arena fast path: conv, channel
-// norm, relus, residual block, dense unit, both poolings, dropout, flatten,
-// dense.
+// arenaTestNet covers every layer type with a fused batch kernel: conv,
+// channel norm, relus, residual block, dense unit, both poolings, dropout,
+// flatten, dense.
 func arenaTestNet(rng *rand.Rand) *Network {
 	return MustNetwork([]int{3, 8, 8}, 5,
 		NewConv2D(3, 4, 3, 1, 1, rng),
@@ -27,70 +26,26 @@ func arenaTestNet(rng *rand.Rand) *Network {
 	)
 }
 
-// TestInferArenaMatchesInfer locks down the contract stated at the top of
-// scratch.go: the arena path is bit-identical to the allocating path — not
-// merely close, since core's staged decisions are threshold comparisons
-// where any drift could flip a vote.
-func TestInferArenaMatchesInfer(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	net := arenaTestNet(rng)
-	a := tensor.NewArena()
-	for trial := 0; trial < 20; trial++ {
-		x := tensor.New(3, 8, 8)
-		for i := range x.Data {
-			x.Data[i] = rng.NormFloat64()
-		}
-		want := net.Infer(x)
-		got := net.InferArena(x, a)
-		if len(got.Data) != len(want.Data) {
-			t.Fatalf("trial %d: arena output len %d, want %d", trial, len(got.Data), len(want.Data))
-		}
-		for i := range want.Data {
-			if math.Float64bits(want.Data[i]) != math.Float64bits(got.Data[i]) {
-				t.Fatalf("trial %d: prob[%d] differs: infer=%v arena=%v",
-					trial, i, want.Data[i], got.Data[i])
-			}
-		}
-		// Recycle between inferences, as ClassifyBatch workers do.
-		a.Reset()
-	}
-	if a.Live() != 0 {
-		t.Errorf("arena leaked %d live tensors", a.Live())
-	}
-}
-
-// TestInferArenaNilFallsBack checks a nil arena degrades to plain Infer.
-func TestInferArenaNilFallsBack(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	net := arenaTestNet(rng)
-	x := tensor.New(3, 8, 8)
-	for i := range x.Data {
-		x.Data[i] = rng.Float64()
-	}
-	want := net.Infer(x)
-	got := net.InferArena(x, nil)
-	for i := range want.Data {
-		if want.Data[i] != got.Data[i] {
-			t.Fatalf("nil-arena prob[%d] = %v, want %v", i, got.Data[i], want.Data[i])
-		}
-	}
-}
-
-// TestInferArenaDoesNotMutateInput guards the read-only inference contract
-// the concurrency layer depends on.
-func TestInferArenaDoesNotMutateInput(t *testing.T) {
+// TestInferBatchArenaDoesNotMutateInput guards the read-only inference
+// contract the concurrency layer depends on, across every layer type.
+func TestInferBatchArenaDoesNotMutateInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	net := arenaTestNet(rng)
-	a := tensor.NewArena()
-	x := tensor.New(3, 8, 8)
-	for i := range x.Data {
-		x.Data[i] = rng.Float64()
+	xs := make([]*tensor.T, 3)
+	orig := make([][]float64, len(xs))
+	for i := range xs {
+		xs[i] = tensor.New(3, 8, 8)
+		for j := range xs[i].Data {
+			xs[i].Data[j] = rng.NormFloat64()
+		}
+		orig[i] = append([]float64(nil), xs[i].Data...)
 	}
-	orig := append([]float64(nil), x.Data...)
-	net.InferArena(x, a)
-	for i, v := range x.Data {
-		if v != orig[i] {
-			t.Fatalf("InferArena mutated input at %d: %v -> %v", i, orig[i], v)
+	net.InferBatchArena(xs, tensor.NewArena())
+	for i, x := range xs {
+		for j, v := range x.Data {
+			if v != orig[i][j] {
+				t.Fatalf("InferBatchArena mutated input %d at %d: %v -> %v", i, j, orig[i][j], v)
+			}
 		}
 	}
 }

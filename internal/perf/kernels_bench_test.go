@@ -19,8 +19,8 @@ import (
 // them with -bench collects every measurement and TestMain writes the
 // BENCH_kernels.json report (see bench_report.go). The headline number is
 // BenchmarkInferBatch/B=32, whose speedup_vs_per_image metric compares the
-// fused batch forward pass against the per-image InferArena fan-out on the
-// SynthCIFAR convnet topology.
+// fused batch forward pass against the per-image Network.Infer fan-out on
+// the SynthCIFAR convnet topology.
 
 var collected []BenchEntry
 
@@ -170,8 +170,8 @@ func convnetFixture(bsz int) (*nn.Network, []*tensor.T) {
 
 // BenchmarkInferBatch measures the fused batch forward pass of the SynthCIFAR
 // convnet across batch sizes and reports throughput plus the speedup over the
-// per-image InferArena fan-out baseline (measured in the same process, best
-// of three passes after warmup).
+// per-image Network.Infer fan-out baseline (measured in the same process,
+// best of three passes after warmup).
 func BenchmarkInferBatch(b *testing.B) {
 	for _, bsz := range []int{1, 8, 32, 128} {
 		b.Run(fmt.Sprintf("B=%d", bsz), func(b *testing.B) {
@@ -181,8 +181,7 @@ func BenchmarkInferBatch(b *testing.B) {
 			for rep := 0; rep < 4; rep++ {
 				start := time.Now()
 				for _, x := range xs {
-					net.InferArena(x, a)
-					a.Reset()
+					net.Infer(x)
 				}
 				if e := float64(time.Since(start).Nanoseconds()); rep > 0 && e < baseline {
 					baseline = e

@@ -9,13 +9,15 @@
 //     gate would escalate;
 //   - deadline accounting: per-frame wall-clock latency is measured against
 //     a budget (the §IV-C discussion's 100 ms), and misses are surfaced.
+//
+// Repeated frames — static scenes — are deduplicated by the system itself
+// when it has a prediction cache attached (core.System.EnableCache).
 package stream
 
 import (
 	"fmt"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/tensor"
 )
@@ -50,9 +52,8 @@ type Classifier interface {
 }
 
 // BatchClassifier is a classifier that can process many frames per call —
-// satisfied by *core.System, whose ClassifyBatch fans frames across a
-// worker pool with per-worker scratch reuse. The processor uses this
-// interface when Config.Batch > 1.
+// satisfied by *core.System, whose ClassifyBatch runs each member once over
+// the whole batch. The processor uses this interface when Config.Batch > 1.
 type BatchClassifier interface {
 	Classifier
 	ClassifyBatch(xs []*tensor.T) []core.Decision
@@ -72,13 +73,6 @@ type Config struct {
 	// divided by the batch size. Smoothing and statistics are identical to
 	// frame-at-a-time processing.
 	Batch int
-	// Cache, when non-nil, dedups repeated frames: each frame is probed
-	// against the prediction cache before the classifier runs, and computed
-	// decisions are inserted afterwards. Static scenes — the common case in
-	// the paper's steering/pedestrian streams — then cost one ensemble pass
-	// per distinct frame. Decisions and smoothing are unchanged; hits are
-	// counted in Stats.CacheHits.
-	Cache *core.PredictionCache
 	// ObserveLatency, when non-nil, receives every frame's measured
 	// classification latency. This is the feed a runtime policy controller
 	// (internal/policy) steers by when a stream pipeline, rather than the
@@ -122,7 +116,6 @@ type Stats struct {
 	Reliable         int // raw per-frame reliable decisions
 	SmoothedReliable int
 	DeadlineMisses   int
-	CacheHits        int // frames answered by Config.Cache without classifying
 	MeanActivated    float64
 	MaxLatency       time.Duration
 }
@@ -163,12 +156,8 @@ func (p *Processor) Process(src Source, handle func(Frame)) Stats {
 			break
 		}
 		start := p.cfg.now()
-		d, hit := p.classifyFrame(x)
-		latency := p.cfg.now().Sub(start)
-		if hit {
-			stats.CacheHits++
-		}
-		p.emit(d, latency, &stats, &totalActivated, handle)
+		d := p.sys.Classify(x)
+		p.emit(d, p.cfg.now().Sub(start), &stats, &totalActivated, handle)
 	}
 	finalize(&stats, totalActivated)
 	return stats
@@ -195,7 +184,7 @@ func (p *Processor) processBatched(bc BatchClassifier, src Source, handle func(F
 			break
 		}
 		start := p.cfg.now()
-		ds := p.classifyBatchFrames(bc, buf, &stats)
+		ds := bc.ClassifyBatch(buf)
 		perFrame := p.cfg.now().Sub(start) / time.Duration(len(buf))
 		for _, d := range ds {
 			p.emit(d, perFrame, &stats, &totalActivated, handle)
@@ -206,71 +195,6 @@ func (p *Processor) processBatched(bc BatchClassifier, src Source, handle func(F
 	}
 	finalize(&stats, totalActivated)
 	return stats
-}
-
-// classifyFrame answers one frame from Config.Cache when possible, falling
-// back to the classifier and inserting the fresh decision.
-func (p *Processor) classifyFrame(x *tensor.T) (core.Decision, bool) {
-	if p.cfg.Cache != nil {
-		if d, ok := p.cfg.Cache.Lookup(x); ok {
-			return d, true
-		}
-	}
-	d := p.sys.Classify(x)
-	if p.cfg.Cache != nil {
-		p.cfg.Cache.Insert(x, d)
-	}
-	return d, false
-}
-
-// classifyBatchFrames classifies one buffered batch, serving cached frames
-// without sending them to the classifier: only the first occurrence of each
-// uncached frame forms the ClassifyBatch call, and the fresh decisions are
-// inserted so duplicates — within this batch and in later ones — hit.
-func (p *Processor) classifyBatchFrames(bc BatchClassifier, buf []*tensor.T, stats *Stats) []core.Decision {
-	if p.cfg.Cache == nil {
-		return bc.ClassifyBatch(buf)
-	}
-	ds := make([]core.Decision, len(buf))
-	missIdx := make([]int, 0, len(buf))
-	misses := make([]*tensor.T, 0, len(buf))
-	dupIdx := make([]int, 0, len(buf))
-	firstMiss := map[cache.Key]bool{}
-	for i, x := range buf {
-		if d, ok := p.cfg.Cache.Lookup(x); ok {
-			ds[i] = d
-			stats.CacheHits++
-			continue
-		}
-		if k := p.cfg.Cache.KeyFor(x); firstMiss[k] {
-			dupIdx = append(dupIdx, i) // repeat of an earlier miss in this batch
-			continue
-		} else {
-			firstMiss[k] = true
-		}
-		missIdx = append(missIdx, i)
-		misses = append(misses, x)
-	}
-	if len(misses) > 0 {
-		for j, d := range bc.ClassifyBatch(misses) {
-			i := missIdx[j]
-			ds[i] = d
-			p.cfg.Cache.Insert(buf[i], d)
-		}
-	}
-	for _, i := range dupIdx {
-		// The first occurrence was just inserted; Lookup hands back an
-		// independent clone. Fall back to classifying in the (eviction-race)
-		// case where the entry is already gone.
-		if d, ok := p.cfg.Cache.Lookup(buf[i]); ok {
-			ds[i] = d
-			stats.CacheHits++
-			continue
-		}
-		ds[i] = p.sys.Classify(buf[i])
-		p.cfg.Cache.Insert(buf[i], ds[i])
-	}
-	return ds
 }
 
 // emit applies smoothing, deadline accounting and statistics for one

@@ -1,168 +1,88 @@
 package stream
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/nn"
+	"repro/internal/preprocess"
 	"repro/internal/tensor"
 )
 
-// contentClassifier derives its decision from the frame's first pixel — a
-// pure function of content, so cached replays must be identical — and counts
-// how many frames actually reach the "ensemble".
-type contentClassifier struct{ calls int }
-
-func decisionFor(x *tensor.T) core.Decision {
-	seed := int(x.Data[0])
-	return core.Decision{
-		Label:      seed % 5,
-		Reliable:   seed%2 == 0,
-		Confidence: 0.25 + float64(seed%4)/8,
-		Votes:      map[int]int{seed % 5: 2},
-		Activated:  2 + seed%3,
+// tinySystem is a real 3-member core.System on 1×2×2 frames: Identity
+// preprocessing into Flatten+Dense members with distinct weights.
+func tinySystem(t *testing.T) *core.System {
+	t.Helper()
+	rng := rand.New(rand.NewSource(5))
+	members := make([]core.Member, 3)
+	for i := range members {
+		net := nn.MustNetwork([]int{1, 2, 2}, 3, nn.NewFlatten(), nn.NewDense(4, 3, rng))
+		members[i] = core.Member{Name: fmt.Sprintf("m%d", i), Pre: preprocess.Identity{}, Net: net}
 	}
-}
-
-func (c *contentClassifier) Classify(x *tensor.T) core.Decision {
-	c.calls++
-	return decisionFor(x)
-}
-
-// contentBatch adds the BatchClassifier surface, recording batch sizes.
-type contentBatch struct {
-	contentClassifier
-	batches []int
-}
-
-func (c *contentBatch) ClassifyBatch(xs []*tensor.T) []core.Decision {
-	c.batches = append(c.batches, len(xs))
-	out := make([]core.Decision, len(xs))
-	for i := range xs {
-		out[i] = c.Classify(xs[i])
+	sys, err := core.NewSystem(members, core.Thresholds{Conf: 0.35, Freq: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	sys.Staged = true
+	return sys
 }
 
-func frameWith(seed int) *tensor.T {
+// sceneFrame derives a 1×2×2 frame in [0,1] from a scene id, so equal ids
+// are equal frames and distinct ids distinct ones.
+func sceneFrame(id int) *tensor.T {
 	f := tensor.New(1, 2, 2)
-	f.Data[0] = float64(seed)
+	v := float64(id) / 100
+	copy(f.Data, []float64{v, 1 - v, v * v, 0.5})
 	return f
 }
 
-func testFrameCache() *core.PredictionCache {
-	return core.NewPredictionCache(
-		cache.Config{MaxBytes: 1 << 20, TTL: time.Hour, Shards: 2},
-		cache.Fingerprint{})
-}
-
-// streamOf builds the duplicate-heavy scene used by the dedup tests:
-// three distinct frames with repeats, as a fresh source.
-func dedupFrames() []*tensor.T {
-	seeds := []int{10, 20, 10, 10, 20, 30, 10}
-	fs := make([]*tensor.T, len(seeds))
-	for i, s := range seeds {
-		fs[i] = frameWith(s)
+// checkStreamOverCachedSystem: a stream over a System with EnableCache gets
+// its repeated frames answered by the system's cache — one ensemble pass per
+// distinct frame — with emitted decisions, smoothing and statistics equal to
+// the uncached twin.
+func checkStreamOverCachedSystem(t *testing.T, batch int) {
+	t.Helper()
+	ids := []int{10, 10, 20, 10, 20, 20, 30}
+	frames := make([]*tensor.T, len(ids))
+	for i, id := range ids {
+		frames[i] = sceneFrame(id)
 	}
-	return fs
-}
-
-// TestStreamCacheDedups: repeated frames classify once; decisions, smoothing
-// and statistics are unchanged from the uncached run; hits are counted.
-func TestStreamCacheDedups(t *testing.T) {
-	fs := dedupFrames()
-
-	plainSys := &contentClassifier{}
-	plain, err := NewProcessor(plainSys, Config{Window: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []Frame
-	wantStats := plain.Process(&SliceSource{Frames: fs}, func(f Frame) { want = append(want, f) })
-
-	cachedSys := &contentClassifier{}
-	cached, err := NewProcessor(cachedSys, Config{Window: 3, Cache: testFrameCache()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []Frame
-	gotStats := cached.Process(&SliceSource{Frames: fs}, func(f Frame) { got = append(got, f) })
-
-	if len(got) != len(want) {
-		t.Fatalf("frames = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		w, g := want[i], got[i]
-		if g.Index != w.Index || !reflect.DeepEqual(g.Decision, w.Decision) ||
-			g.SmoothedLabel != w.SmoothedLabel || g.SmoothedReliable != w.SmoothedReliable {
-			t.Errorf("frame %d: cached %+v != plain %+v", i, g, w)
+	run := func(sys *core.System) ([]Frame, Stats) {
+		p, err := NewProcessor(sys, Config{Window: 3, Batch: batch})
+		if err != nil {
+			t.Fatal(err)
 		}
+		var out []Frame
+		st := p.Process(&SliceSource{Frames: frames}, func(f Frame) {
+			f.Latency = 0 // wall-clock, not comparable
+			out = append(out, f)
+		})
+		st.MaxLatency = 0
+		return out, st
 	}
-	if cachedSys.calls != 3 {
-		t.Errorf("cached run classified %d frames, want 3 distinct", cachedSys.calls)
+	want, wantStats := run(tinySystem(t))
+	cached := tinySystem(t)
+	pc := cached.EnableCache(cache.Config{MaxBytes: 1 << 20, TTL: time.Hour, Shards: 2}, "")
+	got, gotStats := run(cached)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("frames over the cached system differ:\ncached   %+v\nuncached %+v", got, want)
 	}
-	if gotStats.CacheHits != 4 {
-		t.Errorf("CacheHits = %d, want 4", gotStats.CacheHits)
-	}
-	// Everything but the cache accounting and wall-clock matches.
-	gotStats.CacheHits, wantStats.CacheHits = 0, 0
-	gotStats.MaxLatency, wantStats.MaxLatency = 0, 0
 	if gotStats != wantStats {
-		t.Errorf("stats: cached %+v != plain %+v", gotStats, wantStats)
+		t.Errorf("stats: cached %+v != uncached %+v", gotStats, wantStats)
+	}
+	if m := pc.Stats().Misses; m != 3 {
+		t.Errorf("cache misses = %d, want 3 (one per distinct frame)", m)
 	}
 }
 
-// TestStreamCacheBatchedDedups: in throughput mode only the first occurrence
-// of each distinct frame reaches ClassifyBatch — intra-batch duplicates and
-// cross-batch repeats are both served from the cache — and the emitted
-// frames match the uncached batched run.
-func TestStreamCacheBatchedDedups(t *testing.T) {
-	seeds := []int{10, 10, 20, 10, 20, 20}
-	mk := func() []*tensor.T {
-		fs := make([]*tensor.T, len(seeds))
-		for i, s := range seeds {
-			fs[i] = frameWith(s)
-		}
-		return fs
-	}
+// TestStreamCacheDedups: frame-at-a-time, repeated frames classify once.
+func TestStreamCacheDedups(t *testing.T) { checkStreamOverCachedSystem(t, 1) }
 
-	plainSys := &contentBatch{}
-	plain, err := NewProcessor(plainSys, Config{Window: 3, Batch: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []Frame
-	plain.Process(&SliceSource{Frames: mk()}, func(f Frame) { want = append(want, f) })
-
-	cachedSys := &contentBatch{}
-	cached, err := NewProcessor(cachedSys, Config{Window: 3, Batch: 3, Cache: testFrameCache()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []Frame
-	gotStats := cached.Process(&SliceSource{Frames: mk()}, func(f Frame) { got = append(got, f) })
-
-	if len(got) != len(want) {
-		t.Fatalf("frames = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		w, g := want[i], got[i]
-		if g.Index != w.Index || !reflect.DeepEqual(g.Decision, w.Decision) ||
-			g.SmoothedLabel != w.SmoothedLabel || g.SmoothedReliable != w.SmoothedReliable {
-			t.Errorf("frame %d: cached %+v != plain %+v", i, g, w)
-		}
-	}
-	// Batch 1 is [10 10 20]: one ClassifyBatch over the two distinct misses.
-	// Batch 2 is [10 20 20]: fully cached, no classifier call at all.
-	if cachedSys.calls != 2 {
-		t.Errorf("cached run classified %d frames, want 2 distinct", cachedSys.calls)
-	}
-	if !reflect.DeepEqual(cachedSys.batches, []int{2}) {
-		t.Errorf("batch sizes = %v, want [2]", cachedSys.batches)
-	}
-	if gotStats.CacheHits != 4 {
-		t.Errorf("CacheHits = %d, want 4", gotStats.CacheHits)
-	}
-}
+// TestStreamCacheBatchedDedups: in throughput mode intra-batch duplicates and
+// cross-batch repeats are both served from the system's cache.
+func TestStreamCacheBatchedDedups(t *testing.T) { checkStreamOverCachedSystem(t, 3) }

@@ -804,94 +804,6 @@ func MatMulTransBInto32Verified(c, a, b *T32) VerifyOutcome {
 	return VerifyMatMulTransB32(c, a, b)
 }
 
-// VerifyMatVec checks and repairs y = W·x + bias (W is m×k row-major, bias
-// may be nil), the hand-rolled float64 Dense inference kernel: y[o] starts
-// at bias[o] and accumulates W[o][p]·x[p] in ascending p — re-execution
-// reproduces that exact chain. The whole product is one checksum.
-func VerifyMatVec(y, w, x, bias []float64, m, k int) VerifyOutcome {
-	injectF64(y[:m])
-	o := VerifyOutcome{Checks: 1}
-	if m == 0 || k == 0 {
-		return o
-	}
-	sc := abftPool.Get().(*abftScratch)
-	defer abftPool.Put(sc)
-	var pred float64
-	wSum := growScratch(&sc.f64, k)
-	copy(wSum, w[:k])
-	for i := 1; i < m; i++ {
-		row := w[i*k : (i+1)*k]
-		for p, v := range row {
-			wSum[p] += v
-		}
-	}
-	for p, v := range x[:k] {
-		pred += wSum[p] * v
-	}
-	for _, b := range bias {
-		pred += b
-	}
-	act, actAbs := 0.0, 0.0
-	for _, v := range y[:m] {
-		act += v
-		actAbs += math.Abs(v)
-	}
-	d := pred - act
-	if d < 0 {
-		d = -d
-	}
-	if abftProxyPass(d, actAbs, k, m, abftEps64, abftEta64) {
-		return o
-	}
-	// Slow tier: rebuild the exact |W|·|x| + |bias| envelope and re-judge.
-	var bnd float64
-	wAbs := growScratch(&sc.f64b, k)
-	for p := range wAbs {
-		wAbs[p] = 0
-	}
-	for i := 0; i < m; i++ {
-		row := w[i*k : (i+1)*k]
-		for p, v := range row {
-			wAbs[p] += math.Abs(v)
-		}
-	}
-	for p, v := range x[:k] {
-		bnd += wAbs[p] * math.Abs(v)
-	}
-	for _, b := range bias {
-		bnd += math.Abs(b)
-	}
-	tol := abftColTol(bnd, k, m, abftEps64, abftEta64, abftTol)
-	if !abftMismatch(pred, act, tol, bnd, abftLim64) {
-		return o
-	}
-	o.Detected++
-	for r := 0; r < abftMaxRetries; r++ {
-		callAbftRetryHook(r)
-		for i := 0; i < m; i++ {
-			var s float64
-			if bias != nil {
-				s = bias[i]
-			}
-			row := w[i*k : (i+1)*k]
-			for p, v := range row {
-				s += v * x[p]
-			}
-			y[i] = s
-		}
-		act = 0
-		for _, v := range y[:m] {
-			act += v
-		}
-		if !abftMismatch(pred, act, tol, bnd, abftLim64) {
-			o.Corrected++
-			return o
-		}
-	}
-	o.Uncorrectable++
-	return o
-}
-
 // VerifyGemmU8 checks and repairs an already-computed uint8 product
 // (c, colsum as produced by GemmU8Into). The int32 accumulators are exact,
 // so the int64-carried checksum must match exactly — any difference is a

@@ -226,55 +226,6 @@ func TestVerifyGemmU8DetectsAndCorrects(t *testing.T) {
 	}
 }
 
-// TestVerifyMatVec covers the hand-rolled Dense matvec check: clean runs
-// stay untouched, a corrupted output is detected and re-executed to the
-// exact bias-first chain.
-func TestVerifyMatVec(t *testing.T) {
-	rng := rand.New(rand.NewSource(27))
-	m, k := 24, 96
-	w := make([]float64, m*k)
-	x := make([]float64, k)
-	bias := make([]float64, m)
-	for i := range w {
-		w[i] = rng.NormFloat64()
-	}
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	for i := range bias {
-		bias[i] = rng.NormFloat64()
-	}
-	clean := make([]float64, m)
-	for o := 0; o < m; o++ {
-		s := bias[o]
-		for p, v := range x {
-			s += w[o*k+p] * v
-		}
-		clean[o] = s
-	}
-
-	y := append([]float64(nil), clean...)
-	if o := VerifyMatVec(y, w, x, bias, m, k); o.Checks != 1 || o.Detected != 0 {
-		t.Fatalf("clean run: outcome %+v", o)
-	}
-	for i := range y {
-		if math.Float64bits(y[i]) != math.Float64bits(clean[i]) {
-			t.Fatalf("clean run mutated y[%d]", i)
-		}
-	}
-
-	flipBit64(&y[5], 60)
-	o := VerifyMatVec(y, w, x, bias, m, k)
-	if o.Detected != 1 || o.Corrected != 1 {
-		t.Fatalf("flip: outcome %+v, want one corrected detection", o)
-	}
-	for i := range y {
-		if math.Float64bits(y[i]) != math.Float64bits(clean[i]) {
-			t.Fatalf("repaired y[%d] = %v, want %v", i, y[i], clean[i])
-		}
-	}
-}
-
 // TestVerifyMatMulTransB covers the row-checksum check of the batched
 // Dense kernels (f64 and f32): clean bit-identity, then detection and
 // bit-exact repair (the repair path re-runs the same matMulTransB row).
@@ -565,21 +516,6 @@ func FuzzChecksumVerify(f *testing.F) {
 		ct := New(m, n)
 		if o := MatMulTransBIntoVerified(ct, a, bt); o.Detected != 0 {
 			t.Fatalf("f64 transB false mismatch: %+v", o)
-		}
-
-		y := make([]float64, m)
-		bias := make([]float64, m)
-		fill(bias, 2*m*k)
-		x := b.Data[:k]
-		for o := 0; o < m; o++ {
-			s := bias[o]
-			for p, v := range x {
-				s += a.Data[o*k+p] * v
-			}
-			y[o] = s
-		}
-		if o := VerifyMatVec(y, a.Data, x, bias, m, k); o.Detected != 0 {
-			t.Fatalf("matvec false mismatch: %+v", o)
 		}
 
 		ua := make([]uint8, m*k)

@@ -4,10 +4,10 @@ package tensor
 // Forward passes allocate many short-lived intermediate tensors; drawing
 // them from an arena and recycling the buffers between inferences removes
 // nearly all per-call heap allocations on the hot path (see
-// nn.Network.InferArena and core.System.ClassifyBatch).
+// nn.Network.InferBatchArena and core.System.ClassifyBatch).
 //
 // An Arena is NOT safe for concurrent use: each worker goroutine must own
-// its own instance. Tensors returned by New remain valid until the next
+// its own instance. Tensors returned by NewRaw remain valid until the next
 // Reset, after which their buffers may be handed out again.
 type Arena struct {
 	// free buckets recycled buffers by element count.
@@ -34,43 +34,14 @@ func NewArena() *Arena {
 	return &Arena{free: make(map[int][]*T)}
 }
 
-// New returns a zero-filled tensor with the given shape, reusing a recycled
-// buffer of matching size when one is available. Like tensor.New it panics
-// on negative dimensions.
-func (a *Arena) New(shape ...int) *T {
-	n := 1
-	for _, d := range shape {
-		if d < 0 {
-			panic("tensor: negative dimension in arena shape")
-		}
-		n *= d
-	}
-	bucket := a.free[n]
-	if len(bucket) == 0 {
-		// Fresh buffers are cache-line aligned (and zero-filled by the
-		// allocator) so kernel panels drawn from the arena start on cache
-		// lines; recycled buffers keep their original aligned backing.
-		t := &T{Shape: append([]int(nil), shape...), Data: AlignedF64(n)}
-		a.used = append(a.used, t)
-		return t
-	}
-	t := bucket[len(bucket)-1]
-	bucket[len(bucket)-1] = nil
-	a.free[n] = bucket[:len(bucket)-1]
-	t.Shape = append(t.Shape[:0], shape...)
-	for i := range t.Data {
-		t.Data[i] = 0
-	}
-	a.used = append(a.used, t)
-	return t
-}
-
-// NewRaw is New without the zero fill: a recycled buffer keeps whatever
-// values it last held. Callers must overwrite every element before reading
-// the tensor — the batched inference kernels qualify (im2col, GEMM and the
-// element-wise passes each fully write their output), and skipping the
-// redundant clear of multi-megabyte column matrices is a measurable win on
-// the hot path. Use New when in doubt.
+// NewRaw returns a tensor with the given shape, reusing a recycled buffer
+// of matching size when one is available. There is no zero fill: a recycled
+// buffer keeps whatever values it last held, so callers must overwrite every
+// element before reading the tensor — the batched inference kernels qualify
+// (im2col, GEMM and the element-wise passes each fully write their output),
+// and skipping the redundant clear of multi-megabyte column matrices is a
+// measurable win on the hot path. Like tensor.New it panics on negative
+// dimensions.
 func (a *Arena) NewRaw(shape ...int) *T {
 	n := 1
 	for _, d := range shape {
@@ -81,6 +52,9 @@ func (a *Arena) NewRaw(shape ...int) *T {
 	}
 	bucket := a.free[n]
 	if len(bucket) == 0 {
+		// Fresh buffers are cache-line aligned so kernel panels drawn from
+		// the arena start on cache lines; recycled buffers keep their
+		// original aligned backing.
 		t := &T{Shape: append([]int(nil), shape...), Data: AlignedF64(n)}
 		a.used = append(a.used, t)
 		return t

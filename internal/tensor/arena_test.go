@@ -2,13 +2,19 @@ package tensor
 
 import "testing"
 
+// TestArenaReuseAndZeroing pins NewRaw's buffer contract: fresh buffers
+// come from the allocator zero-filled, recycled ones are handed back as
+// they were left — no clear — which is why callers must overwrite them.
 func TestArenaReuseAndZeroing(t *testing.T) {
 	a := NewArena()
-	x := a.New(2, 3)
+	x := a.NewRaw(2, 3)
 	if x.Len() != 6 || x.Rank() != 2 {
 		t.Fatalf("arena tensor shape %v len %d", x.Shape, x.Len())
 	}
-	for i := range x.Data {
+	for i, v := range x.Data {
+		if v != 0 {
+			t.Fatalf("fresh buffer not zero at %d: %v", i, v)
+		}
 		x.Data[i] = float64(i + 1)
 	}
 	if a.Live() != 1 {
@@ -19,8 +25,8 @@ func TestArenaReuseAndZeroing(t *testing.T) {
 		t.Fatalf("Live after Reset = %d", a.Live())
 	}
 
-	// Same element count, different shape: buffer is reused and zeroed.
-	y := a.New(6)
+	// Same element count, different shape: buffer is reused as left.
+	y := a.NewRaw(6)
 	if &y.Data[0] != &x.Data[0] {
 		t.Error("arena did not reuse the recycled buffer")
 	}
@@ -28,13 +34,13 @@ func TestArenaReuseAndZeroing(t *testing.T) {
 		t.Errorf("reused tensor shape %v, want [6]", y.Shape)
 	}
 	for i, v := range y.Data {
-		if v != 0 {
-			t.Fatalf("reused buffer not zeroed at %d: %v", i, v)
+		if v != float64(i+1) {
+			t.Fatalf("recycled buffer changed at %d: %v", i, v)
 		}
 	}
 
-	// A second New of the same size must hand out a distinct buffer.
-	z := a.New(6)
+	// A second NewRaw of the same size must hand out a distinct buffer.
+	z := a.NewRaw(6)
 	if &z.Data[0] == &y.Data[0] {
 		t.Error("arena handed the same live buffer out twice")
 	}
@@ -45,11 +51,11 @@ func TestArenaReuseAndZeroing(t *testing.T) {
 
 func TestArenaDistinctSizes(t *testing.T) {
 	a := NewArena()
-	small := a.New(4)
-	big := a.New(16)
+	small := a.NewRaw(4)
+	big := a.NewRaw(16)
 	a.Reset()
 	// Requesting the small size again must not return the big buffer.
-	s2 := a.New(4)
+	s2 := a.NewRaw(4)
 	if &s2.Data[0] == &big.Data[0] {
 		t.Error("size buckets mixed up")
 	}
@@ -64,5 +70,5 @@ func TestArenaNegativeDimPanics(t *testing.T) {
 			t.Error("negative dimension did not panic")
 		}
 	}()
-	NewArena().New(2, -1)
+	NewArena().NewRaw(2, -1)
 }

@@ -125,10 +125,6 @@ type Options struct {
 	// sizes (measured in internal/perf/BENCH_abft.json). Counters are
 	// exposed via System.AbftCounts and the serving /metrics registry.
 	Verified bool
-	// Parallel no longer selects an engine: Classify is ClassifyBatch at a
-	// batch of one, which already fans the members of a stage across the
-	// Workers pool. Kept so existing callers compile.
-	Parallel bool
 	// Workers caps concurrent member inferences per stage. 0 selects
 	// runtime.NumCPU(). It never changes a result.
 	Workers int
@@ -359,7 +355,6 @@ func Build(benchmark string, opts Options) (*System, error) {
 	if opts.GPUs > 0 {
 		sys.Batch = opts.GPUs
 	}
-	sys.Parallel = opts.Parallel
 	sys.Workers = opts.Workers
 	if opts.PrecisionBits != 0 && opts.PrecisionBits != 32 {
 		f := precision.FromBits(opts.PrecisionBits)
