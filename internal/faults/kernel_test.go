@@ -38,65 +38,70 @@ func rowsClose(t *testing.T, a, b []float64, tol float64, ctx string) {
 
 // TestKernelInjectionCoverageF64 runs a live-buffer bit-flip campaign
 // against the float64 engine one image at a time — InferBatchArena at a
-// batch of one, which is what a lone served image runs. Every verified
-// kernel call suffers one high-order mantissa/exponent flip, and the
-// checksum epilogues must detect nearly all of them and correct every
-// detection. When nothing slipped through, the repaired probabilities match
-// the fault-free run within 1e-9 rather than bit for bit: the Winograd
-// repair re-executes the direct convolution, a different summation order.
+// batch of one, which is what a lone served image runs — under both SIMD
+// settings: the convolutions run on the FMA GEMM (VerifyGemm) with SIMD on
+// and on Winograd (VerifyWinogradConv) with it off. Every verified kernel
+// call suffers one high-order mantissa/exponent flip, and the checksum
+// epilogues must detect nearly all of them and correct every detection.
+// When nothing slipped through, the repaired probabilities match the
+// fault-free run within 1e-9 rather than bit for bit: repair re-runs a
+// GEMM column as a scalar ascending-k chain (unfused, where the kernel
+// fused each multiply-add) and a Winograd plane as the direct convolution.
 func TestKernelInjectionCoverageF64(t *testing.T) {
 	net := testNet(t)
 	xs := testImages(60)
+	defer tensor.SetSIMD(true)
 
-	a := tensor.NewArena()
-	infer := func(x *tensor.T) []float64 {
-		row := append([]float64(nil), net.InferBatchArena([]*tensor.T{x}, a)[0].Data...)
-		a.Reset()
-		return row
-	}
-	clean := make([][]float64, len(xs))
-	for i, x := range xs {
-		clean[i] = infer(x)
-	}
+	for _, simd := range []bool{true, false} {
+		tensor.SetSIMD(simd)
+		a := tensor.NewArena()
+		infer := func(x *tensor.T) []float64 {
+			row := append([]float64(nil), net.InferBatchArena([]*tensor.T{x}, a)[0].Data...)
+			a.Reset()
+			return row
+		}
+		clean := make([][]float64, len(xs))
+		for i, x := range xs {
+			clean[i] = infer(x)
+		}
 
-	ki := NewKernelInjector(41, 1)
-	ki.Install()
-	defer ki.Remove()
-	st := &tensor.AbftStats{}
-	a.SetAbft(st)
-	faulty := make([][]float64, len(xs))
-	for i, x := range xs {
-		faulty[i] = infer(x)
-	}
-	ki.Remove()
+		ki := NewKernelInjector(41, 1)
+		ki.Install()
+		st := &tensor.AbftStats{}
+		a.SetAbft(st)
+		faulty := make([][]float64, len(xs))
+		for i, x := range xs {
+			faulty[i] = infer(x)
+		}
+		ki.Remove()
 
-	c := st.Counts()
-	inj := uint64(ki.Injected())
-	if inj < 100 {
-		t.Fatalf("campaign too small: %d flips", inj)
-	}
-	if c.Uncorrectable != 0 {
-		t.Fatalf("transient flips must be correctable: %+v", c)
-	}
-	if c.Corrected != c.Detected {
-		t.Fatalf("detected %d but corrected %d", c.Detected, c.Corrected)
-	}
-	if rate := float64(c.Detected) / float64(inj); rate < 0.95 {
-		t.Fatalf("f64 detection rate %.3f < 0.95 (%d/%d)", rate, c.Detected, inj)
-	}
-	if c.Detected == inj {
-		for i := range xs {
-			rowsClose(t, faulty[i], clean[i], 1e-9, "f64 corrected run")
+		c := st.Counts()
+		inj := uint64(ki.Injected())
+		if inj < 100 {
+			t.Fatalf("simd=%v: campaign too small: %d flips", simd, inj)
+		}
+		if c.Uncorrectable != 0 {
+			t.Fatalf("simd=%v: transient flips must be correctable: %+v", simd, c)
+		}
+		if c.Corrected != c.Detected {
+			t.Fatalf("simd=%v: detected %d but corrected %d", simd, c.Detected, c.Corrected)
+		}
+		if rate := float64(c.Detected) / float64(inj); rate < 0.95 {
+			t.Fatalf("simd=%v: f64 detection rate %.3f < 0.95 (%d/%d)", simd, rate, c.Detected, inj)
+		}
+		if c.Detected == inj {
+			for i := range xs {
+				rowsClose(t, faulty[i], clean[i], 1e-9, "f64 corrected run")
+			}
 		}
 	}
 }
 
 // TestKernelInjectionCoverageBatched drives the same campaign through
-// InferBatchArena — the fused minibatch kernels (batched GEMM + Winograd),
-// which the weight-fault tests in this package never reached before. The
-// Winograd repair path re-executes the direct convolution, so corrected
-// outputs match the clean batched run within the documented 1e-9 float
-// contract rather than bit-for-bit.
+// InferBatchArena at B=48 — the fused minibatch kernels, which the
+// weight-fault tests in this package never reached before. Repair re-runs
+// the scalar reference chain, so corrected outputs match the clean batched
+// run within the documented 1e-9 float contract rather than bit-for-bit.
 func TestKernelInjectionCoverageBatched(t *testing.T) {
 	net := testNet(t)
 	xs := testImages(48)

@@ -175,12 +175,12 @@ func softmax64From32(logits []float32) []float64 {
 	return out
 }
 
-// conv32 is the compiled float32 convolution. With the vector kernels
-// enabled it lowers the batch with Im2ColBatch32 and runs the FMA GEMM —
-// measured ~4× over the float64 Winograd path at B=32 (BENCH_quant.json);
-// on scalar targets Winograd-eligible geometries keep the F(4×4,3×3)
-// transform (the multiply-count cut is what wins without SIMD) and the rest
-// take the bit-exact f32 GEMM.
+// conv32 is the compiled float32 convolution, with the same dispatch as
+// the f64 Conv2D.forwardBatchArena. With the vector kernels enabled it
+// lowers the batch with Im2ColBatch32 and runs the FMA GEMM — the f64
+// driver at twice the lanes; on scalar targets Winograd-eligible
+// geometries keep the F(4×4,3×3) transform (the multiply-count cut is what
+// wins without SIMD) and the rest take the bit-exact f32 GEMM.
 type conv32 struct {
 	inC, outC, kh, kw, stride, pad int
 

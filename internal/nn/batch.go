@@ -10,10 +10,12 @@ import (
 // This file implements the minibatch-fused inference path: instead of
 // walking the network once per image, InferBatchArena walks it once per
 // *batch*, with every layer processing all B images in one kernel call.
-// Winograd-eligible convolutions (3×3/s1/p1, dims divisible by 4) take the
-// F(4×4,3×3) transform path (tensor.WinogradConv3x3); the rest lower the
-// whole batch with tensor.Im2ColBatch and run a single
-// [OutC, C*KH*KW] × [C*KH*KW, B*OH*OW] blocked GEMM (tensor.GemmInto);
+// Convolutions lower the whole batch with tensor.Im2ColBatch (or generate
+// it block by block, tensor.ConvGemmIm2Col) and run a single
+// [OutC, C*KH*KW] × [C*KH*KW, B*OH*OW] GEMM on the FMA microkernel
+// (tensor.GemmIntoFast); on scalar targets Winograd-eligible convolutions
+// (3×3/s1/p1, dims divisible by 4) take the F(4×4,3×3) transform path
+// (tensor.WinogradConv3x3) and the rest the blocked tensor.GemmInto.
 // Dense layers become one [B,In] × [In,Out] matmul; element-wise, pooling
 // and norm layers stream the batch buffer in one branchless pass. The
 // batched activation layout is image-major: one backing tensor [B, elems]
@@ -28,9 +30,10 @@ import (
 // topology × f64/f32/int8). Against Network.Infer — the training Forward,
 // which survives as the test oracle — predictions (argmax) are identical
 // and softmax probabilities agree within 1e-9
-// (TestInferBatchArenaMatchesInfer): the Winograd convolution sums in the
-// transform domain (~1e-13 relative, locked by
-// TestWinogradConvMatchesIm2Col) and the Dense matmul uses
+// (TestInferBatchArenaMatchesInfer): the FMA GEMM fuses each ascending-k
+// multiply-add where Forward rounds twice, on scalar targets the Winograd
+// convolution sums in the transform domain (~1e-13 relative, locked by
+// TestWinogradConvMatchesIm2Col), and the Dense matmul uses
 // MatMulTransBInto's unrolled dot + bias-after instead of bias-first.
 //
 // Like Infer, the path never mutates network state and is safe for
@@ -133,22 +136,23 @@ func forwardBatchFallback(l Layer, src *tensor.T, inShape []int, bsz int, st *ba
 	return dst, outShape
 }
 
-// forwardBatchArena implements batchForwarder for Conv2D. Geometry
-// permitting (3×3, stride 1, pad 1, spatial dims divisible by 4 — every
-// conv in the CIFAR topologies), the whole batch takes the Winograd
-// F(4×4,3×3) fast path, which does a quarter of the multiplies of the
-// im2col lowering; on a scalar target that algorithmic cut is the only way
-// past the one-multiply-accumulate-per-cycle ceiling the GEMM already
-// sits at. Other geometries take the batched im2col route: one lowering,
-// one blocked GEMM for all images, then a fused bias add + transpose from
-// the GEMM's channel-major [OutC, B, OH*OW] layout back to image-major.
+// forwardBatchArena implements batchForwarder for Conv2D, with the same
+// dispatch as the f32 backend's conv32.forward. With the vector kernels on,
+// every geometry takes the batched im2col route onto the 4×8 FMA GEMM: one
+// lowering (generated block by block inside the GEMM at batched widths),
+// one GEMM for all images, then a fused bias add + transpose from the
+// GEMM's channel-major [OutC, B, OH*OW] layout back to image-major. On a
+// scalar target, Winograd-eligible geometries (3×3, stride 1, pad 1,
+// spatial dims divisible by 4 — every conv in the CIFAR topologies) take
+// the F(4×4,3×3) transform instead: without SIMD its 4× multiply cut is
+// the only way past one multiply per instruction.
 func (c *Conv2D) forwardBatchArena(src *tensor.T, inShape []int, bsz int, st *batchState) (*tensor.T, []int) {
 	g := c.geometry(inShape)
 	oh, ow := g.OutH(), g.OutW()
 	ohw := oh * ow
 	ckk := c.InC * c.KH * c.KW
 
-	if tensor.WinogradEligible(g) {
+	if !tensor.SIMDEnabled() && tensor.WinogradEligible(g) {
 		dst := st.a.NewRaw(bsz, c.OutC*ohw)
 		if c.winoU != nil && tensor.PrepackEnabled() {
 			// Compile-time filter transform (Network.Prepack); input and
@@ -176,7 +180,7 @@ func (c *Conv2D) forwardBatchArena(src *tensor.T, inShape []int, bsz int, st *ba
 	} else {
 		cols := st.a.NewRaw(ckk, bsz*ohw)
 		tensor.Im2ColBatch(cols, st.imageViews(src, inShape, bsz), g)
-		tensor.GemmInto(cm, c.weight.Value, cols)
+		tensor.GemmIntoFast(cm, c.weight.Value, cols)
 		if s := st.a.Abft(); s != nil {
 			s.Record(tensor.VerifyGemm(cm, c.weight.Value, cols))
 		}

@@ -24,9 +24,9 @@ import (
 // the ldb/ldc refactor accept a generated block wherever they accepted a
 // B row window). A kernel that reads identical values in identical order
 // produces identical accumulation chains, so the implicit results are
-// bit-identical to Im2ColBatch+GemmInto (f64/f32 scalar),
-// Im2ColBatch32+GemmInto32Fast (f32 SIMD), and Im2ColBatchU8+GemmU8Into
-// (int8) — locked by TestImplicitGemm*.
+// bit-identical to Im2ColBatch+GemmIntoFast (f64) and
+// Im2ColBatch32+GemmInto32Fast (f32) under either SIMD setting, and to
+// Im2ColBatchU8+GemmU8Into (int8) — locked by TestImplicitGemm*.
 
 // implicitBlkFloats / implicitBlkBytes are the minimum capacities of the
 // pooled generation blocks, sized to the largest block any model-zoo
@@ -268,10 +268,10 @@ func im2colBlockU8(blk []uint8, src []uint8, bsz int, g ConvGeom, p0, kc, j0, jw
 // ConvGemmIm2Col computes cm = weight × im2col(batch) for the f64 path
 // without materializing the column matrix: cm is [OutC, bsz·OutH·OutW],
 // weight [OutC, InC·KH·KW], src the packed image-major batch. Results are
-// bit-identical to Im2ColBatch followed by GemmInto.
+// bit-identical to Im2ColBatch followed by GemmIntoFast (see convGemm).
 func ConvGemmIm2Col(cm, weight *T, src []float64, bsz int, g ConvGeom) {
 	m, k, n := implicitCheck(cm.Shape, weight.Shape, len(src), bsz, g, "ConvGemmIm2Col")
-	gemmIm2ColMain(cm.Data, weight.Data, src, m, k, n, bsz, g)
+	convGemm(cm.Data, weight.Data, src, m, k, n, bsz, g)
 }
 
 // implicitJW is the column width of the generation blocks on the SIMD
@@ -287,47 +287,40 @@ const implicitJW = 256
 // ImplicitConvMinN is the minimum GEMM width bsz·OutH·OutW at which the
 // float implicit-GEMM drivers beat the explicit lowering. Below it the
 // per-panel generation bookkeeping costs more than the one-shot im2col it
-// replaces — the sequential per-image decision path (bsz = 1) sits there —
-// so the layer dispatch keeps the legacy explicit path for small
-// problems. The int8 direct driver has no such floor: it never generates
-// columns at all.
+// replaces — a lone served image (bsz = 1) sits there — so the layer
+// dispatch keeps the explicit path for small problems. The int8 direct
+// driver has no such floor: it never generates columns at all.
 const ImplicitConvMinN = 4096
 
-// ConvGemmIm2Col32 is ConvGemmIm2Col for the f32 backend. When the AVX2
-// kernels are enabled it generates implicitJW-column panels and sweeps
-// them 16 columns at a time with the 4×16 FMA microkernel — the implicit
-// equivalent of GemmInto32Fast; otherwise the implicit equivalent of
-// GemmInto32. Either way results are bit-identical to the explicit
-// lowering feeding the same GEMM.
+// ConvGemmIm2Col32 is ConvGemmIm2Col for the f32 backend: bit-identical to
+// Im2ColBatch32 followed by GemmInto32Fast.
 func ConvGemmIm2Col32(cm, weight *T32, src []float32, bsz int, g ConvGeom) {
 	m, k, n := implicitCheck(cm.Shape, weight.Shape, len(src), bsz, g, "ConvGemmIm2Col32")
+	convGemm(cm.Data, weight.Data, src, m, k, n, bsz, g)
+}
+
+// convGemm is the implicit-GEMM driver of both float widths. When the AVX2
+// kernels are enabled it generates implicitJW-column panels and runs each
+// through gemmFMA — the implicit equivalent of GemmIntoFast /
+// GemmInto32Fast; otherwise gemmIm2ColMain, the implicit equivalent of
+// GemmInto / GemmInto32. Either way every column is the same chain the
+// explicit lowering feeding the same GEMM computes, so results are
+// bit-identical to it.
+func convGemm[F Float](cd, ad, src []F, m, k, n, bsz int, g ConvGeom) {
 	if !useSIMD() || k == 0 {
-		gemmIm2ColMain(cm.Data, weight.Data, src, m, k, n, bsz, g)
+		gemmIm2ColMain(cd, ad, src, m, k, n, bsz, g)
 		return
 	}
-	cd, ad := cm.Data, weight.Data
-	mb := m &^ 3
-	blkp := getBlk32(k * implicitJW)
+	blkp := implicitBlk[F](k * implicitJW)
 	blk := *blkp
-	assertAligned64("fmaGemm4x16 B panel", unsafe.Pointer(&blk[0]))
+	assertAligned64("FMA B panel", unsafe.Pointer(&blk[0]))
 	for jb := 0; jb < n; jb += implicitJW {
 		bw := min(implicitJW, n-jb)
 		b := blk[:k*bw]
 		im2colBlock(b, src, bsz, g, 0, k, jb, bw)
-		nb16 := bw &^ 15
-		for jj := 0; jj < nb16; jj += 16 {
-			for i := 0; i < mb; i += 4 {
-				fmaGemm4x16(&ad[i*k], k, &b[jj], bw, &cd[i*n+jb+jj], n, k)
-			}
-		}
-		if nb16 < bw {
-			fmaGemmTail16(cd[jb:], ad, b, mb, nb16, bw-nb16, k, n, bw)
-		}
-		if mb < m {
-			gemm32ScalarRegion(cd[jb:], ad, b, mb, m, 0, bw, k, n, bw)
-		}
+		gemmFMA(cd[jb:], ad, b, m, k, bw, n, bw)
 	}
-	putBlk32(blkp)
+	implicitBlkPut(blkp)
 }
 
 // implicitCheck validates the operand shapes shared by the implicit conv

@@ -1,11 +1,15 @@
 package tensor
 
-import "sync/atomic"
+import (
+	"fmt"
+	"sync/atomic"
+	"unsafe"
+)
 
 // Architecture-independent surface of the SIMD acceleration layer: the
-// runtime switch, and the dispatching wrappers the reduced-precision
-// backends call. Each wrapper runs the assembly microkernel when available
-// and falls back to the pure-Go reference otherwise; see simd_amd64.go for
+// runtime switch, and the dispatching wrappers the inference backends
+// call. Each wrapper runs the assembly microkernel when available and
+// falls back to the pure-Go reference otherwise; see simd_amd64.go for
 // what is accelerated and which wrappers preserve bit-identity.
 
 // simdOff is the runtime kill-switch, stored inverted so the zero value
@@ -18,8 +22,8 @@ func SIMDAvailable() bool { return simdAvailable }
 
 // SIMDEnabled reports whether the vector kernels are available AND not
 // disabled via SetSIMD — i.e. whether dispatching wrappers will take the
-// assembly route right now. Kernel selection heuristics (e.g. Winograd vs
-// im2col+FMA in the f32 convolution) key off this.
+// assembly route right now. Kernel selection heuristics (Winograd vs
+// im2col+FMA in the float convolutions) key off this.
 func SIMDEnabled() bool { return useSIMD() }
 
 // SetSIMD enables or disables the vector kernels at runtime and returns
@@ -31,75 +35,115 @@ func SetSIMD(on bool) bool {
 	return prev
 }
 
-// GemmInto32Fast computes C = A×B like GemmInto32, dispatching to the FMA
-// microkernel when available. Unlike GemmInto32 it does NOT guarantee
-// bit-identical results to the naive i-k-j kernel: the 4×16 FMA blocks
-// accumulate in a different association (fused, 16 lanes). Every column
-// of rows < m&^3 takes that microkernel — the n mod 16 tail through
-// fmaGemmTail16 — and the remaining rows are scalar for every column, so a
-// column's result does not depend on how many columns sit beside it. It is
-// the GEMM of the f32 backend's convolution path, where float32 rounding
-// already bounds accuracy (DESIGN.md §9).
+// GemmIntoFast computes C = A×B like GemmInto, dispatching to the 4×8 FMA
+// microkernel when available. Unlike GemmInto it does NOT guarantee
+// bit-identical results to the naive i-k-j kernel: each column is still
+// one ascending-k chain, but every step is a fused multiply-add (one
+// rounding, not two). A column's bits depend only on its own A rows and B
+// column, never on how many columns sit beside it (see gemmFMA). It is the
+// GEMM of the f64 convolution path (DESIGN.md §7).
+func GemmIntoFast(c, a, b *T) {
+	gemmFast(c.Data, a.Data, b.Data, c.Shape, a.Shape, b.Shape, "GemmIntoFast")
+}
+
+// GemmInto32Fast is GemmIntoFast for float32 tensors, on the 4×16 FMA
+// microkernel: the GEMM of the f32 backend's convolution path, where
+// float32 rounding already bounds accuracy (DESIGN.md §9).
 func GemmInto32Fast(c, a, b *T32) {
-	m, k := a.Shape[0], a.Shape[1]
-	n := b.Shape[1]
-	if b.Shape[0] != k || c.Shape[0] != m || c.Shape[1] != n {
-		panic("tensor: GemmInto32Fast shape mismatch")
+	gemmFast(c.Data, a.Data, b.Data, c.Shape, a.Shape, b.Shape, "GemmInto32Fast")
+}
+
+// gemmFast is the shape-checked body of GemmIntoFast/GemmInto32Fast: the
+// FMA driver with SIMD on, the bit-exact blocked GEMM otherwise.
+func gemmFast[F Float](cd, ad, bd []F, cs, as, bs []int, name string) {
+	if len(as) != 2 || len(bs) != 2 || len(cs) != 2 || bs[0] != as[1] || cs[0] != as[0] || cs[1] != bs[1] {
+		panic(fmt.Sprintf("tensor: %s shape mismatch: C%v = A%v × B%v", name, cs, as, bs))
 	}
+	m, k, n := as[0], as[1], bs[1]
 	if !useSIMD() || k == 0 {
-		GemmInto32(c, a, b)
+		gemmMain(cd, ad, bd, m, k, n)
 		return
 	}
-	cd, ad, bd := c.Data, a.Data, b.Data
-	mb, nb := m&^3, n&^15
-	for j := 0; j < nb; j += 16 {
+	gemmFMA(cd, ad, bd, m, k, n, n, n)
+}
+
+// fmaLanes is the column width of F's FMA microkernel. Both kernels hold
+// a 4-row block in two YMM registers (64 bytes) per row: 16 float32 or 8
+// float64 columns.
+func fmaLanes[F Float]() int {
+	var z F
+	return 64 / int(unsafe.Sizeof(z))
+}
+
+// fmaGemm4 runs F's microkernel — fmaGemm4x16 for float32, fmaGemm4x8F64
+// for float64 — on C[0:4][0:fmaLanes] = A[0:4][0:k] × B[0:k][0:fmaLanes]
+// (row strides lda/ldb/ldc in elements, k ≥ 1). The size test is a
+// constant in each instantiation.
+func fmaGemm4[F Float](a *F, lda int, b *F, ldb int, c *F, ldc int, k int) {
+	if unsafe.Sizeof(*a) == 4 {
+		fmaGemm4x16((*float32)(unsafe.Pointer(a)), lda, (*float32)(unsafe.Pointer(b)), ldb, (*float32)(unsafe.Pointer(c)), ldc, k)
+		return
+	}
+	fmaGemm4x8F64((*float64)(unsafe.Pointer(a)), lda, (*float64)(unsafe.Pointer(b)), ldb, (*float64)(unsafe.Pointer(c)), ldc, k)
+}
+
+// gemmFMA is the one FMA GEMM driver of both float widths: it computes
+// C[0:m][0:n] = A×B for A m×k (row stride k, k ≥ 1), B k×n (row stride
+// ldb) and C row stride ldc — both n on the explicit path; the implicit
+// conv path passes a generated block with ldb = block width. Every column
+// of rows < m&^3 takes the microkernel, the n mod fmaLanes tail through
+// fmaGemmTail, and the remaining rows are scalar for every column, so a
+// column's result does not depend on how many columns sit beside it.
+func gemmFMA[F Float](cd, ad, bd []F, m, k, n, ldc, ldb int) {
+	w := fmaLanes[F]()
+	mb, nb := m&^3, n-n%w
+	for j := 0; j < nb; j += w {
 		for i := 0; i < mb; i += 4 {
-			fmaGemm4x16(&ad[i*k], k, &bd[j], n, &cd[i*n+j], n, k)
+			fmaGemm4(&ad[i*k], k, &bd[j], ldb, &cd[i*ldc+j], ldc, k)
 		}
 	}
 	if nb < n {
-		fmaGemmTail16(cd, ad, bd, mb, nb, n-nb, k, n, n)
+		fmaGemmTail(cd, ad, bd, mb, nb, n-nb, k, ldc, ldb)
 	}
 	if mb < m {
-		gemm32ScalarRegion(cd, ad, bd, mb, m, 0, n, k, n, n)
+		gemmScalarRegion(cd, ad, bd, mb, m, 0, n, k, ldc, ldb)
 	}
 }
 
-// fmaGemmTail16 computes the C sub-block [0,mb)×[j0,j0+w), w < 16 and mb a
-// multiple of 4, with the same fused microkernel as the full 16-column
-// panels: the k×w tail of B is copied into a zero-padded k×16 scratch,
-// fmaGemm4x16 runs into a 4×16 scratch C, and the w valid columns are
-// copied out. Lanes are independent, so a tail column gets exactly the
-// arithmetic it would get inside a full panel — which is what makes an
-// image's output independent of where in the batch it sits (the columns
-// are B·OH·OW, so the tail is the last image's). ldc/ldb as in
-// gemm32ScalarRegion.
-func fmaGemmTail16(cd, ad, bd []float32, mb, j0, w, k, ldc, ldb int) {
+// fmaGemmTail computes the C sub-block [0,mb)×[j0,j0+tw), tw < fmaLanes
+// and mb a multiple of 4, with the same fused microkernel as the full
+// panels: the k×tw tail of B is copied into a zero-padded k×fmaLanes
+// scratch, the microkernel runs into a 4×fmaLanes scratch C, and the tw
+// valid columns are copied out. Lanes are independent, so a tail column
+// gets exactly the arithmetic it would get inside a full panel — which is
+// what makes an image's output independent of where in the batch it sits
+// (the columns are B·OH·OW, so the tail is the last image's). ldc/ldb as
+// in gemmFMA.
+func fmaGemmTail[F Float](cd, ad, bd []F, mb, j0, tw, k, ldc, ldb int) {
 	if mb == 0 {
 		return
 	}
-	sp := getBlk32(k*16 + 4*16)
-	bp, cp := (*sp)[:k*16], (*sp)[k*16:]
+	w := fmaLanes[F]()
+	sp := implicitBlk[F](k*w + 4*w)
+	bp, cp := (*sp)[:k*w], (*sp)[k*w:]
 	for p := 0; p < k; p++ {
-		row := bp[p*16 : (p+1)*16]
-		clear(row[copy(row, bd[p*ldb+j0:p*ldb+j0+w]):])
+		row := bp[p*w : (p+1)*w]
+		clear(row[copy(row, bd[p*ldb+j0:p*ldb+j0+tw]):])
 	}
 	for i := 0; i < mb; i += 4 {
-		fmaGemm4x16(&ad[i*k], k, &bp[0], 16, &cp[0], 16, k)
+		fmaGemm4(&ad[i*k], k, &bp[0], w, &cp[0], w, k)
 		for r := 0; r < 4; r++ {
-			copy(cd[(i+r)*ldc+j0:(i+r)*ldc+j0+w], cp[r*16:])
+			copy(cd[(i+r)*ldc+j0:(i+r)*ldc+j0+tw], cp[r*w:])
 		}
 	}
-	putBlk32(sp)
+	implicitBlkPut(sp)
 }
 
-// gemm32ScalarRegion computes the C sub-block [i0,i1)×[j0,j1) with the
-// scalar i-k-j kernel — the row remainder (m mod 4) of GemmInto32Fast,
-// which runs scalar for every column so no column is treated differently
-// from its neighbours. ldc/ldb are C's and B's row strides (both n on the
-// explicit path; the implicit conv path passes a generated block with
-// ldb = block width).
-func gemm32ScalarRegion(cd, ad, bd []float32, i0, i1, j0, j1, k, ldc, ldb int) {
+// gemmScalarRegion computes the C sub-block [i0,i1)×[j0,j1) with the
+// scalar i-k-j kernel — the row remainder (m mod 4) of gemmFMA, which runs
+// scalar for every column so no column is treated differently from its
+// neighbours. ldc/ldb as in gemmFMA.
+func gemmScalarRegion[F Float](cd, ad, bd []F, i0, i1, j0, j1, k, ldc, ldb int) {
 	for i := i0; i < i1; i++ {
 		crow := cd[i*ldc+j0 : i*ldc+j1]
 		for x := range crow {

@@ -2,22 +2,21 @@
 
 package tensor
 
-// AVX2/FMA microkernels for the reduced-precision backends (DESIGN.md §9).
+// AVX2/FMA microkernels for every inference backend (DESIGN.md §7, §9).
 // The pure-Go kernels in gemm.go and int8.go are the reference and the
 // fallback: the assembly routines below are drop-in accelerations of their
 // innermost blocks, dispatched at runtime behind a CPUID check (AVX2 + FMA
 // + OS YMM state support). The integer kernel computes bit-for-bit the same
 // int32 results as the scalar SWAR path — vpmaddwd over zero-extended
 // bytes is exact — so every GemmU8Into test validates both implementations.
-// The float32 kernel reassociates accumulation (16-lane FMA blocks), which
-// is why it backs GemmInto32Fast rather than the bit-exact GemmInto32.
+// The float kernels fuse each multiply-add (one rounding instead of two),
+// which is why they back GemmInto32Fast/GemmIntoFast rather than the
+// bit-exact GemmInto32/GemmInto.
 //
-// Scalar float multiply throughput on a CPU is width-independent, so
-// without SIMD a float32 or int8 backend can only win on memory traffic —
-// measured at ~1.1× over the float64 Winograd path on the zoo models,
-// nowhere near worth a precision drop. The vector units are where reduced
-// precision actually pays: 8 float32 FMAs or 16 int16 MACs per
-// instruction versus 1 float64 multiply.
+// Without SIMD every float backend runs one multiply per instruction, and
+// the F(4×4,3×3) Winograd transform's 4× multiply cut is the only way past
+// that ceiling. The vector units beat it: 4 float64 or 8 float32 FMAs or
+// 16 int16 MACs per instruction.
 
 //go:noescape
 func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -31,6 +30,12 @@ func xgetbv0() (eax, edx uint32)
 //
 //go:noescape
 func fmaGemm4x16(a *float32, lda int, b *float32, ldb int, c *float32, ldc int, k int)
+
+// fmaGemm4x8F64 is the float64 twin of fmaGemm4x16: the 4×8 block
+// C[0:4][0:8] = A[0:4][0:k] × B[0:k][0:8], two YMM accumulators per row.
+//
+//go:noescape
+func fmaGemm4x8F64(a *float64, lda int, b *float64, ldb int, c *float64, ldc int, k int)
 
 // u8GemmRow32 computes one GEMM row block c[0:32] (int32, overwritten) =
 // Σ_p a[p]·b[p·ldb : p·ldb+32] over uint8 operands. The products are formed

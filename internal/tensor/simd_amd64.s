@@ -92,6 +92,74 @@ fma_loop:
 	VZEROUPPER
 	RET
 
+// func fmaGemm4x8F64(a *float64, lda int, b *float64, ldb int, c *float64, ldc int, k int)
+//
+// The float64 twin of fmaGemm4x16: C[r][j] = Σ_p A[r][p]·B[p][j] for r in
+// [0,4), j in [0,8), same register plan with four lanes per YMM.
+TEXT ·fmaGemm4x8F64(SB), NOSPLIT, $0-56
+	MOVQ a+0(FP), SI
+	MOVQ lda+8(FP), DX
+	MOVQ b+16(FP), DI
+	MOVQ ldb+24(FP), R8
+	MOVQ c+32(FP), R9
+	MOVQ ldc+40(FP), R10
+	MOVQ k+48(FP), CX
+
+	SHLQ $3, DX  // strides in bytes
+	SHLQ $3, R8
+	SHLQ $3, R10
+
+	MOVQ SI, R11           // A row 0
+	LEAQ (SI)(DX*1), R12   // A row 1
+	LEAQ (R12)(DX*1), R13  // A row 2
+	LEAQ (R13)(DX*1), BX   // A row 3
+
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+
+fma64_loop:
+	VMOVUPD (DI), Y8
+	VMOVUPD 32(DI), Y9
+	VBROADCASTSD (R11), Y10
+	VFMADD231PD  Y8, Y10, Y0
+	VFMADD231PD  Y9, Y10, Y1
+	VBROADCASTSD (R12), Y10
+	VFMADD231PD  Y8, Y10, Y2
+	VFMADD231PD  Y9, Y10, Y3
+	VBROADCASTSD (R13), Y10
+	VFMADD231PD  Y8, Y10, Y4
+	VFMADD231PD  Y9, Y10, Y5
+	VBROADCASTSD (BX), Y10
+	VFMADD231PD  Y8, Y10, Y6
+	VFMADD231PD  Y9, Y10, Y7
+	ADDQ $8, R11
+	ADDQ $8, R12
+	ADDQ $8, R13
+	ADDQ $8, BX
+	ADDQ R8, DI
+	DECQ CX
+	JNZ  fma64_loop
+
+	VMOVUPD Y0, (R9)
+	VMOVUPD Y1, 32(R9)
+	ADDQ    R10, R9
+	VMOVUPD Y2, (R9)
+	VMOVUPD Y3, 32(R9)
+	ADDQ    R10, R9
+	VMOVUPD Y4, (R9)
+	VMOVUPD Y5, 32(R9)
+	ADDQ    R10, R9
+	VMOVUPD Y6, (R9)
+	VMOVUPD Y7, 32(R9)
+	VZEROUPPER
+	RET
+
 // func u8GemmRow32(a *uint8, b *uint8, ldb int, c *int32, k int)
 //
 // c[0:32] = Σ_p a[p]·b[p·ldb + j], exact int32 (identical to the scalar

@@ -14,6 +14,10 @@ func fmaGemm4x16(a *float32, lda int, b *float32, ldb int, c *float32, ldc int, 
 	panic("tensor: SIMD kernel called on non-amd64 target")
 }
 
+func fmaGemm4x8F64(a *float64, lda int, b *float64, ldb int, c *float64, ldc int, k int) {
+	panic("tensor: SIMD kernel called on non-amd64 target")
+}
+
 func u8GemmRow32(a *uint8, b *uint8, ldb int, c *int32, k int) {
 	panic("tensor: SIMD kernel called on non-amd64 target")
 }

@@ -143,6 +143,98 @@ func TestGemmInto32FastMatchesReference(t *testing.T) {
 	})
 }
 
+// TestGemmIntoFastMatchesReference checks the f64 FMA GEMM against the
+// exact GemmInto within k·ε·Σ_p|a_ip·b_pj| — the two length-k chains'
+// combined forward-error bound — over every row and column remainder of
+// the 4×8 tiles and chain lengths from a single product to the packed-K
+// range.
+func TestGemmIntoFastMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(60))
+	withSIMD(t, func(t *testing.T, _ bool) {
+		for _, k := range []int{1, 3, 27, 72, 300} {
+			for m := 1; m <= 9; m++ {
+				for n := 1; n <= 40; n++ {
+					a, b := New(m, k), New(k, n)
+					a.FillNormal(rng, 0, 1)
+					b.FillNormal(rng, 0, 1)
+					want := New(m, n)
+					GemmInto(want, a, b)
+					got := New(m, n)
+					got.FillUniform(rng, -9, 9) // must be fully overwritten
+					GemmIntoFast(got, a, b)
+					for i := 0; i < m; i++ {
+						for j := 0; j < n; j++ {
+							env := 0.0
+							for p := 0; p < k; p++ {
+								env += math.Abs(a.Data[i*k+p] * b.Data[p*n+j])
+							}
+							w, g := want.Data[i*n+j], got.Data[i*n+j]
+							if math.Abs(g-w) > float64(k)*0x1p-52*env {
+								t.Fatalf("m=%d k=%d n=%d C[%d][%d]: fast %v vs reference %v", m, k, n, i, j, g, w)
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestFMAGemmColumnPositionInvariant locks what batch composition rests on
+// for both FMA widths: a column of C has the same bits whether it sits in
+// a full microkernel panel, at another panel offset, or in the zero-padded
+// tail. Each run multiplies A by a column range of B as its own matrix.
+func TestFMAGemmColumnPositionInvariant(t *testing.T) {
+	if !SIMDAvailable() {
+		t.Skip("no vector kernels on this machine")
+	}
+	prev := SetSIMD(true)
+	defer SetSIMD(prev)
+	rng := rand.New(rand.NewSource(62))
+	t.Run("f64", func(t *testing.T) { columnPositionCheck[float64](t, rng) })
+	t.Run("f32", func(t *testing.T) { columnPositionCheck[float32](t, rng) })
+}
+
+func columnPositionCheck[F Float](t *testing.T, rng *rand.Rand) {
+	const m, n = 9, 40 // two 4-row tiles plus a scalar row
+	for _, k := range []int{1, 27, 300} {
+		a, b := make([]F, m*k), make([]F, k*n)
+		for i := range a {
+			a[i] = F(rng.NormFloat64())
+		}
+		for i := range b {
+			b[i] = F(rng.NormFloat64())
+		}
+		cols := func(j0, j1 int) []F {
+			w := j1 - j0
+			sub := make([]F, k*w)
+			for p := 0; p < k; p++ {
+				copy(sub[p*w:], b[p*n+j0:p*n+j1])
+			}
+			c := make([]F, m*w)
+			gemmFast(c, a, sub, []int{m, w}, []int{m, k}, []int{k, w}, "test")
+			return c
+		}
+		full := cols(0, n)
+		ranges := [][2]int{{1, n}, {3, 20}, {n - 5, n}}
+		for j := 0; j < n; j++ {
+			ranges = append(ranges, [2]int{j, j + 1})
+		}
+		for _, r := range ranges {
+			w := r[1] - r[0]
+			got := cols(r[0], r[1])
+			for i := 0; i < m; i++ {
+				for x := 0; x < w; x++ {
+					g, f := float64(got[i*w+x]), float64(full[i*n+r[0]+x])
+					if math.Float64bits(g) != math.Float64bits(f) {
+						t.Fatalf("k=%d row %d column %d: %v in columns [%d,%d), %v in the full product", k, i, r[0]+x, g, r[0], r[1], f)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestDequantRowBitIdentical checks the fused dequant epilogue produces the
 // same float32 bits with and without the vector kernel (no FMA inside).
 func TestDequantRowBitIdentical(t *testing.T) {
