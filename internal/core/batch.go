@@ -328,14 +328,14 @@ func (sc *batchScratch) preprocess(p preprocess.Preprocessor, xs []*tensor.T) []
 	return pre
 }
 
-// scratchList is the free list of batch scratch one ClassifyBatch call
-// shares between its concurrent member calls. It dies with the call: the
-// arenas recycle buffers by exact size, so a list that outlived the call
-// would pile up one buffer set per batch size it ever saw. (A sync.Pool
-// created per call does outlive it — the runtime keeps every pool's
-// contents reachable until the second collection after the last Put, and
-// with little other garbage left on the request path that was enough to
-// make the heap grow without bound under load.)
+// scratchList is the free list of batch scratch, one per System, shared by
+// every call and every concurrent member inference. It holds at most as
+// many scratches as were ever in flight at once — Workers per concurrent
+// ClassifyBatch call, about NumCPU under the server's single batcher — and
+// each scratch's arenas are high-water regions, so the list is bounded by
+// the largest calls it served, not by how many batch sizes it saw. (Not a
+// sync.Pool: that may drop its contents at any collection, and every drop
+// rebuilds a scratch's arenas from the heap.)
 type scratchList struct {
 	mu   sync.Mutex
 	free []*batchScratch
@@ -358,19 +358,18 @@ func (l *scratchList) put(sc *batchScratch) {
 	l.mu.Unlock()
 }
 
-// batchStageArenaInfer returns the batched member execution strategy of one
-// ClassifyBatch call: preprocess each image into the scratch slab, run the
-// member's network over the whole set — InferBatchArena for float64 members,
-// the compiled Net32 for reduced-precision ones — and return the probability
-// rows. Scratch is drawn from the call's free list, so concurrent member
-// calls never share arenas. When the policy requests a backend, the member
-// runs its adaptive variant compiled by PrepareAdaptive (falling back to
-// the configured path when the variant is absent, so a half-prepared system
+// batchStageArenaInfer returns the batched member execution strategy:
+// preprocess each image into the scratch slab, run the member's network
+// over the whole set — InferBatchArena for float64 members, the compiled
+// Net32 for reduced-precision ones — and return the probability rows.
+// Scratch is drawn from the System's free list, so concurrent member calls
+// never share arenas. When the policy requests a backend, the member runs
+// its adaptive variant compiled by PrepareAdaptive (falling back to the
+// configured path when the variant is absent, so a half-prepared system
 // degrades to correct-but-static rather than failing).
 func (s *System) batchStageArenaInfer() batchStageInferFn {
-	scratch := &scratchList{}
 	return func(m int, be Backend, override bool, xs []*tensor.T) [][]float64 {
-		sc := scratch.get()
+		sc := s.scratch.get()
 		mem := &s.Members[m]
 		st := s.verifySink(mem)
 		pre := sc.preprocess(mem.Pre, xs)
@@ -403,7 +402,7 @@ func (s *System) batchStageArenaInfer() batchStageInferFn {
 				suspectRow(row)
 			}
 		}
-		scratch.put(sc)
+		s.scratch.put(sc)
 		return rows
 	}
 }

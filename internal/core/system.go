@@ -70,10 +70,10 @@ func (m Member) Infer(x *tensor.T) []float64 {
 //
 // A System is safe for concurrent use: Classify and ClassifyBatch may be
 // called from many goroutines on a shared instance, because member forward
-// passes are read-only (see the internal/nn package contract) and the
-// engine keeps all per-call state on the stack. The exported fields are
-// configuration and must not be mutated while classifications are in
-// flight.
+// passes are read-only (see the internal/nn package contract) and the only
+// state calls share is the mutex-guarded scratch free list. The exported
+// fields are configuration and must not be mutated while classifications
+// are in flight. A System must not be copied after first use.
 type System struct {
 	// Members are in RADE priority order (highest contribution first).
 	Members []Member
@@ -108,6 +108,10 @@ type System struct {
 	// abft aggregates ABFT verification outcomes across every verified
 	// member inference; non-nil once PrepareVerified(true) ran (verify.go).
 	abft *tensor.AbftStats
+
+	// scratch holds the worker arenas and preprocess slabs the engine
+	// reuses across calls (batch.go).
+	scratch scratchList
 }
 
 // NewSystem assembles a system from members and thresholds.

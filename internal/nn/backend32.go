@@ -296,42 +296,40 @@ func (d *dense32) forward(src *tensor.T32, inShape []int, bsz int, a *tensor.Are
 	return dst, []int{d.out}
 }
 
-// relu32 rectifies the whole batch buffer branchlessly.
+// relu32 rectifies the whole batch buffer branchlessly, in place: like the
+// f64 batch kernels, every src a node sees is an arena-owned backing that
+// no later node reads (InferBatch converts the caller's images in at entry).
 type relu32 struct{}
 
-func (relu32) forward(src *tensor.T32, inShape []int, bsz int, a *tensor.Arena32) (*tensor.T32, []int) {
-	dst := a.NewRaw(bsz, prodShape(inShape))
-	dd := dst.Data
-	for i, v := range src.Data {
-		dd[i] = max(v, 0)
+func (relu32) forward(src *tensor.T32, inShape []int, _ int, _ *tensor.Arena32) (*tensor.T32, []int) {
+	d := src.Data
+	for i, v := range d {
+		d[i] = max(v, 0)
 	}
-	return dst, inShape
+	return src, inShape
 }
 
-// leaky32 mirrors LeakyReLU's batched kernel: max(v, α·v) for 0 ≤ α ≤ 1,
-// the literal comparison otherwise.
+// leaky32 mirrors LeakyReLU's batched kernel, in place like relu32:
+// max(v, α·v) for 0 ≤ α ≤ 1, the literal comparison otherwise.
 type leaky32 struct {
 	alpha float32
 	exact bool
 }
 
-func (l leaky32) forward(src *tensor.T32, inShape []int, bsz int, a *tensor.Arena32) (*tensor.T32, []int) {
-	dst := a.NewRaw(bsz, prodShape(inShape))
-	dd := dst.Data
+func (l leaky32) forward(src *tensor.T32, inShape []int, _ int, _ *tensor.Arena32) (*tensor.T32, []int) {
+	d := src.Data
 	if l.exact {
-		for i, v := range src.Data {
-			dd[i] = max(v, l.alpha*v)
+		for i, v := range d {
+			d[i] = max(v, l.alpha*v)
 		}
-		return dst, inShape
+		return src, inShape
 	}
-	for i, v := range src.Data {
-		if v > 0 {
-			dd[i] = v
-		} else {
-			dd[i] = l.alpha * v
+	for i, v := range d {
+		if !(v > 0) {
+			d[i] = l.alpha * v
 		}
 	}
-	return dst, inShape
+	return src, inShape
 }
 
 // flatten32 is a pure shape change.
@@ -341,8 +339,7 @@ func (flatten32) forward(src *tensor.T32, inShape []int, bsz int, _ *tensor.Aren
 	return src, []int{prodShape(inShape)}
 }
 
-// passthrough32 forwards the backing unchanged (inference Dropout). The
-// backing is arena-owned and no node mutates its input, so sharing is safe.
+// passthrough32 forwards the backing unchanged (inference Dropout).
 type passthrough32 struct{}
 
 func (passthrough32) forward(src *tensor.T32, inShape []int, bsz int, _ *tensor.Arena32) (*tensor.T32, []int) {

@@ -42,8 +42,12 @@ import (
 
 // batchForwarder is implemented by layers with a fused batch kernel. src is
 // the image-major batch backing ([bsz, prod(inShape)]); the method returns
-// the output backing and the new per-image shape. Implementations must be
-// read-only with temporaries drawn from st.
+// the output backing and the new per-image shape. Implementations must not
+// mutate layer state and draw temporaries from st. Every src is an
+// arena-owned backing that no later layer reads (InferBatchArena copies the
+// caller's images in at entry; composite blocks keep their shortcut and
+// concat inputs away from the rectifiers), so the rectifiers overwrite src
+// in place and inference Dropout returns it.
 type batchForwarder interface {
 	forwardBatchArena(src *tensor.T, inShape []int, bsz int, st *batchState) (*tensor.T, []int)
 }
@@ -225,39 +229,35 @@ func (d *Dense) forwardBatchArena(src *tensor.T, inShape []int, bsz int, st *bat
 }
 
 // forwardBatchArena implements batchForwarder for ReLU: one branchless
-// pass over the whole batch buffer. max(v, 0) produces the same value as
-// the per-image branch for every real input (a rectifier's compare on
-// roughly sign-random conv outputs mispredicts about half the time, which
-// triples the cost of this trivial kernel).
-func (r *ReLU) forwardBatchArena(src *tensor.T, inShape []int, bsz int, st *batchState) (*tensor.T, []int) {
-	dst := st.a.NewRaw(bsz, prodShape(inShape))
-	dd := dst.Data
-	for i, v := range src.Data {
-		dd[i] = max(v, 0)
+// pass rectifying the batch buffer in place. max(v, 0) produces the same
+// value as the per-image branch for every real input (a rectifier's
+// compare on roughly sign-random conv outputs mispredicts about half the
+// time, which triples the cost of this trivial kernel).
+func (r *ReLU) forwardBatchArena(src *tensor.T, inShape []int, _ int, _ *batchState) (*tensor.T, []int) {
+	d := src.Data
+	for i, v := range d {
+		d[i] = max(v, 0)
 	}
-	return dst, inShape
+	return src, inShape
 }
 
-// forwardBatchArena implements batchForwarder for LeakyReLU. For the usual
-// 0 ≤ α ≤ 1 the rectifier is exactly max(v, α·v) — branchless; other
-// slopes keep the literal comparison.
-func (l *LeakyReLU) forwardBatchArena(src *tensor.T, inShape []int, bsz int, st *batchState) (*tensor.T, []int) {
-	dst := st.a.NewRaw(bsz, prodShape(inShape))
-	dd := dst.Data
+// forwardBatchArena implements batchForwarder for LeakyReLU, in place like
+// ReLU. For the usual 0 ≤ α ≤ 1 the rectifier is exactly max(v, α·v) —
+// branchless; other slopes keep the literal comparison.
+func (l *LeakyReLU) forwardBatchArena(src *tensor.T, inShape []int, _ int, _ *batchState) (*tensor.T, []int) {
+	d := src.Data
 	if a := l.Alpha; a >= 0 && a <= 1 {
-		for i, v := range src.Data {
-			dd[i] = max(v, a*v)
+		for i, v := range d {
+			d[i] = max(v, a*v)
 		}
-		return dst, inShape
+		return src, inShape
 	}
-	for i, v := range src.Data {
-		if v > 0 {
-			dd[i] = v
-		} else {
-			dd[i] = l.Alpha * v
+	for i, v := range d {
+		if !(v > 0) {
+			d[i] = l.Alpha * v
 		}
 	}
-	return dst, inShape
+	return src, inShape
 }
 
 // forwardBatchArena implements batchForwarder for Flatten: a pure shape
@@ -266,11 +266,10 @@ func (f *Flatten) forwardBatchArena(src *tensor.T, inShape []int, bsz int, _ *ba
 	return src, []int{prodShape(inShape)}
 }
 
-// forwardBatchArena implements batchForwarder for Dropout (inference copy).
-func (d *Dropout) forwardBatchArena(src *tensor.T, inShape []int, bsz int, st *batchState) (*tensor.T, []int) {
-	dst := st.a.NewRaw(bsz, prodShape(inShape))
-	copy(dst.Data, src.Data)
-	return dst, inShape
+// forwardBatchArena implements batchForwarder for Dropout: inference is
+// the identity.
+func (d *Dropout) forwardBatchArena(src *tensor.T, inShape []int, _ int, _ *batchState) (*tensor.T, []int) {
+	return src, inShape
 }
 
 // forwardBatchArena implements batchForwarder for MaxPool2D: a branchless

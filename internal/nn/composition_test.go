@@ -93,3 +93,78 @@ func TestBatchCompositionInvariant(t *testing.T) {
 		}
 	}
 }
+
+// TestPoisonedScratchIdentity: the arenas hand any byte to any tensor, so
+// a kernel that read scratch it had not written would make an image's
+// answer depend on whatever the previous call left behind. Each arena is
+// driven with a poison batch first — NaN images on f64/f32, ±1e30 on int8
+// (quantization saturates rather than converting NaN) — so every scratch
+// element a kernel writes holds garbage; the real batch then runs on it at
+// B ∈ {1, 7, 32} and its rows must be Float64bits-equal to a fresh-arena
+// run, for every zoo topology on every backend and both kernel routes.
+func TestPoisonedScratchIdentity(t *testing.T) {
+	for _, f := range backendFixtures(t) {
+		f := f
+		net32, err := f.net.Compile32()
+		if err != nil {
+			t.Fatal(err)
+		}
+		net8, err := f.net.CompileInt8(f.xs[:8])
+		if err != nil {
+			t.Fatal(err)
+		}
+		backends := []struct {
+			name   string
+			poison float64
+			run    func(xs []*tensor.T, a *tensor.Arena, a32 *tensor.Arena32) [][]float64
+		}{
+			{"f64", math.NaN(), func(xs []*tensor.T, a *tensor.Arena, _ *tensor.Arena32) [][]float64 {
+				defer a.Reset()
+				rows := make([][]float64, len(xs))
+				for i, p := range f.net.InferBatchArena(xs, a) {
+					rows[i] = append([]float64(nil), p.Data...)
+				}
+				return rows
+			}},
+			{"f32", math.NaN(), func(xs []*tensor.T, _ *tensor.Arena, a32 *tensor.Arena32) [][]float64 {
+				defer a32.Reset()
+				return net32.InferBatch(xs, a32)
+			}},
+			{"int8", 1e30, func(xs []*tensor.T, _ *tensor.Arena, a32 *tensor.Arena32) [][]float64 {
+				defer a32.Reset()
+				return net8.InferBatch(xs, a32)
+			}},
+		}
+		for _, be := range backends {
+			be := be
+			t.Run(f.name+"/"+be.name, func(t *testing.T) {
+				withBackendSIMD(t, func(t *testing.T) {
+					poison := make([]*tensor.T, len(f.xs))
+					for i := range poison {
+						poison[i] = tensor.New(f.xs[0].Shape...)
+						for j := range poison[i].Data {
+							poison[i].Data[j] = be.poison
+							if j%2 == 1 {
+								poison[i].Data[j] = -be.poison
+							}
+						}
+					}
+					a, a32 := tensor.NewArena(), tensor.NewArena32()
+					be.run(poison, a, a32) // grows the slabs to the largest call
+					for _, bsz := range []int{1, 7, 32} {
+						want := be.run(f.xs[:bsz], tensor.NewArena(), tensor.NewArena32())
+						be.run(poison, a, a32)
+						got := be.run(f.xs[:bsz], a, a32)
+						for i := range want {
+							for c := range want[i] {
+								if math.Float64bits(got[i][c]) != math.Float64bits(want[i][c]) {
+									t.Fatalf("B=%d image %d class %d: poisoned arena %v != fresh %v", bsz, i, c, got[i][c], want[i][c])
+								}
+							}
+						}
+					}
+				})
+			})
+		}
+	}
+}

@@ -27,10 +27,22 @@ func arenaTestNet(rng *rand.Rand) *Network {
 }
 
 // TestInferBatchArenaDoesNotMutateInput guards the read-only inference
-// contract the concurrency layer depends on, across every layer type.
+// contract the concurrency layer depends on, across every layer type and
+// on every backend (InferBatchArena and both compiled Net32s). The
+// rectifiers work in place, so the networks whose first layer is a
+// ReLU/LeakyReLU check that they only ever see the entry copy of the
+// caller's images.
 func TestInferBatchArenaDoesNotMutateInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	net := arenaTestNet(rng)
+	nets := []struct {
+		name string
+		net  *Network
+	}{
+		{"every-layer", arenaTestNet(rng)},
+		{"relu-first", MustNetwork([]int{3, 8, 8}, 5, NewReLU(), NewFlatten(), NewDense(192, 5, rng))},
+		{"leaky-first", MustNetwork([]int{3, 8, 8}, 5,
+			NewLeakyReLU(0.1), NewDropout(0.3, 7), NewLeakyReLU(2), NewFlatten(), NewDense(192, 5, rng))},
+	}
 	xs := make([]*tensor.T, 3)
 	orig := make([][]float64, len(xs))
 	for i := range xs {
@@ -40,12 +52,30 @@ func TestInferBatchArenaDoesNotMutateInput(t *testing.T) {
 		}
 		orig[i] = append([]float64(nil), xs[i].Data...)
 	}
-	net.InferBatchArena(xs, tensor.NewArena())
-	for i, x := range xs {
-		for j, v := range x.Data {
-			if v != orig[i][j] {
-				t.Fatalf("InferBatchArena mutated input %d at %d: %v -> %v", i, j, orig[i][j], v)
+	check := func(what string) {
+		t.Helper()
+		for i, x := range xs {
+			for j, v := range x.Data {
+				if v != orig[i][j] {
+					t.Fatalf("%s mutated input %d at %d: %v -> %v", what, i, j, orig[i][j], v)
+				}
 			}
 		}
+	}
+	for _, n := range nets {
+		n.net.InferBatchArena(xs, tensor.NewArena())
+		check(n.name + " InferBatchArena")
+		net32, err := n.net.Compile32()
+		if err != nil {
+			t.Fatal(err)
+		}
+		net32.InferBatch(xs, tensor.NewArena32())
+		check(n.name + " f32 InferBatch")
+		net8, err := n.net.CompileInt8(xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net8.InferBatch(xs, tensor.NewArena32())
+		check(n.name + " int8 InferBatch")
 	}
 }

@@ -1,19 +1,27 @@
 package tensor
 
-// Arena is a size-bucketed tensor allocator for inference scratch reuse.
-// Forward passes allocate many short-lived intermediate tensors; drawing
-// them from an arena and recycling the buffers between inferences removes
-// nearly all per-call heap allocations on the hot path (see
-// nn.Network.InferBatchArena and core.System.ClassifyBatch).
+import "unsafe"
+
+// Arena is the scratch allocator of the float64 inference path: a
+// high-water region. A forward pass draws many short-lived intermediate
+// tensors; the arena carves them front to back out of one cache-line
+// aligned slab and Reset rewinds it, so once the slab has grown to the
+// largest call it serves, a forward pass allocates nothing (see
+// nn.Network.InferBatchArena and core.System.ClassifyBatch). Memory is
+// bounded by the largest single call, however many shapes and batch sizes
+// the arena has seen — which is what lets one arena live as long as the
+// core.System that owns it.
 //
 // An Arena is NOT safe for concurrent use: each worker goroutine must own
 // its own instance. Tensors returned by NewRaw remain valid until the next
-// Reset, after which their buffers may be handed out again.
+// Reset, after which their memory and their *T headers are handed out
+// again.
 type Arena struct {
-	// free buckets recycled buffers by element count.
-	free map[int][]*T
-	// used tracks tensors handed out since the last Reset.
-	used []*T
+	data bump[float64]
+	// hdrs are the tensor headers, reused by position: the i-th NewRaw
+	// after a Reset returns hdrs[i].
+	hdrs []*T
+	live int
 	// abft, when non-nil, asks kernels drawing scratch from this arena to
 	// checksum-verify their outputs and record outcomes here (DESIGN.md
 	// §10). Riding on the arena keeps verification a per-call property —
@@ -30,19 +38,47 @@ func (a *Arena) SetAbft(s *AbftStats) { a.abft = s }
 func (a *Arena) Abft() *AbftStats { return a.abft }
 
 // NewArena returns an empty arena.
-func NewArena() *Arena {
-	return &Arena{free: make(map[int][]*T)}
+func NewArena() *Arena { return &Arena{} }
+
+// NewRaw returns a tensor with the given shape whose Data is a
+// cache-line-aligned window of the arena. Its contents are arbitrary —
+// whatever an earlier tensor of any shape left there, or zeros from a
+// fresh slab — so callers must write every element before reading it. The
+// batched inference kernels qualify (im2col, GEMM and the element-wise
+// passes each fully write their output), and skipping the clear of
+// multi-megabyte column matrices is a measurable win on the hot path. Like
+// tensor.New it panics on negative dimensions.
+func (a *Arena) NewRaw(shape ...int) *T {
+	n := arenaElems(shape)
+	if a.live == len(a.hdrs) {
+		a.hdrs = append(a.hdrs, new(T))
+	}
+	t := a.hdrs[a.live]
+	a.live++
+	t.Shape = append(t.Shape[:0], shape...)
+	t.Data = a.data.get(n)
+	return t
 }
 
-// NewRaw returns a tensor with the given shape, reusing a recycled buffer
-// of matching size when one is available. There is no zero fill: a recycled
-// buffer keeps whatever values it last held, so callers must overwrite every
-// element before reading the tensor — the batched inference kernels qualify
-// (im2col, GEMM and the element-wise passes each fully write their output),
-// and skipping the redundant clear of multi-megabyte column matrices is a
-// measurable win on the hot path. Like tensor.New it panics on negative
-// dimensions.
-func (a *Arena) NewRaw(shape ...int) *T {
+// Reset rewinds the arena, recycling every tensor handed out since the
+// previous Reset. The caller must not use those tensors (or views of them)
+// afterwards.
+func (a *Arena) Reset() {
+	// Drop the windows so an idle header pins no outgrown slab or overflow
+	// buffer, and a tensor used after Reset fails loudly.
+	for _, t := range a.hdrs[:a.live] {
+		t.Data = nil
+	}
+	a.live = 0
+	a.data.reset()
+}
+
+// Live returns the number of tensors handed out since the last Reset.
+func (a *Arena) Live() int { return a.live }
+
+// arenaElems is the element count of an arena shape; it panics on a
+// negative dimension.
+func arenaElems(shape []int) int {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
@@ -50,32 +86,37 @@ func (a *Arena) NewRaw(shape ...int) *T {
 		}
 		n *= d
 	}
-	bucket := a.free[n]
-	if len(bucket) == 0 {
-		// Fresh buffers are cache-line aligned so kernel panels drawn from
-		// the arena start on cache lines; recycled buffers keep their
-		// original aligned backing.
-		t := &T{Shape: append([]int(nil), shape...), Data: AlignedF64(n)}
-		a.used = append(a.used, t)
-		return t
-	}
-	t := bucket[len(bucket)-1]
-	bucket[len(bucket)-1] = nil
-	a.free[n] = bucket[:len(bucket)-1]
-	t.Shape = append(t.Shape[:0], shape...)
-	a.used = append(a.used, t)
-	return t
+	return n
 }
 
-// Reset recycles every tensor handed out since the previous Reset. The
-// caller must not use those tensors (or views of them) afterwards.
-func (a *Arena) Reset() {
-	for i, t := range a.used {
-		a.free[len(t.Data)] = append(a.free[len(t.Data)], t)
-		a.used[i] = nil
-	}
-	a.used = a.used[:0]
+// bump is a high-water region of one element type: a cache-line-aligned
+// slab handed out front to back, every request rounded up to whole cache
+// lines so each slice starts aligned, and returned as a three-index slice
+// so an append cannot run into its neighbour. A call that outgrows the slab
+// takes the overflow from the heap; the next reset regrows the slab to that
+// call's total, so the slab never exceeds the largest call it has served.
+type bump[E float64 | float32 | int32 | uint8] struct {
+	slab []E
+	off  int // elements of slab handed out since the last reset
+	need int // elements requested since the last reset, overflow included
 }
 
-// Live returns the number of tensors handed out since the last Reset.
-func (a *Arena) Live() int { return len(a.used) }
+func (b *bump[E]) get(n int) []E {
+	var zero E
+	line := cacheLine / int(unsafe.Sizeof(zero))
+	r := (n + line - 1) / line * line
+	b.need += r
+	if b.off+r > len(b.slab) {
+		return alignedSlice[E](n)
+	}
+	s := b.slab[b.off : b.off+n : b.off+n]
+	b.off += r
+	return s
+}
+
+func (b *bump[E]) reset() {
+	if b.need > len(b.slab) {
+		b.slab = alignedSlice[E](b.need)
+	}
+	b.off, b.need = 0, 0
+}

@@ -92,50 +92,18 @@ func (t *T32) SameShape(o *T32) bool {
 // String renders a short description, e.g. "tensor32[3 32 32]".
 func (t *T32) String() string { return fmt.Sprintf("tensor32%v", t.Shape) }
 
-// rawPool is a size-bucketed recycler for raw scratch slices (the byte and
-// int32 buffers of the int8 kernels). Same contract as Arena: handed-out
-// slices stay valid until reset, contents are NOT cleared on reuse.
-type rawPool[E any] struct {
-	free map[int][][]E
-	used [][]E
-}
-
-func (p *rawPool[E]) get(n int) []E {
-	if p.free == nil {
-		p.free = make(map[int][][]E)
-	}
-	bucket := p.free[n]
-	var s []E
-	if len(bucket) == 0 {
-		s = alignedSlice[E](n)
-	} else {
-		s = bucket[len(bucket)-1]
-		bucket[len(bucket)-1] = nil
-		p.free[n] = bucket[:len(bucket)-1]
-	}
-	p.used = append(p.used, s)
-	return s
-}
-
-func (p *rawPool[E]) reset() {
-	for i, s := range p.used {
-		p.free[len(s)] = append(p.free[len(s)], s)
-		p.used[i] = nil
-	}
-	p.used = p.used[:0]
-}
-
-// Arena32 is the scratch allocator of the reduced-precision backends: a
-// size-bucketed recycler for float32 tensors plus raw byte and int32
-// buffers (quantized activations and integer accumulators of the int8
-// kernels). Like Arena it is NOT safe for concurrent use — each worker
-// goroutine owns its own instance — and everything handed out stays valid
-// only until the next Reset.
+// Arena32 is the scratch allocator of the reduced-precision backends: the
+// same high-water region as Arena, with one slab each for float32 tensors
+// and for the raw byte and int32 buffers of the int8 kernels (quantized
+// activations and integer accumulators). Like Arena it is NOT safe for
+// concurrent use — each worker goroutine owns its own instance — and
+// everything handed out stays valid only until the next Reset.
 type Arena32 struct {
-	free  map[int][]*T32
-	used  []*T32
-	bytes rawPool[uint8]
-	ints  rawPool[int32]
+	data  bump[float32]
+	bytes bump[uint8]
+	ints  bump[int32]
+	hdrs  []*T32 // reused by position, like Arena.hdrs
+	live  int
 	// abft mirrors Arena.abft: a non-nil sink asks the reduced-precision
 	// kernels to checksum-verify their outputs (DESIGN.md §10).
 	abft *AbftStats
@@ -149,57 +117,43 @@ func (a *Arena32) SetAbft(s *AbftStats) { a.abft = s }
 func (a *Arena32) Abft() *AbftStats { return a.abft }
 
 // NewArena32 returns an empty arena.
-func NewArena32() *Arena32 {
-	return &Arena32{free: make(map[int][]*T32)}
-}
+func NewArena32() *Arena32 { return &Arena32{} }
 
-// NewRaw returns a float32 tensor with the given shape WITHOUT clearing a
-// recycled buffer — callers must overwrite every element before reading
-// (every kernel in the backend forward passes qualifies; see
-// Arena.NewRaw for the rationale).
+// NewRaw returns a float32 tensor with the given shape and arbitrary
+// contents; callers must write every element before reading (see
+// Arena.NewRaw).
 func (a *Arena32) NewRaw(shape ...int) *T32 {
-	n := 1
-	for _, d := range shape {
-		if d < 0 {
-			panic("tensor: negative dimension in arena shape")
-		}
-		n *= d
+	n := arenaElems(shape)
+	if a.live == len(a.hdrs) {
+		a.hdrs = append(a.hdrs, new(T32))
 	}
-	bucket := a.free[n]
-	if len(bucket) == 0 {
-		// Fresh buffers are cache-line aligned, like Arena's (recycled
-		// ones keep their aligned backing).
-		t := &T32{Shape: append([]int(nil), shape...), Data: AlignedF32(n)}
-		a.used = append(a.used, t)
-		return t
-	}
-	t := bucket[len(bucket)-1]
-	bucket[len(bucket)-1] = nil
-	a.free[n] = bucket[:len(bucket)-1]
+	t := a.hdrs[a.live]
+	a.live++
 	t.Shape = append(t.Shape[:0], shape...)
-	a.used = append(a.used, t)
+	t.Data = a.data.get(n)
 	return t
 }
 
-// Bytes returns an uninitialized byte buffer of length n, recycled across
-// Resets (quantized activations, lowered uint8 column matrices).
+// Bytes returns a cache-line-aligned byte buffer of length n with arbitrary
+// contents (quantized activations, lowered uint8 column matrices).
 func (a *Arena32) Bytes(n int) []uint8 { return a.bytes.get(n) }
 
-// Int32s returns an uninitialized int32 buffer of length n, recycled
-// across Resets (integer GEMM accumulators and column sums).
+// Int32s returns a cache-line-aligned int32 buffer of length n with
+// arbitrary contents (integer GEMM accumulators and column sums).
 func (a *Arena32) Int32s(n int) []int32 { return a.ints.get(n) }
 
-// Reset recycles everything handed out since the previous Reset. The
-// caller must not use those tensors or buffers afterwards.
+// Reset rewinds the arena, recycling everything handed out since the
+// previous Reset. The caller must not use those tensors or buffers
+// afterwards.
 func (a *Arena32) Reset() {
-	for i, t := range a.used {
-		a.free[len(t.Data)] = append(a.free[len(t.Data)], t)
-		a.used[i] = nil
+	for _, t := range a.hdrs[:a.live] {
+		t.Data = nil
 	}
-	a.used = a.used[:0]
+	a.live = 0
+	a.data.reset()
 	a.bytes.reset()
 	a.ints.reset()
 }
 
 // Live returns the number of tensors handed out since the last Reset.
-func (a *Arena32) Live() int { return len(a.used) }
+func (a *Arena32) Live() int { return a.live }

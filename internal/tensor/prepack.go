@@ -90,7 +90,7 @@ func AlignedU8(n int) []uint8 {
 }
 
 // alignedSlice is the generic form of the Aligned* allocators, used by
-// the arena raw pools whose element type is a type parameter. Element
+// the arena regions whose element type is a type parameter. Element
 // sizes that don't divide a cache line evenly (none in this package) fall
 // back to a plain make.
 func alignedSlice[E any](n int) []E {
