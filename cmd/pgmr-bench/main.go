@@ -23,7 +23,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/report"
-	"repro/internal/tensor"
 )
 
 func main() {
@@ -43,7 +42,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	workers := fs.Int("workers", 0, "worker-pool size for throughput experiments (0 = NumCPU)")
 	backend := fs.String("backend", "", "numeric backend for throughput experiments: f64, f32 or int8 (default f64)")
 	verified := fs.Bool("verified", false, "enable ABFT checksum verification in throughput experiments")
-	prepack := fs.String("prepack", "on", "prepacked-weight/implicit-GEMM execution paths: on or off (escape hatch; results are bit-identical)")
 	cacheMB := fs.Int("cache-mb", 64, "ext-caching: prediction-cache budget in MiB")
 	cacheTTL := fs.Duration("cache-ttl", 0, "ext-caching: cache entry TTL (0 = entries never expire)")
 	cacheDir := fs.String("cache-dir", "", "ext-caching2: persistent L2 cache directory (empty = run-scoped temp dir)")
@@ -76,17 +74,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	switch *prepack {
-	case "on":
-		tensor.SetPrepack(true)
-	case "off":
-		tensor.SetPrepack(false)
-	default:
-		fmt.Fprintf(stderr, "pgmr-bench: -prepack must be \"on\" or \"off\", got %q\n", *prepack)
-		fs.Usage()
-		return 2
-	}
-
 	if *list {
 		for _, id := range experiments.IDs() {
 			fmt.Fprintln(stdout, id)

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
-	"repro/internal/tensor"
 )
 
 // TestRunUsageErrors pins the exit-code contract for misuse: no experiment
@@ -30,8 +29,7 @@ func TestRunUsageErrors(t *testing.T) {
 		{"uppercase backend", []string{"-backend", "INT8", "ext-throughput"}},
 		{"zero slo", []string{"-slo", "0", "ext-slo"}},
 		{"negative slo", []string{"-slo", "-5ms", "ext-slo"}},
-		{"bad prepack value", []string{"-prepack", "maybe", "ext-throughput"}},
-		{"empty prepack value", []string{"-prepack", "", "ext-throughput"}},
+		{"retired prepack flag", []string{"-prepack", "on", "-list"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -43,34 +41,6 @@ func TestRunUsageErrors(t *testing.T) {
 				t.Errorf("stderr missing usage line:\n%s", stderr.String())
 			}
 		})
-	}
-}
-
-// TestRunPrepackFlag checks the -prepack escape hatch toggles the runtime
-// switch: off disables the prepacked paths for the run, on (the default)
-// re-enables them. -list short-circuits before any experiment runs, so the
-// flag's side effect is observable without paying for a real experiment.
-func TestRunPrepackFlag(t *testing.T) {
-	defer tensor.SetPrepack(true)
-	var stdout, stderr strings.Builder
-	if code := run([]string{"-prepack", "off", "-list"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("run(-prepack off -list) = %d, stderr: %s", code, stderr.String())
-	}
-	if tensor.PrepackEnabled() {
-		t.Fatal("-prepack=off did not disable the prepacked paths")
-	}
-	if code := run([]string{"-prepack", "on", "-list"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("run(-prepack on -list) = %d, stderr: %s", code, stderr.String())
-	}
-	if !tensor.PrepackEnabled() {
-		t.Fatal("-prepack=on did not re-enable the prepacked paths")
-	}
-	// A rejected value must not change the switch.
-	if code := run([]string{"-prepack", "maybe", "-list"}, &stdout, &stderr); code != 2 {
-		t.Fatalf("run(-prepack maybe) = %d, want 2", code)
-	}
-	if !tensor.PrepackEnabled() {
-		t.Fatal("rejected -prepack value flipped the switch")
 	}
 }
 

@@ -35,6 +35,17 @@ func TestParseBackend(t *testing.T) {
 // on a calibration slice of the input pool.
 func backendSystem(t *testing.T, b model.Benchmark, backend Backend) (*System, []*tensor.T) {
 	t.Helper()
+	sys, xs := unpreparedSystem(t, b, backend)
+	if err := sys.PrepareBackends(xs[:8]); err != nil {
+		t.Fatal(err)
+	}
+	return sys, xs
+}
+
+// unpreparedSystem is backendSystem before PrepareBackends: nothing is
+// compiled or prepacked, which only an f64 system can serve.
+func unpreparedSystem(t *testing.T, b model.Benchmark, backend Backend) (*System, []*tensor.T) {
+	t.Helper()
 	cfg, err := b.DatasetConfig(0) // dataset.Fast
 	if err != nil {
 		t.Fatal(err)
@@ -55,9 +66,6 @@ func backendSystem(t *testing.T, b model.Benchmark, backend Backend) (*System, [
 	for i := range xs {
 		xs[i] = tensor.New(cfg.Channels, cfg.H, cfg.W)
 		xs[i].FillUniform(rng, 0, 1)
-	}
-	if err := sys.PrepareBackends(xs[:8]); err != nil {
-		t.Fatal(err)
 	}
 	return sys, xs
 }

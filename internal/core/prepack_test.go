@@ -8,13 +8,16 @@ import (
 	"repro/internal/tensor"
 )
 
-// TestPrepackDecisionIdentity is the system-level prepack acceptance gate:
-// for every zoo topology, numeric backend, SIMD setting, and batch size,
-// the full PolygraphMR decision — label, confidence, votes, reliability,
-// RADE activation count — is exactly DeepEqual with the prepacked paths on
-// and off. Prepacking reorders storage and loop structure, never
-// arithmetic, so unlike the cross-backend tests there is no tolerance:
-// every field including Confidence must be bit-identical.
+// TestPrepackDecisionIdentity is the system-level prepack gate: for every
+// zoo topology, numeric backend, SIMD setting and batch size, the full
+// PolygraphMR decision of the served system — weights packed at compile
+// time by PrepareBackends — is exactly DeepEqual to that of systems that
+// lower differently: the verified system, whose convolutions take the
+// explicit im2col + GEMM route in place of the implicit and direct drivers,
+// and, for f64, a system never prepacked, whose scalar-target Winograd
+// transforms its filters on every call. Packing reorders storage and loop
+// structure, never arithmetic, so there is no tolerance: every field
+// including Confidence must be bit-identical.
 func TestPrepackDecisionIdentity(t *testing.T) {
 	for _, b := range model.Benchmarks() {
 		b := b
@@ -23,23 +26,30 @@ func TestPrepackDecisionIdentity(t *testing.T) {
 				backend := backend
 				t.Run(backend.String(), func(t *testing.T) {
 					sys, xs := backendSystem(t, b, backend)
+					refs := map[string]*System{}
+					refs["verified"], _ = backendSystem(t, b, backend)
+					refs["verified"].PrepareVerified(true)
+					if backend == BackendF64 {
+						refs["unpacked"], _ = unpreparedSystem(t, b, backend)
+					}
 					for _, simd := range []bool{false, true} {
 						if simd && !tensor.SIMDAvailable() {
 							continue
 						}
 						prevSIMD := tensor.SetSIMD(simd)
 						for _, bsz := range []int{1, 2, 7, 32} {
-							prev := tensor.SetPrepack(true)
-							on := sys.ClassifyBatch(xs[:bsz])
-							tensor.SetPrepack(false)
-							off := sys.ClassifyBatch(xs[:bsz])
-							tensor.SetPrepack(prev)
-							if !reflect.DeepEqual(on, off) {
-								t.Fatalf("simd=%v B=%d: decisions differ between prepack on and off:\non:  %+v\noff: %+v",
-									simd, bsz, on, off)
+							served := sys.ClassifyBatch(xs[:bsz])
+							for name, ref := range refs {
+								if got := ref.ClassifyBatch(xs[:bsz]); !reflect.DeepEqual(served, got) {
+									t.Fatalf("simd=%v B=%d: decisions differ between the served and the %s system:\nserved: %+v\n%s: %+v",
+										simd, bsz, name, served, name, got)
+								}
 							}
 						}
 						tensor.SetSIMD(prevSIMD)
+					}
+					if c := refs["verified"].AbftCounts(); c.Checks == 0 || c.Detected != 0 {
+						t.Fatalf("verifier counts %+v, want checks > 0 and no detections", c)
 					}
 				})
 			}

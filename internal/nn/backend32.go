@@ -12,7 +12,7 @@ import (
 // holding float32 copies of the weights — and every subsequent forward pass
 // runs entirely in float32 through the batched f32 kernels
 // (tensor.Im2ColBatch32 + GemmInto32Fast on the FMA microkernel,
-// tensor.WinogradConv3x3F32 on scalar targets, MatMulTransBInto32). The
+// tensor.WinogradConv3x3F32Pre on scalar targets, MatMulTransBInto32). The
 // batch layout is the image-major [B, elems] backing of nn/batch.go.
 //
 // Accuracy contract: float32 carries ~7 decimal digits, the zoo logits sit
@@ -63,8 +63,8 @@ func (n *Network) Compile32() (*Net32, error) {
 	}, nil
 }
 
-// compileNode32 builds the f32 node for one layer. Unknown layer types get
-// the per-image float64 fallback so Net32 stays total over foreign layers.
+// compileNode32 builds the f32 node for one layer. Layer's unexported
+// method keeps the set closed, so the switch covers every layer type.
 func compileNode32(l Layer) node32 {
 	switch t := l.(type) {
 	case *Conv2D:
@@ -107,7 +107,7 @@ func compileNode32(l Layer) node32 {
 			relu: relu32{},
 		}
 	default:
-		return fallback32{l: l}
+		panic(fmt.Sprintf("nn: Compile32: no f32 node for layer type %T", l))
 	}
 }
 
@@ -188,8 +188,9 @@ type conv32 struct {
 	bias   []float32   // [OutC]
 
 	// winoU32 is the prepacked Winograd filter transform (DESIGN.md §14),
-	// computed once at compile time for 3×3/s1/p1 kernels. nil for other
-	// shapes; the forward also honours the tensor.SetPrepack kill-switch.
+	// computed once at compile time for 3×3/s1/p1 kernels and nil for
+	// other shapes. Every Winograd-eligible geometry is 3×3/s1/p1, so the
+	// scalar Winograd route always finds it set.
 	winoU32 []float32
 }
 
@@ -224,11 +225,7 @@ func (c *conv32) forward(src *tensor.T32, inShape []int, bsz int, a *tensor.Aren
 
 	if !tensor.SIMDEnabled() && tensor.WinogradEligible(g) {
 		dst := a.NewRaw(bsz, c.outC*ohw)
-		if c.winoU32 != nil && tensor.PrepackEnabled() {
-			tensor.WinogradConv3x3F32Pre(dst, src, bsz, c.outC, c.winoU32, c.bias, g, a)
-		} else {
-			tensor.WinogradConv3x3F32(dst, src, bsz, c.outC, c.weight, c.bias, g, a)
-		}
+		tensor.WinogradConv3x3F32Pre(dst, src, bsz, c.outC, c.winoU32, c.bias, g, a)
 		if s := a.Abft(); s != nil {
 			s.Record(tensor.VerifyWinogradConv32(dst, src, bsz, c.outC, c.weight, c.bias, g))
 		}
@@ -236,7 +233,7 @@ func (c *conv32) forward(src *tensor.T32, inShape []int, bsz int, a *tensor.Aren
 	}
 
 	cm := a.NewRaw(c.outC, bsz*ohw)
-	if tensor.PrepackEnabled() && a.Abft() == nil && bsz*ohw >= tensor.ImplicitConvMinN {
+	if a.Abft() == nil && bsz*ohw >= tensor.ImplicitConvMinN {
 		// Implicit GEMM: the im2col operand is generated block-by-block
 		// inside the panel loop, never materialized (DESIGN.md §14).
 		tensor.ConvGemmIm2Col32(cm, c.weight, src.Data[:bsz*c.inC*g.InH*g.InW], bsz, g)
@@ -515,30 +512,4 @@ func (u *denseunit32) forward(src *tensor.T32, inShape []int, bsz int, a *tensor
 		copy(dst.Data[b*on+inN:(b+1)*on], branch.Data[b*brN:(b+1)*brN])
 	}
 	return dst, []int{inShape[0] + bs[0], inShape[1], inShape[2]}
-}
-
-// fallback32 round-trips foreign layer types through their float64 Forward
-// image by image, keeping Net32 total over layers added outside this file.
-type fallback32 struct{ l Layer }
-
-func (f fallback32) forward(src *tensor.T32, inShape []int, bsz int, a *tensor.Arena32) (*tensor.T32, []int) {
-	in := prodShape(inShape)
-	var dst *tensor.T32
-	var outShape []int
-	for b := 0; b < bsz; b++ {
-		x := tensor.New(inShape...)
-		for i, v := range src.Data[b*in : (b+1)*in] {
-			x.Data[i] = float64(v)
-		}
-		y := f.l.Forward(x, false)
-		if dst == nil {
-			outShape = append([]int(nil), y.Shape...)
-			dst = a.NewRaw(bsz, y.Len())
-		}
-		row := dst.Data[b*y.Len() : (b+1)*y.Len()]
-		for i, v := range y.Data {
-			row[i] = float32(v)
-		}
-	}
-	return dst, outShape
 }

@@ -40,18 +40,6 @@ import (
 // concurrent use on a shared *Network; the arena (and the batchState built
 // on it) is single-goroutine.
 
-// batchForwarder is implemented by layers with a fused batch kernel. src is
-// the image-major batch backing ([bsz, prod(inShape)]); the method returns
-// the output backing and the new per-image shape. Implementations must not
-// mutate layer state and draw temporaries from st. Every src is an
-// arena-owned backing that no later layer reads (InferBatchArena copies the
-// caller's images in at entry; composite blocks keep their shortcut and
-// concat inputs away from the rectifiers), so the rectifiers overwrite src
-// in place and inference Dropout returns it.
-type batchForwarder interface {
-	forwardBatchArena(src *tensor.T, inShape []int, bsz int, st *batchState) (*tensor.T, []int)
-}
-
 // batchState is the per-call scratch of one InferBatchArena invocation: the
 // arena plus reusable per-image view headers into the current backing.
 type batchState struct {
@@ -105,11 +93,7 @@ func (n *Network) InferBatchArena(xs []*tensor.T, a *tensor.Arena) []*tensor.T {
 	}
 
 	for i, l := range n.Layers {
-		if bf, ok := l.(batchForwarder); ok {
-			cur, shape = bf.forwardBatchArena(cur, shape, bsz, st)
-		} else {
-			cur, shape = forwardBatchFallback(l, cur, shape, bsz, st)
-		}
+		cur, shape = l.forwardBatchArena(cur, shape, bsz, st)
 		if n.ActivationHook != nil {
 			for _, v := range st.imageViews(cur, shape, bsz) {
 				n.ActivationHook(i, v)
@@ -123,24 +107,7 @@ func (n *Network) InferBatchArena(xs []*tensor.T, a *tensor.Arena) []*tensor.T {
 	return out
 }
 
-// forwardBatchFallback runs a layer without a fused kernel image by image
-// through its inference Forward and repacks the outputs contiguously. It
-// keeps InferBatchArena correct for layer types added outside this file.
-func forwardBatchFallback(l Layer, src *tensor.T, inShape []int, bsz int, st *batchState) (*tensor.T, []int) {
-	views := st.imageViews(src, inShape, bsz)
-	y0 := l.Forward(views[0], false)
-	outShape := append([]int(nil), y0.Shape...)
-	on := y0.Len()
-	dst := st.a.NewRaw(bsz, on)
-	copy(dst.Data[0:on], y0.Data)
-	for b := 1; b < bsz; b++ {
-		yb := l.Forward(views[b], false)
-		copy(dst.Data[b*on:(b+1)*on], yb.Data)
-	}
-	return dst, outShape
-}
-
-// forwardBatchArena implements batchForwarder for Conv2D, with the same
+// forwardBatchArena is Conv2D's batch kernel, with the same
 // dispatch as the f32 backend's conv32.forward. With the vector kernels on,
 // every geometry takes the batched im2col route onto the 4×8 FMA GEMM: one
 // lowering (generated block by block inside the GEMM at batched widths),
@@ -158,11 +125,12 @@ func (c *Conv2D) forwardBatchArena(src *tensor.T, inShape []int, bsz int, st *ba
 
 	if !tensor.SIMDEnabled() && tensor.WinogradEligible(g) {
 		dst := st.a.NewRaw(bsz, c.OutC*ohw)
-		if c.winoU != nil && tensor.PrepackEnabled() {
+		if c.winoU != nil {
 			// Compile-time filter transform (Network.Prepack); input and
 			// output transforms are identical, so results match the
-			// transform-per-call path bit for bit. Verification below is
-			// unaffected: VerifyWinogradConv works from image + weights.
+			// transform-per-call path an un-prepacked net takes bit for
+			// bit. Verification below is unaffected: VerifyWinogradConv
+			// works from image + weights.
 			tensor.WinogradConv3x3Pre(dst, src, bsz, c.OutC, c.winoU, c.bias.Value.Data, g, st.a)
 		} else {
 			tensor.WinogradConv3x3(dst, src, bsz, c.OutC, c.weight.Value, c.bias.Value.Data, g, st.a)
@@ -174,7 +142,7 @@ func (c *Conv2D) forwardBatchArena(src *tensor.T, inShape []int, bsz int, st *ba
 	}
 
 	cm := st.a.NewRaw(c.OutC, bsz*ohw)
-	if tensor.PrepackEnabled() && st.a.Abft() == nil && bsz*ohw >= tensor.ImplicitConvMinN {
+	if st.a.Abft() == nil && bsz*ohw >= tensor.ImplicitConvMinN {
 		// Implicit GEMM: the [ckk, B*OH*OW] column matrix is generated
 		// panel by panel inside the GEMM instead of being materialized —
 		// bit-identical to the explicit lowering below. Verified mode
@@ -205,7 +173,7 @@ func (c *Conv2D) forwardBatchArena(src *tensor.T, inShape []int, bsz int, st *ba
 	return dst, []int{c.OutC, oh, ow}
 }
 
-// forwardBatchArena implements batchForwarder for Dense: the batch is
+// forwardBatchArena is Dense's batch kernel: the batch is
 // already a [B, In] row-major matrix, so the whole layer is one
 // C = X × Wᵀ matmul plus a bias row broadcast.
 func (d *Dense) forwardBatchArena(src *tensor.T, inShape []int, bsz int, st *batchState) (*tensor.T, []int) {
@@ -228,7 +196,7 @@ func (d *Dense) forwardBatchArena(src *tensor.T, inShape []int, bsz int, st *bat
 	return dst, []int{d.Out}
 }
 
-// forwardBatchArena implements batchForwarder for ReLU: one branchless
+// forwardBatchArena is ReLU's batch kernel: one branchless
 // pass rectifying the batch buffer in place. max(v, 0) produces the same
 // value as the per-image branch for every real input (a rectifier's
 // compare on roughly sign-random conv outputs mispredicts about half the
@@ -241,7 +209,7 @@ func (r *ReLU) forwardBatchArena(src *tensor.T, inShape []int, _ int, _ *batchSt
 	return src, inShape
 }
 
-// forwardBatchArena implements batchForwarder for LeakyReLU, in place like
+// forwardBatchArena is LeakyReLU's batch kernel, in place like
 // ReLU. For the usual 0 ≤ α ≤ 1 the rectifier is exactly max(v, α·v) —
 // branchless; other slopes keep the literal comparison.
 func (l *LeakyReLU) forwardBatchArena(src *tensor.T, inShape []int, _ int, _ *batchState) (*tensor.T, []int) {
@@ -260,19 +228,19 @@ func (l *LeakyReLU) forwardBatchArena(src *tensor.T, inShape []int, _ int, _ *ba
 	return src, inShape
 }
 
-// forwardBatchArena implements batchForwarder for Flatten: a pure shape
+// forwardBatchArena is Flatten's batch kernel: a pure shape
 // change — the image-major backing is already flat per image.
 func (f *Flatten) forwardBatchArena(src *tensor.T, inShape []int, bsz int, _ *batchState) (*tensor.T, []int) {
 	return src, []int{prodShape(inShape)}
 }
 
-// forwardBatchArena implements batchForwarder for Dropout: inference is
+// forwardBatchArena is Dropout's batch kernel: inference is
 // the identity.
 func (d *Dropout) forwardBatchArena(src *tensor.T, inShape []int, _ int, _ *batchState) (*tensor.T, []int) {
 	return src, inShape
 }
 
-// forwardBatchArena implements batchForwarder for MaxPool2D: a branchless
+// forwardBatchArena is MaxPool2D's batch kernel: a branchless
 // 2×2 kernel for the ubiquitous K=2 case (the data-dependent compare of
 // the general kernel mispredicts constantly on conv activations), the
 // per-image kernel otherwise, applied to each contiguous image slice.
@@ -333,7 +301,7 @@ func maxPoolInto(dst, src []float64, ch, h, w, k int) {
 	}
 }
 
-// forwardBatchArena implements batchForwarder for AvgPool2D (global average
+// forwardBatchArena is AvgPool2D's batch kernel (global average
 // per channel).
 func (p *AvgPool2D) forwardBatchArena(src *tensor.T, inShape []int, bsz int, st *batchState) (*tensor.T, []int) {
 	ch, hw := inShape[0], inShape[1]*inShape[2]
@@ -353,7 +321,7 @@ func (p *AvgPool2D) forwardBatchArena(src *tensor.T, inShape []int, bsz int, st 
 	return dst, []int{ch}
 }
 
-// forwardBatchArena implements batchForwarder for ChannelNorm: the per-
+// forwardBatchArena is ChannelNorm's batch kernel: the per-
 // channel affine is hoisted once and streamed over every image's channel
 // row, using the exact per-image expression so results stay bit-identical.
 func (nrm *ChannelNorm) forwardBatchArena(src *tensor.T, inShape []int, bsz int, st *batchState) (*tensor.T, []int) {
@@ -374,7 +342,7 @@ func (nrm *ChannelNorm) forwardBatchArena(src *tensor.T, inShape []int, bsz int,
 	return dst, inShape
 }
 
-// forwardBatchArena implements batchForwarder for ResidualBlock by
+// forwardBatchArena is ResidualBlock's batch kernel,
 // composing the batched sub-kernels; the shortcut add happens on aligned
 // image-major backings.
 func (b *ResidualBlock) forwardBatchArena(src *tensor.T, inShape []int, bsz int, st *batchState) (*tensor.T, []int) {
@@ -395,7 +363,7 @@ func (b *ResidualBlock) forwardBatchArena(src *tensor.T, inShape []int, bsz int,
 	return b.outRelu.forwardBatchArena(h, hs, bsz, st)
 }
 
-// forwardBatchArena implements batchForwarder for DenseUnit: batched
+// forwardBatchArena is DenseUnit's batch kernel: batched
 // branch, then a per-image channel concatenation into the new backing.
 func (u *DenseUnit) forwardBatchArena(src *tensor.T, inShape []int, bsz int, st *batchState) (*tensor.T, []int) {
 	branch, bs := u.conv.forwardBatchArena(src, inShape, bsz, st)

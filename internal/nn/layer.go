@@ -40,6 +40,16 @@ type Layer interface {
 	Backward(grad *tensor.T) *tensor.T
 	// Params returns the trainable parameters, in a stable order.
 	Params() []*Param
+	// forwardBatchArena is the fused batch inference kernel (nn/batch.go).
+	// src is the image-major batch backing ([bsz, prod(inShape)]); the
+	// method returns the output backing and the new per-image shape.
+	// Implementations must not mutate layer state and draw temporaries from
+	// st. Every src is an arena-owned backing that no later layer reads
+	// (InferBatchArena copies the caller's images in at entry; composite
+	// blocks keep their shortcut and concat inputs away from the
+	// rectifiers), so the rectifiers overwrite src in place and inference
+	// Dropout returns it.
+	forwardBatchArena(src *tensor.T, inShape []int, bsz int, st *batchState) (*tensor.T, []int)
 }
 
 // Param is one trainable parameter tensor together with its accumulated

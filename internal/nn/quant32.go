@@ -13,8 +13,9 @@ import (
 // Dense layer, and swaps those nodes for quantized versions:
 //
 //	quantize input (uint8, calibrated affine scale/zp)
-//	  → byte im2col / transpose
-//	  → uint8 GEMM with int32 accumulators (tensor.GemmU8Into)
+//	  → uint8 GEMM with int32 accumulators: direct shift or implicit-GEMM
+//	    convolution (byte im2col + tensor.GemmU8Into in verified mode),
+//	    Dense against a compile-time transposed weight pack
 //	  → fused dequantize + bias (tensor.DequantRow)
 //
 // Weights use per-output-channel symmetric scales quantized from the
@@ -77,7 +78,7 @@ func (q *qconv32) forward(src *tensor.T32, inShape []int, bsz int, a *tensor.Are
 
 	acc := a.Int32s(q.outC * bohw)
 	colsum := a.Int32s(bohw)
-	if tensor.PrepackEnabled() && a.Abft() == nil {
+	if a.Abft() == nil {
 		if q.shift != nil {
 			// Direct shift convolution: no im2col operand at all — the
 			// kernels consume the padded channel-interleaved image through
@@ -111,21 +112,17 @@ func (q *qconv32) forward(src *tensor.T32, inShape []int, bsz int, a *tensor.Are
 	return dst, []int{q.outC, oh, ow}
 }
 
-// qdense32 is the quantized fully connected node. The prepacked path
-// (default) keeps activations in their natural [B, In] row layout and runs
-// them against the compile-time transposed weight pack [In, Out], so the
-// per-call activation transpose, the output scatter, and the weight-side
-// column-sum pass all disappear; the zero-point correction uses the
-// activation row sums instead. With prepacking disabled the legacy
-// orientation — quantize-transpose to [In, B], GEMM to [Out, B], scatter
-// back — runs instead; both produce bit-identical outputs (the int32
-// accumulators are order-independent and the dequant epilogues perform
-// the same operations in the same order).
+// qdense32 is the quantized fully connected node. It keeps activations in
+// their natural [B, In] row layout and runs them against the compile-time
+// transposed weight pack [In, Out], so there is no per-call activation
+// transpose, output scatter or weight-side column-sum pass; the zero-point
+// correction uses the activation row sums instead. The dequant epilogue is
+// the operation sequence of tensor.DequantRow (c − 128·rowsum − corr,
+// convert, ×deq, +bias).
 type qdense32 struct {
 	in, out int
 
-	qw     tensor.QuantWeights
-	packed *tensor.PackedU8T // compile-time [In, Out] transpose of qw
+	packed *tensor.PackedU8T // compile-time [In, Out] transpose of the quantized weights
 	deq    []float32
 	corr   []int32
 	bias   []float32
@@ -135,19 +132,19 @@ type qdense32 struct {
 }
 
 func newQDense32(d *Dense, scale float32, zp uint8) *qdense32 {
+	qw := tensor.QuantizeWeightsSym(d.weight.Value.Data, d.Out, d.In)
 	q := &qdense32{
 		in: d.In, out: d.Out,
-		qw:       tensor.QuantizeWeightsSym(d.weight.Value.Data, d.Out, d.In),
+		packed:   tensor.PackQuantTranspose(qw),
 		deq:      make([]float32, d.Out),
 		corr:     make([]int32, d.Out),
 		bias:     make([]float32, d.Out),
 		invScale: 1 / scale,
 		zp:       zp,
 	}
-	q.packed = tensor.PackQuantTranspose(q.qw)
 	for o := 0; o < d.Out; o++ {
-		q.deq[o] = float32(float64(scale) * q.qw.Scale[o])
-		q.corr[o] = int32(zp) * q.qw.RowSum[o]
+		q.deq[o] = float32(float64(scale) * qw.Scale[o])
+		q.corr[o] = int32(zp) * qw.RowSum[o]
 		q.bias[o] = float32(d.bias.Value.Data[o])
 	}
 	return q
@@ -157,40 +154,6 @@ func (q *qdense32) forward(src *tensor.T32, inShape []int, bsz int, a *tensor.Ar
 	if prodShape(inShape) != q.in {
 		panic(fmt.Sprintf("nn: qdense32: batched input of %d elements, want %d", prodShape(inShape), q.in))
 	}
-	if tensor.PrepackEnabled() {
-		return q.forwardPrepacked(src, bsz, a)
-	}
-	qb := a.Bytes(q.in * bsz)
-	tensor.QuantizeTransposeU8(qb, src.Data[:bsz*q.in], bsz, q.in, q.invScale, q.zp)
-
-	acc := a.Int32s(q.out * bsz)
-	colsum := a.Int32s(bsz)
-	tensor.GemmU8Into(acc, colsum, q.qw.Bits, qb, q.out, q.in, bsz)
-	if s := a.Abft(); s != nil {
-		s.Record(tensor.VerifyGemmU8(acc, colsum, q.qw.Bits, qb, q.out, q.in, bsz))
-	}
-
-	rows := a.NewRaw(q.out, bsz)
-	for o := 0; o < q.out; o++ {
-		tensor.DequantRow(rows.Data[o*bsz:(o+1)*bsz], acc[o*bsz:(o+1)*bsz], colsum, q.corr[o], q.deq[o], q.bias[o])
-	}
-	dst := a.NewRaw(bsz, q.out)
-	for b := 0; b < bsz; b++ {
-		drow := dst.Data[b*q.out : (b+1)*q.out]
-		for o := 0; o < q.out; o++ {
-			drow[o] = rows.Data[o*bsz+b]
-		}
-	}
-	return dst, []int{q.out}
-}
-
-// forwardPrepacked is the activations-major qdense32 path against the
-// compile-time weight transpose. The accumulator value for (b, o) is the
-// same dot product as the legacy orientation's (o, b) — int32 addition is
-// order-independent — and the dequant epilogue performs the identical
-// operation sequence (c − 128·rowsum − corr, convert, ×deq, +bias) as
-// tensor.DequantRow, so outputs are bit-identical to the legacy path.
-func (q *qdense32) forwardPrepacked(src *tensor.T32, bsz int, a *tensor.Arena32) (*tensor.T32, []int) {
 	qa := a.Bytes(bsz * q.in)
 	tensor.QuantizeU8(qa, src.Data[:bsz*q.in], q.invScale, q.zp)
 

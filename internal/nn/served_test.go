@@ -1,0 +1,170 @@
+package nn_test
+
+import (
+	"math"
+	"sync"
+	"testing"
+
+	"repro/internal/nn"
+	"repro/internal/tensor"
+)
+
+// TestVerifiedRowsMatchServed locks the served lowering against the one
+// verified mode checks. An arena with an ABFT sink makes every convolution
+// take the explicit im2col + GEMM route the checksums are defined on; an
+// arena without one takes what serving runs — the implicit GEMM, the int8
+// direct shift convolution and the packed int8 Dense. On a clean run the
+// two must produce Float64bits-equal rows for every zoo topology, backend,
+// SIMD setting and batch size, and the verifier must have checked something
+// without detecting anything. The f64 network and the compiled Net32
+// backends are separate subtrees: f64/<topology>/<simd> and
+// net32/<topology>/<f32|int8>/<simd>.
+func TestVerifiedRowsMatchServed(t *testing.T) {
+	t.Run("f64", func(t *testing.T) {
+		for _, f := range backendFixtures(t) {
+			f := f
+			f.net.Prepack() // the f64 member as core.PrepareBackends serves it
+			t.Run(f.name, func(t *testing.T) {
+				withBackendSIMD(t, func(t *testing.T) {
+					checkVerifiedRowsMatchServed(t, f.xs, func(xs []*tensor.T, abft *tensor.AbftStats) [][]float64 {
+						a := tensor.NewArena()
+						a.SetAbft(abft)
+						return copyRows(f.net.InferBatchArena(xs, a))
+					})
+				})
+			})
+		}
+	})
+	t.Run("net32", func(t *testing.T) {
+		for _, f := range backendFixtures(t) {
+			f := f
+			t.Run(f.name, func(t *testing.T) {
+				net32, err := f.net.Compile32()
+				if err != nil {
+					t.Fatal(err)
+				}
+				net8, err := f.net.CompileInt8(f.xs[:8])
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, b := range []struct {
+					name string
+					net  *nn.Net32
+				}{{"f32", net32}, {"int8", net8}} {
+					b := b
+					t.Run(b.name, func(t *testing.T) {
+						withBackendSIMD(t, func(t *testing.T) {
+							checkVerifiedRowsMatchServed(t, f.xs, func(xs []*tensor.T, abft *tensor.AbftStats) [][]float64 {
+								a := tensor.NewArena32()
+								a.SetAbft(abft)
+								return b.net.InferBatch(xs, a)
+							})
+						})
+					})
+				}
+			})
+		}
+	})
+}
+
+// checkVerifiedRowsMatchServed runs one backend at B ∈ {1, 2, 7, 32} with
+// and without an ABFT sink and requires Float64bits-equal rows, checks
+// recorded and no detections.
+func checkVerifiedRowsMatchServed(t *testing.T, xs []*tensor.T, run func(xs []*tensor.T, abft *tensor.AbftStats) [][]float64) {
+	t.Helper()
+	for _, bsz := range []int{1, 2, 7, 32} {
+		served := run(xs[:bsz], nil)
+		sink := &tensor.AbftStats{}
+		verified := run(xs[:bsz], sink)
+		for i := range served {
+			for j, v := range served[i] {
+				if math.Float64bits(v) != math.Float64bits(verified[i][j]) {
+					t.Fatalf("B=%d image %d class %d: served %v verified %v", bsz, i, j, v, verified[i][j])
+				}
+			}
+		}
+		if c := sink.Counts(); c.Checks == 0 || c.Detected != 0 {
+			t.Fatalf("B=%d: verifier counts %+v, want checks > 0 and no detections", bsz, c)
+		}
+	}
+}
+
+// TestSharedNetworkConcurrent hammers one prepacked f64 network and its
+// compiled f32 and int8 nets from many goroutines with private arenas — the
+// serving layout. Run under -race this locks that the served forward paths
+// (pooled generation blocks, shared packed weight buffers) are data-race
+// free and deterministic across goroutines.
+func TestSharedNetworkConcurrent(t *testing.T) {
+	fs := backendFixtures(t)
+	f := fs[1] // convnet: conv-heavy, exercises every implicit path
+	f.net.Prepack()
+	net32, err := f.net.Compile32()
+	if err != nil {
+		t.Fatal(err)
+	}
+	net8, err := f.net.CompileInt8(f.xs[:8])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	want32 := net32.InferBatch(f.xs[:8], tensor.NewArena32())
+	want8 := net8.InferBatch(f.xs[:8], tensor.NewArena32())
+	wantF64 := copyRows(f.net.InferBatchArena(f.xs[:8], tensor.NewArena()))
+
+	const workers = 8
+	var wg sync.WaitGroup
+	errs := make(chan string, workers*3)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for iter := 0; iter < 5; iter++ {
+				a32 := tensor.NewArena32()
+				if got := net32.InferBatch(f.xs[:8], a32); !rowsEqual(got, want32) {
+					errs <- "f32 rows diverged across goroutines"
+					return
+				}
+				a32.Reset()
+				if got := net8.InferBatch(f.xs[:8], a32); !rowsEqual(got, want8) {
+					errs <- "int8 rows diverged across goroutines"
+					return
+				}
+				if got := copyRows(f.net.InferBatchArena(f.xs[:8], tensor.NewArena())); !rowsEqual(got, wantF64) {
+					errs <- "f64 rows diverged across goroutines"
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+}
+
+// copyRows copies arena-owned softmax tensors out into plain rows.
+func copyRows(outs []*tensor.T) [][]float64 {
+	rows := make([][]float64, len(outs))
+	for i, o := range outs {
+		rows[i] = append([]float64(nil), o.Data...)
+	}
+	return rows
+}
+
+func rowsEqual(a, b [][]float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j := range a[i] {
+			if a[i][j] != b[i][j] {
+				return false
+			}
+		}
+	}
+	return true
+}

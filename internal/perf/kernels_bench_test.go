@@ -30,7 +30,7 @@ func TestMain(m *testing.M) {
 		// Cache and quant-backend benchmarks get their own reports so the
 		// kernel, caching and reduced-precision numbers version
 		// independently in CI artifacts.
-		var kernels, caches, cache2, quant, abft, prepack []BenchEntry
+		var kernels, caches, cache2, quant, abft []BenchEntry
 		for _, e := range collected {
 			switch {
 			// L2 before the plain cache case: "BenchmarkCache" is a prefix
@@ -43,8 +43,6 @@ func TestMain(m *testing.M) {
 				quant = append(quant, e)
 			case strings.HasPrefix(e.Name, "BenchmarkAbft"):
 				abft = append(abft, e)
-			case strings.HasPrefix(e.Name, "BenchmarkPrepack"):
-				prepack = append(prepack, e)
 			default:
 				kernels = append(kernels, e)
 			}
@@ -68,7 +66,6 @@ func TestMain(m *testing.M) {
 		write(cache2, "PGMR_BENCH_CACHE2_JSON", "BENCH_cache2.json")
 		write(quant, "PGMR_BENCH_QUANT_JSON", "BENCH_quant.json")
 		write(abft, "PGMR_BENCH_ABFT_JSON", "BENCH_abft.json")
-		write(prepack, "PGMR_BENCH_PREPACK_JSON", "BENCH_prepack.json")
 	}
 	os.Exit(code)
 }

@@ -746,27 +746,6 @@ func VerifyGemm32(c, a, b *T32) VerifyOutcome {
 	return verifyGemmCols(c.Data, a.Data, b.Data, m, k, n, abftEps32, abftEta32, abftLim32)
 }
 
-// GemmIntoVerified computes C = A×B like GemmInto, then verifies and
-// repairs it.
-func GemmIntoVerified(c, a, b *T) VerifyOutcome {
-	GemmInto(c, a, b)
-	return VerifyGemm(c, a, b)
-}
-
-// MatMulIntoVerified computes C = A×B like MatMulInto, then verifies and
-// repairs it.
-func MatMulIntoVerified(c, a, b *T) VerifyOutcome {
-	MatMulInto(c, a, b)
-	return VerifyGemm(c, a, b)
-}
-
-// GemmInto32FastVerified computes C = A×B like GemmInto32Fast (dispatching
-// to the FMA microkernel when enabled), then verifies and repairs it.
-func GemmInto32FastVerified(c, a, b *T32) VerifyOutcome {
-	GemmInto32Fast(c, a, b)
-	return VerifyGemm32(c, a, b)
-}
-
 // VerifyMatMulTransB checks and repairs an already-computed C = A×Bᵀ
 // (float64, b stored [n, k]).
 func VerifyMatMulTransB(c, a, b *T) VerifyOutcome {
@@ -788,20 +767,6 @@ func VerifyMatMulTransB32(c, a, b *T32) VerifyOutcome {
 	}
 	injectF32(c.Data)
 	return verifyGemmRowsTransB(c.Data, a.Data, b.Data, m, k, n, abftEps32, abftEta32, abftLim32)
-}
-
-// MatMulTransBIntoVerified computes C = A×Bᵀ like MatMulTransBInto, then
-// verifies and repairs it.
-func MatMulTransBIntoVerified(c, a, b *T) VerifyOutcome {
-	MatMulTransBInto(c, a, b)
-	return VerifyMatMulTransB(c, a, b)
-}
-
-// MatMulTransBInto32Verified computes C = A×Bᵀ like MatMulTransBInto32,
-// then verifies and repairs it.
-func MatMulTransBInto32Verified(c, a, b *T32) VerifyOutcome {
-	MatMulTransBInto32(c, a, b)
-	return VerifyMatMulTransB32(c, a, b)
 }
 
 // VerifyGemmU8 checks and repairs an already-computed uint8 product
@@ -911,13 +876,6 @@ func verifyGemmU8Cols[I int32 | int64](c, colsum []int32, a, b []uint8, m, k, n 
 		}
 	}
 	return o
-}
-
-// GemmU8IntoVerified computes the uint8 product like GemmU8Into, then
-// verifies and repairs it.
-func GemmU8IntoVerified(c, colsum []int32, a, b []uint8, m, k, n int) VerifyOutcome {
-	GemmU8Into(c, colsum, a, b, m, k, n)
-	return VerifyGemmU8(c, colsum, a, b, m, k, n)
 }
 
 // directConvChannel re-executes one (image, output-channel) plane of a

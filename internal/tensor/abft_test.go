@@ -18,9 +18,9 @@ func fillNormal32(t *T32, rng *rand.Rand) {
 }
 
 // TestVerifyGemmCleanBitIdentical locks the epilogue contract of the f64
-// verified GEMM: on a fault-free run the verified wrapper reports zero
-// detections and its output is bit-identical to the unverified kernel,
-// across the small, blocked and parallel dispatch paths.
+// verified GEMM: on a fault-free run verification reports zero detections
+// and leaves the output bit-identical to the unverified kernel's, across
+// the small, blocked and parallel dispatch paths.
 func TestVerifyGemmCleanBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	shapes := [][3]int{
@@ -40,7 +40,8 @@ func TestVerifyGemmCleanBitIdentical(t *testing.T) {
 			want := New(m, n)
 			GemmInto(want, a, b)
 			got := New(m, n)
-			o := GemmIntoVerified(got, a, b)
+			GemmInto(got, a, b)
+			o := VerifyGemm(got, a, b)
 			if o.Checks != n || o.Detected != 0 {
 				t.Fatalf("clean run: outcome %+v, want %d checks and 0 detections", o, n)
 			}
@@ -68,7 +69,8 @@ func TestVerifyGemm32CleanBitIdentical(t *testing.T) {
 			want := New32(m, n)
 			GemmInto32Fast(want, a, b)
 			got := New32(m, n)
-			o := GemmInto32FastVerified(got, a, b)
+			GemmInto32Fast(got, a, b)
+			o := VerifyGemm32(got, a, b)
 			if o.Checks != n || o.Detected != 0 {
 				t.Fatalf("simd=%v %v: outcome %+v, want %d checks and 0 detections", simd, s, o, n)
 			}
@@ -102,7 +104,8 @@ func TestVerifyGemmU8Clean(t *testing.T) {
 		GemmU8Into(want, wantCS, a, b, m, k, n)
 		got := make([]int32, m*n)
 		gotCS := make([]int32, n)
-		o := GemmU8IntoVerified(got, gotCS, a, b, m, k, n)
+		GemmU8Into(got, gotCS, a, b, m, k, n)
+		o := VerifyGemmU8(got, gotCS, a, b, m, k, n)
 		if o.Checks != n || o.Detected != 0 {
 			t.Fatalf("simd=%v: outcome %+v, want %d checks and 0 detections", simd, o, n)
 		}
@@ -239,8 +242,9 @@ func TestVerifyMatMulTransB(t *testing.T) {
 	b.FillNormal(rng, 0, 1)
 	clean := New(m, n)
 	MatMulTransBInto(clean, a, b)
-	c := clean.Clone()
-	if o := MatMulTransBIntoVerified(c, a, b); o.Checks != m || o.Detected != 0 {
+	c := New(m, n)
+	MatMulTransBInto(c, a, b)
+	if o := VerifyMatMulTransB(c, a, b); o.Checks != m || o.Detected != 0 {
 		t.Fatalf("clean f64 run: outcome %+v", o)
 	}
 	for i := range c.Data {
@@ -264,8 +268,9 @@ func TestVerifyMatMulTransB(t *testing.T) {
 	fillNormal32(b32, rng)
 	clean32 := New32(m, n)
 	MatMulTransBInto32(clean32, a32, b32)
-	c32 := &T32{Shape: []int{m, n}, Data: append([]float32(nil), clean32.Data...)}
-	if o := MatMulTransBInto32Verified(c32, a32, b32); o.Checks != m || o.Detected != 0 {
+	c32 := New32(m, n)
+	MatMulTransBInto32(c32, a32, b32)
+	if o := VerifyMatMulTransB32(c32, a32, b32); o.Checks != m || o.Detected != 0 {
 		t.Fatalf("clean f32 run: outcome %+v", o)
 	}
 	flipBit32(&c32.Data[31], 29)
@@ -335,7 +340,7 @@ func TestVerifyWinogradConv(t *testing.T) {
 	}
 	a32 := NewArena32()
 	dst32 := New32(bsz, outC*hw)
-	WinogradConv3x3F32(dst32, src32, bsz, outC, w32, bias32, g, a32)
+	WinogradConv3x3F32Pre(dst32, src32, bsz, outC, PackWinoFilter32(w32, outC, g.InC), bias32, g, a32)
 	clean32 := append([]float32(nil), dst32.Data...)
 	if o := VerifyWinogradConv32(dst32, src32, bsz, outC, w32, bias32, g); o.Detected != 0 {
 		t.Fatalf("clean f32 run: outcome %+v", o)
@@ -417,7 +422,8 @@ func TestAbftZeroFalsePositivesCleanGemms(t *testing.T) {
 			b := New(k, n)
 			b.FillNormal(rng, 0, scale)
 			c := New(m, n)
-			if o := GemmIntoVerified(c, a, b); o.Detected != 0 {
+			GemmInto(c, a, b)
+			if o := VerifyGemm(c, a, b); o.Detected != 0 {
 				t.Fatalf("run %d f64 %dx%dx%d scale %g: false positive %+v", run, m, k, n, scale, o)
 			}
 		case 1: // f32 GEMM
@@ -430,7 +436,8 @@ func TestAbftZeroFalsePositivesCleanGemms(t *testing.T) {
 				b.Data[i] = float32(rng.NormFloat64() * scale)
 			}
 			c := New32(m, n)
-			if o := GemmInto32FastVerified(c, a, b); o.Detected != 0 {
+			GemmInto32Fast(c, a, b)
+			if o := VerifyGemm32(c, a, b); o.Detected != 0 {
 				t.Fatalf("run %d f32 %dx%dx%d scale %g: false positive %+v", run, m, k, n, scale, o)
 			}
 		case 2: // f64 transposed-B (batched Dense shape)
@@ -439,7 +446,8 @@ func TestAbftZeroFalsePositivesCleanGemms(t *testing.T) {
 			b := New(n, k)
 			b.FillNormal(rng, 0, scale)
 			c := New(m, n)
-			if o := MatMulTransBIntoVerified(c, a, b); o.Detected != 0 {
+			MatMulTransBInto(c, a, b)
+			if o := VerifyMatMulTransB(c, a, b); o.Detected != 0 {
 				t.Fatalf("run %d transB %dx%dx%d scale %g: false positive %+v", run, m, k, n, scale, o)
 			}
 		case 3: // int8
@@ -453,7 +461,8 @@ func TestAbftZeroFalsePositivesCleanGemms(t *testing.T) {
 			}
 			c := make([]int32, m*n)
 			cs := make([]int32, n)
-			if o := GemmU8IntoVerified(c, cs, a, b, m, k, n); o.Detected != 0 {
+			GemmU8Into(c, cs, a, b, m, k, n)
+			if o := VerifyGemmU8(c, cs, a, b, m, k, n); o.Detected != 0 {
 				t.Fatalf("run %d u8 %dx%dx%d: false positive %+v", run, m, k, n, o)
 			}
 		}
@@ -500,21 +509,24 @@ func FuzzChecksumVerify(f *testing.F) {
 		b := New(k, n)
 		fill(b.Data, m*k)
 		c := New(m, n)
-		if o := GemmIntoVerified(c, a, b); o.Detected != 0 {
+		GemmInto(c, a, b)
+		if o := VerifyGemm(c, a, b); o.Detected != 0 {
 			t.Fatalf("f64 GEMM false mismatch: %+v", o)
 		}
 
 		a32 := To32(a)
 		b32 := To32(b)
 		c32 := New32(m, n)
-		if o := GemmInto32FastVerified(c32, a32, b32); o.Detected != 0 {
+		GemmInto32Fast(c32, a32, b32)
+		if o := VerifyGemm32(c32, a32, b32); o.Detected != 0 {
 			t.Fatalf("f32 GEMM false mismatch: %+v", o)
 		}
 
 		bt := New(n, k)
 		fill(bt.Data, m*k+k*n)
 		ct := New(m, n)
-		if o := MatMulTransBIntoVerified(ct, a, bt); o.Detected != 0 {
+		MatMulTransBInto(ct, a, bt)
+		if o := VerifyMatMulTransB(ct, a, bt); o.Detected != 0 {
 			t.Fatalf("f64 transB false mismatch: %+v", o)
 		}
 
@@ -532,7 +544,8 @@ func FuzzChecksumVerify(f *testing.F) {
 		}
 		uc := make([]int32, m*n)
 		ucs := make([]int32, n)
-		if o := GemmU8IntoVerified(uc, ucs, ua, ub, m, k, n); o.Detected != 0 {
+		GemmU8Into(uc, ucs, ua, ub, m, k, n)
+		if o := VerifyGemmU8(uc, ucs, ua, ub, m, k, n); o.Detected != 0 {
 			t.Fatalf("u8 false mismatch: %+v", o)
 		}
 	})

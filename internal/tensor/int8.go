@@ -134,25 +134,6 @@ func QuantizeU8(dst []uint8, src []float32, invScale float32, zp uint8) {
 	}
 }
 
-// QuantizeTransposeU8 quantizes a [rows, cols] float32 matrix into its
-// transposed [cols, rows] uint8 image — the layout the uint8 GEMM needs
-// for the Dense layer, whose activations arrive row-major per image.
-func QuantizeTransposeU8(dst []uint8, src []float32, rows, cols int, invScale float32, zp uint8) {
-	z := float32(zp)
-	for i := 0; i < rows; i++ {
-		srow := src[i*cols : (i+1)*cols]
-		for j, v := range srow {
-			q := int32(v*invScale + z + 0.5)
-			if q < 0 {
-				q = 0
-			} else if q > 255 {
-				q = 255
-			}
-			dst[j*rows+i] = uint8(q)
-		}
-	}
-}
-
 // Im2ColBatchU8 lowers a packed image-major quantized batch
 // (src, [bsz, InC*InH*InW] bytes) into a [InC*KH*KW, bsz*OutH*OutW] byte
 // column matrix, mirroring Im2ColBatch32's layout. Padding positions take

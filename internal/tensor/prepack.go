@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"fmt"
-	"sync/atomic"
 	"unsafe"
 )
 
@@ -15,34 +14,13 @@ import (
 //   - the int8 Dense layer re-derived the weight-side column sums (and
 //     transposed the activations) on every call.
 //
-// This file holds the pack formats and the runtime switch. The packed
-// buffers are plain slices in kernel-native order, allocated cache-line
-// aligned (AlignedF64 and friends) so panel bases coincide with cache
-// lines and the AVX2 entry points can assert alignment in debug builds.
-// Packing reorders storage, never arithmetic: every consumer produces
-// bit-identical results to the pack-free path, which is the correctness
-// bar locked by TestPrepackBitIdentity*.
-
-// prepackOff is the runtime kill-switch for every prepacked/implicit
-// execution path, stored inverted so the zero value means "on". The
-// pgmr-bench -prepack=off escape hatch and the A/B property tests toggle
-// it via SetPrepack.
-var prepackOff atomic.Bool
-
-// PrepackEnabled reports whether the prepacked-weight and implicit-GEMM
-// execution paths are active. Layers that hold packed buffers fall back
-// to the legacy per-call path when this is false.
-func PrepackEnabled() bool { return !prepackOff.Load() }
-
-// SetPrepack enables or disables the prepacked execution paths at runtime
-// and returns the previous state. Both settings produce bit-identical
-// results; the switch exists so regressions can be bisected against the
-// legacy path.
-func SetPrepack(on bool) bool {
-	prev := !prepackOff.Load()
-	prepackOff.Store(!on)
-	return prev
-}
+// This file holds the pack formats. The packed buffers are plain slices in
+// kernel-native order, allocated cache-line aligned (AlignedF64 and
+// friends) so panel bases coincide with cache lines and the AVX2 entry
+// points can assert alignment in debug builds. Packing reorders storage,
+// never arithmetic: every consumer produces bit-identical results to the
+// explicit lowering verified mode runs, which is the correctness bar locked
+// by prepack_test.go and nn.TestVerifiedRowsMatchServed.
 
 // cacheLine is the alignment (bytes) of packed panels and pooled kernel
 // scratch: one x86 cache line, also the DDR burst granule.

@@ -8,7 +8,8 @@ import (
 )
 
 // The prepack correctness bar (DESIGN.md §14): every prepacked or implicit
-// execution path is bit-identical to its legacy counterpart. These tests
+// execution path is bit-identical to the explicit lowering verified mode
+// runs (or, for Winograd, the transform-per-call pipeline). These tests
 // sweep randomized geometries plus hand-picked shapes that force each
 // dispatch arm — small, serial, parallel, direct-K, packed-K, SIMD and
 // scalar — and compare element-by-element with ==, not a tolerance.
@@ -291,7 +292,8 @@ func transposeU8(b []uint8, k, n int) []uint8 {
 }
 
 // TestWinogradPreBitIdentical locks the prepacked-U Winograd drivers
-// against the transform-per-call originals, f64 and f32.
+// against the transform-per-call pipeline, f64 and f32 (f32 has no
+// per-call entry point, so its reference runs winoConv directly).
 func TestWinogradPreBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(145))
 	g := ConvGeom{InC: 3, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}
@@ -331,12 +333,13 @@ func TestWinogradPreBitIdentical(t *testing.T) {
 	for i, v := range src.Data {
 		s32.Data[i] = float32(v)
 	}
-	a32 := NewArena32()
+	tt := bsz * (g.InH / 4) * (g.InW / 4)
 	want32 := New32(bsz, outC*ohw)
-	WinogradConv3x3F32(want32, s32, bsz, outC, w32, b32, g, a32)
+	winoConv(want32.Data, s32.Data, bsz, outC, w32.Data, b32, g,
+		make([]float32, 36*outC*g.InC), make([]float32, 36*g.InC*tt), make([]float32, 36*outC*tt))
 
 	u32 := PackWinoFilter32(w32, outC, g.InC)
-	a32.Reset()
+	a32 := NewArena32()
 	got32 := New32(bsz, outC*ohw)
 	WinogradConv3x3F32Pre(got32, s32, bsz, outC, u32, b32, g, a32)
 	for i, v := range got32.Data {
@@ -368,26 +371,6 @@ func TestAlignedAllocators(t *testing.T) {
 	}
 	if uintptr(unsafe.Pointer(&AlignedF64(8)[0]))&63 != 0 {
 		t.Fatal("AlignedF64 base not 64-byte aligned")
-	}
-}
-
-// TestSetPrepackToggle checks the kill-switch plumbing: default on,
-// SetPrepack returns the previous state, PrepackEnabled tracks it.
-func TestSetPrepackToggle(t *testing.T) {
-	if !PrepackEnabled() {
-		t.Fatal("prepack should default to enabled")
-	}
-	if prev := SetPrepack(false); !prev {
-		t.Fatal("SetPrepack(false) should report previous=true")
-	}
-	if PrepackEnabled() {
-		t.Fatal("PrepackEnabled should be false after SetPrepack(false)")
-	}
-	if prev := SetPrepack(true); prev {
-		t.Fatal("SetPrepack(true) should report previous=false")
-	}
-	if !PrepackEnabled() {
-		t.Fatal("PrepackEnabled should be true after SetPrepack(true)")
 	}
 }
 

@@ -120,8 +120,9 @@ func TestWinogradConv3x3F32MatchesF64(t *testing.T) {
 	for i, v := range bias {
 		bias32[i] = float32(v)
 	}
+	w32 := To32(w)
 	dst32 := New32(bsz, outC*ohw)
-	WinogradConv3x3F32(dst32, To32(src), bsz, outC, To32(w), bias32, g, NewArena32())
+	WinogradConv3x3F32Pre(dst32, To32(src), bsz, outC, PackWinoFilter32(w32, outC, g.InC), bias32, g, NewArena32())
 
 	for i, want := range dst.Data {
 		if d := math.Abs(float64(dst32.Data[i]) - want); d > 1e-4 {
@@ -222,30 +223,6 @@ func TestQuantizeU8(t *testing.T) {
 	QuantizeU8(dst[:1], []float32{1e9}, 2, 10)
 	if dst[0] != 255 {
 		t.Errorf("upper clamp: got %d, want 255", dst[0])
-	}
-}
-
-// TestQuantizeTransposeU8 checks the fused quantize+transpose against the
-// plain quantizer followed by an explicit transpose.
-func TestQuantizeTransposeU8(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	const rows, cols = 7, 13
-	src := make([]float32, rows*cols)
-	for i := range src {
-		src[i] = float32(rng.NormFloat64())
-	}
-	const invScale, zp = 3.7, 42
-
-	flat := make([]uint8, rows*cols)
-	QuantizeU8(flat, src, invScale, zp)
-	got := make([]uint8, rows*cols)
-	QuantizeTransposeU8(got, src, rows, cols, invScale, zp)
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			if got[j*rows+i] != flat[i*cols+j] {
-				t.Fatalf("(%d,%d): got %d, want %d", i, j, got[j*rows+i], flat[i*cols+j])
-			}
-		}
 	}
 }
 

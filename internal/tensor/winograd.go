@@ -83,32 +83,9 @@ func WinogradConv3x3Pre(dst, src *T, bsz, outC int, u []float64, bias []float64,
 	winoConvPre(dst.Data, src.Data, bsz, outC, bias, g, u, v.Data, mm.Data)
 }
 
-// WinogradConv3x3F32 is WinogradConv3x3 for the float32 backend: identical
-// transforms and GEMM blocking, instantiated at float32, with scratch from
-// an Arena32.
-func WinogradConv3x3F32(dst, src *T32, bsz, outC int, weight *T32, bias []float32, g ConvGeom, a *Arena32) {
-	if !WinogradEligible(g) {
-		panic(fmt.Sprintf("tensor: WinogradConv3x3F32 on ineligible geometry %+v", g))
-	}
-	inC, h, w := g.InC, g.InH, g.InW
-	hw := h * w
-	if len(src.Data) != bsz*inC*hw || len(dst.Data) != bsz*outC*hw {
-		panic(fmt.Sprintf("tensor: WinogradConv3x3F32 buffer sizes src=%d dst=%d for B=%d geom %+v", len(src.Data), len(dst.Data), bsz, g))
-	}
-	if weight.Rank() != 2 || weight.Shape[0] != outC || weight.Shape[1] != inC*9 || len(bias) != outC {
-		panic(fmt.Sprintf("tensor: WinogradConv3x3F32 weight %v / bias %d mismatch OutC=%d InC=%d", weight.Shape, len(bias), outC, inC))
-	}
-	th, tw := h/4, w/4
-	tt := bsz * th * tw
-
-	u := a.NewRaw(36, outC*inC)
-	v := a.NewRaw(36, inC*tt)
-	mm := a.NewRaw(36, outC*tt)
-	winoConv(dst.Data, src.Data, bsz, outC, weight.Data, bias, g, u.Data, v.Data, mm.Data)
-}
-
 // WinogradConv3x3F32Pre is WinogradConv3x3Pre for the float32 backend,
-// consuming a PackWinoFilter32 buffer.
+// consuming a PackWinoFilter32 buffer. The compiled f32 net packs every
+// 3×3/s1/p1 filter, so this is its only Winograd entry point.
 func WinogradConv3x3F32Pre(dst, src *T32, bsz, outC int, u []float32, bias []float32, g ConvGeom, a *Arena32) {
 	if !WinogradEligible(g) {
 		panic(fmt.Sprintf("tensor: WinogradConv3x3F32Pre on ineligible geometry %+v", g))
@@ -127,8 +104,8 @@ func WinogradConv3x3F32Pre(dst, src *T32, bsz, outC int, u []float32, bias []flo
 	winoConvPre(dst.Data, src.Data, bsz, outC, bias, g, u, v.Data, mm.Data)
 }
 
-// winoConv is the width-generic Winograd pipeline shared by the f64 and
-// f32 entry points: filter and input transforms, the 36 transform-domain
+// winoConv is the width-generic transform-per-call Winograd pipeline
+// behind WinogradConv3x3: filter and input transforms, the 36 transform-domain
 // GEMMs (through the same gemmMain dispatch GemmInto uses, preserving the
 // f64 path's blocking and parallelization bit for bit), and the fused
 // output transform + bias add.

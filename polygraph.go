@@ -121,9 +121,10 @@ type Options struct {
 	// checked against row/column checksums in the kernel epilogue, detected
 	// faults are re-executed, and a member whose fault could not be
 	// corrected abstains from voting. Clean-run results are bit-identical
-	// to unverified execution; overhead is a few percent at serving batch
-	// sizes (measured in internal/perf/BENCH_abft.json). Counters are
-	// exposed via System.AbftCounts and the serving /metrics registry.
+	// to unverified execution. The forward-pass overhead is the benchmark's
+	// nn.verified_overhead_share.{f64,f32,int8}.b32 metric (benchmark/).
+	// Counters are exposed via System.AbftCounts and the serving /metrics
+	// registry.
 	Verified bool
 	// Workers caps concurrent member inferences per stage. 0 selects
 	// runtime.NumCPU(). It never changes a result.
