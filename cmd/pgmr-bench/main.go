@@ -39,7 +39,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	quiet := fs.Bool("quiet", false, "suppress training progress")
 	csvDir := fs.String("csv", "", "also write each result as CSV into this directory")
 	jsonPath := fs.String("json", "", "write all results as a JSON array to this file (\"-\" = stdout)")
-	workers := fs.Int("workers", 0, "worker-pool size for throughput experiments (0 = NumCPU)")
+	workers := fs.Int("workers", 0, "worker-pool size for throughput experiments (0 = GOMAXPROCS)")
 	backend := fs.String("backend", "", "numeric backend for throughput experiments: f64, f32 or int8 (default f64)")
 	verified := fs.Bool("verified", false, "enable ABFT checksum verification in throughput experiments")
 	cacheMB := fs.Int("cache-mb", 64, "ext-caching: prediction-cache budget in MiB")

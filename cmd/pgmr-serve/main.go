@@ -45,7 +45,7 @@ func main() {
 	backend := flag.String("backend", "", "numeric execution backend: f64, f32 or int8 (default f64)")
 	lateBackend := flag.String("late-backend", "", "backend for late-stage tie-breaker members (default: same as -backend)")
 	noStage := flag.Bool("no-stage", false, "disable RADE staged activation")
-	workers := flag.Int("workers", 0, "worker-pool size inside ClassifyBatch (0 = NumCPU)")
+	workers := flag.Int("workers", 0, "worker-pool size inside ClassifyBatch (0 = GOMAXPROCS)")
 	maxBatch := flag.Int("max-batch", 64, "max images per backend batch")
 	queue := flag.Int("queue", 256, "admission queue depth in images (429 beyond it)")
 	deadline := flag.Duration("deadline", 30*time.Second, "default per-request deadline when the request carries no timeout_ms")

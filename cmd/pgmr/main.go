@@ -26,7 +26,7 @@ func main() {
 	gpus := flag.Int("gpus", 1, "concurrent member executions (models GPU count)")
 	bits := flag.Int("bits", 0, "RAMR precision bits (0 = full precision)")
 	noStage := flag.Bool("no-stage", false, "disable RADE staged activation")
-	workers := flag.Int("workers", 0, "concurrent member inferences per stage (0 = NumCPU)")
+	workers := flag.Int("workers", 0, "concurrent member inferences per stage (0 = GOMAXPROCS)")
 	batch := flag.Int("batch", 0, "classify images in batches of this size (throughput mode; 0 = one at a time)")
 	verbose := flag.Bool("v", false, "print one line per image")
 	flag.Parse()

@@ -224,11 +224,12 @@ func (s *System) classifyBatchStaged(ctx context.Context, xs []*tensor.T, policy
 	return out, clean, nil
 }
 
-// workerCount resolves the effective worker-pool size for n units of work.
+// workerCount resolves the effective worker-pool size for n units of work
+// (Workers, or GOMAXPROCS when unset).
 func (s *System) workerCount(n int) int {
 	w := s.Workers
 	if w <= 0 {
-		w = runtime.NumCPU()
+		w = runtime.GOMAXPROCS(0)
 	}
 	if w > n {
 		w = n
@@ -249,11 +250,12 @@ func (s *System) runMemberRange(ctx context.Context, start, end int, xs []*tenso
 	count := end - start
 	rows := make([][][]float64, count)
 	workers := s.workerCount(count)
-	// A batched member inference already keeps one core busy end to end;
-	// oversubscribing CPUs would interleave working sets that are each sized
-	// to the cache, so extra Workers beyond the core count only thrash.
-	if ncpu := runtime.NumCPU(); workers > ncpu {
-		workers = ncpu
+	// A batched member inference already keeps one P busy end to end;
+	// running more member goroutines than Ps would interleave working sets
+	// that are each sized to the cache, so extra Workers only thrash. The
+	// kernel drivers size by GOMAXPROCS too, not by the machine's CPUs.
+	if procs := runtime.GOMAXPROCS(0); workers > procs {
+		workers = procs
 	}
 	if workers <= 1 || count <= 1 {
 		for m := start; m < end; m++ {
@@ -331,7 +333,7 @@ func (sc *batchScratch) preprocess(p preprocess.Preprocessor, xs []*tensor.T) []
 // scratchList is the free list of batch scratch, one per System, shared by
 // every call and every concurrent member inference. It holds at most as
 // many scratches as were ever in flight at once — Workers per concurrent
-// ClassifyBatch call, about NumCPU under the server's single batcher — and
+// ClassifyBatch call, about GOMAXPROCS under the server's single batcher — and
 // each scratch's arenas are high-water regions, so the list is bounded by
 // the largest calls it served, not by how many batch sizes it saw. (Not a
 // sync.Pool: that may drop its contents at any collection, and every drop

@@ -4,6 +4,8 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dataset"
@@ -36,6 +38,39 @@ func TestWorkerCount(t *testing.T) {
 	s.Workers = -3
 	if got := s.workerCount(1); got != 1 {
 		t.Errorf("workerCount floor = %d, want 1", got)
+	}
+}
+
+// TestWorkerCountFollowsGOMAXPROCS pins the member pool to the scheduler's
+// Ps, not the machine's CPUs: under GOMAXPROCS(1) the default pool is one
+// worker, and an explicit larger Workers never has two member inferences in
+// flight at once (each yields mid-inference, so a second goroutine would
+// get in).
+func TestWorkerCountFollowsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if got := (&System{}).workerCount(16); got != 1 {
+		t.Errorf("GOMAXPROCS(1), Workers=0: workerCount(16) = %d, want 1", got)
+	}
+	for _, w := range []int{0, 2, 8} {
+		s := &System{Members: make([]Member, 8), Workers: w}
+		var inFlight, peak atomic.Int32
+		infer := func(int, []*tensor.T) [][]float64 {
+			n := inFlight.Add(1)
+			if n > peak.Load() {
+				peak.Store(n)
+			}
+			for i := 0; i < 4; i++ {
+				runtime.Gosched()
+			}
+			inFlight.Add(-1)
+			return nil
+		}
+		if _, err := s.runMemberRange(context.Background(), 0, 8, nil, infer); err != nil {
+			t.Fatal(err)
+		}
+		if p := peak.Load(); p != 1 {
+			t.Errorf("GOMAXPROCS(1), Workers=%d: %d member inferences in flight, want 1", w, p)
+		}
 	}
 }
 

@@ -86,7 +86,8 @@ type System struct {
 	// the number of available GPUs); minimum 1.
 	Batch int
 	// Workers caps concurrent member inferences per stage of the engine; 0
-	// or negative selects runtime.NumCPU(). It changes wall-clock time
+	// or negative selects runtime.GOMAXPROCS(0), which also bounds any
+	// larger setting. It changes wall-clock time
 	// only: every setting runs the same kernels and returns the same bits.
 	Workers int
 	// Cache, when non-nil, short-circuits Classify/ClassifyBatch with

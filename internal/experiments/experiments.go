@@ -24,7 +24,7 @@ type Context struct {
 	GPU perf.GPU
 
 	// Workers caps the worker pool used by throughput experiments
-	// (ext-throughput); 0 selects runtime.NumCPU().
+	// (ext-throughput); 0 selects runtime.GOMAXPROCS(0).
 	Workers int
 
 	// Backend selects the numeric execution backend for throughput

@@ -108,8 +108,8 @@ func ExtThroughput(ctx *Context) (*Result, error) {
 	row("sequential Classify", seqT)
 	row("ClassifyBatch", batT)
 	workers := ctx.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
+	if procs := runtime.GOMAXPROCS(0); workers <= 0 || workers > procs {
+		workers = procs
 	}
 	res.AddNote("4-member %s system, staged activation, %s backend, %d worker(s) on %d CPU(s)",
 		b.Name, backend, workers, runtime.NumCPU())

@@ -12,8 +12,10 @@ import (
 // holding float32 copies of the weights — and every subsequent forward pass
 // runs entirely in float32 through the batched f32 kernels
 // (tensor.Im2ColBatch32 + GemmInto32Fast on the FMA microkernel,
-// tensor.WinogradConv3x3F32Pre on scalar targets, MatMulTransBInto32). The
-// batch layout is the image-major [B, elems] backing of nn/batch.go.
+// tensor.WinogradConv3x3F32Pre on scalar targets, MatMulTransBInto32), with
+// each convolution's trailing ReLU and 2×2 max-pool folded into its
+// epilogue by the last compile pass (Net32.fuse). The batch layout is the
+// image-major [B, elems] backing of nn/batch.go.
 //
 // Accuracy contract: float32 carries ~7 decimal digits, the zoo logits sit
 // in single digits, and softmax is computed in float64 from the f32 logits,
@@ -48,6 +50,17 @@ type Net32 struct {
 // compiled — the hook contract is float64 per-layer mutation, which a
 // reduced-precision path cannot honor.
 func (n *Network) Compile32() (*Net32, error) {
+	net, err := n.compile32()
+	if err != nil {
+		return nil, err
+	}
+	net.fuse()
+	return net, nil
+}
+
+// compile32 is Compile32 without the epilogue fuse pass: one node per
+// layer, which CompileInt8's calibration walk indexes by layer.
+func (n *Network) compile32() (*Net32, error) {
 	if n.ActivationHook != nil {
 		return nil, fmt.Errorf("nn: Compile32: network has an ActivationHook; reduced-precision backends cannot honor float64 activation hooks")
 	}
@@ -109,6 +122,49 @@ func compileNode32(l Layer) node32 {
 	default:
 		panic(fmt.Sprintf("nn: Compile32: no f32 node for layer type %T", l))
 	}
+}
+
+// fuse folds each convolution node's trailing ReLU and 2×2 max-pool nodes
+// into its epilogue (nn/epilogue.go), and a plain residual block's inner
+// rectifier into its first convolution. Run it last: it drops the absorbed
+// nodes, so node indices no longer follow layers.
+func (n *Net32) fuse() {
+	fused := make([]node32, 0, len(n.nodes))
+	for i := 0; i < len(n.nodes); i++ {
+		nd := n.nodes[i]
+		var epi *tensor.Epi
+		switch t := nd.(type) {
+		case *conv32:
+			epi = &t.epi
+		case *qconv32:
+			epi = &t.epi
+		case *residual32:
+			if t.norm1 == nil {
+				t.conv1.epi = tensor.EpiReLU
+			}
+		}
+		if epi != nil {
+			var k int
+			*epi, k = absorbed(n.nodes[i+1:], nodeStage)
+			i += k
+		}
+		fused = append(fused, nd)
+	}
+	n.nodes = fused
+}
+
+// nodeStage classifies a compiled node for absorbed, as layerStage does
+// layers.
+func nodeStage(nd node32) tensor.Epi {
+	switch t := nd.(type) {
+	case relu32:
+		return tensor.EpiReLU
+	case maxpool32:
+		if t.k == 2 {
+			return tensor.EpiPool
+		}
+	}
+	return 0
 }
 
 // InferBatch classifies a minibatch and returns one float64 softmax row per
@@ -175,9 +231,9 @@ func softmax64From32(logits []float32) []float64 {
 	return out
 }
 
-// conv32 is the compiled float32 convolution, with the same dispatch as
-// the f64 Conv2D.forwardBatchArena. With the vector kernels enabled it
-// lowers the batch with Im2ColBatch32 and runs the FMA GEMM — the f64
+// conv32 is the compiled float32 convolution, with the same dispatch and
+// epilogue as the f64 Conv2D.forwardEpi. With the vector kernels enabled
+// it lowers the batch with Im2ColBatch32 and runs the FMA GEMM — the f64
 // driver at twice the lanes; on scalar targets Winograd-eligible
 // geometries keep the F(4×4,3×3) transform (the multiply-count cut is what
 // wins without SIMD) and the rest take the bit-exact f32 GEMM.
@@ -192,6 +248,10 @@ type conv32 struct {
 	// other shapes. Every Winograd-eligible geometry is 3×3/s1/p1, so the
 	// scalar Winograd route always finds it set.
 	winoU32 []float32
+
+	// epi holds the stages the epilogue absorbed from the following nodes
+	// (Net32.fuse); 0 for bias only.
+	epi tensor.Epi
 }
 
 func newConv32(c *Conv2D) *conv32 {
@@ -222,6 +282,7 @@ func (c *conv32) forward(src *tensor.T32, inShape []int, bsz int, a *tensor.Aren
 	oh, ow := g.OutH(), g.OutW()
 	ohw := oh * ow
 	ckk := c.inC * c.kh * c.kw
+	outShape := epiShape(c.outC, oh, ow, c.epi)
 
 	if !tensor.SIMDEnabled() && tensor.WinogradEligible(g) {
 		dst := a.NewRaw(bsz, c.outC*ohw)
@@ -229,7 +290,12 @@ func (c *conv32) forward(src *tensor.T32, inShape []int, bsz int, a *tensor.Aren
 		if s := a.Abft(); s != nil {
 			s.Record(tensor.VerifyWinogradConv32(dst, src, bsz, c.outC, c.weight, c.bias, g))
 		}
-		return dst, []int{c.outC, oh, ow}
+		out := dst
+		if c.epi&tensor.EpiPool != 0 {
+			out = a.NewRaw(bsz, prodShape(outShape))
+		}
+		rectifyPlanes(out.Data, dst.Data, bsz*c.outC, oh, ow, c.epi)
+		return out, outShape
 	}
 
 	cm := a.NewRaw(c.outC, bsz*ohw)
@@ -247,15 +313,9 @@ func (c *conv32) forward(src *tensor.T32, inShape []int, bsz int, a *tensor.Aren
 		}
 	}
 
-	dst := a.NewRaw(bsz, c.outC*ohw)
-	for oc := 0; oc < c.outC; oc++ {
-		crow := cm.Data[oc*bsz*ohw : (oc+1)*bsz*ohw]
-		for b := 0; b < bsz; b++ {
-			drow := dst.Data[b*c.outC*ohw+oc*ohw : b*c.outC*ohw+(oc+1)*ohw]
-			tensor.AddBiasRow(drow, crow[b*ohw:(b+1)*ohw], c.bias[oc])
-		}
-	}
-	return dst, []int{c.outC, oh, ow}
+	dst := a.NewRaw(bsz, prodShape(outShape))
+	convEpilogue(dst.Data, cm.Data, c.bias, bsz, oh, ow, c.epi)
+	return dst, outShape
 }
 
 // dense32 is the compiled float32 fully connected layer: one
@@ -293,16 +353,14 @@ func (d *dense32) forward(src *tensor.T32, inShape []int, bsz int, a *tensor.Are
 	return dst, []int{d.out}
 }
 
-// relu32 rectifies the whole batch buffer branchlessly, in place: like the
-// f64 batch kernels, every src a node sees is an arena-owned backing that
-// no later node reads (InferBatch converts the caller's images in at entry).
+// relu32 rectifies the whole batch buffer with the epilogue kernel's
+// rectify-only stage, in place: like the f64 batch kernels, every src a
+// node sees is an arena-owned backing that no later node reads (InferBatch
+// converts the caller's images in at entry).
 type relu32 struct{}
 
 func (relu32) forward(src *tensor.T32, inShape []int, _ int, _ *tensor.Arena32) (*tensor.T32, []int) {
-	d := src.Data
-	for i, v := range d {
-		d[i] = max(v, 0)
-	}
+	tensor.RectifyPool(src.Data, src.Data, 1, len(src.Data), 0, tensor.EpiReLU)
 	return src, inShape
 }
 
@@ -343,38 +401,23 @@ func (passthrough32) forward(src *tensor.T32, inShape []int, bsz int, _ *tensor.
 	return src, inShape
 }
 
-// maxpool32 mirrors MaxPool2D's batched kernel: branchless 2×2
-// specialization, general K×K otherwise.
+// maxpool32 mirrors MaxPool2D's batched kernel: the epilogue kernel's
+// pool-only stage for 2×2, general K×K otherwise.
 type maxpool32 struct{ k int }
 
 func (p maxpool32) forward(src *tensor.T32, inShape []int, bsz int, a *tensor.Arena32) (*tensor.T32, []int) {
 	ch, h, w := inShape[0], inShape[1], inShape[2]
 	oh, ow := h/p.k, w/p.k
+	dst := a.NewRaw(bsz, ch*oh*ow)
+	if p.k == 2 {
+		rectifyPlanes(dst.Data, src.Data, bsz*ch, h, w, tensor.EpiPool)
+		return dst, []int{ch, oh, ow}
+	}
 	in, on := ch*h*w, ch*oh*ow
-	dst := a.NewRaw(bsz, on)
 	for b := 0; b < bsz; b++ {
-		if p.k == 2 {
-			maxPool2Into32(dst.Data[b*on:(b+1)*on], src.Data[b*in:(b+1)*in], ch, h, w)
-		} else {
-			maxPoolInto32(dst.Data[b*on:(b+1)*on], src.Data[b*in:(b+1)*in], ch, h, w, p.k)
-		}
+		maxPoolInto32(dst.Data[b*on:(b+1)*on], src.Data[b*in:(b+1)*in], ch, h, w, p.k)
 	}
 	return dst, []int{ch, oh, ow}
-}
-
-func maxPool2Into32(dst, src []float32, ch, h, w int) {
-	oh, ow := h/2, w/2
-	for c := 0; c < ch; c++ {
-		for oy := 0; oy < oh; oy++ {
-			r0 := src[c*h*w+(2*oy)*w:][:w]
-			r1 := src[c*h*w+(2*oy+1)*w:][:w]
-			drow := dst[c*oh*ow+oy*ow:][:ow]
-			for ox := 0; ox < ow; ox++ {
-				x := 2 * ox
-				drow[ox] = max(max(r0[x], r0[x+1]), max(r1[x], r1[x+1]))
-			}
-		}
-	}
 }
 
 func maxPoolInto32(dst, src []float32, ch, h, w, k int) {
@@ -471,7 +514,9 @@ func (r *residual32) forward(src *tensor.T32, inShape []int, bsz int, a *tensor.
 	if r.norm1 != nil {
 		h, hs = r.norm1.forward(h, hs, bsz, a)
 	}
-	h, hs = relu32{}.forward(h, hs, bsz, a)
+	if r.conv1.epi&tensor.EpiReLU == 0 {
+		h, hs = relu32{}.forward(h, hs, bsz, a)
+	}
 	h, hs = r.conv2.forward(h, hs, bsz, a)
 	if r.norm2 != nil {
 		h, hs = r.norm2.forward(h, hs, bsz, a)
@@ -484,10 +529,7 @@ func (r *residual32) forward(src *tensor.T32, inShape []int, bsz int, a *tensor.
 	for i := range hd {
 		hd[i] += sd[i]
 	}
-	for i, v := range hd {
-		hd[i] = max(v, 0)
-	}
-	return h, hs
+	return relu32{}.forward(h, hs, bsz, a)
 }
 
 // denseunit32 runs the compiled growth branch then concatenates channels

@@ -16,7 +16,10 @@ import (
 // (tensor.GemmIntoFast); on scalar targets Winograd-eligible convolutions
 // (3×3/s1/p1, dims divisible by 4) take the F(4×4,3×3) transform path
 // (tensor.WinogradConv3x3) and the rest the blocked tensor.GemmInto.
-// Dense layers become one [B,In] × [In,Out] matmul; element-wise, pooling
+// A convolution's epilogue absorbs the ReLU and 2×2 max-pool that follow
+// it (nn/epilogue.go): one pass from the GEMM output to the next layer's
+// input, unless an ActivationHook must see every layer. Dense layers
+// become one [B,In] × [In,Out] matmul; the remaining element-wise, pooling
 // and norm layers stream the batch buffer in one branchless pass. The
 // batched activation layout is image-major: one backing tensor [B, elems]
 // whose row b is image b's activation in the same [C,H,W] row-major order
@@ -27,7 +30,9 @@ import (
 // of operations whatever the batch size, the image's position or its
 // batchmates, so B=1, any split and any permutation are Float64bits-equal
 // to the same image inside B=32 (TestBatchCompositionInvariant, every zoo
-// topology × f64/f32/int8). Against Network.Infer — the training Forward,
+// topology × f64/f32/int8), and a fused epilogue is Float64bits-equal to
+// the layers it absorbs run one by one (TestFusedEpilogueMatchesLayerwise).
+// Against Network.Infer — the training Forward,
 // which survives as the test oracle — predictions (argmax) are identical
 // and softmax probabilities agree within 1e-9
 // (TestInferBatchArenaMatchesInfer): the FMA GEMM fuses each ascending-k
@@ -42,9 +47,13 @@ import (
 
 // batchState is the per-call scratch of one InferBatchArena invocation: the
 // arena plus reusable per-image view headers into the current backing.
+// fuse reports whether convolutions absorb the rectifier and pooling
+// layers that follow them (off when an ActivationHook must see every
+// layer's output).
 type batchState struct {
 	a     *tensor.Arena
 	views []*tensor.T
+	fuse  bool
 }
 
 // imageViews refreshes the reusable headers so that views[b] aliases image b
@@ -81,7 +90,7 @@ func (n *Network) InferBatchArena(xs []*tensor.T, a *tensor.Arena) []*tensor.T {
 		}
 	}
 
-	st := &batchState{a: a, views: make([]*tensor.T, bsz)}
+	st := &batchState{a: a, views: make([]*tensor.T, bsz), fuse: n.ActivationHook == nil}
 	for b := range st.views {
 		st.views[b] = new(tensor.T)
 	}
@@ -92,7 +101,14 @@ func (n *Network) InferBatchArena(xs []*tensor.T, a *tensor.Arena) []*tensor.T {
 		copy(cur.Data[b*elems:(b+1)*elems], x.Data)
 	}
 
-	for i, l := range n.Layers {
+	for i := 0; i < len(n.Layers); i++ {
+		l := n.Layers[i]
+		if c, ok := l.(*Conv2D); ok && st.fuse {
+			e, k := absorbed(n.Layers[i+1:], layerStage)
+			cur, shape = c.forwardEpi(cur, shape, bsz, st, e)
+			i += k
+			continue
+		}
 		cur, shape = l.forwardBatchArena(cur, shape, bsz, st)
 		if n.ActivationHook != nil {
 			for _, v := range st.imageViews(cur, shape, bsz) {
@@ -107,21 +123,32 @@ func (n *Network) InferBatchArena(xs []*tensor.T, a *tensor.Arena) []*tensor.T {
 	return out
 }
 
-// forwardBatchArena is Conv2D's batch kernel, with the same
-// dispatch as the f32 backend's conv32.forward. With the vector kernels on,
-// every geometry takes the batched im2col route onto the 4×8 FMA GEMM: one
-// lowering (generated block by block inside the GEMM at batched widths),
-// one GEMM for all images, then a fused bias add + transpose from the
-// GEMM's channel-major [OutC, B, OH*OW] layout back to image-major. On a
+// forwardBatchArena is Conv2D's batch kernel: the convolution with the
+// bias-only epilogue.
+func (c *Conv2D) forwardBatchArena(src *tensor.T, inShape []int, bsz int, st *batchState) (*tensor.T, []int) {
+	return c.forwardEpi(src, inShape, bsz, st, 0)
+}
+
+// forwardEpi is the convolution with the epilogue stages e (a rectifier
+// and/or a 2×2 max-pool absorbed from the layers that follow it; 0 for
+// bias only), with the same dispatch as the f32 backend's conv32.forward.
+// With the vector kernels on, every geometry takes the batched im2col
+// route onto the 4×8 FMA GEMM: one lowering (generated block by block
+// inside the GEMM at batched widths), one GEMM for all images, then one
+// epilogue pass that reads each (channel, image) plane of the GEMM's
+// channel-major [OutC, B, OH*OW] output once and writes it biased,
+// rectified and pooled into the next layer's image-major input. On a
 // scalar target, Winograd-eligible geometries (3×3, stride 1, pad 1,
 // spatial dims divisible by 4 — every conv in the CIFAR topologies) take
-// the F(4×4,3×3) transform instead: without SIMD its 4× multiply cut is
-// the only way past one multiply per instruction.
-func (c *Conv2D) forwardBatchArena(src *tensor.T, inShape []int, bsz int, st *batchState) (*tensor.T, []int) {
+// the F(4×4,3×3) transform instead (without SIMD its 4× multiply cut is
+// the only way past one multiply per instruction); it adds the bias
+// itself, and the remaining stages run over its output.
+func (c *Conv2D) forwardEpi(src *tensor.T, inShape []int, bsz int, st *batchState, e tensor.Epi) (*tensor.T, []int) {
 	g := c.geometry(inShape)
 	oh, ow := g.OutH(), g.OutW()
 	ohw := oh * ow
 	ckk := c.InC * c.KH * c.KW
+	outShape := epiShape(c.OutC, oh, ow, e)
 
 	if !tensor.SIMDEnabled() && tensor.WinogradEligible(g) {
 		dst := st.a.NewRaw(bsz, c.OutC*ohw)
@@ -138,7 +165,12 @@ func (c *Conv2D) forwardBatchArena(src *tensor.T, inShape []int, bsz int, st *ba
 		if s := st.a.Abft(); s != nil {
 			s.Record(tensor.VerifyWinogradConv(dst, src, bsz, c.OutC, c.weight.Value, c.bias.Value.Data, g))
 		}
-		return dst, []int{c.OutC, oh, ow}
+		out := dst
+		if e&tensor.EpiPool != 0 {
+			out = st.a.NewRaw(bsz, prodShape(outShape))
+		}
+		rectifyPlanes(out.Data, dst.Data, bsz*c.OutC, oh, ow, e)
+		return out, outShape
 	}
 
 	cm := st.a.NewRaw(c.OutC, bsz*ohw)
@@ -158,19 +190,9 @@ func (c *Conv2D) forwardBatchArena(src *tensor.T, inShape []int, bsz int, st *ba
 		}
 	}
 
-	dst := st.a.NewRaw(bsz, c.OutC*ohw)
-	for oc := 0; oc < c.OutC; oc++ {
-		bias := c.bias.Value.Data[oc]
-		crow := cm.Data[oc*bsz*ohw : (oc+1)*bsz*ohw]
-		for b := 0; b < bsz; b++ {
-			drow := dst.Data[b*c.OutC*ohw+oc*ohw : b*c.OutC*ohw+(oc+1)*ohw]
-			srow := crow[b*ohw : (b+1)*ohw]
-			for i, v := range srow {
-				drow[i] = v + bias
-			}
-		}
-	}
-	return dst, []int{c.OutC, oh, ow}
+	dst := st.a.NewRaw(bsz, prodShape(outShape))
+	convEpilogue(dst.Data, cm.Data, c.bias.Value.Data, bsz, oh, ow, e)
+	return dst, outShape
 }
 
 // forwardBatchArena is Dense's batch kernel: the batch is
@@ -196,16 +218,13 @@ func (d *Dense) forwardBatchArena(src *tensor.T, inShape []int, bsz int, st *bat
 	return dst, []int{d.Out}
 }
 
-// forwardBatchArena is ReLU's batch kernel: one branchless
-// pass rectifying the batch buffer in place. max(v, 0) produces the same
-// value as the per-image branch for every real input (a rectifier's
-// compare on roughly sign-random conv outputs mispredicts about half the
-// time, which triples the cost of this trivial kernel).
+// forwardBatchArena is ReLU's batch kernel: the epilogue kernel's
+// rectify-only stage over the whole batch buffer, in place — max(v, 0) lane
+// by lane, bit-identical to the builtin (a rectifier's compare on roughly
+// sign-random conv outputs would mispredict about half the time). ReLUs
+// that follow a convolution are absorbed into its epilogue instead.
 func (r *ReLU) forwardBatchArena(src *tensor.T, inShape []int, _ int, _ *batchState) (*tensor.T, []int) {
-	d := src.Data
-	for i, v := range d {
-		d[i] = max(v, 0)
-	}
+	tensor.RectifyPool(src.Data, src.Data, 1, len(src.Data), 0, tensor.EpiReLU)
 	return src, inShape
 }
 
@@ -240,43 +259,25 @@ func (d *Dropout) forwardBatchArena(src *tensor.T, inShape []int, _ int, _ *batc
 	return src, inShape
 }
 
-// forwardBatchArena is MaxPool2D's batch kernel: a branchless
-// 2×2 kernel for the ubiquitous K=2 case (the data-dependent compare of
-// the general kernel mispredicts constantly on conv activations), the
-// per-image kernel otherwise, applied to each contiguous image slice.
+// forwardBatchArena is MaxPool2D's batch kernel: the epilogue kernel's
+// pool-only stage for the ubiquitous K=2 case (branchless; the data-
+// dependent compare of the general kernel mispredicts constantly on conv
+// activations), applied to each (image, channel) plane, and the general
+// K×K kernel otherwise. 2×2 pools that follow a convolution are absorbed
+// into its epilogue instead.
 func (p *MaxPool2D) forwardBatchArena(src *tensor.T, inShape []int, bsz int, st *batchState) (*tensor.T, []int) {
 	ch, h, w := inShape[0], inShape[1], inShape[2]
 	oh, ow := h/p.K, w/p.K
+	dst := st.a.NewRaw(bsz, ch*oh*ow)
+	if p.K == 2 {
+		rectifyPlanes(dst.Data, src.Data, bsz*ch, h, w, tensor.EpiPool)
+		return dst, []int{ch, oh, ow}
+	}
 	in, on := ch*h*w, ch*oh*ow
-	dst := st.a.NewRaw(bsz, on)
 	for b := 0; b < bsz; b++ {
-		if p.K == 2 {
-			maxPool2Into(dst.Data[b*on:(b+1)*on], src.Data[b*in:(b+1)*in], ch, h, w)
-		} else {
-			maxPoolInto(dst.Data[b*on:(b+1)*on], src.Data[b*in:(b+1)*in], ch, h, w, p.K)
-		}
+		maxPoolInto(dst.Data[b*on:(b+1)*on], src.Data[b*in:(b+1)*in], ch, h, w, p.K)
 	}
 	return dst, []int{ch, oh, ow}
-}
-
-// maxPool2Into is the branchless 2×2 specialization of maxPoolInto: each
-// output is max of a 2×2 window, computed with the float max builtin
-// (compare-free on amd64). Values match maxPoolInto exactly for every
-// real input; only the sign of a zero can differ when a window ties
-// between -0 and +0.
-func maxPool2Into(dst, src []float64, ch, h, w int) {
-	oh, ow := h/2, w/2
-	for c := 0; c < ch; c++ {
-		for oy := 0; oy < oh; oy++ {
-			r0 := src[c*h*w+(2*oy)*w:][:w]
-			r1 := src[c*h*w+(2*oy+1)*w:][:w]
-			drow := dst[c*oh*ow+oy*ow:][:ow]
-			for ox := 0; ox < ow; ox++ {
-				x := 2 * ox
-				drow[ox] = max(max(r0[x], r0[x+1]), max(r1[x], r1[x+1]))
-			}
-		}
-	}
 }
 
 // maxPoolInto writes the K×K max-pool of one [ch,h,w] image into dst.
@@ -346,11 +347,19 @@ func (nrm *ChannelNorm) forwardBatchArena(src *tensor.T, inShape []int, bsz int,
 // composing the batched sub-kernels; the shortcut add happens on aligned
 // image-major backings.
 func (b *ResidualBlock) forwardBatchArena(src *tensor.T, inShape []int, bsz int, st *batchState) (*tensor.T, []int) {
-	h, hs := b.conv1.forwardBatchArena(src, inShape, bsz, st)
+	// Without norm1 the inner rectifier directly follows conv1 and rides
+	// in its epilogue.
+	var e tensor.Epi
+	if st.fuse && b.norm1 == nil {
+		e = tensor.EpiReLU
+	}
+	h, hs := b.conv1.forwardEpi(src, inShape, bsz, st, e)
 	if b.norm1 != nil {
 		h, hs = b.norm1.forwardBatchArena(h, hs, bsz, st)
 	}
-	h, hs = b.relu1.forwardBatchArena(h, hs, bsz, st)
+	if e == 0 {
+		h, hs = b.relu1.forwardBatchArena(h, hs, bsz, st)
+	}
 	h, hs = b.conv2.forwardBatchArena(h, hs, bsz, st)
 	if b.norm2 != nil {
 		h, hs = b.norm2.forwardBatchArena(h, hs, bsz, st)

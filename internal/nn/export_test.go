@@ -1,0 +1,12 @@
+package nn
+
+import "repro/internal/tensor"
+
+// CompileLayerwise32 and CompileLayerwiseInt8 compile without the epilogue
+// fuse pass — one node per layer, the layer-by-layer reference the fused
+// nets are held to.
+func (n *Network) CompileLayerwise32() (*Net32, error) { return n.compile32() }
+
+func (n *Network) CompileLayerwiseInt8(calib []*tensor.T) (*Net32, error) {
+	return n.compileInt8(calib)
+}

@@ -16,7 +16,8 @@ import (
 //	  → uint8 GEMM with int32 accumulators: direct shift or implicit-GEMM
 //	    convolution (byte im2col + tensor.GemmU8Into in verified mode),
 //	    Dense against a compile-time transposed weight pack
-//	  → fused dequantize + bias (tensor.DequantRow)
+//	  → fused dequantize + bias (tensor.DequantRow), then the absorbed
+//	    ReLU / 2×2 max-pool stages of the conv epilogue (nn/epilogue.go)
 //
 // Weights use per-output-channel symmetric scales quantized from the
 // ORIGINAL float64 parameters, so weight precision is exactly the 8-bit
@@ -40,6 +41,10 @@ type qconv32 struct {
 
 	invScale float32
 	zp       uint8
+
+	// epi holds the stages the epilogue absorbed from the following nodes
+	// (Net32.fuse); 0 for dequantize + bias only.
+	epi tensor.Epi
 }
 
 func newQConv32(c *Conv2D, scale float32, zp uint8) *qconv32 {
@@ -101,15 +106,28 @@ func (q *qconv32) forward(src *tensor.T32, inShape []int, bsz int, a *tensor.Are
 		}
 	}
 
-	dst := a.NewRaw(bsz, q.outC*ohw)
+	// The epilogue dequantizes each (channel, image) plane into an L1-sized
+	// scratch plane and runs the absorbed stages from there into dst.
+	outShape := epiShape(q.outC, oh, ow, q.epi)
+	plane := prodShape(outShape) / q.outC
+	dst := a.NewRaw(bsz, prodShape(outShape))
+	var deq []float32
+	if q.epi != 0 {
+		deq = a.NewRaw(ohw).Data
+	}
 	for oc := 0; oc < q.outC; oc++ {
 		crow := acc[oc*bohw : (oc+1)*bohw]
 		for b := 0; b < bsz; b++ {
-			drow := dst.Data[b*q.outC*ohw+oc*ohw : b*q.outC*ohw+(oc+1)*ohw]
-			tensor.DequantRow(drow, crow[b*ohw:(b+1)*ohw], colsum[b*ohw:(b+1)*ohw], q.corr[oc], q.deq[oc], q.bias[oc])
+			drow := dst.Data[(b*q.outC+oc)*plane : (b*q.outC+oc+1)*plane]
+			if q.epi == 0 {
+				tensor.DequantRow(drow, crow[b*ohw:(b+1)*ohw], colsum[b*ohw:(b+1)*ohw], q.corr[oc], q.deq[oc], q.bias[oc])
+				continue
+			}
+			tensor.DequantRow(deq, crow[b*ohw:(b+1)*ohw], colsum[b*ohw:(b+1)*ohw], q.corr[oc], q.deq[oc], q.bias[oc])
+			tensor.RectifyPool(drow, deq, oh, ow, 0, q.epi)
 		}
 	}
-	return dst, []int{q.outC, oh, ow}
+	return dst, outShape
 }
 
 // qdense32 is the quantized fully connected node. It keeps activations in
@@ -190,7 +208,18 @@ func (q *qdense32) forward(src *tensor.T32, inShape []int, bsz int, a *tensor.Ar
 // stay float32 (the int8 GEMM's accumulator would overflow); everything in
 // the model zoo is far under the cap.
 func (n *Network) CompileInt8(calib []*tensor.T) (*Net32, error) {
-	net, err := n.Compile32()
+	net, err := n.compileInt8(calib)
+	if err != nil {
+		return nil, err
+	}
+	net.fuse()
+	return net, nil
+}
+
+// compileInt8 is CompileInt8 without the epilogue fuse pass, which must
+// follow quantization: calibration indexes the nodes by layer.
+func (n *Network) compileInt8(calib []*tensor.T) (*Net32, error) {
+	net, err := n.compile32()
 	if err != nil {
 		return nil, err
 	}

@@ -176,19 +176,3 @@ func DequantRow(dst []float32, c, cs []int32, corr int32, scale, bias float32) {
 		dst[i] = float32(c[i]-128*cs[i]-corr)*scale + bias
 	}
 }
-
-// AddBiasRow computes dst[i] = src[i] + bias — the bias + transpose
-// epilogue of the f32 convolution path. Bit-identical between paths.
-func AddBiasRow(dst, src []float32, bias float32) {
-	n := len(dst)
-	i := 0
-	if useSIMD() {
-		if nb := n &^ 7; nb > 0 {
-			addBiasRowAVX(&dst[0], &src[0], nb, bias)
-			i = nb
-		}
-	}
-	for ; i < n; i++ {
-		dst[i] = src[i] + bias
-	}
-}

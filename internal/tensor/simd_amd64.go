@@ -80,11 +80,30 @@ func quantizeU8AVX(dst *uint8, src *float32, n int, invScale float32, z float32)
 //go:noescape
 func dequantRowAVX(dst *float32, c *int32, cs *int32, n int, corr int32, scale float32, bias float32)
 
-// addBiasRowAVX computes dst[i] = src[i] + bias for i in [0, n); n must be
-// a multiple of 8.
+// rectifyF64AVX computes dst[i] = s(src[i]) for i in [0, n), n a multiple
+// of 4, where s adds bias (mode bit 0) and rectifies (mode bit 1) — the
+// element stages of RectifyPool, bit-identical to its scalar loop.
 //
 //go:noescape
-func addBiasRowAVX(dst *float32, src *float32, n int, bias float32)
+func rectifyF64AVX(dst *float64, src *float64, n int, bias float64, mode int)
+
+// rectifyF32AVX is the float32 rectifyF64AVX; n must be a multiple of 8.
+//
+//go:noescape
+func rectifyF32AVX(dst *float32, src *float32, n int, bias float32, mode int)
+
+// rectifyPoolF64AVX computes rows×n outputs (n a multiple of 4) of
+// RectifyPool's 2×2 pooling stage: output row y (stride ldd) from source
+// rows 2y and 2y+1 (stride lds), element stages as rectifyF64AVX.
+//
+//go:noescape
+func rectifyPoolF64AVX(dst *float64, src *float64, rows, n, lds, ldd int, bias float64, mode int)
+
+// rectifyPoolF32AVX is the float32 rectifyPoolF64AVX; n must be a
+// multiple of 4.
+//
+//go:noescape
+func rectifyPoolF32AVX(dst *float32, src *float32, rows, n, lds, ldd int, bias float32, mode int)
 
 // axpyRowF32AVX computes dst[i] += alpha·src[i] for i in [0, n); n must be
 // a multiple of 8. The ABFT float32 checksum prediction pass.

@@ -738,23 +738,273 @@ dq_loop:
 	VZEROUPPER
 	RET
 
-// func addBiasRowAVX(dst *float32, src *float32, n int, bias float32)
-//
-// dst[i] = src[i] + bias, n a multiple of 8.
-TEXT ·addBiasRowAVX(SB), NOSPLIT, $0-28
-	MOVQ dst+0(FP), R9
-	MOVQ src+8(FP), SI
-	MOVQ n+16(FP), CX
-	VBROADCASTSS bias+24(FP), Y4
+// The convolution epilogue kernels (epilogue.go). Stages run in the
+// negated domain: Go lowers max(x, y) to −min(−x, −y), so a chain of maxes
+// is one sign flip in, a chain of GOMIN steps and one sign flip out — the
+// double negations between steps cancel bit for bit. mode bit 0 adds the
+// bias, bit 1 rectifies (min against −0, the sign mask itself).
 
-ab_loop:
+// GOMINPD(x, y, t, u) sets x = min(x, y) exactly as Go lowers the float min
+// builtin, lane by lane: t = x < y ? x : y; u = t < x ? t : x; x = u | t.
+// Clobbers t and u.
+#define GOMINPD(x, y, t, u) VMINPD y, x, t; VMINPD x, t, u; VORPD t, u, x
+#define GOMINPS(x, y, t, u) VMINPS y, x, t; VMINPS x, t, u; VORPS t, u, x
+
+// func rectifyF64AVX(dst *float64, src *float64, n int, bias float64, mode int)
+//
+// dst[i] = s(src[i]) with s(v) = max(v+bias, 0) (stages per mode), n a
+// multiple of 4. dst may equal src.
+TEXT ·rectifyF64AVX(SB), NOSPLIT, $0-40
+	MOVQ         dst+0(FP), R9
+	MOVQ         src+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSD bias+24(FP), Y14
+	MOVQ         mode+32(FP), DX
+	MOVQ         $0x8000000000000000, AX
+	VMOVQ        AX, X15
+	VPBROADCASTQ X15, Y15
+
+rf64_loop:
+	VMOVUPD (SI), Y0
+	TESTQ   $1, DX
+	JZ      rf64_relu
+	VADDPD  Y14, Y0, Y0
+
+rf64_relu:
+	TESTQ  $2, DX
+	JZ     rf64_store
+	VXORPD Y15, Y0, Y0
+	GOMINPD(Y0, Y15, Y1, Y2)
+	VXORPD Y15, Y0, Y0
+
+rf64_store:
+	VMOVUPD Y0, (R9)
+	ADDQ    $32, SI
+	ADDQ    $32, R9
+	SUBQ    $4, CX
+	JNZ     rf64_loop
+	VZEROUPPER
+	RET
+
+// func rectifyF32AVX(dst *float32, src *float32, n int, bias float32, mode int)
+//
+// The float32 twin of rectifyF64AVX; n a multiple of 8.
+TEXT ·rectifyF32AVX(SB), NOSPLIT, $0-40
+	MOVQ         dst+0(FP), R9
+	MOVQ         src+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSS bias+24(FP), Y14
+	MOVQ         mode+32(FP), DX
+	MOVL         $0x80000000, AX
+	VMOVD        AX, X15
+	VPBROADCASTD X15, Y15
+
+rf32_loop:
 	VMOVUPS (SI), Y0
-	VADDPS  Y4, Y0, Y0
+	TESTQ   $1, DX
+	JZ      rf32_relu
+	VADDPS  Y14, Y0, Y0
+
+rf32_relu:
+	TESTQ  $2, DX
+	JZ     rf32_store
+	VXORPS Y15, Y0, Y0
+	GOMINPS(Y0, Y15, Y1, Y2)
+	VXORPS Y15, Y0, Y0
+
+rf32_store:
 	VMOVUPS Y0, (R9)
 	ADDQ    $32, SI
 	ADDQ    $32, R9
 	SUBQ    $8, CX
-	JNZ     ab_loop
+	JNZ     rf32_loop
+	VZEROUPPER
+	RET
+
+// func rectifyPoolF64AVX(dst *float64, src *float64, rows, n, lds, ldd int, bias float64, mode int)
+//
+// For each of rows output rows y and each of n output columns x (n a
+// multiple of 4): dst[y·ldd+x] = max(max(s(a), s(b)), max(s(c), s(d))) over
+// a, b = src row 2y at columns 2x, 2x+1 and c, d = row 2y+1 (rows at stride
+// lds). Per 4 outputs: two YMM loads per source row, stages lane-wise, an
+// even/odd column split (VSHUFPD leaves the pairs in order 0 2 1 3), the
+// horizontal then vertical min, and one VPERMPD to restore the order.
+TEXT ·rectifyPoolF64AVX(SB), NOSPLIT, $0-64
+	MOVQ         dst+0(FP), R9
+	MOVQ         src+8(FP), SI
+	MOVQ         rows+16(FP), BX
+	MOVQ         n+24(FP), R8
+	MOVQ         lds+32(FP), R10
+	SHLQ         $3, R10
+	MOVQ         ldd+40(FP), R11
+	SHLQ         $3, R11
+	VBROADCASTSD bias+48(FP), Y14
+	MOVQ         mode+56(FP), DX
+	MOVQ         $0x8000000000000000, AX
+	VMOVQ        AX, X15
+	VPBROADCASTQ X15, Y15
+
+rp64_row:
+	MOVQ SI, AX
+	LEAQ (SI)(R10*1), DI
+	MOVQ R9, R12
+	MOVQ R8, CX
+
+rp64_col:
+	VMOVUPD (AX), Y0
+	VMOVUPD 32(AX), Y1
+	VMOVUPD (DI), Y2
+	VMOVUPD 32(DI), Y3
+	TESTQ   $1, DX
+	JZ      rp64_neg
+	VADDPD  Y14, Y0, Y0
+	VADDPD  Y14, Y1, Y1
+	VADDPD  Y14, Y2, Y2
+	VADDPD  Y14, Y3, Y3
+
+rp64_neg:
+	VXORPD Y15, Y0, Y0
+	VXORPD Y15, Y1, Y1
+	VXORPD Y15, Y2, Y2
+	VXORPD Y15, Y3, Y3
+	TESTQ  $2, DX
+	JZ     rp64_pool
+	GOMINPD(Y0, Y15, Y4, Y5)
+	GOMINPD(Y1, Y15, Y4, Y5)
+	GOMINPD(Y2, Y15, Y4, Y5)
+	GOMINPD(Y3, Y15, Y4, Y5)
+
+rp64_pool:
+	VSHUFPD $0x0, Y1, Y0, Y6
+	VSHUFPD $0xF, Y1, Y0, Y7
+	VSHUFPD $0x0, Y3, Y2, Y8
+	VSHUFPD $0xF, Y3, Y2, Y9
+	GOMINPD(Y6, Y7, Y4, Y5)
+	GOMINPD(Y8, Y9, Y4, Y5)
+	GOMINPD(Y6, Y8, Y4, Y5)
+	VXORPD  Y15, Y6, Y6
+	VPERMPD $0xD8, Y6, Y6
+	VMOVUPD Y6, (R12)
+	ADDQ    $64, AX
+	ADDQ    $64, DI
+	ADDQ    $32, R12
+	SUBQ    $4, CX
+	JNZ     rp64_col
+	LEAQ    (SI)(R10*2), SI
+	ADDQ    R11, R9
+	DECQ    BX
+	JNZ     rp64_row
+	VZEROUPPER
+	RET
+
+// func rectifyPoolF32AVX(dst *float32, src *float32, rows, n, lds, ldd int, bias float32, mode int)
+//
+// The float32 twin of rectifyPoolF64AVX; n a multiple of 4. VSHUFPS splits
+// even and odd columns per 128-bit lane, leaving the pooled pairs in order
+// (0 1)(4 5)(2 3)(6 7), which the same VPERMPD restores. Groups of 8
+// outputs, then at most one group of 4.
+TEXT ·rectifyPoolF32AVX(SB), NOSPLIT, $0-64
+	MOVQ         dst+0(FP), R9
+	MOVQ         src+8(FP), SI
+	MOVQ         rows+16(FP), BX
+	MOVQ         n+24(FP), R8
+	MOVQ         lds+32(FP), R10
+	SHLQ         $2, R10
+	MOVQ         ldd+40(FP), R11
+	SHLQ         $2, R11
+	VBROADCASTSS bias+48(FP), Y14
+	MOVQ         mode+56(FP), DX
+	MOVL         $0x80000000, AX
+	VMOVD        AX, X15
+	VPBROADCASTD X15, Y15
+
+rp32_row:
+	MOVQ SI, AX
+	LEAQ (SI)(R10*1), DI
+	MOVQ R9, R12
+	MOVQ R8, CX
+	CMPQ CX, $8
+	JLT  rp32_half
+
+rp32_col:
+	VMOVUPS (AX), Y0
+	VMOVUPS 32(AX), Y1
+	VMOVUPS (DI), Y2
+	VMOVUPS 32(DI), Y3
+	TESTQ   $1, DX
+	JZ      rp32_neg
+	VADDPS  Y14, Y0, Y0
+	VADDPS  Y14, Y1, Y1
+	VADDPS  Y14, Y2, Y2
+	VADDPS  Y14, Y3, Y3
+
+rp32_neg:
+	VXORPS Y15, Y0, Y0
+	VXORPS Y15, Y1, Y1
+	VXORPS Y15, Y2, Y2
+	VXORPS Y15, Y3, Y3
+	TESTQ  $2, DX
+	JZ     rp32_pool
+	GOMINPS(Y0, Y15, Y4, Y5)
+	GOMINPS(Y1, Y15, Y4, Y5)
+	GOMINPS(Y2, Y15, Y4, Y5)
+	GOMINPS(Y3, Y15, Y4, Y5)
+
+rp32_pool:
+	VSHUFPS $0x88, Y1, Y0, Y6
+	VSHUFPS $0xDD, Y1, Y0, Y7
+	VSHUFPS $0x88, Y3, Y2, Y8
+	VSHUFPS $0xDD, Y3, Y2, Y9
+	GOMINPS(Y6, Y7, Y4, Y5)
+	GOMINPS(Y8, Y9, Y4, Y5)
+	GOMINPS(Y6, Y8, Y4, Y5)
+	VXORPS  Y15, Y6, Y6
+	VPERMPD $0xD8, Y6, Y6
+	VMOVUPS Y6, (R12)
+	ADDQ    $64, AX
+	ADDQ    $64, DI
+	ADDQ    $32, R12
+	SUBQ    $8, CX
+	CMPQ    CX, $8
+	JGE     rp32_col
+
+rp32_half:
+	// A last group of 4 outputs: one YMM per source row, rows 2y and
+	// 2y+1 split into even/odd columns together, so the horizontal min
+	// leaves row 2y's pairs in dwords 0 1 4 5 and row 2y+1's in 2 3 6 7;
+	// a half-lane swap lines them up for the vertical min.
+	TESTQ   CX, CX
+	JZ      rp32_next
+	VMOVUPS (AX), Y0
+	VMOVUPS (DI), Y2
+	TESTQ   $1, DX
+	JZ      rp32_hneg
+	VADDPS  Y14, Y0, Y0
+	VADDPS  Y14, Y2, Y2
+
+rp32_hneg:
+	VXORPS Y15, Y0, Y0
+	VXORPS Y15, Y2, Y2
+	TESTQ  $2, DX
+	JZ     rp32_hpool
+	GOMINPS(Y0, Y15, Y4, Y5)
+	GOMINPS(Y2, Y15, Y4, Y5)
+
+rp32_hpool:
+	VSHUFPS $0x88, Y2, Y0, Y6
+	VSHUFPS $0xDD, Y2, Y0, Y7
+	GOMINPS(Y6, Y7, Y4, Y5)
+	VSHUFPS $0x4E, Y6, Y6, Y8
+	GOMINPS(Y6, Y8, Y4, Y5)
+	VXORPS  Y15, Y6, Y6
+	VPERMPD $0x08, Y6, Y6
+	VMOVUPS X6, (R12)
+
+rp32_next:
+	LEAQ    (SI)(R10*2), SI
+	ADDQ    R11, R9
+	DECQ    BX
+	JNZ     rp32_row
 	VZEROUPPER
 	RET
 

@@ -42,7 +42,19 @@ func dequantRowAVX(dst *float32, c *int32, cs *int32, n int, corr int32, scale f
 	panic("tensor: SIMD kernel called on non-amd64 target")
 }
 
-func addBiasRowAVX(dst *float32, src *float32, n int, bias float32) {
+func rectifyF64AVX(dst *float64, src *float64, n int, bias float64, mode int) {
+	panic("tensor: SIMD kernel called on non-amd64 target")
+}
+
+func rectifyF32AVX(dst *float32, src *float32, n int, bias float32, mode int) {
+	panic("tensor: SIMD kernel called on non-amd64 target")
+}
+
+func rectifyPoolF64AVX(dst *float64, src *float64, rows, n, lds, ldd int, bias float64, mode int) {
+	panic("tensor: SIMD kernel called on non-amd64 target")
+}
+
+func rectifyPoolF32AVX(dst *float32, src *float32, rows, n, lds, ldd int, bias float32, mode int) {
 	panic("tensor: SIMD kernel called on non-amd64 target")
 }
 

@@ -263,7 +263,8 @@ func TestDequantRowBitIdentical(t *testing.T) {
 	}
 }
 
-// TestAddBiasRowBitIdentical does the same for the bias epilogue.
+// TestAddBiasRowBitIdentical does the same for the bias-only convolution
+// epilogue, RectifyPool with EpiBias over a single row.
 func TestAddBiasRowBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	for _, n := range []int{1, 8, 13, 256} {
@@ -278,7 +279,7 @@ func TestAddBiasRowBitIdentical(t *testing.T) {
 		}
 		withSIMD(t, func(t *testing.T, simd bool) {
 			dst := make([]float32, n)
-			AddBiasRow(dst, src, bias)
+			RectifyPool(dst, src, 1, n, bias, EpiBias)
 			for i := range want {
 				if dst[i] != want[i] {
 					t.Fatalf("n=%d i=%d: got %g, want %g", n, i, dst[i], want[i])
