@@ -41,7 +41,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address for serving mode")
 	benchmark := flag.String("benchmark", "convnet", "benchmark name (see pgmr -h)")
 	members := flag.Int("members", 4, "number of member networks (2-8)")
-	bits := flag.Int("bits", 0, "RAMR precision bits (0 = full precision)")
 	backend := flag.String("backend", "", "numeric execution backend: f64, f32 or int8 (default f64)")
 	lateBackend := flag.String("late-backend", "", "backend for late-stage tie-breaker members (default: same as -backend)")
 	noStage := flag.Bool("no-stage", false, "disable RADE staged activation")
@@ -116,7 +115,6 @@ func main() {
 
 	opts := polygraph.Options{
 		Members:       *members,
-		PrecisionBits: *bits,
 		Backend:       *backend,
 		LateBackend:   *lateBackend,
 		DisableStaged: *noStage,

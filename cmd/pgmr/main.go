@@ -5,7 +5,7 @@
 // Usage:
 //
 //	pgmr -benchmark convnet -n 200
-//	pgmr -benchmark alexnet -members 6 -gpus 2 -bits 14 -v
+//	pgmr -benchmark alexnet -members 6 -gpus 2 -v
 //	pgmr -benchmark convnet -n 500 -batch 32 -workers 4
 package main
 
@@ -24,7 +24,6 @@ func main() {
 	members := flag.Int("members", 4, "number of member networks (2-8)")
 	n := flag.Int("n", 100, "number of test images to classify")
 	gpus := flag.Int("gpus", 1, "concurrent member executions (models GPU count)")
-	bits := flag.Int("bits", 0, "RAMR precision bits (0 = full precision)")
 	noStage := flag.Bool("no-stage", false, "disable RADE staged activation")
 	workers := flag.Int("workers", 0, "concurrent member inferences per stage (0 = GOMAXPROCS)")
 	batch := flag.Int("batch", 0, "classify images in batches of this size (throughput mode; 0 = one at a time)")
@@ -39,7 +38,6 @@ func main() {
 	sys, err := polygraph.Build(*benchmark, polygraph.Options{
 		Members:       *members,
 		GPUs:          *gpus,
-		PrecisionBits: *bits,
 		DisableStaged: *noStage,
 		Workers:       *workers,
 		Progress:      func(f string, a ...any) { fmt.Fprintf(os.Stderr, "# "+f+"\n", a...) },

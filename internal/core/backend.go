@@ -72,11 +72,7 @@ func (s *System) PrepareBackends(calib []*tensor.T) error {
 		m := &s.Members[i]
 		switch m.Backend {
 		case BackendF64:
-			m.net32 = nil
-			// The f64 path has no compile step; Prepack is its equivalent,
-			// precomputing packed weight forms (Winograd filter transforms)
-			// for the batched forward. Bit-identical either way.
-			m.Net.Prepack()
+			m.net32 = nil // the f64 path runs the trained network as is
 		case BackendF32:
 			net, err := m.Net.Compile32()
 			if err != nil {
@@ -118,7 +114,6 @@ func (s *System) PrepareAdaptive(calib []*tensor.T) error {
 	}
 	for i := range s.Members {
 		m := &s.Members[i]
-		m.Net.Prepack() // the f64 stage of the cascade benefits too
 		if m.alt[BackendF32] == nil {
 			net, err := m.Net.Compile32()
 			if err != nil {

@@ -17,8 +17,8 @@ import (
 // per member), the engine runs every still-undecided image through one member
 // network at a time via nn.InferBatchArena, so each member's weights are
 // streamed once per stage for the whole batch and the fused minibatch kernels
-// (batched im2col + FMA GEMM; Winograd 3×3 on scalar targets) do the heavy
-// lifting.
+// (batched im2col + GEMM, on the FMA microkernel where the machine has
+// AVX2) do the heavy lifting.
 //
 // RADE staged-activation semantics are preserved exactly: all images follow
 // the same global stage schedule the sequential engine uses (an initial chunk

@@ -15,10 +15,9 @@ import (
 // system level: verification is a pure epilogue, so on fault-free runs a
 // verified system must produce decisions IDENTICAL to an unverified one —
 // every field, Confidence included — across the full model zoo, all three
-// backends, the sequential and batched engines, B ∈ {1, 2, 7, 32}, and both
-// SIMD settings. Checks must have been performed and nothing detected.
+// backends, the sequential and batched engines and B ∈ {1, 2, 7, 32}.
+// Checks must have been performed and nothing detected.
 func TestVerifiedCleanMatchesUnverified(t *testing.T) {
-	defer tensor.SetSIMD(true)
 	for _, backend := range []Backend{BackendF64, BackendF32, BackendInt8} {
 		for _, b := range model.Benchmarks() {
 			b := b
@@ -29,23 +28,20 @@ func TestVerifiedCleanMatchesUnverified(t *testing.T) {
 				if !sys.Verified() || ref.Verified() {
 					t.Fatal("PrepareVerified wiring broken")
 				}
-				for _, simd := range []bool{true, false} {
-					tensor.SetSIMD(simd)
-					for i, x := range xs {
-						want := ref.Classify(x)
-						got := sys.Classify(x)
-						if !reflect.DeepEqual(want, got) {
-							t.Fatalf("simd=%v image %d: verified %+v != unverified %+v", simd, i, got, want)
-						}
+				for i, x := range xs {
+					want := ref.Classify(x)
+					got := sys.Classify(x)
+					if !reflect.DeepEqual(want, got) {
+						t.Fatalf("image %d: verified %+v != unverified %+v", i, got, want)
 					}
-					for _, bsz := range []int{1, 2, 7, 32} {
-						for _, workers := range []int{1, 3} {
-							ref.Workers, sys.Workers = workers, workers
-							want := ref.ClassifyBatch(xs[:bsz])
-							got := sys.ClassifyBatch(xs[:bsz])
-							if !reflect.DeepEqual(want, got) {
-								t.Fatalf("simd=%v B=%d workers=%d: verified batch diverged", simd, bsz, workers)
-							}
+				}
+				for _, bsz := range []int{1, 2, 7, 32} {
+					for _, workers := range []int{1, 3} {
+						ref.Workers, sys.Workers = workers, workers
+						want := ref.ClassifyBatch(xs[:bsz])
+						got := sys.ClassifyBatch(xs[:bsz])
+						if !reflect.DeepEqual(want, got) {
+							t.Fatalf("B=%d workers=%d: verified batch diverged", bsz, workers)
 						}
 					}
 				}

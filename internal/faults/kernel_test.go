@@ -38,61 +38,55 @@ func rowsClose(t *testing.T, a, b []float64, tol float64, ctx string) {
 
 // TestKernelInjectionCoverageF64 runs a live-buffer bit-flip campaign
 // against the float64 engine one image at a time — InferBatchArena at a
-// batch of one, which is what a lone served image runs — under both SIMD
-// settings: the convolutions run on the FMA GEMM (VerifyGemm) with SIMD on
-// and on Winograd (VerifyWinogradConv) with it off. Every verified kernel
-// call suffers one high-order mantissa/exponent flip, and the checksum
-// epilogues must detect nearly all of them and correct every detection.
-// When nothing slipped through, the repaired probabilities match the
-// fault-free run within 1e-9 rather than bit for bit: repair re-runs a
-// GEMM column as a scalar ascending-k chain (unfused, where the kernel
-// fused each multiply-add) and a Winograd plane as the direct convolution.
+// batch of one, which is what a lone served image runs; the convolutions
+// run on the GEMM VerifyGemm checks. Every verified kernel call suffers
+// one high-order mantissa/exponent flip, and the checksum epilogues must
+// detect nearly all of them and correct every detection. When nothing
+// slipped through, the repaired probabilities match the fault-free run
+// within 1e-9 rather than bit for bit: repair re-runs a GEMM column as a
+// scalar ascending-k chain (unfused, where the FMA kernel fused each
+// multiply-add).
 func TestKernelInjectionCoverageF64(t *testing.T) {
 	net := testNet(t)
 	xs := testImages(60)
-	defer tensor.SetSIMD(true)
+	a := tensor.NewArena()
+	infer := func(x *tensor.T) []float64 {
+		row := append([]float64(nil), net.InferBatchArena([]*tensor.T{x}, a)[0].Data...)
+		a.Reset()
+		return row
+	}
+	clean := make([][]float64, len(xs))
+	for i, x := range xs {
+		clean[i] = infer(x)
+	}
 
-	for _, simd := range []bool{true, false} {
-		tensor.SetSIMD(simd)
-		a := tensor.NewArena()
-		infer := func(x *tensor.T) []float64 {
-			row := append([]float64(nil), net.InferBatchArena([]*tensor.T{x}, a)[0].Data...)
-			a.Reset()
-			return row
-		}
-		clean := make([][]float64, len(xs))
-		for i, x := range xs {
-			clean[i] = infer(x)
-		}
+	ki := NewKernelInjector(41, 1)
+	ki.Install()
+	st := &tensor.AbftStats{}
+	a.SetAbft(st)
+	faulty := make([][]float64, len(xs))
+	for i, x := range xs {
+		faulty[i] = infer(x)
+	}
+	ki.Remove()
 
-		ki := NewKernelInjector(41, 1)
-		ki.Install()
-		st := &tensor.AbftStats{}
-		a.SetAbft(st)
-		faulty := make([][]float64, len(xs))
-		for i, x := range xs {
-			faulty[i] = infer(x)
-		}
-		ki.Remove()
-
-		c := st.Counts()
-		inj := uint64(ki.Injected())
-		if inj < 100 {
-			t.Fatalf("simd=%v: campaign too small: %d flips", simd, inj)
-		}
-		if c.Uncorrectable != 0 {
-			t.Fatalf("simd=%v: transient flips must be correctable: %+v", simd, c)
-		}
-		if c.Corrected != c.Detected {
-			t.Fatalf("simd=%v: detected %d but corrected %d", simd, c.Detected, c.Corrected)
-		}
-		if rate := float64(c.Detected) / float64(inj); rate < 0.95 {
-			t.Fatalf("simd=%v: f64 detection rate %.3f < 0.95 (%d/%d)", simd, rate, c.Detected, inj)
-		}
-		if c.Detected == inj {
-			for i := range xs {
-				rowsClose(t, faulty[i], clean[i], 1e-9, "f64 corrected run")
-			}
+	c := st.Counts()
+	inj := uint64(ki.Injected())
+	if inj < 100 {
+		t.Fatalf("campaign too small: %d flips", inj)
+	}
+	if c.Uncorrectable != 0 {
+		t.Fatalf("transient flips must be correctable: %+v", c)
+	}
+	if c.Corrected != c.Detected {
+		t.Fatalf("detected %d but corrected %d", c.Detected, c.Corrected)
+	}
+	if rate := float64(c.Detected) / float64(inj); rate < 0.95 {
+		t.Fatalf("f64 detection rate %.3f < 0.95 (%d/%d)", rate, c.Detected, inj)
+	}
+	if c.Detected == inj {
+		for i := range xs {
+			rowsClose(t, faulty[i], clean[i], 1e-9, "f64 corrected run")
 		}
 	}
 }
@@ -152,9 +146,8 @@ func TestKernelInjectionCoverageBatched(t *testing.T) {
 	}
 }
 
-// TestKernelInjectionCoverageF32 covers the float32 backend under both
-// SIMD settings (FMA GEMM microkernel vs. Winograd/scalar kernels pick
-// different verify epilogues).
+// TestKernelInjectionCoverageF32 runs the campaign against the float32
+// backend's verified kernels.
 func TestKernelInjectionCoverageF32(t *testing.T) {
 	net := testNet(t)
 	n32, err := net.Compile32()
@@ -162,44 +155,39 @@ func TestKernelInjectionCoverageF32(t *testing.T) {
 		t.Fatal(err)
 	}
 	xs := testImages(60)
-	defer tensor.SetSIMD(true)
+	a := tensor.NewArena32()
+	clean := n32.InferBatch(xs, a)
+	a.Reset()
 
-	for _, simd := range []bool{true, false} {
-		tensor.SetSIMD(simd)
-		a := tensor.NewArena32()
-		clean := n32.InferBatch(xs, a)
+	ki := NewKernelInjector(47, 1)
+	ki.Install()
+	st := &tensor.AbftStats{}
+	a.SetAbft(st)
+	var faulty [][][]float64
+	for round := 0; round < 40; round++ {
+		rows := n32.InferBatch(xs, a)
+		faulty = append(faulty, rows)
 		a.Reset()
+	}
+	ki.Remove()
 
-		ki := NewKernelInjector(47, 1)
-		ki.Install()
-		st := &tensor.AbftStats{}
-		a.SetAbft(st)
-		var faulty [][][]float64
-		for round := 0; round < 40; round++ {
-			rows := n32.InferBatch(xs, a)
-			faulty = append(faulty, rows)
-			a.Reset()
-		}
-		ki.Remove()
-
-		c := st.Counts()
-		inj := uint64(ki.Injected())
-		if inj < 40 {
-			t.Fatalf("simd=%v: campaign too small: %d flips", simd, inj)
-		}
-		if c.Uncorrectable != 0 || c.Corrected != c.Detected {
-			t.Fatalf("simd=%v: campaign outcome %+v", simd, c)
-		}
-		if rate := float64(c.Detected) / float64(inj); rate < 0.90 {
-			t.Fatalf("simd=%v: f32 detection rate %.3f < 0.90 (%d/%d)", simd, rate, c.Detected, inj)
-		}
-		if c.Detected == inj {
-			// f32 repairs re-execute scalar reference chains, so corrected
-			// probabilities agree with the clean run within float32 noise.
-			for _, rows := range faulty {
-				for i := range xs {
-					rowsClose(t, rows[i], clean[i], 1e-4, "f32 corrected run")
-				}
+	c := st.Counts()
+	inj := uint64(ki.Injected())
+	if inj < 40 {
+		t.Fatalf("campaign too small: %d flips", inj)
+	}
+	if c.Uncorrectable != 0 || c.Corrected != c.Detected {
+		t.Fatalf("campaign outcome %+v", c)
+	}
+	if rate := float64(c.Detected) / float64(inj); rate < 0.90 {
+		t.Fatalf("f32 detection rate %.3f < 0.90 (%d/%d)", rate, c.Detected, inj)
+	}
+	if c.Detected == inj {
+		// f32 repairs re-execute scalar reference chains, so corrected
+		// probabilities agree with the clean run within float32 noise.
+		for _, rows := range faulty {
+			for i := range xs {
+				rowsClose(t, rows[i], clean[i], 1e-4, "f32 corrected run")
 			}
 		}
 	}

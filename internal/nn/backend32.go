@@ -11,8 +11,7 @@ import (
 // Network is compiled once into a Net32 — a list of inference-only nodes
 // holding float32 copies of the weights — and every subsequent forward pass
 // runs entirely in float32 through the batched f32 kernels
-// (tensor.Im2ColBatch32 + GemmInto32Fast on the FMA microkernel,
-// tensor.WinogradConv3x3F32Pre on scalar targets, MatMulTransBInto32), with
+// (tensor.Im2ColBatch32 + GemmInto32Fast, MatMulTransBInto32), with
 // each convolution's trailing ReLU and 2×2 max-pool folded into its
 // epilogue by the last compile pass (Net32.fuse). The batch layout is the
 // image-major [B, elems] backing of nn/batch.go.
@@ -232,22 +231,14 @@ func softmax64From32(logits []float32) []float64 {
 }
 
 // conv32 is the compiled float32 convolution, with the same dispatch and
-// epilogue as the f64 Conv2D.forwardEpi. With the vector kernels enabled
-// it lowers the batch with Im2ColBatch32 and runs the FMA GEMM — the f64
-// driver at twice the lanes; on scalar targets Winograd-eligible
-// geometries keep the F(4×4,3×3) transform (the multiply-count cut is what
-// wins without SIMD) and the rest take the bit-exact f32 GEMM.
+// epilogue as the f64 Conv2D.forwardEpi: it lowers the batch with
+// Im2ColBatch32 and runs GemmInto32Fast — the f64 driver at twice the
+// lanes on AVX2 machines, the pure-Go f32 GEMM elsewhere.
 type conv32 struct {
 	inC, outC, kh, kw, stride, pad int
 
 	weight *tensor.T32 // [OutC, InC*KH*KW]
 	bias   []float32   // [OutC]
-
-	// winoU32 is the prepacked Winograd filter transform (DESIGN.md §14),
-	// computed once at compile time for 3×3/s1/p1 kernels and nil for
-	// other shapes. Every Winograd-eligible geometry is 3×3/s1/p1, so the
-	// scalar Winograd route always finds it set.
-	winoU32 []float32
 
 	// epi holds the stages the epilogue absorbed from the following nodes
 	// (Net32.fuse); 0 for bias only.
@@ -259,15 +250,11 @@ func newConv32(c *Conv2D) *conv32 {
 	for i, v := range c.bias.Value.Data {
 		bias[i] = float32(v)
 	}
-	cc := &conv32{
+	return &conv32{
 		inC: c.InC, outC: c.OutC, kh: c.KH, kw: c.KW, stride: c.Stride, pad: c.Pad,
 		weight: tensor.To32(c.weight.Value),
 		bias:   bias,
 	}
-	if cc.kh == 3 && cc.kw == 3 && cc.stride == 1 && cc.pad == 1 {
-		cc.winoU32 = tensor.PackWinoFilter32(cc.weight, cc.outC, cc.inC)
-	}
-	return cc
 }
 
 func (c *conv32) geometry(in []int) tensor.ConvGeom {
@@ -283,20 +270,6 @@ func (c *conv32) forward(src *tensor.T32, inShape []int, bsz int, a *tensor.Aren
 	ohw := oh * ow
 	ckk := c.inC * c.kh * c.kw
 	outShape := epiShape(c.outC, oh, ow, c.epi)
-
-	if !tensor.SIMDEnabled() && tensor.WinogradEligible(g) {
-		dst := a.NewRaw(bsz, c.outC*ohw)
-		tensor.WinogradConv3x3F32Pre(dst, src, bsz, c.outC, c.winoU32, c.bias, g, a)
-		if s := a.Abft(); s != nil {
-			s.Record(tensor.VerifyWinogradConv32(dst, src, bsz, c.outC, c.weight, c.bias, g))
-		}
-		out := dst
-		if c.epi&tensor.EpiPool != 0 {
-			out = a.NewRaw(bsz, prodShape(outShape))
-		}
-		rectifyPlanes(out.Data, dst.Data, bsz*c.outC, oh, ow, c.epi)
-		return out, outShape
-	}
 
 	cm := a.NewRaw(c.outC, bsz*ohw)
 	if a.Abft() == nil && bsz*ohw >= tensor.ImplicitConvMinN {

@@ -41,21 +41,16 @@ func backendFixtures(t testing.TB) []backendFixture {
 	return fs
 }
 
-// withBackendSIMD runs f under both kernel implementations so the compiled
-// convolution exercises both its im2col+FMA and Winograd/scalar routes.
-func withBackendSIMD(t *testing.T, f func(t *testing.T)) {
-	t.Run("scalar", func(t *testing.T) {
-		prev := tensor.SetSIMD(false)
-		defer tensor.SetSIMD(prev)
-		f(t)
-	})
+// kernelLeg runs f in one subtest named for the kernel bodies this build
+// serves with: "simd" where the AVX2 kernels are available, "scalar" on a
+// pure-Go build. It selects nothing; it names what the machine picked, so a
+// failure says which bodies it ran on.
+func kernelLeg(t *testing.T, f func(t *testing.T)) {
+	name := "scalar"
 	if tensor.SIMDAvailable() {
-		t.Run("simd", func(t *testing.T) {
-			prev := tensor.SetSIMD(true)
-			defer tensor.SetSIMD(prev)
-			f(t)
-		})
+		name = "simd"
 	}
+	t.Run(name, f)
 }
 
 // f64Reference computes the per-image float64 softmax rows.
@@ -85,7 +80,7 @@ func TestCompile32MatchesF64(t *testing.T) {
 	for _, f := range backendFixtures(t) {
 		f := f
 		t.Run(f.name, func(t *testing.T) {
-			withBackendSIMD(t, func(t *testing.T) {
+			kernelLeg(t, func(t *testing.T) {
 				net32, err := f.net.Compile32()
 				if err != nil {
 					t.Fatal(err)

@@ -12,10 +12,9 @@ import (
 // *batch*, with every layer processing all B images in one kernel call.
 // Convolutions lower the whole batch with tensor.Im2ColBatch (or generate
 // it block by block, tensor.ConvGemmIm2Col) and run a single
-// [OutC, C*KH*KW] × [C*KH*KW, B*OH*OW] GEMM on the FMA microkernel
-// (tensor.GemmIntoFast); on scalar targets Winograd-eligible convolutions
-// (3×3/s1/p1, dims divisible by 4) take the F(4×4,3×3) transform path
-// (tensor.WinogradConv3x3) and the rest the blocked tensor.GemmInto.
+// [OutC, C*KH*KW] × [C*KH*KW, B*OH*OW] GEMM (tensor.GemmIntoFast): the
+// FMA microkernel where the machine has AVX2, the pure-Go blocked GEMM
+// elsewhere — the same lowering on every target.
 // A convolution's epilogue absorbs the ReLU and 2×2 max-pool that follow
 // it (nn/epilogue.go): one pass from the GEMM output to the next layer's
 // input, unless an ActivationHook must see every layer. Dense layers
@@ -36,9 +35,7 @@ import (
 // which survives as the test oracle — predictions (argmax) are identical
 // and softmax probabilities agree within 1e-9
 // (TestInferBatchArenaMatchesInfer): the FMA GEMM fuses each ascending-k
-// multiply-add where Forward rounds twice, on scalar targets the Winograd
-// convolution sums in the transform domain (~1e-13 relative, locked by
-// TestWinogradConvMatchesIm2Col), and the Dense matmul uses
+// multiply-add where Forward rounds twice, and the Dense matmul uses
 // MatMulTransBInto's unrolled dot + bias-after instead of bias-first.
 //
 // Like Infer, the path never mutates network state and is safe for
@@ -132,46 +129,18 @@ func (c *Conv2D) forwardBatchArena(src *tensor.T, inShape []int, bsz int, st *ba
 // forwardEpi is the convolution with the epilogue stages e (a rectifier
 // and/or a 2×2 max-pool absorbed from the layers that follow it; 0 for
 // bias only), with the same dispatch as the f32 backend's conv32.forward.
-// With the vector kernels on, every geometry takes the batched im2col
-// route onto the 4×8 FMA GEMM: one lowering (generated block by block
-// inside the GEMM at batched widths), one GEMM for all images, then one
-// epilogue pass that reads each (channel, image) plane of the GEMM's
+// Every geometry takes the batched im2col route onto the GEMM (the 4×8
+// FMA microkernel on AVX2 machines): one lowering (generated block by
+// block inside the GEMM at batched widths), one GEMM for all images, then
+// one epilogue pass that reads each (channel, image) plane of the GEMM's
 // channel-major [OutC, B, OH*OW] output once and writes it biased,
-// rectified and pooled into the next layer's image-major input. On a
-// scalar target, Winograd-eligible geometries (3×3, stride 1, pad 1,
-// spatial dims divisible by 4 — every conv in the CIFAR topologies) take
-// the F(4×4,3×3) transform instead (without SIMD its 4× multiply cut is
-// the only way past one multiply per instruction); it adds the bias
-// itself, and the remaining stages run over its output.
+// rectified and pooled into the next layer's image-major input.
 func (c *Conv2D) forwardEpi(src *tensor.T, inShape []int, bsz int, st *batchState, e tensor.Epi) (*tensor.T, []int) {
 	g := c.geometry(inShape)
 	oh, ow := g.OutH(), g.OutW()
 	ohw := oh * ow
 	ckk := c.InC * c.KH * c.KW
 	outShape := epiShape(c.OutC, oh, ow, e)
-
-	if !tensor.SIMDEnabled() && tensor.WinogradEligible(g) {
-		dst := st.a.NewRaw(bsz, c.OutC*ohw)
-		if c.winoU != nil {
-			// Compile-time filter transform (Network.Prepack); input and
-			// output transforms are identical, so results match the
-			// transform-per-call path an un-prepacked net takes bit for
-			// bit. Verification below is unaffected: VerifyWinogradConv
-			// works from image + weights.
-			tensor.WinogradConv3x3Pre(dst, src, bsz, c.OutC, c.winoU, c.bias.Value.Data, g, st.a)
-		} else {
-			tensor.WinogradConv3x3(dst, src, bsz, c.OutC, c.weight.Value, c.bias.Value.Data, g, st.a)
-		}
-		if s := st.a.Abft(); s != nil {
-			s.Record(tensor.VerifyWinogradConv(dst, src, bsz, c.OutC, c.weight.Value, c.bias.Value.Data, g))
-		}
-		out := dst
-		if e&tensor.EpiPool != 0 {
-			out = st.a.NewRaw(bsz, prodShape(outShape))
-		}
-		rectifyPlanes(out.Data, dst.Data, bsz*c.OutC, oh, ow, e)
-		return out, outShape
-	}
 
 	cm := st.a.NewRaw(c.OutC, bsz*ohw)
 	if st.a.Abft() == nil && bsz*ohw >= tensor.ImplicitConvMinN {

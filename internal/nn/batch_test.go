@@ -53,20 +53,18 @@ func batchFixtures(t testing.TB) []struct {
 // perImageTol bounds |Δsoftmax| between the batched engine and the
 // Network.Infer oracle (the training Forward). The two differ by named
 // reassociations only: the convolution GEMM fuses each ascending-k
-// multiply-add (FMA) where Forward's im2col GEMM rounds product and sum
-// separately; with SIMD off, Winograd F(4×4,3×3) sums in the transform
-// domain instead (~1e-13 relative per activation); and the batched Dense
-// adds the bias after an unrolled dot where Forward starts from it.
+// multiply-add (FMA) on AVX2 machines where Forward's im2col GEMM rounds
+// product and sum separately, and the batched Dense adds the bias after
+// an unrolled dot where Forward starts from it.
 const perImageTol = 1e-9
 
 // TestInferBatchArenaMatchesInfer holds the batched engine to the oracle:
-// for every zoo topology, both SIMD settings and B ∈ {1, 2, 7, 32}, the
+// for every zoo topology and B ∈ {1, 2, 7, 32}, the
 // fused batch path must agree with Network.Infer on the argmax always and
 // on every softmax probability within perImageTol. B=1 is an ordinary
 // batch here — that batches agree with each other bit for bit, whatever
 // their composition, is TestBatchCompositionInvariant's job.
 func TestInferBatchArenaMatchesInfer(t *testing.T) {
-	defer tensor.SetSIMD(true)
 	for _, f := range batchFixtures(t) {
 		f := f
 		t.Run(f.name, func(t *testing.T) {
@@ -74,29 +72,26 @@ func TestInferBatchArenaMatchesInfer(t *testing.T) {
 			for i, x := range f.xs {
 				want[i] = f.net.Infer(x)
 			}
-			for _, simd := range []bool{true, false} {
-				tensor.SetSIMD(simd)
-				for _, bsz := range []int{1, 2, 7, 32} {
-					a := tensor.NewArena()
-					got := f.net.InferBatchArena(f.xs[:bsz], a)
-					if len(got) != bsz {
-						t.Fatalf("simd=%v B=%d: got %d outputs", simd, bsz, len(got))
-					}
-					for i, p := range got {
-						wi, _ := want[i].MaxIndex()
-						gi, _ := p.MaxIndex()
-						if wi != gi {
-							t.Errorf("simd=%v B=%d image %d: argmax %d != Infer %d", simd, bsz, i, gi, wi)
-						}
-						for j := range p.Data {
-							if d := math.Abs(p.Data[j] - want[i].Data[j]); d > perImageTol {
-								t.Fatalf("simd=%v B=%d image %d class %d: |Δsoftmax| = %g > %g (batched %v, Infer %v)",
-									simd, bsz, i, j, d, perImageTol, p.Data[j], want[i].Data[j])
-							}
-						}
-					}
-					a.Reset()
+			for _, bsz := range []int{1, 2, 7, 32} {
+				a := tensor.NewArena()
+				got := f.net.InferBatchArena(f.xs[:bsz], a)
+				if len(got) != bsz {
+					t.Fatalf("B=%d: got %d outputs", bsz, len(got))
 				}
+				for i, p := range got {
+					wi, _ := want[i].MaxIndex()
+					gi, _ := p.MaxIndex()
+					if wi != gi {
+						t.Errorf("B=%d image %d: argmax %d != Infer %d", bsz, i, gi, wi)
+					}
+					for j := range p.Data {
+						if d := math.Abs(p.Data[j] - want[i].Data[j]); d > perImageTol {
+							t.Fatalf("B=%d image %d class %d: |Δsoftmax| = %g > %g (batched %v, Infer %v)",
+								bsz, i, j, d, perImageTol, p.Data[j], want[i].Data[j])
+						}
+					}
+				}
+				a.Reset()
 			}
 		})
 	}

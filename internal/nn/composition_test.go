@@ -138,7 +138,7 @@ func TestPoisonedScratchIdentity(t *testing.T) {
 		for _, be := range backends {
 			be := be
 			t.Run(f.name+"/"+be.name, func(t *testing.T) {
-				withBackendSIMD(t, func(t *testing.T) {
+				kernelLeg(t, func(t *testing.T) {
 					poison := make([]*tensor.T, len(f.xs))
 					for i := range poison {
 						poison[i] = tensor.New(f.xs[0].Shape...)

@@ -18,13 +18,6 @@ type Conv2D struct {
 	weight *Param // [OutC, InC*KH*KW]
 	bias   *Param // [OutC]
 
-	// winoU is the prepacked Winograd filter transform (36×OutC×InC,
-	// tensor.PackWinoFilter), set by Network.Prepack for frozen inference
-	// networks whose kernel is 3×3/s1/p1 and invalidated by Backward
-	// (training mutates the weights it was derived from). nil means the
-	// batched forward recomputes the transform per call.
-	winoU []float64
-
 	// cached state for Backward
 	geom tensor.ConvGeom
 	cols *tensor.T // im2col of last training input
@@ -98,8 +91,6 @@ func (c *Conv2D) Backward(grad *tensor.T) *tensor.T {
 	if c.cols == nil {
 		panic("nn: Conv2D.Backward called before Forward(train=true)")
 	}
-	// Training is about to update the weights this pack was derived from.
-	c.winoU = nil
 	g := c.geom
 	oh, ow := g.OutH(), g.OutW()
 	g2 := grad.Reshape(c.OutC, oh*ow)

@@ -12,7 +12,7 @@ import (
 
 // TestFusedEpilogueMatchesLayerwise holds the fused convolution epilogue to
 // the network walked layer by layer: for every zoo topology on every
-// backend, SIMD on and off, at B ∈ {1, 7, 32}, each fused softmax row must
+// backend at B ∈ {1, 7, 32}, each fused softmax row must
 // be Float64bits-equal to the layerwise one. The f64 reference is the same
 // network with a no-op ActivationHook (a hook must see every layer, so it
 // switches fusion off); the compiled references skip the fuse pass. The
@@ -70,7 +70,7 @@ func TestFusedEpilogueMatchesLayerwise(t *testing.T) {
 		for _, be := range backends {
 			be := be
 			t.Run(f.name+"/"+be.name, func(t *testing.T) {
-				withBackendSIMD(t, func(t *testing.T) {
+				kernelLeg(t, func(t *testing.T) {
 					for _, bsz := range []int{1, 7, 32} {
 						got, want := be.fused(f.xs[:bsz]), be.layerwise(f.xs[:bsz])
 						for i := range want {

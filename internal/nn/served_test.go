@@ -14,18 +14,17 @@ import (
 // take the explicit im2col + GEMM route the checksums are defined on; an
 // arena without one takes what serving runs — the implicit GEMM, the int8
 // direct shift convolution and the packed int8 Dense. On a clean run the
-// two must produce Float64bits-equal rows for every zoo topology, backend,
-// SIMD setting and batch size, and the verifier must have checked something
-// without detecting anything. The f64 network and the compiled Net32
-// backends are separate subtrees: f64/<topology>/<simd> and
-// net32/<topology>/<f32|int8>/<simd>.
+// two must produce Float64bits-equal rows for every zoo topology, backend
+// and batch size, and the verifier must have checked something without
+// detecting anything. The f64 network and the compiled Net32 backends are
+// separate subtrees: f64/<topology>/<kernel set> and
+// net32/<topology>/<f32|int8>/<kernel set>, the last level named by kernelLeg.
 func TestVerifiedRowsMatchServed(t *testing.T) {
 	t.Run("f64", func(t *testing.T) {
 		for _, f := range backendFixtures(t) {
 			f := f
-			f.net.Prepack() // the f64 member as core.PrepareBackends serves it
 			t.Run(f.name, func(t *testing.T) {
-				withBackendSIMD(t, func(t *testing.T) {
+				kernelLeg(t, func(t *testing.T) {
 					checkVerifiedRowsMatchServed(t, f.xs, func(xs []*tensor.T, abft *tensor.AbftStats) [][]float64 {
 						a := tensor.NewArena()
 						a.SetAbft(abft)
@@ -53,7 +52,7 @@ func TestVerifiedRowsMatchServed(t *testing.T) {
 				}{{"f32", net32}, {"int8", net8}} {
 					b := b
 					t.Run(b.name, func(t *testing.T) {
-						withBackendSIMD(t, func(t *testing.T) {
+						kernelLeg(t, func(t *testing.T) {
 							checkVerifiedRowsMatchServed(t, f.xs, func(xs []*tensor.T, abft *tensor.AbftStats) [][]float64 {
 								a := tensor.NewArena32()
 								a.SetAbft(abft)
@@ -89,15 +88,14 @@ func checkVerifiedRowsMatchServed(t *testing.T, xs []*tensor.T, run func(xs []*t
 	}
 }
 
-// TestSharedNetworkConcurrent hammers one prepacked f64 network and its
-// compiled f32 and int8 nets from many goroutines with private arenas — the
+// TestSharedNetworkConcurrent hammers one f64 network and its compiled
+// f32 and int8 nets from many goroutines with private arenas — the
 // serving layout. Run under -race this locks that the served forward paths
 // (pooled generation blocks, shared packed weight buffers) are data-race
 // free and deterministic across goroutines.
 func TestSharedNetworkConcurrent(t *testing.T) {
 	fs := backendFixtures(t)
 	f := fs[1] // convnet: conv-heavy, exercises every implicit path
-	f.net.Prepack()
 	net32, err := f.net.Compile32()
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Algorithm-based fault tolerance (ABFT) for the inference kernels, after
@@ -56,11 +57,6 @@ const (
 	// is large; keeping the multiplier small preserves sensitivity to
 	// mid-mantissa bit flips.
 	abftTol = 8.0
-	// abftTolWino is the multiplier for the Winograd convolution check:
-	// the F(4×4,3×3) transforms reassociate sums and scale intermediates,
-	// so the output disagrees with the direct convolution the bound models
-	// by a larger (empirically ~100× ε) factor.
-	abftTolWino = 32.0
 	// abftMaxRetries bounds re-execution of a mismatched column/row before
 	// it is declared uncorrectable.
 	abftMaxRetries = 2
@@ -258,8 +254,8 @@ func abftMismatch(pred, act, tol, bnd, lim float64) bool {
 
 // abftColTol returns the float tolerance for one column/row with magnitude
 // envelope bnd, chain length k and summation length m.
-func abftColTol(bnd float64, k, m int, eps, eta, mult float64) float64 {
-	return mult * (float64(k+m)*eps*bnd + float64(m+1)*float64(k+1)*eta)
+func abftColTol(bnd float64, k, m int, eps, eta float64) float64 {
+	return abftTol * (float64(k+m)*eps*bnd + float64(m+1)*float64(k+1)*eta)
 }
 
 // recomputeGemmCol re-executes column j of C = A×B with the scalar
@@ -391,30 +387,46 @@ func abftIntBuf[I int32 | int64](sc *abftScratch, n int) []I {
 	return any(growScratch(&sc.i64, n)).([]I)
 }
 
-// axpyAuto adds alpha·src into dst, routing the concrete float types to
-// the AVX2 row kernels when available; the tail (and every other type)
-// runs the unrolled scalar loop.
+// axpyAuto adds alpha·src into dst on the AVX2 row kernels where the
+// machine has them, on axpyUnrolled elsewhere. The vector kernels fuse
+// each multiply-add (one rounding) where axpyUnrolled rounds twice, so
+// the last partial register's worth does not fall back to the scalar
+// loop: it runs through the same kernel on zero-padded scratch, as
+// fmaGemmTail does for the GEMM. A column's predicted checksum then has
+// the same bits wherever the column sits — which is what keeps the
+// verifier's verdict on an image independent of its batchmates.
 func axpyAuto[F Float](dst []F, alpha F, src []F) {
-	if useSIMD() {
-		switch d := any(dst).(type) {
-		case []float32:
-			if nb := len(dst) &^ 7; nb > 0 {
-				axpyRowF32AVX(&d[0], &any(src).([]float32)[0], nb, float32(alpha))
-				dst, src = dst[nb:], src[nb:]
-			}
-		case []float64:
-			if nb := len(dst) &^ 3; nb > 0 {
-				axpyRowF64AVX(&d[0], &any(src).([]float64)[0], nb, float64(alpha))
-				dst, src = dst[nb:], src[nb:]
-			}
-		}
+	if !simdAvailable {
+		axpyUnrolled(dst, alpha, src)
+		return
 	}
-	axpyUnrolled(dst, alpha, src)
+	n := len(dst)
+	nb := n - n%ymmLanes[F]()
+	if nb > 0 {
+		axpyRow(&dst[0], &src[0], nb, alpha)
+	}
+	if nb < n {
+		var d, s [8]F
+		copy(s[:], src[nb:n])
+		copy(d[:], dst[nb:])
+		axpyRow(&d[0], &s[0], ymmLanes[F](), alpha)
+		copy(dst[nb:], d[:n-nb])
+	}
+}
+
+// axpyRow runs F's AVX2 axpy kernel on n values (n a multiple of one YMM
+// register's lanes). The size test is a constant in each instantiation.
+func axpyRow[F Float](dst, src *F, n int, alpha F) {
+	if unsafe.Sizeof(alpha) == 4 {
+		axpyRowF32AVX((*float32)(unsafe.Pointer(dst)), (*float32)(unsafe.Pointer(src)), n, *(*float32)(unsafe.Pointer(&alpha)))
+		return
+	}
+	axpyRowF64AVX((*float64)(unsafe.Pointer(dst)), (*float64)(unsafe.Pointer(src)), n, *(*float64)(unsafe.Pointer(&alpha)))
 }
 
 // sumAbsAuto is the dispatching variant of sumAbsAccum.
 func sumAbsAuto[F Float](sum, sumAbs []F, row []F) {
-	if useSIMD() {
+	if simdAvailable {
 		switch s := any(sum).(type) {
 		case []float32:
 			if nb := len(row) &^ 7; nb > 0 {
@@ -436,7 +448,7 @@ func sumAbsAuto[F Float](sum, sumAbs []F, row []F) {
 // clear pass.
 func scaleSetAuto[F Float](dst []F, alpha F, src []F) {
 	j := 0
-	if d, ok := any(dst).([]float32); ok && useSIMD() {
+	if d, ok := any(dst).([]float32); ok && simdAvailable {
 		if nb := len(dst) &^ 7; nb > 0 {
 			scaleSetRowF32AVX(&d[0], &any(src).([]float32)[0], nb, float32(alpha))
 			j = nb
@@ -452,7 +464,7 @@ func scaleSetAuto[F Float](dst []F, alpha F, src []F) {
 // test is false for NaN, the vector path only clears the sign bit).
 func setAbsAuto[F Float](sum, sumAbs, row []F) {
 	j := 0
-	if s, ok := any(sum).([]float32); ok && useSIMD() {
+	if s, ok := any(sum).([]float32); ok && simdAvailable {
 		if nb := len(row) &^ 7; nb > 0 {
 			setAbsRowF32AVX(&s[0], &any(sumAbs).([]float32)[0], &any(row).([]float32)[0], nb)
 			j = nb
@@ -484,7 +496,7 @@ func f32Down(x float64) float32 {
 func predRowU8(pred, csRef []int32, b []uint8, s int32) {
 	n := len(b)
 	j := 0
-	if useSIMD() {
+	if simdAvailable {
 		if nb := n &^ 7; nb > 0 {
 			predRowU8AVX(&pred[0], &csRef[0], &b[0], nb, s)
 			j = nb
@@ -502,7 +514,7 @@ func predRowU8(pred, csRef []int32, b []uint8, s int32) {
 func sumRowI32(acc, row []int32) {
 	n := len(row)
 	i := 0
-	if useSIMD() {
+	if simdAvailable {
 		if nb := n &^ 7; nb > 0 {
 			sumRowI32AVX(&acc[0], &row[0], nb)
 			i = nb
@@ -580,7 +592,7 @@ func verifyGemmCols[F Float](cd, ad, bd []F, m, k, n int, eps, eta, lim float64)
 		for p := 0; p < k; p++ {
 			bnd += aAbs[p] * math.Abs(float64(bd[p*n+j]))
 		}
-		tol := abftColTol(bnd, k, m, eps, eta, abftTol)
+		tol := abftColTol(bnd, k, m, eps, eta)
 		if !abftMismatch(float64(pred[j]), float64(act[j]), tol, bnd, lim) {
 			return
 		}
@@ -605,7 +617,7 @@ func verifyGemmCols[F Float](cd, ad, bd []F, m, k, n int, eps, eta, lim float64)
 		}
 	}
 	j := 0
-	if p32, ok := any(pred).([]float32); ok && useSIMD() {
+	if p32, ok := any(pred).([]float32); ok && simdAvailable {
 		// Vectorized fast tier: eight columns per scan step against
 		// single-precision proxy constants deflated by 4 ulp (and rounded
 		// toward zero), so the vector tolerance never exceeds the exact
@@ -696,7 +708,7 @@ func verifyGemmRowsTransB[F Float](cd, ad, bd []F, m, k, n int, eps, eta, lim fl
 		for p, v := range arow {
 			bnd += math.Abs(float64(v)) * bAbs[p]
 		}
-		tol := abftColTol(bnd, k, n, eps, eta, abftTol)
+		tol := abftColTol(bnd, k, n, eps, eta)
 		if !abftMismatch(pred, act, tol, bnd, lim) {
 			continue
 		}
@@ -876,169 +888,4 @@ func verifyGemmU8Cols[I int32 | int64](c, colsum []int32, a, b []uint8, m, k, n 
 		}
 	}
 	return o
-}
-
-// directConvChannel re-executes one (image, output-channel) plane of a
-// 3×3/stride-1/pad-1 convolution directly from the image — the repair path
-// of the Winograd check, where no lowered column matrix exists.
-func directConvChannel[F Float](out, img, wrow []F, bias F, g ConvGeom) {
-	h, w := g.InH, g.InW
-	hw := h * w
-	for oy := 0; oy < h; oy++ {
-		for ox := 0; ox < w; ox++ {
-			acc := bias
-			for c := 0; c < g.InC; c++ {
-				for kh := 0; kh < 3; kh++ {
-					iy := oy + kh - 1
-					if iy < 0 || iy >= h {
-						continue
-					}
-					for kw := 0; kw < 3; kw++ {
-						ix := ox + kw - 1
-						if ix < 0 || ix >= w {
-							continue
-						}
-						acc += wrow[c*9+kh*3+kw] * img[c*hw+iy*w+ix]
-					}
-				}
-			}
-			out[oy*w+ox] = acc
-		}
-	}
-}
-
-// verifyWino checks (and repairs) the output of a Winograd 3×3 convolution
-// per (image, output channel) row. The implicit im2col row sums — what the
-// column matrix would sum to, had it been materialized — are reconstructed
-// directly from the image: for stride 1 / pad 1 each (c, kh, kw) row covers
-// a rectangle of channel c missing at most one border row and one border
-// column, so per-channel row/column/total sums give every rectangle in
-// O(1).
-func verifyWino[F Float](dd, sd []F, bsz, outC int, wd []F, bias []F, g ConvGeom, eps, eta, lim float64) VerifyOutcome {
-	inC, h, w := g.InC, g.InH, g.InW
-	hw := h * w
-	k := inC * 9
-	o := VerifyOutcome{Checks: bsz * outC}
-	rs := make([]float64, k)
-	ra := make([]float64, k)
-	rowS := make([]float64, h)
-	rowA := make([]float64, h)
-	colS := make([]float64, w)
-	colA := make([]float64, w)
-	for b := 0; b < bsz; b++ {
-		img := sd[b*inC*hw : (b+1)*inC*hw]
-		for c := 0; c < inC; c++ {
-			ch := img[c*hw : (c+1)*hw]
-			for x := 0; x < w; x++ {
-				colS[x], colA[x] = 0, 0
-			}
-			var tot, totA float64
-			for y := 0; y < h; y++ {
-				var s, ab float64
-				row := ch[y*w : (y+1)*w]
-				for x, v := range row {
-					fv := float64(v)
-					av := math.Abs(fv)
-					s += fv
-					ab += av
-					colS[x] += fv
-					colA[x] += av
-				}
-				rowS[y], rowA[y] = s, ab
-				tot += s
-				totA += ab
-			}
-			for kh := 0; kh < 3; kh++ {
-				er := -1
-				if kh == 0 {
-					er = h - 1
-				} else if kh == 2 {
-					er = 0
-				}
-				for kw := 0; kw < 3; kw++ {
-					ec := -1
-					if kw == 0 {
-						ec = w - 1
-					} else if kw == 2 {
-						ec = 0
-					}
-					s, ab := tot, totA
-					if er >= 0 {
-						s -= rowS[er]
-						ab -= rowA[er]
-					}
-					if ec >= 0 {
-						s -= colS[ec]
-						ab -= colA[ec]
-					}
-					if er >= 0 && ec >= 0 {
-						v := float64(ch[er*w+ec])
-						s += v
-						ab += math.Abs(v)
-					}
-					if ab < 0 {
-						ab = 0 // rounding of the exclusion arithmetic
-					}
-					rs[c*9+kh*3+kw] = s
-					ra[c*9+kh*3+kw] = ab
-				}
-			}
-		}
-		for oc := 0; oc < outC; oc++ {
-			wrow := wd[oc*k : (oc+1)*k]
-			var pred, bnd float64
-			for p, wv := range wrow {
-				fw := float64(wv)
-				pred += fw * rs[p]
-				bnd += math.Abs(fw) * ra[p]
-			}
-			fb := float64(bias[oc])
-			pred += float64(hw) * fb
-			bnd += float64(hw) * math.Abs(fb)
-			row := dd[b*outC*hw+oc*hw:][:hw]
-			var act float64
-			for _, v := range row {
-				act += float64(v)
-			}
-			tol := abftColTol(bnd, k, hw, eps, eta, abftTolWino)
-			if !abftMismatch(pred, act, tol, bnd, lim) {
-				continue
-			}
-			o.Detected++
-			ok := false
-			for r := 0; r < abftMaxRetries; r++ {
-				callAbftRetryHook(r)
-				directConvChannel(row, img, wrow, bias[oc], g)
-				var s float64
-				for _, v := range row {
-					s += float64(v)
-				}
-				if !abftMismatch(pred, s, tol, bnd, lim) {
-					ok = true
-					break
-				}
-			}
-			if ok {
-				o.Corrected++
-			} else {
-				o.Uncorrectable++
-			}
-		}
-	}
-	return o
-}
-
-// VerifyWinogradConv checks and repairs the output of WinogradConv3x3
-// (dst image-major [bsz, OutC·H·W], bias already added). A repaired plane
-// is re-executed with the direct convolution, whose values differ from the
-// Winograd transform's within float rounding.
-func VerifyWinogradConv(dst, src *T, bsz, outC int, weight *T, bias []float64, g ConvGeom) VerifyOutcome {
-	injectF64(dst.Data[:bsz*outC*g.InH*g.InW])
-	return verifyWino(dst.Data, src.Data, bsz, outC, weight.Data, bias, g, abftEps64, abftEta64, abftLim64)
-}
-
-// VerifyWinogradConv32 is VerifyWinogradConv for the float32 backend.
-func VerifyWinogradConv32(dst, src *T32, bsz, outC int, weight *T32, bias []float32, g ConvGeom) VerifyOutcome {
-	injectF32(dst.Data[:bsz*outC*g.InH*g.InW])
-	return verifyWino(dst.Data, src.Data, bsz, outC, weight.Data, bias, g, abftEps32, abftEta32, abftLim32)
 }

@@ -55,11 +55,10 @@ func TestVerifyGemmCleanBitIdentical(t *testing.T) {
 }
 
 // TestVerifyGemm32CleanBitIdentical is the f32 clean-run contract, covering
-// both the FMA microkernel and the scalar fallback.
+// both the FMA microkernel and the pure-Go GEMM.
 func TestVerifyGemm32CleanBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	for _, simd := range []bool{false, true} {
-		prev := SetSIMD(simd)
+	for _, simd := range kernelLegs() {
 		for _, s := range [][3]int{{3, 5, 7}, {16, 48, 96}, {65, 33, 130}} {
 			m, k, n := s[0], s[1], s[2]
 			a := New32(m, k)
@@ -67,9 +66,9 @@ func TestVerifyGemm32CleanBitIdentical(t *testing.T) {
 			b := New32(k, n)
 			fillNormal32(b, rng)
 			want := New32(m, n)
-			GemmInto32Fast(want, a, b)
+			gemmFastLeg(simd, want.Data, a.Data, b.Data, m, k, n)
 			got := New32(m, n)
-			GemmInto32Fast(got, a, b)
+			gemmFastLeg(simd, got.Data, a.Data, b.Data, m, k, n)
 			o := VerifyGemm32(got, a, b)
 			if o.Checks != n || o.Detected != 0 {
 				t.Fatalf("simd=%v %v: outcome %+v, want %d checks and 0 detections", simd, s, o, n)
@@ -80,7 +79,6 @@ func TestVerifyGemm32CleanBitIdentical(t *testing.T) {
 				}
 			}
 		}
-		SetSIMD(prev)
 	}
 }
 
@@ -88,8 +86,7 @@ func TestVerifyGemm32CleanBitIdentical(t *testing.T) {
 // verified GEMM on clean runs, under both the vector and SWAR kernels.
 func TestVerifyGemmU8Clean(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for _, simd := range []bool{false, true} {
-		prev := SetSIMD(simd)
+	for _, simd := range kernelLegs() {
 		m, k, n := 9, 33, 70
 		a := make([]uint8, m*k)
 		b := make([]uint8, k*n)
@@ -101,10 +98,10 @@ func TestVerifyGemmU8Clean(t *testing.T) {
 		}
 		want := make([]int32, m*n)
 		wantCS := make([]int32, n)
-		GemmU8Into(want, wantCS, a, b, m, k, n)
+		gemmU8(want, wantCS, a, b, m, k, n, simd)
 		got := make([]int32, m*n)
 		gotCS := make([]int32, n)
-		GemmU8Into(got, gotCS, a, b, m, k, n)
+		gemmU8(got, gotCS, a, b, m, k, n, simd)
 		o := VerifyGemmU8(got, gotCS, a, b, m, k, n)
 		if o.Checks != n || o.Detected != 0 {
 			t.Fatalf("simd=%v: outcome %+v, want %d checks and 0 detections", simd, o, n)
@@ -119,7 +116,6 @@ func TestVerifyGemmU8Clean(t *testing.T) {
 				t.Fatalf("simd=%v colsum[%d]: %d != %d", simd, j, gotCS[j], wantCS[j])
 			}
 		}
-		SetSIMD(prev)
 	}
 }
 
@@ -152,21 +148,21 @@ func TestVerifyGemmDetectsAndCorrects(t *testing.T) {
 	}
 }
 
-// TestVerifyGemm32DetectsAndCorrects is the f32 flip coverage. Under the
-// FMA kernel the repaired column is re-executed with the scalar chain, so
-// repaired values are checked against a fresh verification pass and a
-// loose numeric agreement instead of bit equality.
+// TestVerifyGemm32DetectsAndCorrects is the f32 flip coverage, on products
+// of the FMA kernel and of the pure-Go GEMM. Under the FMA kernel the
+// repaired column is re-executed with the scalar chain, so repaired values
+// are checked against a fresh verification pass and a loose numeric
+// agreement instead of bit equality.
 func TestVerifyGemm32DetectsAndCorrects(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
-	for _, simd := range []bool{false, true} {
-		prev := SetSIMD(simd)
+	for _, simd := range kernelLegs() {
 		m, k, n := 16, 32, 48
 		a := New32(m, k)
 		fillNormal32(a, rng)
 		b := New32(k, n)
 		fillNormal32(b, rng)
 		clean := New32(m, n)
-		GemmInto32Fast(clean, a, b)
+		gemmFastLeg(simd, clean.Data, a.Data, b.Data, m, k, n)
 		for _, bit := range []uint{31, 30, 25, 22} {
 			c := &T32{Shape: []int{m, n}, Data: append([]float32(nil), clean.Data...)}
 			idx := rng.Intn(m * n)
@@ -185,7 +181,6 @@ func TestVerifyGemm32DetectsAndCorrects(t *testing.T) {
 				}
 			}
 		}
-		SetSIMD(prev)
 	}
 }
 
@@ -284,79 +279,6 @@ func TestVerifyMatMulTransB(t *testing.T) {
 	}
 }
 
-// TestVerifyWinogradConv covers the transform-path check: a clean Winograd
-// output passes untouched (no false positive from the transforms' larger
-// rounding), and a high-order flip is detected and repaired with the
-// direct convolution to within float rounding of the clean plane.
-func TestVerifyWinogradConv(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	g := ConvGeom{InC: 3, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	if !WinogradEligible(g) {
-		t.Fatal("test geometry must be Winograd-eligible")
-	}
-	bsz, outC := 4, 5
-	hw := g.InH * g.InW
-
-	src := New(bsz, g.InC*hw)
-	src.FillNormal(rng, 0, 1)
-	w := New(outC, g.InC*9)
-	w.FillNormal(rng, 0, 0.5)
-	bias := make([]float64, outC)
-	for i := range bias {
-		bias[i] = rng.NormFloat64()
-	}
-	a := NewArena()
-	dst := New(bsz, outC*hw)
-	WinogradConv3x3(dst, src, bsz, outC, w, bias, g, a)
-	clean := dst.Clone()
-
-	if o := VerifyWinogradConv(dst, src, bsz, outC, w, bias, g); o.Checks != bsz*outC || o.Detected != 0 {
-		t.Fatalf("clean run: outcome %+v", o)
-	}
-	for i := range dst.Data {
-		if math.Float64bits(dst.Data[i]) != math.Float64bits(clean.Data[i]) {
-			t.Fatalf("clean verification mutated element %d", i)
-		}
-	}
-
-	flipBit64(&dst.Data[3*outC*hw/2], 62)
-	o := VerifyWinogradConv(dst, src, bsz, outC, w, bias, g)
-	if o.Detected != 1 || o.Corrected != 1 {
-		t.Fatalf("flip: outcome %+v, want one corrected detection", o)
-	}
-	for i := range dst.Data {
-		ref := clean.Data[i]
-		if d := math.Abs(dst.Data[i] - ref); d > 1e-10*(1+math.Abs(ref)) {
-			t.Fatalf("repaired element %d = %v too far from clean %v", i, dst.Data[i], ref)
-		}
-	}
-
-	// f32 variant.
-	src32 := To32(src)
-	w32 := To32(w)
-	bias32 := make([]float32, outC)
-	for i, v := range bias {
-		bias32[i] = float32(v)
-	}
-	a32 := NewArena32()
-	dst32 := New32(bsz, outC*hw)
-	WinogradConv3x3F32Pre(dst32, src32, bsz, outC, PackWinoFilter32(w32, outC, g.InC), bias32, g, a32)
-	clean32 := append([]float32(nil), dst32.Data...)
-	if o := VerifyWinogradConv32(dst32, src32, bsz, outC, w32, bias32, g); o.Detected != 0 {
-		t.Fatalf("clean f32 run: outcome %+v", o)
-	}
-	flipBit32(&dst32.Data[7], 30)
-	if o := VerifyWinogradConv32(dst32, src32, bsz, outC, w32, bias32, g); o.Detected != 1 || o.Corrected != 1 {
-		t.Fatalf("f32 flip: outcome %+v", o)
-	}
-	for i := range dst32.Data {
-		ref := float64(clean32[i])
-		if d := math.Abs(float64(dst32.Data[i]) - ref); d > 1e-4*(1+math.Abs(ref)) {
-			t.Fatalf("f32 repaired element %d = %v too far from clean %v", i, dst32.Data[i], ref)
-		}
-	}
-}
-
 // TestVerifyUncorrectable models a fault that persists across re-execution
 // (corrupted operand memory) via the retry hook: the mismatch must survive
 // every bounded retry and be reported uncorrectable.
@@ -400,21 +322,19 @@ func TestAbftStats(t *testing.T) {
 }
 
 // TestAbftZeroFalsePositivesCleanGemms runs 500 clean randomized GEMMs
-// through the verified kernels — f64, f32 (both SIMD states) and int8,
-// across random shapes and scale regimes spanning denormal to huge — and
+// through the verified kernels — f64, and f32 and int8 products of both
+// the vector kernels and the pure-Go bodies, across random shapes and scale regimes spanning denormal to huge — and
 // requires zero detections: the tolerance derivation must never flag a
 // fault-free product.
 func TestAbftZeroFalsePositivesCleanGemms(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	prev := SetSIMD(true)
-	defer SetSIMD(prev)
 	scales := []float64{1, 1e-3, 1e3, 1e-20, 1e20, 1e-300, 1e300, 5e-324, 1e-40}
 	for run := 0; run < 500; run++ {
 		m := rng.Intn(24) + 1
 		k := rng.Intn(48) + 1
 		n := rng.Intn(24) + 1
 		scale := scales[rng.Intn(len(scales))]
-		SetSIMD(run%2 == 0)
+		simd := run/4%2 == 0 && simdAvailable // alternate the f32/int8 products' kernels
 		switch run % 4 {
 		case 0: // f64 GEMM
 			a := New(m, k)
@@ -436,7 +356,7 @@ func TestAbftZeroFalsePositivesCleanGemms(t *testing.T) {
 				b.Data[i] = float32(rng.NormFloat64() * scale)
 			}
 			c := New32(m, n)
-			GemmInto32Fast(c, a, b)
+			gemmFastLeg(simd, c.Data, a.Data, b.Data, m, k, n)
 			if o := VerifyGemm32(c, a, b); o.Detected != 0 {
 				t.Fatalf("run %d f32 %dx%dx%d scale %g: false positive %+v", run, m, k, n, scale, o)
 			}
@@ -461,7 +381,7 @@ func TestAbftZeroFalsePositivesCleanGemms(t *testing.T) {
 			}
 			c := make([]int32, m*n)
 			cs := make([]int32, n)
-			GemmU8Into(c, cs, a, b, m, k, n)
+			gemmU8(c, cs, a, b, m, k, n, simd)
 			if o := VerifyGemmU8(c, cs, a, b, m, k, n); o.Detected != 0 {
 				t.Fatalf("run %d u8 %dx%dx%d: false positive %+v", run, m, k, n, o)
 			}
@@ -550,3 +470,80 @@ func FuzzChecksumVerify(f *testing.F) {
 		}
 	})
 }
+
+// TestAbftRowKernelsPositionInvariant holds the row kernels of the float
+// checksum passes, and DequantRow, to one result per element wherever the
+// element sits in the row: every element of a full-row call must have the
+// bits the same element gets as a one-element call. On AVX2 machines that
+// puts each element on both sides of the vector-body/scalar-tail split, so
+// a kernel whose tail rounds differently from its body (axpyAuto's once
+// did: fused multiply-add in the body, two roundings in the tail) would
+// make a column's predicted checksum depend on the batch width.
+func TestAbftRowKernelsPositionInvariant(t *testing.T) {
+	t.Run("f32", func(t *testing.T) { rowKernelPositionCheck[float32](t, 81) })
+	t.Run("f64", func(t *testing.T) { rowKernelPositionCheck[float64](t, 82) })
+	t.Run("DequantRow", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(83))
+		const n = 37
+		for trial := 0; trial < 200; trial++ {
+			c, cs := make([]int32, n), make([]int32, n)
+			for i := range c {
+				c[i] = rng.Int31n(1 << 24)
+				cs[i] = rng.Int31n(1 << 16)
+			}
+			corr := rng.Int31n(1 << 20)
+			scale, bias := float32(rng.ExpFloat64()*1e-3), float32(rng.NormFloat64())
+			full := make([]float32, n)
+			DequantRow(full, c, cs, corr, scale, bias)
+			for j := range full {
+				var one [1]float32
+				DequantRow(one[:], c[j:j+1], cs[j:j+1], corr, scale, bias)
+				if math.Float32bits(one[0]) != math.Float32bits(full[j]) {
+					t.Fatalf("trial %d element %d: %v alone, %v in the row", trial, j, one[0], full[j])
+				}
+			}
+		}
+	})
+}
+
+func rowKernelPositionCheck[F Float](t *testing.T, seed int64) {
+	// kernels wraps each row kernel as k(x, y, z, alpha): x and y are the
+	// output (or in-out) rows, z the input row.
+	kernels := []struct {
+		name string
+		k    func(x, y, z []F, alpha F)
+	}{
+		{"axpyAuto", func(x, _, z []F, alpha F) { axpyAuto(x, alpha, z) }},
+		{"scaleSetAuto", func(x, _, z []F, alpha F) { scaleSetAuto(x, alpha, z) }},
+		{"sumAbsAuto", func(x, y, z []F, _ F) { sumAbsAuto(x, y, z) }},
+		{"setAbsAuto", func(x, y, z []F, _ F) { setAbsAuto(x, y, z) }},
+	}
+	rng := rand.New(rand.NewSource(seed))
+	const n = 37 // whole registers of either width, and a tail
+	for _, kn := range kernels {
+		for trial := 0; trial < 200; trial++ {
+			x0, y0, z := make([]F, n), make([]F, n), make([]F, n)
+			for i := range z {
+				x0[i] = F(rng.NormFloat64())
+				y0[i] = F(rng.ExpFloat64())
+				z[i] = F(rng.NormFloat64() * math.Exp2(float64(rng.Intn(20)-10)))
+			}
+			alpha := F(rng.NormFloat64())
+			x, y := append([]F(nil), x0...), append([]F(nil), y0...)
+			kn.k(x, y, z, alpha)
+			for j := 0; j < n; j++ {
+				ox, oy := []F{x0[j]}, []F{y0[j]}
+				kn.k(ox, oy, z[j:j+1], alpha)
+				if float64bitsOf(ox[0]) != float64bitsOf(x[j]) || float64bitsOf(oy[0]) != float64bitsOf(y[j]) {
+					t.Fatalf("%s trial %d element %d: (%v, %v) alone, (%v, %v) in the row",
+						kn.name, trial, j, ox[0], oy[0], x[j], y[j])
+				}
+			}
+		}
+	}
+}
+
+// float64bitsOf returns the encoding of v widened to float64. Widening is
+// exact and one-to-one on the finite values compared here, so equal
+// encodings mean equal bits at either width.
+func float64bitsOf[F Float](v F) uint64 { return math.Float64bits(float64(v)) }

@@ -98,6 +98,12 @@ func fillBytes(s []uint8, v uint8) {
 // back to the implicit or explicit lowering otherwise. Results are
 // bit-identical to Im2ColBatchU8 + GemmU8Into.
 func ConvDirectU8(acc, colsum []int32, w *PackedConvShift, qsrc []uint8, bsz int, g ConvGeom, zp uint8) {
+	convDirectU8(acc, colsum, w, qsrc, bsz, g, zp, simdAvailable)
+}
+
+// convDirectU8 is ConvDirectU8 on the vector kernels when simd is set and
+// the scalar SWAR kernels otherwise; simd as in gemmU8.
+func convDirectU8(acc, colsum []int32, w *PackedConvShift, qsrc []uint8, bsz int, g ConvGeom, zp uint8, simd bool) {
 	if g.Stride != 1 {
 		panic("tensor: ConvDirectU8 requires stride 1")
 	}
@@ -147,7 +153,7 @@ func ConvDirectU8(acc, colsum []int32, w *PackedConvShift, qsrc []uint8, bsz int
 		workers = oh
 	}
 	if macs < gemmParallelMACs || workers <= 1 {
-		convDirectRows(acc, colsum, w, buf, 0, oh, g, pw1, L, n)
+		convDirectRows(acc, colsum, w, buf, 0, oh, g, pw1, L, n, simd)
 		putBlkU8(bufp)
 		return
 	}
@@ -162,7 +168,7 @@ func ConvDirectU8(acc, colsum []int32, w *PackedConvShift, qsrc []uint8, bsz int
 				if y >= oh {
 					return
 				}
-				convDirectRows(acc, colsum, w, buf, y, y+1, g, pw1, L, n)
+				convDirectRows(acc, colsum, w, buf, y, y+1, g, pw1, L, n, simd)
 			}
 		}()
 	}
@@ -181,13 +187,12 @@ func ConvDirectU8(acc, colsum []int32, w *PackedConvShift, qsrc []uint8, bsz int
 // tile rows are padded to a 32 multiple and the buffer carries matching
 // slack, so a bsz=1 forward (the sequential per-image decision path) still
 // runs entirely on the wide kernels even when pw1 < 32.
-func convDirectRows(acc, colsum []int32, w *PackedConvShift, buf []uint8, y0, y1 int, g ConvGeom, pw1, L, n int) {
+func convDirectRows(acc, colsum []int32, w *PackedConvShift, buf []uint8, y0, y1 int, g ConvGeom, pw1, L, n int, simd bool) {
 	m := w.OutC
 	mm := m + 1 // + colsum ones row
 	kf := w.KH * g.InC
 	oh, ow := g.OutH(), g.OutW()
 	bsz := L / pw1
-	simd := useSIMD()
 	W := (bsz-1)*pw1 + ow
 	lds := W
 	if simd {

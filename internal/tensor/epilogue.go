@@ -39,38 +39,43 @@ const (
 // RectifyPool writes one h×w row-major plane of src through the stages e
 // selects into dst: h×w elements without EpiPool (dst may be src — the
 // rectifier runs in place), (h/2)×(w/2) with it (dst must not overlap src).
-// bias is read only under EpiBias.
+// bias is read only under EpiBias. The vector body covers what it can and
+// rectifyPoolGo, the pure-Go body, the rest.
 func RectifyPool[F Float](dst, src []F, h, w int, bias F, e Epi) {
+	x0 := 0
+	if simdAvailable {
+		if e&EpiPool == 0 {
+			n := h * w
+			if nb := n - n%ymmLanes[F](); nb > 0 {
+				rectifyRow(&dst[:n][0], &src[:n][0], nb, bias, e)
+				x0 = nb
+			}
+		} else if ph, pw := h/2, w/2; ph > 0 {
+			// Both widths' kernels take 4 outputs at a time (float32 in
+			// groups of 8, then one of 4, so 8×8 planes vectorize too).
+			if nb := pw &^ 3; nb > 0 {
+				_ = dst[ph*pw-1]
+				_ = src[(2*ph-1)*w+2*nb-1] // the kernel's last read, bounds-checked once
+				rectifyPool2(&dst[0], &src[0], ph, nb, w, pw, bias, e)
+				x0 = nb
+			}
+		}
+	}
+	rectifyPoolGo(dst, src, h, w, bias, e, x0)
+}
+
+// rectifyPoolGo is RectifyPool's pure-Go body from element x0 on (without
+// EpiPool) or from output column x0 of every output row (with it).
+func rectifyPoolGo[F Float](dst, src []F, h, w int, bias F, e Epi, x0 int) {
 	if e&EpiPool == 0 {
 		n := h * w
 		dst, src = dst[:n], src[:n]
-		i := 0
-		if useSIMD() {
-			if nb := n - n%ymmLanes[F](); nb > 0 {
-				rectifyRow(&dst[0], &src[0], nb, bias, e)
-				i = nb
-			}
-		}
-		for ; i < n; i++ {
+		for i := x0; i < n; i++ {
 			dst[i] = stage(src[i], bias, e)
 		}
 		return
 	}
 	ph, pw := h/2, w/2
-	if ph == 0 || pw == 0 {
-		return
-	}
-	dst = dst[:ph*pw]
-	x0 := 0
-	if useSIMD() {
-		// Both widths' kernels take 4 outputs at a time (float32 in
-		// groups of 8, then one of 4, so 8×8 planes vectorize too).
-		if nb := pw &^ 3; nb > 0 {
-			_ = src[(2*ph-1)*w+2*nb-1] // the kernel's last read, bounds-checked once
-			rectifyPool2(&dst[0], &src[0], ph, nb, w, pw, bias, e)
-			x0 = nb
-		}
-	}
 	for y := 0; y < ph; y++ {
 		r0, r1 := src[2*y*w:][:w], src[(2*y+1)*w:][:w]
 		drow := dst[y*pw:][:pw]

@@ -133,11 +133,28 @@ var epilogueShapes = [][2]int{
 	{6, 18}, {7, 25}, {8, 32}, {9, 33}, {10, 40}, {2, 66}, {16, 16}, {32, 32},
 }
 
+// rectifyPoolPure is RectifyPool's pure-Go body over the whole plane.
+func rectifyPoolPure[F Float](dst, src []F, h, w int, bias F, e Epi) {
+	rectifyPoolGo(dst, src, h, w, bias, e, 0)
+}
+
+// rectifiers holds one RectifyPool body at both float widths.
+type rectifiers struct {
+	f64 func(dst, src []float64, h, w int, bias float64, e Epi)
+	f32 func(dst, src []float32, h, w int, bias float32, e Epi)
+}
+
+var (
+	rectifyScalar   = rectifiers{rectifyPoolPure[float64], rectifyPoolPure[float32]}
+	rectifyDispatch = rectifiers{RectifyPool[float64], RectifyPool[float32]}
+)
+
 // TestRectifyPoolMatchesScalarChain holds both float widths' kernels —
-// vector body and scalar tail, SIMD on and off — to the layerwise scalar
-// chain on adversarial planes, for every stage combination.
+// the pure-Go body alone, and the vector body with its scalar tail — to
+// the layerwise scalar chain on adversarial planes, for every stage
+// combination.
 func TestRectifyPoolMatchesScalarChain(t *testing.T) {
-	withSIMD(t, func(t *testing.T, simd bool) {
+	withSIMD(t, rectifyScalar, rectifyDispatch, func(t *testing.T, r rectifiers) {
 		rng := rand.New(rand.NewSource(97))
 		cases := 0
 		for _, hw := range epilogueShapes {
@@ -154,7 +171,7 @@ func TestRectifyPoolMatchesScalarChain(t *testing.T) {
 
 					want64 := chain64(src64, h, w, b64, e)
 					got64 := make([]float64, len(want64))
-					RectifyPool(got64, src64, h, w, b64, e)
+					r.f64(got64, src64, h, w, b64, e)
 					for i := range want64 {
 						if !sameEpilogue64(got64[i], want64[i], b64, e) {
 							t.Fatalf("f64 %dx%d stages %03b bias %#x: output %d = %#x, chain %#x",
@@ -164,7 +181,7 @@ func TestRectifyPoolMatchesScalarChain(t *testing.T) {
 
 					want32 := chain32(src32, h, w, b32, e)
 					got32 := make([]float32, len(want32))
-					RectifyPool(got32, src32, h, w, b32, e)
+					r.f32(got32, src32, h, w, b32, e)
 					for i := range want32 {
 						if !sameEpilogue32(got32[i], want32[i], b32, e) {
 							t.Fatalf("f32 %dx%d stages %03b bias %#x: output %d = %#x, chain %#x",
@@ -174,8 +191,8 @@ func TestRectifyPoolMatchesScalarChain(t *testing.T) {
 
 					if e&EpiPool == 0 {
 						// Without pooling the stages run in place.
-						RectifyPool(src64, src64, h, w, b64, e)
-						RectifyPool(src32, src32, h, w, b32, e)
+						r.f64(src64, src64, h, w, b64, e)
+						r.f32(src32, src32, h, w, b32, e)
 						for i := range want64 {
 							if !sameEpilogue64(src64[i], want64[i], b64, e) || !sameEpilogue32(src32[i], want32[i], b32, e) {
 								t.Fatalf("%dx%d stages %03b: in-place output %d differs from the chain", h, w, e, i)
@@ -219,25 +236,23 @@ func FuzzRectifyPool(f *testing.F) {
 		}
 		b64 := math.Float64frombits(biasBits)
 		b32 := math.Float32frombits(uint32(biasBits) ^ uint32(biasBits>>32))
-		for _, simd := range []bool{false, true} {
-			prev := SetSIMD(simd)
+		for name, r := range map[string]rectifiers{"scalar": rectifyScalar, "dispatch": rectifyDispatch} {
 			want64 := chain64(src64, 2, w, b64, e)
 			got64 := make([]float64, len(want64))
-			RectifyPool(got64, src64, 2, w, b64, e)
+			r.f64(got64, src64, 2, w, b64, e)
 			want32 := chain32(src32, 2, w, b32, e)
 			got32 := make([]float32, len(want32))
-			RectifyPool(got32, src32, 2, w, b32, e)
-			SetSIMD(prev)
+			r.f32(got32, src32, 2, w, b32, e)
 			for i := range want64 {
 				if !sameEpilogue64(got64[i], want64[i], b64, e) {
-					t.Fatalf("simd=%v f64 w=%d stages %03b: output %d = %#x, chain %#x",
-						simd, w, e, i, math.Float64bits(got64[i]), math.Float64bits(want64[i]))
+					t.Fatalf("%s f64 w=%d stages %03b: output %d = %#x, chain %#x",
+						name, w, e, i, math.Float64bits(got64[i]), math.Float64bits(want64[i]))
 				}
 			}
 			for i := range want32 {
 				if !sameEpilogue32(got32[i], want32[i], b32, e) {
-					t.Fatalf("simd=%v f32 w=%d stages %03b: output %d = %#x, chain %#x",
-						simd, w, e, i, math.Float32bits(got32[i]), math.Float32bits(want32[i]))
+					t.Fatalf("%s f32 w=%d stages %03b: output %d = %#x, chain %#x",
+						name, w, e, i, math.Float32bits(got32[i]), math.Float32bits(want32[i]))
 				}
 			}
 		}

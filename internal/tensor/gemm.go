@@ -308,10 +308,10 @@ func gemmQuadDirect[F Float](cd, ad, bblk []F, k, ldc, ldb, i, j0, j1, p0, kc in
 	}
 }
 
-// gemmQuadK3 is the k == 3 special case (the Winograd data GEMMs have
-// k = InC, which is 3 for RGB input): all twelve A values are hoisted into
-// registers and each output column costs three B loads shared by four
-// rows. Only valid when the whole K dimension is the single block, so the
+// gemmQuadK3 is the k == 3 special case (a GEMM over the three channels
+// of RGB input, as in the benchmark probe's Winograd data GEMMs, where
+// k = InC): all twelve A values are hoisted into registers and each
+// output column costs three B loads shared by four rows. Only valid when the whole K dimension is the single block, so the
 // strip is written, not accumulated. ldb/ldc are B's and C's row strides.
 func gemmQuadK3[F Float](cd, ad, bd []F, ldc, ldb, i, j0, j1 int) {
 	a00, a01, a02 := ad[i*3], ad[i*3+1], ad[i*3+2]

@@ -299,15 +299,15 @@ func ConvGemmIm2Col32(cm, weight *T32, src []float32, bsz int, g ConvGeom) {
 	convGemm(cm.Data, weight.Data, src, m, k, n, bsz, g)
 }
 
-// convGemm is the implicit-GEMM driver of both float widths. When the AVX2
-// kernels are enabled it generates implicitJW-column panels and runs each
+// convGemm is the implicit-GEMM driver of both float widths. On AVX2
+// machines it generates implicitJW-column panels and runs each
 // through gemmFMA — the implicit equivalent of GemmIntoFast /
 // GemmInto32Fast; otherwise gemmIm2ColMain, the implicit equivalent of
 // GemmInto / GemmInto32. Either way every column is the same chain the
 // explicit lowering feeding the same GEMM computes, so results are
 // bit-identical to it.
 func convGemm[F Float](cd, ad, src []F, m, k, n, bsz int, g ConvGeom) {
-	if !useSIMD() || k == 0 {
+	if !simdAvailable || k == 0 {
 		gemmIm2ColMain(cd, ad, src, m, k, n, bsz, g)
 		return
 	}
@@ -447,6 +447,12 @@ func ConvGemmU8Im2Col(c, colsum []int32, a []uint8, m int, qsrc []uint8, bsz int
 	if len(a) != m*k || len(qsrc) != bsz*chw || len(c) < m*n || len(colsum) < n {
 		panic(fmt.Sprintf("tensor: ConvGemmU8Im2Col size mismatch m=%d k=%d n=%d (a=%d src=%d c=%d colsum=%d)", m, k, n, len(a), len(qsrc), len(c), len(colsum)))
 	}
+	convGemmU8(c, colsum, a, qsrc, m, k, n, bsz, g, zp, simdAvailable)
+}
+
+// convGemmU8 is the shape-checked driver of ConvGemmU8Im2Col; simd as in
+// gemmU8.
+func convGemmU8(c, colsum []int32, a, qsrc []uint8, m, k, n, bsz int, g ConvGeom, zp uint8, simd bool) {
 	macs := m * n * k
 	workers := runtime.GOMAXPROCS(0)
 	panels := (n + gemmNC - 1) / gemmNC
@@ -454,7 +460,7 @@ func ConvGemmU8Im2Col(c, colsum []int32, a []uint8, m int, qsrc []uint8, bsz int
 		workers = panels
 	}
 	if macs < gemmParallelMACs || workers <= 1 {
-		gemmU8Im2ColPanel(c, colsum, a, qsrc, m, k, n, bsz, g, zp, 0, n)
+		gemmU8Im2ColPanel(c, colsum, a, qsrc, m, k, n, bsz, g, zp, 0, n, simd)
 		return
 	}
 	var next atomic.Int64
@@ -470,7 +476,7 @@ func ConvGemmU8Im2Col(c, colsum []int32, a []uint8, m int, qsrc []uint8, bsz int
 				}
 				j0 := p * gemmNC
 				j1 := min(j0+gemmNC, n)
-				gemmU8Im2ColPanel(c, colsum, a, qsrc, m, k, n, bsz, g, zp, j0, j1)
+				gemmU8Im2ColPanel(c, colsum, a, qsrc, m, k, n, bsz, g, zp, j0, j1, simd)
 			}
 		}()
 	}
@@ -483,8 +489,8 @@ func ConvGemmU8Im2Col(c, colsum []int32, a []uint8, m int, qsrc []uint8, bsz int
 // the SWAR 2×32 tiles over the 32-aligned span, the scalar kernels over
 // the remainder — with ldb = block width. Integer accumulation is
 // order-independent, so any block width is exact.
-func gemmU8Im2ColPanel(c, colsum []int32, a, qsrc []uint8, m, k, n, bsz int, g ConvGeom, zp uint8, j0, j1 int) {
-	simd := useSIMD() && k > 0
+func gemmU8Im2ColPanel(c, colsum []int32, a, qsrc []uint8, m, k, n, bsz int, g ConvGeom, zp uint8, j0, j1 int, simd bool) {
+	simd = simd && k > 0
 	blkp := getBlkU8(k * implicitJW)
 	blk := *blkp
 	assertAligned64("u8 im2col B panel", unsafe.Pointer(&blk[0]))

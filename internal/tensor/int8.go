@@ -111,17 +111,23 @@ func QuantizeWeightsSym(w []float64, m, k int) QuantWeights {
 
 // QuantizeU8 quantizes float32 activations into uint8 bytes:
 // dst[i] = clamp(round(src[i]·invScale) + zp, 0, 255). invScale is 1/scale;
-// rounding is half-away-from-zero to match the weight quantizer.
+// rounding is half-away-from-zero to match the weight quantizer. The
+// vector body and quantizeU8Go, the pure-Go body, agree byte for byte.
 func QuantizeU8(dst []uint8, src []float32, invScale float32, zp uint8) {
-	z := float32(zp)
 	i := 0
-	if useSIMD() {
+	if simdAvailable {
 		if nb := len(src) &^ 31; nb > 0 {
-			quantizeU8AVX(&dst[0], &src[0], nb, invScale, z)
+			quantizeU8AVX(&dst[0], &src[0], nb, invScale, float32(zp))
 			i = nb
 		}
 	}
-	for ; i < len(src); i++ {
+	quantizeU8Go(dst[i:], src[i:], invScale, zp)
+}
+
+// quantizeU8Go is QuantizeU8's pure-Go body.
+func quantizeU8Go(dst []uint8, src []float32, invScale float32, zp uint8) {
+	z := float32(zp)
+	for i := range src {
 		// v·invScale + zp + 0.5 truncated toward zero rounds halves up;
 		// anything that truncates below 0 clamps to 0 anyway.
 		q := int32(src[i]*invScale + z + 0.5)
@@ -221,34 +227,7 @@ func GemmU8Into(c, colsum []int32, a, b []uint8, m, k, n int) {
 	if len(a) != m*k || len(b) != k*n || len(c) < m*n || len(colsum) < n {
 		panic(fmt.Sprintf("tensor: GemmU8Into size mismatch m=%d k=%d n=%d (a=%d b=%d c=%d colsum=%d)", m, k, n, len(a), len(b), len(c), len(colsum)))
 	}
-	macs := m * n * k
-	workers := runtime.GOMAXPROCS(0)
-	panels := (n + gemmNC - 1) / gemmNC
-	if workers > panels {
-		workers = panels
-	}
-	if macs < gemmParallelMACs || workers <= 1 {
-		gemmU8Panel(c, colsum, a, b, m, k, n, 0, n)
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				p := int(next.Add(1)) - 1
-				if p >= panels {
-					return
-				}
-				j0 := p * gemmNC
-				j1 := min(j0+gemmNC, n)
-				gemmU8Panel(c, colsum, a, b, m, k, n, j0, j1)
-			}
-		}()
-	}
-	wg.Wait()
+	gemmU8(c, colsum, a, b, m, k, n, simdAvailable)
 }
 
 // GemmU8PreInto is GemmU8Into for a prepacked B operand whose column sums
@@ -261,6 +240,14 @@ func GemmU8PreInto(c []int32, a, b []uint8, m, k, n int) {
 	if len(a) != m*k || len(b) != k*n || len(c) < m*n {
 		panic(fmt.Sprintf("tensor: GemmU8PreInto size mismatch m=%d k=%d n=%d (a=%d b=%d c=%d)", m, k, n, len(a), len(b), len(c)))
 	}
+	gemmU8(c, nil, a, b, m, k, n, simdAvailable)
+}
+
+// gemmU8 is the shape-checked driver of GemmU8Into (colsum nil for
+// GemmU8PreInto): one panel for small products, column panels sharded
+// across a worker pool otherwise. simd selects the vector kernels; the
+// entry points pass simdAvailable, the bit-identity tests false.
+func gemmU8(c, colsum []int32, a, b []uint8, m, k, n int, simd bool) {
 	macs := m * n * k
 	workers := runtime.GOMAXPROCS(0)
 	panels := (n + gemmNC - 1) / gemmNC
@@ -268,7 +255,7 @@ func GemmU8PreInto(c []int32, a, b []uint8, m, k, n int) {
 		workers = panels
 	}
 	if macs < gemmParallelMACs || workers <= 1 {
-		gemmU8Panel(c, nil, a, b, m, k, n, 0, n)
+		gemmU8Panel(c, colsum, a, b, m, k, n, 0, n, simd)
 		return
 	}
 	var next atomic.Int64
@@ -284,7 +271,7 @@ func GemmU8PreInto(c []int32, a, b []uint8, m, k, n int) {
 				}
 				j0 := p * gemmNC
 				j1 := min(j0+gemmNC, n)
-				gemmU8Panel(c, nil, a, b, m, k, n, j0, j1)
+				gemmU8Panel(c, colsum, a, b, m, k, n, j0, j1, simd)
 			}
 		}()
 	}
@@ -292,8 +279,9 @@ func GemmU8PreInto(c []int32, a, b []uint8, m, k, n int) {
 }
 
 // gemmU8Panel computes the column panel C[:, j0:j1) and, when colsum is
-// non-nil, colsum[j0:j1) (nil = prepacked B, sums precomputed).
-func gemmU8Panel(c, colsum []int32, a, b []uint8, m, k, n, j0, j1 int) {
+// non-nil, colsum[j0:j1) (nil = prepacked B, sums precomputed), on the
+// vector kernels when simd is set and the scalar SWAR kernels otherwise.
+func gemmU8Panel(c, colsum []int32, a, b []uint8, m, k, n, j0, j1 int, simd bool) {
 	if colsum != nil {
 		cs := colsum[j0:j1]
 		for x := range cs {
@@ -306,7 +294,7 @@ func gemmU8Panel(c, colsum []int32, a, b []uint8, m, k, n, j0, j1 int) {
 			}
 		}
 	}
-	if useSIMD() && k > 0 {
+	if simd && k > 0 {
 		// Vector path: 32-column blocks through the vpmaddwd kernel (exact
 		// same int32 results as the scalar SWAR path below), remainders
 		// through the scalar helpers.

@@ -5,14 +5,10 @@ import (
 	"unsafe"
 )
 
-// Compile-time weight prepacking (DESIGN.md §14). The batched inference
-// hot path used to redo two kinds of per-call work that depend only on
-// the (frozen) weights or only on loop structure:
-//
-//   - the Winograd filter transform U = G·g·Gᵀ was recomputed on every
-//     forward even though it is a pure function of the weights;
-//   - the int8 Dense layer re-derived the weight-side column sums (and
-//     transposed the activations) on every call.
+// Compile-time weight prepacking (DESIGN.md §14). The int8 Dense layer
+// used to re-derive the weight-side column sums (and transpose the
+// activations) on every call, work that depends only on the frozen
+// weights.
 //
 // This file holds the pack formats. The packed buffers are plain slices in
 // kernel-native order, allocated cache-line aligned (AlignedF64 and
@@ -152,10 +148,9 @@ func (p *PackedU8T) Unpack() []uint8 {
 }
 
 // PackWinoFilter precomputes the Winograd F(4×4,3×3) filter transform
-// U = G·g·Gᵀ (36 planes of OutC×InC) for a [OutC, InC*9] weight matrix.
-// U depends only on the weights, so a compiled network computes it once
-// here instead of on every forward; WinogradConv3x3Pre consumes it with
-// bit-identical results to the transform-per-call path.
+// U = G·g·Gᵀ (36 planes of OutC×InC) for a [OutC, InC*9] weight matrix,
+// the operand WinogradConv3x3Pre consumes. Its only caller is the
+// benchmark kernel probe; it goes with the probe (see winograd.go).
 func PackWinoFilter(weight *T, outC, inC int) []float64 {
 	if weight.Rank() != 2 || weight.Shape[0] != outC || weight.Shape[1] != inC*9 {
 		panic(fmt.Sprintf("tensor: PackWinoFilter weight %v, want [%d %d]", weight.Shape, outC, inC*9))
@@ -165,7 +160,8 @@ func PackWinoFilter(weight *T, outC, inC int) []float64 {
 	return u
 }
 
-// PackWinoFilter32 is PackWinoFilter for the float32 backend.
+// PackWinoFilter32 is PackWinoFilter for float32, the operand of
+// WinogradConv3x3F32Pre; kept for the benchmark kernel probe only.
 func PackWinoFilter32(weight *T32, outC, inC int) []float32 {
 	if weight.Rank() != 2 || weight.Shape[0] != outC || weight.Shape[1] != inC*9 {
 		panic(fmt.Sprintf("tensor: PackWinoFilter32 weight %v, want [%d %d]", weight.Shape, outC, inC*9))

@@ -9,10 +9,41 @@ import (
 
 // The prepack correctness bar (DESIGN.md §14): every prepacked or implicit
 // execution path is bit-identical to the explicit lowering verified mode
-// runs (or, for Winograd, the transform-per-call pipeline). These tests
-// sweep randomized geometries plus hand-picked shapes that force each
-// dispatch arm — small, serial, parallel, direct-K, packed-K, SIMD and
-// scalar — and compare element-by-element with ==, not a tolerance.
+// runs. These tests sweep randomized geometries plus hand-picked shapes
+// that force each dispatch arm — small, serial, parallel, direct-K,
+// packed-K, vector and pure-Go — and compare element-by-element with ==,
+// not a tolerance.
+
+// kernelLegs lists the kernel choices a bit-identity test runs: the
+// pure-Go bodies (false) everywhere, and the vector kernels (true) on
+// machines that have them. The test hands the choice to each driver
+// explicitly; nothing switches kernels at run time.
+func kernelLegs() []bool {
+	if simdAvailable {
+		return []bool{true, false}
+	}
+	return []bool{false}
+}
+
+// gemmFastLeg runs GemmIntoFast/GemmInto32Fast's vector driver (simd) or
+// its pure-Go body, gemmMain, on C[m×n] = A[m×k] × B[k×n].
+func gemmFastLeg[F Float](simd bool, cd, ad, bd []F, m, k, n int) {
+	if simd {
+		gemmFast(cd, ad, bd, []int{m, n}, []int{m, k}, []int{k, n}, "gemmFastLeg")
+		return
+	}
+	gemmMain(cd, ad, bd, m, k, n)
+}
+
+// convGemmLeg runs the implicit float conv GEMM's vector driver (simd) or
+// its pure-Go body, gemmIm2ColMain.
+func convGemmLeg[F Float](simd bool, cd, ad, src []F, m, k, n, bsz int, g ConvGeom) {
+	if simd {
+		convGemm(cd, ad, src, m, k, n, bsz, g)
+		return
+	}
+	gemmIm2ColMain(cd, ad, src, m, k, n, bsz, g)
+}
 
 // implicitGeoms returns the geometry × batch sweep shared by the implicit
 // GEMM identity tests: random small cases for border/stride coverage plus
@@ -50,10 +81,9 @@ func implicitGeoms(rng *rand.Rand) []struct {
 
 // TestImplicitGemmF64BitIdentical locks ConvGemmIm2Col against the explicit
 // Im2ColBatch + GemmIntoFast pipeline, bit-exact, across the dispatch sweep
-// under both SIMD settings (the 4×8 FMA driver and the blocked scalar GEMM).
+// on every kernel leg (the 4×8 FMA driver and the blocked pure-Go GEMM).
 func TestImplicitGemmF64BitIdentical(t *testing.T) {
-	for _, simd := range []bool{true, false} {
-		prev := SetSIMD(simd)
+	for _, simd := range kernelLegs() {
 		rng := rand.New(rand.NewSource(141))
 		for ci, tc := range implicitGeoms(rng) {
 			g, bsz := tc.g, tc.bsz
@@ -74,11 +104,11 @@ func TestImplicitGemmF64BitIdentical(t *testing.T) {
 			cols := New(k, n)
 			Im2ColBatch(cols, srcs, g)
 			want := New(tc.outC, n)
-			GemmIntoFast(want, weight, cols)
+			gemmFastLeg(simd, want.Data, weight.Data, cols.Data, tc.outC, k, n)
 
 			got := New(tc.outC, n)
 			got.FillUniform(rng, -9, 9) // must be fully overwritten
-			ConvGemmIm2Col(got, weight, packed, bsz, g)
+			convGemmLeg(simd, got.Data, weight.Data, packed, tc.outC, k, n, bsz, g)
 
 			for i, v := range got.Data {
 				if v != want.Data[i] {
@@ -86,15 +116,13 @@ func TestImplicitGemmF64BitIdentical(t *testing.T) {
 				}
 			}
 		}
-		SetSIMD(prev)
 	}
 }
 
 // TestImplicitGemm32BitIdentical locks ConvGemmIm2Col32 against
-// Im2ColBatch32 + GemmInto32Fast under both SIMD settings.
+// Im2ColBatch32 + GemmInto32Fast on every kernel leg.
 func TestImplicitGemm32BitIdentical(t *testing.T) {
-	for _, simd := range []bool{true, false} {
-		prev := SetSIMD(simd)
+	for _, simd := range kernelLegs() {
 		rng := rand.New(rand.NewSource(142))
 		for ci, tc := range implicitGeoms(rng) {
 			g, bsz := tc.g, tc.bsz
@@ -114,13 +142,13 @@ func TestImplicitGemm32BitIdentical(t *testing.T) {
 			cols := New32(k, n)
 			Im2ColBatch32(cols, src, bsz, g)
 			want := New32(tc.outC, n)
-			GemmInto32Fast(want, weight, cols)
+			gemmFastLeg(simd, want.Data, weight.Data, cols.Data, tc.outC, k, n)
 
 			got := New32(tc.outC, n)
 			for i := range got.Data {
 				got.Data[i] = 777
 			}
-			ConvGemmIm2Col32(got, weight, src.Data, bsz, g)
+			convGemmLeg(simd, got.Data, weight.Data, src.Data, tc.outC, k, n, bsz, g)
 
 			for i, v := range got.Data {
 				if v != want.Data[i] {
@@ -128,15 +156,13 @@ func TestImplicitGemm32BitIdentical(t *testing.T) {
 				}
 			}
 		}
-		SetSIMD(prev)
 	}
 }
 
 // TestImplicitGemmU8BitIdentical locks ConvGemmU8Im2Col (accumulators and
-// column sums) against Im2ColBatchU8 + GemmU8Into under both SIMD settings.
+// column sums) against Im2ColBatchU8 + GemmU8Into on every kernel leg.
 func TestImplicitGemmU8BitIdentical(t *testing.T) {
-	for _, simd := range []bool{true, false} {
-		prev := SetSIMD(simd)
+	for _, simd := range kernelLegs() {
 		rng := rand.New(rand.NewSource(143))
 		for ci, tc := range implicitGeoms(rng) {
 			g, bsz := tc.g, tc.bsz
@@ -154,14 +180,14 @@ func TestImplicitGemmU8BitIdentical(t *testing.T) {
 			Im2ColBatchU8(qcols, qsrc, bsz, g, zp)
 			wantC := make([]int32, tc.outC*n)
 			wantCS := make([]int32, n)
-			GemmU8Into(wantC, wantCS, a, qcols, tc.outC, k, n)
+			gemmU8(wantC, wantCS, a, qcols, tc.outC, k, n, simd)
 
 			gotC := make([]int32, tc.outC*n)
 			gotCS := make([]int32, n)
 			for i := range gotC {
 				gotC[i] = -9
 			}
-			ConvGemmU8Im2Col(gotC, gotCS, a, tc.outC, qsrc, bsz, g, zp)
+			convGemmU8(gotC, gotCS, a, qsrc, tc.outC, k, n, bsz, g, zp, simd)
 
 			for i, v := range gotC {
 				if v != wantC[i] {
@@ -174,18 +200,16 @@ func TestImplicitGemmU8BitIdentical(t *testing.T) {
 				}
 			}
 		}
-		SetSIMD(prev)
 	}
 }
 
 // TestConvDirectU8BitIdentical locks the direct shift convolution —
 // kernel-column weight panels over the padded channel-interleaved image —
 // against Im2ColBatchU8 + GemmU8Into, accumulators and column sums both,
-// under both SIMD settings. Only stride-1 geometries are eligible (the
+// on every kernel leg. Only stride-1 geometries are eligible (the
 // qconv32 dispatch gates on the same predicate).
 func TestConvDirectU8BitIdentical(t *testing.T) {
-	for _, simd := range []bool{true, false} {
-		prev := SetSIMD(simd)
+	for _, simd := range kernelLegs() {
 		rng := rand.New(rand.NewSource(144))
 		tested := 0
 		for ci, tc := range implicitGeoms(rng) {
@@ -208,7 +232,7 @@ func TestConvDirectU8BitIdentical(t *testing.T) {
 			Im2ColBatchU8(qcols, qsrc, bsz, g, zp)
 			wantC := make([]int32, tc.outC*n)
 			wantCS := make([]int32, n)
-			GemmU8Into(wantC, wantCS, a, qcols, tc.outC, k, n)
+			gemmU8(wantC, wantCS, a, qcols, tc.outC, k, n, simd)
 
 			pack := PackConvShiftU8(a, tc.outC, g.InC, g.KH, g.KW)
 			gotC := make([]int32, tc.outC*n)
@@ -219,7 +243,7 @@ func TestConvDirectU8BitIdentical(t *testing.T) {
 			for i := range gotCS {
 				gotCS[i] = -9
 			}
-			ConvDirectU8(gotC, gotCS, pack, qsrc, bsz, g, zp)
+			convDirectU8(gotC, gotCS, pack, qsrc, bsz, g, zp, simd)
 
 			for i, v := range gotC {
 				if v != wantC[i] {
@@ -235,7 +259,6 @@ func TestConvDirectU8BitIdentical(t *testing.T) {
 		if tested < 10 {
 			t.Fatalf("simd=%v: only %d stride-1 geometries tested — sweep too thin", simd, tested)
 		}
-		SetSIMD(prev)
 	}
 }
 
@@ -244,8 +267,7 @@ func TestConvDirectU8BitIdentical(t *testing.T) {
 // PackQuantTranspose's precomputed ColSum equals the per-call column sums
 // GemmU8Into derives — the two halves of the prepacked int8 Dense path.
 func TestGemmU8PreIntoMatchesGemmU8Into(t *testing.T) {
-	for _, simd := range []bool{true, false} {
-		prev := SetSIMD(simd)
+	for _, simd := range kernelLegs() {
 		rng := rand.New(rand.NewSource(144))
 		for trial := 0; trial < 40; trial++ {
 			m := 1 + rng.Intn(9)
@@ -258,10 +280,10 @@ func TestGemmU8PreIntoMatchesGemmU8Into(t *testing.T) {
 
 			want := make([]int32, m*n)
 			wantCS := make([]int32, n)
-			GemmU8Into(want, wantCS, a, b, m, k, n)
+			gemmU8(want, wantCS, a, b, m, k, n, simd)
 
 			got := make([]int32, m*n)
-			GemmU8PreInto(got, a, b, m, k, n)
+			gemmU8(got, nil, a, b, m, k, n, simd)
 			for i, v := range got {
 				if v != want[i] {
 					t.Fatalf("simd=%v trial %d (m=%d k=%d n=%d): acc %d: pre %d legacy %d", simd, trial, m, k, n, i, v, want[i])
@@ -277,7 +299,6 @@ func TestGemmU8PreIntoMatchesGemmU8Into(t *testing.T) {
 				}
 			}
 		}
-		SetSIMD(prev)
 	}
 }
 
@@ -289,64 +310,6 @@ func transposeU8(b []uint8, k, n int) []uint8 {
 		}
 	}
 	return out
-}
-
-// TestWinogradPreBitIdentical locks the prepacked-U Winograd drivers
-// against the transform-per-call pipeline, f64 and f32 (f32 has no
-// per-call entry point, so its reference runs winoConv directly).
-func TestWinogradPreBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(145))
-	g := ConvGeom{InC: 3, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	outC, bsz := 5, 4
-	ohw := g.OutH() * g.OutW()
-	chw := g.InC * g.InH * g.InW
-
-	weight := New(outC, g.InC*9)
-	weight.FillNormal(rng, 0, 1)
-	bias := make([]float64, outC)
-	for i := range bias {
-		bias[i] = rng.NormFloat64()
-	}
-	src := New(bsz, chw)
-	src.FillNormal(rng, 0, 1)
-
-	a := NewArena()
-	want := New(bsz, outC*ohw)
-	WinogradConv3x3(want, src, bsz, outC, weight, bias, g, a)
-
-	u := PackWinoFilter(weight, outC, g.InC)
-	a.Reset()
-	got := New(bsz, outC*ohw)
-	WinogradConv3x3Pre(got, src, bsz, outC, u, bias, g, a)
-	for i, v := range got.Data {
-		if v != want.Data[i] {
-			t.Fatalf("f64 element %d: pre %v legacy %v", i, v, want.Data[i])
-		}
-	}
-
-	w32 := To32(weight)
-	b32 := make([]float32, outC)
-	for i, v := range bias {
-		b32[i] = float32(v)
-	}
-	s32 := New32(bsz, chw)
-	for i, v := range src.Data {
-		s32.Data[i] = float32(v)
-	}
-	tt := bsz * (g.InH / 4) * (g.InW / 4)
-	want32 := New32(bsz, outC*ohw)
-	winoConv(want32.Data, s32.Data, bsz, outC, w32.Data, b32, g,
-		make([]float32, 36*outC*g.InC), make([]float32, 36*g.InC*tt), make([]float32, 36*outC*tt))
-
-	u32 := PackWinoFilter32(w32, outC, g.InC)
-	a32 := NewArena32()
-	got32 := New32(bsz, outC*ohw)
-	WinogradConv3x3F32Pre(got32, s32, bsz, outC, u32, b32, g, a32)
-	for i, v := range got32.Data {
-		if v != want32.Data[i] {
-			t.Fatalf("f32 element %d: pre %v legacy %v", i, v, want32.Data[i])
-		}
-	}
 }
 
 // TestAlignedAllocators checks the cache-line contract of every aligned
@@ -447,7 +410,7 @@ func FuzzPrepackRoundTrip(f *testing.F) {
 // TestImplicitGemmZeroAlloc checks the steady-state allocation contract:
 // once the block and pack pools are warm, a serial-sized implicit conv call
 // performs zero heap allocations — the full point of the pointer-cycling
-// sync.Pool plumbing. The f64 driver runs under both SIMD settings; the
+// sync.Pool plumbing. The f64 driver runs on every kernel leg; the
 // shape leaves an FMA column tail (n mod 8 = 4) and scalar rows (m mod 4 =
 // 2), so the tail's second pooled block is covered too.
 func TestImplicitGemmZeroAlloc(t *testing.T) {
@@ -476,10 +439,8 @@ func TestImplicitGemmZeroAlloc(t *testing.T) {
 		src[i] = rng.NormFloat64()
 	}
 	cm := New(outC, n)
-	for _, simd := range []bool{true, false} {
-		prev := SetSIMD(simd)
-		assertZero(fmt.Sprintf("ConvGemmIm2Col (simd=%v)", simd), func() { ConvGemmIm2Col(cm, weight, src, bsz, g) })
-		SetSIMD(prev)
+	for _, simd := range kernelLegs() {
+		assertZero(fmt.Sprintf("ConvGemmIm2Col (simd=%v)", simd), func() { convGemmLeg(simd, cm.Data, weight.Data, src, outC, k, n, bsz, g) })
 	}
 
 	a := make([]uint8, outC*k)

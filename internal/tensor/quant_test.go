@@ -98,7 +98,7 @@ func TestWinogradConv3x3F32MatchesF64(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	g := ConvGeom{InC: 4, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}
 	const bsz, outC = 2, 5
-	if !WinogradEligible(g) {
+	if !winogradEligible(g) {
 		t.Fatal("fixture geometry must be Winograd-eligible")
 	}
 	chw := g.InC * g.InH * g.InW
@@ -114,7 +114,7 @@ func TestWinogradConv3x3F32MatchesF64(t *testing.T) {
 	src.FillNormal(rng, 0, 1)
 
 	dst := New(bsz, outC*ohw)
-	WinogradConv3x3(dst, src, bsz, outC, w, bias, g, NewArena())
+	WinogradConv3x3Pre(dst, src, bsz, outC, PackWinoFilter(w, outC, g.InC), bias, g, NewArena())
 
 	bias32 := make([]float32, outC)
 	for i, v := range bias {

@@ -2,38 +2,19 @@ package tensor
 
 import (
 	"fmt"
-	"sync/atomic"
 	"unsafe"
 )
 
 // Architecture-independent surface of the SIMD acceleration layer: the
-// runtime switch, and the dispatching wrappers the inference backends
-// call. Each wrapper runs the assembly microkernel when available and
-// falls back to the pure-Go reference otherwise; see simd_amd64.go for
-// what is accelerated and which wrappers preserve bit-identity.
+// dispatching wrappers the inference backends call. The machine picks the
+// kernels: each wrapper runs the assembly microkernel where the CPU has
+// AVX2+FMA (simdAvailable, a CPUID result on amd64 and false elsewhere)
+// and its pure-Go body otherwise; see simd_amd64.go for what is
+// accelerated and which wrappers preserve bit-identity.
 
-// simdOff is the runtime kill-switch, stored inverted so the zero value
-// means "on". Tests toggle it via SetSIMD to cover both implementations.
-var simdOff atomic.Bool
-
-// SIMDAvailable reports whether this binary can use the vector kernels on
+// SIMDAvailable reports whether this binary uses the vector kernels on
 // this machine (amd64 with AVX2+FMA and OS vector-state support).
 func SIMDAvailable() bool { return simdAvailable }
-
-// SIMDEnabled reports whether the vector kernels are available AND not
-// disabled via SetSIMD — i.e. whether dispatching wrappers will take the
-// assembly route right now. Kernel selection heuristics (Winograd vs
-// im2col+FMA in the float convolutions) key off this.
-func SIMDEnabled() bool { return useSIMD() }
-
-// SetSIMD enables or disables the vector kernels at runtime and returns
-// the previous effective state. Enabling on unsupported hardware is a
-// no-op: the pure-Go kernels keep running.
-func SetSIMD(on bool) bool {
-	prev := simdAvailable && !simdOff.Load()
-	simdOff.Store(!on)
-	return prev
-}
 
 // GemmIntoFast computes C = A×B like GemmInto, dispatching to the 4×8 FMA
 // microkernel when available. Unlike GemmInto it does NOT guarantee
@@ -54,13 +35,14 @@ func GemmInto32Fast(c, a, b *T32) {
 }
 
 // gemmFast is the shape-checked body of GemmIntoFast/GemmInto32Fast: the
-// FMA driver with SIMD on, the bit-exact blocked GEMM otherwise.
+// FMA driver on AVX2 machines, the bit-exact blocked GEMM gemmMain (its
+// pure-Go body) elsewhere.
 func gemmFast[F Float](cd, ad, bd []F, cs, as, bs []int, name string) {
 	if len(as) != 2 || len(bs) != 2 || len(cs) != 2 || bs[0] != as[1] || cs[0] != as[0] || cs[1] != bs[1] {
 		panic(fmt.Sprintf("tensor: %s shape mismatch: C%v = A%v × B%v", name, cs, as, bs))
 	}
 	m, k, n := as[0], as[1], bs[1]
-	if !useSIMD() || k == 0 {
+	if !simdAvailable || k == 0 {
 		gemmMain(cd, ad, bd, m, k, n)
 		return
 	}
@@ -162,17 +144,22 @@ func gemmScalarRegion[F Float](cd, ad, bd []F, i0, i1, j0, j1, k, ldc, ldb int) 
 // DequantRow computes dst[i] = float32(c[i] − 128·cs[i] − corr)·scale +
 // bias — the fused dequantize + bias epilogue of the int8 convolution and
 // dense kernels (c holds biased GEMM accumulators, cs the matching column
-// sums). Results are bit-identical between the vector and scalar paths.
+// sums). Results are bit-identical between the vector body and
+// dequantRowGo, its pure-Go body.
 func DequantRow(dst []float32, c, cs []int32, corr int32, scale, bias float32) {
-	n := len(dst)
 	i := 0
-	if useSIMD() {
-		if nb := n &^ 7; nb > 0 {
+	if simdAvailable {
+		if nb := len(dst) &^ 7; nb > 0 {
 			dequantRowAVX(&dst[0], &c[0], &cs[0], nb, corr, scale, bias)
 			i = nb
 		}
 	}
-	for ; i < n; i++ {
+	dequantRowGo(dst[i:], c[i:], cs[i:], corr, scale, bias)
+}
+
+// dequantRowGo is DequantRow's pure-Go body.
+func dequantRowGo(dst []float32, c, cs []int32, corr int32, scale, bias float32) {
+	for i := range dst {
 		dst[i] = float32(c[i]-128*cs[i]-corr)*scale + bias
 	}
 }

@@ -8,15 +8,11 @@ package tensor
 // innermost blocks, dispatched at runtime behind a CPUID check (AVX2 + FMA
 // + OS YMM state support). The integer kernel computes bit-for-bit the same
 // int32 results as the scalar SWAR path — vpmaddwd over zero-extended
-// bytes is exact — so every GemmU8Into test validates both implementations.
-// The float kernels fuse each multiply-add (one rounding instead of two),
+// bytes is exact (TestGemmU8IntoSIMDExact). The float kernels fuse each multiply-add (one rounding instead of two),
 // which is why they back GemmInto32Fast/GemmIntoFast rather than the
-// bit-exact GemmInto32/GemmInto.
-//
-// Without SIMD every float backend runs one multiply per instruction, and
-// the F(4×4,3×3) Winograd transform's 4× multiply cut is the only way past
-// that ceiling. The vector units beat it: 4 float64 or 8 float32 FMAs or
-// 16 int16 MACs per instruction.
+// bit-exact GemmInto32/GemmInto. There is no switch: a machine with the
+// features runs these kernels, any other runs the pure-Go bodies, and
+// both serve the same lowering.
 
 //go:noescape
 func cpuidAsm(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
@@ -181,5 +177,3 @@ func detectAVX2FMA() bool {
 	_, ebx7, _, _ := cpuidAsm(7, 0)
 	return ebx7&(1<<5) != 0 // AVX2
 }
-
-func useSIMD() bool { return simdAvailable && !simdOff.Load() }

@@ -3,12 +3,10 @@
 package tensor
 
 // Non-amd64 targets run the pure-Go kernels unconditionally. The stubs
-// below are never reached (useSIMD is constant false), they exist only to
-// satisfy the shared call sites.
+// below are never reached (simdAvailable is constant false), they exist
+// only to satisfy the shared call sites.
 
 const simdAvailable = false
-
-func useSIMD() bool { return false }
 
 func fmaGemm4x16(a *float32, lda int, b *float32, ldb int, c *float32, ldc int, k int) {
 	panic("tensor: SIMD kernel called on non-amd64 target")

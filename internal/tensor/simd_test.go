@@ -7,22 +7,21 @@ import (
 	"testing"
 )
 
-// withSIMD runs f under both implementations (when the hardware has the
-// vector kernels) or just the scalar one (when it doesn't).
-func withSIMD(t *testing.T, f func(t *testing.T, simd bool)) {
-	t.Run("scalar", func(t *testing.T) {
-		prev := SetSIMD(false)
-		defer SetSIMD(prev)
-		f(t, false)
-	})
+// withSIMD runs check on a kernel's pure-Go body (subtest "scalar") and,
+// on machines with the vector kernels, on its dispatching entry point
+// (subtest "simd"). Nothing switches kernels at run time: the test hands
+// each body to check explicitly.
+func withSIMD[K any](t *testing.T, scalar, dispatch K, check func(t *testing.T, kernel K)) {
+	t.Run("scalar", func(t *testing.T) { check(t, scalar) })
 	if SIMDAvailable() {
-		t.Run("simd", func(t *testing.T) {
-			prev := SetSIMD(true)
-			defer SetSIMD(prev)
-			f(t, true)
-		})
+		t.Run("simd", func(t *testing.T) { check(t, dispatch) })
 	}
 }
+
+// gemmBody32 and gemmBody64 are GemmInto32Fast/GemmIntoFast's pure-Go
+// body, gemmMain, behind the entry points' signature.
+func gemmBody32(c, a, b *T32) { gemmMain(c.Data, a.Data, b.Data, a.Shape[0], a.Shape[1], b.Shape[1]) }
+func gemmBody64(c, a, b *T)   { gemmMain(c.Data, a.Data, b.Data, a.Shape[0], a.Shape[1], b.Shape[1]) }
 
 // TestGemmU8IntoSIMDExact locks the cross-implementation contract: the
 // vpmaddwd kernel and the scalar SWAR kernel produce identical int32
@@ -52,13 +51,10 @@ func TestGemmU8IntoSIMDExact(t *testing.T) {
 			}
 			cScalar := make([]int32, m*n)
 			csScalar := make([]int32, n)
-			prev := SetSIMD(false)
-			GemmU8Into(cScalar, csScalar, a, b, m, k, n)
-			SetSIMD(true)
+			gemmU8(cScalar, csScalar, a, b, m, k, n, false)
 			cSIMD := make([]int32, m*n)
 			csSIMD := make([]int32, n)
 			GemmU8Into(cSIMD, csSIMD, a, b, m, k, n)
-			SetSIMD(prev)
 			for i := range cScalar {
 				if cScalar[i] != cSIMD[i] {
 					t.Fatalf("c[%d]: scalar %d vs simd %d", i, cScalar[i], cSIMD[i])
@@ -97,11 +93,8 @@ func TestQuantizeU8SIMDExact(t *testing.T) {
 		for _, zp := range []uint8{0, 13, 255} {
 			want := make([]uint8, n)
 			got := make([]uint8, n)
-			prev := SetSIMD(false)
-			QuantizeU8(want, src, 7.5, zp)
-			SetSIMD(true)
+			quantizeU8Go(want, src, 7.5, zp)
 			QuantizeU8(got, src, 7.5, zp)
-			SetSIMD(prev)
 			for i := range want {
 				if want[i] != got[i] {
 					t.Fatalf("n=%d zp=%d src[%d]=%g: scalar %d vs simd %d", n, zp, i, src[i], want[i], got[i])
@@ -123,7 +116,7 @@ func TestGemmInto32FastMatchesReference(t *testing.T) {
 		{12, 72, 256},
 		{10, 768, 32}, // dense-like
 	}
-	withSIMD(t, func(t *testing.T, _ bool) {
+	withSIMD(t, gemmBody32, GemmInto32Fast, func(t *testing.T, gemm func(c, a, b *T32)) {
 		for _, s := range shapes {
 			m, k, n := s[0], s[1], s[2]
 			a := randT32(rng, m, k)
@@ -131,7 +124,7 @@ func TestGemmInto32FastMatchesReference(t *testing.T) {
 			want := New32(m, n)
 			GemmInto32(want, a, b)
 			got := New32(m, n)
-			GemmInto32Fast(got, a, b)
+			gemm(got, a, b)
 			for i := range want.Data {
 				w, g := float64(want.Data[i]), float64(got.Data[i])
 				tol := 1e-4 * (math.Abs(w) + 1) * math.Sqrt(float64(k))
@@ -150,7 +143,7 @@ func TestGemmInto32FastMatchesReference(t *testing.T) {
 // range.
 func TestGemmIntoFastMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
-	withSIMD(t, func(t *testing.T, _ bool) {
+	withSIMD(t, gemmBody64, GemmIntoFast, func(t *testing.T, gemm func(c, a, b *T)) {
 		for _, k := range []int{1, 3, 27, 72, 300} {
 			for m := 1; m <= 9; m++ {
 				for n := 1; n <= 40; n++ {
@@ -161,7 +154,7 @@ func TestGemmIntoFastMatchesReference(t *testing.T) {
 					GemmInto(want, a, b)
 					got := New(m, n)
 					got.FillUniform(rng, -9, 9) // must be fully overwritten
-					GemmIntoFast(got, a, b)
+					gemm(got, a, b)
 					for i := 0; i < m; i++ {
 						for j := 0; j < n; j++ {
 							env := 0.0
@@ -188,8 +181,6 @@ func TestFMAGemmColumnPositionInvariant(t *testing.T) {
 	if !SIMDAvailable() {
 		t.Skip("no vector kernels on this machine")
 	}
-	prev := SetSIMD(true)
-	defer SetSIMD(prev)
 	rng := rand.New(rand.NewSource(62))
 	t.Run("f64", func(t *testing.T) { columnPositionCheck[float64](t, rng) })
 	t.Run("f32", func(t *testing.T) { columnPositionCheck[float32](t, rng) })
@@ -251,9 +242,9 @@ func TestDequantRowBitIdentical(t *testing.T) {
 		for i := range want {
 			want[i] = float32(c[i]-128*cs[i]-corr)*scale + bias
 		}
-		withSIMD(t, func(t *testing.T, simd bool) {
+		withSIMD(t, dequantRowGo, DequantRow, func(t *testing.T, dequant func([]float32, []int32, []int32, int32, float32, float32)) {
 			dst := make([]float32, n)
-			DequantRow(dst, c, cs, corr, scale, bias)
+			dequant(dst, c, cs, corr, scale, bias)
 			for i := range want {
 				if dst[i] != want[i] {
 					t.Fatalf("n=%d i=%d: got %g, want %g (bit-exact required)", n, i, dst[i], want[i])
@@ -277,9 +268,9 @@ func TestAddBiasRowBitIdentical(t *testing.T) {
 		for i := range want {
 			want[i] = src[i] + bias
 		}
-		withSIMD(t, func(t *testing.T, simd bool) {
+		withSIMD(t, rectifyScalar, rectifyDispatch, func(t *testing.T, r rectifiers) {
 			dst := make([]float32, n)
-			RectifyPool(dst, src, 1, n, bias, EpiBias)
+			r.f32(dst, src, 1, n, bias, EpiBias)
 			for i := range want {
 				if dst[i] != want[i] {
 					t.Fatalf("n=%d i=%d: got %g, want %g", n, i, dst[i], want[i])

@@ -2,11 +2,13 @@ package tensor
 
 import "fmt"
 
-// Winograd F(4×4, 3×3) convolution for the batched inference path.
+// Winograd F(4×4, 3×3) convolution, kept for the kernel probe of the
+// benchmark harness (benchmark/kernels.go) and for nothing else: no served
+// or verified network runs it. Every target serves the im2col lowering of
+// DESIGN.md §7. The probe, WinogradConv3x3Pre, WinogradConv3x3F32Pre,
+// PackWinoFilter{,32} and the helpers below are deleted together when the
+// kernel numbers move onto the one benchmark harness (ROADMAP direction 1).
 //
-// On a scalar float64 target the im2col+GEMM lowering is compute-bound at
-// ~1 multiply-accumulate per cycle, so no amount of blocking makes it
-// materially faster — the only lever left is doing fewer multiplies.
 // F(4×4, 3×3) computes each 4×4 output tile of a stride-1 3×3 convolution
 // from a 6×6 input tile using 36 multiplies per (in-channel, out-channel)
 // pair instead of the direct method's 144: the inputs and filters are
@@ -21,52 +23,25 @@ import "fmt"
 //
 // Numerics: the transforms reassociate sums and scale by small constants,
 // so results agree with im2col+GEMM only to within a few ULPs (empirically
-// ~1e-13 relative; locked by TestWinogradConvMatchesIm2Col). The batched
-// inference contract (softmax within 1e-9 of the per-image path) absorbs
-// this; callers needing bit-exactness must use the im2col lowering.
+// ~1e-13 relative; locked by TestWinogradConvMatchesIm2Col).
 
-// WinogradEligible reports whether the geometry can take the F(4×4, 3×3)
-// fast path: 3×3 kernel, stride 1, pad 1 (so the output extent equals the
+// winogradEligible reports whether the geometry can take the F(4×4, 3×3)
+// path: 3×3 kernel, stride 1, pad 1 (so the output extent equals the
 // input extent) and spatial dims divisible by the 4×4 output tile.
-func WinogradEligible(g ConvGeom) bool {
+func winogradEligible(g ConvGeom) bool {
 	return g.KH == 3 && g.KW == 3 && g.Stride == 1 && g.Pad == 1 &&
 		g.InH > 0 && g.InW > 0 && g.InH%4 == 0 && g.InW%4 == 0
 }
 
-// WinogradConv3x3 computes the batched stride-1 pad-1 3×3 convolution of
-// bsz images packed image-major in src ([bsz, InC*InH*InW] row-major)
-// into dst ([bsz, OutC*InH*InW]), adding bias per output channel. weight
-// is the usual [OutC, InC*3*3] matrix. Scratch comes from a; the caller
-// owns Reset. dst is fully overwritten (NewRaw buffers are fine).
-func WinogradConv3x3(dst, src *T, bsz, outC int, weight *T, bias []float64, g ConvGeom, a *Arena) {
-	if !WinogradEligible(g) {
-		panic(fmt.Sprintf("tensor: WinogradConv3x3 on ineligible geometry %+v", g))
-	}
-	inC, h, w := g.InC, g.InH, g.InW
-	hw := h * w
-	if len(src.Data) != bsz*inC*hw || len(dst.Data) != bsz*outC*hw {
-		panic(fmt.Sprintf("tensor: WinogradConv3x3 buffer sizes src=%d dst=%d for B=%d geom %+v", len(src.Data), len(dst.Data), bsz, g))
-	}
-	if weight.Rank() != 2 || weight.Shape[0] != outC || weight.Shape[1] != inC*9 || len(bias) != outC {
-		panic(fmt.Sprintf("tensor: WinogradConv3x3 weight %v / bias %d mismatch OutC=%d InC=%d", weight.Shape, len(bias), outC, inC))
-	}
-	th, tw := h/4, w/4
-	tiles := th * tw
-	tt := bsz * tiles
-
-	u := a.NewRaw(36, outC*inC)
-	v := a.NewRaw(36, inC*tt)
-	mm := a.NewRaw(36, outC*tt)
-	winoConv(dst.Data, src.Data, bsz, outC, weight.Data, bias, g, u.Data, v.Data, mm.Data)
-}
-
-// WinogradConv3x3Pre is WinogradConv3x3 with a prepacked filter transform:
-// u is the 36×OutC×InC buffer PackWinoFilter computed from the weights at
-// compile time, so the per-call U = G·g·Gᵀ recomputation is skipped. The
-// input/output transforms and the 36 transform-domain GEMMs are unchanged
-// — results are bit-identical to WinogradConv3x3 on the same weights.
+// WinogradConv3x3Pre computes the batched stride-1 pad-1 3×3 convolution
+// of bsz images packed image-major in src ([bsz, InC*InH*InW] row-major)
+// into dst ([bsz, OutC*InH*InW]), adding bias per output channel. u is
+// the 36×OutC×InC filter transform PackWinoFilter computed from the
+// [OutC, InC*3*3] weights. Scratch comes from a; the caller owns Reset.
+// dst is fully overwritten (NewRaw buffers are fine). Its only caller is
+// the benchmark kernel probe (see the file comment).
 func WinogradConv3x3Pre(dst, src *T, bsz, outC int, u []float64, bias []float64, g ConvGeom, a *Arena) {
-	if !WinogradEligible(g) {
+	if !winogradEligible(g) {
 		panic(fmt.Sprintf("tensor: WinogradConv3x3Pre on ineligible geometry %+v", g))
 	}
 	inC, h, w := g.InC, g.InH, g.InW
@@ -83,11 +58,11 @@ func WinogradConv3x3Pre(dst, src *T, bsz, outC int, u []float64, bias []float64,
 	winoConvPre(dst.Data, src.Data, bsz, outC, bias, g, u, v.Data, mm.Data)
 }
 
-// WinogradConv3x3F32Pre is WinogradConv3x3Pre for the float32 backend,
-// consuming a PackWinoFilter32 buffer. The compiled f32 net packs every
-// 3×3/s1/p1 filter, so this is its only Winograd entry point.
+// WinogradConv3x3F32Pre is WinogradConv3x3Pre for float32, consuming a
+// PackWinoFilter32 buffer. Like it, it exists only for the benchmark
+// kernel probe (see the file comment).
 func WinogradConv3x3F32Pre(dst, src *T32, bsz, outC int, u []float32, bias []float32, g ConvGeom, a *Arena32) {
-	if !WinogradEligible(g) {
+	if !winogradEligible(g) {
 		panic(fmt.Sprintf("tensor: WinogradConv3x3F32Pre on ineligible geometry %+v", g))
 	}
 	inC, h, w := g.InC, g.InH, g.InW
@@ -104,19 +79,10 @@ func WinogradConv3x3F32Pre(dst, src *T32, bsz, outC int, u []float32, bias []flo
 	winoConvPre(dst.Data, src.Data, bsz, outC, bias, g, u, v.Data, mm.Data)
 }
 
-// winoConv is the width-generic transform-per-call Winograd pipeline
-// behind WinogradConv3x3: filter and input transforms, the 36 transform-domain
-// GEMMs (through the same gemmMain dispatch GemmInto uses, preserving the
-// f64 path's blocking and parallelization bit for bit), and the fused
-// output transform + bias add.
-func winoConv[F Float](dst, src []F, bsz, outC int, wd []F, bias []F, g ConvGeom, u, v, mm []F) {
-	winoFilter(u, wd, outC, g.InC)
-	winoConvPre(dst, src, bsz, outC, bias, g, u, v, mm)
-}
-
-// winoConvPre is winoConv from the filter transform on: u already holds
-// U = G·g·Gᵀ — either freshly computed (winoConv) or prepacked at compile
-// time (WinogradConv3x3Pre), the same values either way.
+// winoConvPre is the width-generic Winograd pipeline from the filter
+// transform on (u already holds U = G·g·Gᵀ): input transform, the 36
+// transform-domain GEMMs through gemmMain, and the fused output transform
+// + bias add.
 func winoConvPre[F Float](dst, src []F, bsz, outC int, bias []F, g ConvGeom, u, v, mm []F) {
 	inC, h, w := g.InC, g.InH, g.InW
 	th, tw := h/4, w/4

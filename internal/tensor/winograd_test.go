@@ -43,7 +43,7 @@ func TestWinogradConvMatchesIm2Col(t *testing.T) {
 			InW: 4 * (1 + rng.Intn(4)),
 			KH:  3, KW: 3, Stride: 1, Pad: 1,
 		}
-		if !WinogradEligible(g) {
+		if !winogradEligible(g) {
 			t.Fatalf("trial %d: generator produced ineligible geometry %+v", trial, g)
 		}
 		outC := 1 + rng.Intn(9)
@@ -61,7 +61,7 @@ func TestWinogradConvMatchesIm2Col(t *testing.T) {
 
 		want := winoRefConv(src, bsz, outC, weight, bias, g)
 		got := a.NewRaw(bsz, outC*hw)
-		WinogradConv3x3(got, src, bsz, outC, weight, bias, g, a)
+		WinogradConv3x3Pre(got, src, bsz, outC, PackWinoFilter(weight, outC, g.InC), bias, g, a)
 
 		for i := range want.Data {
 			diff := math.Abs(got.Data[i] - want.Data[i])
@@ -77,7 +77,7 @@ func TestWinogradConvMatchesIm2Col(t *testing.T) {
 // TestWinogradEligible pins the gate.
 func TestWinogradEligible(t *testing.T) {
 	base := ConvGeom{InC: 3, InH: 32, InW: 32, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	if !WinogradEligible(base) {
+	if !winogradEligible(base) {
 		t.Error("canonical 3×3/s1/p1 32×32 geometry rejected")
 	}
 	cases := []ConvGeom{
@@ -88,7 +88,7 @@ func TestWinogradEligible(t *testing.T) {
 		{InC: 3, InH: 32, InW: 6, KH: 3, KW: 3, Stride: 1, Pad: 1},  // width % 4
 	}
 	for _, g := range cases {
-		if WinogradEligible(g) {
+		if winogradEligible(g) {
 			t.Errorf("geometry %+v should be ineligible", g)
 		}
 	}

@@ -32,7 +32,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/model"
 	"repro/internal/policy"
-	"repro/internal/precision"
 	"repro/internal/tensor"
 )
 
@@ -99,15 +98,12 @@ type Options struct {
 	// GPUs is the number of members that can execute concurrently
 	// (default 1; the paper also evaluates 2).
 	GPUs int
-	// PrecisionBits, when in [10, 31], applies RAMR reduced-precision
-	// simulation to every member. 0 or 32 means full precision.
-	PrecisionBits int
 	// Backend selects the numeric execution path of the member networks:
 	// "f64" (the default, also selected by ""), "f32" (compiled float32
 	// kernels), or "int8" (quantized kernels calibrated on the validation
-	// split). Unlike PrecisionBits, which only simulates precision loss,
-	// reduced backends run genuinely cheaper kernels — this is the executable
-	// RAMR (DESIGN.md §9).
+	// split). Reduced backends run genuinely cheaper kernels — this is the
+	// executable RAMR (DESIGN.md §9); the simulated narrow float of Fig. 6
+	// and 11 lives in internal/precision and the fig_cost experiment.
 	Backend string
 	// LateBackend, when set, overrides Backend for the late tie-breaker
 	// members — those beyond the initial RADE stage (activation index ≥
@@ -358,14 +354,6 @@ func Build(benchmark string, opts Options) (*System, error) {
 		sys.Batch = opts.GPUs
 	}
 	sys.Workers = opts.Workers
-	if opts.PrecisionBits != 0 && opts.PrecisionBits != 32 {
-		f := precision.FromBits(opts.PrecisionBits)
-		for _, m := range sys.Members {
-			if err := precision.Apply(m.Net, f); err != nil {
-				return nil, fmt.Errorf("polygraph: applying precision: %w", err)
-			}
-		}
-	}
 	ds, err := zoo.Dataset(b.DatasetName)
 	if err != nil {
 		return nil, err
@@ -441,11 +429,14 @@ func Build(benchmark string, opts Options) (*System, error) {
 		// descriptor.
 		sys.Policy = ctl
 	}
-	// The fingerprint salt carries the precision bits (they rewrite network
-	// weights, which the member names cannot express). It feeds both the
-	// prediction-cache keys and the cluster routing fingerprint — which must
-	// agree, because cluster routing is ownership over cache keys.
-	salt := fmt.Sprintf("bits=%d", opts.PrecisionBits)
+	// The fingerprint salt once carried simulated precision bits, which
+	// rewrote network weights the member names cannot express; served
+	// systems always ran at full precision, so it stays the literal
+	// "bits=0" and cache keys, persisted segments and cluster fingerprints
+	// keep their bytes. It feeds both the prediction-cache keys and the
+	// cluster routing fingerprint — which must agree, because cluster
+	// routing is ownership over cache keys.
+	const salt = "bits=0"
 	if opts.Cache != nil {
 		// Attach last, once the configuration is final: the key fingerprint
 		// covers thresholds, staging, member set and the per-member backend
