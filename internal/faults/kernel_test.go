@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -39,13 +40,13 @@ func rowsClose(t *testing.T, a, b []float64, tol float64, ctx string) {
 // TestKernelInjectionCoverageF64 runs a live-buffer bit-flip campaign
 // against the float64 engine one image at a time — InferBatchArena at a
 // batch of one, which is what a lone served image runs; the convolutions
-// run on the GEMM VerifyGemm checks. Every verified kernel call suffers
-// one high-order mantissa/exponent flip, and the checksum epilogues must
-// detect nearly all of them and correct every detection. When nothing
-// slipped through, the repaired probabilities match the fault-free run
-// within 1e-9 rather than bit for bit: repair re-runs a GEMM column as a
-// scalar ascending-k chain (unfused, where the FMA kernel fused each
-// multiply-add).
+// run on the explicit GEMM and VerifyConv checks them. Every verified
+// kernel call suffers one high-order mantissa/exponent flip, and the
+// checksum epilogues must detect nearly all of them and correct every
+// detection. When nothing slipped through, the repaired probabilities
+// match the fault-free run within 1e-9 rather than bit for bit: repair
+// re-runs a GEMM column as a scalar ascending-k chain (unfused, where the
+// FMA kernel fused each multiply-add).
 func TestKernelInjectionCoverageF64(t *testing.T) {
 	net := testNet(t)
 	xs := testImages(60)
@@ -92,14 +93,22 @@ func TestKernelInjectionCoverageF64(t *testing.T) {
 }
 
 // TestKernelInjectionCoverageBatched drives the same campaign through
-// InferBatchArena at B=48 — the fused minibatch kernels, which the
-// weight-fault tests in this package never reached before. Repair re-runs
-// the scalar reference chain, so corrected outputs match the clean batched
-// run within the documented 1e-9 float contract rather than bit-for-bit.
+// InferBatchArena's fused minibatch kernels, which the weight-fault tests
+// in this package never reach. testNet's padded 3×3 conv has an 8×8
+// output, so B=48 (GEMM width 3072) runs the explicit lowering and B=64
+// (4096 = tensor.ImplicitConvMinN) the implicit GEMM; the checksums must
+// catch and repair flips on both. Repair re-runs the scalar reference
+// chain, so corrected outputs match the clean batched run within the
+// documented 1e-9 float contract rather than bit-for-bit.
 func TestKernelInjectionCoverageBatched(t *testing.T) {
-	net := testNet(t)
-	xs := testImages(48)
+	for _, bsz := range []int{48, 64} {
+		t.Run(fmt.Sprintf("B%d", bsz), func(t *testing.T) { batchedCampaignF64(t, bsz) })
+	}
+}
 
+func batchedCampaignF64(t *testing.T, bsz int) {
+	net := testNet(t)
+	xs := testImages(bsz)
 	a := tensor.NewArena()
 	probs := net.InferBatchArena(xs, a)
 	clean := make([][]float64, len(xs))
@@ -147,14 +156,21 @@ func TestKernelInjectionCoverageBatched(t *testing.T) {
 }
 
 // TestKernelInjectionCoverageF32 runs the campaign against the float32
-// backend's verified kernels.
+// backend's verified kernels: at B=60 (GEMM width 3840) on the explicit
+// lowering, at B=64 on the implicit GEMM.
 func TestKernelInjectionCoverageF32(t *testing.T) {
+	for _, bsz := range []int{60, 64} {
+		t.Run(fmt.Sprintf("B%d", bsz), func(t *testing.T) { campaignF32(t, bsz) })
+	}
+}
+
+func campaignF32(t *testing.T, bsz int) {
 	net := testNet(t)
 	n32, err := net.Compile32()
 	if err != nil {
 		t.Fatal(err)
 	}
-	xs := testImages(60)
+	xs := testImages(bsz)
 	a := tensor.NewArena32()
 	clean := n32.InferBatch(xs, a)
 	a.Reset()
@@ -193,10 +209,11 @@ func TestKernelInjectionCoverageF32(t *testing.T) {
 	}
 }
 
-// TestKernelInjectionCoverageInt8 covers the int8 backend: the int32
-// checksum is exact, so EVERY flip — any bit of any accumulator or column
-// sum — must be detected, and the repaired batch must reproduce the clean
-// output bit for bit.
+// TestKernelInjectionCoverageInt8 covers the int8 backend, whose stride-1
+// conv runs on the served direct shift kernel: the int32 checksum is
+// exact, so EVERY flip — any bit of any accumulator or column sum — must
+// be detected, and the repaired batch must reproduce the clean output bit
+// for bit.
 func TestKernelInjectionCoverageInt8(t *testing.T) {
 	net := testNet(t)
 	calib := testImages(8)

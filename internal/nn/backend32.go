@@ -11,10 +11,10 @@ import (
 // Network is compiled once into a Net32 — a list of inference-only nodes
 // holding float32 copies of the weights — and every subsequent forward pass
 // runs entirely in float32 through the batched f32 kernels
-// (tensor.Im2ColBatch32 + GemmInto32Fast, MatMulTransBInto32), with
-// each convolution's trailing ReLU and 2×2 max-pool folded into its
-// epilogue by the last compile pass (Net32.fuse). The batch layout is the
-// image-major [B, elems] backing of nn/batch.go.
+// (tensor.ConvGemmIm2Col32 or Im2ColBatch32 + GemmInto32Fast,
+// MatMulTransBInto32), with each convolution's trailing ReLU and 2×2
+// max-pool folded into its epilogue by the last compile pass (Net32.fuse).
+// The batch layout is the image-major [B, elems] backing of nn/batch.go.
 //
 // Accuracy contract: float32 carries ~7 decimal digits, the zoo logits sit
 // in single digits, and softmax is computed in float64 from the f32 logits,
@@ -231,9 +231,11 @@ func softmax64From32(logits []float32) []float64 {
 }
 
 // conv32 is the compiled float32 convolution, with the same dispatch and
-// epilogue as the f64 Conv2D.forwardEpi: it lowers the batch with
-// Im2ColBatch32 and runs GemmInto32Fast — the f64 driver at twice the
-// lanes on AVX2 machines, the pure-Go f32 GEMM elsewhere.
+// epilogue as the f64 Conv2D.forwardEpi: the implicit GEMM
+// (ConvGemmIm2Col32) at batched widths, Im2ColBatch32 + GemmInto32Fast
+// below ImplicitConvMinN — the f64 drivers at twice the lanes on AVX2
+// machines, the pure-Go f32 GEMM elsewhere — then, in verified mode, the
+// VerifyConv32 checksum epilogue on whichever ran.
 type conv32 struct {
 	inC, outC, kh, kw, stride, pad int
 
@@ -272,18 +274,18 @@ func (c *conv32) forward(src *tensor.T32, inShape []int, bsz int, a *tensor.Aren
 	outShape := epiShape(c.outC, oh, ow, c.epi)
 
 	cm := a.NewRaw(c.outC, bsz*ohw)
-	if a.Abft() == nil && bsz*ohw >= tensor.ImplicitConvMinN {
+	x := src.Data[:bsz*c.inC*g.InH*g.InW]
+	if bsz*ohw >= tensor.ImplicitConvMinN {
 		// Implicit GEMM: the im2col operand is generated block-by-block
 		// inside the panel loop, never materialized (DESIGN.md §14).
-		tensor.ConvGemmIm2Col32(cm, c.weight, src.Data[:bsz*c.inC*g.InH*g.InW], bsz, g)
+		tensor.ConvGemmIm2Col32(cm, c.weight, x, bsz, g)
 	} else {
-		// Verified mode needs the materialized cols for the checksum pass.
 		cols := a.NewRaw(ckk, bsz*ohw)
 		tensor.Im2ColBatch32(cols, src, bsz, g)
 		tensor.GemmInto32Fast(cm, c.weight, cols)
-		if s := a.Abft(); s != nil {
-			s.Record(tensor.VerifyGemm32(cm, c.weight, cols))
-		}
+	}
+	if s := a.Abft(); s != nil {
+		s.Record(tensor.VerifyConv32(cm, c.weight, x, bsz, g))
 	}
 
 	dst := a.NewRaw(bsz, prodShape(outShape))

@@ -131,10 +131,11 @@ func (c *Conv2D) forwardBatchArena(src *tensor.T, inShape []int, bsz int, st *ba
 // bias only), with the same dispatch as the f32 backend's conv32.forward.
 // Every geometry takes the batched im2col route onto the GEMM (the 4×8
 // FMA microkernel on AVX2 machines): one lowering (generated block by
-// block inside the GEMM at batched widths), one GEMM for all images, then
-// one epilogue pass that reads each (channel, image) plane of the GEMM's
-// channel-major [OutC, B, OH*OW] output once and writes it biased,
-// rectified and pooled into the next layer's image-major input.
+// block inside the GEMM at batched widths), one GEMM for all images, the
+// VerifyConv checksum in verified mode, then one epilogue pass that reads
+// each (channel, image) plane of the GEMM's channel-major
+// [OutC, B, OH*OW] output once and writes it biased, rectified and pooled
+// into the next layer's image-major input.
 func (c *Conv2D) forwardEpi(src *tensor.T, inShape []int, bsz int, st *batchState, e tensor.Epi) (*tensor.T, []int) {
 	g := c.geometry(inShape)
 	oh, ow := g.OutH(), g.OutW()
@@ -143,20 +144,20 @@ func (c *Conv2D) forwardEpi(src *tensor.T, inShape []int, bsz int, st *batchStat
 	outShape := epiShape(c.OutC, oh, ow, e)
 
 	cm := st.a.NewRaw(c.OutC, bsz*ohw)
-	if st.a.Abft() == nil && bsz*ohw >= tensor.ImplicitConvMinN {
+	x := src.Data[:bsz*c.InC*g.InH*g.InW]
+	if bsz*ohw >= tensor.ImplicitConvMinN {
 		// Implicit GEMM: the [ckk, B*OH*OW] column matrix is generated
 		// panel by panel inside the GEMM instead of being materialized —
-		// bit-identical to the explicit lowering below. Verified mode
-		// keeps the explicit path: the column-checksum verifier needs the
-		// materialized B operand.
-		tensor.ConvGemmIm2Col(cm, c.weight.Value, src.Data[:bsz*c.InC*g.InH*g.InW], bsz, g)
+		// bit-identical to the explicit lowering below, which wins at
+		// small batch widths.
+		tensor.ConvGemmIm2Col(cm, c.weight.Value, x, bsz, g)
 	} else {
 		cols := st.a.NewRaw(ckk, bsz*ohw)
 		tensor.Im2ColBatch(cols, st.imageViews(src, inShape, bsz), g)
 		tensor.GemmIntoFast(cm, c.weight.Value, cols)
-		if s := st.a.Abft(); s != nil {
-			s.Record(tensor.VerifyGemm(cm, c.weight.Value, cols))
-		}
+	}
+	if s := st.a.Abft(); s != nil {
+		s.Record(tensor.VerifyConv(cm, c.weight.Value, x, bsz, g))
 	}
 
 	dst := st.a.NewRaw(bsz, prodShape(outShape))

@@ -13,9 +13,10 @@ import (
 // Dense layer, and swaps those nodes for quantized versions:
 //
 //	quantize input (uint8, calibrated affine scale/zp)
-//	  → uint8 GEMM with int32 accumulators: direct shift or implicit-GEMM
-//	    convolution (byte im2col + tensor.GemmU8Into in verified mode),
-//	    Dense against a compile-time transposed weight pack
+//	  → uint8 GEMM with int32 accumulators: direct shift (stride 1) or
+//	    implicit-GEMM (strided) convolution, Dense against a compile-time
+//	    transposed weight pack; verified mode checks either product in its
+//	    epilogue (tensor.VerifyConvU8, VerifyGemmU8)
 //	  → fused dequantize + bias (tensor.DequantRow), then the absorbed
 //	    ReLU / 2×2 max-pool stages of the conv epilogue (nn/epilogue.go)
 //
@@ -76,34 +77,26 @@ func (q *qconv32) forward(src *tensor.T32, inShape []int, bsz int, a *tensor.Are
 	oh, ow := g.OutH(), g.OutW()
 	ohw := oh * ow
 	bohw := bsz * ohw
-	ckk := q.inC * q.kh * q.kw
 
 	qsrc := a.Bytes(len(src.Data))
 	tensor.QuantizeU8(qsrc, src.Data, q.invScale, q.zp)
 
 	acc := a.Int32s(q.outC * bohw)
 	colsum := a.Int32s(bohw)
-	if a.Abft() == nil {
-		if q.shift != nil {
-			// Direct shift convolution: no im2col operand at all — the
-			// kernels consume the padded channel-interleaved image through
-			// the compile-time kernel-column weight panels (DESIGN.md §14).
-			// int32 accumulation is order-independent, so the result is
-			// exact.
-			tensor.ConvDirectU8(acc, colsum, q.shift, qsrc[:bsz*q.inC*g.InH*g.InW], bsz, g, q.zp)
-		} else {
-			// Strided convs: implicit GEMM, the byte im2col operand
-			// generated per panel instead of materialized.
-			tensor.ConvGemmU8Im2Col(acc, colsum, q.qw.Bits, q.outC, qsrc[:bsz*q.inC*g.InH*g.InW], bsz, g, q.zp)
-		}
+	x := qsrc[:bsz*q.inC*g.InH*g.InW]
+	if q.shift != nil {
+		// Direct shift convolution: no im2col operand at all — the
+		// kernels consume the padded channel-interleaved image through
+		// the compile-time kernel-column weight panels (DESIGN.md §14).
+		// int32 accumulation is order-independent, so the result is exact.
+		tensor.ConvDirectU8(acc, colsum, q.shift, x, bsz, g, q.zp)
 	} else {
-		// Verified mode needs the materialized operand for the checksum pass.
-		qcols := a.Bytes(ckk * bohw)
-		tensor.Im2ColBatchU8(qcols, qsrc, bsz, g, q.zp)
-		tensor.GemmU8Into(acc, colsum, q.qw.Bits, qcols, q.outC, ckk, bohw)
-		if s := a.Abft(); s != nil {
-			s.Record(tensor.VerifyGemmU8(acc, colsum, q.qw.Bits, qcols, q.outC, ckk, bohw))
-		}
+		// Strided convs: implicit GEMM, the byte im2col operand
+		// generated per panel instead of materialized.
+		tensor.ConvGemmU8Im2Col(acc, colsum, q.qw.Bits, q.outC, x, bsz, g, q.zp)
+	}
+	if s := a.Abft(); s != nil {
+		s.Record(tensor.VerifyConvU8(acc, colsum, q.qw.Bits, q.outC, x, bsz, g, q.zp))
 	}
 
 	// The epilogue dequantizes each (channel, image) plane into an L1-sized

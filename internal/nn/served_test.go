@@ -9,16 +9,17 @@ import (
 	"repro/internal/tensor"
 )
 
-// TestVerifiedRowsMatchServed locks the served lowering against the one
-// verified mode checks. An arena with an ABFT sink makes every convolution
-// take the explicit im2col + GEMM route the checksums are defined on; an
-// arena without one takes what serving runs — the implicit GEMM, the int8
-// direct shift convolution and the packed int8 Dense. On a clean run the
-// two must produce Float64bits-equal rows for every zoo topology, backend
-// and batch size, and the verifier must have checked something without
-// detecting anything. The f64 network and the compiled Net32 backends are
-// separate subtrees: f64/<topology>/<kernel set> and
-// net32/<topology>/<f32|int8>/<kernel set>, the last level named by kernelLeg.
+// TestVerifiedRowsMatchServed locks verified mode to what serving runs.
+// An arena with an ABFT sink runs the same kernels as one without — the
+// implicit or explicit float GEMM by batch width, the int8 direct shift
+// convolution and the packed int8 Dense — and only adds the checksum
+// epilogue, which must leave a clean product untouched: the two must
+// produce Float64bits-equal rows for every zoo topology, backend and batch
+// size, and the verifier must have checked something without detecting
+// anything. The f64 network and the compiled Net32 backends are separate
+// subtrees: f64/<topology>/<kernel set> and
+// net32/<topology>/<f32|int8>/<kernel set>, the last level named by
+// kernelLeg.
 func TestVerifiedRowsMatchServed(t *testing.T) {
 	t.Run("f64", func(t *testing.T) {
 		for _, f := range backendFixtures(t) {
@@ -84,6 +85,34 @@ func checkVerifiedRowsMatchServed(t *testing.T, xs []*tensor.T, run func(xs []*t
 		}
 		if c := sink.Counts(); c.Checks == 0 || c.Detected != 0 {
 			t.Fatalf("B=%d: verifier counts %+v, want checks > 0 and no detections", bsz, c)
+		}
+	}
+}
+
+// TestVerifiedDrawsServedScratch holds verified mode to the served
+// lowering's scratch: at B=32 a verified forward hands out exactly as many
+// arena tensors as an unverified one, for every zoo topology on the f64
+// engine and the f32 backend. A verified-only lowering — say, an im2col
+// matrix materialized for the checksums to read — would draw more.
+func TestVerifiedDrawsServedScratch(t *testing.T) {
+	for _, f := range backendFixtures(t) {
+		net32, err := f.net.Compile32()
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := func(abft *tensor.AbftStats) (f64, f32 int) {
+			a := tensor.NewArena()
+			a.SetAbft(abft)
+			f.net.InferBatchArena(f.xs[:32], a)
+			a32 := tensor.NewArena32()
+			a32.SetAbft(abft)
+			net32.InferBatch(f.xs[:32], a32)
+			return a.Live(), a32.Live()
+		}
+		s64, s32 := live(nil)
+		v64, v32 := live(&tensor.AbftStats{})
+		if v64 != s64 || v32 != s32 {
+			t.Errorf("%s: verified forward drew %d (f64) / %d (f32) arena tensors, served %d / %d", f.name, v64, v32, s64, s32)
 		}
 	}
 }

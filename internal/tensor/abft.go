@@ -258,17 +258,85 @@ func abftColTol(bnd float64, k, m int, eps, eta float64) float64 {
 	return abftTol * (float64(k+m)*eps*bnd + float64(m+1)*float64(k+1)*eta)
 }
 
-// recomputeGemmCol re-executes column j of C = A×B with the scalar
-// reference chain (ascending k from +0 — the accumulation order GemmInto,
-// GemmInto32 and MatMulInto's dense kernel all produce).
-func recomputeGemmCol[F Float](cd, ad, bd []F, m, k, n, j int) {
+// recomputeConvCol re-executes column j of C = A×B, B's column j given
+// gathered in col, with the scalar reference chain (ascending k from +0 —
+// the accumulation order GemmInto, GemmInto32 and MatMulInto's dense
+// kernel all produce).
+func recomputeConvCol[F Float](cd, ad, col []F, m, n, j int) {
+	k := len(col)
 	for i := 0; i < m; i++ {
 		var acc F
-		arow := ad[i*k : (i+1)*k]
-		for p, av := range arow {
-			acc += av * bd[p*n+j]
+		for p, av := range ad[i*k : (i+1)*k] {
+			acc += av * col[p]
 		}
 		cd[i*n+j] = acc
+	}
+}
+
+// gemmGeom is the geometry under which a plain GEMM's B operand [k, n] is
+// its own im2col matrix: a 1×1, stride-1, unpadded convolution of one
+// k-channel 1×n image. The conv verifiers check plain products through it.
+func gemmGeom(k, n int) ConvGeom {
+	return ConvGeom{InC: k, InH: 1, InW: n, KH: 1, KW: 1, Stride: 1}
+}
+
+// The prediction passes read B = im2col(src) a row at a time, in ascending
+// p, through convRows. At stride 1 no row is generated: the batch is laid
+// out once channel-major, images stacked, every plane padded by g.Pad on
+// each side ([InC][bsz][InH+2·Pad][InW+2·Pad]), and row p = (c, kh, kw)
+// of B is the channel-c block of that layout shifted by (kh, kw) — read in
+// a padded column layout, whose extra positions unpadCols drops.
+// Strided convolutions generate each row with im2colBlock instead.
+
+// convRowsLen returns the length of the rows convRows hands out and of the
+// scratch it lays them out in.
+func convRowsLen(bsz int, g ConvGeom) (rowLen, size int) {
+	if g.Stride != 1 {
+		n := bsz * g.OutH() * g.OutW()
+		return n, n
+	}
+	pw, plane := g.InW+2*g.Pad, (g.InH+2*g.Pad)*(g.InW+2*g.Pad)
+	return (bsz-1)*plane + (g.OutH()-1)*pw + g.OutW(), g.InC * bsz * plane
+}
+
+// convRows calls f(p, x) for every row p of B = im2col(src) in ascending
+// p, padding positions taking pad; x lives in xs.
+func convRows[E Float | uint8](src []E, bsz int, g ConvGeom, pad E, xs []E, f func(p int, x []E)) {
+	rowLen, size := convRowsLen(bsz, g)
+	xs = xs[:size]
+	k := g.InC * g.KH * g.KW
+	if g.Stride != 1 {
+		for p := 0; p < k; p++ {
+			im2colBlock(xs, src, bsz, g, p, 1, 0, rowLen, pad)
+			f(p, xs)
+		}
+		return
+	}
+	pw, plane, hw := g.InW+2*g.Pad, (g.InH+2*g.Pad)*(g.InW+2*g.Pad), g.InH*g.InW
+	fill(xs, pad)
+	for c := 0; c < g.InC; c++ {
+		for b := 0; b < bsz; b++ {
+			dst, img := xs[(c*bsz+b)*plane+g.Pad*pw+g.Pad:], src[(b*g.InC+c)*hw:]
+			for y := 0; y < g.InH; y++ {
+				copy(dst[y*pw:y*pw+g.InW], img[y*g.InW:(y+1)*g.InW])
+			}
+		}
+	}
+	khw := g.KH * g.KW
+	for p := 0; p < k; p++ {
+		f(p, xs[p/khw*bsz*plane+p%khw/g.KW*pw+p%g.KW:][:rowLen])
+	}
+}
+
+// unpadCols gathers the columns of a stride-1 prediction from convRows'
+// padded layout pp into dst.
+func unpadCols[T any](dst, pp []T, bsz int, g ConvGeom) {
+	oh, ow := g.OutH(), g.OutW()
+	pw, plane := g.InW+2*g.Pad, (g.InH+2*g.Pad)*(g.InW+2*g.Pad)
+	for b := 0; b < bsz; b++ {
+		for y := 0; y < oh; y++ {
+			copy(dst[(b*oh+y)*ow:(b*oh+y+1)*ow], pp[b*plane+y*pw:])
+		}
 	}
 }
 
@@ -354,6 +422,7 @@ type abftScratch struct {
 	f64b []float64
 	i32  []int32
 	i64  []int64
+	u8   []uint8
 }
 
 var abftPool = sync.Pool{New: func() any { return new(abftScratch) }}
@@ -525,51 +594,57 @@ func sumRowI32(acc, row []int32) {
 	}
 }
 
-// verifyGemmCols checks (and where needed repairs) every column of the
-// already-computed product cd = ad×bd against column checksums. The
-// checksum accumulators run in the native element type F: the tolerance
-// already charges abftTol·(k+m)·eps for the kernel's own accumulation
-// error, and the checksum passes add at most k·eps·bnd (prediction) plus
-// m·eps·bnd (measurement) on top — comfortably inside that budget, and
-// far cheaper than float64-widening every float32 element.
-func verifyGemmCols[F Float](cd, ad, bd []F, m, k, n int, eps, eta, lim float64) VerifyOutcome {
+// verifyConvCols checks (and where needed repairs) every column of the
+// already-computed product cd = ad × im2col(src) against column
+// checksums. B is never materialized: the prediction pass reads its rows
+// through convRows, and the magnitude envelope and repair gather the one
+// column they need with im2colBlock, so the check reads the conv's input
+// and filter whichever kernel produced cd.
+// The checksum accumulators run in the native element type F: the
+// tolerance already charges abftTol·(k+m)·eps for the kernel's own
+// accumulation error, and the checksum passes add at most k·eps·bnd
+// (prediction) plus m·eps·bnd (measurement) on top — comfortably inside
+// that budget, and far cheaper than float64-widening every float32
+// element.
+func verifyConvCols[F Float](cd, ad, src []F, m, bsz int, g ConvGeom, eps, eta, lim float64) VerifyOutcome {
+	k := g.InC * g.KH * g.KW
+	n := bsz * g.OutH() * g.OutW()
 	o := VerifyOutcome{Checks: n}
 	if m == 0 || k == 0 || n == 0 {
 		return o
 	}
 	sc := abftPool.Get().(*abftScratch)
 	defer abftPool.Put(sc)
-	buf := abftFloatBuf[F](sc, 3*n+k)
+	rowLen, size := convRowsLen(bsz, g)
+	buf := abftFloatBuf[F](sc, 3*n+2*k+rowLen+size)
 	pred, act, actAbs := buf[:n], buf[n:2*n], buf[2*n:3*n]
-	aSum := buf[3*n : 3*n+k]
+	aSum, col := buf[3*n:3*n+k], buf[3*n+k:3*n+2*k]
+	acc, xs := pred, buf[3*n+2*k+rowLen:]
+	if g.Stride == 1 {
+		acc = buf[3*n+2*k : 3*n+2*k+rowLen]
+	}
 	aAbs := growScratch(&sc.f64b, k)
-	{
-		row := ad[:k]
-		for p, v := range row {
-			aSum[p] = v
-			aAbs[p] = math.Abs(float64(v))
-		}
+	copy(aSum, ad[:k])
+	for p, v := range ad[:k] {
+		aAbs[p] = math.Abs(float64(v))
 	}
 	for i := 1; i < m; i++ {
-		row := ad[i*k : (i+1)*k]
-		for p, v := range row {
+		for p, v := range ad[i*k : (i+1)*k] {
 			aSum[p] += v
 			aAbs[p] += math.Abs(float64(v))
 		}
 	}
-	// Prediction pass, cache-blocked so each pred window stays L1-resident
-	// across the k B rows instead of streaming the full 4·n-byte buffer
-	// through L2 once per row.
-	const predBlk = 4096
-	for j0 := 0; j0 < n; j0 += predBlk {
-		hi := j0 + predBlk
-		if hi > n {
-			hi = n
+	// Prediction pass. Each column accumulates B's rows in ascending p, so
+	// its predicted checksum has the bits a materialized B would give it.
+	convRows(src, bsz, g, 0, xs, func(p int, x []F) {
+		if p == 0 {
+			scaleSetAuto(acc, aSum[0], x)
+		} else {
+			axpyAuto(acc, aSum[p], x)
 		}
-		scaleSetAuto(pred[j0:hi], aSum[0], bd[j0:hi])
-		for p := 1; p < k; p++ {
-			axpyAuto(pred[j0:hi], aSum[p], bd[p*n+j0:p*n+hi])
-		}
+	})
+	if g.Stride == 1 {
+		unpadCols(pred, acc, bsz, g)
 	}
 	setAbsAuto(act, actAbs, cd[:n])
 	for i := 1; i < m; i++ {
@@ -577,7 +652,8 @@ func verifyGemmCols[F Float](cd, ad, bd []F, m, k, n int, eps, eta, lim float64)
 	}
 	scale, floor := abftProxyTerms(k, m, eps, eta)
 	// checkCol runs the exact float64 check for one column: proxy tier,
-	// then the strided magnitude envelope, then detection and repair.
+	// then the magnitude envelope over the gathered column, then detection
+	// and repair.
 	checkCol := func(j int) {
 		d := float64(pred[j]) - float64(act[j])
 		if d < 0 {
@@ -587,10 +663,11 @@ func verifyGemmCols[F Float](cd, ad, bd []F, m, k, n int, eps, eta, lim float64)
 			return
 		}
 		// Suspicious (or non-finite) column: reconstruct the exact
-		// magnitude envelope down the strided B column and re-judge.
+		// magnitude envelope from B's column j and re-judge.
+		im2colBlock(col, src, bsz, g, 0, k, j, 1, 0)
 		var bnd float64
-		for p := 0; p < k; p++ {
-			bnd += aAbs[p] * math.Abs(float64(bd[p*n+j]))
+		for p, v := range col {
+			bnd += aAbs[p] * math.Abs(float64(v))
 		}
 		tol := abftColTol(bnd, k, m, eps, eta)
 		if !abftMismatch(float64(pred[j]), float64(act[j]), tol, bnd, lim) {
@@ -600,7 +677,9 @@ func verifyGemmCols[F Float](cd, ad, bd []F, m, k, n int, eps, eta, lim float64)
 		ok := false
 		for r := 0; r < abftMaxRetries; r++ {
 			callAbftRetryHook(r)
-			recomputeGemmCol(cd, ad, bd, m, k, n, j)
+			// Re-gather: re-execution reads the operands as they are now.
+			im2colBlock(col, src, bsz, g, 0, k, j, 1, 0)
+			recomputeConvCol(cd, ad, col, m, n, j)
 			s := 0.0
 			for i := 0; i < m; i++ {
 				s += float64(cd[i*n+j])
@@ -641,7 +720,10 @@ func verifyGemmCols[F Float](cd, ad, bd []F, m, k, n int, eps, eta, lim float64)
 		}
 	}
 	for ; j < n; j++ {
-		checkCol(j)
+		// The proxy tier inline, so a clean column costs no call.
+		if d, t := math.Abs(float64(pred[j])-float64(act[j])), scale*float64(actAbs[j])+floor; !(d <= t && t <= math.MaxFloat64) {
+			checkCol(j)
+		}
 	}
 	return o
 }
@@ -735,27 +817,22 @@ func verifyGemmRowsTransB[F Float](cd, ad, bd []F, m, k, n int, eps, eta, lim fl
 	return o
 }
 
-// VerifyGemm checks and repairs an already-computed C = A×B (float64). It
-// panics on shape mismatches, like GemmInto.
-func VerifyGemm(c, a, b *T) VerifyOutcome {
-	m, k := a.Shape[0], a.Shape[1]
-	n := b.Shape[1]
-	if b.Shape[0] != k || c.Shape[0] != m || c.Shape[1] != n {
-		panic("tensor: VerifyGemm shape mismatch")
-	}
-	injectF64(c.Data)
-	return verifyGemmCols(c.Data, a.Data, b.Data, m, k, n, abftEps64, abftEta64, abftLim64)
+// VerifyConv checks and repairs an already-computed convolution product
+// cm = weight × im2col(src) (float64): cm [OutC, bsz·OutH·OutW], weight
+// [OutC, InC·KH·KW], src the packed image-major batch — the operands of
+// ConvGemmIm2Col, whichever lowering computed cm. It panics on shape
+// mismatches, like ConvGemmIm2Col.
+func VerifyConv(cm, weight *T, src []float64, bsz int, g ConvGeom) VerifyOutcome {
+	m, _, _ := implicitCheck(cm.Shape, weight.Shape, len(src), bsz, g, "VerifyConv")
+	injectF64(cm.Data)
+	return verifyConvCols(cm.Data, weight.Data, src, m, bsz, g, abftEps64, abftEta64, abftLim64)
 }
 
-// VerifyGemm32 is VerifyGemm for float32 tensors.
-func VerifyGemm32(c, a, b *T32) VerifyOutcome {
-	m, k := a.Shape[0], a.Shape[1]
-	n := b.Shape[1]
-	if b.Shape[0] != k || c.Shape[0] != m || c.Shape[1] != n {
-		panic("tensor: VerifyGemm32 shape mismatch")
-	}
-	injectF32(c.Data)
-	return verifyGemmCols(c.Data, a.Data, b.Data, m, k, n, abftEps32, abftEta32, abftLim32)
+// VerifyConv32 is VerifyConv for the float32 backend.
+func VerifyConv32(cm, weight *T32, src []float32, bsz int, g ConvGeom) VerifyOutcome {
+	m, _, _ := implicitCheck(cm.Shape, weight.Shape, len(src), bsz, g, "VerifyConv32")
+	injectF32(cm.Data)
+	return verifyConvCols(cm.Data, weight.Data, src, m, bsz, g, abftEps32, abftEta32, abftLim32)
 }
 
 // VerifyMatMulTransB checks and repairs an already-computed C = A×Bᵀ
@@ -781,12 +858,16 @@ func VerifyMatMulTransB32(c, a, b *T32) VerifyOutcome {
 	return verifyGemmRowsTransB(c.Data, a.Data, b.Data, m, k, n, abftEps32, abftEta32, abftLim32)
 }
 
-// VerifyGemmU8 checks and repairs an already-computed uint8 product
-// (c, colsum as produced by GemmU8Into). The int32 accumulators are exact,
-// so the int64-carried checksum must match exactly — any difference is a
-// fault. Both the accumulators and the column sums are covered.
-func VerifyGemmU8(c, colsum []int32, a, b []uint8, m, k, n int) VerifyOutcome {
-	injectI32(c[:m*n], colsum[:n])
+// VerifyConvU8 checks and repairs an already-computed int8 convolution
+// product (acc, colsum as produced by ConvDirectU8 or ConvGemmU8Im2Col
+// from the biased weights w [m, InC·KH·KW] and the quantized batch qsrc,
+// padding with zp). The int32 accumulators are exact, so the checksum must
+// match exactly — any difference is a fault. Both the accumulators and the
+// column sums are covered.
+func VerifyConvU8(acc, colsum []int32, w []uint8, m int, qsrc []uint8, bsz int, g ConvGeom, zp uint8) VerifyOutcome {
+	k := g.InC * g.KH * g.KW
+	n := bsz * g.OutH() * g.OutW()
+	injectI32(acc[:m*n], colsum[:n])
 	// When every clean intermediate fits in int32 (m·k·255² bounds both the
 	// prediction and the accumulator sum), the checksum arithmetic runs in
 	// the same width the kernel accumulates in, roughly halving the
@@ -794,55 +875,51 @@ func VerifyGemmU8(c, colsum []int32, a, b []uint8, m, k, n int) VerifyOutcome {
 	// but a single flipped bit changes the sum by ±2^bit ≠ 0 (mod 2³²), so
 	// wrapping never masks a detection.
 	if int64(m)*int64(k)*255*255 <= math.MaxInt32 {
-		return verifyGemmU8Cols[int32](c, colsum, a, b, m, k, n)
+		return verifyConvU8Cols[int32](acc, colsum, w, qsrc, m, k, n, bsz, g, zp)
 	}
-	return verifyGemmU8Cols[int64](c, colsum, a, b, m, k, n)
+	return verifyConvU8Cols[int64](acc, colsum, w, qsrc, m, k, n, bsz, g, zp)
 }
 
-func verifyGemmU8Cols[I int32 | int64](c, colsum []int32, a, b []uint8, m, k, n int) VerifyOutcome {
+// VerifyGemmU8 checks and repairs an already-computed plain uint8 product
+// (c, colsum as produced by GemmU8Into): VerifyConvU8 over the 1×1
+// geometry under which b [k, n] is its own im2col matrix.
+func VerifyGemmU8(c, colsum []int32, a, b []uint8, m, k, n int) VerifyOutcome {
+	return VerifyConvU8(c, colsum, a, m, b, 1, gemmGeom(k, n), 0)
+}
+
+// verifyConvU8Cols is verifyConvCols for the int8 kernels, with exact
+// checksums carried in I.
+func verifyConvU8Cols[I int32 | int64](c, colsum []int32, a, qsrc []uint8, m, k, n, bsz int, g ConvGeom, zp uint8) VerifyOutcome {
 	o := VerifyOutcome{Checks: n}
 	if m == 0 || k == 0 || n == 0 {
 		return o
 	}
 	sc := abftPool.Get().(*abftScratch)
 	defer abftPool.Put(sc)
-	buf := abftIntBuf[I](sc, 3*n+k)
+	rowLen, size := convRowsLen(bsz, g)
+	buf := abftIntBuf[I](sc, 3*n+k+2*rowLen)
 	pred, csRef, act := buf[:n], buf[n:2*n], buf[2*n:3*n]
 	aSum := buf[3*n : 3*n+k]
-	{
-		row := a[:k]
-		for p, v := range row {
-			aSum[p] = I(v)
-		}
+	acc, accCS := pred, csRef
+	if g.Stride == 1 {
+		acc, accCS = buf[3*n+k:3*n+k+rowLen], buf[3*n+k+rowLen:]
 	}
-	for i := 1; i < m; i++ {
-		row := a[i*k : (i+1)*k]
-		for p, v := range row {
+	u8 := growScratch(&sc.u8, k+size)
+	col, xs := u8[:k], u8[k:]
+	clear(aSum)
+	for i := 0; i < m; i++ {
+		for p, v := range a[i*k : (i+1)*k] {
 			aSum[p] += I(v)
 		}
 	}
-	{
-		s := aSum[0]
-		row := b[:n]
-		for j, v := range row {
-			pred[j] = s * I(v)
-			csRef[j] = I(v)
-		}
-	}
-	if pred32, ok := any(pred).([]int32); ok {
-		csRef32 := any(csRef).([]int32)
-		for p := 1; p < k; p++ {
-			predRowU8(pred32, csRef32, b[p*n:(p+1)*n], int32(aSum[p]))
-		}
-	} else {
-		for p := 1; p < k; p++ {
-			s := aSum[p]
-			row := b[p*n : (p+1)*n]
-			for j, v := range row {
-				pred[j] += s * I(v)
-				csRef[j] += I(v)
-			}
-		}
+	clear(acc)
+	clear(accCS)
+	convRows(qsrc, bsz, g, zp, xs, func(p int, x []uint8) {
+		predRowU8I(acc, accCS, x, aSum[p])
+	})
+	if g.Stride == 1 {
+		unpadCols(pred, acc, bsz, g)
+		unpadCols(csRef, accCS, bsz, g)
 	}
 	if act32, ok := any(act).([]int32); ok {
 		copy(act32, c[:n])
@@ -868,7 +945,8 @@ func verifyGemmU8Cols[I int32 | int64](c, colsum []int32, a, b []uint8, m, k, n 
 		ok := false
 		for r := 0; r < abftMaxRetries; r++ {
 			callAbftRetryHook(r)
-			gemmU8Col(c, a, b, k, n, n, 0, m, j)
+			im2colBlock(col, qsrc, bsz, g, 0, k, j, 1, zp)
+			gemmU8Col(c[j:], a, col, k, n, 1, 0, m, 0)
 			// k ≤ MaxQuantK keeps Σ_p b[p][j] ≤ k·255 far below 2³¹, so the
 			// reference value is the exact int32 the kernel computes.
 			colsum[j] = int32(csRef[j])
@@ -888,4 +966,16 @@ func verifyGemmU8Cols[I int32 | int64](c, colsum []int32, a, b []uint8, m, k, n 
 		}
 	}
 	return o
+}
+
+// predRowU8I is predRowU8 at either checksum width.
+func predRowU8I[I int32 | int64](pred, csRef []I, b []uint8, s I) {
+	if p32, ok := any(pred).([]int32); ok {
+		predRowU8(p32, any(csRef).([]int32), b, int32(s))
+		return
+	}
+	for j, v := range b {
+		pred[j] += s * I(v)
+		csRef[j] += I(v)
+	}
 }

@@ -17,6 +17,17 @@ func fillNormal32(t *T32, rng *rand.Rand) {
 	}
 }
 
+// verifyGemm checks a plain product C = A×B through VerifyConv's 1×1
+// geometry, under which b is its own im2col matrix.
+func verifyGemm(c, a, b *T) VerifyOutcome {
+	return VerifyConv(c, a, b.Data, 1, gemmGeom(b.Shape[0], b.Shape[1]))
+}
+
+// verifyGemm32 is verifyGemm through VerifyConv32.
+func verifyGemm32(c, a, b *T32) VerifyOutcome {
+	return VerifyConv32(c, a, b.Data, 1, gemmGeom(b.Shape[0], b.Shape[1]))
+}
+
 // TestVerifyGemmCleanBitIdentical locks the epilogue contract of the f64
 // verified GEMM: on a fault-free run verification reports zero detections
 // and leaves the output bit-identical to the unverified kernel's, across
@@ -41,7 +52,7 @@ func TestVerifyGemmCleanBitIdentical(t *testing.T) {
 			GemmInto(want, a, b)
 			got := New(m, n)
 			GemmInto(got, a, b)
-			o := VerifyGemm(got, a, b)
+			o := verifyGemm(got, a, b)
 			if o.Checks != n || o.Detected != 0 {
 				t.Fatalf("clean run: outcome %+v, want %d checks and 0 detections", o, n)
 			}
@@ -69,7 +80,7 @@ func TestVerifyGemm32CleanBitIdentical(t *testing.T) {
 			gemmFastLeg(simd, want.Data, a.Data, b.Data, m, k, n)
 			got := New32(m, n)
 			gemmFastLeg(simd, got.Data, a.Data, b.Data, m, k, n)
-			o := VerifyGemm32(got, a, b)
+			o := verifyGemm32(got, a, b)
 			if o.Checks != n || o.Detected != 0 {
 				t.Fatalf("simd=%v %v: outcome %+v, want %d checks and 0 detections", simd, s, o, n)
 			}
@@ -136,7 +147,7 @@ func TestVerifyGemmDetectsAndCorrects(t *testing.T) {
 		c := clean.Clone()
 		idx := rng.Intn(m * n)
 		flipBit64(&c.Data[idx], bit)
-		o := VerifyGemm(c, a, b)
+		o := verifyGemm(c, a, b)
 		if o.Detected != 1 || o.Corrected != 1 || !o.OK() {
 			t.Fatalf("bit %d at %d: outcome %+v, want exactly one corrected detection", bit, idx, o)
 		}
@@ -167,11 +178,11 @@ func TestVerifyGemm32DetectsAndCorrects(t *testing.T) {
 			c := &T32{Shape: []int{m, n}, Data: append([]float32(nil), clean.Data...)}
 			idx := rng.Intn(m * n)
 			flipBit32(&c.Data[idx], bit)
-			o := VerifyGemm32(c, a, b)
+			o := verifyGemm32(c, a, b)
 			if o.Detected != 1 || o.Corrected != 1 || !o.OK() {
 				t.Fatalf("simd=%v bit %d at %d: outcome %+v, want one corrected detection", simd, bit, idx, o)
 			}
-			if o2 := VerifyGemm32(c, a, b); o2.Detected != 0 {
+			if o2 := verifyGemm32(c, a, b); o2.Detected != 0 {
 				t.Fatalf("simd=%v bit %d: repaired output re-detects: %+v", simd, bit, o2)
 			}
 			for i, v := range c.Data {
@@ -221,6 +232,114 @@ func TestVerifyGemmU8DetectsAndCorrects(t *testing.T) {
 				t.Fatalf("bit %d: colsum[%d] = %d, want %d", bit, j, cs[j], cleanCS[j])
 			}
 		}
+	}
+}
+
+// TestVerifyConvGeneratedOperand runs the conv verifiers — which generate
+// B from the conv's input and geometry instead of reading a materialized
+// im2col matrix — on the output of the kernels serving each geometry of
+// the implicit-GEMM sweep: the implicit float drivers, the int8 direct
+// shift kernel at stride 1 and the implicit int8 driver. A clean product
+// passes every column untouched. One corrupted accumulator is detected and
+// its column repaired: to the scalar reference chain over the explicit
+// Im2ColBatch column (floats), or exactly (int8, where a column-sum flip
+// is repaired too).
+func TestVerifyConvGeneratedOperand(t *testing.T) {
+	for _, simd := range kernelLegs() {
+		rng := rand.New(rand.NewSource(151))
+		for ci, tc := range implicitGeoms(rng) {
+			g, bsz, m := tc.g, tc.bsz, tc.outC
+			k := g.InC * g.KH * g.KW
+			n := bsz * g.OutH() * g.OutW()
+			chw := g.InC * g.InH * g.InW
+			name := fmt.Sprintf("simd=%v case %d (geom %+v bsz %d)", simd, ci, g, bsz)
+
+			w := New(m, k)
+			w.FillNormal(rng, 0, 1)
+			srcs := make([]*T, bsz)
+			src := New(bsz, chw)
+			for b := range srcs {
+				srcs[b] = New(g.InC, g.InH, g.InW)
+				srcs[b].FillNormal(rng, 0, 1)
+				copy(src.Data[b*chw:], srcs[b].Data)
+			}
+			cols := New(k, n)
+			Im2ColBatch(cols, srcs, g)
+			idx := rng.Intn(m * n)
+			convVerifyCheck(t, name+" f64", simd, w.Data, src.Data, cols.Data, m, bsz, g, idx, func(cm []float64) VerifyOutcome {
+				return VerifyConv(&T{Shape: []int{m, n}, Data: cm}, w, src.Data, bsz, g)
+			})
+			w32, src32 := To32(w), To32(src)
+			convVerifyCheck(t, name+" f32", simd, w32.Data, src32.Data, To32(cols).Data, m, bsz, g, idx, func(cm []float32) VerifyOutcome {
+				return VerifyConv32(&T32{Shape: []int{m, n}, Data: cm}, w32, src32.Data, bsz, g)
+			})
+
+			a := make([]uint8, m*k)
+			qsrc := make([]uint8, bsz*chw)
+			rng.Read(a)
+			rng.Read(qsrc)
+			zp := uint8(rng.Intn(256))
+			clean := make([]int32, m*n)
+			cleanCS := make([]int32, n)
+			if g.Stride == 1 {
+				convDirectU8(clean, cleanCS, PackConvShiftU8(a, m, g.InC, g.KH, g.KW), qsrc, bsz, g, zp, simd)
+			} else {
+				convGemmU8(clean, cleanCS, a, qsrc, m, k, n, bsz, g, zp, simd)
+			}
+			c := append([]int32(nil), clean...)
+			cs := append([]int32(nil), cleanCS...)
+			if o := VerifyConvU8(c, cs, a, m, qsrc, bsz, g, zp); o.Checks != n || o.Detected != 0 {
+				t.Fatalf("%s u8 clean: outcome %+v, want %d checks and 0 detections", name, o, n)
+			}
+			c[idx] ^= 1 << 20
+			cs[rng.Intn(n)] ^= 1 << 3
+			if o := VerifyConvU8(c, cs, a, m, qsrc, bsz, g, zp); o.Detected == 0 || !o.OK() {
+				t.Fatalf("%s u8 flips: outcome %+v, want detection and full correction", name, o)
+			}
+			for i := range clean {
+				if c[i] != clean[i] {
+					t.Fatalf("%s u8: acc[%d] = %d, want %d", name, i, c[i], clean[i])
+				}
+			}
+			for j := range cleanCS {
+				if cs[j] != cleanCS[j] {
+					t.Fatalf("%s u8: colsum[%d] = %d, want %d", name, j, cs[j], cleanCS[j])
+				}
+			}
+		}
+	}
+}
+
+// convVerifyCheck is TestVerifyConvGeneratedOperand's float leg: cm from
+// the implicit driver, a clean verify, then one corrupted element at idx.
+func convVerifyCheck[F Float](t *testing.T, name string, simd bool, w, src, cols []F, m, bsz int, g ConvGeom, idx int, verify func(cm []F) VerifyOutcome) {
+	t.Helper()
+	k := len(w) / m
+	n := len(cols) / k
+	cm := make([]F, m*n)
+	convGemmLeg(simd, cm, w, src, m, k, n, bsz, g)
+	clean := append([]F(nil), cm...)
+	if o := verify(cm); o.Checks != n || o.Detected != 0 {
+		t.Fatalf("%s clean: outcome %+v, want %d checks and 0 detections", name, o, n)
+	}
+	cm[idx] = -64*cm[idx] - 1024
+	if o := verify(cm); o.Detected != 1 || o.Corrected != 1 {
+		t.Fatalf("%s corrupted element %d: outcome %+v, want one corrected detection", name, idx, o)
+	}
+	for i, v := range cm {
+		want := clean[i]
+		if i%n == idx%n {
+			want = 0
+			for p, av := range w[i/n*k : (i/n+1)*k] {
+				want += av * cols[p*n+i%n]
+			}
+		}
+		if float64bitsOf(v) != float64bitsOf(want) {
+			t.Fatalf("%s: element %d = %v after repair, want %v", name, i, v, want)
+		}
+	}
+	if o := verify(cm); o.Detected != 0 {
+		t.Fatalf("%s: repaired output re-detects: %+v", name, o)
 	}
 }
 
@@ -298,7 +417,7 @@ func TestVerifyUncorrectable(t *testing.T) {
 	SetAbftRetryHook(func(int) { a.Data[0] = 1e30 })
 	defer SetAbftRetryHook(nil)
 
-	o := VerifyGemm(c, a, b)
+	o := verifyGemm(c, a, b)
 	if o.Detected != 1 || o.Uncorrectable != 1 || o.OK() {
 		t.Fatalf("outcome %+v, want one uncorrectable detection", o)
 	}
@@ -343,7 +462,7 @@ func TestAbftZeroFalsePositivesCleanGemms(t *testing.T) {
 			b.FillNormal(rng, 0, scale)
 			c := New(m, n)
 			GemmInto(c, a, b)
-			if o := VerifyGemm(c, a, b); o.Detected != 0 {
+			if o := verifyGemm(c, a, b); o.Detected != 0 {
 				t.Fatalf("run %d f64 %dx%dx%d scale %g: false positive %+v", run, m, k, n, scale, o)
 			}
 		case 1: // f32 GEMM
@@ -357,7 +476,7 @@ func TestAbftZeroFalsePositivesCleanGemms(t *testing.T) {
 			}
 			c := New32(m, n)
 			gemmFastLeg(simd, c.Data, a.Data, b.Data, m, k, n)
-			if o := VerifyGemm32(c, a, b); o.Detected != 0 {
+			if o := verifyGemm32(c, a, b); o.Detected != 0 {
 				t.Fatalf("run %d f32 %dx%dx%d scale %g: false positive %+v", run, m, k, n, scale, o)
 			}
 		case 2: // f64 transposed-B (batched Dense shape)
@@ -409,6 +528,8 @@ func FuzzChecksumVerify(f *testing.F) {
 		hostile = binary.LittleEndian.AppendUint64(hostile, bits)
 	}
 	f.Add(uint8(4), uint8(6), uint8(4), hostile)
+	f.Add(uint8(0xa2), uint8(0x83), uint8(0x86), hostile)     // 3×3, stride 2, pad 1, bsz 2
+	f.Add(uint8(2), uint8(5), uint8(4), []byte("plain gemm")) // the 1×1 conv of a 3×1×5 image
 
 	f.Fuzz(func(t *testing.T, mr, kr, nr uint8, raw []byte) {
 		m := int(mr)%6 + 1
@@ -430,7 +551,7 @@ func FuzzChecksumVerify(f *testing.F) {
 		fill(b.Data, m*k)
 		c := New(m, n)
 		GemmInto(c, a, b)
-		if o := VerifyGemm(c, a, b); o.Detected != 0 {
+		if o := verifyGemm(c, a, b); o.Detected != 0 {
 			t.Fatalf("f64 GEMM false mismatch: %+v", o)
 		}
 
@@ -438,7 +559,7 @@ func FuzzChecksumVerify(f *testing.F) {
 		b32 := To32(b)
 		c32 := New32(m, n)
 		GemmInto32Fast(c32, a32, b32)
-		if o := VerifyGemm32(c32, a32, b32); o.Detected != 0 {
+		if o := verifyGemm32(c32, a32, b32); o.Detected != 0 {
 			t.Fatalf("f32 GEMM false mismatch: %+v", o)
 		}
 
@@ -467,6 +588,48 @@ func FuzzChecksumVerify(f *testing.F) {
 		GemmU8Into(uc, ucs, ua, ub, m, k, n)
 		if o := VerifyGemmU8(uc, ucs, ua, ub, m, k, n); o.Detected != 0 {
 			t.Fatalf("u8 false mismatch: %+v", o)
+		}
+
+		// The same bytes as a convolution the verifiers generate B for:
+		// InC, H and W from the low bits, kernel, stride, pad and batch
+		// from the high ones.
+		kk := 1 + 2*int(mr>>7)
+		g := ConvGeom{InC: int(mr)%3 + 1, InH: int(kr)%5 + 1, InW: int(nr)%5 + 1, KH: kk, KW: kk, Stride: 1 + int(kr>>7), Pad: int(nr >> 7)}
+		g.InH, g.InW = max(g.InH, kk-2*g.Pad), max(g.InW, kk-2*g.Pad)
+		bsz := 1 + int(mr>>5&3)%3
+		ck, cn := g.InC*kk*kk, bsz*g.OutH()*g.OutW()
+		w := New(m, ck)
+		fill(w.Data, 0)
+		src := make([]float64, bsz*g.InC*g.InH*g.InW)
+		fill(src, m*ck)
+		cm := New(m, cn)
+		ConvGemmIm2Col(cm, w, src, bsz, g)
+		if o := VerifyConv(cm, w, src, bsz, g); o.Checks != cn || o.Detected != 0 {
+			t.Fatalf("f64 conv %+v bsz %d false mismatch: %+v", g, bsz, o)
+		}
+		w32 := To32(w)
+		src32 := To32(&T{Shape: []int{len(src)}, Data: src}).Data
+		cm32 := New32(m, cn)
+		ConvGemmIm2Col32(cm32, w32, src32, bsz, g)
+		if o := VerifyConv32(cm32, w32, src32, bsz, g); o.Detected != 0 {
+			t.Fatalf("f32 conv %+v bsz %d false mismatch: %+v", g, bsz, o)
+		}
+		uw := make([]uint8, m*ck)
+		usrc := make([]uint8, len(src))
+		copy(uw, raw)
+		copy(usrc, raw[min(len(uw), len(raw)):])
+		zp := uint8(len(raw))
+		uacc := make([]int32, m*cn)
+		ucs = make([]int32, cn)
+		ConvGemmU8Im2Col(uacc, ucs, uw, m, usrc, bsz, g, zp)
+		if o := VerifyConvU8(uacc, ucs, uw, m, usrc, bsz, g, zp); o.Detected != 0 {
+			t.Fatalf("u8 conv %+v bsz %d false mismatch: %+v", g, bsz, o)
+		}
+		if g.Stride == 1 {
+			ConvDirectU8(uacc, ucs, PackConvShiftU8(uw, m, g.InC, kk, kk), usrc, bsz, g, zp)
+			if o := VerifyConvU8(uacc, ucs, uw, m, usrc, bsz, g, zp); o.Detected != 0 {
+				t.Fatalf("u8 direct conv %+v bsz %d false mismatch: %+v", g, bsz, o)
+			}
 		}
 	})
 }

@@ -75,13 +75,13 @@ func PackConvShiftU8(bits []uint8, outC, inC, kh, kw int) *PackedConvShift {
 				}
 			}
 		}
-		fillBytes(mtx[outC*kf:(outC+1)*kf], 1)
+		fill(mtx[outC*kf:(outC+1)*kf], 1)
 	}
 	return p
 }
 
-// fillBytes sets every element of s to v at memmove speed (doubling copy).
-func fillBytes(s []uint8, v uint8) {
+// fill sets every element of s to v at memmove speed (doubling copy).
+func fill[E any](s []E, v E) {
 	if len(s) == 0 {
 		return
 	}
@@ -136,7 +136,7 @@ func convDirectU8(acc, colsum []int32, w *PackedConvShift, qsrc []uint8, bsz int
 	rows := (g.InH + 2*g.Pad) * g.InC
 	bufp := getBlkU8(rows*L + g.KW - 1 + 31)
 	buf := *bufp
-	fillBytes(buf, zp)
+	fill(buf, zp)
 	for iy := 0; iy < g.InH; iy++ {
 		for c := 0; c < g.InC; c++ {
 			dr := buf[((iy+g.Pad)*g.InC+c)*L:]

@@ -45,30 +45,32 @@ func Im2Col(dst, src *T, g ConvGeom) {
 	if src.Len() != g.InC*g.InH*g.InW {
 		panic(fmt.Sprintf("tensor: Im2Col src len %d, want %d", src.Len(), g.InC*g.InH*g.InW))
 	}
-	sd, dd := src.Data, dst.Data
-	row := 0
-	for c := 0; c < g.InC; c++ {
-		chanOff := c * g.InH * g.InW
-		for kh := 0; kh < g.KH; kh++ {
-			for kw := 0; kw < g.KW; kw++ {
-				im2colRow(dd[row*oh*ow:(row+1)*oh*ow], sd, chanOff, kh, kw, oh, ow, g)
-				row++
-			}
-		}
+	im2colImage(dst.Data, src.Data, 0, 1, g, 0)
+}
+
+// im2colImage writes image b's column block [b·OutH·OutW, (b+1)·OutH·OutW)
+// of every row of the batched column matrix dd from the image's [C,H,W]
+// data sd, padding with pad.
+func im2colImage[E Float | uint8](dd, sd []E, b, bsz int, g ConvGeom, pad E) {
+	oh, ow := g.OutH(), g.OutW()
+	khw := g.KH * g.KW
+	for row := 0; row < g.InC*khw; row++ {
+		base := (row*bsz + b) * oh * ow
+		im2colRow(dd[base:base+oh*ow], sd, row/khw*g.InH*g.InW, row%khw/g.KW, row%g.KW, oh, ow, g, pad)
 	}
 }
 
 // im2colRow fills one [OutH*OutW] row of a column matrix: the input patch
 // element at kernel offset (kh, kw) of channel chanOff for every output
-// position, with zeros where the patch hangs over the padding border.
-// Generic over the float width: the f64 and f32 lowerings share it.
-func im2colRow[F Float](drow, sd []F, chanOff, kh, kw, oh, ow int, g ConvGeom) {
+// position, with pad where the patch hangs over the padding border (0 for
+// the f64 and f32 lowerings, the zero point for the quantized one).
+func im2colRow[E Float | uint8](drow, sd []E, chanOff, kh, kw, oh, ow int, g ConvGeom, pad E) {
 	di := 0
 	for oy := 0; oy < oh; oy++ {
 		iy := oy*g.Stride + kh - g.Pad
 		if iy < 0 || iy >= g.InH {
 			for ox := 0; ox < ow; ox++ {
-				drow[di] = 0
+				drow[di] = pad
 				di++
 			}
 			continue
@@ -76,19 +78,19 @@ func im2colRow[F Float](drow, sd []F, chanOff, kh, kw, oh, ow int, g ConvGeom) {
 		srow := sd[chanOff+iy*g.InW : chanOff+(iy+1)*g.InW]
 		ix := kw - g.Pad
 		if g.Stride == 1 {
-			// A stride-1 row is a contiguous gather: zero prefix where the
+			// A stride-1 row is a contiguous gather: pad prefix where the
 			// window hangs over the left border, one copy for the in-bounds
-			// span, zero suffix on the right. Identical values to the
+			// span, pad suffix on the right. Identical values to the
 			// element loop, at memmove speed.
 			pre := min(max(-ix, 0), ow)
 			span := min(ix+ow, g.InW) - max(ix, 0)
 			span = max(span, 0)
 			for x := 0; x < pre; x++ {
-				drow[di+x] = 0
+				drow[di+x] = pad
 			}
 			copy(drow[di+pre:di+pre+span], srow[ix+pre:ix+pre+span])
 			for x := di + pre + span; x < di+ow; x++ {
-				drow[x] = 0
+				drow[x] = pad
 			}
 			di += ow
 			continue
@@ -97,7 +99,7 @@ func im2colRow[F Float](drow, sd []F, chanOff, kh, kw, oh, ow int, g ConvGeom) {
 			if ix >= 0 && ix < g.InW {
 				drow[di] = srow[ix]
 			} else {
-				drow[di] = 0
+				drow[di] = pad
 			}
 			di++
 			ix += g.Stride
@@ -125,20 +127,8 @@ func Im2ColBatch(dst *T, srcs []*T, g ConvGeom) {
 			panic(fmt.Sprintf("tensor: Im2ColBatch src len %d, want %d", src.Len(), g.InC*g.InH*g.InW))
 		}
 	}
-	dd := dst.Data
 	for b, src := range srcs {
-		sd := src.Data
-		row := 0
-		for c := 0; c < g.InC; c++ {
-			chanOff := c * g.InH * g.InW
-			for kh := 0; kh < g.KH; kh++ {
-				for kw := 0; kw < g.KW; kw++ {
-					base := row*bsz*ohw + b*ohw
-					im2colRow(dd[base:base+ohw], sd, chanOff, kh, kw, oh, ow, g)
-					row++
-				}
-			}
-		}
+		im2colImage(dst.Data, src.Data, b, bsz, g, 0)
 	}
 }
 
@@ -160,20 +150,8 @@ func Im2ColBatch32(dst, src *T32, bsz int, g ConvGeom) {
 	if len(src.Data) != bsz*chw {
 		panic(fmt.Sprintf("tensor: Im2ColBatch32 src len %d, want %d", len(src.Data), bsz*chw))
 	}
-	dd := dst.Data
 	for b := 0; b < bsz; b++ {
-		sd := src.Data[b*chw : (b+1)*chw]
-		row := 0
-		for c := 0; c < g.InC; c++ {
-			chanOff := c * g.InH * g.InW
-			for kh := 0; kh < g.KH; kh++ {
-				for kw := 0; kw < g.KW; kw++ {
-					base := row*bsz*ohw + b*ohw
-					im2colRow(dd[base:base+ohw], sd, chanOff, kh, kw, oh, ow, g)
-					row++
-				}
-			}
-		}
+		im2colImage(dst.Data, src.Data[b*chw:(b+1)*chw], b, bsz, g, 0)
 	}
 }
 

@@ -122,13 +122,15 @@ func implicitBlkPut[F Float](p *[]F) {
 // im2colBlock fills blk (kc rows × jw columns, row stride jw) with the
 // sub-matrix rows [p0, p0+kc) × columns [j0, j0+jw) of the batched
 // [InC·KH·KW, bsz·OutH·OutW] im2col matrix of src (packed image-major
-// batch) — the same values Im2ColBatch32 would have written there.
+// batch) — the same values Im2ColBatch, Im2ColBatch32 or Im2ColBatchU8
+// would have written there. Padding positions take pad: 0 for the float
+// batches, the zero point for a quantized one.
 //
 // The (b, oy, ox) decomposition of the block's first column is computed
 // once — it is the same for every row — and each segment then advances it
 // incrementally, so the inner loop is division-free like im2colRow's and
 // generation runs at the explicit lowering's cost per element.
-func im2colBlock[F Float](blk []F, src []F, bsz int, g ConvGeom, p0, kc, j0, jw int) {
+func im2colBlock[E Float | uint8](blk, src []E, bsz int, g ConvGeom, p0, kc, j0, jw int, pad E) {
 	ow, oh := g.OutW(), g.OutH()
 	ohw := oh * ow
 	chw := g.InC * g.InH * g.InW
@@ -151,7 +153,7 @@ func im2colBlock[F Float](blk []F, src []F, bsz int, g ConvGeom, p0, kc, j0, jw 
 			iy := oy*g.Stride + kh - g.Pad
 			if iy < 0 || iy >= g.InH {
 				for x := range dst {
-					dst[x] = 0
+					dst[x] = pad
 				}
 			} else {
 				srow := src[b*chw+chanOff+iy*g.InW : b*chw+chanOff+(iy+1)*g.InW]
@@ -161,14 +163,14 @@ func im2colBlock[F Float](blk []F, src []F, bsz int, g ConvGeom, p0, kc, j0, jw 
 					span := min(ix0+seg, g.InW) - max(ix0, 0)
 					span = max(span, 0)
 					for x := 0; x < pre; x++ {
-						dst[x] = 0
+						dst[x] = pad
 					}
 					if span > 0 {
 						s0 := max(ix0, 0) // == ix0+pre whenever span > 0
 						copy(dst[pre:pre+span], srow[s0:s0+span])
 					}
 					for x := pre + span; x < seg; x++ {
-						dst[x] = 0
+						dst[x] = pad
 					}
 				} else {
 					ix := ox*g.Stride + kw - g.Pad
@@ -176,76 +178,7 @@ func im2colBlock[F Float](blk []F, src []F, bsz int, g ConvGeom, p0, kc, j0, jw 
 						if ix >= 0 && ix < g.InW {
 							dst[x] = srow[ix]
 						} else {
-							dst[x] = 0
-						}
-						ix += g.Stride
-					}
-				}
-			}
-			di += seg
-			ox += seg
-			if ox == ow {
-				ox = 0
-				oy++
-				if oy == oh {
-					oy = 0
-					b++
-				}
-			}
-		}
-	}
-}
-
-// im2colBlockU8 is im2colBlock over a quantized batch, padding with zp.
-func im2colBlockU8(blk []uint8, src []uint8, bsz int, g ConvGeom, p0, kc, j0, jw int, zp uint8) {
-	ow, oh := g.OutW(), g.OutH()
-	ohw := oh * ow
-	chw := g.InC * g.InH * g.InW
-	khw := g.KH * g.KW
-	b0 := j0 / ohw
-	rem0 := j0 - b0*ohw
-	oy0, ox0 := rem0/ow, rem0%ow
-	for p := 0; p < kc; p++ {
-		r := p0 + p
-		c := r / khw
-		rk := r - c*khw
-		kh, kw := rk/g.KW, rk%g.KW
-		chanOff := c * g.InH * g.InW
-		drow := blk[p*jw : (p+1)*jw]
-		b, oy, ox := b0, oy0, ox0
-		di := 0
-		for di < jw {
-			seg := min(ow-ox, jw-di)
-			dst := drow[di : di+seg]
-			iy := oy*g.Stride + kh - g.Pad
-			if iy < 0 || iy >= g.InH {
-				for x := range dst {
-					dst[x] = zp
-				}
-			} else {
-				srow := src[b*chw+chanOff+iy*g.InW : b*chw+chanOff+(iy+1)*g.InW]
-				if g.Stride == 1 {
-					ix0 := ox + kw - g.Pad
-					pre := min(max(-ix0, 0), seg)
-					span := min(ix0+seg, g.InW) - max(ix0, 0)
-					span = max(span, 0)
-					for x := 0; x < pre; x++ {
-						dst[x] = zp
-					}
-					if span > 0 {
-						s0 := max(ix0, 0) // == ix0+pre whenever span > 0
-						copy(dst[pre:pre+span], srow[s0:s0+span])
-					}
-					for x := pre + span; x < seg; x++ {
-						dst[x] = zp
-					}
-				} else {
-					ix := ox*g.Stride + kw - g.Pad
-					for x := 0; x < seg; x++ {
-						if ix >= 0 && ix < g.InW {
-							dst[x] = srow[ix]
-						} else {
-							dst[x] = zp
+							dst[x] = pad
 						}
 						ix += g.Stride
 					}
@@ -317,7 +250,7 @@ func convGemm[F Float](cd, ad, src []F, m, k, n, bsz int, g ConvGeom) {
 	for jb := 0; jb < n; jb += implicitJW {
 		bw := min(implicitJW, n-jb)
 		b := blk[:k*bw]
-		im2colBlock(b, src, bsz, g, 0, k, jb, bw)
+		im2colBlock(b, src, bsz, g, 0, k, jb, bw, 0)
 		gemmFMA(cd[jb:], ad, b, m, k, bw, n, bw)
 	}
 	implicitBlkPut(blkp)
@@ -353,7 +286,7 @@ func gemmIm2ColMain[F Float](cd, ad, src []F, m, k, n, bsz int, g ConvGeom) {
 		// gemmMain would have used.
 		colsp := implicitBlk[F](k * n)
 		cols := *colsp
-		im2colBlock(cols, src, bsz, g, 0, k, 0, n)
+		im2colBlock(cols, src, bsz, g, 0, k, 0, n, 0)
 		for i := range cd[:m*n] {
 			cd[i] = 0
 		}
@@ -409,7 +342,7 @@ func gemmIm2ColPanel[F Float](cd, ad, src []F, m, k, n, bsz int, g ConvGeom, j0,
 			je := min(jj+gemmJB, j1)
 			jw := je - jj
 			b := blk[:kc*jw]
-			im2colBlock(b, src, bsz, g, p0, kc, jj, jw)
+			im2colBlock(b, src, bsz, g, p0, kc, jj, jw, 0)
 			if kc <= gemmDirectK {
 				i := 0
 				for ; i+4 <= m; i += 4 {
@@ -498,7 +431,7 @@ func gemmU8Im2ColPanel(c, colsum []int32, a, qsrc []uint8, m, k, n, bsz int, g C
 		je := min(jb+implicitJW, j1)
 		bw := je - jb
 		b := blk[:k*bw]
-		im2colBlockU8(b, qsrc, bsz, g, 0, k, jb, bw, zp)
+		im2colBlock(b, qsrc, bsz, g, 0, k, jb, bw, zp)
 		cs := colsum[jb:je]
 		for x := range cs {
 			cs[x] = 0

@@ -144,7 +144,10 @@ func quantizeU8Go(dst []uint8, src []float32, invScale float32, zp uint8) {
 // (src, [bsz, InC*InH*InW] bytes) into a [InC*KH*KW, bsz*OutH*OutW] byte
 // column matrix, mirroring Im2ColBatch32's layout. Padding positions take
 // the value zp — the quantized image of real 0.0 — so the GEMM treats the
-// border exactly like the float kernels do.
+// border exactly like the float kernels do. Nothing served calls it: the
+// int8 backend runs ConvDirectU8 or ConvGemmU8Im2Col. It stays as the
+// reference the bit-identity tests and the kernel benchmark probe hold
+// those drivers to.
 func Im2ColBatchU8(dst, src []uint8, bsz int, g ConvGeom, zp uint8) {
 	oh, ow := g.OutH(), g.OutW()
 	ohw := oh * ow
@@ -157,60 +160,7 @@ func Im2ColBatchU8(dst, src []uint8, bsz int, g ConvGeom, zp uint8) {
 		panic(fmt.Sprintf("tensor: Im2ColBatchU8 src len %d, want %d", len(src), bsz*chw))
 	}
 	for b := 0; b < bsz; b++ {
-		sd := src[b*chw : (b+1)*chw]
-		row := 0
-		for c := 0; c < g.InC; c++ {
-			chanOff := c * g.InH * g.InW
-			for kh := 0; kh < g.KH; kh++ {
-				for kw := 0; kw < g.KW; kw++ {
-					base := row*bsz*ohw + b*ohw
-					im2colRowU8(dst[base:base+ohw], sd, chanOff, kh, kw, oh, ow, g, zp)
-					row++
-				}
-			}
-		}
-	}
-}
-
-// im2colRowU8 is im2colRow over bytes with an explicit padding value.
-func im2colRowU8(drow, sd []uint8, chanOff, kh, kw, oh, ow int, g ConvGeom, pad uint8) {
-	di := 0
-	for oy := 0; oy < oh; oy++ {
-		iy := oy*g.Stride + kh - g.Pad
-		if iy < 0 || iy >= g.InH {
-			for ox := 0; ox < ow; ox++ {
-				drow[di] = pad
-				di++
-			}
-			continue
-		}
-		srow := sd[chanOff+iy*g.InW : chanOff+(iy+1)*g.InW]
-		ix := kw - g.Pad
-		if g.Stride == 1 {
-			// Contiguous gather, mirroring im2colRow's stride-1 fast path
-			// with zp as the border byte.
-			pre := min(max(-ix, 0), ow)
-			span := min(ix+ow, g.InW) - max(ix, 0)
-			span = max(span, 0)
-			for x := 0; x < pre; x++ {
-				drow[di+x] = pad
-			}
-			copy(drow[di+pre:di+pre+span], srow[ix+pre:ix+pre+span])
-			for x := di + pre + span; x < di+ow; x++ {
-				drow[x] = pad
-			}
-			di += ow
-			continue
-		}
-		for ox := 0; ox < ow; ox++ {
-			if ix >= 0 && ix < g.InW {
-				drow[di] = srow[ix]
-			} else {
-				drow[di] = pad
-			}
-			di++
-			ix += g.Stride
-		}
+		im2colImage(dst, src[b*chw:(b+1)*chw], b, bsz, g, zp)
 	}
 }
 
@@ -220,6 +170,8 @@ func im2colRowU8(drow, sd []uint8, chanOff, kh, kw, oh, ow int, g ConvGeom, pad 
 // panics when k exceeds MaxQuantK (a SWAR lane could overflow). Large
 // products shard column panels across a worker pool exactly like GemmInto;
 // integer results are identical regardless of blocking or thread count.
+// Like Im2ColBatchU8 it has no served caller; it is the explicit reference
+// of the int8 conv drivers' bit-identity tests and benchmark probe.
 func GemmU8Into(c, colsum []int32, a, b []uint8, m, k, n int) {
 	if k > MaxQuantK {
 		panic(fmt.Sprintf("tensor: GemmU8Into k=%d exceeds MaxQuantK=%d", k, MaxQuantK))

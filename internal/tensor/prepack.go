@@ -15,8 +15,8 @@ import (
 // friends) so panel bases coincide with cache lines and the AVX2 entry
 // points can assert alignment in debug builds. Packing reorders storage,
 // never arithmetic: every consumer produces bit-identical results to the
-// explicit lowering verified mode runs, which is the correctness bar locked
-// by prepack_test.go and nn.TestVerifiedRowsMatchServed.
+// explicit im2col lowering, which is the correctness bar locked by
+// prepack_test.go.
 
 // cacheLine is the alignment (bytes) of packed panels and pooled kernel
 // scratch: one x86 cache line, also the DDR burst granule.

@@ -8,11 +8,10 @@ import (
 )
 
 // The prepack correctness bar (DESIGN.md §14): every prepacked or implicit
-// execution path is bit-identical to the explicit lowering verified mode
-// runs. These tests sweep randomized geometries plus hand-picked shapes
-// that force each dispatch arm — small, serial, parallel, direct-K,
-// packed-K, vector and pure-Go — and compare element-by-element with ==,
-// not a tolerance.
+// execution path is bit-identical to the explicit im2col lowering. These
+// tests sweep randomized geometries plus hand-picked shapes that force
+// each dispatch arm — small, serial, parallel, direct-K, packed-K, vector
+// and pure-Go — and compare element-by-element with ==, not a tolerance.
 
 // kernelLegs lists the kernel choices a bit-identity test runs: the
 // pure-Go bodies (false) everywhere, and the vector kernels (true) on

@@ -113,11 +113,11 @@ type Options struct {
 	// full precision.
 	LateBackend string
 	// Verified enables ABFT checksum verification of every member's
-	// inference kernels (DESIGN.md §10): conv and dense matrix products are
-	// checked against row/column checksums in the kernel epilogue, detected
-	// faults are re-executed, and a member whose fault could not be
-	// corrected abstains from voting. Clean-run results are bit-identical
-	// to unverified execution. The forward-pass overhead is the benchmark's
+	// inference kernels (DESIGN.md §10): the served conv and dense kernels
+	// run unchanged, and their products are checked against row/column
+	// checksums in the kernel epilogue, detected faults are re-executed,
+	// and a member whose fault could not be corrected abstains from voting.
+	// Clean-run results are bit-identical to unverified execution. The forward-pass overhead is the benchmark's
 	// nn.verified_overhead_share.{f64,f32,int8}.b32 metric (benchmark/).
 	// Counters are exposed via System.AbftCounts and the serving /metrics
 	// registry.
