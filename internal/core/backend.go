@@ -7,24 +7,26 @@ import (
 )
 
 // Reduced-precision execution backends (DESIGN.md §9). Each member can run
-// its forward passes at a different numeric precision: the float64
-// reference path, the compiled float32 path, or the int8 quantized path.
-// This is the executable form of the paper's RAMR reduced-precision
-// multiplicity — instead of simulating precision loss by rewriting weights,
-// the engine actually runs cheaper kernels and banks the time.
+// its forward passes at a different numeric precision — float64, float32,
+// or int8 quantized — and every precision is the same compiled inference
+// graph (nn.Net) at a different element width. This is the executable form
+// of the paper's RAMR reduced-precision multiplicity: instead of
+// simulating precision loss by rewriting weights, the engine actually runs
+// cheaper kernels and banks the time.
 //
 // Backends are configuration in two steps: set Member.Backend (or let
 // polygraph.Options do it), then call PrepareBackends once to compile the
-// reduced-precision nets. Until PrepareBackends runs, every member executes
-// float64 regardless of its Backend field, so a half-configured system is
-// never silently wrong — it is just full precision.
+// reduced-precision nets. Until PrepareBackends runs, every member serves
+// the float64 net NewSystem compiled, regardless of its Backend field, so
+// a half-configured system is never silently wrong — it is just full
+// precision.
 
 // Backend selects the numeric execution path of one member.
 type Backend int
 
 const (
-	// BackendF64 is the float64 reference path — bit-identical to the
-	// engine's behaviour before backends existed.
+	// BackendF64 runs the compiled float64 net (nn.Compile[float64]) —
+	// bit-identical to the engine's behaviour before backends existed.
 	BackendF64 Backend = iota
 	// BackendF32 runs the compiled float32 net (nn.Compile32).
 	BackendF32
@@ -59,26 +61,33 @@ func (b Backend) String() string {
 	return fmt.Sprintf("Backend(%d)", int(b))
 }
 
-// PrepareBackends compiles the reduced-precision net of every member whose
-// Backend requests one. calib is a sample of raw system inputs (it may be
-// nil when no member uses int8); each int8 member calibrates on its OWN
-// preprocessed view of the sample, so activation ranges reflect what that
-// member's network actually sees. Members already prepared for their
-// current backend are recompiled — PrepareBackends is idempotent and may be
-// called again after retraining or backend reassignment. Call it before
+// PrepareBackends compiles the net of every member for its Backend: the
+// float64 net always (it also serves a policy's f64 override), the f32 or
+// int8 net when Backend requests one. calib is a sample of raw system
+// inputs (it may be nil when no member uses int8); each int8 member
+// calibrates on its OWN preprocessed view of the sample, so activation
+// ranges reflect what that member's network actually sees. Members already
+// prepared are recompiled — PrepareBackends is idempotent and must be
+// called again after retraining or backend reassignment: the f64 net
+// shares the layers' weights but folds each normalization's running
+// variance at compile time, and the reduced-precision nets copy
+// everything. A network the compiler refuses (one with an ActivationHook)
+// is an error naming the member, on every backend. Call it before
 // EnableCache so the fingerprint covers the final backend schedule.
 func (s *System) PrepareBackends(calib []*tensor.T) error {
 	for i := range s.Members {
 		m := &s.Members[i]
+		if err := m.compileF64(); err != nil {
+			return err
+		}
 		switch m.Backend {
 		case BackendF64:
-			m.net32 = nil // the f64 path runs the trained network as is
 		case BackendF32:
 			net, err := m.Net.Compile32()
 			if err != nil {
 				return fmt.Errorf("core: member %s: %w", m.Name, err)
 			}
-			m.net32 = net
+			m.net = net
 		case BackendInt8:
 			if len(calib) == 0 {
 				return fmt.Errorf("core: member %s uses the int8 backend; PrepareBackends needs a calibration sample", m.Name)
@@ -91,7 +100,7 @@ func (s *System) PrepareBackends(calib []*tensor.T) error {
 			if err != nil {
 				return fmt.Errorf("core: member %s: %w", m.Name, err)
 			}
-			m.net32 = net
+			m.net = net
 		default:
 			return fmt.Errorf("core: member %s: unknown backend %d", m.Name, int(m.Backend))
 		}
@@ -101,13 +110,14 @@ func (s *System) PrepareBackends(calib []*tensor.T) error {
 
 // PrepareAdaptive compiles the f32 and int8 variants of every member into
 // Member.alt, so an attached StagePolicy can override the backend of any
-// stage at runtime (int8→f32→f64 precision escalation) without recompiling.
-// calib is a sample of raw system inputs for int8 calibration; like
-// PrepareBackends, each member calibrates on its own preprocessed view.
-// Variants are compiled once and kept — PrepareAdaptive is idempotent.
-// The members' configured Backend fields (and net32) are untouched: with a
-// nil policy, or a policy that never overrides, the adaptive variants are
-// dead weight, never a behaviour change.
+// stage at runtime (int8→f32→f64 precision escalation) without recompiling;
+// the f64 variant is the net NewSystem compiled. calib is a sample of raw
+// system inputs for int8 calibration; like PrepareBackends, each member
+// calibrates on its own preprocessed view. Variants are compiled once and
+// kept — PrepareAdaptive is idempotent. The members' configured Backend
+// fields (and served nets) are untouched: with a nil policy, or a policy
+// that never overrides, the adaptive variants are dead weight, never a
+// behaviour change.
 func (s *System) PrepareAdaptive(calib []*tensor.T) error {
 	if len(calib) == 0 {
 		return fmt.Errorf("core: PrepareAdaptive needs a calibration sample for the int8 variants")

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -202,16 +203,24 @@ func TestPrepareBackendsErrors(t *testing.T) {
 	if err := sys.PrepareBackends(nil); err == nil {
 		t.Error("PrepareBackends accepted an unknown backend")
 	}
-	// f64 needs no calibration and clears any stale compiled net.
+	// f64 needs no calibration and replaces any stale compiled net.
 	sys.Members[0].Backend = BackendF64
 	if err := sys.PrepareBackends(nil); err != nil {
 		t.Errorf("PrepareBackends(f64) = %v", err)
 	}
-	// An ActivationHook blocks compilation; the error names the member.
-	sys.Members[0].Backend = BackendF32
+	// An ActivationHook blocks compilation on every backend — the served
+	// graph fuses layers and cannot call it per layer — and the error
+	// names the member.
 	net.ActivationHook = func(int, *tensor.T) {}
-	if err := sys.PrepareBackends(nil); err == nil {
-		t.Error("PrepareBackends compiled a hooked network")
+	for _, be := range []Backend{BackendF64, BackendF32, BackendInt8} {
+		sys.Members[0].Backend = be
+		if err := sys.PrepareBackends(nil); err == nil || !strings.Contains(err.Error(), "member ORG") {
+			t.Errorf("%s: PrepareBackends on a hooked network = %v, want an error naming member ORG", be, err)
+		}
+	}
+	if _, err := NewSystem([]Member{{Name: "ORG", Pre: preprocess.MustByName("ORG"), Net: net}},
+		Thresholds{Conf: 0.2, Freq: 1}); err == nil || !strings.Contains(err.Error(), "member ORG") {
+		t.Errorf("NewSystem on a hooked network = %v, want an error naming member ORG", err)
 	}
 }
 

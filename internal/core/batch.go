@@ -15,10 +15,11 @@ import (
 // This file implements per-network batched classification: instead of fanning
 // individual images across workers (each paying a full per-image forward pass
 // per member), the engine runs every still-undecided image through one member
-// network at a time via nn.InferBatchArena, so each member's weights are
-// streamed once per stage for the whole batch and the fused minibatch kernels
-// (batched im2col + GEMM, on the FMA microkernel where the machine has
-// AVX2) do the heavy lifting.
+// network at a time — the member's compiled nn.Net, at whatever element
+// width its backend runs — so each member's weights are streamed once per
+// stage for the whole batch and the fused minibatch kernels (batched im2col
+// + GEMM, on the FMA microkernel where the machine has AVX2) do the heavy
+// lifting.
 //
 // RADE staged-activation semantics are preserved exactly: all images follow
 // the same global stage schedule the sequential engine uses (an initial chunk
@@ -30,7 +31,7 @@ import (
 // (activate in contribution order, stop once Thr_Freq is decided), lives in
 // oracle_test.go: it is the reference the property tests hold this engine
 // to, never a serving path. The kernels are batch-composition invariant
-// (internal/nn/batch.go), so the Decision of an image, Confidence included,
+// (internal/nn/graph.go), so the Decision of an image, Confidence included,
 // is the same bits in any batch.
 
 // ClassifyBatch classifies every input and returns index-aligned decisions.
@@ -289,13 +290,13 @@ func (s *System) runMemberRange(ctx context.Context, start, end int, xs []*tenso
 	return rows, nil
 }
 
-// batchScratch is one worker's scratch: an arena pair and the slab the
-// member inputs are preprocessed into. Both arenas are created lazily so a
-// pure-f64 system never allocates float32 scratch and a pure
-// reduced-precision system never allocates float64 scratch.
+// batchScratch is one worker's scratch: an arena and the slab the member
+// inputs are preprocessed into. The arena's slabs grow only for the
+// element types drawn from them, so a pure-f64 system never allocates
+// float32 or integer scratch and a pure int8 system never allocates
+// float64 scratch.
 type batchScratch struct {
-	a   *tensor.Arena
-	a32 *tensor.Arena32
+	a tensor.Arena
 
 	// Preprocessed member inputs of the call in flight: pre[i] points at
 	// preT[i], whose pixels are a window of preSlab. All three are reused
@@ -334,10 +335,10 @@ func (sc *batchScratch) preprocess(p preprocess.Preprocessor, xs []*tensor.T) []
 // every call and every concurrent member inference. It holds at most as
 // many scratches as were ever in flight at once — Workers per concurrent
 // ClassifyBatch call, about GOMAXPROCS under the server's single batcher — and
-// each scratch's arenas are high-water regions, so the list is bounded by
+// each scratch's arena is a high-water region, so the list is bounded by
 // the largest calls it served, not by how many batch sizes it saw. (Not a
 // sync.Pool: that may drop its contents at any collection, and every drop
-// rebuilds a scratch's arenas from the heap.)
+// rebuilds a scratch's arena from the heap.)
 type scratchList struct {
 	mu   sync.Mutex
 	free []*batchScratch
@@ -361,41 +362,21 @@ func (l *scratchList) put(sc *batchScratch) {
 }
 
 // batchStageArenaInfer returns the batched member execution strategy:
-// preprocess each image into the scratch slab, run the member's network
-// over the whole set — InferBatchArena for float64 members, the compiled
-// Net32 for reduced-precision ones — and return the probability rows.
-// Scratch is drawn from the System's free list, so concurrent member calls
-// never share arenas. When the policy requests a backend, the member runs
-// its adaptive variant compiled by PrepareAdaptive (falling back to the
-// configured path when the variant is absent, so a half-prepared system
-// degrades to correct-but-static rather than failing).
+// preprocess each image into the scratch slab, run the member's compiled
+// net over the whole set and return the probability rows. Scratch is drawn
+// from the System's free list, so concurrent member calls never share
+// arenas. When the policy requests a backend, the member runs its variant
+// for that backend (falling back to the configured net when PrepareAdaptive
+// never compiled it, so a half-prepared system degrades to
+// correct-but-static rather than failing).
 func (s *System) batchStageArenaInfer() batchStageInferFn {
 	return func(m int, be Backend, override bool, xs []*tensor.T) [][]float64 {
 		sc := s.scratch.get()
 		mem := &s.Members[m]
 		st := s.verifySink(mem)
-		pre := sc.preprocess(mem.Pre, xs)
-		net32 := mem.resolveNet(be, override)
-		var rows [][]float64
-		if net32 != nil {
-			if sc.a32 == nil {
-				sc.a32 = tensor.NewArena32()
-			}
-			sc.a32.SetAbft(st)
-			rows = net32.InferBatch(pre, sc.a32)
-			sc.a32.Reset()
-		} else {
-			if sc.a == nil {
-				sc.a = tensor.NewArena()
-			}
-			sc.a.SetAbft(st)
-			probs := mem.Net.InferBatchArena(pre, sc.a)
-			rows = make([][]float64, len(xs))
-			for i, p := range probs {
-				rows[i] = append([]float64(nil), p.Data...)
-			}
-			sc.a.Reset()
-		}
+		sc.a.SetAbft(st)
+		rows := mem.resolveNet(be, override).InferBatch(sc.preprocess(mem.Pre, xs), &sc.a)
+		sc.a.Reset()
 		if s.finishVerify(st) {
 			// One fused call covers the whole pending batch for this member:
 			// an uncorrectable fault cannot be attributed to a single image,

@@ -90,3 +90,36 @@ func TestClassifyBatchAllocBound(t *testing.T) {
 		}
 	}
 }
+
+// TestScratchGrowsOnlyServedSlabs holds the lazy-arena promise of
+// batchScratch: a worker's one arena grows only the slabs of the element
+// types its members' nets draw. After a ClassifyBatch, a pure-f64 System
+// has grown its float64 slab and nothing else; a pure-int8 System has no
+// float64 slab (its nets convert the float64 images to float32 on entry).
+func TestScratchGrowsOnlyServedSlabs(t *testing.T) {
+	b, err := model.ByName("convnet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, be := range []Backend{BackendF64, BackendInt8} {
+		sys, xs := backendSystem(t, b, be)
+		sys.ClassifyBatch(xs[:8])
+		if len(sys.scratch.free) == 0 {
+			t.Fatalf("%s: no scratch went back to the free list", be)
+		}
+		for _, sc := range sys.scratch.free {
+			f64, f32 := tensor.SlabLen[float64](&sc.a), tensor.SlabLen[float32](&sc.a)
+			u8, i32 := tensor.SlabLen[uint8](&sc.a), tensor.SlabLen[int32](&sc.a)
+			switch be {
+			case BackendF64:
+				if f64 == 0 || f32 != 0 || u8 != 0 || i32 != 0 {
+					t.Errorf("f64 system slabs f64=%d f32=%d u8=%d i32=%d, want only f64 grown", f64, f32, u8, i32)
+				}
+			case BackendInt8:
+				if f64 != 0 || f32 == 0 || u8 == 0 || i32 == 0 {
+					t.Errorf("int8 system slabs f64=%d f32=%d u8=%d i32=%d, want no f64 and the rest grown", f64, f32, u8, i32)
+				}
+			}
+		}
+	}
+}

@@ -18,7 +18,8 @@ type Member struct {
 	Net  *nn.Network
 	// Backend selects the numeric execution path (f64, f32, int8). It takes
 	// effect once System.PrepareBackends compiles the reduced-precision net;
-	// until then the member runs the float64 reference path (see backend.go).
+	// until then the member runs the float64 net NewSystem compiled (see
+	// backend.go).
 	Backend Backend
 	// Verified requests ABFT checksum verification of this member's
 	// inference kernels (see verify.go). It takes effect once
@@ -26,43 +27,56 @@ type Member struct {
 	// member runs unverified.
 	Verified bool
 
-	// net32 is the compiled reduced-precision net (f32 or int8 per Backend),
-	// set by PrepareBackends. nil means execute Net in float64.
-	net32 *nn.Net32
+	// net is the compiled net the member serves with: the float64 net
+	// NewSystem compiles, or the f32/int8 net PrepareBackends compiles for
+	// Backend.
+	net compiledNet
 
-	// alt holds adaptively compiled backend variants, indexed by Backend and
-	// set by PrepareAdaptive, so a StagePolicy can switch a stage between
-	// f64/f32/int8 without recompiling. alt[BackendF64] is always nil (the
-	// f64 path runs Net directly).
-	alt [3]*nn.Net32
+	// alt holds the compiled backend variants, indexed by Backend, so a
+	// StagePolicy can switch a stage between f64/f32/int8 without
+	// recompiling: alt[BackendF64] is compiled with the member's f64 net,
+	// the reduced-precision variants by PrepareAdaptive.
+	alt [3]compiledNet
+}
+
+// compiledNet is a member network compiled at one element width: an
+// nn.Net[float64] or an nn.Net[float32] (f32 or int8 nodes). InferBatch
+// returns one softmax row per input, drawing scratch from a.
+type compiledNet interface {
+	InferBatch(xs []*tensor.T, a *tensor.Arena) [][]float64
 }
 
 // resolveNet picks the compiled net for a stage: the member's configured
-// path when no override is requested (or the override matches the
-// configured backend), otherwise the adaptive variant from PrepareAdaptive.
-// A requested variant that was never compiled falls back to the configured
-// path — correct, just not cheaper. nil means run Net in float64.
-func (m *Member) resolveNet(be Backend, override bool) *nn.Net32 {
+// net when no override is requested (or the override matches the
+// configured backend), otherwise the variant for the requested backend. A
+// reduced-precision variant PrepareAdaptive never compiled falls back to
+// the configured net — correct, just not cheaper.
+func (m *Member) resolveNet(be Backend, override bool) compiledNet {
 	if !override || be == m.Backend {
-		return m.net32
-	}
-	if be == BackendF64 {
-		return nil
+		return m.net
 	}
 	if int(be) < len(m.alt) && m.alt[be] != nil {
 		return m.alt[be]
 	}
-	return m.net32
+	return m.net
+}
+
+// compileF64 compiles the member's float64 net, which it serves with
+// until PrepareBackends assigns another backend and which a policy's f64
+// override runs.
+func (m *Member) compileF64() error {
+	net, err := nn.Compile[float64](m.Net)
+	if err != nil {
+		return fmt.Errorf("core: member %s: %w", m.Name, err)
+	}
+	m.net, m.alt[BackendF64] = net, net
+	return nil
 }
 
 // Infer runs the member on a raw input image: a batch of one through the
-// kernels the engine serves with, so its row is the one Classify votes on.
+// net the engine serves with, so its row is the one Classify votes on.
 func (m Member) Infer(x *tensor.T) []float64 {
-	in := []*tensor.T{m.Pre.Apply(x)}
-	if m.net32 != nil {
-		return m.net32.InferBatch(in, nil)[0]
-	}
-	return m.Net.InferBatchArena(in, nil)[0].Data
+	return m.net.InferBatch([]*tensor.T{m.Pre.Apply(x)}, nil)[0]
 }
 
 // System is a runnable PolygraphMR instance: members in priority order, the
@@ -115,7 +129,10 @@ type System struct {
 	scratch scratchList
 }
 
-// NewSystem assembles a system from members and thresholds.
+// NewSystem assembles a system from members and thresholds, compiling
+// every member's float64 net (nn.Compile): a member serves with it until
+// PrepareBackends assigns another backend. A network the compiler refuses
+// — one with an ActivationHook — is an error naming the member.
 func NewSystem(members []Member, th Thresholds) (*System, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("core: system needs at least one member")
@@ -125,6 +142,11 @@ func NewSystem(members []Member, th Thresholds) (*System, error) {
 	}
 	if th.Conf < 0 || th.Conf > 1 {
 		return nil, fmt.Errorf("core: Thr_Conf %v out of [0,1]", th.Conf)
+	}
+	for i := range members {
+		if err := members[i].compileF64(); err != nil {
+			return nil, err
+		}
 	}
 	return &System{Members: members, Th: th, Batch: 1}, nil
 }

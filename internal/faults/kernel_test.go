@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -38,9 +39,9 @@ func rowsClose(t *testing.T, a, b []float64, tol float64, ctx string) {
 }
 
 // TestKernelInjectionCoverageF64 runs a live-buffer bit-flip campaign
-// against the float64 engine one image at a time — InferBatchArena at a
-// batch of one, which is what a lone served image runs; the convolutions
-// run on the explicit GEMM and VerifyConv checks them. Every verified
+// against the compiled float64 net one image at a time — a batch of one,
+// which is what a lone served image runs; the convolutions run on the
+// explicit GEMM and the conv checksum epilogue checks them. Every verified
 // kernel call suffers one high-order mantissa/exponent flip, and the
 // checksum epilogues must detect nearly all of them and correct every
 // detection. When nothing slipped through, the repaired probabilities
@@ -48,11 +49,14 @@ func rowsClose(t *testing.T, a, b []float64, tol float64, ctx string) {
 // re-runs a GEMM column as a scalar ascending-k chain (unfused, where the
 // FMA kernel fused each multiply-add).
 func TestKernelInjectionCoverageF64(t *testing.T) {
-	net := testNet(t)
+	net, err := nn.Compile[float64](testNet(t))
+	if err != nil {
+		t.Fatal(err)
+	}
 	xs := testImages(60)
 	a := tensor.NewArena()
 	infer := func(x *tensor.T) []float64 {
-		row := append([]float64(nil), net.InferBatchArena([]*tensor.T{x}, a)[0].Data...)
+		row := net.InferBatch([]*tensor.T{x}, a)[0]
 		a.Reset()
 		return row
 	}
@@ -92,8 +96,8 @@ func TestKernelInjectionCoverageF64(t *testing.T) {
 	}
 }
 
-// TestKernelInjectionCoverageBatched drives the same campaign through
-// InferBatchArena's fused minibatch kernels, which the weight-fault tests
+// TestKernelInjectionCoverageBatched drives the same campaign through the
+// compiled f64 net's fused minibatch kernels, which the weight-fault tests
 // in this package never reach. testNet's padded 3×3 conv has an 8×8
 // output, so B=48 (GEMM width 3072) runs the explicit lowering and B=64
 // (4096 = tensor.ImplicitConvMinN) the implicit GEMM; the checksums must
@@ -107,14 +111,13 @@ func TestKernelInjectionCoverageBatched(t *testing.T) {
 }
 
 func batchedCampaignF64(t *testing.T, bsz int) {
-	net := testNet(t)
+	net, err := nn.Compile[float64](testNet(t))
+	if err != nil {
+		t.Fatal(err)
+	}
 	xs := testImages(bsz)
 	a := tensor.NewArena()
-	probs := net.InferBatchArena(xs, a)
-	clean := make([][]float64, len(xs))
-	for i, p := range probs {
-		clean[i] = append([]float64(nil), p.Data...)
-	}
+	clean := net.InferBatch(xs, a)
 	a.Reset()
 
 	ki := NewKernelInjector(43, 1)
@@ -125,12 +128,7 @@ func batchedCampaignF64(t *testing.T, bsz int) {
 	// One fused call per layer per batch: loop rounds for statistics.
 	var faulty [][][]float64
 	for round := 0; round < 40; round++ {
-		probs = net.InferBatchArena(xs, a)
-		rows := make([][]float64, len(xs))
-		for i, p := range probs {
-			rows[i] = append([]float64(nil), p.Data...)
-		}
-		faulty = append(faulty, rows)
+		faulty = append(faulty, net.InferBatch(xs, a))
 		a.Reset()
 	}
 	ki.Remove()
@@ -259,8 +257,8 @@ func TestKernelInjectionCoverageInt8(t *testing.T) {
 
 // TestCampaignBatchedMatchesSequential pins the batched/sequential
 // contract under weight faults: a network corrupted by any of the fault
-// models must produce the same probabilities through InferBatchArena as
-// through per-image Network.Infer (within the documented 1e-9 batched-kernel
+// models must produce the same probabilities through the compiled f64 net
+// (InferBatchArena) as through per-image Network.Infer (within the documented 1e-9 batched-kernel
 // tolerance). The weight-fault campaigns elsewhere in this package only
 // ever exercised the sequential path.
 func TestCampaignBatchedMatchesSequential(t *testing.T) {
@@ -276,7 +274,7 @@ func TestCampaignBatchedMatchesSequential(t *testing.T) {
 
 			probs := net.InferBatchArena(xs, tensor.NewArena())
 			for i, p := range probs {
-				rowsClose(t, p.Data, net.Infer(xs[i]).Data, 1e-9, "batched vs sequential")
+				rowsClose(t, p, net.Infer(xs[i]).Data, 1e-9, "batched vs sequential")
 			}
 		})
 	}

@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"math"
+
 	"repro/internal/tensor"
 )
 
@@ -107,7 +109,38 @@ func (f *Flatten) Stats(in []int) Stats { return Stats{} }
 // fused softmax cross-entropy in loss.go, and inference applies Softmax to
 // the final network output.
 func Softmax(logits *tensor.T) *tensor.T {
-	return softmaxInto(tensor.New(logits.Shape...), logits)
+	out := tensor.New(logits.Shape...)
+	softmaxRow(out.Data, logits.Data)
+	return out
+}
+
+// softmaxRow writes softmax(logits) into out in float64 at every logit
+// width: the max-shifted exponentials, then one multiply by the inverse of
+// their sum. Degenerate logits (all -Inf) fall back to uniform.
+func softmaxRow[E tensor.Float](out []float64, logits []E) {
+	maxV := math.Inf(-1)
+	for _, v := range logits {
+		if fv := float64(v); fv > maxV {
+			maxV = fv
+		}
+	}
+	sum := 0.0
+	for i, v := range logits {
+		e := math.Exp(float64(v) - maxV)
+		out[i] = e
+		sum += e
+	}
+	if sum == 0 {
+		u := 1.0 / float64(len(out))
+		for i := range out {
+			out[i] = u
+		}
+		return
+	}
+	inv := 1.0 / sum
+	for i := range out {
+		out[i] *= inv
+	}
 }
 
 // SoftmaxTemp applies temperature-scaled softmax: softmax(logits / T).

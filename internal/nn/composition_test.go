@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -20,6 +21,10 @@ import (
 func TestBatchCompositionInvariant(t *testing.T) {
 	for _, f := range backendFixtures(t) {
 		f := f
+		net64, err := nn.Compile[float64](f.net)
+		if err != nil {
+			t.Fatal(err)
+		}
 		net32, err := f.net.Compile32()
 		if err != nil {
 			t.Fatal(err)
@@ -28,21 +33,14 @@ func TestBatchCompositionInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, a32 := tensor.NewArena(), tensor.NewArena32()
+		a := tensor.NewArena()
 		backends := []struct {
 			name string
 			run  func(xs []*tensor.T) [][]float64
 		}{
-			{"f64", func(xs []*tensor.T) [][]float64 {
-				defer a.Reset()
-				rows := make([][]float64, len(xs))
-				for i, p := range f.net.InferBatchArena(xs, a) {
-					rows[i] = append([]float64(nil), p.Data...)
-				}
-				return rows
-			}},
-			{"f32", func(xs []*tensor.T) [][]float64 { defer a32.Reset(); return net32.InferBatch(xs, a32) }},
-			{"int8", func(xs []*tensor.T) [][]float64 { defer a32.Reset(); return net8.InferBatch(xs, a32) }},
+			{"f64", func(xs []*tensor.T) [][]float64 { defer a.Reset(); return net64.InferBatch(xs, a) }},
+			{"f32", func(xs []*tensor.T) [][]float64 { defer a.Reset(); return net32.InferBatch(xs, a) }},
+			{"int8", func(xs []*tensor.T) [][]float64 { defer a.Reset(); return net8.InferBatch(xs, a) }},
 		}
 		for _, be := range backends {
 			be := be
@@ -105,6 +103,10 @@ func TestBatchCompositionInvariant(t *testing.T) {
 func TestPoisonedScratchIdentity(t *testing.T) {
 	for _, f := range backendFixtures(t) {
 		f := f
+		net64, err := nn.Compile[float64](f.net)
+		if err != nil {
+			t.Fatal(err)
+		}
 		net32, err := f.net.Compile32()
 		if err != nil {
 			t.Fatal(err)
@@ -116,24 +118,11 @@ func TestPoisonedScratchIdentity(t *testing.T) {
 		backends := []struct {
 			name   string
 			poison float64
-			run    func(xs []*tensor.T, a *tensor.Arena, a32 *tensor.Arena32) [][]float64
+			run    func(xs []*tensor.T, a *tensor.Arena) [][]float64
 		}{
-			{"f64", math.NaN(), func(xs []*tensor.T, a *tensor.Arena, _ *tensor.Arena32) [][]float64 {
-				defer a.Reset()
-				rows := make([][]float64, len(xs))
-				for i, p := range f.net.InferBatchArena(xs, a) {
-					rows[i] = append([]float64(nil), p.Data...)
-				}
-				return rows
-			}},
-			{"f32", math.NaN(), func(xs []*tensor.T, _ *tensor.Arena, a32 *tensor.Arena32) [][]float64 {
-				defer a32.Reset()
-				return net32.InferBatch(xs, a32)
-			}},
-			{"int8", 1e30, func(xs []*tensor.T, _ *tensor.Arena, a32 *tensor.Arena32) [][]float64 {
-				defer a32.Reset()
-				return net8.InferBatch(xs, a32)
-			}},
+			{"f64", math.NaN(), func(xs []*tensor.T, a *tensor.Arena) [][]float64 { defer a.Reset(); return net64.InferBatch(xs, a) }},
+			{"f32", math.NaN(), func(xs []*tensor.T, a *tensor.Arena) [][]float64 { defer a.Reset(); return net32.InferBatch(xs, a) }},
+			{"int8", 1e30, func(xs []*tensor.T, a *tensor.Arena) [][]float64 { defer a.Reset(); return net8.InferBatch(xs, a) }},
 		}
 		for _, be := range backends {
 			be := be
@@ -149,12 +138,12 @@ func TestPoisonedScratchIdentity(t *testing.T) {
 							}
 						}
 					}
-					a, a32 := tensor.NewArena(), tensor.NewArena32()
-					be.run(poison, a, a32) // grows the slabs to the largest call
+					a := tensor.NewArena()
+					be.run(poison, a) // grows the slabs to the largest call
 					for _, bsz := range []int{1, 7, 32} {
-						want := be.run(f.xs[:bsz], tensor.NewArena(), tensor.NewArena32())
-						be.run(poison, a, a32)
-						got := be.run(f.xs[:bsz], a, a32)
+						want := be.run(f.xs[:bsz], tensor.NewArena())
+						be.run(poison, a)
+						got := be.run(f.xs[:bsz], a)
 						for i := range want {
 							for c := range want[i] {
 								if math.Float64bits(got[i][c]) != math.Float64bits(want[i][c]) {

@@ -10,37 +10,8 @@ import "repro/internal/tensor"
 // pooled straight into the next layer's input (tensor.RectifyPool). Every
 // output is the layerwise expression chain in the layerwise order, so a
 // fused forward is Float64bits-equal to the same network walked layer by
-// layer (TestFusedEpilogueMatchesLayerwise). The f64 path fuses at run time
-// unless an ActivationHook must see every layer; compiled nets fuse once,
-// in Net32.fuse.
-
-// absorbed reports the epilogue stages a convolution takes over from the
-// layers (or compiled nodes) that follow it — a ReLU, then a 2×2 max-pool,
-// either optional — and how many of them that is. stage classifies one
-// layer: tensor.EpiReLU, tensor.EpiPool, or 0 for anything else.
-func absorbed[L any](rest []L, stage func(L) tensor.Epi) (e tensor.Epi, k int) {
-	for _, want := range []tensor.Epi{tensor.EpiReLU, tensor.EpiPool} {
-		if k < len(rest) && stage(rest[k]) == want {
-			e |= want
-			k++
-		}
-	}
-	return e, k
-}
-
-// layerStage classifies a Layer for absorbed. LeakyReLU and other pool
-// sizes stay layerwise.
-func layerStage(l Layer) tensor.Epi {
-	switch t := l.(type) {
-	case *ReLU:
-		return tensor.EpiReLU
-	case *MaxPool2D:
-		if t.K == 2 {
-			return tensor.EpiPool
-		}
-	}
-	return 0
-}
+// layer (TestFusedEpilogueMatchesLayerwise). Every backend fuses once, at
+// compile time, in Net.fuse.
 
 // epiShape is the per-image output shape of a c×h×w convolution output
 // after the stages e.
@@ -54,7 +25,7 @@ func epiShape(c, h, w int, e tensor.Epi) []int {
 // convEpilogue writes the channel-major GEMM output cm ([outC, bsz·oh·ow],
 // outC = len(bias)) into the image-major dst ([bsz, outC, plane]): each
 // (channel, image) plane is read once, biased, and run through the stages
-// e. It is the one epilogue of both float backends' GEMM convolutions.
+// e. It is the one epilogue of the float convolution node at both widths.
 func convEpilogue[F tensor.Float](dst, cm, bias []F, bsz, oh, ow int, e tensor.Epi) {
 	ohw := oh * ow
 	plane := prodShape(epiShape(1, oh, ow, e))

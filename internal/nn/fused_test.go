@@ -1,7 +1,6 @@
 package nn_test
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -13,9 +12,8 @@ import (
 // TestFusedEpilogueMatchesLayerwise holds the fused convolution epilogue to
 // the network walked layer by layer: for every zoo topology on every
 // backend at B ∈ {1, 7, 32}, each fused softmax row must
-// be Float64bits-equal to the layerwise one. The f64 reference is the same
-// network with a no-op ActivationHook (a hook must see every layer, so it
-// switches fusion off); the compiled references skip the fuse pass. The
+// be Float64bits-equal to the layerwise one. The references are the same
+// networks compiled without the fuse pass, one node per layer. The
 // fixtures' biases are drawn nonzero first (a fresh network's are all zero,
 // which would hide a dropped or misplaced bias add).
 func TestFusedEpilogueMatchesLayerwise(t *testing.T) {
@@ -29,8 +27,14 @@ func TestFusedEpilogueMatchesLayerwise(t *testing.T) {
 				}
 			}
 		}
-		hooked := *f.net
-		hooked.ActivationHook = func(int, *tensor.T) {}
+		f64, err := nn.Compile[float64](f.net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f64Layerwise, err := f.net.CompileLayerwise64()
+		if err != nil {
+			t.Fatal(err)
+		}
 		f32, err := f.net.Compile32()
 		if err != nil {
 			t.Fatal(err)
@@ -47,32 +51,20 @@ func TestFusedEpilogueMatchesLayerwise(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f64Rows := func(net *nn.Network) func([]*tensor.T) [][]float64 {
-			return func(xs []*tensor.T) [][]float64 {
-				rows := make([][]float64, len(xs))
-				for i, p := range net.InferBatchArena(xs, tensor.NewArena()) {
-					rows[i] = p.Data
-				}
-				return rows
-			}
-		}
-		net32Rows := func(net *nn.Net32) func([]*tensor.T) [][]float64 {
-			return func(xs []*tensor.T) [][]float64 { return net.InferBatch(xs, tensor.NewArena32()) }
-		}
 		backends := []struct {
 			name             string
-			fused, layerwise func([]*tensor.T) [][]float64
+			fused, layerwise func([]*tensor.T, *tensor.Arena) [][]float64
 		}{
-			{"f64", f64Rows(f.net), f64Rows(&hooked)},
-			{"f32", net32Rows(f32), net32Rows(f32Layerwise)},
-			{"int8", net32Rows(i8), net32Rows(i8Layerwise)},
+			{"f64", f64.InferBatch, f64Layerwise.InferBatch},
+			{"f32", f32.InferBatch, f32Layerwise.InferBatch},
+			{"int8", i8.InferBatch, i8Layerwise.InferBatch},
 		}
 		for _, be := range backends {
 			be := be
 			t.Run(f.name+"/"+be.name, func(t *testing.T) {
 				kernelLeg(t, func(t *testing.T) {
 					for _, bsz := range []int{1, 7, 32} {
-						got, want := be.fused(f.xs[:bsz]), be.layerwise(f.xs[:bsz])
+						got, want := be.fused(f.xs[:bsz], tensor.NewArena()), be.layerwise(f.xs[:bsz], tensor.NewArena())
 						for i := range want {
 							for c := range want[i] {
 								if math.Float64bits(got[i][c]) != math.Float64bits(want[i][c]) {
@@ -83,35 +75,6 @@ func TestFusedEpilogueMatchesLayerwise(t *testing.T) {
 					}
 				})
 			})
-		}
-	}
-}
-
-// TestHookedNetworkSeesEveryLayer: fusion must not hide a layer from an
-// ActivationHook — a hooked batch forward calls the hook once per layer
-// per image, in layer order, with that layer's output shape.
-func TestHookedNetworkSeesEveryLayer(t *testing.T) {
-	for _, f := range backendFixtures(t) {
-		net := *f.net
-		var calls []string
-		net.ActivationHook = func(i int, x *tensor.T) {
-			calls = append(calls, fmt.Sprint(i, x.Shape))
-		}
-		const bsz = 3
-		net.InferBatchArena(f.xs[:bsz], nil)
-		var want []string
-		shape := f.xs[0].Shape
-		for i, l := range net.Layers {
-			var err error
-			if shape, err = l.OutShape(shape); err != nil {
-				t.Fatal(err)
-			}
-			for b := 0; b < bsz; b++ {
-				want = append(want, fmt.Sprint(i, shape))
-			}
-		}
-		if fmt.Sprint(calls) != fmt.Sprint(want) {
-			t.Errorf("%s: hook calls\n%v\nwant one per layer per image\n%v", f.name, calls, want)
 		}
 	}
 }

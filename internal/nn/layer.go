@@ -8,11 +8,15 @@
 // Layers are stateful only during training: Forward with train=true caches
 // what Backward needs, and Backward accumulates parameter gradients in
 // place, so a Network must not be shared across goroutines while training.
-// Inference is read-only by contract: Forward with train=false (and the
-// fused batch path InferBatchArena) must not mutate layer state, parameters,
-// or the input tensor, which makes Network.Infer/InferBatchArena safe for
-// concurrent use on a single shared *Network. The race tests in internal/core exercise
-// this guarantee under -race; any new layer must preserve it.
+// Inference is read-only by contract: Forward with train=false must not
+// mutate layer state, parameters, or the input tensor, which makes
+// Network.Infer safe for concurrent use on a single shared *Network.
+// Serving does not walk the layers at all: a Network is compiled once into
+// a Net[E] (graph.go), the one batched inference graph every backend runs
+// — float64, float32, or int8 nodes inside a float32 net — which shares a
+// float64 net's parameter slices and likewise never writes them. The race
+// tests in internal/core exercise both guarantees under -race; any new
+// layer must preserve them and get a node in newNode.
 package nn
 
 import (
@@ -40,16 +44,6 @@ type Layer interface {
 	Backward(grad *tensor.T) *tensor.T
 	// Params returns the trainable parameters, in a stable order.
 	Params() []*Param
-	// forwardBatchArena is the fused batch inference kernel (nn/batch.go).
-	// src is the image-major batch backing ([bsz, prod(inShape)]); the
-	// method returns the output backing and the new per-image shape.
-	// Implementations must not mutate layer state and draw temporaries from
-	// st. Every src is an arena-owned backing that no later layer reads
-	// (InferBatchArena copies the caller's images in at entry; composite
-	// blocks keep their shortcut and concat inputs away from the
-	// rectifiers), so the rectifiers overwrite src in place and inference
-	// Dropout returns it.
-	forwardBatchArena(src *tensor.T, inShape []int, bsz int, st *batchState) (*tensor.T, []int)
 }
 
 // Param is one trainable parameter tensor together with its accumulated

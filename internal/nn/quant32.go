@@ -8,7 +8,7 @@ import (
 )
 
 // Int8 quantized execution nodes (DESIGN.md §9). CompileInt8 compiles the
-// network like Compile32, then runs a calibration batch through the f32
+// network like Compile[float32], then runs a calibration batch through the f32
 // nodes recording the activation range entering every top-level Conv2D and
 // Dense layer, and swaps those nodes for quantized versions:
 //
@@ -32,7 +32,8 @@ import (
 // zero-point term) and deq[oc] = s_x·s_w[oc] (the combined scale); the
 // column-sum term is produced by the GEMM per output position.
 type qconv32 struct {
-	inC, outC, kh, kw, stride, pad int
+	g    tensor.ConvGeom // InH and InW are set per call
+	outC int
 
 	qw    tensor.QuantWeights
 	shift *tensor.PackedConvShift // compile-time kernel-column panels (stride-1 only)
@@ -44,13 +45,14 @@ type qconv32 struct {
 	zp       uint8
 
 	// epi holds the stages the epilogue absorbed from the following nodes
-	// (Net32.fuse); 0 for dequantize + bias only.
+	// (Net.fuse); 0 for dequantize + bias only.
 	epi tensor.Epi
 }
 
 func newQConv32(c *Conv2D, scale float32, zp uint8) *qconv32 {
 	q := &qconv32{
-		inC: c.InC, outC: c.OutC, kh: c.KH, kw: c.KW, stride: c.Stride, pad: c.Pad,
+		g:        tensor.ConvGeom{InC: c.InC, KH: c.KH, KW: c.KW, Stride: c.Stride, Pad: c.Pad},
+		outC:     c.OutC,
 		qw:       tensor.QuantizeWeightsSym(c.weight.Value.Data, c.OutC, c.InC*c.KH*c.KW),
 		deq:      make([]float32, c.OutC),
 		corr:     make([]int32, c.OutC),
@@ -69,21 +71,19 @@ func newQConv32(c *Conv2D, scale float32, zp uint8) *qconv32 {
 	return q
 }
 
-func (q *qconv32) forward(src *tensor.T32, inShape []int, bsz int, a *tensor.Arena32) (*tensor.T32, []int) {
-	g := tensor.ConvGeom{
-		InC: q.inC, InH: inShape[1], InW: inShape[2],
-		KH: q.kh, KW: q.kw, Stride: q.stride, Pad: q.pad,
-	}
+func (q *qconv32) forward(src []float32, in []int, bsz int, a *tensor.Arena) ([]float32, []int) {
+	g := q.g
+	g.InH, g.InW = in[1], in[2]
 	oh, ow := g.OutH(), g.OutW()
 	ohw := oh * ow
 	bohw := bsz * ohw
 
-	qsrc := a.Bytes(len(src.Data))
-	tensor.QuantizeU8(qsrc, src.Data, q.invScale, q.zp)
+	qsrc := tensor.Raw[uint8](a, len(src))
+	tensor.QuantizeU8(qsrc, src, q.invScale, q.zp)
 
-	acc := a.Int32s(q.outC * bohw)
-	colsum := a.Int32s(bohw)
-	x := qsrc[:bsz*q.inC*g.InH*g.InW]
+	acc := tensor.Raw[int32](a, q.outC*bohw)
+	colsum := tensor.Raw[int32](a, bohw)
+	x := qsrc[:bsz*g.InC*g.InH*g.InW]
 	if q.shift != nil {
 		// Direct shift convolution: no im2col operand at all — the
 		// kernels consume the padded channel-interleaved image through
@@ -103,15 +103,15 @@ func (q *qconv32) forward(src *tensor.T32, inShape []int, bsz int, a *tensor.Are
 	// scratch plane and runs the absorbed stages from there into dst.
 	outShape := epiShape(q.outC, oh, ow, q.epi)
 	plane := prodShape(outShape) / q.outC
-	dst := a.NewRaw(bsz, prodShape(outShape))
+	dst := tensor.Raw[float32](a, bsz*prodShape(outShape))
 	var deq []float32
 	if q.epi != 0 {
-		deq = a.NewRaw(ohw).Data
+		deq = tensor.Raw[float32](a, ohw)
 	}
 	for oc := 0; oc < q.outC; oc++ {
 		crow := acc[oc*bohw : (oc+1)*bohw]
 		for b := 0; b < bsz; b++ {
-			drow := dst.Data[(b*q.outC+oc)*plane : (b*q.outC+oc+1)*plane]
+			drow := dst[(b*q.outC+oc)*plane : (b*q.outC+oc+1)*plane]
 			if q.epi == 0 {
 				tensor.DequantRow(drow, crow[b*ohw:(b+1)*ohw], colsum[b*ohw:(b+1)*ohw], q.corr[oc], q.deq[oc], q.bias[oc])
 				continue
@@ -161,31 +161,31 @@ func newQDense32(d *Dense, scale float32, zp uint8) *qdense32 {
 	return q
 }
 
-func (q *qdense32) forward(src *tensor.T32, inShape []int, bsz int, a *tensor.Arena32) (*tensor.T32, []int) {
-	if prodShape(inShape) != q.in {
-		panic(fmt.Sprintf("nn: qdense32: batched input of %d elements, want %d", prodShape(inShape), q.in))
+func (q *qdense32) forward(src []float32, in []int, bsz int, a *tensor.Arena) ([]float32, []int) {
+	if prodShape(in) != q.in {
+		panic(fmt.Sprintf("nn: qdense32: batched input of %d elements, want %d", prodShape(in), q.in))
 	}
-	qa := a.Bytes(bsz * q.in)
-	tensor.QuantizeU8(qa, src.Data[:bsz*q.in], q.invScale, q.zp)
+	qa := tensor.Raw[uint8](a, bsz*q.in)
+	tensor.QuantizeU8(qa, src[:bsz*q.in], q.invScale, q.zp)
 
-	acc := a.Int32s(bsz * q.out)
+	acc := tensor.Raw[int32](a, bsz*q.out)
 	tensor.GemmU8PreInto(acc, qa, q.packed.Bits, bsz, q.in, q.out)
 	if s := a.Abft(); s != nil {
 		// The verifier's injection and repair seams write through the
 		// colsum slice, so hand it a scratch copy of the precomputed sums.
-		cs := a.Int32s(q.out)
+		cs := tensor.Raw[int32](a, q.out)
 		copy(cs, q.packed.ColSum)
 		s.Record(tensor.VerifyGemmU8(acc, cs, qa, q.packed.Bits, bsz, q.in, q.out))
 	}
 
-	dst := a.NewRaw(bsz, q.out)
+	dst := tensor.Raw[float32](a, bsz*q.out)
 	for b := 0; b < bsz; b++ {
 		var rs int32
 		for _, v := range qa[b*q.in : (b+1)*q.in] {
 			rs += int32(v)
 		}
 		arow := acc[b*q.out : (b+1)*q.out]
-		drow := dst.Data[b*q.out : (b+1)*q.out]
+		drow := dst[b*q.out : (b+1)*q.out]
 		for o := 0; o < q.out; o++ {
 			drow[o] = float32(arow[o]-128*rs-q.corr[o])*q.deq[o] + q.bias[o]
 		}
@@ -212,7 +212,7 @@ func (n *Network) CompileInt8(calib []*tensor.T) (*Net32, error) {
 // compileInt8 is CompileInt8 without the epilogue fuse pass, which must
 // follow quantization: calibration indexes the nodes by layer.
 func (n *Network) compileInt8(calib []*tensor.T) (*Net32, error) {
-	net, err := n.compile32()
+	net, err := compileLayerwise[float32](n)
 	if err != nil {
 		return nil, err
 	}
@@ -232,24 +232,23 @@ func (n *Network) compileInt8(calib []*tensor.T) (*Net32, error) {
 			quantizable[i] = t.In <= tensor.MaxQuantK
 		}
 	}
-	ranges := make([]calibrate.Range, len(net.nodes))
-	a := tensor.NewArena32()
-	bsz := len(calib)
-	shape := append([]int(nil), calib[0].Shape...)
-	elems := prodShape(shape)
-	cur := a.NewRaw(bsz, elems)
-	for b, x := range calib {
+	for _, x := range calib[1:] {
 		if !x.SameShape(calib[0]) {
 			return nil, fmt.Errorf("nn: CompileInt8: mixed calibration shapes %v vs %v", x.Shape, calib[0].Shape)
 		}
-		row := cur.Data[b*elems : (b+1)*elems]
-		for i, v := range x.Data {
-			row[i] = float32(v)
-		}
+	}
+	ranges := make([]calibrate.Range, len(net.nodes))
+	a := tensor.NewArena()
+	bsz := len(calib)
+	shape := append([]int(nil), calib[0].Shape...)
+	elems := prodShape(shape)
+	cur := tensor.Raw[float32](a, bsz*elems)
+	for b, x := range calib {
+		castInto(cur[b*elems:(b+1)*elems], x.Data)
 	}
 	for i, nd := range net.nodes {
 		if quantizable[i] {
-			ranges[i].ObserveSlice32(cur.Data)
+			ranges[i].ObserveSlice32(cur)
 		}
 		cur, shape = nd.forward(cur, shape, bsz, a)
 	}

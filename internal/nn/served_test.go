@@ -16,20 +16,23 @@ import (
 // epilogue, which must leave a clean product untouched: the two must
 // produce Float64bits-equal rows for every zoo topology, backend and batch
 // size, and the verifier must have checked something without detecting
-// anything. The f64 network and the compiled Net32 backends are separate
-// subtrees: f64/<topology>/<kernel set> and
-// net32/<topology>/<f32|int8>/<kernel set>, the last level named by
-// kernelLeg.
+// anything. The f64 net and the Net32 backends are separate subtrees:
+// f64/<topology>/<kernel set> and net32/<topology>/<f32|int8>/<kernel
+// set>, the last level named by kernelLeg.
 func TestVerifiedRowsMatchServed(t *testing.T) {
 	t.Run("f64", func(t *testing.T) {
 		for _, f := range backendFixtures(t) {
 			f := f
 			t.Run(f.name, func(t *testing.T) {
+				net64, err := nn.Compile[float64](f.net)
+				if err != nil {
+					t.Fatal(err)
+				}
 				kernelLeg(t, func(t *testing.T) {
 					checkVerifiedRowsMatchServed(t, f.xs, func(xs []*tensor.T, abft *tensor.AbftStats) [][]float64 {
 						a := tensor.NewArena()
 						a.SetAbft(abft)
-						return copyRows(f.net.InferBatchArena(xs, a))
+						return net64.InferBatch(xs, a)
 					})
 				})
 			})
@@ -55,7 +58,7 @@ func TestVerifiedRowsMatchServed(t *testing.T) {
 					t.Run(b.name, func(t *testing.T) {
 						kernelLeg(t, func(t *testing.T) {
 							checkVerifiedRowsMatchServed(t, f.xs, func(xs []*tensor.T, abft *tensor.AbftStats) [][]float64 {
-								a := tensor.NewArena32()
+								a := tensor.NewArena()
 								a.SetAbft(abft)
 								return b.net.InferBatch(xs, a)
 							})
@@ -90,41 +93,54 @@ func checkVerifiedRowsMatchServed(t *testing.T, xs []*tensor.T, run func(xs []*t
 }
 
 // TestVerifiedDrawsServedScratch holds verified mode to the served
-// lowering's scratch: at B=32 a verified forward hands out exactly as many
-// arena tensors as an unverified one, for every zoo topology on the f64
-// engine and the f32 backend. A verified-only lowering — say, an im2col
-// matrix materialized for the checksums to read — would draw more.
+// lowering's scratch: at B=32 a verified forward draws exactly as many
+// arena buffers as an unverified one, and grows every slab to the same
+// length, for every zoo topology on the f64 and f32 nets. A verified-only
+// lowering — say, an im2col matrix materialized for the checksums to read
+// — would draw more. (The int8 Dense check draws one scratch copy of its
+// precomputed column sums, which the verifier's repair writes through.)
 func TestVerifiedDrawsServedScratch(t *testing.T) {
+	type draws struct{ live, f64, f32, u8, i32 int }
 	for _, f := range backendFixtures(t) {
+		net64, err := nn.Compile[float64](f.net)
+		if err != nil {
+			t.Fatal(err)
+		}
 		net32, err := f.net.Compile32()
 		if err != nil {
 			t.Fatal(err)
 		}
-		live := func(abft *tensor.AbftStats) (f64, f32 int) {
-			a := tensor.NewArena()
-			a.SetAbft(abft)
-			f.net.InferBatchArena(f.xs[:32], a)
-			a32 := tensor.NewArena32()
-			a32.SetAbft(abft)
-			net32.InferBatch(f.xs[:32], a32)
-			return a.Live(), a32.Live()
-		}
-		s64, s32 := live(nil)
-		v64, v32 := live(&tensor.AbftStats{})
-		if v64 != s64 || v32 != s32 {
-			t.Errorf("%s: verified forward drew %d (f64) / %d (f32) arena tensors, served %d / %d", f.name, v64, v32, s64, s32)
+		for _, be := range []struct {
+			name  string
+			infer func([]*tensor.T, *tensor.Arena) [][]float64
+		}{{"f64", net64.InferBatch}, {"f32", net32.InferBatch}} {
+			run := func(abft *tensor.AbftStats) draws {
+				a := tensor.NewArena()
+				a.SetAbft(abft)
+				be.infer(f.xs[:32], a)
+				live := a.Live()
+				a.Reset()
+				return draws{live, tensor.SlabLen[float64](a), tensor.SlabLen[float32](a), tensor.SlabLen[uint8](a), tensor.SlabLen[int32](a)}
+			}
+			if served, verified := run(nil), run(&tensor.AbftStats{}); verified != served {
+				t.Errorf("%s/%s: verified forward drew %+v (buffers, slab elements), served %+v", f.name, be.name, verified, served)
+			}
 		}
 	}
 }
 
-// TestSharedNetworkConcurrent hammers one f64 network and its compiled
-// f32 and int8 nets from many goroutines with private arenas — the
+// TestSharedNetworkConcurrent hammers one network's compiled f64, f32 and
+// int8 nets from many goroutines with private arenas — the
 // serving layout. Run under -race this locks that the served forward paths
 // (pooled generation blocks, shared packed weight buffers) are data-race
 // free and deterministic across goroutines.
 func TestSharedNetworkConcurrent(t *testing.T) {
 	fs := backendFixtures(t)
 	f := fs[1] // convnet: conv-heavy, exercises every implicit path
+	net64, err := nn.Compile[float64](f.net)
+	if err != nil {
+		t.Fatal(err)
+	}
 	net32, err := f.net.Compile32()
 	if err != nil {
 		t.Fatal(err)
@@ -134,9 +150,9 @@ func TestSharedNetworkConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want32 := net32.InferBatch(f.xs[:8], tensor.NewArena32())
-	want8 := net8.InferBatch(f.xs[:8], tensor.NewArena32())
-	wantF64 := copyRows(f.net.InferBatchArena(f.xs[:8], tensor.NewArena()))
+	want32 := net32.InferBatch(f.xs[:8], tensor.NewArena())
+	want8 := net8.InferBatch(f.xs[:8], tensor.NewArena())
+	wantF64 := net64.InferBatch(f.xs[:8], tensor.NewArena())
 
 	const workers = 8
 	var wg sync.WaitGroup
@@ -146,17 +162,18 @@ func TestSharedNetworkConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for iter := 0; iter < 5; iter++ {
-				a32 := tensor.NewArena32()
-				if got := net32.InferBatch(f.xs[:8], a32); !rowsEqual(got, want32) {
+				a := tensor.NewArena()
+				if got := net32.InferBatch(f.xs[:8], a); !rowsEqual(got, want32) {
 					errs <- "f32 rows diverged across goroutines"
 					return
 				}
-				a32.Reset()
-				if got := net8.InferBatch(f.xs[:8], a32); !rowsEqual(got, want8) {
+				a.Reset()
+				if got := net8.InferBatch(f.xs[:8], a); !rowsEqual(got, want8) {
 					errs <- "int8 rows diverged across goroutines"
 					return
 				}
-				if got := copyRows(f.net.InferBatchArena(f.xs[:8], tensor.NewArena())); !rowsEqual(got, wantF64) {
+				a.Reset()
+				if got := net64.InferBatch(f.xs[:8], a); !rowsEqual(got, wantF64) {
 					errs <- "f64 rows diverged across goroutines"
 					return
 				}
@@ -168,15 +185,6 @@ func TestSharedNetworkConcurrent(t *testing.T) {
 	for e := range errs {
 		t.Fatal(e)
 	}
-}
-
-// copyRows copies arena-owned softmax tensors out into plain rows.
-func copyRows(outs []*tensor.T) [][]float64 {
-	rows := make([][]float64, len(outs))
-	for i, o := range outs {
-		rows[i] = append([]float64(nil), o.Data...)
-	}
-	return rows
 }
 
 func rowsEqual(a, b [][]float64) bool {

@@ -210,15 +210,15 @@ func SetAbftInjector(h AbftInjector) {
 	abftInjectHook.Store(&h)
 }
 
-func injectF64(buf []float64) {
+// injectF hands a float output buffer to the installed injector.
+func injectF[F Float](buf []F) {
 	if p := abftInjectHook.Load(); p != nil {
-		(*p).CorruptF64(buf)
-	}
-}
-
-func injectF32(buf []float32) {
-	if p := abftInjectHook.Load(); p != nil {
-		(*p).CorruptF32(buf)
+		switch b := any(buf).(type) {
+		case []float64:
+			(*p).CorruptF64(b)
+		case []float32:
+			(*p).CorruptF32(b)
+		}
 	}
 }
 
@@ -260,8 +260,8 @@ func abftColTol(bnd float64, k, m int, eps, eta float64) float64 {
 
 // recomputeConvCol re-executes column j of C = A×B, B's column j given
 // gathered in col, with the scalar reference chain (ascending k from +0 —
-// the accumulation order GemmInto, GemmInto32 and MatMulInto's dense
-// kernel all produce).
+// the accumulation order gemmMain and MatMulInto's dense kernel both
+// produce).
 func recomputeConvCol[F Float](cd, ad, col []F, m, n, j int) {
 	k := len(col)
 	for i := 0; i < m; i++ {
@@ -817,45 +817,32 @@ func verifyGemmRowsTransB[F Float](cd, ad, bd []F, m, k, n int, eps, eta, lim fl
 	return o
 }
 
-// VerifyConv checks and repairs an already-computed convolution product
-// cm = weight × im2col(src) (float64): cm [OutC, bsz·OutH·OutW], weight
-// [OutC, InC·KH·KW], src the packed image-major batch — the operands of
-// ConvGemmIm2Col, whichever lowering computed cm. It panics on shape
-// mismatches, like ConvGemmIm2Col.
-func VerifyConv(cm, weight *T, src []float64, bsz int, g ConvGeom) VerifyOutcome {
-	m, _, _ := implicitCheck(cm.Shape, weight.Shape, len(src), bsz, g, "VerifyConv")
-	injectF64(cm.Data)
-	return verifyConvCols(cm.Data, weight.Data, src, m, bsz, g, abftEps64, abftEta64, abftLim64)
+// verifyConv checks and repairs an already-computed convolution product
+// cm = weight × im2col(src): cm [m, bsz·OutH·OutW], weight
+// [m, InC·KH·KW], src the packed image-major batch — the operands of Conv,
+// whichever lowering computed cm.
+func verifyConv[F Float](cm, weight, src []F, m, bsz int, g ConvGeom) VerifyOutcome {
+	injectF(cm)
+	eps, eta, lim := abftBounds[F]()
+	return verifyConvCols(cm, weight, src, m, bsz, g, eps, eta, lim)
 }
 
-// VerifyConv32 is VerifyConv for the float32 backend.
-func VerifyConv32(cm, weight *T32, src []float32, bsz int, g ConvGeom) VerifyOutcome {
-	m, _, _ := implicitCheck(cm.Shape, weight.Shape, len(src), bsz, g, "VerifyConv32")
-	injectF32(cm.Data)
-	return verifyConvCols(cm.Data, weight.Data, src, m, bsz, g, abftEps32, abftEta32, abftLim32)
+// verifyMatMulTransB checks and repairs an already-computed c = a×bᵀ
+// (a [m, k], b stored [n, k]).
+func verifyMatMulTransB[F Float](c, a, b []F, m, k, n int) VerifyOutcome {
+	injectF(c)
+	eps, eta, lim := abftBounds[F]()
+	return verifyGemmRowsTransB(c, a, b, m, k, n, eps, eta, lim)
 }
 
-// VerifyMatMulTransB checks and repairs an already-computed C = A×Bᵀ
-// (float64, b stored [n, k]).
-func VerifyMatMulTransB(c, a, b *T) VerifyOutcome {
-	m, k := a.Shape[0], a.Shape[1]
-	n := b.Shape[0]
-	if b.Shape[1] != k || c.Shape[0] != m || c.Shape[1] != n {
-		panic("tensor: VerifyMatMulTransB shape mismatch")
+// abftBounds returns F's unit roundoff, smallest subnormal and largest
+// finite value — the terms of the checksum tolerance.
+func abftBounds[F Float]() (eps, eta, lim float64) {
+	var z F
+	if unsafe.Sizeof(z) == 4 {
+		return abftEps32, abftEta32, abftLim32
 	}
-	injectF64(c.Data)
-	return verifyGemmRowsTransB(c.Data, a.Data, b.Data, m, k, n, abftEps64, abftEta64, abftLim64)
-}
-
-// VerifyMatMulTransB32 is VerifyMatMulTransB for float32 tensors.
-func VerifyMatMulTransB32(c, a, b *T32) VerifyOutcome {
-	m, k := a.Shape[0], a.Shape[1]
-	n := b.Shape[0]
-	if b.Shape[1] != k || c.Shape[0] != m || c.Shape[1] != n {
-		panic("tensor: VerifyMatMulTransB32 shape mismatch")
-	}
-	injectF32(c.Data)
-	return verifyGemmRowsTransB(c.Data, a.Data, b.Data, m, k, n, abftEps32, abftEta32, abftLim32)
+	return abftEps64, abftEta64, abftLim64
 }
 
 // VerifyConvU8 checks and repairs an already-computed int8 convolution

@@ -17,15 +17,20 @@ func fillNormal32(t *T32, rng *rand.Rand) {
 	}
 }
 
-// verifyGemm checks a plain product C = A×B through VerifyConv's 1×1
+// verifyGemm checks a plain product C = A×B through verifyConv's 1×1
 // geometry, under which b is its own im2col matrix.
 func verifyGemm(c, a, b *T) VerifyOutcome {
-	return VerifyConv(c, a, b.Data, 1, gemmGeom(b.Shape[0], b.Shape[1]))
+	return verifyConv(c.Data, a.Data, b.Data, a.Shape[0], 1, gemmGeom(b.Shape[0], b.Shape[1]))
 }
 
-// verifyGemm32 is verifyGemm through VerifyConv32.
+// verifyGemm32 is verifyGemm for float32.
 func verifyGemm32(c, a, b *T32) VerifyOutcome {
-	return VerifyConv32(c, a, b.Data, 1, gemmGeom(b.Shape[0], b.Shape[1]))
+	return verifyConv(c.Data, a.Data, b.Data, a.Shape[0], 1, gemmGeom(b.Shape[0], b.Shape[1]))
+}
+
+// verifyTransB runs the dense-layer row checksum on C = A×Bᵀ (B [n, k]).
+func verifyTransB(c, a, b *T) VerifyOutcome {
+	return verifyMatMulTransB(c.Data, a.Data, b.Data, a.Shape[0], a.Shape[1], b.Shape[0])
 }
 
 // TestVerifyGemmCleanBitIdentical locks the epilogue contract of the f64
@@ -267,11 +272,11 @@ func TestVerifyConvGeneratedOperand(t *testing.T) {
 			Im2ColBatch(cols, srcs, g)
 			idx := rng.Intn(m * n)
 			convVerifyCheck(t, name+" f64", simd, w.Data, src.Data, cols.Data, m, bsz, g, idx, func(cm []float64) VerifyOutcome {
-				return VerifyConv(&T{Shape: []int{m, n}, Data: cm}, w, src.Data, bsz, g)
+				return verifyConv(cm, w.Data, src.Data, m, bsz, g)
 			})
 			w32, src32 := To32(w), To32(src)
 			convVerifyCheck(t, name+" f32", simd, w32.Data, src32.Data, To32(cols).Data, m, bsz, g, idx, func(cm []float32) VerifyOutcome {
-				return VerifyConv32(&T32{Shape: []int{m, n}, Data: cm}, w32, src32.Data, bsz, g)
+				return verifyConv(cm, w32.Data, src32.Data, m, bsz, g)
 			})
 
 			a := make([]uint8, m*k)
@@ -358,7 +363,7 @@ func TestVerifyMatMulTransB(t *testing.T) {
 	MatMulTransBInto(clean, a, b)
 	c := New(m, n)
 	MatMulTransBInto(c, a, b)
-	if o := VerifyMatMulTransB(c, a, b); o.Checks != m || o.Detected != 0 {
+	if o := verifyTransB(c, a, b); o.Checks != m || o.Detected != 0 {
 		t.Fatalf("clean f64 run: outcome %+v", o)
 	}
 	for i := range c.Data {
@@ -367,7 +372,7 @@ func TestVerifyMatMulTransB(t *testing.T) {
 		}
 	}
 	flipBit64(&c.Data[13], 61)
-	if o := VerifyMatMulTransB(c, a, b); o.Detected != 1 || o.Corrected != 1 {
+	if o := verifyTransB(c, a, b); o.Detected != 1 || o.Corrected != 1 {
 		t.Fatalf("f64 flip: outcome %+v", o)
 	}
 	for i := range c.Data {
@@ -381,14 +386,14 @@ func TestVerifyMatMulTransB(t *testing.T) {
 	b32 := New32(n, k)
 	fillNormal32(b32, rng)
 	clean32 := New32(m, n)
-	MatMulTransBInto32(clean32, a32, b32)
+	matMulTransB(clean32.Data, a32.Data, b32.Data, m, k, n)
 	c32 := New32(m, n)
-	MatMulTransBInto32(c32, a32, b32)
-	if o := VerifyMatMulTransB32(c32, a32, b32); o.Checks != m || o.Detected != 0 {
+	matMulTransB(c32.Data, a32.Data, b32.Data, m, k, n)
+	if o := verifyMatMulTransB(c32.Data, a32.Data, b32.Data, m, k, n); o.Checks != m || o.Detected != 0 {
 		t.Fatalf("clean f32 run: outcome %+v", o)
 	}
 	flipBit32(&c32.Data[31], 29)
-	if o := VerifyMatMulTransB32(c32, a32, b32); o.Detected != 1 || o.Corrected != 1 {
+	if o := verifyMatMulTransB(c32.Data, a32.Data, b32.Data, m, k, n); o.Detected != 1 || o.Corrected != 1 {
 		t.Fatalf("f32 flip: outcome %+v", o)
 	}
 	for i := range c32.Data {
@@ -486,7 +491,7 @@ func TestAbftZeroFalsePositivesCleanGemms(t *testing.T) {
 			b.FillNormal(rng, 0, scale)
 			c := New(m, n)
 			MatMulTransBInto(c, a, b)
-			if o := VerifyMatMulTransB(c, a, b); o.Detected != 0 {
+			if o := verifyTransB(c, a, b); o.Detected != 0 {
 				t.Fatalf("run %d transB %dx%dx%d scale %g: false positive %+v", run, m, k, n, scale, o)
 			}
 		case 3: // int8
@@ -567,7 +572,7 @@ func FuzzChecksumVerify(f *testing.F) {
 		fill(bt.Data, m*k+k*n)
 		ct := New(m, n)
 		MatMulTransBInto(ct, a, bt)
-		if o := VerifyMatMulTransB(ct, a, bt); o.Detected != 0 {
+		if o := verifyTransB(ct, a, bt); o.Detected != 0 {
 			t.Fatalf("f64 transB false mismatch: %+v", o)
 		}
 
@@ -604,14 +609,14 @@ func FuzzChecksumVerify(f *testing.F) {
 		fill(src, m*ck)
 		cm := New(m, cn)
 		ConvGemmIm2Col(cm, w, src, bsz, g)
-		if o := VerifyConv(cm, w, src, bsz, g); o.Checks != cn || o.Detected != 0 {
+		if o := verifyConv(cm.Data, w.Data, src, m, bsz, g); o.Checks != cn || o.Detected != 0 {
 			t.Fatalf("f64 conv %+v bsz %d false mismatch: %+v", g, bsz, o)
 		}
 		w32 := To32(w)
 		src32 := To32(&T{Shape: []int{len(src)}, Data: src}).Data
 		cm32 := New32(m, cn)
 		ConvGemmIm2Col32(cm32, w32, src32, bsz, g)
-		if o := VerifyConv32(cm32, w32, src32, bsz, g); o.Detected != 0 {
+		if o := verifyConv(cm32.Data, w32.Data, src32, m, bsz, g); o.Detected != 0 {
 			t.Fatalf("f32 conv %+v bsz %d false mismatch: %+v", g, bsz, o)
 		}
 		uw := make([]uint8, m*ck)

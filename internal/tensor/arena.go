@@ -2,25 +2,28 @@ package tensor
 
 import "unsafe"
 
-// Arena is the scratch allocator of the float64 inference path: a
-// high-water region. A forward pass draws many short-lived intermediate
-// tensors; the arena carves them front to back out of one cache-line
-// aligned slab and Reset rewinds it, so once the slab has grown to the
-// largest call it serves, a forward pass allocates nothing (see
-// nn.Network.InferBatchArena and core.System.ClassifyBatch). Memory is
-// bounded by the largest single call, however many shapes and batch sizes
-// the arena has seen — which is what lets one arena live as long as the
-// core.System that owns it.
+// Arena is the scratch allocator of the served inference path: one
+// high-water region per element type — float64 and float32 activations,
+// uint8 quantized activations and int32 integer accumulators. A forward
+// pass draws many short-lived buffers; the arena carves them front to back
+// out of cache-line aligned slabs and Reset rewinds them, so once the
+// slabs have grown to the largest call they serve, a forward pass
+// allocates nothing (see nn.Net.InferBatch and core.System.ClassifyBatch).
+// Each slab grows only when its element type is drawn: a float64 net never
+// allocates float32 or integer scratch, an int8 net no float64 scratch.
+// Memory is bounded by the largest single call, however many shapes and
+// batch sizes the arena has seen — which is what lets one arena live as
+// long as the core.System worker that owns it.
 //
 // An Arena is NOT safe for concurrent use: each worker goroutine must own
-// its own instance. Tensors returned by NewRaw remain valid until the next
-// Reset, after which their memory and their *T headers are handed out
-// again.
+// its own instance. Buffers returned by Raw remain valid until the next
+// Reset, after which their memory is handed out again.
 type Arena struct {
-	data bump[float64]
-	// hdrs are the tensor headers, reused by position: the i-th NewRaw
-	// after a Reset returns hdrs[i].
-	hdrs []*T
+	f64 bump[float64]
+	f32 bump[float32]
+	u8  bump[uint8]
+	i32 bump[int32]
+	// live counts the buffers handed out since the last Reset.
 	live int
 	// abft, when non-nil, asks kernels drawing scratch from this arena to
 	// checksum-verify their outputs and record outcomes here (DESIGN.md
@@ -30,6 +33,16 @@ type Arena struct {
 	abft *AbftStats
 }
 
+// Arena32 is Arena, under the name the benchmark harness uses for the
+// reduced-precision backends' scratch.
+type Arena32 = Arena
+
+// NewArena returns an empty arena.
+func NewArena() *Arena { return &Arena{} }
+
+// NewArena32 is NewArena, under the name the benchmark harness uses.
+func NewArena32() *Arena { return &Arena{} }
+
 // SetAbft enables (non-nil) or disables (nil) checksum verification for
 // kernels running against this arena, directing outcomes to s.
 func (a *Arena) SetAbft(s *AbftStats) { a.abft = s }
@@ -37,57 +50,59 @@ func (a *Arena) SetAbft(s *AbftStats) { a.abft = s }
 // Abft returns the verification sink, or nil when verification is off.
 func (a *Arena) Abft() *AbftStats { return a.abft }
 
-// NewArena returns an empty arena.
-func NewArena() *Arena { return &Arena{} }
+// ArenaElem is the element type of one arena slab.
+type ArenaElem interface {
+	float64 | float32 | int32 | uint8
+}
 
-// NewRaw returns a tensor with the given shape whose Data is a
-// cache-line-aligned window of the arena. Its contents are arbitrary —
-// whatever an earlier tensor of any shape left there, or zeros from a
-// fresh slab — so callers must write every element before reading it. The
-// batched inference kernels qualify (im2col, GEMM and the element-wise
-// passes each fully write their output), and skipping the clear of
-// multi-megabyte column matrices is a measurable win on the hot path. Like
-// tensor.New it panics on negative dimensions.
-func (a *Arena) NewRaw(shape ...int) *T {
-	n := arenaElems(shape)
-	if a.live == len(a.hdrs) {
-		a.hdrs = append(a.hdrs, new(T))
+// Raw returns a cache-line-aligned buffer of n elements of E drawn from
+// a's slab for E. Its contents are arbitrary — whatever an earlier buffer
+// left there, or zeros from a fresh slab — so callers must write every
+// element before reading it. The served kernels qualify (im2col, GEMM and
+// the element-wise passes each fully write their output), and skipping the
+// clear of multi-megabyte column matrices is a measurable win on the hot
+// path. It panics on a negative n.
+func Raw[E ArenaElem](a *Arena, n int) []E {
+	if n < 0 {
+		panic("tensor: negative arena buffer length")
 	}
-	t := a.hdrs[a.live]
 	a.live++
-	t.Shape = append(t.Shape[:0], shape...)
-	t.Data = a.data.get(n)
-	return t
+	return slab[E](a).get(n)
 }
 
-// Reset rewinds the arena, recycling every tensor handed out since the
-// previous Reset. The caller must not use those tensors (or views of them)
-// afterwards.
+// SlabLen returns the length in elements of a's slab for E: 0 until a
+// call drawing E has been followed by a Reset, then the largest single
+// call's total.
+func SlabLen[E ArenaElem](a *Arena) int { return len(slab[E](a).slab) }
+
+// slab returns a's region for E.
+func slab[E ArenaElem](a *Arena) *bump[E] {
+	var b any
+	switch any(*new(E)).(type) {
+	case float64:
+		b = &a.f64
+	case float32:
+		b = &a.f32
+	case uint8:
+		b = &a.u8
+	default:
+		b = &a.i32
+	}
+	return b.(*bump[E])
+}
+
+// Reset rewinds the arena, recycling every buffer handed out since the
+// previous Reset. The caller must not use those buffers afterwards.
 func (a *Arena) Reset() {
-	// Drop the windows so an idle header pins no outgrown slab or overflow
-	// buffer, and a tensor used after Reset fails loudly.
-	for _, t := range a.hdrs[:a.live] {
-		t.Data = nil
-	}
 	a.live = 0
-	a.data.reset()
+	a.f64.reset()
+	a.f32.reset()
+	a.u8.reset()
+	a.i32.reset()
 }
 
-// Live returns the number of tensors handed out since the last Reset.
+// Live returns the number of buffers handed out since the last Reset.
 func (a *Arena) Live() int { return a.live }
-
-// arenaElems is the element count of an arena shape; it panics on a
-// negative dimension.
-func arenaElems(shape []int) int {
-	n := 1
-	for _, d := range shape {
-		if d < 0 {
-			panic("tensor: negative dimension in arena shape")
-		}
-		n *= d
-	}
-	return n
-}
 
 // bump is a high-water region of one element type: a cache-line-aligned
 // slab handed out front to back, every request rounded up to whole cache
@@ -95,7 +110,7 @@ func arenaElems(shape []int) int {
 // so an append cannot run into its neighbour. A call that outgrows the slab
 // takes the overflow from the heap; the next reset regrows the slab to that
 // call's total, so the slab never exceeds the largest call it has served.
-type bump[E float64 | float32 | int32 | uint8] struct {
+type bump[E ArenaElem] struct {
 	slab []E
 	off  int // elements of slab handed out since the last reset
 	need int // elements requested since the last reset, overflow included

@@ -7,8 +7,9 @@ import (
 	"sync/atomic"
 )
 
-// This file implements GemmInto, the cache-blocked GEMM behind the
-// minibatch-fused inference path (nn.Network.InferBatchArena). Batched
+// This file implements GemmInto, the cache-blocked GEMM whose body
+// (gemmMain) serves the batched convolutions of the compiled inference
+// graph (nn.Net, via Conv) on targets without the FMA kernels. Batched
 // im2col lowering produces matrices whose N dimension is B*OutH*OutW —
 // tens of thousands of columns — where the plain i-k-j kernel leaves
 // throughput on the table: it re-streams each C row from memory k times
@@ -27,8 +28,7 @@ import (
 // pool.
 //
 // The kernels are generic over the element type (Float: float32 or
-// float64) so the reduced-precision f32 backend (GemmInto32) shares one
-// implementation with the reference f64 path. Each instantiation is fully
+// float64) so the f32 and f64 nets share one implementation. Each instantiation is fully
 // specialized by the compiler — float32 and float64 have distinct
 // gcshapes — so the float64 code is the same arithmetic, in the same
 // order, as the pre-generic kernels.
@@ -36,7 +36,7 @@ import (
 // C is fully overwritten: the first K-block's kernels start their
 // accumulators at zero and store, rather than pre-zeroing C and
 // read-modify-writing it, so callers may hand in uninitialized (arena
-// NewRaw) buffers and the whole matrix is written exactly once per
+// Raw) buffers and the whole matrix is written exactly once per
 // K-block.
 //
 // Floating-point contract: results are bit-identical to MatMulInto's
@@ -80,11 +80,11 @@ const (
 // reference float64 path and the reduced-precision float32 backend run the
 // same generic code, specialized per width by the compiler.
 type Float interface {
-	~float32 | ~float64
+	float32 | float64
 }
 
 // GemmInto computes C = A×B into an existing m×n tensor, overwriting every
-// element (C's prior contents are ignored, so arena NewRaw buffers are
+// element (C's prior contents are ignored, so arena Raw buffers are
 // fine). It panics on any shape mismatch. Results are bit-identical to
 // MatMulInto's dense kernel; only the throughput differs.
 func GemmInto(c, a, b *T) {
@@ -99,23 +99,8 @@ func GemmInto(c, a, b *T) {
 	gemmMain(c.Data, a.Data, b.Data, m, k, n)
 }
 
-// GemmInto32 is GemmInto for float32 tensors: same blocking, same
-// parallelization thresholds, same accumulation order — the float32
-// instantiation of the shared generic kernels.
-func GemmInto32(c, a, b *T32) {
-	if a.Rank() != 2 || b.Rank() != 2 || c.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: GemmInto32 requires rank-2 operands, got C%v = A%v × B%v", c.Shape, a.Shape, b.Shape))
-	}
-	m, k := a.Shape[0], a.Shape[1]
-	n := b.Shape[1]
-	if b.Shape[0] != k || c.Shape[0] != m || c.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: GemmInto32 shape mismatch: C%v = A%v × B%v", c.Shape, a.Shape, b.Shape))
-	}
-	gemmMain(c.Data, a.Data, b.Data, m, k, n)
-}
-
-// gemmMain is the shape-checked entry point shared by GemmInto and
-// GemmInto32: small/serial/parallel dispatch over raw slices.
+// gemmMain is the body of GemmInto at either width: small/serial/parallel
+// dispatch over raw slices.
 func gemmMain[F Float](cd, ad, bd []F, m, k, n int) {
 	macs := m * n * k
 	if macs <= gemmSmallMACs {

@@ -112,8 +112,9 @@ func im2colRow[E Float | uint8](drow, sd []E, chanOff, kh, kw, oh, ow int, g Con
 // block [b*OutH*OutW, (b+1)*OutH*OutW), so row r of dst is the concatenation
 // of row r of Im2Col(srcs[0]) … Im2Col(srcs[B-1]), bit-exactly, and the
 // convolution of the whole batch becomes a single
-// [OutC, C*KH*KW] × [C*KH*KW, B*OutH*OutW] matmul (see nn's batched
-// inference path). dst is fully overwritten.
+// [OutC, C*KH*KW] × [C*KH*KW, B*OutH*OutW] matmul. Served convolutions
+// lower inside Conv; this tensor-typed entry serves the benchmark kernel
+// probe and the tests. dst is fully overwritten.
 func Im2ColBatch(dst *T, srcs []*T, g ConvGeom) {
 	bsz := len(srcs)
 	oh, ow := g.OutH(), g.OutW()
@@ -132,10 +133,10 @@ func Im2ColBatch(dst *T, srcs []*T, g ConvGeom) {
 	}
 }
 
-// Im2ColBatch32 is the float32 batched lowering for the f32 inference
-// backend. Unlike Im2ColBatch it takes the batch as one packed image-major
-// tensor ([bsz, InC*InH*InW] row-major) — the layout the backend forward
-// pass already carries — rather than a slice of per-image tensors. Row r
+// Im2ColBatch32 is the float32 batched lowering, kept for the benchmark
+// kernel probe (the served f32 convolution lowers inside Conv). Unlike
+// Im2ColBatch it takes the batch as one packed image-major tensor
+// ([bsz, InC*InH*InW] row-major) rather than a slice of per-image tensors. Row r
 // of dst is laid out exactly like Im2ColBatch's: image b owns the
 // contiguous column block [b*OutH*OutW, (b+1)*OutH*OutW). dst is fully
 // overwritten.

@@ -24,8 +24,8 @@ import (
 // the ldb/ldc refactor accept a generated block wherever they accepted a
 // B row window). A kernel that reads identical values in identical order
 // produces identical accumulation chains, so the implicit results are
-// bit-identical to Im2ColBatch+GemmIntoFast (f64) and
-// Im2ColBatch32+GemmInto32Fast (f32) under either SIMD setting, and to
+// bit-identical to im2col followed by the served GEMM (gemmServed, both
+// float widths, under either SIMD setting), and to
 // Im2ColBatchU8+GemmU8Into (int8) — locked by TestImplicitGemm*.
 
 // implicitBlkFloats / implicitBlkBytes are the minimum capacities of the
@@ -201,7 +201,9 @@ func im2colBlock[E Float | uint8](blk, src []E, bsz int, g ConvGeom, p0, kc, j0,
 // ConvGemmIm2Col computes cm = weight × im2col(batch) for the f64 path
 // without materializing the column matrix: cm is [OutC, bsz·OutH·OutW],
 // weight [OutC, InC·KH·KW], src the packed image-major batch. Results are
-// bit-identical to Im2ColBatch followed by GemmIntoFast (see convGemm).
+// bit-identical to Im2ColBatch followed by the served GEMM (see convGemm).
+// Its only caller is the benchmark kernel probe; served convolutions reach
+// the driver through Conv.
 func ConvGemmIm2Col(cm, weight *T, src []float64, bsz int, g ConvGeom) {
 	m, k, n := implicitCheck(cm.Shape, weight.Shape, len(src), bsz, g, "ConvGemmIm2Col")
 	convGemm(cm.Data, weight.Data, src, m, k, n, bsz, g)
@@ -225,8 +227,9 @@ const implicitJW = 256
 // driver has no such floor: it never generates columns at all.
 const ImplicitConvMinN = 4096
 
-// ConvGemmIm2Col32 is ConvGemmIm2Col for the f32 backend: bit-identical to
-// Im2ColBatch32 followed by GemmInto32Fast.
+// ConvGemmIm2Col32 is ConvGemmIm2Col for float32: bit-identical to
+// Im2ColBatch32 followed by GemmInto32Fast. Like it, its only caller is
+// the benchmark kernel probe.
 func ConvGemmIm2Col32(cm, weight *T32, src []float32, bsz int, g ConvGeom) {
 	m, k, n := implicitCheck(cm.Shape, weight.Shape, len(src), bsz, g, "ConvGemmIm2Col32")
 	convGemm(cm.Data, weight.Data, src, m, k, n, bsz, g)
@@ -234,9 +237,8 @@ func ConvGemmIm2Col32(cm, weight *T32, src []float32, bsz int, g ConvGeom) {
 
 // convGemm is the implicit-GEMM driver of both float widths. On AVX2
 // machines it generates implicitJW-column panels and runs each
-// through gemmFMA — the implicit equivalent of GemmIntoFast /
-// GemmInto32Fast; otherwise gemmIm2ColMain, the implicit equivalent of
-// GemmInto / GemmInto32. Either way every column is the same chain the
+// through gemmFMA — the implicit equivalent of gemmServed; otherwise
+// gemmIm2ColMain, the implicit equivalent of gemmMain. Either way every column is the same chain the
 // explicit lowering feeding the same GEMM computes, so results are
 // bit-identical to it.
 func convGemm[F Float](cd, ad, src []F, m, k, n, bsz int, g ConvGeom) {

@@ -44,7 +44,7 @@ func MatMulInto(c, a, b *T) {
 
 // matMulRowsDense computes rows [i0,i1) of C = A×B with the i-k-j loop order
 // and no zero test: every A element issues an axpy. Generic over the float
-// width so GemmInto32's small-matrix path shares it (the float64
+// width so gemmMain's small-matrix path shares it at both widths (the float64
 // instantiation is the arithmetic MatMulInto always had).
 func matMulRowsDense[F Float](cd, ad, bd []F, i0, i1, k, n int) {
 	for i := i0; i < i1; i++ {
@@ -130,17 +130,6 @@ func MatMulTransBInto(c, a, b *T) {
 	n := b.Shape[0]
 	if b.Shape[1] != k || c.Shape[0] != m || c.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulTransBInto shape mismatch: C%v = A%v × B%v ᵀ", c.Shape, a.Shape, b.Shape))
-	}
-	matMulTransB(c.Data, a.Data, b.Data, m, k, n)
-}
-
-// MatMulTransBInto32 is MatMulTransBInto for float32 tensors — the batched
-// Dense kernel of the f32 backend.
-func MatMulTransBInto32(c, a, b *T32) {
-	m, k := a.Shape[0], a.Shape[1]
-	n := b.Shape[0]
-	if b.Shape[1] != k || c.Shape[0] != m || c.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulTransBInto32 shape mismatch: C%v = A%v × B%v ᵀ", c.Shape, a.Shape, b.Shape))
 	}
 	matMulTransB(c.Data, a.Data, b.Data, m, k, n)
 }

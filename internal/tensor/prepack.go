@@ -163,7 +163,7 @@ func PackWinoFilter(weight *T, outC, inC int) []float64 {
 // PackWinoFilter32 is PackWinoFilter for float32, the operand of
 // WinogradConv3x3F32Pre; kept for the benchmark kernel probe only.
 func PackWinoFilter32(weight *T32, outC, inC int) []float32 {
-	if weight.Rank() != 2 || weight.Shape[0] != outC || weight.Shape[1] != inC*9 {
+	if len(weight.Shape) != 2 || weight.Shape[0] != outC || weight.Shape[1] != inC*9 {
 		panic(fmt.Sprintf("tensor: PackWinoFilter32 weight %v, want [%d %d]", weight.Shape, outC, inC*9))
 	}
 	u := AlignedF32(36 * outC * inC)

@@ -24,11 +24,11 @@ func kernelLegs() []bool {
 	return []bool{false}
 }
 
-// gemmFastLeg runs GemmIntoFast/GemmInto32Fast's vector driver (simd) or
-// its pure-Go body, gemmMain, on C[m×n] = A[m×k] × B[k×n].
+// gemmFastLeg runs the served GEMM's vector driver (simd) or its pure-Go
+// body, gemmMain, on C[m×n] = A[m×k] × B[k×n].
 func gemmFastLeg[F Float](simd bool, cd, ad, bd []F, m, k, n int) {
 	if simd {
-		gemmFast(cd, ad, bd, []int{m, n}, []int{m, k}, []int{k, n}, "gemmFastLeg")
+		gemmServed(cd, ad, bd, m, k, n)
 		return
 	}
 	gemmMain(cd, ad, bd, m, k, n)

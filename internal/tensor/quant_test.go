@@ -40,7 +40,7 @@ func TestGemmInto32MatchesDense(t *testing.T) {
 			a := randT32(rng, m, k)
 			b := randT32(rng, k, n)
 			got := New32(m, n)
-			GemmInto32(got, a, b)
+			gemmMain(got.Data, a.Data, b.Data, m, k, n)
 
 			want := make([]float32, m*n)
 			matMulRowsDense(want, a.Data, b.Data, 0, m, k, n)
@@ -131,35 +131,35 @@ func TestWinogradConv3x3F32MatchesF64(t *testing.T) {
 	}
 }
 
-// TestArena32Recycling: once warm, each of Arena32's three regions hands
-// the same memory out again after a Reset.
+// TestArena32Recycling: once warm, each of the reduced-precision
+// backends' three regions — float32, byte and int32 — hands the same
+// memory out again after a Reset.
 func TestArena32Recycling(t *testing.T) {
 	a := NewArena32()
 	warm := func() (*float32, *uint8, *int32) {
-		t1 := a.NewRaw(4, 8)
-		by := a.Bytes(100)
-		in := a.Int32s(50)
-		return &t1.Data[0], &by[0], &in[0]
+		f := Raw[float32](a, 32)
+		by := Raw[uint8](a, 100)
+		in := Raw[int32](a, 50)
+		return &f[0], &by[0], &in[0]
 	}
 	warm()
 	a.Reset()
-	t1, by, in := warm()
-	if a.Live() != 1 {
-		t.Fatalf("Live = %d, want 1", a.Live())
+	f, by, in := warm()
+	if a.Live() != 3 {
+		t.Fatalf("Live = %d, want 3", a.Live())
 	}
 	a.Reset()
-	t2 := a.NewRaw(8, 4) // same elem count, different shape
-	if &t2.Data[0] != t1 {
+	if f2 := Raw[float32](a, 32); &f2[0] != f {
 		t.Error("float32 buffer was not recycled")
 	}
-	if t2.Shape[0] != 8 || t2.Shape[1] != 4 {
-		t.Errorf("recycled tensor shape %v, want [8 4]", t2.Shape)
-	}
-	if by2 := a.Bytes(100); &by2[0] != by {
+	if by2 := Raw[uint8](a, 100); &by2[0] != by {
 		t.Error("byte buffer was not recycled")
 	}
-	if in2 := a.Int32s(50); &in2[0] != in {
+	if in2 := Raw[int32](a, 50); &in2[0] != in {
 		t.Error("int32 buffer was not recycled")
+	}
+	if n := SlabLen[float64](a); n != 0 {
+		t.Errorf("float64 slab grew to %d elements with no float64 draw", n)
 	}
 }
 

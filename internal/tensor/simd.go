@@ -16,32 +16,26 @@ import (
 // this machine (amd64 with AVX2+FMA and OS vector-state support).
 func SIMDAvailable() bool { return simdAvailable }
 
-// GemmIntoFast computes C = A×B like GemmInto, dispatching to the 4×8 FMA
-// microkernel when available. Unlike GemmInto it does NOT guarantee
-// bit-identical results to the naive i-k-j kernel: each column is still
-// one ascending-k chain, but every step is a fused multiply-add (one
-// rounding, not two). A column's bits depend only on its own A rows and B
-// column, never on how many columns sit beside it (see gemmFMA). It is the
-// GEMM of the f64 convolution path (DESIGN.md §7).
-func GemmIntoFast(c, a, b *T) {
-	gemmFast(c.Data, a.Data, b.Data, c.Shape, a.Shape, b.Shape, "GemmIntoFast")
-}
-
-// GemmInto32Fast is GemmIntoFast for float32 tensors, on the 4×16 FMA
-// microkernel: the GEMM of the f32 backend's convolution path, where
-// float32 rounding already bounds accuracy (DESIGN.md §9).
+// GemmInto32Fast computes C = A×B for float32 tensors with the GEMM of
+// the explicit conv lowering (gemmServed). Its only caller is the
+// benchmark kernel probe; the served convolution reaches the same GEMM
+// through Conv.
 func GemmInto32Fast(c, a, b *T32) {
-	gemmFast(c.Data, a.Data, b.Data, c.Shape, a.Shape, b.Shape, "GemmInto32Fast")
+	as, bs, cs := a.Shape, b.Shape, c.Shape
+	if len(as) != 2 || len(bs) != 2 || len(cs) != 2 || bs[0] != as[1] || cs[0] != as[0] || cs[1] != bs[1] {
+		panic(fmt.Sprintf("tensor: GemmInto32Fast shape mismatch: C%v = A%v × B%v", cs, as, bs))
+	}
+	gemmServed(c.Data, a.Data, b.Data, as[0], as[1], bs[1])
 }
 
-// gemmFast is the shape-checked body of GemmIntoFast/GemmInto32Fast: the
-// FMA driver on AVX2 machines, the bit-exact blocked GEMM gemmMain (its
-// pure-Go body) elsewhere.
-func gemmFast[F Float](cd, ad, bd []F, cs, as, bs []int, name string) {
-	if len(as) != 2 || len(bs) != 2 || len(cs) != 2 || bs[0] != as[1] || cs[0] != as[0] || cs[1] != bs[1] {
-		panic(fmt.Sprintf("tensor: %s shape mismatch: C%v = A%v × B%v", name, cs, as, bs))
-	}
-	m, k, n := as[0], as[1], bs[1]
+// gemmServed computes the m×n product C = A×B (A m×k, B k×n) with the FMA
+// driver on AVX2 machines and the bit-exact blocked GEMM gemmMain (its
+// pure-Go body) elsewhere. It does NOT match the naive i-k-j kernel bit
+// for bit: each column is still one ascending-k chain, but every step is a
+// fused multiply-add (one rounding, not two). A column's bits depend only
+// on its own A rows and B column, never on how many columns sit beside it
+// (see gemmFMA).
+func gemmServed[F Float](cd, ad, bd []F, m, k, n int) {
 	if !simdAvailable || k == 0 {
 		gemmMain(cd, ad, bd, m, k, n)
 		return

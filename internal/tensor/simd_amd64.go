@@ -9,8 +9,8 @@ package tensor
 // + OS YMM state support). The integer kernel computes bit-for-bit the same
 // int32 results as the scalar SWAR path — vpmaddwd over zero-extended
 // bytes is exact (TestGemmU8IntoSIMDExact). The float kernels fuse each multiply-add (one rounding instead of two),
-// which is why they back GemmInto32Fast/GemmIntoFast rather than the
-// bit-exact GemmInto32/GemmInto. There is no switch: a machine with the
+// which is why they back the served GEMM (gemmServed) rather than the
+// bit-exact GemmInto. There is no switch: a machine with the
 // features runs these kernels, any other runs the pure-Go bodies, and
 // both serve the same lowering.
 

@@ -18,10 +18,11 @@ func withSIMD[K any](t *testing.T, scalar, dispatch K, check func(t *testing.T, 
 	}
 }
 
-// gemmBody32 and gemmBody64 are GemmInto32Fast/GemmIntoFast's pure-Go
-// body, gemmMain, behind the entry points' signature.
+// gemmBody32 and gemmBody64 are the served GEMM's pure-Go body, gemmMain,
+// behind a tensor signature; gemmServed64 is the served GEMM itself.
 func gemmBody32(c, a, b *T32) { gemmMain(c.Data, a.Data, b.Data, a.Shape[0], a.Shape[1], b.Shape[1]) }
 func gemmBody64(c, a, b *T)   { gemmMain(c.Data, a.Data, b.Data, a.Shape[0], a.Shape[1], b.Shape[1]) }
+func gemmServed64(c, a, b *T) { gemmServed(c.Data, a.Data, b.Data, a.Shape[0], a.Shape[1], b.Shape[1]) }
 
 // TestGemmU8IntoSIMDExact locks the cross-implementation contract: the
 // vpmaddwd kernel and the scalar SWAR kernel produce identical int32
@@ -122,7 +123,7 @@ func TestGemmInto32FastMatchesReference(t *testing.T) {
 			a := randT32(rng, m, k)
 			b := randT32(rng, k, n)
 			want := New32(m, n)
-			GemmInto32(want, a, b)
+			gemmMain(want.Data, a.Data, b.Data, m, k, n)
 			got := New32(m, n)
 			gemm(got, a, b)
 			for i := range want.Data {
@@ -143,7 +144,7 @@ func TestGemmInto32FastMatchesReference(t *testing.T) {
 // range.
 func TestGemmIntoFastMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
-	withSIMD(t, gemmBody64, GemmIntoFast, func(t *testing.T, gemm func(c, a, b *T)) {
+	withSIMD(t, gemmBody64, gemmServed64, func(t *testing.T, gemm func(c, a, b *T)) {
 		for _, k := range []int{1, 3, 27, 72, 300} {
 			for m := 1; m <= 9; m++ {
 				for n := 1; n <= 40; n++ {
@@ -203,7 +204,7 @@ func columnPositionCheck[F Float](t *testing.T, rng *rand.Rand) {
 				copy(sub[p*w:], b[p*n+j0:p*n+j1])
 			}
 			c := make([]F, m*w)
-			gemmFast(c, a, sub, []int{m, w}, []int{m, k}, []int{k, w}, "test")
+			gemmServed(c, a, sub, m, k, w)
 			return c
 		}
 		full := cols(0, n)

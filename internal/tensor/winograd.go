@@ -38,7 +38,7 @@ func winogradEligible(g ConvGeom) bool {
 // into dst ([bsz, OutC*InH*InW]), adding bias per output channel. u is
 // the 36×OutC×InC filter transform PackWinoFilter computed from the
 // [OutC, InC*3*3] weights. Scratch comes from a; the caller owns Reset.
-// dst is fully overwritten (NewRaw buffers are fine). Its only caller is
+// dst is fully overwritten (arena Raw buffers are fine). Its only caller is
 // the benchmark kernel probe (see the file comment).
 func WinogradConv3x3Pre(dst, src *T, bsz, outC int, u []float64, bias []float64, g ConvGeom, a *Arena) {
 	if !winogradEligible(g) {
@@ -53,15 +53,15 @@ func WinogradConv3x3Pre(dst, src *T, bsz, outC int, u []float64, bias []float64,
 		panic(fmt.Sprintf("tensor: WinogradConv3x3Pre u %d / bias %d mismatch OutC=%d InC=%d", len(u), len(bias), outC, inC))
 	}
 	tt := bsz * (h / 4) * (w / 4)
-	v := a.NewRaw(36, inC*tt)
-	mm := a.NewRaw(36, outC*tt)
-	winoConvPre(dst.Data, src.Data, bsz, outC, bias, g, u, v.Data, mm.Data)
+	v := Raw[float64](a, 36*inC*tt)
+	mm := Raw[float64](a, 36*outC*tt)
+	winoConvPre(dst.Data, src.Data, bsz, outC, bias, g, u, v, mm)
 }
 
 // WinogradConv3x3F32Pre is WinogradConv3x3Pre for float32, consuming a
 // PackWinoFilter32 buffer. Like it, it exists only for the benchmark
 // kernel probe (see the file comment).
-func WinogradConv3x3F32Pre(dst, src *T32, bsz, outC int, u []float32, bias []float32, g ConvGeom, a *Arena32) {
+func WinogradConv3x3F32Pre(dst, src *T32, bsz, outC int, u []float32, bias []float32, g ConvGeom, a *Arena) {
 	if !winogradEligible(g) {
 		panic(fmt.Sprintf("tensor: WinogradConv3x3F32Pre on ineligible geometry %+v", g))
 	}
@@ -74,9 +74,9 @@ func WinogradConv3x3F32Pre(dst, src *T32, bsz, outC int, u []float32, bias []flo
 		panic(fmt.Sprintf("tensor: WinogradConv3x3F32Pre u %d / bias %d mismatch OutC=%d InC=%d", len(u), len(bias), outC, inC))
 	}
 	tt := bsz * (h / 4) * (w / 4)
-	v := a.NewRaw(36, inC*tt)
-	mm := a.NewRaw(36, outC*tt)
-	winoConvPre(dst.Data, src.Data, bsz, outC, bias, g, u, v.Data, mm.Data)
+	v := Raw[float32](a, 36*inC*tt)
+	mm := Raw[float32](a, 36*outC*tt)
+	winoConvPre(dst.Data, src.Data, bsz, outC, bias, g, u, v, mm)
 }
 
 // winoConvPre is the width-generic Winograd pipeline from the filter

@@ -60,7 +60,7 @@ func TestWinogradConvMatchesIm2Col(t *testing.T) {
 		}
 
 		want := winoRefConv(src, bsz, outC, weight, bias, g)
-		got := a.NewRaw(bsz, outC*hw)
+		got := &T{Shape: []int{bsz, outC * hw}, Data: Raw[float64](a, bsz*outC*hw)}
 		WinogradConv3x3Pre(got, src, bsz, outC, PackWinoFilter(weight, outC, g.InC), bias, g, a)
 
 		for i := range want.Data {
