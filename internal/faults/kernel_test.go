@@ -45,9 +45,8 @@ func rowsClose(t *testing.T, a, b []float64, tol float64, ctx string) {
 // kernel call suffers one high-order mantissa/exponent flip, and the
 // checksum epilogues must detect nearly all of them and correct every
 // detection. When nothing slipped through, the repaired probabilities
-// match the fault-free run within 1e-9 rather than bit for bit: repair
-// re-runs a GEMM column as a scalar ascending-k chain (unfused, where the
-// FMA kernel fused each multiply-add).
+// match the fault-free run bit for bit: repair re-runs a GEMM column
+// through the served GEMM driver, and a dense row through the served dot.
 func TestKernelInjectionCoverageF64(t *testing.T) {
 	net, err := nn.Compile[float64](testNet(t))
 	if err != nil {
@@ -91,7 +90,7 @@ func TestKernelInjectionCoverageF64(t *testing.T) {
 	}
 	if c.Detected == inj {
 		for i := range xs {
-			rowsClose(t, faulty[i], clean[i], 1e-9, "f64 corrected run")
+			rowsClose(t, faulty[i], clean[i], 0, "f64 corrected run")
 		}
 	}
 }
@@ -101,9 +100,8 @@ func TestKernelInjectionCoverageF64(t *testing.T) {
 // in this package never reach. testNet's padded 3×3 conv has an 8×8
 // output, so B=48 (GEMM width 3072) runs the explicit lowering and B=64
 // (4096 = tensor.ImplicitConvMinN) the implicit GEMM; the checksums must
-// catch and repair flips on both. Repair re-runs the scalar reference
-// chain, so corrected outputs match the clean batched run within the
-// documented 1e-9 float contract rather than bit-for-bit.
+// catch and repair flips on both, and corrected outputs match the clean
+// batched run bit for bit.
 func TestKernelInjectionCoverageBatched(t *testing.T) {
 	for _, bsz := range []int{48, 64} {
 		t.Run(fmt.Sprintf("B%d", bsz), func(t *testing.T) { batchedCampaignF64(t, bsz) })
@@ -147,7 +145,7 @@ func batchedCampaignF64(t *testing.T, bsz int) {
 	if c.Detected == inj {
 		for _, rows := range faulty {
 			for i := range xs {
-				rowsClose(t, rows[i], clean[i], 1e-9, "batched corrected run")
+				rowsClose(t, rows[i], clean[i], 0, "batched corrected run")
 			}
 		}
 	}
@@ -197,11 +195,11 @@ func campaignF32(t *testing.T, bsz int) {
 		t.Fatalf("f32 detection rate %.3f < 0.90 (%d/%d)", rate, c.Detected, inj)
 	}
 	if c.Detected == inj {
-		// f32 repairs re-execute scalar reference chains, so corrected
-		// probabilities agree with the clean run within float32 noise.
+		// f32 repairs re-run the served kernels, so corrected
+		// probabilities are the clean run's bits.
 		for _, rows := range faulty {
 			for i := range xs {
-				rowsClose(t, rows[i], clean[i], 1e-4, "f32 corrected run")
+				rowsClose(t, rows[i], clean[i], 0, "f32 corrected run")
 			}
 		}
 	}

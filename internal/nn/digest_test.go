@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/nn"
@@ -13,13 +14,14 @@ import (
 )
 
 // servedRowsDigests are the SHA-256 digests (first 16 hex digits) of the
-// served softmax rows of digestFixtures, per fixture and backend. Each
-// covers B ∈ {1, 7, 32}, unverified then verified, every row's
-// Float64bits in order. A change to any served kernel, epilogue, node or
-// softmax that moves one bit of one row changes a digest.
+// served softmax rows of digestFixtures, per fixture and backend, on the
+// AVX2 kernels. Each covers B ∈ {1, 7, 32}, unverified then verified,
+// every row's Float64bits in order. A change to any served kernel,
+// epilogue, node or softmax that moves one bit of one row changes a
+// digest.
 var servedRowsDigests = map[string]string{
-	"lenet5/f64":       "7255cfa3e14b118e",
-	"lenet5/f32":       "9f224e1aada7f0e0",
+	"lenet5/f64":       "4d228fd8efe069a2",
+	"lenet5/f32":       "e177ea1e54482960",
 	"lenet5/int8":      "09c56e3f5acb18bb",
 	"convnet/f64":      "44b4aa9ec9fdd1ba",
 	"convnet/f32":      "6ce9e8acb6025b4e",
@@ -27,18 +29,45 @@ var servedRowsDigests = map[string]string{
 	"resnet20/f64":     "ce70521cc3b98b9e",
 	"resnet20/f32":     "109f15ed0f9dd08d",
 	"resnet20/int8":    "7199253b646148ae",
-	"densenet40/f64":   "85ee74691ef6ceed",
-	"densenet40/f32":   "ce431d0758b2024d",
+	"densenet40/f64":   "f21d749f9940d362",
+	"densenet40/f32":   "f2eff1dab6c7b3c1",
 	"densenet40/int8":  "e4fbe5d273bd1925",
-	"alexnet/f64":      "65c51933ff0f1a5e",
-	"alexnet/f32":      "d83184812f3d3a23",
-	"alexnet/int8":     "e7d8d30977bc286d",
+	"alexnet/f64":      "1a2f76c410619c56",
+	"alexnet/f32":      "e6a1f929c639a712",
+	"alexnet/int8":     "37d94a32d588e3d8",
 	"resnet34/f64":     "c3a65b31969925a7",
 	"resnet34/f32":     "fc6c73ddb35be1f2",
 	"resnet34/int8":    "803235425d154820",
-	"every-layer/f64":  "91d014266bfdf925",
-	"every-layer/f32":  "5a9665ddf0e1afde",
+	"every-layer/f64":  "0a0af32bed456139",
+	"every-layer/f32":  "b1ca260bd36eb781",
 	"every-layer/int8": "efc5d4730157be4e",
+}
+
+// servedRowsDigestsGo are servedRowsDigests on the pure-Go kernel bodies,
+// as a 386 build computes them: the GEMM rounds each product before it
+// adds it, and math.Exp is the pure-Go one.
+var servedRowsDigestsGo = map[string]string{
+	"lenet5/f64":       "422ffc4437c8304a",
+	"lenet5/f32":       "14cc14afdd4b601b",
+	"lenet5/int8":      "964162c28c9b72d1",
+	"convnet/f64":      "1efda05f510518ae",
+	"convnet/f32":      "f1a4973c331c7e22",
+	"convnet/int8":     "854cec5eda836d43",
+	"resnet20/f64":     "7e099402b0049a6f",
+	"resnet20/f32":     "2434ce16fd417815",
+	"resnet20/int8":    "2b61e22707c4ffdb",
+	"densenet40/f64":   "88364933f790e738",
+	"densenet40/f32":   "ccaff848ab4e51af",
+	"densenet40/int8":  "f38a9824746769f8",
+	"alexnet/f64":      "7f83ba2e23874c31",
+	"alexnet/f32":      "eac8741245532733",
+	"alexnet/int8":     "a6588267caf47b4b",
+	"resnet34/f64":     "7e971b1328c44748",
+	"resnet34/f32":     "a93b9477069e0110",
+	"resnet34/int8":    "5d40dc3b88aeb130",
+	"every-layer/f64":  "ca9cb9fe38602168",
+	"every-layer/f32":  "0adb736d3a20e57f",
+	"every-layer/int8": "18f0275a36d133e1",
 }
 
 // digestFixtures are the zoo topologies of backendFixtures plus a network
@@ -100,11 +129,18 @@ func digestFixtures(t testing.TB) []backendFixture {
 
 // TestServedRowsDigest pins the served rows of every backend to committed
 // digests, so a refactor of the serving engine can show it moved no bit.
-// The digests are the AVX2 kernels' bits: pure-Go targets round the GEMM's
-// multiply-adds differently (ROADMAP direction 11), so they skip.
+// AVX2 machines are held to the AVX2 table and 386 builds to the pure-Go
+// one. Other targets skip: amd64 without AVX2 runs the pure-Go GEMM body
+// but math.Exp's assembly, and arm64 has its own math.Exp assembly, so
+// their softmax bits match neither table (ROADMAP direction 11).
 func TestServedRowsDigest(t *testing.T) {
-	if !tensor.SIMDAvailable() {
-		t.Skip("digests are of the AVX2 kernels; pure-Go targets round differently (ROADMAP direction 11)")
+	digests := servedRowsDigests
+	switch {
+	case tensor.SIMDAvailable():
+	case runtime.GOARCH == "386":
+		digests = servedRowsDigestsGo
+	default:
+		t.Skip("no committed digests for this target's kernels and math.Exp (ROADMAP direction 11)")
 	}
 	for _, f := range digestFixtures(t) {
 		for _, be := range []string{"f64", "f32", "int8"} {
@@ -123,7 +159,7 @@ func TestServedRowsDigest(t *testing.T) {
 			}
 			key := f.name + "/" + be
 			got := hex.EncodeToString(h.Sum(nil))[:16]
-			if want := servedRowsDigests[key]; got != want {
+			if want := digests[key]; got != want {
 				t.Errorf("%s: served rows digest %s, want %s", key, got, want)
 			}
 		}

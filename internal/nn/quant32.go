@@ -186,8 +186,10 @@ func (q *qdense32) forward(src []float32, in []int, bsz int, a *tensor.Arena) ([
 		}
 		arow := acc[b*q.out : (b+1)*q.out]
 		drow := dst[b*q.out : (b+1)*q.out]
+		// The product is rounded before the bias add, as DequantRow
+		// rounds it, on every target.
 		for o := 0; o < q.out; o++ {
-			drow[o] = float32(arow[o]-128*rs-q.corr[o])*q.deq[o] + q.bias[o]
+			drow[o] = float32(float32(arow[o]-128*rs-q.corr[o])*q.deq[o]) + q.bias[o]
 		}
 	}
 	return dst, []int{q.out}

@@ -20,7 +20,7 @@ import (
 // a transient compute fault (a bit flip in an accumulator, a wrong store)
 // is caught in the kernel epilogue at a few percent overhead. A mismatch
 // localizes the fault to one output column (or row), which is re-executed
-// with the scalar reference kernel and re-checked, bounded by
+// with the served kernel and re-checked, bounded by
 // abftMaxRetries; a persistent mismatch (e.g. a corrupted operand buffer,
 // which re-execution faithfully reproduces) is reported uncorrectable so
 // the caller can flag the result as suspect.
@@ -259,18 +259,11 @@ func abftColTol(bnd float64, k, m int, eps, eta float64) float64 {
 }
 
 // recomputeConvCol re-executes column j of C = A×B, B's column j given
-// gathered in col, with the scalar reference chain (ascending k from +0 —
-// the accumulation order gemmMain and MatMulInto's dense kernel both
-// produce).
+// gathered in col, with the served GEMM driver: a column's bits do not
+// depend on its neighbours, so a repaired column has exactly the bits a
+// fault-free run serves.
 func recomputeConvCol[F Float](cd, ad, col []F, m, n, j int) {
-	k := len(col)
-	for i := 0; i < m; i++ {
-		var acc F
-		for p, av := range ad[i*k : (i+1)*k] {
-			acc += av * col[p]
-		}
-		cd[i*n+j] = acc
-	}
+	gemmFMA(cd[j:], ad, col, m, len(col), 1, n, 1)
 }
 
 // gemmGeom is the geometry under which a plain GEMM's B operand [k, n] is
@@ -461,7 +454,7 @@ func abftIntBuf[I int32 | int64](sc *abftScratch, n int) []I {
 // each multiply-add (one rounding) where axpyUnrolled rounds twice, so
 // the last partial register's worth does not fall back to the scalar
 // loop: it runs through the same kernel on zero-padded scratch, as
-// fmaGemmTail does for the GEMM. A column's predicted checksum then has
+// gemmEdges does for the GEMM. A column's predicted checksum then has
 // the same bits wherever the column sits — which is what keeps the
 // verifier's verdict on an image independent of its batchmates.
 func axpyAuto[F Float](dst []F, alpha F, src []F) {

@@ -36,7 +36,7 @@ func verifyTransB(c, a, b *T) VerifyOutcome {
 // TestVerifyGemmCleanBitIdentical locks the epilogue contract of the f64
 // verified GEMM: on a fault-free run verification reports zero detections
 // and leaves the output bit-identical to the unverified kernel's, across
-// the small, blocked and parallel dispatch paths.
+// full blocks and both edges.
 func TestVerifyGemmCleanBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	shapes := [][3]int{
@@ -44,7 +44,7 @@ func TestVerifyGemmCleanBitIdentical(t *testing.T) {
 		{3, 5, 7},
 		{16, 32, 64},
 		{8, 27, 2048},
-		{32, 2*gemmKC + 1, gemmNC + 3}, // blocked path with remainders
+		{32, 513, gemmNC + 3}, // long K with a column tail
 	}
 	for _, s := range shapes {
 		m, k, n := s[0], s[1], s[2]
@@ -70,29 +70,26 @@ func TestVerifyGemmCleanBitIdentical(t *testing.T) {
 	}
 }
 
-// TestVerifyGemm32CleanBitIdentical is the f32 clean-run contract, covering
-// both the FMA microkernel and the pure-Go GEMM.
+// TestVerifyGemm32CleanBitIdentical is the f32 clean-run contract.
 func TestVerifyGemm32CleanBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	for _, simd := range kernelLegs() {
-		for _, s := range [][3]int{{3, 5, 7}, {16, 48, 96}, {65, 33, 130}} {
-			m, k, n := s[0], s[1], s[2]
-			a := New32(m, k)
-			fillNormal32(a, rng)
-			b := New32(k, n)
-			fillNormal32(b, rng)
-			want := New32(m, n)
-			gemmFastLeg(simd, want.Data, a.Data, b.Data, m, k, n)
-			got := New32(m, n)
-			gemmFastLeg(simd, got.Data, a.Data, b.Data, m, k, n)
-			o := verifyGemm32(got, a, b)
-			if o.Checks != n || o.Detected != 0 {
-				t.Fatalf("simd=%v %v: outcome %+v, want %d checks and 0 detections", simd, s, o, n)
-			}
-			for i, v := range got.Data {
-				if math.Float32bits(v) != math.Float32bits(want.Data[i]) {
-					t.Fatalf("simd=%v %v element %d: verified %v != unverified %v", simd, s, i, v, want.Data[i])
-				}
+	for _, s := range [][3]int{{3, 5, 7}, {16, 48, 96}, {65, 33, 130}} {
+		m, k, n := s[0], s[1], s[2]
+		a := New32(m, k)
+		fillNormal32(a, rng)
+		b := New32(k, n)
+		fillNormal32(b, rng)
+		want := New32(m, n)
+		GemmInto32Fast(want, a, b)
+		got := New32(m, n)
+		GemmInto32Fast(got, a, b)
+		o := verifyGemm32(got, a, b)
+		if o.Checks != n || o.Detected != 0 {
+			t.Fatalf("%v: outcome %+v, want %d checks and 0 detections", s, o, n)
+		}
+		for i, v := range got.Data {
+			if math.Float32bits(v) != math.Float32bits(want.Data[i]) {
+				t.Fatalf("%v element %d: verified %v != unverified %v", s, i, v, want.Data[i])
 			}
 		}
 	}
@@ -136,64 +133,59 @@ func TestVerifyGemmU8Clean(t *testing.T) {
 }
 
 // TestVerifyGemmDetectsAndCorrects flips representative high-order bits in
-// the f64 output and checks each is detected, repaired, and restored to the
-// exact clean value (the repair chain reproduces the kernel's accumulation
-// order).
+// the f64 output of the served GEMM and checks each is detected, repaired,
+// and restored to the exact clean value: the repair re-runs the served
+// driver on the column. m = 6 and 9 put the flip in reach of the row edge.
 func TestVerifyGemmDetectsAndCorrects(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
-	m, k, n := 16, 32, 48
-	a := New(m, k)
-	a.FillNormal(rng, 0, 1)
-	b := New(k, n)
-	b.FillNormal(rng, 0, 1)
-	clean := New(m, n)
-	GemmInto(clean, a, b)
-	for _, bit := range []uint{63, 62, 55, 51} {
-		c := clean.Clone()
-		idx := rng.Intn(m * n)
-		flipBit64(&c.Data[idx], bit)
-		o := verifyGemm(c, a, b)
-		if o.Detected != 1 || o.Corrected != 1 || !o.OK() {
-			t.Fatalf("bit %d at %d: outcome %+v, want exactly one corrected detection", bit, idx, o)
-		}
-		for i, v := range c.Data {
-			if math.Float64bits(v) != math.Float64bits(clean.Data[i]) {
-				t.Fatalf("bit %d: repaired element %d = %v, want clean %v", bit, i, v, clean.Data[i])
+	for _, m := range []int{16, 6, 9} {
+		k, n := 32, 48
+		a := New(m, k)
+		a.FillNormal(rng, 0, 1)
+		b := New(k, n)
+		b.FillNormal(rng, 0, 1)
+		clean := New(m, n)
+		gemmServed(clean.Data, a.Data, b.Data, m, k, n)
+		for _, bit := range []uint{63, 62, 55, 51} {
+			c := clean.Clone()
+			idx := rng.Intn(m * n)
+			flipBit64(&c.Data[idx], bit)
+			o := verifyGemm(c, a, b)
+			if o.Detected != 1 || o.Corrected != 1 || !o.OK() {
+				t.Fatalf("m=%d bit %d at %d: outcome %+v, want exactly one corrected detection", m, bit, idx, o)
+			}
+			for i, v := range c.Data {
+				if math.Float64bits(v) != math.Float64bits(clean.Data[i]) {
+					t.Fatalf("m=%d bit %d: repaired element %d = %v, want clean %v", m, bit, i, v, clean.Data[i])
+				}
 			}
 		}
 	}
 }
 
-// TestVerifyGemm32DetectsAndCorrects is the f32 flip coverage, on products
-// of the FMA kernel and of the pure-Go GEMM. Under the FMA kernel the
-// repaired column is re-executed with the scalar chain, so repaired values
-// are checked against a fresh verification pass and a loose numeric
-// agreement instead of bit equality.
+// TestVerifyGemm32DetectsAndCorrects is the f32 flip coverage: every
+// repaired output is bit-equal to the clean served product.
 func TestVerifyGemm32DetectsAndCorrects(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
-	for _, simd := range kernelLegs() {
-		m, k, n := 16, 32, 48
+	for _, m := range []int{16, 6, 9} {
+		k, n := 32, 48
 		a := New32(m, k)
 		fillNormal32(a, rng)
 		b := New32(k, n)
 		fillNormal32(b, rng)
 		clean := New32(m, n)
-		gemmFastLeg(simd, clean.Data, a.Data, b.Data, m, k, n)
+		gemmServed(clean.Data, a.Data, b.Data, m, k, n)
 		for _, bit := range []uint{31, 30, 25, 22} {
 			c := &T32{Shape: []int{m, n}, Data: append([]float32(nil), clean.Data...)}
 			idx := rng.Intn(m * n)
 			flipBit32(&c.Data[idx], bit)
 			o := verifyGemm32(c, a, b)
 			if o.Detected != 1 || o.Corrected != 1 || !o.OK() {
-				t.Fatalf("simd=%v bit %d at %d: outcome %+v, want one corrected detection", simd, bit, idx, o)
-			}
-			if o2 := verifyGemm32(c, a, b); o2.Detected != 0 {
-				t.Fatalf("simd=%v bit %d: repaired output re-detects: %+v", simd, bit, o2)
+				t.Fatalf("m=%d bit %d at %d: outcome %+v, want one corrected detection", m, bit, idx, o)
 			}
 			for i, v := range c.Data {
-				ref := float64(clean.Data[i])
-				if d := math.Abs(float64(v) - ref); d > 1e-4*(1+math.Abs(ref)) {
-					t.Fatalf("simd=%v bit %d: repaired element %d = %v too far from clean %v", simd, bit, i, v, ref)
+				if math.Float32bits(v) != math.Float32bits(clean.Data[i]) {
+					t.Fatalf("m=%d bit %d: repaired element %d = %v, want clean %v", m, bit, i, v, clean.Data[i])
 				}
 			}
 		}
@@ -246,9 +238,9 @@ func TestVerifyGemmU8DetectsAndCorrects(t *testing.T) {
 // the implicit-GEMM sweep: the implicit float drivers, the int8 direct
 // shift kernel at stride 1 and the implicit int8 driver. A clean product
 // passes every column untouched. One corrupted accumulator is detected and
-// its column repaired: to the scalar reference chain over the explicit
-// Im2ColBatch column (floats), or exactly (int8, where a column-sum flip
-// is repaired too).
+// its column repaired to the clean served output, bit for bit (and for
+// int8 a column-sum flip is repaired too). The float legs run once, on the
+// machine's own uint8 leg; the uint8 legs run on every kernel.
 func TestVerifyConvGeneratedOperand(t *testing.T) {
 	for _, simd := range kernelLegs() {
 		rng := rand.New(rand.NewSource(151))
@@ -261,23 +253,18 @@ func TestVerifyConvGeneratedOperand(t *testing.T) {
 
 			w := New(m, k)
 			w.FillNormal(rng, 0, 1)
-			srcs := make([]*T, bsz)
 			src := New(bsz, chw)
-			for b := range srcs {
-				srcs[b] = New(g.InC, g.InH, g.InW)
-				srcs[b].FillNormal(rng, 0, 1)
-				copy(src.Data[b*chw:], srcs[b].Data)
-			}
-			cols := New(k, n)
-			Im2ColBatch(cols, srcs, g)
+			src.FillNormal(rng, 0, 1)
 			idx := rng.Intn(m * n)
-			convVerifyCheck(t, name+" f64", simd, w.Data, src.Data, cols.Data, m, bsz, g, idx, func(cm []float64) VerifyOutcome {
-				return verifyConv(cm, w.Data, src.Data, m, bsz, g)
-			})
-			w32, src32 := To32(w), To32(src)
-			convVerifyCheck(t, name+" f32", simd, w32.Data, src32.Data, To32(cols).Data, m, bsz, g, idx, func(cm []float32) VerifyOutcome {
-				return verifyConv(cm, w32.Data, src32.Data, m, bsz, g)
-			})
+			if simd == simdAvailable {
+				convVerifyCheck(t, name+" f64", w.Data, src.Data, m, bsz, g, idx, func(cm []float64) VerifyOutcome {
+					return verifyConv(cm, w.Data, src.Data, m, bsz, g)
+				})
+				w32, src32 := To32(w), To32(src)
+				convVerifyCheck(t, name+" f32", w32.Data, src32.Data, m, bsz, g, idx, func(cm []float32) VerifyOutcome {
+					return verifyConv(cm, w32.Data, src32.Data, m, bsz, g)
+				})
+			}
 
 			a := make([]uint8, m*k)
 			qsrc := make([]uint8, bsz*chw)
@@ -316,13 +303,14 @@ func TestVerifyConvGeneratedOperand(t *testing.T) {
 }
 
 // convVerifyCheck is TestVerifyConvGeneratedOperand's float leg: cm from
-// the implicit driver, a clean verify, then one corrupted element at idx.
-func convVerifyCheck[F Float](t *testing.T, name string, simd bool, w, src, cols []F, m, bsz int, g ConvGeom, idx int, verify func(cm []F) VerifyOutcome) {
+// the implicit driver, a clean verify, then one corrupted element at idx
+// whose repair must restore the clean bits.
+func convVerifyCheck[F Float](t *testing.T, name string, w, src []F, m, bsz int, g ConvGeom, idx int, verify func(cm []F) VerifyOutcome) {
 	t.Helper()
 	k := len(w) / m
-	n := len(cols) / k
+	n := bsz * g.OutH() * g.OutW()
 	cm := make([]F, m*n)
-	convGemmLeg(simd, cm, w, src, m, k, n, bsz, g)
+	convGemm(cm, w, src, m, k, n, bsz, g)
 	clean := append([]F(nil), cm...)
 	if o := verify(cm); o.Checks != n || o.Detected != 0 {
 		t.Fatalf("%s clean: outcome %+v, want %d checks and 0 detections", name, o, n)
@@ -332,19 +320,9 @@ func convVerifyCheck[F Float](t *testing.T, name string, simd bool, w, src, cols
 		t.Fatalf("%s corrupted element %d: outcome %+v, want one corrected detection", name, idx, o)
 	}
 	for i, v := range cm {
-		want := clean[i]
-		if i%n == idx%n {
-			want = 0
-			for p, av := range w[i/n*k : (i/n+1)*k] {
-				want += av * cols[p*n+i%n]
-			}
+		if float64bitsOf(v) != float64bitsOf(clean[i]) {
+			t.Fatalf("%s: element %d = %v after repair, want clean %v", name, i, v, clean[i])
 		}
-		if float64bitsOf(v) != float64bitsOf(want) {
-			t.Fatalf("%s: element %d = %v after repair, want %v", name, i, v, want)
-		}
-	}
-	if o := verify(cm); o.Detected != 0 {
-		t.Fatalf("%s: repaired output re-detects: %+v", name, o)
 	}
 }
 
@@ -445,9 +423,18 @@ func TestAbftStats(t *testing.T) {
 	}
 }
 
+// gemmBodyFor returns the served microkernel (simd) or its pure-Go body.
+func gemmBodyFor[F Float](simd bool) gemm4Body[F] {
+	if simd {
+		return fmaGemm4[F]
+	}
+	return gemm4Go[F]
+}
+
 // TestAbftZeroFalsePositivesCleanGemms runs 500 clean randomized GEMMs
-// through the verified kernels — f64, and f32 and int8 products of both
-// the vector kernels and the pure-Go bodies, across random shapes and scale regimes spanning denormal to huge — and
+// through the verified kernels — f64, f32 and int8 products of both the
+// vector kernels and the pure-Go bodies, across random shapes and scale
+// regimes spanning denormal to huge — and
 // requires zero detections: the tolerance derivation must never flag a
 // fault-free product.
 func TestAbftZeroFalsePositivesCleanGemms(t *testing.T) {
@@ -458,7 +445,7 @@ func TestAbftZeroFalsePositivesCleanGemms(t *testing.T) {
 		k := rng.Intn(48) + 1
 		n := rng.Intn(24) + 1
 		scale := scales[rng.Intn(len(scales))]
-		simd := run/4%2 == 0 && simdAvailable // alternate the f32/int8 products' kernels
+		simd := run/4%2 == 0 && simdAvailable // alternate the products' kernels
 		switch run % 4 {
 		case 0: // f64 GEMM
 			a := New(m, k)
@@ -466,7 +453,7 @@ func TestAbftZeroFalsePositivesCleanGemms(t *testing.T) {
 			b := New(k, n)
 			b.FillNormal(rng, 0, scale)
 			c := New(m, n)
-			GemmInto(c, a, b)
+			gemmWith(gemmBodyFor[float64](simd), c.Data, a.Data, b.Data, m, k, n, n, n)
 			if o := verifyGemm(c, a, b); o.Detected != 0 {
 				t.Fatalf("run %d f64 %dx%dx%d scale %g: false positive %+v", run, m, k, n, scale, o)
 			}
@@ -480,7 +467,7 @@ func TestAbftZeroFalsePositivesCleanGemms(t *testing.T) {
 				b.Data[i] = float32(rng.NormFloat64() * scale)
 			}
 			c := New32(m, n)
-			gemmFastLeg(simd, c.Data, a.Data, b.Data, m, k, n)
+			gemmWith(gemmBodyFor[float32](simd), c.Data, a.Data, b.Data, m, k, n, n, n)
 			if o := verifyGemm32(c, a, b); o.Detected != 0 {
 				t.Fatalf("run %d f32 %dx%dx%d scale %g: false positive %+v", run, m, k, n, scale, o)
 			}

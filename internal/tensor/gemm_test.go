@@ -1,56 +1,87 @@
 package tensor
 
 import (
-	"fmt"
+	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
-// TestGemmIntoMatchesMatMul locks the floating-point contract of the blocked
-// kernel: GemmInto must be bit-identical to the dense i-k-j kernel for every
-// shape — including shapes that exercise the small-matrix path, the blocked
-// single-threaded path, the parallel multi-panel path, and every remainder
-// case (rows % 4, columns % 2, k % gemmKC).
-func TestGemmIntoMatchesMatMul(t *testing.T) {
-	// Force a multi-worker pool even on single-CPU machines so the parallel
-	// panel sharding is exercised (and shown to be deterministic) everywhere.
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
+// TestGemmBodiesMatchChains is the float GEMM oracle. It runs the one
+// driver on each microkernel body — the pure-Go body everywhere, the AVX2
+// body where the machine has it — and holds every output bit for bit to
+// that body's reference chain: ascending p from +0, unfused for the Go
+// body, fused for the AVX2 body. The shapes cover every m mod 4 edge, a
+// column tail (n mod lanes ≠ 0), a lone column (n = 1) and full blocks;
+// B and C carry row strides wider than n, and C's padding must survive.
+func TestGemmBodiesMatchChains(t *testing.T) {
+	t.Run("f64", func(t *testing.T) {
+		gemmChainCheck(t, fmaGemm4x8F64, func(a, b, c float64) float64 { return math.FMA(a, b, c) })
+	})
+	t.Run("f32", func(t *testing.T) { gemmChainCheck(t, fmaGemm4x16, fma32) })
+}
 
-	rng := rand.New(rand.NewSource(11))
-	shapes := [][3]int{
-		{1, 1, 1},
-		{3, 5, 7},                      // all-remainder tiny (small path)
-		{4, 8, 2},                      // exact register tiles
-		{5, 9, 1031},                   // odd column count past the small path
-		{8, 27, 4096},                  // conv1-like: few rows, huge N
-		{16, gemmKC + 13, 777},         // K-block remainder
-		{13, 64, 2*gemmNC + 3},         // multiple panels + odd remainder
-		{32, 2*gemmKC + 1, gemmNC * 2}, // parallel path (m*n*k > gemmParallelMACs)
+// fma32 returns a·b + c rounded once to float32, as VFMADD231PS computes
+// it. The float64 product of two float32s is exact; TwoSum splits its sum
+// with c into the rounded float64 s and the exact error e; rounding s to
+// odd (toward e when e ≠ 0 and s is even) makes the final float32
+// conversion round the exact sum correctly (53 ≥ 2·24 + 2 bits).
+func fma32(a, b, c float32) float32 {
+	p, q := float64(a)*float64(b), float64(c)
+	s := p + q
+	v := s - p
+	e := (p - (s - v)) + (q - v)
+	if e != 0 && math.Float64bits(s)&1 == 0 {
+		s = math.Nextafter(s, math.Copysign(math.Inf(1), e))
 	}
-	for _, s := range shapes {
-		m, k, n := s[0], s[1], s[2]
-		t.Run(fmt.Sprintf("%dx%dx%d", m, k, n), func(t *testing.T) {
-			a := New(m, k)
-			a.FillNormal(rng, 0, 1)
-			b := New(k, n)
-			b.FillNormal(rng, 0, 1)
+	return float32(s)
+}
 
-			want := New(m, n)
-			want.Zero()
-			matMulRowsDense(want.Data, a.Data, b.Data, 0, m, k, n)
-
-			got := New(m, n)
-			got.FillUniform(rng, -1, 1) // must be fully overwritten
-			GemmInto(got, a, b)
-
-			for i := range want.Data {
-				if want.Data[i] != got.Data[i] {
-					t.Fatalf("element %d: GemmInto=%v, i-k-j kernel=%v (must be bit-identical)", i, got.Data[i], want.Data[i])
+func gemmChainCheck[F Float](t *testing.T, asm func(a *F, lda int, b *F, ldb int, c *F, ldc int, k int), fused func(a, b, c F) F) {
+	type body struct {
+		name  string
+		run   gemm4Body[F]
+		chain func(a, b, c F) F
+	}
+	bodies := []body{{"go", gemm4Go[F], func(a, b, c F) F { return c + F(a*b) }}}
+	if simdAvailable {
+		bodies = append(bodies, body{"avx2", asm, fused})
+	}
+	w := fmaLanes[F]()
+	rng := rand.New(rand.NewSource(11))
+	for _, bd := range bodies {
+		for _, k := range []int{1, 3, 129, 300} {
+			for m := 1; m <= 8; m++ {
+				for _, n := range []int{1, 2 * w, 2*w + 3} {
+					ldb, ldc := n+1, n+2
+					a, b := make([]F, m*k), make([]F, k*ldb)
+					for i := range a {
+						a[i] = F(rng.NormFloat64())
+					}
+					for i := range b {
+						b[i] = F(rng.NormFloat64())
+					}
+					c := make([]F, m*ldc)
+					for i := range c {
+						c[i] = 7 // must be overwritten inside [0, n), kept outside
+					}
+					gemmWith(bd.run, c, a, b, m, k, n, ldc, ldb)
+					for i := 0; i < m; i++ {
+						for j := 0; j < ldc; j++ {
+							want := F(7)
+							if j < n {
+								want = 0
+								for p := 0; p < k; p++ {
+									want = bd.chain(a[i*k+p], b[p*ldb+j], want)
+								}
+							}
+							if got := c[i*ldc+j]; float64bitsOf(got) != float64bitsOf(want) {
+								t.Fatalf("%s body m=%d k=%d n=%d C[%d][%d] = %v, want %v", bd.name, m, k, n, i, j, got, want)
+							}
+						}
+					}
 				}
 			}
-		})
+		}
 	}
 }
 

@@ -18,21 +18,19 @@ import (
 // resident while every row group of the weight matrix sweeps it. The
 // full column matrix never exists.
 //
-// Bit-identity contract: each driver mirrors the blocking of its
-// explicit counterpart exactly — the same K-blocks, the same direct/
-// packed split, the same sub-panel sweeps, the same kernels (which since
-// the ldb/ldc refactor accept a generated block wherever they accepted a
-// B row window). A kernel that reads identical values in identical order
-// produces identical accumulation chains, so the implicit results are
-// bit-identical to im2col followed by the served GEMM (gemmServed, both
-// float widths, under either SIMD setting), and to
-// Im2ColBatchU8+GemmU8Into (int8) — locked by TestImplicitGemm*.
+// Bit-identity contract: the float driver runs each generated block
+// through the one float GEMM driver (gemmFMA), and a column's bits depend
+// only on its own A rows and B column, not on the block it sits in — so
+// the implicit results are bit-identical to im2col followed by the served
+// GEMM (gemmServed) at both widths, on either microkernel body. The int8
+// drivers' integer accumulation is exact in any order, so they match
+// Im2ColBatchU8+GemmU8Into. TestImplicitGemm* lock both.
 
 // implicitBlkFloats / implicitBlkBytes are the minimum capacities of the
 // pooled generation blocks, sized to the largest block any model-zoo
-// layer requests so steady-state inference never allocates:
-// float blocks are at most max(gemmKC×gemmJB, 16·k, small-path k·n)
-// elements, byte blocks at most k×quantJB.
+// layer requests so steady-state inference never allocates: float
+// blocks are at most k×implicitJW elements (plus gemmEdges' padded
+// scratch), byte blocks at most k×quantJB.
 const (
 	implicitBlkFloats = 16384
 	implicitBlkBytes  = 65536
@@ -209,14 +207,14 @@ func ConvGemmIm2Col(cm, weight *T, src []float64, bsz int, g ConvGeom) {
 	convGemm(cm.Data, weight.Data, src, m, k, n, bsz, g)
 }
 
-// implicitJW is the column width of the generation blocks on the SIMD
-// implicit paths. Wide blocks matter: generation cost is dominated by
+// implicitJW is the column width of the generation blocks of the implicit
+// paths. Wide blocks matter: generation cost is dominated by
 // per-segment bookkeeping (output-row decomposition, span setup), so
 // 16-column blocks pay it once per 16 elements while 256-column blocks
 // amortize it to the explicit im2col's long-row cost — while the block
-// still fits L1/L2 for every zoo K. Any multiple of 32 preserves
-// bit-identity (each output element remains one k-chain; only the block
-// row stride changes).
+// still fits L1/L2 for every zoo K. Any width preserves bit-identity
+// (each output element remains one k-chain; only the block row stride
+// changes).
 const implicitJW = 256
 
 // ImplicitConvMinN is the minimum GEMM width bsz·OutH·OutW at which the
@@ -235,15 +233,12 @@ func ConvGemmIm2Col32(cm, weight *T32, src []float32, bsz int, g ConvGeom) {
 	convGemm(cm.Data, weight.Data, src, m, k, n, bsz, g)
 }
 
-// convGemm is the implicit-GEMM driver of both float widths. On AVX2
-// machines it generates implicitJW-column panels and runs each
-// through gemmFMA — the implicit equivalent of gemmServed; otherwise
-// gemmIm2ColMain, the implicit equivalent of gemmMain. Either way every column is the same chain the
-// explicit lowering feeding the same GEMM computes, so results are
-// bit-identical to it.
+// convGemm is the implicit-GEMM driver of both float widths: it generates
+// implicitJW-column panels and runs each through gemmFMA, so every column
+// is the chain the explicit lowering feeding the served GEMM computes.
 func convGemm[F Float](cd, ad, src []F, m, k, n, bsz int, g ConvGeom) {
-	if !simdAvailable || k == 0 {
-		gemmIm2ColMain(cd, ad, src, m, k, n, bsz, g)
+	if k == 0 {
+		clear(cd[:m*n])
 		return
 	}
 	blkp := implicitBlk[F](k * implicitJW)
@@ -275,95 +270,6 @@ func implicitCheck(cmShape, wShape []int, srcLen, bsz int, g ConvGeom, name stri
 		panic(fmt.Sprintf("tensor: %s src len %d, want %d", name, srcLen, bsz*chw))
 	}
 	return m, k, n
-}
-
-// gemmIm2ColMain mirrors gemmMain's small/serial/parallel dispatch with
-// the B operand generated on the fly. Same thresholds, same panel
-// sharding, same kernels — bit-identical results.
-func gemmIm2ColMain[F Float](cd, ad, src []F, m, k, n, bsz int, g ConvGeom) {
-	macs := m * n * k
-	if macs <= gemmSmallMACs {
-		// Small path: generate the whole (tiny, ≤ gemmSmallMACs/m floats)
-		// column matrix into pooled scratch and run the dense i-k-j kernel
-		// gemmMain would have used.
-		colsp := implicitBlk[F](k * n)
-		cols := *colsp
-		im2colBlock(cols, src, bsz, g, 0, k, 0, n, 0)
-		for i := range cd[:m*n] {
-			cd[i] = 0
-		}
-		matMulRowsDense(cd, ad, cols, 0, m, k, n)
-		implicitBlkPut(colsp)
-		return
-	}
-	workers := runtime.GOMAXPROCS(0)
-	panels := (n + gemmNC - 1) / gemmNC
-	if workers > panels {
-		workers = panels
-	}
-	if macs < gemmParallelMACs || workers <= 1 {
-		gemmIm2ColPanel(cd, ad, src, m, k, n, bsz, g, 0, n)
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				p := int(next.Add(1)) - 1
-				if p >= panels {
-					return
-				}
-				j0 := p * gemmNC
-				j1 := min(j0+gemmNC, n)
-				gemmIm2ColPanel(cd, ad, src, m, k, n, bsz, g, j0, j1)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// gemmIm2ColPanel computes the column panel C[:, j0:j1) with generated B
-// blocks. The loop structure is gemmPanel's: K-blocks of gemmKC outer,
-// gemmJB-wide column sub-panels inner; each sub-panel's B block is
-// generated once and swept by every row group through the very kernels
-// the explicit path uses (ldb = block width, C offset by the sub-panel
-// start). Sub-panel starts are even, so the packed path's column pairing
-// matches the explicit path's pair boundaries exactly.
-func gemmIm2ColPanel[F Float](cd, ad, src []F, m, k, n, bsz int, g ConvGeom, j0, j1 int) {
-	blkp := implicitBlk[F](gemmKC * gemmJB)
-	blk := *blkp
-	packp := gemmScratch[F](k)
-	pack := scratchSlice(packp)
-	for p0 := 0; p0 < k; p0 += gemmKC {
-		kc := min(p0+gemmKC, k) - p0
-		first := p0 == 0
-		for jj := j0; jj < j1; jj += gemmJB {
-			je := min(jj+gemmJB, j1)
-			jw := je - jj
-			b := blk[:kc*jw]
-			im2colBlock(b, src, bsz, g, p0, kc, jj, jw, 0)
-			if kc <= gemmDirectK {
-				i := 0
-				for ; i+4 <= m; i += 4 {
-					if kc == 3 && k == 3 {
-						gemmQuadK3(cd[jj:], ad, b, n, jw, i, 0, jw)
-					} else {
-						gemmQuadDirect(cd[jj:], ad, b, k, n, jw, i, 0, jw, p0, kc, first)
-					}
-				}
-				for ; i < m; i++ {
-					gemmRowDirect(cd[jj:], ad, b, k, n, jw, i, 0, jw, p0, kc, first)
-				}
-			} else {
-				gemmBlockPacked(cd[jj:], ad, b, m, k, n, jw, 0, jw, p0, kc, first, pack)
-			}
-		}
-	}
-	gemmScratchPut(packp)
-	implicitBlkPut(blkp)
 }
 
 // ConvGemmU8Im2Col is the implicit lowering of the int8 convolution:

@@ -46,6 +46,15 @@ import (
 // 2³¹). Every layer in the model zoo is at least 30× under the cap.
 const MaxQuantK = (1<<31 - 1) / (255 * 255)
 
+const (
+	// gemmParallelMACs: above this many multiply-accumulates the uint8
+	// GEMM and conv drivers shard their work across a goroutine pool.
+	gemmParallelMACs = 1 << 21
+	// gemmNC is the width of one uint8 GEMM column panel — the unit of
+	// parallel work.
+	gemmNC = 512
+)
+
 // quantJB is the column sub-panel width of the uint8 GEMM: k×quantJB B
 // bytes (≤ 16 KiB at the largest zoo K) stay L1-resident while every
 // 4-row group of A sweeps the sub-panel.
@@ -130,7 +139,7 @@ func quantizeU8Go(dst []uint8, src []float32, invScale float32, zp uint8) {
 	for i := range src {
 		// v·invScale + zp + 0.5 truncated toward zero rounds halves up;
 		// anything that truncates below 0 clamps to 0 anyway.
-		q := int32(src[i]*invScale + z + 0.5)
+		q := int32(float32(src[i]*invScale) + z + 0.5)
 		if q < 0 {
 			q = 0
 		} else if q > 255 {
@@ -168,8 +177,8 @@ func Im2ColBatchU8(dst, src []uint8, bsz int, g ConvGeom, zp uint8) {
 // overwritten) = A (uint8, m×k) × B (uint8, k×n), plus the per-column sums
 // colsum[j] = Σ_p B[p][j] needed by the bias/zero-point correction. It
 // panics when k exceeds MaxQuantK (a SWAR lane could overflow). Large
-// products shard column panels across a worker pool exactly like GemmInto;
-// integer results are identical regardless of blocking or thread count.
+// products shard column panels across a worker pool; integer results are
+// identical regardless of blocking or thread count.
 // Like Im2ColBatchU8 it has no served caller; it is the explicit reference
 // of the int8 conv drivers' bit-identity tests and benchmark probe.
 func GemmU8Into(c, colsum []int32, a, b []uint8, m, k, n int) {

@@ -43,10 +43,8 @@ func MatMulInto(c, a, b *T) {
 }
 
 // matMulRowsDense computes rows [i0,i1) of C = A×B with the i-k-j loop order
-// and no zero test: every A element issues an axpy. Generic over the float
-// width so gemmMain's small-matrix path shares it at both widths (the float64
-// instantiation is the arithmetic MatMulInto always had).
-func matMulRowsDense[F Float](cd, ad, bd []F, i0, i1, k, n int) {
+// and no zero test: every A element issues an axpy.
+func matMulRowsDense(cd, ad, bd []float64, i0, i1, k, n int) {
 	for i := i0; i < i1; i++ {
 		arow := ad[i*k : (i+1)*k]
 		crow := cd[i*n : (i+1)*n]
@@ -161,20 +159,22 @@ func axpyUnrolled[F Float](dst []F, alpha F, src []F) {
 }
 
 // dotUnrolled returns the dot product of equal-length slices with 4-way
-// unrolling into independent accumulators.
+// unrolling into independent accumulators. It serves the dense layers
+// (MatMulTransB), so each product is converted explicitly: no target fuses
+// it with the add, and every target computes the same bits.
 func dotUnrolled[F Float](a, b []F) F {
 	n := len(a)
 	var s0, s1, s2, s3 F
 	i := 0
 	for ; i+4 <= n; i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
+		s0 += F(a[i] * b[i])
+		s1 += F(a[i+1] * b[i+1])
+		s2 += F(a[i+2] * b[i+2])
+		s3 += F(a[i+3] * b[i+3])
 	}
 	s := s0 + s1 + s2 + s3
 	for ; i < n; i++ {
-		s += a[i] * b[i]
+		s += F(a[i] * b[i])
 	}
 	return s
 }

@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 	"unsafe"
@@ -10,12 +9,13 @@ import (
 // The prepack correctness bar (DESIGN.md §14): every prepacked or implicit
 // execution path is bit-identical to the explicit im2col lowering. These
 // tests sweep randomized geometries plus hand-picked shapes that force
-// each dispatch arm — small, serial, parallel, direct-K, packed-K, vector
-// and pure-Go — and compare element-by-element with ==, not a tolerance.
+// each dispatch arm — the float GEMM's edges, the uint8 drivers' serial,
+// parallel, vector and pure-Go arms — and compare element-by-element with
+// ==, not a tolerance.
 
-// kernelLegs lists the kernel choices a bit-identity test runs: the
-// pure-Go bodies (false) everywhere, and the vector kernels (true) on
-// machines that have them. The test hands the choice to each driver
+// kernelLegs lists the uint8 kernel choices a bit-identity test runs: the
+// pure-Go SWAR kernels (false) everywhere, and the vector kernels (true)
+// on machines that have them. The test hands the choice to each driver
 // explicitly; nothing switches kernels at run time.
 func kernelLegs() []bool {
 	if simdAvailable {
@@ -24,31 +24,10 @@ func kernelLegs() []bool {
 	return []bool{false}
 }
 
-// gemmFastLeg runs the served GEMM's vector driver (simd) or its pure-Go
-// body, gemmMain, on C[m×n] = A[m×k] × B[k×n].
-func gemmFastLeg[F Float](simd bool, cd, ad, bd []F, m, k, n int) {
-	if simd {
-		gemmServed(cd, ad, bd, m, k, n)
-		return
-	}
-	gemmMain(cd, ad, bd, m, k, n)
-}
-
-// convGemmLeg runs the implicit float conv GEMM's vector driver (simd) or
-// its pure-Go body, gemmIm2ColMain.
-func convGemmLeg[F Float](simd bool, cd, ad, src []F, m, k, n, bsz int, g ConvGeom) {
-	if simd {
-		convGemm(cd, ad, src, m, k, n, bsz, g)
-		return
-	}
-	gemmIm2ColMain(cd, ad, src, m, k, n, bsz, g)
-}
-
 // implicitGeoms returns the geometry × batch sweep shared by the implicit
 // GEMM identity tests: random small cases for border/stride coverage plus
-// fixed shapes that push the drivers through the packed long-K path
-// (InC·KH·KW > gemmDirectK), multi-panel n (> gemmNC), and the parallel
-// threshold (m·n·k ≥ gemmParallelMACs).
+// fixed shapes with a long K, multi-panel n (> gemmNC, > implicitJW) and
+// the uint8 drivers' parallel threshold (m·n·k ≥ gemmParallelMACs).
 func implicitGeoms(rng *rand.Rand) []struct {
 	g         ConvGeom
 	bsz, outC int
@@ -57,7 +36,7 @@ func implicitGeoms(rng *rand.Rand) []struct {
 		g         ConvGeom
 		bsz, outC int
 	}{
-		// Long-K packed path: k = 16·3·3 = 144 > gemmDirectK (128).
+		// Long K: k = 16·3·3 = 144.
 		{ConvGeom{InC: 16, InH: 10, InW: 10, KH: 3, KW: 3, Stride: 1, Pad: 1}, 6, 8},
 		// Parallel path: m·n·k = 32·2048·144 ≈ 9.4M ≥ gemmParallelMACs, and
 		// n = 2048 spans several gemmNC panels.
@@ -79,80 +58,75 @@ func implicitGeoms(rng *rand.Rand) []struct {
 }
 
 // TestImplicitGemmF64BitIdentical locks ConvGemmIm2Col against the explicit
-// Im2ColBatch + GemmIntoFast pipeline, bit-exact, across the dispatch sweep
-// on every kernel leg (the 4×8 FMA driver and the blocked pure-Go GEMM).
+// Im2ColBatch + served GEMM pipeline, bit-exact, across the geometry sweep.
 func TestImplicitGemmF64BitIdentical(t *testing.T) {
-	for _, simd := range kernelLegs() {
-		rng := rand.New(rand.NewSource(141))
-		for ci, tc := range implicitGeoms(rng) {
-			g, bsz := tc.g, tc.bsz
-			k := g.InC * g.KH * g.KW
-			n := bsz * g.OutH() * g.OutW()
-			chw := g.InC * g.InH * g.InW
+	rng := rand.New(rand.NewSource(141))
+	for ci, tc := range implicitGeoms(rng) {
+		g, bsz := tc.g, tc.bsz
+		k := g.InC * g.KH * g.KW
+		n := bsz * g.OutH() * g.OutW()
+		chw := g.InC * g.InH * g.InW
 
-			weight := New(tc.outC, k)
-			weight.FillNormal(rng, 0, 1)
-			srcs := make([]*T, bsz)
-			packed := make([]float64, bsz*chw)
-			for b := range srcs {
-				srcs[b] = New(g.InC, g.InH, g.InW)
-				srcs[b].FillNormal(rng, 0, 1)
-				copy(packed[b*chw:], srcs[b].Data)
-			}
+		weight := New(tc.outC, k)
+		weight.FillNormal(rng, 0, 1)
+		srcs := make([]*T, bsz)
+		packed := make([]float64, bsz*chw)
+		for b := range srcs {
+			srcs[b] = New(g.InC, g.InH, g.InW)
+			srcs[b].FillNormal(rng, 0, 1)
+			copy(packed[b*chw:], srcs[b].Data)
+		}
 
-			cols := New(k, n)
-			Im2ColBatch(cols, srcs, g)
-			want := New(tc.outC, n)
-			gemmFastLeg(simd, want.Data, weight.Data, cols.Data, tc.outC, k, n)
+		cols := New(k, n)
+		Im2ColBatch(cols, srcs, g)
+		want := New(tc.outC, n)
+		gemmServed(want.Data, weight.Data, cols.Data, tc.outC, k, n)
 
-			got := New(tc.outC, n)
-			got.FillUniform(rng, -9, 9) // must be fully overwritten
-			convGemmLeg(simd, got.Data, weight.Data, packed, tc.outC, k, n, bsz, g)
+		got := New(tc.outC, n)
+		got.FillUniform(rng, -9, 9) // must be fully overwritten
+		convGemm(got.Data, weight.Data, packed, tc.outC, k, n, bsz, g)
 
-			for i, v := range got.Data {
-				if v != want.Data[i] {
-					t.Fatalf("simd=%v case %d (geom %+v bsz %d): element %d: implicit %v explicit %v", simd, ci, g, bsz, i, v, want.Data[i])
-				}
+		for i, v := range got.Data {
+			if v != want.Data[i] {
+				t.Fatalf("case %d (geom %+v bsz %d): element %d: implicit %v explicit %v", ci, g, bsz, i, v, want.Data[i])
 			}
 		}
 	}
 }
 
 // TestImplicitGemm32BitIdentical locks ConvGemmIm2Col32 against
-// Im2ColBatch32 + GemmInto32Fast on every kernel leg.
+// Im2ColBatch32 + GemmInto32Fast.
 func TestImplicitGemm32BitIdentical(t *testing.T) {
-	for _, simd := range kernelLegs() {
-		rng := rand.New(rand.NewSource(142))
-		for ci, tc := range implicitGeoms(rng) {
-			g, bsz := tc.g, tc.bsz
-			k := g.InC * g.KH * g.KW
-			n := bsz * g.OutH() * g.OutW()
-			chw := g.InC * g.InH * g.InW
+	rng := rand.New(rand.NewSource(142))
+	for ci, tc := range implicitGeoms(rng) {
+		g, bsz := tc.g, tc.bsz
+		k := g.InC * g.KH * g.KW
+		n := bsz * g.OutH() * g.OutW()
+		chw := g.InC * g.InH * g.InW
 
-			weight := New32(tc.outC, k)
-			src := New32(bsz, chw)
-			for i := range weight.Data {
-				weight.Data[i] = float32(rng.NormFloat64())
-			}
-			for i := range src.Data {
-				src.Data[i] = float32(rng.NormFloat64())
-			}
+		weight := New32(tc.outC, k)
+		src := New32(bsz, chw)
+		for i := range weight.Data {
+			weight.Data[i] = float32(rng.NormFloat64())
+		}
+		for i := range src.Data {
+			src.Data[i] = float32(rng.NormFloat64())
+		}
 
-			cols := New32(k, n)
-			Im2ColBatch32(cols, src, bsz, g)
-			want := New32(tc.outC, n)
-			gemmFastLeg(simd, want.Data, weight.Data, cols.Data, tc.outC, k, n)
+		cols := New32(k, n)
+		Im2ColBatch32(cols, src, bsz, g)
+		want := New32(tc.outC, n)
+		gemmServed(want.Data, weight.Data, cols.Data, tc.outC, k, n)
 
-			got := New32(tc.outC, n)
-			for i := range got.Data {
-				got.Data[i] = 777
-			}
-			convGemmLeg(simd, got.Data, weight.Data, src.Data, tc.outC, k, n, bsz, g)
+		got := New32(tc.outC, n)
+		for i := range got.Data {
+			got.Data[i] = 777
+		}
+		convGemm(got.Data, weight.Data, src.Data, tc.outC, k, n, bsz, g)
 
-			for i, v := range got.Data {
-				if v != want.Data[i] {
-					t.Fatalf("simd=%v case %d (geom %+v bsz %d): element %d: implicit %v explicit %v", simd, ci, g, bsz, i, v, want.Data[i])
-				}
+		for i, v := range got.Data {
+			if v != want.Data[i] {
+				t.Fatalf("case %d (geom %+v bsz %d): element %d: implicit %v explicit %v", ci, g, bsz, i, v, want.Data[i])
 			}
 		}
 	}
@@ -409,9 +383,8 @@ func FuzzPrepackRoundTrip(f *testing.F) {
 // TestImplicitGemmZeroAlloc checks the steady-state allocation contract:
 // once the block and pack pools are warm, a serial-sized implicit conv call
 // performs zero heap allocations — the full point of the pointer-cycling
-// sync.Pool plumbing. The f64 driver runs on every kernel leg; the
-// shape leaves an FMA column tail (n mod 8 = 4) and scalar rows (m mod 4 =
-// 2), so the tail's second pooled block is covered too.
+// sync.Pool plumbing. The f64 shape leaves a column tail (n mod 8 = 4)
+// and tail rows (m mod 4 = 2), so the edges' pooled block is covered too.
 func TestImplicitGemmZeroAlloc(t *testing.T) {
 	g := ConvGeom{InC: 16, InH: 10, InW: 10, KH: 3, KW: 3, Stride: 1, Pad: 1}
 	bsz, outC := 3, 10 // serial: m·n·k ≈ 430k MACs, under gemmParallelMACs
@@ -438,9 +411,7 @@ func TestImplicitGemmZeroAlloc(t *testing.T) {
 		src[i] = rng.NormFloat64()
 	}
 	cm := New(outC, n)
-	for _, simd := range kernelLegs() {
-		assertZero(fmt.Sprintf("ConvGemmIm2Col (simd=%v)", simd), func() { convGemmLeg(simd, cm.Data, weight.Data, src, outC, k, n, bsz, g) })
-	}
+	assertZero("ConvGemmIm2Col", func() { convGemm(cm.Data, weight.Data, src, outC, k, n, bsz, g) })
 
 	a := make([]uint8, outC*k)
 	qsrc := make([]uint8, bsz*chw)

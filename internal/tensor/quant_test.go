@@ -16,43 +16,6 @@ func randT32(rng *rand.Rand, shape ...int) *T32 {
 	return t
 }
 
-// TestGemmInto32MatchesDense locks the f32 contract inherited from the
-// generic kernel: GemmInto32 is bit-identical to the naive i-k-j dense
-// float32 matmul for every shape, including the small path, blocked serial
-// path, parallel multi-panel path, and all remainder cases.
-func TestGemmInto32MatchesDense(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-
-	rng := rand.New(rand.NewSource(17))
-	shapes := [][3]int{
-		{1, 1, 1},
-		{3, 5, 7},
-		{5, 9, 1031},
-		{8, 27, 4096},
-		{16, gemmKC + 13, 777},
-		{13, 64, 2*gemmNC + 3},
-		{32, 2*gemmKC + 1, gemmNC * 2}, // parallel path
-	}
-	for _, s := range shapes {
-		m, k, n := s[0], s[1], s[2]
-		t.Run(fmt.Sprintf("%dx%dx%d", m, k, n), func(t *testing.T) {
-			a := randT32(rng, m, k)
-			b := randT32(rng, k, n)
-			got := New32(m, n)
-			gemmMain(got.Data, a.Data, b.Data, m, k, n)
-
-			want := make([]float32, m*n)
-			matMulRowsDense(want, a.Data, b.Data, 0, m, k, n)
-			for i, w := range want {
-				if got.Data[i] != w {
-					t.Fatalf("element %d: got %g, want %g (must be bit-identical)", i, got.Data[i], w)
-				}
-			}
-		})
-	}
-}
-
 // TestIm2ColBatch32MatchesF64 checks the packed f32 batch lowering against
 // the reference per-image f64 lowering: same geometry, same layout, values
 // equal after conversion.
@@ -298,12 +261,12 @@ func TestGemmU8Into(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	shapes := [][3]int{
 		{1, 1, 1},
-		{4, 8, 4},                      // exact tiles
-		{3, 5, 7},                      // all remainders
-		{6, 100, quantJB + 9},          // sub-panel boundary + col remainder
-		{10, 72, 1000},                 // dense-head-like
-		{13, 150, 2*gemmNC + 3},        // multiple panels
-		{32, 2*gemmKC + 1, gemmNC * 2}, // parallel path
+		{4, 8, 4},               // exact tiles
+		{3, 5, 7},               // all remainders
+		{6, 100, quantJB + 9},   // sub-panel boundary + col remainder
+		{10, 72, 1000},          // dense-head-like
+		{13, 150, 2*gemmNC + 3}, // multiple panels
+		{32, 513, gemmNC * 2},   // parallel path
 	}
 	for _, s := range shapes {
 		m, k, n := s[0], s[1], s[2]

@@ -13,8 +13,7 @@ import "fmt"
 // the packed image-major batch. At GEMM widths of ImplicitConvMinN and
 // above it runs the implicit GEMM (convGemm), which generates the column
 // matrix panel by panel; below, the explicit lowering — im2col into arena
-// scratch, then the FMA GEMM (its pure-Go body gemmMain off AVX2) — which
-// wins at small widths. The two are bit-identical. When a carries an ABFT
+// scratch, then the served GEMM — which wins at small widths. The two are bit-identical. When a carries an ABFT
 // sink, the checksum epilogue then checks and repairs cm, whichever kernel
 // ran. cm is fully overwritten; it panics on mismatched lengths.
 func Conv[F Float](cm, weight, src []F, m, bsz int, g ConvGeom, a *Arena) {

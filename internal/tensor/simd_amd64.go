@@ -3,14 +3,16 @@
 package tensor
 
 // AVX2/FMA microkernels for every inference backend (DESIGN.md §7, §9).
-// The pure-Go kernels in gemm.go and int8.go are the reference and the
-// fallback: the assembly routines below are drop-in accelerations of their
-// innermost blocks, dispatched at runtime behind a CPUID check (AVX2 + FMA
-// + OS YMM state support). The integer kernel computes bit-for-bit the same
-// int32 results as the scalar SWAR path — vpmaddwd over zero-extended
-// bytes is exact (TestGemmU8IntoSIMDExact). The float kernels fuse each multiply-add (one rounding instead of two),
-// which is why they back the served GEMM (gemmServed) rather than the
-// bit-exact GemmInto. There is no switch: a machine with the
+// The assembly routines below are drop-in accelerations of the innermost
+// blocks of the pure-Go kernels in gemm.go and int8.go, dispatched at
+// runtime behind a CPUID check (AVX2 + FMA + OS YMM state support). The
+// integer kernel computes bit-for-bit the same int32 results as the scalar
+// SWAR path — vpmaddwd over zero-extended bytes is exact
+// (TestGemmU8IntoSIMDExact). The float GEMM kernels are the AVX2 body of
+// fmaGemm4 and fuse each multiply-add (one rounding instead of the Go
+// body's two), so an AVX2 machine serves different float bits from a
+// pure-Go target; on one machine every float product runs the same
+// microkernel chain (gemm.go). There is no switch: a machine with the
 // features runs these kernels, any other runs the pure-Go bodies, and
 // both serve the same lowering.
 

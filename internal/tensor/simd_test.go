@@ -18,12 +18,6 @@ func withSIMD[K any](t *testing.T, scalar, dispatch K, check func(t *testing.T, 
 	}
 }
 
-// gemmBody32 and gemmBody64 are the served GEMM's pure-Go body, gemmMain,
-// behind a tensor signature; gemmServed64 is the served GEMM itself.
-func gemmBody32(c, a, b *T32) { gemmMain(c.Data, a.Data, b.Data, a.Shape[0], a.Shape[1], b.Shape[1]) }
-func gemmBody64(c, a, b *T)   { gemmMain(c.Data, a.Data, b.Data, a.Shape[0], a.Shape[1], b.Shape[1]) }
-func gemmServed64(c, a, b *T) { gemmServed(c.Data, a.Data, b.Data, a.Shape[0], a.Shape[1], b.Shape[1]) }
-
 // TestGemmU8IntoSIMDExact locks the cross-implementation contract: the
 // vpmaddwd kernel and the scalar SWAR kernel produce identical int32
 // matrices, including odd-k tails and column remainders.
@@ -105,90 +99,19 @@ func TestQuantizeU8SIMDExact(t *testing.T) {
 	}
 }
 
-// TestGemmInto32FastMatchesReference checks the FMA GEMM against the exact
-// f32 kernel within float32 accumulation tolerance, across tile and
-// remainder shapes.
-func TestGemmInto32FastMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(59))
-	shapes := [][3]int{
-		{4, 16, 16},
-		{8, 27, 1024}, // conv1-like
-		{7, 33, 45},   // row+column remainders
-		{12, 72, 256},
-		{10, 768, 32}, // dense-like
-	}
-	withSIMD(t, gemmBody32, GemmInto32Fast, func(t *testing.T, gemm func(c, a, b *T32)) {
-		for _, s := range shapes {
-			m, k, n := s[0], s[1], s[2]
-			a := randT32(rng, m, k)
-			b := randT32(rng, k, n)
-			want := New32(m, n)
-			gemmMain(want.Data, a.Data, b.Data, m, k, n)
-			got := New32(m, n)
-			gemm(got, a, b)
-			for i := range want.Data {
-				w, g := float64(want.Data[i]), float64(got.Data[i])
-				tol := 1e-4 * (math.Abs(w) + 1) * math.Sqrt(float64(k))
-				if math.Abs(g-w) > tol {
-					t.Fatalf("%dx%dx%d element %d: fast %g vs reference %g", m, k, n, i, g, w)
-				}
-			}
-		}
-	})
-}
-
-// TestGemmIntoFastMatchesReference checks the f64 FMA GEMM against the
-// exact GemmInto within k·ε·Σ_p|a_ip·b_pj| — the two length-k chains'
-// combined forward-error bound — over every row and column remainder of
-// the 4×8 tiles and chain lengths from a single product to the packed-K
-// range.
-func TestGemmIntoFastMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(60))
-	withSIMD(t, gemmBody64, gemmServed64, func(t *testing.T, gemm func(c, a, b *T)) {
-		for _, k := range []int{1, 3, 27, 72, 300} {
-			for m := 1; m <= 9; m++ {
-				for n := 1; n <= 40; n++ {
-					a, b := New(m, k), New(k, n)
-					a.FillNormal(rng, 0, 1)
-					b.FillNormal(rng, 0, 1)
-					want := New(m, n)
-					GemmInto(want, a, b)
-					got := New(m, n)
-					got.FillUniform(rng, -9, 9) // must be fully overwritten
-					gemm(got, a, b)
-					for i := 0; i < m; i++ {
-						for j := 0; j < n; j++ {
-							env := 0.0
-							for p := 0; p < k; p++ {
-								env += math.Abs(a.Data[i*k+p] * b.Data[p*n+j])
-							}
-							w, g := want.Data[i*n+j], got.Data[i*n+j]
-							if math.Abs(g-w) > float64(k)*0x1p-52*env {
-								t.Fatalf("m=%d k=%d n=%d C[%d][%d]: fast %v vs reference %v", m, k, n, i, j, g, w)
-							}
-						}
-					}
-				}
-			}
-		}
-	})
-}
-
 // TestFMAGemmColumnPositionInvariant locks what batch composition rests on
-// for both FMA widths: a column of C has the same bits whether it sits in
-// a full microkernel panel, at another panel offset, or in the zero-padded
-// tail. Each run multiplies A by a column range of B as its own matrix.
+// for both widths of the served GEMM: a column of C has the same bits
+// whether it sits in a full microkernel panel, at another panel offset, or
+// in the zero-padded tail. Each run multiplies A by a column range of B as
+// its own matrix.
 func TestFMAGemmColumnPositionInvariant(t *testing.T) {
-	if !SIMDAvailable() {
-		t.Skip("no vector kernels on this machine")
-	}
 	rng := rand.New(rand.NewSource(62))
 	t.Run("f64", func(t *testing.T) { columnPositionCheck[float64](t, rng) })
 	t.Run("f32", func(t *testing.T) { columnPositionCheck[float32](t, rng) })
 }
 
 func columnPositionCheck[F Float](t *testing.T, rng *rand.Rand) {
-	const m, n = 9, 40 // two 4-row tiles plus a scalar row
+	const m, n = 9, 40 // two 4-row tiles plus a padded row
 	for _, k := range []int{1, 27, 300} {
 		a, b := make([]F, m*k), make([]F, k*n)
 		for i := range a {

@@ -81,7 +81,7 @@ func WinogradConv3x3F32Pre(dst, src *T32, bsz, outC int, u []float32, bias []flo
 
 // winoConvPre is the width-generic Winograd pipeline from the filter
 // transform on (u already holds U = G·g·Gᵀ): input transform, the 36
-// transform-domain GEMMs through gemmMain, and the fused output transform
+// transform-domain GEMMs through gemmServed, and the fused output transform
 // + bias add.
 func winoConvPre[F Float](dst, src []F, bsz, outC int, bias []F, g ConvGeom, u, v, mm []F) {
 	inC, h, w := g.InC, g.InH, g.InW
@@ -93,7 +93,7 @@ func winoConvPre[F Float](dst, src []F, bsz, outC int, bias []F, g ConvGeom, u, 
 
 	// 36 transform-domain GEMMs: M[f] = U[f] (OutC×InC) × V[f] (InC×tt).
 	for f := 0; f < 36; f++ {
-		gemmMain(mm[f*outC*tt:(f+1)*outC*tt], u[f*outC*inC:(f+1)*outC*inC], v[f*inC*tt:(f+1)*inC*tt], outC, inC, tt)
+		gemmServed(mm[f*outC*tt:(f+1)*outC*tt], u[f*outC*inC:(f+1)*outC*inC], v[f*inC*tt:(f+1)*inC*tt], outC, inC, tt)
 	}
 
 	winoOutput(dst, mm, bias, bsz, outC, h, w, th, tw, tt)
