@@ -74,23 +74,34 @@ func unpreparedSystem(t *testing.T, b model.Benchmark, backend Backend) (*System
 // checkBatchEqualsSingle asserts the engine identity for one topology on
 // one backend: Classify is the batched engine at a batch of one and the
 // kernels are batch-composition invariant (nn.TestBatchCompositionInvariant),
-// so for B ∈ {1, 2, 7, 32} at each Workers setting ClassifyBatch(xs)[i] must
-// DeepEqual Classify(xs[i]) — label, reliability, votes, the RADE dropout
-// schedule via Activated, and the Confidence to the bit.
+// so at each Workers setting ClassifyBatch(xs)[i] must DeepEqual
+// Classify(xs[i]) — label, reliability, votes, the RADE dropout schedule via
+// Activated, and the Confidence to the bit. The batch sizes straddle the
+// edges of the members' image tile t (t−1, t, t+1, 2t+1) and reach 64, so
+// every stage splits into full and partial (member, tile) units.
 func checkBatchEqualsSingle(t *testing.T, b model.Benchmark, backend Backend, workers ...int) {
 	t.Helper()
-	sys, xs := backendSystem(t, b, backend)
-	want := make([]Decision, len(xs))
-	for i, x := range xs {
+	sys, base := backendSystem(t, b, backend)
+	want := make([]Decision, len(base))
+	for i, x := range base {
 		want[i] = sys.Classify(x)
+	}
+	xs := make([]*tensor.T, 64)
+	for i := range xs {
+		xs[i] = base[i%len(base)]
+	}
+	tile := sys.Members[0].net.Tile()
+	sizes := []int{1, tile + 1, 2*tile + 1, 64}
+	if tile > 1 {
+		sizes = append(sizes, tile-1, tile)
 	}
 	for _, w := range workers {
 		sys.Workers = w
-		for _, bsz := range []int{1, 2, 7, 32} {
-			got := sys.ClassifyBatch(xs[:bsz])
+		for _, bsz := range sizes {
+			got := sys.ClassifyBatch(xs[:min(bsz, len(xs))])
 			for i := range got {
-				if !reflect.DeepEqual(want[i], got[i]) {
-					t.Fatalf("workers=%d B=%d image %d: batched %+v != single %+v", w, bsz, i, got[i], want[i])
+				if !reflect.DeepEqual(want[i%len(base)], got[i]) {
+					t.Fatalf("workers=%d tile=%d B=%d image %d: batched %+v != single %+v", w, tile, bsz, i, got[i], want[i%len(base)])
 				}
 			}
 		}
@@ -98,14 +109,14 @@ func checkBatchEqualsSingle(t *testing.T, b model.Benchmark, backend Backend, wo
 }
 
 // TestBackendBatchMatchesSequential locks the engine identity WITHIN each
-// reduced-precision backend on a multi-worker pool, for every zoo topology
-// (see checkBatchEqualsSingle).
+// backend on multi-worker pools, for every zoo topology (see
+// checkBatchEqualsSingle).
 func TestBackendBatchMatchesSequential(t *testing.T) {
-	for _, backend := range []Backend{BackendF32, BackendInt8} {
+	for _, backend := range []Backend{BackendF64, BackendF32, BackendInt8} {
 		for _, b := range model.Benchmarks() {
 			b := b
 			t.Run(backend.String()+"/"+b.Name, func(t *testing.T) {
-				checkBatchEqualsSingle(t, b, backend, 3)
+				checkBatchEqualsSingle(t, b, backend, 2, 3)
 			})
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -16,10 +17,10 @@ import (
 // individual images across workers (each paying a full per-image forward pass
 // per member), the engine runs every still-undecided image through one member
 // network at a time — the member's compiled nn.Net, at whatever element
-// width its backend runs — so each member's weights are streamed once per
-// stage for the whole batch and the fused minibatch kernels (batched im2col
-// + GEMM, on the FMA microkernel where the machine has AVX2) do the heavy
-// lifting.
+// width its backend runs — in image tiles sized to the cache, so each
+// member's weights are streamed once per tile and the fused minibatch
+// kernels (batched im2col + GEMM, on the FMA microkernel where the machine
+// has AVX2) do the heavy lifting on a working set that stays in L2.
 //
 // RADE staged-activation semantics are preserved exactly: all images follow
 // the same global stage schedule the sequential engine uses (an initial chunk
@@ -35,9 +36,9 @@ import (
 // is the same bits in any batch.
 
 // ClassifyBatch classifies every input and returns index-aligned decisions.
-// Every still-undecided image runs through each member network in one fused
-// minibatch forward pass (see classifyBatchStaged), so each member's weights
-// stream through the cache once per stage for the whole batch. Classify is
+// Every still-undecided image runs through each member network in fused
+// minibatch forward passes over cache-sized image tiles (see
+// runMemberRange). Classify is
 // this engine at a batch of one, and the kernels are batch-composition
 // invariant, so ClassifyBatch(xs)[i] DeepEquals Classify(xs[i]) whatever
 // else is in xs and whatever Workers is.
@@ -76,8 +77,8 @@ func (s *System) classifyBatchUncachedTagged(ctx context.Context, xs []*tensor.T
 }
 
 // batchInferFn runs one member on a set of images and returns index-aligned
-// probability rows. It must be safe for concurrent calls on distinct
-// members.
+// probability rows. It must be safe for concurrent calls, on the same
+// member or distinct ones.
 type batchInferFn func(member int, xs []*tensor.T) [][]float64
 
 // batchStageInferFn is batchInferFn with a per-stage backend override: when
@@ -95,8 +96,9 @@ type batchImgState struct {
 
 // classifyBatchStaged is the batched staged decision engine. Chunk
 // boundaries replicate the sequential activate() checkpoints; within a chunk,
-// members run over the pending images (concurrently up to the Workers cap),
-// and their rows are consumed in member order so vote accounting is
+// members run over the pending images in (member, image tile) units
+// (concurrently up to the Workers cap; see runMemberRange), and their rows
+// are consumed in member order so vote accounting is
 // order-identical to classifySequential. With a non-nil policy, each stage
 // boundary is offered to the policy, which may deepen/flatten the schedule,
 // halt escalation, or override the stage backend; the clean result reports
@@ -187,7 +189,9 @@ func (s *System) classifyBatchStaged(ctx context.Context, xs []*tensor.T, policy
 		if policy != nil {
 			started = time.Now()
 		}
-		chunk, err := s.runMemberRange(ctx, active, end, pendXs, func(m int, xs []*tensor.T) [][]float64 {
+		chunk, err := s.runMemberRange(ctx, active, end, pendXs, func(m int) int {
+			return s.Members[m].resolveNet(be, beSet).Tile()
+		}, func(m int, xs []*tensor.T) [][]float64 {
 			return infer(m, be, beSet, xs)
 		})
 		if err != nil {
@@ -241,45 +245,58 @@ func (s *System) workerCount(n int) int {
 	return w
 }
 
-// runMemberRange evaluates members [start, end) on the given images, fanning
-// the member-level calls across a bounded pool (Workers cap). The context is
-// polled before every member inference; on cancellation the already-started
-// members drain and ctx.Err() is returned. Results are index-aligned with the
-// member range so the caller can consume them in priority order regardless of
-// completion order.
-func (s *System) runMemberRange(ctx context.Context, start, end int, xs []*tensor.T, infer batchInferFn) ([][][]float64, error) {
+// runMemberRange evaluates members [start, end) on the given images. The
+// unit of work is a (member, image tile) pair: each member's images are
+// split into tiles of tile(m) — the size its compiled net was sized to,
+// shrunk when that leaves a worker idle — and the units run on a bounded
+// pool (Workers cap) in member order. The context is polled before every
+// unit; on cancellation the already-started units drain and ctx.Err() is
+// returned. Each unit's rows land in its member's index-aligned slice, so
+// the caller consumes members in priority order regardless of completion
+// order, and the kernels' batch-composition invariance makes the rows the
+// same bits whatever the tiling.
+func (s *System) runMemberRange(ctx context.Context, start, end int, xs []*tensor.T, tile func(m int) int, infer batchInferFn) ([][][]float64, error) {
 	count := end - start
 	rows := make([][][]float64, count)
-	workers := s.workerCount(count)
-	// A batched member inference already keeps one P busy end to end;
-	// running more member goroutines than Ps would interleave working sets
-	// that are each sized to the cache, so extra Workers only thrash. The
-	// kernel drivers size by GOMAXPROCS too, not by the machine's CPUs.
-	if procs := runtime.GOMAXPROCS(0); workers > procs {
-		workers = procs
+	// A unit keeps one P busy end to end, and its working set is sized to
+	// the cache: more unit goroutines than Ps would only interleave them.
+	workers := min(s.workerCount(math.MaxInt), runtime.GOMAXPROCS(0))
+	type unit struct{ m, lo, hi int }
+	var units []unit
+	for m := start; m < end; m++ {
+		rows[m-start] = make([][]float64, len(xs))
+		// Enough tiles per member that every worker has a unit.
+		perMember := max((len(xs)+tile(m)-1)/tile(m), (workers+count-1)/count)
+		t := max(1, (len(xs)+perMember-1)/perMember)
+		for lo := 0; lo < len(xs); lo += t {
+			units = append(units, unit{m, lo, min(lo+t, len(xs))})
+		}
 	}
-	if workers <= 1 || count <= 1 {
-		for m := start; m < end; m++ {
+	run := func(u unit) {
+		copy(rows[u.m-start][u.lo:u.hi], infer(u.m, xs[u.lo:u.hi]))
+	}
+	workers = min(workers, len(units))
+	if workers <= 1 {
+		for _, u := range units {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			rows[m-start] = infer(m, xs)
+			run(u)
 		}
 		return rows, nil
 	}
 	var next atomic.Int64
-	next.Store(int64(start))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				m := int(next.Add(1)) - 1
-				if m >= end || ctx.Err() != nil {
+				i := int(next.Add(1)) - 1
+				if i >= len(units) || ctx.Err() != nil {
 					return
 				}
-				rows[m-start] = infer(m, xs)
+				run(units[i])
 			}
 		}()
 	}
@@ -332,11 +349,12 @@ func (sc *batchScratch) preprocess(p preprocess.Preprocessor, xs []*tensor.T) []
 }
 
 // scratchList is the free list of batch scratch, one per System, shared by
-// every call and every concurrent member inference. It holds at most as
-// many scratches as were ever in flight at once — Workers per concurrent
-// ClassifyBatch call, about GOMAXPROCS under the server's single batcher — and
-// each scratch's arena is a high-water region, so the list is bounded by
-// the largest calls it served, not by how many batch sizes it saw. (Not a
+// every call and every concurrent (member, tile) unit. It holds at most as
+// many scratches as were ever in flight at once — the worker cap per
+// concurrent ClassifyBatch call, about GOMAXPROCS under the server's single
+// batcher — and each scratch's arena is a high-water region, so the list
+// is bounded by the largest tile forward it served, not by the batch or by
+// how many batch sizes it saw. (Not a
 // sync.Pool: that may drop its contents at any collection, and every drop
 // rebuilds a scratch's arena from the heap.)
 type scratchList struct {
@@ -361,11 +379,12 @@ func (l *scratchList) put(sc *batchScratch) {
 	l.mu.Unlock()
 }
 
-// batchStageArenaInfer returns the batched member execution strategy:
-// preprocess each image into the scratch slab, run the member's compiled
-// net over the whole set and return the probability rows. Scratch is drawn
-// from the System's free list, so concurrent member calls never share
-// arenas. When the policy requests a backend, the member runs its variant
+// batchStageArenaInfer returns the batched member execution strategy of
+// one (member, tile) unit: preprocess the tile's images into the scratch
+// slab, run the member's compiled net over them and return the probability
+// rows. Scratch is drawn from the System's free list, so concurrent units
+// never share arenas, and a scratch's arena grows to a tile, not to the
+// batch. When the policy requests a backend, the member runs its variant
 // for that backend (falling back to the configured net when PrepareAdaptive
 // never compiled it, so a half-prepared system degrades to
 // correct-but-static rather than failing).
@@ -378,9 +397,9 @@ func (s *System) batchStageArenaInfer() batchStageInferFn {
 		rows := mem.resolveNet(be, override).InferBatch(sc.preprocess(mem.Pre, xs), &sc.a)
 		sc.a.Reset()
 		if s.finishVerify(st) {
-			// One fused call covers the whole pending batch for this member:
-			// an uncorrectable fault cannot be attributed to a single image,
-			// so every row of the call abstains.
+			// One fused call covers the unit's tile: an uncorrectable fault
+			// cannot be attributed to a single image, so every row of the
+			// tile abstains; the member's other tiles are unaffected.
 			for _, row := range rows {
 				suspectRow(row)
 			}

@@ -15,9 +15,23 @@ import (
 
 // tableSystem builds a System driven purely through an injected inferFn —
 // the members are placeholders, so the decision engine can be exercised on
-// synthetic softmax tables without any networks.
+// synthetic softmax tables without any networks. Their nets only size the
+// engine's units: one image per (member, tile) forward.
 func tableSystem(n int, th Thresholds, staged bool, batch, workers int) *System {
-	return &System{Members: make([]Member, n), Th: th, Staged: staged, Batch: batch, Workers: workers}
+	s := &System{Members: make([]Member, n), Th: th, Staged: staged, Batch: batch, Workers: workers}
+	for i := range s.Members {
+		s.Members[i].net = tableNet{}
+	}
+	return s
+}
+
+// tableNet is a placeholder member's compiled net: a tile of one image,
+// and no forward — the table-driven tests inject the rows.
+type tableNet struct{}
+
+func (tableNet) Tile() int { return 1 }
+func (tableNet) InferBatch([]*tensor.T, *tensor.Arena) [][]float64 {
+	panic("core: a table-driven test reached a placeholder member's forward")
 }
 
 // tableInfer serves precomputed softmax rows. Safe for concurrent calls.
@@ -41,20 +55,23 @@ func TestWorkerCount(t *testing.T) {
 	}
 }
 
-// TestWorkerCountFollowsGOMAXPROCS pins the member pool to the scheduler's
+// TestWorkerCountFollowsGOMAXPROCS pins the unit pool to the scheduler's
 // Ps, not the machine's CPUs: under GOMAXPROCS(1) the default pool is one
-// worker, and an explicit larger Workers never has two member inferences in
-// flight at once (each yields mid-inference, so a second goroutine would
-// get in).
+// worker, and an explicit larger Workers never has two (member, tile)
+// forwards in flight at once (each yields mid-forward, so a second
+// goroutine would get in) — while the 8 members × 12 images still split
+// into tiles.
 func TestWorkerCountFollowsGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	if got := (&System{}).workerCount(16); got != 1 {
 		t.Errorf("GOMAXPROCS(1), Workers=0: workerCount(16) = %d, want 1", got)
 	}
+	xs := indexedInputs(12)
 	for _, w := range []int{0, 2, 8} {
 		s := &System{Members: make([]Member, 8), Workers: w}
-		var inFlight, peak atomic.Int32
-		infer := func(int, []*tensor.T) [][]float64 {
+		var inFlight, peak, calls atomic.Int32
+		infer := func(_ int, xs []*tensor.T) [][]float64 {
+			calls.Add(1)
 			n := inFlight.Add(1)
 			if n > peak.Load() {
 				peak.Store(n)
@@ -63,13 +80,17 @@ func TestWorkerCountFollowsGOMAXPROCS(t *testing.T) {
 				runtime.Gosched()
 			}
 			inFlight.Add(-1)
-			return nil
+			return make([][]float64, len(xs))
 		}
-		if _, err := s.runMemberRange(context.Background(), 0, 8, nil, infer); err != nil {
+		tile := func(int) int { return 5 }
+		if _, err := s.runMemberRange(context.Background(), 0, 8, xs, tile, infer); err != nil {
 			t.Fatal(err)
 		}
 		if p := peak.Load(); p != 1 {
-			t.Errorf("GOMAXPROCS(1), Workers=%d: %d member inferences in flight, want 1", w, p)
+			t.Errorf("GOMAXPROCS(1), Workers=%d: %d forwards in flight, want 1", w, p)
+		}
+		if c := calls.Load(); c != 8*3 {
+			t.Errorf("GOMAXPROCS(1), Workers=%d: %d forwards, want 8 members × 3 tiles", w, c)
 		}
 	}
 }

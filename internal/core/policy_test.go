@@ -326,11 +326,20 @@ func TestStagedBackendOverrideReachesInfer(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var calls []call
-	infer := tableStageInfer(tables, func(m int, be Backend, ov bool) {
+	covered := make([][]int, n) // covered[m][i]: member m's forwards of image i
+	for m := range covered {
+		covered[m] = make([]int, B)
+	}
+	table := tableStageInfer(tables, nil)
+	infer := func(m int, be Backend, ov bool, pend []*tensor.T) [][]float64 {
 		mu.Lock()
 		calls = append(calls, call{m, be, ov})
+		for _, x := range pend {
+			covered[m][int(x.Data[0])]++
+		}
 		mu.Unlock()
-	})
+		return table(m, be, ov, pend)
+	}
 	pol := &funcPolicy{
 		next: func(req StageRequest) StageDecision {
 			if req.Stage == 1 {
@@ -348,7 +357,8 @@ func TestStagedBackendOverrideReachesInfer(t *testing.T) {
 		t.Fatal("backend override left the batch marked clean")
 	}
 	// Stage 0 covers members [0, 2) with no override; stage 1 covers member
-	// 2 on int8; later stages are override-free again.
+	// 2 on int8; later stages are override-free again. Every call is one
+	// (member, tile) unit, so each member may take several calls.
 	for _, cl := range calls {
 		wantOverride := cl.m == 2
 		if cl.override != wantOverride {
@@ -358,8 +368,13 @@ func TestStagedBackendOverrideReachesInfer(t *testing.T) {
 			t.Errorf("member %d: backend = %v; want int8", cl.m, cl.be)
 		}
 	}
-	if len(calls) != n {
-		t.Errorf("ran %d member calls; want %d (full schedule)", len(calls), n)
+	// The full schedule runs: every member covers every image exactly once.
+	for m := range covered {
+		for i, c := range covered[m] {
+			if c != 1 {
+				t.Errorf("member %d ran image %d %d times; want once", m, i, c)
+			}
+		}
 	}
 }
 

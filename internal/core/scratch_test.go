@@ -16,7 +16,8 @@ import (
 // goroutines share one System and classify seeded random batches of 1…64
 // images; every decision must equal the single-image reference, and
 // afterwards the list may hold no more scratches than could be in flight
-// at once — workerCount per concurrent caller.
+// at once — the worker cap per concurrent caller, however many (member,
+// tile) units each call ran.
 func TestScratchListBounded(t *testing.T) {
 	sys, base := raceFixture(t)
 	sys.Workers = 0
@@ -49,7 +50,8 @@ func TestScratchListBounded(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if n, bound := len(sys.scratch.free), sys.workerCount(len(sys.Members))*callers; n > bound {
+	// Workers=0: the cap is GOMAXPROCS.
+	if n, bound := len(sys.scratch.free), runtime.GOMAXPROCS(0)*callers; n > bound {
 		t.Errorf("scratch free list holds %d entries after %d callers, want ≤ %d", n, callers, bound)
 	}
 }

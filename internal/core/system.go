@@ -41,9 +41,11 @@ type Member struct {
 
 // compiledNet is a member network compiled at one element width: an
 // nn.Net[float64] or an nn.Net[float32] (f32 or int8 nodes). InferBatch
-// returns one softmax row per input, drawing scratch from a.
+// returns one softmax row per input, drawing scratch from a; Tile is the
+// number of images the engine hands it per call.
 type compiledNet interface {
 	InferBatch(xs []*tensor.T, a *tensor.Arena) [][]float64
+	Tile() int
 }
 
 // resolveNet picks the compiled net for a stage: the member's configured
@@ -99,10 +101,11 @@ type System struct {
 	// Batch is the number of members activated together per stage (models
 	// the number of available GPUs); minimum 1.
 	Batch int
-	// Workers caps concurrent member inferences per stage of the engine; 0
-	// or negative selects runtime.GOMAXPROCS(0), which also bounds any
-	// larger setting. It changes wall-clock time
-	// only: every setting runs the same kernels and returns the same bits.
+	// Workers caps the concurrent (member, image tile) forwards of one
+	// engine call (DESIGN.md §4); 0 or negative selects
+	// runtime.GOMAXPROCS(0), which also bounds any larger setting. It
+	// changes wall-clock time only: every setting runs the same kernels and
+	// returns the same bits.
 	Workers int
 	// Cache, when non-nil, short-circuits Classify/ClassifyBatch with
 	// content-addressed cached decisions, coalesces concurrent identical

@@ -141,3 +141,79 @@ func TestVerifiedUncorrectableAbstains(t *testing.T) {
 		t.Fatalf("abstaining member still voted: %+v", d)
 	}
 }
+
+// restoreOnSecond is corruptOnce for a fault that stays uncorrectable
+// through one product only: its first float64 buffer takes the
+// perturbation, and its second — the next verified product — runs undo
+// first, so later products compute on clean operands again.
+type restoreOnSecond struct {
+	corruptOnce
+	calls int
+	undo  func()
+}
+
+func (r *restoreOnSecond) CorruptF64(buf []float64) {
+	if r.calls++; r.calls == 2 {
+		r.undo()
+	}
+	r.corruptOnce.CorruptF64(buf)
+}
+
+// TestVerifiedUncorrectableAbstainsPerTile: the engine's unit of work is a
+// (member, image tile) forward, so an uncorrectable fault voids only the
+// rows of the tile it hit. At Workers=1 a batch of two tiles runs them in
+// order; a one-shot fault made persistent across re-execution lands in the
+// first tile's convolution, and the weights are restored before the second
+// tile's. Every first-tile decision abstains; every second-tile decision
+// DeepEquals the clean run.
+func TestVerifiedUncorrectableAbstainsPerTile(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	net := nn.MustNetwork([]int{1, 8, 8}, 4,
+		nn.NewConv2D(1, 3, 3, 1, 1, rng), nn.NewReLU(), nn.NewMaxPool2D(2),
+		nn.NewFlatten(), nn.NewDense(3*4*4, 4, rng),
+	)
+	// Thr_Conf just above chance: the uniform row of an abstaining member
+	// never clears it, a clean row usually does.
+	sys, err := NewSystem([]Member{{Name: "ORG", Pre: preprocess.MustByName("ORG"), Net: net}},
+		Thresholds{Conf: 0.26, Freq: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.PrepareVerified(true)
+	sys.Workers = 1
+	tile := sys.Members[0].net.Tile()
+	xs := make([]*tensor.T, 2*tile)
+	for i := range xs {
+		xs[i] = tensor.New(1, 8, 8)
+		xs[i].FillUniform(rng, 0, 1)
+	}
+	want := sys.ClassifyBatch(xs)
+
+	w := net.Params()[0].Value.Data
+	orig := w[4]
+	inj := &restoreOnSecond{undo: func() { w[4] = orig }}
+	tensor.SetAbftInjector(inj)
+	defer tensor.SetAbftInjector(nil)
+	// As in TestVerifiedUncorrectableAbstains: the center tap touches live
+	// input for the corrupted column, so the recompute diverges again.
+	tensor.SetAbftRetryHook(func(int) { w[4] = 1e30 })
+	defer tensor.SetAbftRetryHook(nil)
+
+	got := sys.ClassifyBatch(xs)
+	if c := sys.AbftCounts(); c.Uncorrectable != 1 {
+		t.Fatalf("want exactly one uncorrectable product: %+v", c)
+	}
+	voted := 0
+	for i := 0; i < tile; i++ {
+		voted += len(want[i].Votes)
+		if len(got[i].Votes) != 0 || got[i].Confidence != 0 || got[i].Reliable {
+			t.Fatalf("image %d of the faulted tile still voted: %+v", i, got[i])
+		}
+	}
+	if voted == 0 {
+		t.Fatal("no first-tile image voted in the clean run; the test checks nothing")
+	}
+	if !reflect.DeepEqual(got[tile:], want[tile:]) {
+		t.Fatal("the fault reached decisions outside the tile it hit")
+	}
+}

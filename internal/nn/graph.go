@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"repro/internal/tensor"
 )
@@ -69,6 +70,9 @@ type Net[E tensor.Float] struct {
 	nodes   []node[E]
 	// Quantized reports whether Conv2D/Dense nodes run the int8 kernels.
 	Quantized bool
+	// tile is the image-tile size the engine schedules this net's forwards
+	// in (Tile).
+	tile int
 }
 
 // Net32 is the compiled net of the f32 and int8 backends.
@@ -87,6 +91,7 @@ func Compile[E tensor.Float](n *Network) (*Net[E], error) {
 		return nil, err
 	}
 	net.fuse()
+	net.sizeTile()
 	return net, nil
 }
 
@@ -96,12 +101,14 @@ func (n *Network) Compile32() (*Net32, error) { return Compile[float32](n) }
 // InferBatchArena compiles the network to a Net[float64] and runs
 // InferBatch on it: a one-shot forward, under the name the benchmark
 // harness times as the f64 member forward. Servers compile once (see
-// core.NewSystem). It panics on a network the compiler refuses.
+// core.NewSystem). The net is not sized: a one-shot forward schedules no
+// tiles. It panics on a network the compiler refuses.
 func (n *Network) InferBatchArena(xs []*tensor.T, a *tensor.Arena) [][]float64 {
-	net, err := Compile[float64](n)
+	net, err := compileLayerwise[float64](n)
 	if err != nil {
 		panic(err)
 	}
+	net.fuse()
 	return net.InferBatch(xs, a)
 }
 
@@ -227,6 +234,37 @@ func stage[E tensor.Float](nd node[E]) tensor.Epi {
 		}
 	}
 	return 0
+}
+
+// tileBudget is the working set, in bytes, one image tile of a forward is
+// sized to. It was picked once from the table in DESIGN.md §4, which times
+// each zoo topology's forward walked in tiles: this budget puts every
+// row's computed tile within 10 % of its fastest.
+const tileBudget = 768 << 10
+
+// Tile is the number of images the engine runs through this net in one
+// forward (core's (member, tile) units, DESIGN.md §4). Compile and
+// CompileInt8 derive it once: ⌊tileBudget ÷ the per-image working set of
+// the net's widest node⌋, floored at 1.
+func (n *Net[E]) Tile() int { return n.tile }
+
+// sizeTile sets the tile from one zero image walked through the nodes. A
+// node's working set is its input plus everything its forward draws from
+// the arena — the lowered columns where the dispatch materializes them,
+// the product and the output — each at the width it is drawn at.
+func (n *Net[E]) sizeTile() {
+	a := tensor.NewArena()
+	shape := append([]int(nil), n.InShape...)
+	cur := tensor.Raw[E](a, prodShape(shape))
+	clear(cur)
+	widest := 1
+	for _, nd := range n.nodes {
+		before := a.Drawn()
+		in := len(cur) * int(unsafe.Sizeof(cur[0]))
+		cur, shape = nd.forward(cur, shape, 1, a)
+		widest = max(widest, in+a.Drawn()-before)
+	}
+	n.tile = max(1, tileBudget/widest)
 }
 
 // InferBatch classifies a minibatch and returns one float64 softmax row

@@ -208,6 +208,7 @@ func (n *Network) CompileInt8(calib []*tensor.T) (*Net32, error) {
 		return nil, err
 	}
 	net.fuse()
+	net.sizeTile()
 	return net, nil
 }
 

@@ -104,6 +104,10 @@ func (a *Arena) Reset() {
 // Live returns the number of buffers handed out since the last Reset.
 func (a *Arena) Live() int { return a.live }
 
+// Drawn returns the bytes handed out since the last Reset, each buffer
+// rounded up to whole cache lines.
+func (a *Arena) Drawn() int { return 8*a.f64.need + 4*a.f32.need + a.u8.need + 4*a.i32.need }
+
 // bump is a high-water region of one element type: a cache-line-aligned
 // slab handed out front to back, every request rounded up to whole cache
 // lines so each slice starts aligned, and returned as a three-index slice

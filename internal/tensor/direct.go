@@ -2,9 +2,6 @@ package tensor
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 )
 
 // Direct shift convolution for the int8 backend (DESIGN.md §14). im2col —
@@ -147,37 +144,12 @@ func convDirectU8(acc, colsum []int32, w *PackedConvShift, qsrc []uint8, bsz int
 		}
 	}
 
-	macs := m * n * k
-	workers := runtime.GOMAXPROCS(0)
-	if workers > oh {
-		workers = oh
-	}
-	if macs < gemmParallelMACs || workers <= 1 {
-		convDirectRows(acc, colsum, w, buf, 0, oh, g, pw1, L, n, simd)
-		putBlkU8(bufp)
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for wk := 0; wk < workers; wk++ {
-		go func() {
-			defer wg.Done()
-			for {
-				y := int(next.Add(1)) - 1
-				if y >= oh {
-					return
-				}
-				convDirectRows(acc, colsum, w, buf, y, y+1, g, pw1, L, n, simd)
-			}
-		}()
-	}
-	wg.Wait()
+	convDirectRows(acc, colsum, w, buf, g, pw1, L, n, simd)
 	putBlkU8(bufp)
 }
 
-// convDirectRows runs the direct convolution of output rows [y0, y1),
-// every image of the batch at once. Per output row it runs one GEMM pass
+// convDirectRows runs the direct convolution, every image of the batch at
+// once, on the calling goroutine. Per output row it runs one GEMM pass
 // per kernel column into an L2-resident tile — pass 0 with the
 // overwriting kernels, passes ≥ 1 with the accumulating variants — then
 // scatters the real columns of the tile into acc and the ones-row into
@@ -187,7 +159,7 @@ func convDirectU8(acc, colsum []int32, w *PackedConvShift, qsrc []uint8, bsz int
 // tile rows are padded to a 32 multiple and the buffer carries matching
 // slack, so a bsz=1 forward (the sequential per-image decision path) still
 // runs entirely on the wide kernels even when pw1 < 32.
-func convDirectRows(acc, colsum []int32, w *PackedConvShift, buf []uint8, y0, y1 int, g ConvGeom, pw1, L, n int, simd bool) {
+func convDirectRows(acc, colsum []int32, w *PackedConvShift, buf []uint8, g ConvGeom, pw1, L, n int, simd bool) {
 	m := w.OutC
 	mm := m + 1 // + colsum ones row
 	kf := w.KH * g.InC
@@ -200,7 +172,7 @@ func convDirectRows(acc, colsum []int32, w *PackedConvShift, buf []uint8, y0, y1
 	}
 	tp := getBlkI32(mm * lds)
 	t := (*tp)[:mm*lds]
-	for y := y0; y < y1; y++ {
+	for y := 0; y < oh; y++ {
 		base := y * g.InC * L
 		for dx := 0; dx < g.KW; dx++ {
 			a := w.Bits[dx*mm*kf:]

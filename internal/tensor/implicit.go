@@ -2,9 +2,7 @@ package tensor
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"unsafe"
 )
 
@@ -291,52 +289,19 @@ func ConvGemmU8Im2Col(c, colsum []int32, a []uint8, m int, qsrc []uint8, bsz int
 	convGemmU8(c, colsum, a, qsrc, m, k, n, bsz, g, zp, simdAvailable)
 }
 
-// convGemmU8 is the shape-checked driver of ConvGemmU8Im2Col; simd as in
-// gemmU8.
-func convGemmU8(c, colsum []int32, a, qsrc []uint8, m, k, n, bsz int, g ConvGeom, zp uint8, simd bool) {
-	macs := m * n * k
-	workers := runtime.GOMAXPROCS(0)
-	panels := (n + gemmNC - 1) / gemmNC
-	if workers > panels {
-		workers = panels
-	}
-	if macs < gemmParallelMACs || workers <= 1 {
-		gemmU8Im2ColPanel(c, colsum, a, qsrc, m, k, n, bsz, g, zp, 0, n, simd)
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				p := int(next.Add(1)) - 1
-				if p >= panels {
-					return
-				}
-				j0 := p * gemmNC
-				j1 := min(j0+gemmNC, n)
-				gemmU8Im2ColPanel(c, colsum, a, qsrc, m, k, n, bsz, g, zp, j0, j1, simd)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// gemmU8Im2ColPanel computes one column panel of the implicit uint8 GEMM:
-// per implicitJW-column generation block it fills the byte block, derives
-// its column sums in one pass, and runs the same kernels gemmU8Panel uses —
-// the SWAR 2×32 tiles over the 32-aligned span, the scalar kernels over
-// the remainder — with ldb = block width. Integer accumulation is
+// convGemmU8 is the shape-checked driver of ConvGemmU8Im2Col (simd as in
+// gemmU8): per implicitJW-column generation block it fills the byte block,
+// derives its column sums in one pass, and runs the same kernels gemmU8
+// uses — the SWAR 2×32 tiles over the 32-aligned span, the scalar kernels
+// over the remainder — with ldb = block width. Integer accumulation is
 // order-independent, so any block width is exact.
-func gemmU8Im2ColPanel(c, colsum []int32, a, qsrc []uint8, m, k, n, bsz int, g ConvGeom, zp uint8, j0, j1 int, simd bool) {
+func convGemmU8(c, colsum []int32, a, qsrc []uint8, m, k, n, bsz int, g ConvGeom, zp uint8, simd bool) {
 	simd = simd && k > 0
 	blkp := getBlkU8(k * implicitJW)
 	blk := *blkp
 	assertAligned64("u8 im2col B panel", unsafe.Pointer(&blk[0]))
-	for jb := j0; jb < j1; jb += implicitJW {
-		je := min(jb+implicitJW, j1)
+	for jb := 0; jb < n; jb += implicitJW {
+		je := min(jb+implicitJW, n)
 		bw := je - jb
 		b := blk[:k*bw]
 		im2colBlock(b, qsrc, bsz, g, 0, k, jb, bw, zp)

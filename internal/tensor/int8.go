@@ -3,9 +3,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 )
 
 // Int8 quantized inference kernels (DESIGN.md §9). The quantization scheme
@@ -45,15 +42,6 @@ import (
 // beyond it a 32-bit SWAR lane could overflow (k·255·255 must stay below
 // 2³¹). Every layer in the model zoo is at least 30× under the cap.
 const MaxQuantK = (1<<31 - 1) / (255 * 255)
-
-const (
-	// gemmParallelMACs: above this many multiply-accumulates the uint8
-	// GEMM and conv drivers shard their work across a goroutine pool.
-	gemmParallelMACs = 1 << 21
-	// gemmNC is the width of one uint8 GEMM column panel — the unit of
-	// parallel work.
-	gemmNC = 512
-)
 
 // quantJB is the column sub-panel width of the uint8 GEMM: k×quantJB B
 // bytes (≤ 16 KiB at the largest zoo K) stay L1-resident while every
@@ -177,8 +165,8 @@ func Im2ColBatchU8(dst, src []uint8, bsz int, g ConvGeom, zp uint8) {
 // overwritten) = A (uint8, m×k) × B (uint8, k×n), plus the per-column sums
 // colsum[j] = Σ_p B[p][j] needed by the bias/zero-point correction. It
 // panics when k exceeds MaxQuantK (a SWAR lane could overflow). Large
-// products shard column panels across a worker pool; integer results are
-// identical regardless of blocking or thread count.
+// products run on the calling goroutine; integer results are identical
+// regardless of blocking.
 // Like Im2ColBatchU8 it has no served caller; it is the explicit reference
 // of the int8 conv drivers' bit-identity tests and benchmark probe.
 func GemmU8Into(c, colsum []int32, a, b []uint8, m, k, n int) {
@@ -192,8 +180,8 @@ func GemmU8Into(c, colsum []int32, a, b []uint8, m, k, n int) {
 }
 
 // GemmU8PreInto is GemmU8Into for a prepacked B operand whose column sums
-// are already known (PackedU8T carries them): same product, same sharding,
-// same kernels, but the per-call colsum pass is skipped entirely.
+// are already known (PackedU8T carries them): same product, same kernels,
+// but the per-call colsum pass is skipped entirely.
 func GemmU8PreInto(c []int32, a, b []uint8, m, k, n int) {
 	if k > MaxQuantK {
 		panic(fmt.Sprintf("tensor: GemmU8PreInto k=%d exceeds MaxQuantK=%d", k, MaxQuantK))
@@ -204,52 +192,19 @@ func GemmU8PreInto(c []int32, a, b []uint8, m, k, n int) {
 	gemmU8(c, nil, a, b, m, k, n, simdAvailable)
 }
 
-// gemmU8 is the shape-checked driver of GemmU8Into (colsum nil for
-// GemmU8PreInto): one panel for small products, column panels sharded
-// across a worker pool otherwise. simd selects the vector kernels; the
-// entry points pass simdAvailable, the bit-identity tests false.
+// gemmU8 is the shape-checked driver of GemmU8Into: it computes C and,
+// when colsum is non-nil, colsum (nil = GemmU8PreInto's prepacked B, sums
+// precomputed) on the calling goroutine, on the vector kernels when simd
+// is set and the scalar SWAR kernels otherwise. The entry points pass
+// simdAvailable, the bit-identity tests false.
 func gemmU8(c, colsum []int32, a, b []uint8, m, k, n int, simd bool) {
-	macs := m * n * k
-	workers := runtime.GOMAXPROCS(0)
-	panels := (n + gemmNC - 1) / gemmNC
-	if workers > panels {
-		workers = panels
-	}
-	if macs < gemmParallelMACs || workers <= 1 {
-		gemmU8Panel(c, colsum, a, b, m, k, n, 0, n, simd)
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				p := int(next.Add(1)) - 1
-				if p >= panels {
-					return
-				}
-				j0 := p * gemmNC
-				j1 := min(j0+gemmNC, n)
-				gemmU8Panel(c, colsum, a, b, m, k, n, j0, j1, simd)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// gemmU8Panel computes the column panel C[:, j0:j1) and, when colsum is
-// non-nil, colsum[j0:j1) (nil = prepacked B, sums precomputed), on the
-// vector kernels when simd is set and the scalar SWAR kernels otherwise.
-func gemmU8Panel(c, colsum []int32, a, b []uint8, m, k, n, j0, j1 int, simd bool) {
 	if colsum != nil {
-		cs := colsum[j0:j1]
+		cs := colsum[:n]
 		for x := range cs {
 			cs[x] = 0
 		}
 		for p := 0; p < k; p++ {
-			row := b[p*n+j0 : p*n+j1]
+			row := b[p*n : (p+1)*n]
 			for x, v := range row {
 				cs[x] += int32(v)
 			}
@@ -259,25 +214,25 @@ func gemmU8Panel(c, colsum []int32, a, b []uint8, m, k, n, j0, j1 int, simd bool
 		// Vector path: 32-column blocks through the vpmaddwd kernel (exact
 		// same int32 results as the scalar SWAR path below), remainders
 		// through the scalar helpers.
-		jv := j0 + (j1-j0)&^31
+		jv := n &^ 31
 		i := 0
 		for ; i+2 <= m; i += 2 {
-			for j := j0; j < jv; j += 32 {
+			for j := 0; j < jv; j += 32 {
 				u8Gemm2x32(&a[i*k], k, &b[j], n, &c[i*n+j], n, k)
 			}
 		}
 		if i < m {
-			for j := j0; j < jv; j += 32 {
+			for j := 0; j < jv; j += 32 {
 				u8GemmRow32(&a[i*k], &b[j], n, &c[i*n+j], k)
 			}
 		}
 		for i := 0; i < m; i++ {
-			gemmU8Row(c, a, b, k, n, n, i, jv, j1)
+			gemmU8Row(c, a, b, k, n, n, i, jv, n)
 		}
 		return
 	}
-	for jj := j0; jj < j1; jj += quantJB {
-		je := min(jj+quantJB, j1)
+	for jj := 0; jj < n; jj += quantJB {
+		je := min(jj+quantJB, n)
 		i := 0
 		for ; i+4 <= m; i += 4 {
 			j := jj

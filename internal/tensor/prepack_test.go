@@ -9,9 +9,9 @@ import (
 // The prepack correctness bar (DESIGN.md §14): every prepacked or implicit
 // execution path is bit-identical to the explicit im2col lowering. These
 // tests sweep randomized geometries plus hand-picked shapes that force
-// each dispatch arm — the float GEMM's edges, the uint8 drivers' serial,
-// parallel, vector and pure-Go arms — and compare element-by-element with
-// ==, not a tolerance.
+// each dispatch arm — the float GEMM's edges, the uint8 drivers' vector
+// and pure-Go arms — and compare element-by-element with ==, not a
+// tolerance.
 
 // kernelLegs lists the uint8 kernel choices a bit-identity test runs: the
 // pure-Go SWAR kernels (false) everywhere, and the vector kernels (true)
@@ -26,8 +26,7 @@ func kernelLegs() []bool {
 
 // implicitGeoms returns the geometry × batch sweep shared by the implicit
 // GEMM identity tests: random small cases for border/stride coverage plus
-// fixed shapes with a long K, multi-panel n (> gemmNC, > implicitJW) and
-// the uint8 drivers' parallel threshold (m·n·k ≥ gemmParallelMACs).
+// fixed shapes with a long K and a wide, multi-block n (> implicitJW).
 func implicitGeoms(rng *rand.Rand) []struct {
 	g         ConvGeom
 	bsz, outC int
@@ -38,8 +37,8 @@ func implicitGeoms(rng *rand.Rand) []struct {
 	}{
 		// Long K: k = 16·3·3 = 144.
 		{ConvGeom{InC: 16, InH: 10, InW: 10, KH: 3, KW: 3, Stride: 1, Pad: 1}, 6, 8},
-		// Parallel path: m·n·k = 32·2048·144 ≈ 9.4M ≥ gemmParallelMACs, and
-		// n = 2048 spans several gemmNC panels.
+		// Wide and deep: m·n·k = 32·2048·144 ≈ 9.4M MACs, n = 2048
+		// spans several generation blocks.
 		{ConvGeom{InC: 16, InH: 18, InW: 18, KH: 3, KW: 3, Stride: 1, Pad: 1}, 8, 32},
 		// K3 direct kernel: 1-channel 3×3 stride-1 (kc == k == 3... no: k=9).
 		{ConvGeom{InC: 1, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}, 2, 4},
@@ -387,7 +386,7 @@ func FuzzPrepackRoundTrip(f *testing.F) {
 // and tail rows (m mod 4 = 2), so the edges' pooled block is covered too.
 func TestImplicitGemmZeroAlloc(t *testing.T) {
 	g := ConvGeom{InC: 16, InH: 10, InW: 10, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	bsz, outC := 3, 10 // serial: m·n·k ≈ 430k MACs, under gemmParallelMACs
+	bsz, outC := 3, 10 // m·n·k ≈ 430k MACs
 	k := g.InC * g.KH * g.KW
 	n := bsz * g.OutH() * g.OutW()
 	chw := g.InC * g.InH * g.InW

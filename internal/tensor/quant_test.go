@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
@@ -253,20 +252,17 @@ func gemmU8Ref(a, b []uint8, m, k, n int) (c, colsum []int32) {
 
 // TestGemmU8Into checks the SWAR kernel against the scalar reference across
 // shapes exercising the 4×4 block, every remainder case, the sub-panel loop
-// and the parallel panel path. Integer results must be exactly equal.
+// and wide, long-K products. Integer results must be exactly equal.
 func TestGemmU8Into(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-
 	rng := rand.New(rand.NewSource(43))
 	shapes := [][3]int{
 		{1, 1, 1},
-		{4, 8, 4},               // exact tiles
-		{3, 5, 7},               // all remainders
-		{6, 100, quantJB + 9},   // sub-panel boundary + col remainder
-		{10, 72, 1000},          // dense-head-like
-		{13, 150, 2*gemmNC + 3}, // multiple panels
-		{32, 513, gemmNC * 2},   // parallel path
+		{4, 8, 4},             // exact tiles
+		{3, 5, 7},             // all remainders
+		{6, 100, quantJB + 9}, // sub-panel boundary + col remainder
+		{10, 72, 1000},        // dense-head-like
+		{13, 150, 1027},       // wide, column tail
+		{32, 513, 1024},       // long K, ≈ 16.8M MACs
 	}
 	for _, s := range shapes {
 		m, k, n := s[0], s[1], s[2]

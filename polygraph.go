@@ -122,9 +122,9 @@ type Options struct {
 	// Counters are exposed via System.AbftCounts and the serving /metrics
 	// registry.
 	Verified bool
-	// Workers caps concurrent member inferences per stage. 0 selects
-	// runtime.GOMAXPROCS(0), which also bounds larger settings. It never
-	// changes a result.
+	// Workers caps the concurrent (member, image tile) forwards of one
+	// call. 0 selects runtime.GOMAXPROCS(0), which also bounds larger
+	// settings. It never changes a result.
 	Workers int
 	// FPBudget, when positive, selects decision thresholds that maximize
 	// answered correct predictions subject to the undetected-misprediction
@@ -549,9 +549,10 @@ func (s *System) ClassifyContext(ctx context.Context, im Image) (Prediction, err
 
 // ClassifyBatch classifies every image and returns index-aligned
 // predictions — the throughput mode of the system. Each member network runs
-// the still-undecided images as one fused minibatch, members of a stage fan
-// out across a bounded worker pool (Options.Workers, default GOMAXPROCS) and
-// each worker reuses inference scratch buffers. Each prediction is
+// the still-undecided images in fused minibatch tiles sized to the cache,
+// the (member, tile) forwards of a stage fan out across a bounded worker
+// pool (Options.Workers, default GOMAXPROCS) and each worker reuses
+// inference scratch buffers. Each prediction is
 // bit-identical to what Classify returns for the same image, whatever else
 // is in the batch.
 func (s *System) ClassifyBatch(images []Image) ([]Prediction, error) {
