@@ -3,7 +3,6 @@ package preprocess
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 	"sort"
 	"testing"
@@ -268,27 +267,41 @@ func TestKernelsMatchOracleOnAdversarialPlanes(t *testing.T) {
 	}
 }
 
-// TestSelectKthEveryRank checks every rank on small inputs with plenty of
-// ties, and that the slice is left partitioned around the answer — with
-// the real budget and with budgets that end in the sort.
-func TestSelectKthEveryRank(t *testing.T) {
+// TestPercentilesEveryRank checks both order statistics at every rank
+// percentiles accepts, on small planes with ties, NaNs (from none to
+// almost all) and both zeros, against sort.Float64s. The low one is
+// compared bit for bit, since its sign reaches ImAdj's output through
+// v - lo; the high one by value, since it enters only through hi - lo,
+// where the sign of a zero cannot show.
+func TestPercentilesEveryRank(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	negZero := math.Copysign(0, -1)
 	for _, n := range []int{1, 2, 3, 4, 5, 17, 64, 257} {
-		base := make([]float64, n)
-		for i := range base {
-			base[i] = float64(rng.Intn(n/2 + 1)) // plenty of ties
-		}
-		sorted := append([]float64(nil), base...)
-		sort.Float64s(sorted)
-		for k := 0; k < n; k++ {
-			for _, budget := range []int{2 * bits.Len(uint(n)), 0, 1, 2} {
-				a := append([]float64(nil), base...)
-				if got := selectWithin(a, k, budget); got != sorted[k] {
-					t.Fatalf("n=%d k=%d budget=%d: got %v, want %v", n, k, budget, got, sorted[k])
+		for _, nanShare := range []float64{0, 0.2, 0.5, 0.9} {
+			for trial := 0; trial < 4; trial++ {
+				src := make([]float64, n)
+				for i := range src {
+					switch r := rng.Float64(); {
+					case r < nanShare:
+						src[i] = math.NaN()
+					case r < nanShare+0.1:
+						src[i] = 0
+					case r < nanShare+0.2:
+						src[i] = negZero
+					default:
+						src[i] = float64(rng.Intn(n/2+1) - n/4) // plenty of ties
+					}
 				}
-				for i, v := range a {
-					if (i < k && v > a[k]) || (i > k && v < a[k]) {
-						t.Fatalf("n=%d k=%d budget=%d: a[%d]=%v on the wrong side of a[k]=%v", n, k, budget, i, v, a[k])
+				sorted := append([]float64(nil), src...)
+				sort.Float64s(sorted)
+				for k := 0; k < max(n/2, 1); k++ {
+					lo, hi := percentiles(make([]float64, n), src, k)
+					wantLo, wantHi := sorted[k], sorted[n-1-k]
+					if math.Float64bits(lo) != math.Float64bits(wantLo) && !(math.IsNaN(lo) && math.IsNaN(wantLo)) {
+						t.Fatalf("n=%d k=%d %v: lo %v, want %v", n, k, src, lo, wantLo)
+					}
+					if hi != wantHi && !(math.IsNaN(hi) && math.IsNaN(wantHi)) {
+						t.Fatalf("n=%d k=%d %v: hi %v, want %v", n, k, src, hi, wantHi)
 					}
 				}
 			}

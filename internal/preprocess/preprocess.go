@@ -13,7 +13,6 @@ package preprocess
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 
 	"repro/internal/tensor"
@@ -375,34 +374,62 @@ func (ImAdj) ApplyTo(dst, x *tensor.T) {
 }
 
 // percentiles returns the values at indices k and len(src)-1-k of src in
-// sort.Float64s order, using buf (len(src) elements, clobbered) as scratch.
+// sort.Float64s order (NaNs first), for k < len(src)/2 or a one-element
+// src, using buf (len(src) elements, clobbered) as scratch. One pass
+// keeps the k+1 smallest non-NaN values in a max-heap at the front of buf
+// and the k+1 largest, negated, in a max-heap at its back, so it costs
+// O(n log k) on any input and O(n) when few values displace a heap top.
 func percentiles(buf, src []float64, k int) (lo, hi float64) {
-	// NaNs to the front; the rest is ordered by plain <.
-	nan := 0
-	j := len(buf)
-	for _, v := range src {
-		if v != v {
-			buf[nan] = v
+	if len(src) == 1 {
+		return src[0], src[0]
+	}
+	small, large := buf[:k+1], buf[len(buf)-k-1:]
+	nan, m := 0, 0 // NaNs and non-NaN values seen
+	var nanV float64
+	i := 0
+	for ; i < len(src) && m <= k; i++ {
+		if v := src[i]; v != v {
 			nan++
+			nanV = v
 		} else {
-			j--
-			buf[j] = v
+			pushMax(small, m, v)
+			pushMax(large, m, -v)
+			m++
 		}
 	}
-	kHi := len(src) - 1 - k
-	hi = buf[kHi]
-	rest := buf[nan:]
-	if kHi >= nan {
-		hi = selectKth(rest, kHi-nan)
-		rest = rest[:kHi-nan]
+	// Once both heaps are full, a value between their tops changes
+	// neither; a NaN fails both comparisons too.
+	below, above := small[0], -large[0]
+	for _, v := range src[i:] {
+		switch {
+		case v >= below && v <= above:
+		case v != v:
+			nan++
+			nanV = v
+		default:
+			if v < below {
+				replaceMax(small, v)
+				below = small[0]
+			}
+			if v > above {
+				replaceMax(large, -v)
+				above = -large[0]
+			}
+		}
 	}
+	// Index len(src)-1-k is the k-th largest non-NaN value unless NaNs
+	// reach it; index k is the (k-nan)-th smallest.
+	if len(src)-1-k < nan {
+		return nanV, nanV
+	}
+	hi = -large[0]
 	if k < nan {
-		return buf[k], hi
+		return nanV, hi
 	}
-	lo = hi // k == kHi on a one-pixel plane
-	if k < kHi {
-		lo = selectKth(rest, k-nan)
+	for h := small; len(h) > k+1-nan; h = h[:len(h)-1] {
+		replaceMax(h[:len(h)-1], h[len(h)-1])
 	}
+	lo = small[0]
 	// -0 and +0 compare equal, so which of them a sort leaves at index k
 	// depends on the sort; the sign reaches the output through v - lo for
 	// v = -0. Ask the sort itself in that one case.
@@ -426,58 +453,37 @@ func percentiles(buf, src []float64, k int) (lo, hi float64) {
 	return lo, hi
 }
 
-// selectKth returns the k-th smallest element of a (no NaNs), permuting a
-// so that a[:k] ≤ a[k] ≤ a[k+1:].
-func selectKth(a []float64, k int) float64 {
-	return selectWithin(a, k, 2*bits.Len(uint(len(a))))
-}
-
-// selectWithin is Hoare quickselect on a median-of-three pivot. An input
-// built against that pivot rule could make it quadratic, so after budget
-// partitions whatever range is left is handed to the sort.
-func selectWithin(a []float64, k, budget int) float64 {
-	l, r := 0, len(a)-1
-	for ; l < r; budget-- {
-		if budget == 0 {
-			sort.Float64s(a[l : r+1])
+// pushMax adds v to the max-heap h[:n], making it h[:n+1].
+func pushMax(h []float64, n int, v float64) {
+	for n > 0 {
+		up := (n - 1) / 2
+		if !(h[up] < v) {
 			break
 		}
-		m := l + (r-l)/2
-		if a[m] < a[l] {
-			a[m], a[l] = a[l], a[m]
-		}
-		if a[r] < a[l] {
-			a[r], a[l] = a[l], a[r]
-		}
-		if a[r] < a[m] {
-			a[r], a[m] = a[m], a[r]
-		}
-		pivot := a[m]
-		i, j := l, r
-		for i <= j {
-			for a[i] < pivot {
-				i++
-			}
-			for pivot < a[j] {
-				j--
-			}
-			if i <= j {
-				a[i], a[j] = a[j], a[i]
-				i++
-				j--
-			}
-		}
-		// a[l..j] ≤ pivot ≤ a[i..r], and everything between j and i equals it.
-		switch {
-		case k <= j:
-			r = j
-		case k >= i:
-			l = i
-		default:
-			return a[k]
-		}
+		h[n] = h[up]
+		n = up
 	}
-	return a[k]
+	h[n] = v
+}
+
+// replaceMax replaces the top of the max-heap h with v.
+func replaceMax(h []float64, v float64) {
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c] < h[c+1] {
+			c++
+		}
+		if !(v < h[c]) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = v
 }
 
 // Scale downsamples the image by factor P (e.g. 0.8) with bilinear sampling

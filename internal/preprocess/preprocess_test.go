@@ -185,6 +185,16 @@ func TestImAdjStretchesRange(t *testing.T) {
 	}
 }
 
+// TestImAdjApplyToAllocationFree pins the form the batch engine calls at
+// zero allocations per image.
+func TestImAdjApplyToAllocationFree(t *testing.T) {
+	x := randImage(1, 3, 32, 32)
+	dst := tensor.New(x.Shape...)
+	if a := testing.AllocsPerRun(50, func() { ImAdj{}.ApplyTo(dst, x) }); a != 0 {
+		t.Fatalf("ImAdj.ApplyTo allocated %v times per image, want 0", a)
+	}
+}
+
 func TestScaleSoftensDetail(t *testing.T) {
 	// A checkerboard has maximal high-frequency energy; down-up scaling
 	// must reduce its variance.

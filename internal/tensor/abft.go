@@ -300,7 +300,7 @@ func convRows[E Float | uint8](src []E, bsz int, g ConvGeom, pad E, xs []E, f fu
 	k := g.InC * g.KH * g.KW
 	if g.Stride != 1 {
 		for p := 0; p < k; p++ {
-			im2colBlock(xs, src, bsz, g, p, 1, 0, rowLen, pad)
+			im2colBlock(xs, src, g, p, 1, 0, rowLen, rowLen, pad)
 			f(p, xs)
 		}
 		return
@@ -657,7 +657,7 @@ func verifyConvCols[F Float](cd, ad, src []F, m, bsz int, g ConvGeom, eps, eta, 
 		}
 		// Suspicious (or non-finite) column: reconstruct the exact
 		// magnitude envelope from B's column j and re-judge.
-		im2colBlock(col, src, bsz, g, 0, k, j, 1, 0)
+		im2colBlock(col, src, g, 0, k, j, 1, 1, 0)
 		var bnd float64
 		for p, v := range col {
 			bnd += aAbs[p] * math.Abs(float64(v))
@@ -671,7 +671,7 @@ func verifyConvCols[F Float](cd, ad, src []F, m, bsz int, g ConvGeom, eps, eta, 
 		for r := 0; r < abftMaxRetries; r++ {
 			callAbftRetryHook(r)
 			// Re-gather: re-execution reads the operands as they are now.
-			im2colBlock(col, src, bsz, g, 0, k, j, 1, 0)
+			im2colBlock(col, src, g, 0, k, j, 1, 1, 0)
 			recomputeConvCol(cd, ad, col, m, n, j)
 			s := 0.0
 			for i := 0; i < m; i++ {
@@ -925,7 +925,7 @@ func verifyConvU8Cols[I int32 | int64](c, colsum []int32, a, qsrc []uint8, m, k,
 		ok := false
 		for r := 0; r < abftMaxRetries; r++ {
 			callAbftRetryHook(r)
-			im2colBlock(col, qsrc, bsz, g, 0, k, j, 1, zp)
+			im2colBlock(col, qsrc, g, 0, k, j, 1, 1, zp)
 			gemmU8Col(c[j:], a, col, k, n, 1, 0, m, 0)
 			// k ≤ MaxQuantK keeps Σ_p b[p][j] ≤ k·255 far below 2³¹, so the
 			// reference value is the exact int32 the kernel computes.

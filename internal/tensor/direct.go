@@ -77,9 +77,13 @@ func PackConvShiftU8(bits []uint8, outC, inC, kh, kw int) *PackedConvShift {
 	return p
 }
 
-// fill sets every element of s to v at memmove speed (doubling copy).
+// fill sets every element of s to v: short runs (the padding of one
+// im2col row) by a plain loop, longer ones at memmove speed (doubling copy).
 func fill[E any](s []E, v E) {
-	if len(s) == 0 {
+	if len(s) <= 32 {
+		for i := range s {
+			s[i] = v
+		}
 		return
 	}
 	s[0] = v

@@ -37,71 +37,121 @@ func (g ConvGeom) Validate() error {
 // convolution becomes a single matmul with a [OutC, C*KH*KW] weight matrix.
 // dst must have shape [C*KH*KW, OutH*OutW]; it is fully overwritten.
 func Im2Col(dst, src *T, g ConvGeom) {
-	oh, ow := g.OutH(), g.OutW()
+	ohw := g.OutH() * g.OutW()
 	rows := g.InC * g.KH * g.KW
-	if dst.Shape[0] != rows || dst.Shape[1] != oh*ow {
-		panic(fmt.Sprintf("tensor: Im2Col dst shape %v, want [%d %d]", dst.Shape, rows, oh*ow))
+	if dst.Shape[0] != rows || dst.Shape[1] != ohw {
+		panic(fmt.Sprintf("tensor: Im2Col dst shape %v, want [%d %d]", dst.Shape, rows, ohw))
 	}
 	if src.Len() != g.InC*g.InH*g.InW {
 		panic(fmt.Sprintf("tensor: Im2Col src len %d, want %d", src.Len(), g.InC*g.InH*g.InW))
 	}
-	im2colImage(dst.Data, src.Data, 0, 1, g, 0)
+	im2colBlock(dst.Data, src.Data, g, 0, rows, 0, ohw, ohw, 0)
 }
 
-// im2colImage writes image b's column block [b·OutH·OutW, (b+1)·OutH·OutW)
-// of every row of the batched column matrix dd from the image's [C,H,W]
-// data sd, padding with pad.
-func im2colImage[E Float | uint8](dd, sd []E, b, bsz int, g ConvGeom, pad E) {
-	oh, ow := g.OutH(), g.OutW()
+// im2colBlock writes rows [p0, p0+kc) × columns [j0, j0+jw) of the batched
+// [InC·KH·KW, B·OutH·OutW] im2col matrix of src, a packed image-major batch
+// (image b owns columns [b·OutH·OutW, (b+1)·OutH·OutW)), into blk: block
+// row p at blk[p·ldb:p·ldb+jw]. Padding positions take pad — 0 for the
+// float lowerings, the zero point for the quantized one. It is the one
+// column generator: the explicit lowering (the whole matrix at once), the
+// implicit drivers' panels and the ABFT verifiers' strided rows and
+// repaired columns all run it, and only the copy strategy depends on the
+// geometry.
+func im2colBlock[E Float | uint8](blk, src []E, g ConvGeom, p0, kc, j0, jw, ldb int, pad E) {
+	ohw := g.OutH() * g.OutW()
+	hw := g.InH * g.InW
 	khw := g.KH * g.KW
-	for row := 0; row < g.InC*khw; row++ {
-		base := (row*bsz + b) * oh * ow
-		im2colRow(dd[base:base+oh*ow], sd, row/khw*g.InH*g.InW, row%khw/g.KW, row%g.KW, oh, ow, g, pad)
+	merge := g.Stride == 1 && g.OutW() == g.InW
+	for p := 0; p < kc; p++ {
+		r := p0 + p
+		c, kh, kw := r/khw, r%khw/g.KW, r%g.KW
+		drow := blk[p*ldb : p*ldb+jw]
+		// One image's run of the block's columns at a time.
+		for d := 0; d < jw; {
+			b, q := (j0+d)/ohw, (j0+d)%ohw
+			seg := drow[d:min(jw, d+ohw-q)]
+			plane := src[(b*g.InC+c)*hw : (b*g.InC+c+1)*hw]
+			if merge {
+				im2colBand(seg, plane, q, kh, kw, g, pad)
+			} else {
+				im2colRows(seg, plane, q, kh, kw, g, pad)
+			}
+			d += len(seg)
+		}
 	}
 }
 
-// im2colRow fills one [OutH*OutW] row of a column matrix: the input patch
-// element at kernel offset (kh, kw) of channel chanOff for every output
-// position, with pad where the patch hangs over the padding border (0 for
-// the f64 and f32 lowerings, the zero point for the quantized one).
-func im2colRow[E Float | uint8](drow, sd []E, chanOff, kh, kw, oh, ow int, g ConvGeom, pad E) {
-	di := 0
-	for oy := 0; oy < oh; oy++ {
+// im2colBand is the row merge: it fills dst with the columns q0, q0+1, …
+// of one image's (channel, kh, kw) row, plane being that channel of the
+// image, for a stride-1 convolution with OutW == InW. There output
+// position q = oy·InW+ox reads plane[q+off] with one offset off for every
+// in-bounds output row, so those rows are one copy. The copy takes the
+// |kw−Pad| columns at the edge of each output row from the neighbouring
+// input row, where the window hangs over the padding border; they are set
+// to pad afterwards.
+func im2colBand[E Float | uint8](dst, plane []E, q0, kh, kw int, g ConvGeom, pad E) {
+	w := g.InW
+	q1 := q0 + len(dst)
+	// [lo, hi): the output rows whose input row oy+kh−Pad is in the plane.
+	lo := min(max((g.Pad-kh)*w, q0), q1)
+	hi := min(max((g.InH+g.Pad-kh)*w, lo), q1)
+	fill(dst[:lo-q0], pad)
+	fill(dst[hi-q0:], pad)
+	s := kw - g.Pad
+	off := (kh-g.Pad)*w + s
+	// Positions whose source falls outside the plane are edge columns.
+	if a, e := max(lo, -off), min(hi, len(plane)-off); a < e {
+		copy(dst[a-q0:e-q0], plane[a+off:e+off])
+	}
+	if s == 0 {
+		return
+	}
+	nw := min(max(s, -s), w)
+	x0 := 0 // s < 0: the first -s columns of each output row
+	if s > 0 {
+		x0 = w - nw // s > 0: the last s
+	}
+	for row := lo - lo%w; row < hi; row += w {
+		for q, e := max(row+x0, lo), min(row+x0+nw, hi); q < e; q++ {
+			dst[q-q0] = pad
+		}
+	}
+}
+
+// im2colRows fills dst with the columns q0, q0+1, … of one image's
+// (channel, kh, kw) row like im2colBand, for any geometry, one output row
+// at a time: pad where the row hangs over the top or bottom border, else
+// at stride 1 a left pad, one copy and a right pad, and at larger strides
+// an element loop.
+func im2colRows[E Float | uint8](dst, plane []E, q0, kh, kw int, g ConvGeom, pad E) {
+	ow := g.OutW()
+	oy, ox := q0/ow, q0%ow
+	for d := 0; d < len(dst); oy, ox = oy+1, 0 {
+		seg := dst[d:min(len(dst), d+ow-ox)]
+		d += len(seg)
 		iy := oy*g.Stride + kh - g.Pad
 		if iy < 0 || iy >= g.InH {
-			for ox := 0; ox < ow; ox++ {
-				drow[di] = pad
-				di++
-			}
+			fill(seg, pad)
 			continue
 		}
-		srow := sd[chanOff+iy*g.InW : chanOff+(iy+1)*g.InW]
-		ix := kw - g.Pad
+		srow := plane[iy*g.InW : (iy+1)*g.InW]
+		ix := ox*g.Stride + kw - g.Pad
 		if g.Stride == 1 {
-			// A stride-1 row is a contiguous gather: pad prefix where the
-			// window hangs over the left border, one copy for the in-bounds
-			// span, pad suffix on the right. Identical values to the
-			// element loop, at memmove speed.
-			pre := min(max(-ix, 0), ow)
-			span := min(ix+ow, g.InW) - max(ix, 0)
-			span = max(span, 0)
-			for x := 0; x < pre; x++ {
-				drow[di+x] = pad
+			pre := min(max(-ix, 0), len(seg))
+			span := max(min(ix+len(seg), g.InW)-max(ix, 0), 0)
+			fill(seg[:pre], pad)
+			if span > 0 {
+				copy(seg[pre:pre+span], srow[ix+pre:])
 			}
-			copy(drow[di+pre:di+pre+span], srow[ix+pre:ix+pre+span])
-			for x := di + pre + span; x < di+ow; x++ {
-				drow[x] = pad
-			}
-			di += ow
+			fill(seg[pre+span:], pad)
 			continue
 		}
-		for ox := 0; ox < ow; ox++ {
+		for x := range seg {
 			if ix >= 0 && ix < g.InW {
-				drow[di] = srow[ix]
+				seg[x] = srow[ix]
 			} else {
-				drow[di] = pad
+				seg[x] = pad
 			}
-			di++
 			ix += g.Stride
 		}
 	}
@@ -117,8 +167,7 @@ func im2colRow[E Float | uint8](drow, sd []E, chanOff, kh, kw, oh, ow int, g Con
 // probe and the tests. dst is fully overwritten.
 func Im2ColBatch(dst *T, srcs []*T, g ConvGeom) {
 	bsz := len(srcs)
-	oh, ow := g.OutH(), g.OutW()
-	ohw := oh * ow
+	ohw := g.OutH() * g.OutW()
 	rows := g.InC * g.KH * g.KW
 	if dst.Shape[0] != rows || dst.Shape[1] != bsz*ohw {
 		panic(fmt.Sprintf("tensor: Im2ColBatch dst shape %v, want [%d %d]", dst.Shape, rows, bsz*ohw))
@@ -129,7 +178,7 @@ func Im2ColBatch(dst *T, srcs []*T, g ConvGeom) {
 		}
 	}
 	for b, src := range srcs {
-		im2colImage(dst.Data, src.Data, b, bsz, g, 0)
+		im2colBlock(dst.Data[b*ohw:], src.Data, g, 0, rows, 0, ohw, bsz*ohw, 0)
 	}
 }
 
@@ -141,19 +190,16 @@ func Im2ColBatch(dst *T, srcs []*T, g ConvGeom) {
 // contiguous column block [b*OutH*OutW, (b+1)*OutH*OutW). dst is fully
 // overwritten.
 func Im2ColBatch32(dst, src *T32, bsz int, g ConvGeom) {
-	oh, ow := g.OutH(), g.OutW()
-	ohw := oh * ow
+	n := bsz * g.OutH() * g.OutW()
 	rows := g.InC * g.KH * g.KW
 	chw := g.InC * g.InH * g.InW
-	if dst.Shape[0] != rows || dst.Shape[1] != bsz*ohw {
-		panic(fmt.Sprintf("tensor: Im2ColBatch32 dst shape %v, want [%d %d]", dst.Shape, rows, bsz*ohw))
+	if dst.Shape[0] != rows || dst.Shape[1] != n {
+		panic(fmt.Sprintf("tensor: Im2ColBatch32 dst shape %v, want [%d %d]", dst.Shape, rows, n))
 	}
 	if len(src.Data) != bsz*chw {
 		panic(fmt.Sprintf("tensor: Im2ColBatch32 src len %d, want %d", len(src.Data), bsz*chw))
 	}
-	for b := 0; b < bsz; b++ {
-		im2colImage(dst.Data, src.Data[b*chw:(b+1)*chw], b, bsz, g, 0)
-	}
+	im2colBlock(dst.Data, src.Data, g, 0, rows, 0, n, n, 0)
 }
 
 // Col2Im scatters a [C*KH*KW, OutH*OutW] column matrix back onto a [C,H,W]

@@ -115,85 +115,6 @@ func implicitBlkPut[F Float](p *[]F) {
 	}
 }
 
-// im2colBlock fills blk (kc rows × jw columns, row stride jw) with the
-// sub-matrix rows [p0, p0+kc) × columns [j0, j0+jw) of the batched
-// [InC·KH·KW, bsz·OutH·OutW] im2col matrix of src (packed image-major
-// batch) — the same values Im2ColBatch, Im2ColBatch32 or Im2ColBatchU8
-// would have written there. Padding positions take pad: 0 for the float
-// batches, the zero point for a quantized one.
-//
-// The (b, oy, ox) decomposition of the block's first column is computed
-// once — it is the same for every row — and each segment then advances it
-// incrementally, so the inner loop is division-free like im2colRow's and
-// generation runs at the explicit lowering's cost per element.
-func im2colBlock[E Float | uint8](blk, src []E, bsz int, g ConvGeom, p0, kc, j0, jw int, pad E) {
-	ow, oh := g.OutW(), g.OutH()
-	ohw := oh * ow
-	chw := g.InC * g.InH * g.InW
-	khw := g.KH * g.KW
-	b0 := j0 / ohw
-	rem0 := j0 - b0*ohw
-	oy0, ox0 := rem0/ow, rem0%ow
-	for p := 0; p < kc; p++ {
-		r := p0 + p
-		c := r / khw
-		rk := r - c*khw
-		kh, kw := rk/g.KW, rk%g.KW
-		chanOff := c * g.InH * g.InW
-		drow := blk[p*jw : (p+1)*jw]
-		b, oy, ox := b0, oy0, ox0
-		di := 0
-		for di < jw {
-			seg := min(ow-ox, jw-di)
-			dst := drow[di : di+seg]
-			iy := oy*g.Stride + kh - g.Pad
-			if iy < 0 || iy >= g.InH {
-				for x := range dst {
-					dst[x] = pad
-				}
-			} else {
-				srow := src[b*chw+chanOff+iy*g.InW : b*chw+chanOff+(iy+1)*g.InW]
-				if g.Stride == 1 {
-					ix0 := ox + kw - g.Pad
-					pre := min(max(-ix0, 0), seg)
-					span := min(ix0+seg, g.InW) - max(ix0, 0)
-					span = max(span, 0)
-					for x := 0; x < pre; x++ {
-						dst[x] = pad
-					}
-					if span > 0 {
-						s0 := max(ix0, 0) // == ix0+pre whenever span > 0
-						copy(dst[pre:pre+span], srow[s0:s0+span])
-					}
-					for x := pre + span; x < seg; x++ {
-						dst[x] = pad
-					}
-				} else {
-					ix := ox*g.Stride + kw - g.Pad
-					for x := 0; x < seg; x++ {
-						if ix >= 0 && ix < g.InW {
-							dst[x] = srow[ix]
-						} else {
-							dst[x] = pad
-						}
-						ix += g.Stride
-					}
-				}
-			}
-			di += seg
-			ox += seg
-			if ox == ow {
-				ox = 0
-				oy++
-				if oy == oh {
-					oy = 0
-					b++
-				}
-			}
-		}
-	}
-}
-
 // ConvGemmIm2Col computes cm = weight × im2col(batch) for the f64 path
 // without materializing the column matrix: cm is [OutC, bsz·OutH·OutW],
 // weight [OutC, InC·KH·KW], src the packed image-major batch. Results are
@@ -206,20 +127,19 @@ func ConvGemmIm2Col(cm, weight *T, src []float64, bsz int, g ConvGeom) {
 }
 
 // implicitJW is the column width of the generation blocks of the implicit
-// paths. Wide blocks matter: generation cost is dominated by
-// per-segment bookkeeping (output-row decomposition, span setup), so
-// 16-column blocks pay it once per 16 elements while 256-column blocks
-// amortize it to the explicit im2col's long-row cost — while the block
-// still fits L1/L2 for every zoo K. Any width preserves bit-identity
-// (each output element remains one k-chain; only the block row stride
-// changes).
+// paths. Wide blocks matter: im2colBlock pays a fixed setup per block row
+// and per image run in it, and at stride 1 with OutW == InW copies each
+// run as one band, so 256-column blocks spend their time in long copies
+// as the explicit lowering does — while the block still fits L1/L2 for
+// every zoo K. Any width preserves bit-identity (each output element
+// remains one k-chain; only the block row stride changes).
 const implicitJW = 256
 
-// ImplicitConvMinN is the minimum GEMM width bsz·OutH·OutW at which the
-// float implicit-GEMM drivers beat the explicit lowering. Below it the
-// per-panel generation bookkeeping costs more than the one-shot im2col it
-// replaces — a lone served image (bsz = 1) sits there — so the layer
-// dispatch keeps the explicit path for small problems. The int8 direct
+// ImplicitConvMinN is the minimum GEMM width bsz·OutH·OutW at which
+// Conv runs the float implicit-GEMM driver instead of the explicit
+// lowering. At the engine's tile widths the two cost the same within
+// noise on most zoo convs, and explicit leads on the one- and
+// three-channel stems (DESIGN.md §7 has the table). The int8 direct
 // driver has no such floor: it never generates columns at all.
 const ImplicitConvMinN = 4096
 
@@ -245,7 +165,7 @@ func convGemm[F Float](cd, ad, src []F, m, k, n, bsz int, g ConvGeom) {
 	for jb := 0; jb < n; jb += implicitJW {
 		bw := min(implicitJW, n-jb)
 		b := blk[:k*bw]
-		im2colBlock(b, src, bsz, g, 0, k, jb, bw, 0)
+		im2colBlock(b, src, g, 0, k, jb, bw, bw, 0)
 		gemmFMA(cd[jb:], ad, b, m, k, bw, n, bw)
 	}
 	implicitBlkPut(blkp)
@@ -304,7 +224,7 @@ func convGemmU8(c, colsum []int32, a, qsrc []uint8, m, k, n, bsz int, g ConvGeom
 		je := min(jb+implicitJW, n)
 		bw := je - jb
 		b := blk[:k*bw]
-		im2colBlock(b, qsrc, bsz, g, 0, k, jb, bw, zp)
+		im2colBlock(b, qsrc, g, 0, k, jb, bw, bw, zp)
 		cs := colsum[jb:je]
 		for x := range cs {
 			cs[x] = 0

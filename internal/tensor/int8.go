@@ -146,19 +146,16 @@ func quantizeU8Go(dst []uint8, src []float32, invScale float32, zp uint8) {
 // reference the bit-identity tests and the kernel benchmark probe hold
 // those drivers to.
 func Im2ColBatchU8(dst, src []uint8, bsz int, g ConvGeom, zp uint8) {
-	oh, ow := g.OutH(), g.OutW()
-	ohw := oh * ow
+	n := bsz * g.OutH() * g.OutW()
 	rows := g.InC * g.KH * g.KW
 	chw := g.InC * g.InH * g.InW
-	if len(dst) != rows*bsz*ohw {
-		panic(fmt.Sprintf("tensor: Im2ColBatchU8 dst len %d, want %d", len(dst), rows*bsz*ohw))
+	if len(dst) != rows*n {
+		panic(fmt.Sprintf("tensor: Im2ColBatchU8 dst len %d, want %d", len(dst), rows*n))
 	}
 	if len(src) != bsz*chw {
 		panic(fmt.Sprintf("tensor: Im2ColBatchU8 src len %d, want %d", len(src), bsz*chw))
 	}
-	for b := 0; b < bsz; b++ {
-		im2colImage(dst, src[b*chw:(b+1)*chw], b, bsz, g, zp)
-	}
+	im2colBlock(dst, src, g, 0, rows, 0, n, n, zp)
 }
 
 // GemmU8Into computes the uint8 matrix product C (int32, m×n, fully

@@ -27,9 +27,7 @@ func Conv[F Float](cm, weight, src []F, m, bsz int, g ConvGeom, a *Arena) {
 		convGemm(cm, weight, src, m, k, n, bsz, g)
 	} else {
 		cols := Raw[F](a, k*n)
-		for b := 0; b < bsz; b++ {
-			im2colImage(cols, src[b*chw:(b+1)*chw], b, bsz, g, 0)
-		}
+		im2colBlock(cols, src, g, 0, k, 0, n, n, 0)
 		gemmServed(cm, weight, cols, m, k, n)
 	}
 	if s := a.Abft(); s != nil {
