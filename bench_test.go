@@ -18,6 +18,7 @@ import (
 	"sync"
 	"testing"
 
+	polygraph "repro"
 	"repro/internal/experiments"
 )
 
@@ -142,3 +143,18 @@ func BenchmarkExtThroughput(b *testing.B) { benchExperiment(b, "ext-throughput")
 // BenchmarkExtServing runs the HTTP serving throughput/latency study over
 // the dynamic-batching server (extension; paper §IV-C latency budget).
 func BenchmarkExtServing(b *testing.B) { benchExperiment(b, "ext-serving") }
+
+// BenchmarkBuild times one bring-up of the served convnet system per op:
+// dataset generation, the GreedyDesign over the cached logits, loading and
+// collapse-probing each member, and compiling the engine. Nothing is
+// memoized across ops (each Build starts from a fresh zoo), so every op
+// pays what a starting pgmr-serve or restarted cluster peer pays.
+func BenchmarkBuild(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		sys, err := polygraph.Build("convnet", polygraph.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sys.Close()
+	}
+}

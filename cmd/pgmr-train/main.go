@@ -18,9 +18,6 @@ import (
 	"repro/internal/model"
 )
 
-// candidatePool mirrors experiments.Context.CandidatePool.
-var candidatePool = []string{"AdHist", "ConNorm", "FlipX", "FlipY", "Gamma(1.5)", "Gamma(2)", "ImAdj"}
-
 func main() {
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: pgmr-train [benchmark]...\n")
@@ -69,8 +66,8 @@ func warm(zoo *model.Zoo, benches []model.Benchmark) error {
 		if err := want(b, model.Variant{}); err != nil {
 			return err
 		}
-		for _, p := range candidatePool {
-			if err := want(b, model.Variant{Preproc: p}); err != nil {
+		for _, v := range model.CandidatePool() {
+			if err := want(b, v); err != nil {
 				return err
 			}
 		}

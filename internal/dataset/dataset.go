@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -134,11 +135,23 @@ func Generate(cfg Config) (*Dataset, error) {
 		Classes: cfg.Classes,
 		InShape: []int{cfg.Channels, cfg.H, cfg.W},
 	}
+	// Each split draws from its own RNG and gen is read-only once built, so
+	// the three splits generate concurrently and bit-identically to one
+	// after another (TestGenerateMatchesCommittedDigests).
 	g := newGen(cfg)
-	d.Train = g.split(rand.New(rand.NewSource(cfg.Seed+1)), cfg.TrainN, nil)
-	d.Val = g.split(rand.New(rand.NewSource(cfg.Seed+2)), cfg.ValN, nil)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		d.Train = g.split(rand.New(rand.NewSource(cfg.Seed+1)), cfg.TrainN, nil)
+	}()
+	go func() {
+		defer wg.Done()
+		d.Val = g.split(rand.New(rand.NewSource(cfg.Seed+2)), cfg.ValN, nil)
+	}()
 	d.TestMeta = make([]Meta, 0, cfg.TestN)
 	d.Test = g.split(rand.New(rand.NewSource(cfg.Seed+3)), cfg.TestN, &d.TestMeta)
+	wg.Wait()
 	return d, nil
 }
 

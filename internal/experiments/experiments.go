@@ -71,18 +71,9 @@ func NewContext() *Context {
 // Profile returns the active dataset profile.
 func (c *Context) Profile() dataset.Profile { return c.Zoo.Profile }
 
-// CandidatePool returns the preprocessor candidate pool for greedy design.
-// It is the Table I pool minus Hist (redundant with AdHist at our image
-// sizes) — Scale(0.8) is examined separately by the Fig. 8 experiment as
-// the paper's example of a weak diversity source.
-func (c *Context) CandidatePool() []model.Variant {
-	names := []string{"AdHist", "ConNorm", "FlipX", "FlipY", "Gamma(1.5)", "Gamma(2)", "ImAdj"}
-	vs := make([]model.Variant, len(names))
-	for i, n := range names {
-		vs[i] = model.Variant{Preproc: n}
-	}
-	return vs
-}
+// CandidatePool returns the preprocessor candidate pool for greedy design
+// (model.CandidatePool).
+func (c *Context) CandidatePool() []model.Variant { return model.CandidatePool() }
 
 // Design returns the memoized greedy n-member design for a benchmark.
 func (c *Context) Design(b model.Benchmark, n int) (*core.Design, error) {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/nn"
 	"repro/internal/preprocess"
+	"repro/internal/tensor"
 )
 
 // cacheSchema is bumped whenever topologies, recipes or dataset generators
@@ -41,6 +42,19 @@ func (v Variant) Key() string {
 		return p
 	}
 	return fmt.Sprintf("%s#%d", p, v.Init)
+}
+
+// CandidatePool returns the preprocessor variants greedy design picks
+// members from: the paper's Table I pool minus Hist (redundant with AdHist
+// at our image sizes). Scale(0.8) is examined separately by the Fig. 8
+// experiment as the paper's example of a weak diversity source.
+func CandidatePool() []Variant {
+	names := []string{"AdHist", "ConNorm", "FlipX", "FlipY", "Gamma(1.5)", "Gamma(2)", "ImAdj"}
+	vs := make([]Variant, len(names))
+	for i, n := range names {
+		vs[i] = Variant{Preproc: n}
+	}
+	return vs
 }
 
 // Preprocessor resolves the variant's preprocessor.
@@ -246,10 +260,19 @@ func (z *Zoo) Network(b Benchmark, v Variant) (*nn.Network, error) {
 		path = z.netPath(b, v)
 		if err := net.LoadParamsFile(path); err == nil {
 			// Cached nets written before the collapse-retry ladder existed
-			// may be collapsed; detect and retrain them once (the ladder
-			// marker prevents retraining hopeless variants on every load).
-			probe := applyPreproc(pp, probeSlice(ds.Val))
-			if nn.Accuracy(net, probe) > collapseThreshold(ds.Classes) || z.hasRetryMarker(path) {
+			// may be collapsed; detect and retrain them once. The ladder
+			// marker accepts the net whatever the probe says (it stops
+			// hopeless variants retraining on every load), so it is
+			// checked first and spares the probe.
+			ok := z.hasRetryMarker(path)
+			if !ok {
+				acc, err := probeAccuracy(net, applyPreproc(pp, probeSlice(ds.Val)))
+				if err != nil {
+					return nil, fmt.Errorf("model: probing %s/%s: %w", b.Name, v.Key(), err)
+				}
+				ok = acc > collapseThreshold(ds.Classes)
+			}
+			if ok {
 				z.mu.Lock()
 				z.nets[key] = net
 				z.mu.Unlock()
@@ -323,6 +346,38 @@ func probeSlice(val []nn.Sample) []nn.Sample {
 	return val[:n]
 }
 
+// probeAccuracy is the collapse probe: the top-1 accuracy of net on
+// samples, computed on the served forward — the net compiled at f64 and run
+// through InferBatch in Tile()-sized chunks on one arena — rather than by
+// nn.Accuracy's per-image Network.Forward, which the server never runs.
+// A net that does not compile is an error.
+func probeAccuracy(net *nn.Network, samples []nn.Sample) (float64, error) {
+	if len(samples) == 0 {
+		return 0, nil
+	}
+	cn, err := nn.Compile[float64](net)
+	if err != nil {
+		return 0, err
+	}
+	a := tensor.NewArena()
+	xs := make([]*tensor.T, 0, cn.Tile())
+	correct := 0
+	for lo := 0; lo < len(samples); lo += cn.Tile() {
+		chunk := samples[lo:min(lo+cn.Tile(), len(samples))]
+		xs = xs[:0]
+		for _, s := range chunk {
+			xs = append(xs, s.X)
+		}
+		for i, row := range cn.InferBatch(xs, a) {
+			if argmax(row) == chunk[i].Label {
+				correct++
+			}
+		}
+		a.Reset()
+	}
+	return float64(correct) / float64(len(samples)), nil
+}
+
 // trainWithRetries trains a fresh network, retrying with halved learning
 // rates when the result is a collapsed (near-chance) predictor, and returns
 // the best attempt by probe accuracy plus whether any retry was needed.
@@ -339,7 +394,10 @@ func (z *Zoo) trainWithRetries(b Benchmark, v Variant, train, probe []nn.Sample,
 		if _, err := nn.Train(net, train, cfg); err != nil {
 			return nil, retried, fmt.Errorf("model: training %s/%s: %w", b.Name, v.Key(), err)
 		}
-		acc := nn.Accuracy(net, probe)
+		acc, err := probeAccuracy(net, probe)
+		if err != nil {
+			return nil, retried, fmt.Errorf("model: probing %s/%s: %w", b.Name, v.Key(), err)
+		}
 		if acc > bestAcc {
 			best, bestAcc = net, acc
 		}

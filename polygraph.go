@@ -329,8 +329,7 @@ func Build(benchmark string, opts Options) (*System, error) {
 		zoo.Progress = opts.Progress
 	}
 
-	candidates := defaultCandidates()
-	design, err := core.GreedyDesign(zoo, b, candidates, opts.Members)
+	design, err := core.GreedyDesign(zoo, b, model.CandidatePool(), opts.Members)
 	if err != nil {
 		return nil, fmt.Errorf("polygraph: designing system: %w", err)
 	}
@@ -487,15 +486,6 @@ func Build(benchmark string, opts Options) (*System, error) {
 		s.cluster = node
 	}
 	return s, nil
-}
-
-func defaultCandidates() []model.Variant {
-	names := []string{"AdHist", "ConNorm", "FlipX", "FlipY", "Gamma(1.5)", "Gamma(2)", "ImAdj"}
-	vs := make([]model.Variant, len(names))
-	for i, n := range names {
-		vs[i] = model.Variant{Preproc: n}
-	}
-	return vs
 }
 
 // checkImage validates one input against the benchmark's expected shape.
