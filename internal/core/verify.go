@@ -35,19 +35,25 @@ func (s *System) PrepareVerified(on bool) {
 // Verified reports whether ABFT verification is prepared on this system.
 func (s *System) Verified() bool { return s.abft != nil }
 
+// AbftSink returns the system-wide verification sink, nil until
+// PrepareVerified(true). Its fault hooks (tensor.AbftStats.Injector,
+// RetryHook) reach every verified member inference of this system, and no
+// other system's; install them before the classifications they strike.
+func (s *System) AbftSink() *tensor.AbftStats { return s.abft }
+
 // AbftCounts snapshots the verification telemetry: checksum comparisons,
 // detected mismatches, and their corrected/uncorrectable resolutions. All
 // zero when verification was never prepared.
 func (s *System) AbftCounts() tensor.AbftCounts { return s.abft.Counts() }
 
 // verifySink returns the stats sink for one member inference call — a
-// fresh per-call AbftStats when the member runs verified, so an
-// uncorrectable outcome is attributed to exactly this inference rather
-// than racing with concurrent members on the shared counters — or nil
-// when the member runs unverified.
+// fresh per-call AbftStats carrying the system sink's fault hooks when the
+// member runs verified, so an uncorrectable outcome is attributed to
+// exactly this inference rather than racing with concurrent members on
+// the shared counters — or nil when the member runs unverified.
 func (s *System) verifySink(m *Member) *tensor.AbftStats {
 	if m.Verified && s.abft != nil {
-		return &tensor.AbftStats{}
+		return &tensor.AbftStats{Injector: s.abft.Injector, RetryHook: s.abft.RetryHook}
 	}
 	return nil
 }

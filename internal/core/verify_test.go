@@ -116,15 +116,13 @@ func TestVerifiedUncorrectableAbstains(t *testing.T) {
 	x := tensor.New(1, 8, 8)
 	x.FillUniform(rng, 0, 1)
 
-	inj := &corruptOnce{}
-	tensor.SetAbftInjector(inj)
-	defer tensor.SetAbftInjector(nil)
+	sink := sys.AbftSink()
+	sink.Injector = &corruptOnce{}
 	// Corrupt the CENTER tap of the first 3×3 kernel: for the corrupted
 	// output column 0 (pixel (0,0)) the corner taps multiply zero padding,
 	// so only a tap that touches live input makes the recompute diverge.
 	w := net.Params()[0].Value.Data
-	tensor.SetAbftRetryHook(func(int) { w[4] = 1e30 })
-	defer tensor.SetAbftRetryHook(nil)
+	sink.RetryHook = func(int) { w[4] = 1e30 }
 
 	d := sys.Classify(x)
 	c := sys.AbftCounts()
@@ -191,13 +189,11 @@ func TestVerifiedUncorrectableAbstainsPerTile(t *testing.T) {
 
 	w := net.Params()[0].Value.Data
 	orig := w[4]
-	inj := &restoreOnSecond{undo: func() { w[4] = orig }}
-	tensor.SetAbftInjector(inj)
-	defer tensor.SetAbftInjector(nil)
+	sink := sys.AbftSink()
+	sink.Injector = &restoreOnSecond{undo: func() { w[4] = orig }}
 	// As in TestVerifiedUncorrectableAbstains: the center tap touches live
 	// input for the corrupted column, so the recompute diverges again.
-	tensor.SetAbftRetryHook(func(int) { w[4] = 1e30 })
-	defer tensor.SetAbftRetryHook(nil)
+	sink.RetryHook = func(int) { w[4] = 1e30 }
 
 	got := sys.ClassifyBatch(xs)
 	if c := sys.AbftCounts(); c.Uncorrectable != 1 {

@@ -94,7 +94,7 @@ func ExtAbft(ctx *Context) (*Result, error) {
 		// fault-free when re-execution restored every label and verdict.
 		before := sys.AbftCounts()
 		ki := faults.NewKernelInjector(131+int64(backend), 1)
-		ki.Install()
+		ki.Install(sys.AbftSink())
 		rounds, faultFree := 0, 0
 		for ki.Injected() < target {
 			got := sys.ClassifyBatch(xs)
@@ -110,7 +110,6 @@ func ExtAbft(ctx *Context) (*Result, error) {
 				faultFree++
 			}
 		}
-		ki.Remove()
 		after := sys.AbftCounts()
 		inj := uint64(ki.Injected())
 		detected := after.Detected - before.Detected

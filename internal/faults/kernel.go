@@ -14,8 +14,10 @@ import (
 // corrupts weights at rest (a fault in stored parameters), KernelInjector
 // corrupts the freshly computed product the checksums are about to measure,
 // modelling an upset that struck an accumulator or a store during the
-// kernel itself. Install hands the injector to the tensor package; every
-// verified kernel call then suffers at most one flip with probability Rate,
+// kernel itself. Install hands the injector to one verification sink; every
+// verified kernel call recording into that sink (or, for a core.System's
+// sink, into the per-call sinks drawn from it) then suffers at most one
+// flip with probability Rate,
 // so detections attribute 1:1 to injections and a campaign's detection
 // rate is simply Detected/Injected.
 //
@@ -54,11 +56,10 @@ func NewKernelInjector(seed int64, rate float64) *KernelInjector {
 	}
 }
 
-// Install makes this injector the live tensor-kernel corruption hook.
-func (ki *KernelInjector) Install() { tensor.SetAbftInjector(ki) }
-
-// Remove uninstalls whatever kernel injector is active.
-func (ki *KernelInjector) Remove() { tensor.SetAbftInjector(nil) }
+// Install makes this injector the kernel corruption hook of s: verified
+// kernels recording into s hand it their live output buffers. Install
+// before the runs it strikes start.
+func (ki *KernelInjector) Install(s *tensor.AbftStats) { s.Injector = ki }
 
 // Injected returns how many bit flips have been applied so far.
 func (ki *KernelInjector) Injected() int {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/nn"
@@ -65,14 +66,13 @@ func TestKernelInjectionCoverageF64(t *testing.T) {
 	}
 
 	ki := NewKernelInjector(41, 1)
-	ki.Install()
 	st := &tensor.AbftStats{}
+	ki.Install(st)
 	a.SetAbft(st)
 	faulty := make([][]float64, len(xs))
 	for i, x := range xs {
 		faulty[i] = infer(x)
 	}
-	ki.Remove()
 
 	c := st.Counts()
 	inj := uint64(ki.Injected())
@@ -119,9 +119,8 @@ func batchedCampaignF64(t *testing.T, bsz int) {
 	a.Reset()
 
 	ki := NewKernelInjector(43, 1)
-	ki.Install()
-	defer ki.Remove()
 	st := &tensor.AbftStats{}
+	ki.Install(st)
 	a.SetAbft(st)
 	// One fused call per layer per batch: loop rounds for statistics.
 	var faulty [][][]float64
@@ -129,7 +128,6 @@ func batchedCampaignF64(t *testing.T, bsz int) {
 		faulty = append(faulty, net.InferBatch(xs, a))
 		a.Reset()
 	}
-	ki.Remove()
 
 	c := st.Counts()
 	inj := uint64(ki.Injected())
@@ -172,8 +170,8 @@ func campaignF32(t *testing.T, bsz int) {
 	a.Reset()
 
 	ki := NewKernelInjector(47, 1)
-	ki.Install()
 	st := &tensor.AbftStats{}
+	ki.Install(st)
 	a.SetAbft(st)
 	var faulty [][][]float64
 	for round := 0; round < 40; round++ {
@@ -181,7 +179,6 @@ func campaignF32(t *testing.T, bsz int) {
 		faulty = append(faulty, rows)
 		a.Reset()
 	}
-	ki.Remove()
 
 	c := st.Counts()
 	inj := uint64(ki.Injected())
@@ -224,9 +221,8 @@ func TestKernelInjectionCoverageInt8(t *testing.T) {
 	a.Reset()
 
 	ki := NewKernelInjector(53, 1)
-	ki.Install()
-	defer ki.Remove()
 	st := &tensor.AbftStats{}
+	ki.Install(st)
 	a.SetAbft(st)
 	// The fused int8 kernels run once per layer per batch, so a single
 	// batch only offers two injection sites; loop rounds to build a
@@ -238,7 +234,6 @@ func TestKernelInjectionCoverageInt8(t *testing.T) {
 		}
 		a.Reset()
 	}
-	ki.Remove()
 
 	c := st.Counts()
 	inj := uint64(ki.Injected())
@@ -250,6 +245,61 @@ func TestKernelInjectionCoverageInt8(t *testing.T) {
 	}
 	if c.Uncorrectable != 0 || c.Corrected != c.Detected {
 		t.Fatalf("campaign outcome: %+v", c)
+	}
+}
+
+// TestKernelInjectorIsolatedToItsSink: the fault hooks ride on a
+// verification sink, not on the package, so a campaign strikes exactly the
+// forwards recording into its sink. Two verified forwards run concurrently
+// over one shared compiled net, each on its own arena, one sink carrying a
+// KernelInjector at rate 1 and the other clean: the struck sink detects
+// flips, the clean one none, and every clean row equals the unverified
+// run's bit for bit.
+func TestKernelInjectorIsolatedToItsSink(t *testing.T) {
+	net, err := nn.Compile[float64](testNet(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := testImages(8)
+	want := net.InferBatch(xs, tensor.NewArena())
+
+	struck, clean := &tensor.AbftStats{}, &tensor.AbftStats{}
+	ki := NewKernelInjector(59, 1)
+	ki.Install(struck)
+	const rounds = 40
+	got := make([][][]float64, rounds)
+	var wg sync.WaitGroup
+	for _, sink := range []*tensor.AbftStats{struck, clean} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			a := tensor.NewArena()
+			a.SetAbft(sink)
+			for r := 0; r < rounds; r++ {
+				rows := net.InferBatch(xs, a)
+				a.Reset()
+				if sink == clean {
+					got[r] = rows
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	if inj, c := ki.Injected(), struck.Counts(); inj == 0 || c.Detected == 0 {
+		t.Fatalf("struck sink: %d flips injected, counts %+v", inj, c)
+	}
+	if c := clean.Counts(); c.Checks == 0 || c.Detected != 0 {
+		t.Fatalf("clean sink counts %+v, want checks and no detections", c)
+	}
+	for r, rows := range got {
+		for i, row := range rows {
+			for j, v := range row {
+				if math.Float64bits(v) != math.Float64bits(want[i][j]) {
+					t.Fatalf("round %d image %d class %d: clean verified %v, unverified %v", r, i, j, v, want[i][j])
+				}
+			}
+		}
 	}
 }
 

@@ -13,10 +13,10 @@ import (
 // Dense layer, and swaps those nodes for quantized versions:
 //
 //	quantize input (uint8, calibrated affine scale/zp)
-//	  → uint8 GEMM with int32 accumulators: direct shift (stride 1) or
-//	    implicit-GEMM (strided) convolution, Dense against a compile-time
-//	    transposed weight pack; verified mode checks either product in its
-//	    epilogue (tensor.VerifyConvU8, VerifyGemmU8)
+//	  → uint8 GEMM with int32 accumulators (tensor.ConvU8: direct shift at
+//	    stride 1, implicit GEMM when strided; tensor.DenseU8 against a
+//	    compile-time transposed weight pack); verified mode checks either
+//	    product in its epilogue
 //	  → fused dequantize + bias (tensor.DequantRow), then the absorbed
 //	    ReLU / 2×2 max-pool stages of the conv epilogue (nn/epilogue.go)
 //
@@ -83,21 +83,7 @@ func (q *qconv32) forward(src []float32, in []int, bsz int, a *tensor.Arena) ([]
 
 	acc := tensor.Raw[int32](a, q.outC*bohw)
 	colsum := tensor.Raw[int32](a, bohw)
-	x := qsrc[:bsz*g.InC*g.InH*g.InW]
-	if q.shift != nil {
-		// Direct shift convolution: no im2col operand at all — the
-		// kernels consume the padded channel-interleaved image through
-		// the compile-time kernel-column weight panels (DESIGN.md §14).
-		// int32 accumulation is order-independent, so the result is exact.
-		tensor.ConvDirectU8(acc, colsum, q.shift, x, bsz, g, q.zp)
-	} else {
-		// Strided convs: implicit GEMM, the byte im2col operand
-		// generated per panel instead of materialized.
-		tensor.ConvGemmU8Im2Col(acc, colsum, q.qw.Bits, q.outC, x, bsz, g, q.zp)
-	}
-	if s := a.Abft(); s != nil {
-		s.Record(tensor.VerifyConvU8(acc, colsum, q.qw.Bits, q.outC, x, bsz, g, q.zp))
-	}
+	tensor.ConvU8(acc, colsum, q.qw, q.shift, qsrc[:bsz*g.InC*g.InH*g.InW], bsz, g, q.zp, a)
 
 	// The epilogue dequantizes each (channel, image) plane into an L1-sized
 	// scratch plane and runs the absorbed stages from there into dst.
@@ -169,14 +155,7 @@ func (q *qdense32) forward(src []float32, in []int, bsz int, a *tensor.Arena) ([
 	tensor.QuantizeU8(qa, src[:bsz*q.in], q.invScale, q.zp)
 
 	acc := tensor.Raw[int32](a, bsz*q.out)
-	tensor.GemmU8PreInto(acc, qa, q.packed.Bits, bsz, q.in, q.out)
-	if s := a.Abft(); s != nil {
-		// The verifier's injection and repair seams write through the
-		// colsum slice, so hand it a scratch copy of the precomputed sums.
-		cs := tensor.Raw[int32](a, q.out)
-		copy(cs, q.packed.ColSum)
-		s.Record(tensor.VerifyGemmU8(acc, cs, qa, q.packed.Bits, bsz, q.in, q.out))
-	}
+	tensor.DenseU8(acc, qa, q.packed, bsz, a)
 
 	dst := tensor.Raw[float32](a, bsz*q.out)
 	for b := 0; b < bsz; b++ {

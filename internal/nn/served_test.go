@@ -93,14 +93,23 @@ func checkVerifiedRowsMatchServed(t *testing.T, xs []*tensor.T, run func(xs []*t
 }
 
 // TestVerifiedDrawsServedScratch holds verified mode to the served
-// lowering's scratch: at B=32 a verified forward draws exactly as many
-// arena buffers as an unverified one, and grows every slab to the same
-// length, for every zoo topology on the f64 and f32 nets. A verified-only
-// lowering — say, an im2col matrix materialized for the checksums to read
-// — would draw more. (The int8 Dense check draws one scratch copy of its
-// precomputed column sums, which the verifier's repair writes through.)
+// lowering's scratch: at B=32 a verified forward returns with exactly as
+// many arena buffers live, and exactly as many bytes drawn, as an
+// unverified one, for every zoo topology on the f64, f32 and int8 nets. A
+// verified-only lowering held across the forward — say, an im2col matrix
+// materialized for the checksums to read — would show in both. The
+// checksum epilogues draw their own scratch between an arena Mark and
+// Release, so it leaves no trace at return; it shows only in the slabs,
+// which grow to cover it. The test logs that difference, the checksum
+// scratch cost, per topology and backend. On a warm arena the verified
+// forward also makes exactly the served forward's heap allocations (its
+// result rows and shape bookkeeping): no kernel scratch comes from the
+// heap in either mode.
 func TestVerifiedDrawsServedScratch(t *testing.T) {
-	type draws struct{ live, f64, f32, u8, i32 int }
+	type draws struct {
+		live, drawn, slab int
+		allocs            float64
+	}
 	for _, f := range backendFixtures(t) {
 		net64, err := nn.Compile[float64](f.net)
 		if err != nil {
@@ -110,21 +119,39 @@ func TestVerifiedDrawsServedScratch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		net8, err := f.net.CompileInt8(f.xs[:8])
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, be := range []struct {
 			name  string
 			infer func([]*tensor.T, *tensor.Arena) [][]float64
-		}{{"f64", net64.InferBatch}, {"f32", net32.InferBatch}} {
+		}{{"f64", net64.InferBatch}, {"f32", net32.InferBatch}, {"int8", net8.InferBatch}} {
 			run := func(abft *tensor.AbftStats) draws {
 				a := tensor.NewArena()
 				a.SetAbft(abft)
 				be.infer(f.xs[:32], a)
-				live := a.Live()
+				d := draws{live: a.Live(), drawn: a.Drawn()}
 				a.Reset()
-				return draws{live, tensor.SlabLen[float64](a), tensor.SlabLen[float32](a), tensor.SlabLen[uint8](a), tensor.SlabLen[int32](a)}
+				d.slab = 8*tensor.SlabLen[float64](a) + 4*tensor.SlabLen[float32](a) + tensor.SlabLen[uint8](a) +
+					4*tensor.SlabLen[int32](a) + 8*tensor.SlabLen[int64](a)
+				d.allocs = testing.AllocsPerRun(3, func() {
+					be.infer(f.xs[:32], a)
+					a.Reset()
+				})
+				return d
 			}
-			if served, verified := run(nil), run(&tensor.AbftStats{}); verified != served {
-				t.Errorf("%s/%s: verified forward drew %+v (buffers, slab elements), served %+v", f.name, be.name, verified, served)
+			served, verified := run(nil), run(&tensor.AbftStats{})
+			if verified.live != served.live || verified.drawn != served.drawn {
+				t.Errorf("%s/%s: verified forward returned with %d buffers live, %d bytes drawn; served %d, %d",
+					f.name, be.name, verified.live, verified.drawn, served.live, served.drawn)
 			}
+			if verified.allocs != served.allocs {
+				t.Errorf("%s/%s: warm verified forward allocates %.1f times, served %.1f",
+					f.name, be.name, verified.allocs, served.allocs)
+			}
+			t.Logf("%s/%s: slabs %d B served, %d B verified (checksum scratch +%d B)",
+				f.name, be.name, served.slab, verified.slab, verified.slab-served.slab)
 		}
 	}
 }
@@ -132,8 +159,8 @@ func TestVerifiedDrawsServedScratch(t *testing.T) {
 // TestSharedNetworkConcurrent hammers one network's compiled f64, f32 and
 // int8 nets from many goroutines with private arenas — the
 // serving layout. Run under -race this locks that the served forward paths
-// (pooled generation blocks, shared packed weight buffers) are data-race
-// free and deterministic across goroutines.
+// (kernel scratch on each goroutine's own arena, shared packed weight
+// buffers) are data-race free and deterministic across goroutines.
 func TestSharedNetworkConcurrent(t *testing.T) {
 	fs := backendFixtures(t)
 	f := fs[1] // convnet: conv-heavy, exercises every implicit path

@@ -94,8 +94,7 @@ func BenchmarkAbftInjection(b *testing.B) {
 			before := sys.AbftCounts()
 
 			ki := faults.NewKernelInjector(211+int64(backend), 1)
-			ki.Install()
-			defer ki.Remove()
+			ki.Install(sys.AbftSink())
 			rounds, faultFree := 0, 0
 			round := func() {
 				got := sys.ClassifyBatch(xs)

@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 )
@@ -96,12 +95,25 @@ func (o *VerifyOutcome) merge(p VerifyOutcome) {
 
 // AbftStats is a race-free sink for VerifyOutcomes, shared by every worker
 // goroutine running verified inference for one member (or one system). The
-// zero value is ready to use.
+// zero value is ready to use. It also carries the fault-injection seams of
+// the kernels that record into it (installed on an arena by
+// Arena.SetAbft): a campaign installs onto the sink of the runs it means
+// to strike, and every other sink's kernels stay clean. Set the hooks
+// before the runs they strike start; production code leaves both nil.
 type AbftStats struct {
 	checks        atomic.Uint64
 	detected      atomic.Uint64
 	corrected     atomic.Uint64
 	uncorrectable atomic.Uint64
+
+	// Injector, when non-nil, is handed every live output buffer the
+	// verify epilogues are about to measure (see AbftInjector).
+	Injector AbftInjector
+	// RetryHook, when non-nil, runs before every repair attempt with the
+	// 0-based attempt index. It models faults that persist across
+	// re-execution — corrupted operand memory, a recurring fault — which a
+	// stable-memory retry could otherwise never exhibit.
+	RetryHook func(attempt int)
 }
 
 // Record adds one kernel outcome. A nil receiver is a no-op so call sites
@@ -153,38 +165,21 @@ func (s *AbftStats) Counts() AbftCounts {
 	}
 }
 
-// abftRetryHook, when set, runs before every repair attempt with the
-// 0-based attempt index. It is a fault-injection seam: internal/faults
-// campaigns (and the uncorrectable-path tests) use it to model faults that
-// persist across re-execution — corrupted operand memory, a recurring
-// fault — which a stable-memory retry could otherwise never exhibit.
-// Production code never sets it.
-var abftRetryHook atomic.Pointer[func(attempt int)]
-
-// SetAbftRetryHook installs (or, with nil, removes) the repair-attempt
-// fault-injection hook. For tests and injection campaigns only.
-func SetAbftRetryHook(h func(attempt int)) {
-	if h == nil {
-		abftRetryHook.Store(nil)
-		return
-	}
-	abftRetryHook.Store(&h)
-}
-
-func callAbftRetryHook(attempt int) {
-	if p := abftRetryHook.Load(); p != nil {
-		(*p)(attempt)
+// retry runs the repair-attempt hook, if any. A nil receiver is a no-op.
+func (s *AbftStats) retry(attempt int) {
+	if s != nil && s.RetryHook != nil {
+		s.RetryHook(attempt)
 	}
 }
 
 // AbftInjector corrupts live kernel output buffers. The verify epilogues
-// hand every buffer they are about to measure to the installed injector
+// hand every buffer they are about to measure to their sink's injector
 // first, so a fault-injection campaign (internal/faults) can flip bits in
 // the data the checksums actually cover — modelling a transient fault that
 // struck during the kernel, after the operands were read but before the
 // epilogue ran. The repair path does NOT re-invoke the injector: a flip is
 // transient, and re-execution computes from clean operands (persistent
-// faults are modelled separately via SetAbftRetryHook).
+// faults are modelled separately by AbftStats.RetryHook).
 type AbftInjector interface {
 	// CorruptF64 may flip bits in a float64 output buffer.
 	CorruptF64(buf []float64)
@@ -195,36 +190,16 @@ type AbftInjector interface {
 	CorruptI32(acc, colsum []int32)
 }
 
-// abftInjectHook is the installed output-buffer injector, nil outside
-// fault-injection campaigns. It is only consulted from Verify* epilogues,
-// so unverified inference never pays even the atomic load.
-var abftInjectHook atomic.Pointer[AbftInjector]
-
-// SetAbftInjector installs (or, with nil, removes) the live-buffer
-// fault-injection hook. For tests and injection campaigns only.
-func SetAbftInjector(h AbftInjector) {
-	if h == nil {
-		abftInjectHook.Store(nil)
+// injectF hands a float output buffer to s's injector, if any.
+func injectF[F Float](s *AbftStats, buf []F) {
+	if s == nil || s.Injector == nil {
 		return
 	}
-	abftInjectHook.Store(&h)
-}
-
-// injectF hands a float output buffer to the installed injector.
-func injectF[F Float](buf []F) {
-	if p := abftInjectHook.Load(); p != nil {
-		switch b := any(buf).(type) {
-		case []float64:
-			(*p).CorruptF64(b)
-		case []float32:
-			(*p).CorruptF32(b)
-		}
-	}
-}
-
-func injectI32(acc, colsum []int32) {
-	if p := abftInjectHook.Load(); p != nil {
-		(*p).CorruptI32(acc, colsum)
+	switch b := any(buf).(type) {
+	case []float64:
+		s.Injector.CorruptF64(b)
+	case []float32:
+		s.Injector.CorruptF32(b)
 	}
 }
 
@@ -259,11 +234,11 @@ func abftColTol(bnd float64, k, m int, eps, eta float64) float64 {
 }
 
 // recomputeConvCol re-executes column j of C = A×B, B's column j given
-// gathered in col, with the served GEMM driver: a column's bits do not
-// depend on its neighbours, so a repaired column has exactly the bits a
-// fault-free run serves.
-func recomputeConvCol[F Float](cd, ad, col []F, m, n, j int) {
-	gemmFMA(cd[j:], ad, col, m, len(col), 1, n, 1)
+// gathered in col, with the served GEMM driver (its edge scratch from a):
+// a column's bits do not depend on its neighbours, so a repaired column
+// has exactly the bits a fault-free run serves.
+func recomputeConvCol[F Float](cd, ad, col []F, m, n, j int, a *Arena) {
+	gemmFMA(cd[j:], ad, col, m, len(col), 1, n, 1, a)
 }
 
 // gemmGeom is the geometry under which a plain GEMM's B operand [k, n] is
@@ -404,51 +379,6 @@ func sumAbsAccum[F Float](sum, sumAbs []F, row []F) {
 	}
 }
 
-// abftScratch pools the checksum arrays of the verify epilogues: the hot
-// ones are O(n) for wide conv GEMMs, and allocating (and runtime-zeroing)
-// them per verified kernel call costs as much as the checksum passes
-// themselves. Buffers come back uninitialized — every user seeds them with
-// a first-iteration write pass instead of clearing.
-type abftScratch struct {
-	f32  []float32
-	f64  []float64
-	f64b []float64
-	i32  []int32
-	i64  []int64
-	u8   []uint8
-}
-
-var abftPool = sync.Pool{New: func() any { return new(abftScratch) }}
-
-// growScratch returns s[:n] with undefined contents, reallocating only when
-// the pooled capacity is short.
-func growScratch[T any](s *[]T, n int) []T {
-	if cap(*s) < n {
-		*s = make([]T, n)
-	}
-	return (*s)[:n]
-}
-
-// abftFloatBuf hands out the pooled buffer matching the instantiated float
-// type. Callers that also need an independent float64 buffer (the envelope
-// sums) take sc.f64b, which no instantiation returns here.
-func abftFloatBuf[F Float](sc *abftScratch, n int) []F {
-	var z F
-	if _, ok := any(z).(float32); ok {
-		return any(growScratch(&sc.f32, n)).([]F)
-	}
-	return any(growScratch(&sc.f64, n)).([]F)
-}
-
-// abftIntBuf is abftFloatBuf for the integer checksum widths.
-func abftIntBuf[I int32 | int64](sc *abftScratch, n int) []I {
-	var z I
-	if _, ok := any(z).(int32); ok {
-		return any(growScratch(&sc.i32, n)).([]I)
-	}
-	return any(growScratch(&sc.i64, n)).([]I)
-}
-
 // axpyAuto adds alpha·src into dst on the AVX2 row kernels where the
 // machine has them, on axpyUnrolled elsewhere. The vector kernels fuse
 // each multiply-add (one rounding) where axpyUnrolled rounds twice, so
@@ -506,7 +436,7 @@ func sumAbsAuto[F Float](sum, sumAbs []F, row []F) {
 }
 
 // scaleSetAuto seeds dst = alpha·src, AVX2-dispatched for float32. Seeding
-// with the first row instead of zeroing lets the pooled scratch skip a
+// with the first row instead of zeroing lets the arena scratch skip a
 // clear pass.
 func scaleSetAuto[F Float](dst []F, alpha F, src []F) {
 	j := 0
@@ -593,30 +523,31 @@ func sumRowI32(acc, row []int32) {
 // through convRows, and the magnitude envelope and repair gather the one
 // column they need with im2colBlock, so the check reads the conv's input
 // and filter whichever kernel produced cd.
+// Its checksum arrays are scratch from a, released on return; the repair
+// path runs a's sink's RetryHook before every attempt.
 // The checksum accumulators run in the native element type F: the
 // tolerance already charges abftTol·(k+m)·eps for the kernel's own
 // accumulation error, and the checksum passes add at most k·eps·bnd
 // (prediction) plus m·eps·bnd (measurement) on top — comfortably inside
 // that budget, and far cheaper than float64-widening every float32
 // element.
-func verifyConvCols[F Float](cd, ad, src []F, m, bsz int, g ConvGeom, eps, eta, lim float64) VerifyOutcome {
+func verifyConvCols[F Float](cd, ad, src []F, m, bsz int, g ConvGeom, eps, eta, lim float64, a *Arena) VerifyOutcome {
 	k := g.InC * g.KH * g.KW
 	n := bsz * g.OutH() * g.OutW()
 	o := VerifyOutcome{Checks: n}
 	if m == 0 || k == 0 || n == 0 {
 		return o
 	}
-	sc := abftPool.Get().(*abftScratch)
-	defer abftPool.Put(sc)
+	mk := a.Mark()
 	rowLen, size := convRowsLen(bsz, g)
-	buf := abftFloatBuf[F](sc, 3*n+2*k+rowLen+size)
+	buf := Raw[F](a, 3*n+2*k+rowLen+size)
 	pred, act, actAbs := buf[:n], buf[n:2*n], buf[2*n:3*n]
 	aSum, col := buf[3*n:3*n+k], buf[3*n+k:3*n+2*k]
 	acc, xs := pred, buf[3*n+2*k+rowLen:]
 	if g.Stride == 1 {
 		acc = buf[3*n+2*k : 3*n+2*k+rowLen]
 	}
-	aAbs := growScratch(&sc.f64b, k)
+	aAbs := Raw[float64](a, k)
 	copy(aSum, ad[:k])
 	for p, v := range ad[:k] {
 		aAbs[p] = math.Abs(float64(v))
@@ -669,10 +600,10 @@ func verifyConvCols[F Float](cd, ad, src []F, m, bsz int, g ConvGeom, eps, eta, 
 		o.Detected++
 		ok := false
 		for r := 0; r < abftMaxRetries; r++ {
-			callAbftRetryHook(r)
+			a.Abft().retry(r)
 			// Re-gather: re-execution reads the operands as they are now.
 			im2colBlock(col, src, g, 0, k, j, 1, 1, 0)
-			recomputeConvCol(cd, ad, col, m, n, j)
+			recomputeConvCol(cd, ad, col, m, n, j, a)
 			s := 0.0
 			for i := 0; i < m; i++ {
 				s += float64(cd[i*n+j])
@@ -718,21 +649,22 @@ func verifyConvCols[F Float](cd, ad, src []F, m, bsz int, g ConvGeom, eps, eta, 
 			checkCol(j)
 		}
 	}
+	a.Release(mk)
 	return o
 }
 
 // verifyGemmRowsTransB checks every row of the already-computed product
 // cd = ad×bdᵀ (bd stored [n, k] row-major) against float64 row checksums.
 // Row granularity fits the transposed layout: the B column sums Σ_j bd[j][p]
-// stream bd row-major once.
-func verifyGemmRowsTransB[F Float](cd, ad, bd []F, m, k, n int, eps, eta, lim float64) VerifyOutcome {
+// stream bd row-major once. Scratch and the retry hook come from a, as in
+// verifyConvCols.
+func verifyGemmRowsTransB[F Float](cd, ad, bd []F, m, k, n int, eps, eta, lim float64, a *Arena) VerifyOutcome {
 	o := VerifyOutcome{Checks: m}
 	if m == 0 || k == 0 || n == 0 {
 		return o
 	}
-	sc := abftPool.Get().(*abftScratch)
-	defer abftPool.Put(sc)
-	bSum := abftFloatBuf[F](sc, k)
+	mk := a.Mark()
+	bSum := Raw[F](a, k)
 	copy(bSum, bd[:k])
 	for j := 1; j < n; j++ {
 		row := bd[j*k : (j+1)*k]
@@ -747,7 +679,7 @@ func verifyGemmRowsTransB[F Float](cd, ad, bd []F, m, k, n int, eps, eta, lim fl
 		if bAbs != nil {
 			return
 		}
-		bAbs = growScratch(&sc.f64b, k)
+		bAbs = Raw[float64](a, k)
 		for p := range bAbs {
 			bAbs[p] = 0
 		}
@@ -790,7 +722,7 @@ func verifyGemmRowsTransB[F Float](cd, ad, bd []F, m, k, n int, eps, eta, lim fl
 		o.Detected++
 		ok := false
 		for r := 0; r < abftMaxRetries; r++ {
-			callAbftRetryHook(r)
+			a.Abft().retry(r)
 			matMulTransB(crow, arow, bd, 1, k, n)
 			var s float64
 			for _, v := range crow {
@@ -807,25 +739,27 @@ func verifyGemmRowsTransB[F Float](cd, ad, bd []F, m, k, n int, eps, eta, lim fl
 			o.Uncorrectable++
 		}
 	}
+	a.Release(mk)
 	return o
 }
 
 // verifyConv checks and repairs an already-computed convolution product
 // cm = weight × im2col(src): cm [m, bsz·OutH·OutW], weight
 // [m, InC·KH·KW], src the packed image-major batch — the operands of Conv,
-// whichever lowering computed cm.
-func verifyConv[F Float](cm, weight, src []F, m, bsz int, g ConvGeom) VerifyOutcome {
-	injectF(cm)
+// whichever lowering computed cm. a supplies the scratch and, through its
+// sink, the fault hooks.
+func verifyConv[F Float](cm, weight, src []F, m, bsz int, g ConvGeom, a *Arena) VerifyOutcome {
+	injectF(a.Abft(), cm)
 	eps, eta, lim := abftBounds[F]()
-	return verifyConvCols(cm, weight, src, m, bsz, g, eps, eta, lim)
+	return verifyConvCols(cm, weight, src, m, bsz, g, eps, eta, lim, a)
 }
 
-// verifyMatMulTransB checks and repairs an already-computed c = a×bᵀ
-// (a [m, k], b stored [n, k]).
-func verifyMatMulTransB[F Float](c, a, b []F, m, k, n int) VerifyOutcome {
-	injectF(c)
+// verifyMatMulTransB checks and repairs an already-computed c = x×wᵀ
+// (x [m, k], w stored [n, k]); a as in verifyConv.
+func verifyMatMulTransB[F Float](c, x, w []F, m, k, n int, a *Arena) VerifyOutcome {
+	injectF(a.Abft(), c)
 	eps, eta, lim := abftBounds[F]()
-	return verifyGemmRowsTransB(c, a, b, m, k, n, eps, eta, lim)
+	return verifyGemmRowsTransB(c, x, w, m, k, n, eps, eta, lim, a)
 }
 
 // abftBounds returns F's unit roundoff, smallest subnormal and largest
@@ -838,16 +772,18 @@ func abftBounds[F Float]() (eps, eta, lim float64) {
 	return abftEps64, abftEta64, abftLim64
 }
 
-// VerifyConvU8 checks and repairs an already-computed int8 convolution
-// product (acc, colsum as produced by ConvDirectU8 or ConvGemmU8Im2Col
-// from the biased weights w [m, InC·KH·KW] and the quantized batch qsrc,
-// padding with zp). The int32 accumulators are exact, so the checksum must
-// match exactly — any difference is a fault. Both the accumulators and the
-// column sums are covered.
-func VerifyConvU8(acc, colsum []int32, w []uint8, m int, qsrc []uint8, bsz int, g ConvGeom, zp uint8) VerifyOutcome {
+// verifyConvU8 checks and repairs an already-computed int8 convolution
+// product (acc, colsum as produced by convDirectU8 or convGemmU8 from the
+// biased weights w [m, InC·KH·KW] and the quantized batch qsrc, padding
+// with zp). The int32 accumulators are exact, so the checksum must match
+// exactly — any difference is a fault. Both the accumulators and the
+// column sums are covered. a as in verifyConv.
+func verifyConvU8(acc, colsum []int32, w []uint8, m int, qsrc []uint8, bsz int, g ConvGeom, zp uint8, a *Arena) VerifyOutcome {
 	k := g.InC * g.KH * g.KW
 	n := bsz * g.OutH() * g.OutW()
-	injectI32(acc[:m*n], colsum[:n])
+	if s := a.Abft(); s != nil && s.Injector != nil {
+		s.Injector.CorruptI32(acc[:m*n], colsum[:n])
+	}
 	// When every clean intermediate fits in int32 (m·k·255² bounds both the
 	// prediction and the accumulator sum), the checksum arithmetic runs in
 	// the same width the kernel accumulates in, roughly halving the
@@ -855,36 +791,35 @@ func VerifyConvU8(acc, colsum []int32, w []uint8, m int, qsrc []uint8, bsz int, 
 	// but a single flipped bit changes the sum by ±2^bit ≠ 0 (mod 2³²), so
 	// wrapping never masks a detection.
 	if int64(m)*int64(k)*255*255 <= math.MaxInt32 {
-		return verifyConvU8Cols[int32](acc, colsum, w, qsrc, m, k, n, bsz, g, zp)
+		return verifyConvU8Cols[int32](acc, colsum, w, qsrc, m, k, n, bsz, g, zp, a)
 	}
-	return verifyConvU8Cols[int64](acc, colsum, w, qsrc, m, k, n, bsz, g, zp)
+	return verifyConvU8Cols[int64](acc, colsum, w, qsrc, m, k, n, bsz, g, zp, a)
 }
 
-// VerifyGemmU8 checks and repairs an already-computed plain uint8 product
-// (c, colsum as produced by GemmU8Into): VerifyConvU8 over the 1×1
+// verifyGemmU8 checks and repairs an already-computed plain uint8 product
+// (c, colsum as produced by GemmU8Into): verifyConvU8 over the 1×1
 // geometry under which b [k, n] is its own im2col matrix.
-func VerifyGemmU8(c, colsum []int32, a, b []uint8, m, k, n int) VerifyOutcome {
-	return VerifyConvU8(c, colsum, a, m, b, 1, gemmGeom(k, n), 0)
+func verifyGemmU8(c, colsum []int32, a, b []uint8, m, k, n int, ar *Arena) VerifyOutcome {
+	return verifyConvU8(c, colsum, a, m, b, 1, gemmGeom(k, n), 0, ar)
 }
 
 // verifyConvU8Cols is verifyConvCols for the int8 kernels, with exact
-// checksums carried in I.
-func verifyConvU8Cols[I int32 | int64](c, colsum []int32, a, qsrc []uint8, m, k, n, bsz int, g ConvGeom, zp uint8) VerifyOutcome {
+// checksums carried in I; scratch and the retry hook come from ar.
+func verifyConvU8Cols[I int32 | int64](c, colsum []int32, a, qsrc []uint8, m, k, n, bsz int, g ConvGeom, zp uint8, ar *Arena) VerifyOutcome {
 	o := VerifyOutcome{Checks: n}
 	if m == 0 || k == 0 || n == 0 {
 		return o
 	}
-	sc := abftPool.Get().(*abftScratch)
-	defer abftPool.Put(sc)
+	mk := ar.Mark()
 	rowLen, size := convRowsLen(bsz, g)
-	buf := abftIntBuf[I](sc, 3*n+k+2*rowLen)
+	buf := Raw[I](ar, 3*n+k+2*rowLen)
 	pred, csRef, act := buf[:n], buf[n:2*n], buf[2*n:3*n]
 	aSum := buf[3*n : 3*n+k]
 	acc, accCS := pred, csRef
 	if g.Stride == 1 {
 		acc, accCS = buf[3*n+k:3*n+k+rowLen], buf[3*n+k+rowLen:]
 	}
-	u8 := growScratch(&sc.u8, k+size)
+	u8 := Raw[uint8](ar, k+size)
 	col, xs := u8[:k], u8[k:]
 	clear(aSum)
 	for i := 0; i < m; i++ {
@@ -924,7 +859,7 @@ func verifyConvU8Cols[I int32 | int64](c, colsum []int32, a, qsrc []uint8, m, k,
 		o.Detected++
 		ok := false
 		for r := 0; r < abftMaxRetries; r++ {
-			callAbftRetryHook(r)
+			ar.Abft().retry(r)
 			im2colBlock(col, qsrc, g, 0, k, j, 1, 1, zp)
 			gemmU8Col(c[j:], a, col, k, n, 1, 0, m, 0)
 			// k ≤ MaxQuantK keeps Σ_p b[p][j] ≤ k·255 far below 2³¹, so the
@@ -945,6 +880,7 @@ func verifyConvU8Cols[I int32 | int64](c, colsum []int32, a, qsrc []uint8, m, k,
 			o.Uncorrectable++
 		}
 	}
+	ar.Release(mk)
 	return o
 }
 

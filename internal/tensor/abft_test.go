@@ -20,17 +20,17 @@ func fillNormal32(t *T32, rng *rand.Rand) {
 // verifyGemm checks a plain product C = A×B through verifyConv's 1×1
 // geometry, under which b is its own im2col matrix.
 func verifyGemm(c, a, b *T) VerifyOutcome {
-	return verifyConv(c.Data, a.Data, b.Data, a.Shape[0], 1, gemmGeom(b.Shape[0], b.Shape[1]))
+	return verifyConv(c.Data, a.Data, b.Data, a.Shape[0], 1, gemmGeom(b.Shape[0], b.Shape[1]), NewArena())
 }
 
 // verifyGemm32 is verifyGemm for float32.
 func verifyGemm32(c, a, b *T32) VerifyOutcome {
-	return verifyConv(c.Data, a.Data, b.Data, a.Shape[0], 1, gemmGeom(b.Shape[0], b.Shape[1]))
+	return verifyConv(c.Data, a.Data, b.Data, a.Shape[0], 1, gemmGeom(b.Shape[0], b.Shape[1]), NewArena())
 }
 
 // verifyTransB runs the dense-layer row checksum on C = A×Bᵀ (B [n, k]).
 func verifyTransB(c, a, b *T) VerifyOutcome {
-	return verifyMatMulTransB(c.Data, a.Data, b.Data, a.Shape[0], a.Shape[1], b.Shape[0])
+	return verifyMatMulTransB(c.Data, a.Data, b.Data, a.Shape[0], a.Shape[1], b.Shape[0], NewArena())
 }
 
 // TestVerifyGemmCleanBitIdentical locks the epilogue contract of the f64
@@ -115,7 +115,7 @@ func TestVerifyGemmU8Clean(t *testing.T) {
 		got := make([]int32, m*n)
 		gotCS := make([]int32, n)
 		gemmU8(got, gotCS, a, b, m, k, n, simd)
-		o := VerifyGemmU8(got, gotCS, a, b, m, k, n)
+		o := verifyGemmU8(got, gotCS, a, b, m, k, n, NewArena())
 		if o.Checks != n || o.Detected != 0 {
 			t.Fatalf("simd=%v: outcome %+v, want %d checks and 0 detections", simd, o, n)
 		}
@@ -145,7 +145,7 @@ func TestVerifyGemmDetectsAndCorrects(t *testing.T) {
 		b := New(k, n)
 		b.FillNormal(rng, 0, 1)
 		clean := New(m, n)
-		gemmServed(clean.Data, a.Data, b.Data, m, k, n)
+		gemmServed(clean.Data, a.Data, b.Data, m, k, n, NewArena())
 		for _, bit := range []uint{63, 62, 55, 51} {
 			c := clean.Clone()
 			idx := rng.Intn(m * n)
@@ -174,7 +174,7 @@ func TestVerifyGemm32DetectsAndCorrects(t *testing.T) {
 		b := New32(k, n)
 		fillNormal32(b, rng)
 		clean := New32(m, n)
-		gemmServed(clean.Data, a.Data, b.Data, m, k, n)
+		gemmServed(clean.Data, a.Data, b.Data, m, k, n, NewArena())
 		for _, bit := range []uint{31, 30, 25, 22} {
 			c := &T32{Shape: []int{m, n}, Data: append([]float32(nil), clean.Data...)}
 			idx := rng.Intn(m * n)
@@ -215,7 +215,7 @@ func TestVerifyGemmU8DetectsAndCorrects(t *testing.T) {
 		cs := append([]int32(nil), cleanCS...)
 		c[rng.Intn(m*n)] ^= 1 << bit
 		cs[rng.Intn(n)] ^= 1 << bit
-		o := VerifyGemmU8(c, cs, a, b, m, k, n)
+		o := verifyGemmU8(c, cs, a, b, m, k, n, NewArena())
 		if o.Detected == 0 || !o.OK() {
 			t.Fatalf("bit %d: outcome %+v, want detection and full correction", bit, o)
 		}
@@ -258,11 +258,11 @@ func TestVerifyConvGeneratedOperand(t *testing.T) {
 			idx := rng.Intn(m * n)
 			if simd == simdAvailable {
 				convVerifyCheck(t, name+" f64", w.Data, src.Data, m, bsz, g, idx, func(cm []float64) VerifyOutcome {
-					return verifyConv(cm, w.Data, src.Data, m, bsz, g)
+					return verifyConv(cm, w.Data, src.Data, m, bsz, g, NewArena())
 				})
 				w32, src32 := To32(w), To32(src)
 				convVerifyCheck(t, name+" f32", w32.Data, src32.Data, m, bsz, g, idx, func(cm []float32) VerifyOutcome {
-					return verifyConv(cm, w32.Data, src32.Data, m, bsz, g)
+					return verifyConv(cm, w32.Data, src32.Data, m, bsz, g, NewArena())
 				})
 			}
 
@@ -274,18 +274,18 @@ func TestVerifyConvGeneratedOperand(t *testing.T) {
 			clean := make([]int32, m*n)
 			cleanCS := make([]int32, n)
 			if g.Stride == 1 {
-				convDirectU8(clean, cleanCS, PackConvShiftU8(a, m, g.InC, g.KH, g.KW), qsrc, bsz, g, zp, simd)
+				convDirectU8(clean, cleanCS, PackConvShiftU8(a, m, g.InC, g.KH, g.KW), qsrc, bsz, g, zp, simd, NewArena())
 			} else {
-				convGemmU8(clean, cleanCS, a, qsrc, m, k, n, bsz, g, zp, simd)
+				convGemmU8(clean, cleanCS, a, qsrc, m, k, n, bsz, g, zp, simd, NewArena())
 			}
 			c := append([]int32(nil), clean...)
 			cs := append([]int32(nil), cleanCS...)
-			if o := VerifyConvU8(c, cs, a, m, qsrc, bsz, g, zp); o.Checks != n || o.Detected != 0 {
+			if o := verifyConvU8(c, cs, a, m, qsrc, bsz, g, zp, NewArena()); o.Checks != n || o.Detected != 0 {
 				t.Fatalf("%s u8 clean: outcome %+v, want %d checks and 0 detections", name, o, n)
 			}
 			c[idx] ^= 1 << 20
 			cs[rng.Intn(n)] ^= 1 << 3
-			if o := VerifyConvU8(c, cs, a, m, qsrc, bsz, g, zp); o.Detected == 0 || !o.OK() {
+			if o := verifyConvU8(c, cs, a, m, qsrc, bsz, g, zp, NewArena()); o.Detected == 0 || !o.OK() {
 				t.Fatalf("%s u8 flips: outcome %+v, want detection and full correction", name, o)
 			}
 			for i := range clean {
@@ -310,7 +310,7 @@ func convVerifyCheck[F Float](t *testing.T, name string, w, src []F, m, bsz int,
 	k := len(w) / m
 	n := bsz * g.OutH() * g.OutW()
 	cm := make([]F, m*n)
-	convGemm(cm, w, src, m, k, n, bsz, g)
+	convGemm(cm, w, src, m, k, n, bsz, g, NewArena())
 	clean := append([]F(nil), cm...)
 	if o := verify(cm); o.Checks != n || o.Detected != 0 {
 		t.Fatalf("%s clean: outcome %+v, want %d checks and 0 detections", name, o, n)
@@ -367,11 +367,11 @@ func TestVerifyMatMulTransB(t *testing.T) {
 	matMulTransB(clean32.Data, a32.Data, b32.Data, m, k, n)
 	c32 := New32(m, n)
 	matMulTransB(c32.Data, a32.Data, b32.Data, m, k, n)
-	if o := verifyMatMulTransB(c32.Data, a32.Data, b32.Data, m, k, n); o.Checks != m || o.Detected != 0 {
+	if o := verifyMatMulTransB(c32.Data, a32.Data, b32.Data, m, k, n, NewArena()); o.Checks != m || o.Detected != 0 {
 		t.Fatalf("clean f32 run: outcome %+v", o)
 	}
 	flipBit32(&c32.Data[31], 29)
-	if o := verifyMatMulTransB(c32.Data, a32.Data, b32.Data, m, k, n); o.Detected != 1 || o.Corrected != 1 {
+	if o := verifyMatMulTransB(c32.Data, a32.Data, b32.Data, m, k, n, NewArena()); o.Detected != 1 || o.Corrected != 1 {
 		t.Fatalf("f32 flip: outcome %+v", o)
 	}
 	for i := range c32.Data {
@@ -397,10 +397,10 @@ func TestVerifyUncorrectable(t *testing.T) {
 
 	// The checksum was predicted from the clean A; corrupting A now makes
 	// every re-execution reproduce a product inconsistent with it.
-	SetAbftRetryHook(func(int) { a.Data[0] = 1e30 })
-	defer SetAbftRetryHook(nil)
+	ar := NewArena()
+	ar.SetAbft(&AbftStats{RetryHook: func(int) { a.Data[0] = 1e30 }})
 
-	o := verifyGemm(c, a, b)
+	o := verifyConv(c.Data, a.Data, b.Data, m, 1, gemmGeom(k, n), ar)
 	if o.Detected != 1 || o.Uncorrectable != 1 || o.OK() {
 		t.Fatalf("outcome %+v, want one uncorrectable detection", o)
 	}
@@ -453,7 +453,7 @@ func TestAbftZeroFalsePositivesCleanGemms(t *testing.T) {
 			b := New(k, n)
 			b.FillNormal(rng, 0, scale)
 			c := New(m, n)
-			gemmWith(gemmBodyFor[float64](simd), c.Data, a.Data, b.Data, m, k, n, n, n)
+			gemmWith(gemmBodyFor[float64](simd), c.Data, a.Data, b.Data, m, k, n, n, n, NewArena())
 			if o := verifyGemm(c, a, b); o.Detected != 0 {
 				t.Fatalf("run %d f64 %dx%dx%d scale %g: false positive %+v", run, m, k, n, scale, o)
 			}
@@ -467,7 +467,7 @@ func TestAbftZeroFalsePositivesCleanGemms(t *testing.T) {
 				b.Data[i] = float32(rng.NormFloat64() * scale)
 			}
 			c := New32(m, n)
-			gemmWith(gemmBodyFor[float32](simd), c.Data, a.Data, b.Data, m, k, n, n, n)
+			gemmWith(gemmBodyFor[float32](simd), c.Data, a.Data, b.Data, m, k, n, n, n, NewArena())
 			if o := verifyGemm32(c, a, b); o.Detected != 0 {
 				t.Fatalf("run %d f32 %dx%dx%d scale %g: false positive %+v", run, m, k, n, scale, o)
 			}
@@ -493,7 +493,7 @@ func TestAbftZeroFalsePositivesCleanGemms(t *testing.T) {
 			c := make([]int32, m*n)
 			cs := make([]int32, n)
 			gemmU8(c, cs, a, b, m, k, n, simd)
-			if o := VerifyGemmU8(c, cs, a, b, m, k, n); o.Detected != 0 {
+			if o := verifyGemmU8(c, cs, a, b, m, k, n, NewArena()); o.Detected != 0 {
 				t.Fatalf("run %d u8 %dx%dx%d: false positive %+v", run, m, k, n, o)
 			}
 		}
@@ -578,7 +578,7 @@ func FuzzChecksumVerify(f *testing.F) {
 		uc := make([]int32, m*n)
 		ucs := make([]int32, n)
 		GemmU8Into(uc, ucs, ua, ub, m, k, n)
-		if o := VerifyGemmU8(uc, ucs, ua, ub, m, k, n); o.Detected != 0 {
+		if o := verifyGemmU8(uc, ucs, ua, ub, m, k, n, NewArena()); o.Detected != 0 {
 			t.Fatalf("u8 false mismatch: %+v", o)
 		}
 
@@ -596,14 +596,14 @@ func FuzzChecksumVerify(f *testing.F) {
 		fill(src, m*ck)
 		cm := New(m, cn)
 		ConvGemmIm2Col(cm, w, src, bsz, g)
-		if o := verifyConv(cm.Data, w.Data, src, m, bsz, g); o.Checks != cn || o.Detected != 0 {
+		if o := verifyConv(cm.Data, w.Data, src, m, bsz, g, NewArena()); o.Checks != cn || o.Detected != 0 {
 			t.Fatalf("f64 conv %+v bsz %d false mismatch: %+v", g, bsz, o)
 		}
 		w32 := To32(w)
 		src32 := To32(&T{Shape: []int{len(src)}, Data: src}).Data
 		cm32 := New32(m, cn)
 		ConvGemmIm2Col32(cm32, w32, src32, bsz, g)
-		if o := verifyConv(cm32.Data, w32.Data, src32, m, bsz, g); o.Detected != 0 {
+		if o := verifyConv(cm32.Data, w32.Data, src32, m, bsz, g, NewArena()); o.Detected != 0 {
 			t.Fatalf("f32 conv %+v bsz %d false mismatch: %+v", g, bsz, o)
 		}
 		uw := make([]uint8, m*ck)
@@ -614,12 +614,12 @@ func FuzzChecksumVerify(f *testing.F) {
 		uacc := make([]int32, m*cn)
 		ucs = make([]int32, cn)
 		ConvGemmU8Im2Col(uacc, ucs, uw, m, usrc, bsz, g, zp)
-		if o := VerifyConvU8(uacc, ucs, uw, m, usrc, bsz, g, zp); o.Detected != 0 {
+		if o := verifyConvU8(uacc, ucs, uw, m, usrc, bsz, g, zp, NewArena()); o.Detected != 0 {
 			t.Fatalf("u8 conv %+v bsz %d false mismatch: %+v", g, bsz, o)
 		}
 		if g.Stride == 1 {
 			ConvDirectU8(uacc, ucs, PackConvShiftU8(uw, m, g.InC, kk, kk), usrc, bsz, g, zp)
-			if o := VerifyConvU8(uacc, ucs, uw, m, usrc, bsz, g, zp); o.Detected != 0 {
+			if o := verifyConvU8(uacc, ucs, uw, m, usrc, bsz, g, zp, NewArena()); o.Detected != 0 {
 				t.Fatalf("u8 direct conv %+v bsz %d false mismatch: %+v", g, bsz, o)
 			}
 		}

@@ -105,20 +105,41 @@ func TestArenaRegionZeroAlloc(t *testing.T) {
 }
 
 // TestArenaSlabHighWater: after every Reset each slab holds exactly the
-// largest total any single call has requested (each request rounded up to
-// a cache line) — never the sum over calls, whatever mix of sizes came
-// before — and a slab no call has drawn from stays empty.
+// largest total any single call has had drawn at once (each request
+// rounded up to a cache line) — never the sum over calls, whatever mix of
+// sizes came before — and a slab no call has drawn from stays empty. Calls
+// also draw kernel-style scratch between a Mark and a Release, nested at
+// random: a release hands its draws back, so the running total falls, but
+// the slab still grows to the peak the total reached before it fell.
 func TestArenaSlabHighWater(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	roundUp := func(n, esz int) int { line := cacheLine / esz; return (n + line - 1) / line * line }
 	a := NewArena()
-	var hi [4]int
-	for call := 0; call < 200; call++ {
-		var tot [4]int
-		for r := rng.Intn(8); r >= 0; r-- {
+	var hi [5]int
+	for call := 0; call < 300; call++ {
+		var tot, peak [5]int
+		type frame struct {
+			m   ArenaMark
+			tot [5]int
+		}
+		var stack []frame
+		for r := rng.Intn(12); r >= 0; r-- {
+			switch op := rng.Intn(6); {
+			case op == 0:
+				stack = append(stack, frame{a.Mark(), tot})
+				continue
+			case op == 1 && len(stack) > 0:
+				f := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				a.Release(f.m)
+				tot = f.tot
+				continue
+			}
 			n := rng.Intn(1 << uint(rng.Intn(12)))
-			// Region 3 (int32) is drawn only after call 100.
-			switch rng.Intn(3 + min(call/100, 1)) {
+			// Region 3 (int32) is drawn only after call 100, region 4
+			// (int64) only after call 200.
+			region := rng.Intn(3 + min(call/100, 2))
+			switch region {
 			case 0:
 				Raw[float64](a, n)
 				tot[0] += roundUp(n, 8)
@@ -128,19 +149,101 @@ func TestArenaSlabHighWater(t *testing.T) {
 			case 2:
 				Raw[uint8](a, n)
 				tot[2] += roundUp(n, 1)
-			default:
+			case 3:
 				Raw[int32](a, n)
 				tot[3] += roundUp(n, 4)
+			default:
+				Raw[int64](a, n)
+				tot[4] += roundUp(n, 8)
 			}
+			peak[region] = max(peak[region], tot[region])
 		}
 		a.Reset()
-		got := [4]int{SlabLen[float64](a), SlabLen[float32](a), SlabLen[uint8](a), SlabLen[int32](a)}
+		got := [5]int{SlabLen[float64](a), SlabLen[float32](a), SlabLen[uint8](a), SlabLen[int32](a), SlabLen[int64](a)}
 		for i := range hi {
-			hi[i] = max(hi[i], tot[i])
+			hi[i] = max(hi[i], peak[i])
 			if got[i] != hi[i] {
-				t.Fatalf("call %d region %d: slab %d elements, want the largest call's %d", call, i, got[i], hi[i])
+				t.Fatalf("call %d region %d: slab %d elements, want the largest peak %d", call, i, got[i], hi[i])
 			}
 		}
+	}
+}
+
+// TestArenaMarkRelease pins the stack discipline kernels draw their
+// scratch under: a Release hands back every buffer drawn since its Mark —
+// nested marks included, and buffers that overflowed the slab to the heap
+// — so Drawn and Live read as they did at the Mark and the next draw
+// reuses the released memory, while the next Reset still grows the slab to
+// cover the released scratch.
+func TestArenaMarkRelease(t *testing.T) {
+	a := NewArena()
+	Raw[float64](a, 64)
+	a.Reset() // slab: 64 elements
+
+	base := Raw[float64](a, 8)
+	drawn, live := a.Drawn(), a.Live()
+	outer := a.Mark()
+	first := Raw[float64](a, 16)
+	inner := a.Mark()
+	Raw[float64](a, 24)
+	Raw[int64](a, 5)
+	a.Release(inner)
+	if got := Raw[float64](a, 24); &got[0] != &a.f64.slab[24] {
+		t.Error("a draw after the inner release did not reuse the released memory")
+	}
+	Raw[float64](a, 104) // overflows the slab: heap
+	Raw[uint8](a, 3)
+	a.Release(outer)
+	if a.Drawn() != drawn || a.Live() != live {
+		t.Fatalf("after release: Drawn %d Live %d, want %d %d", a.Drawn(), a.Live(), drawn, live)
+	}
+	if got := Raw[float64](a, 16); &got[0] != &first[0] {
+		t.Error("a draw after the outer release did not reuse the first scratch buffer")
+	}
+	if &base[0] != &a.f64.slab[0] {
+		t.Error("the buffer drawn before the mark moved")
+	}
+
+	// The peak was 8 + 16 + 24 + 104 = 152 float64s (and 8 int64s, one
+	// cache line): the Reset grows the slabs to it although all but the
+	// first of those draws were released.
+	a.Reset()
+	if got := SlabLen[float64](a); got != 152 {
+		t.Errorf("float64 slab %d elements after Reset, want the released peak 152", got)
+	}
+	if got := SlabLen[int64](a); got != 8 {
+		t.Errorf("int64 slab %d elements after Reset, want 8", got)
+	}
+	if a.Drawn() != 0 || a.Live() != 0 {
+		t.Errorf("after Reset: Drawn %d Live %d, want 0 0", a.Drawn(), a.Live())
+	}
+}
+
+// TestArenaMarkReleaseZeroAlloc: once the slabs have grown to a call's
+// peak, a call that draws scratch between Marks and Releases — nested, on
+// every region — allocates nothing.
+func TestArenaMarkReleaseZeroAlloc(t *testing.T) {
+	a := NewArena()
+	cycle := func() {
+		Raw[float64](a, 40)
+		m := a.Mark()
+		for _, n := range arenaSizes {
+			inner := a.Mark()
+			Raw[float64](a, 3*n)
+			Raw[float32](a, n)
+			Raw[uint8](a, n)
+			Raw[int32](a, n)
+			Raw[int64](a, n)
+			a.Release(inner)
+		}
+		Raw[float32](a, 7)
+		a.Release(m)
+		Raw[uint8](a, 9)
+		a.Reset()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Fatalf("warm mark/release cycle allocates %.1f times, want 0", allocs)
 	}
 }
 

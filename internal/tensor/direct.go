@@ -97,14 +97,17 @@ func fill[E any](s []E, v E) {
 // image batch, without any im2col operand. Stride must be 1 (the padded
 // window walk needs unit column stride); callers gate on that and fall
 // back to the implicit or explicit lowering otherwise. Results are
-// bit-identical to Im2ColBatchU8 + GemmU8Into.
+// bit-identical to Im2ColBatchU8 + GemmU8Into. Its only caller is the
+// benchmark kernel probe (served convolutions reach the driver through
+// ConvU8); it draws its scratch from a private arena.
 func ConvDirectU8(acc, colsum []int32, w *PackedConvShift, qsrc []uint8, bsz int, g ConvGeom, zp uint8) {
-	convDirectU8(acc, colsum, w, qsrc, bsz, g, zp, simdAvailable)
+	convDirectU8(acc, colsum, w, qsrc, bsz, g, zp, simdAvailable, NewArena())
 }
 
 // convDirectU8 is ConvDirectU8 on the vector kernels when simd is set and
-// the scalar SWAR kernels otherwise; simd as in gemmU8.
-func convDirectU8(acc, colsum []int32, w *PackedConvShift, qsrc []uint8, bsz int, g ConvGeom, zp uint8, simd bool) {
+// the scalar SWAR kernels otherwise; simd as in gemmU8. Its padded rows
+// and its int32 tile are drawn from a and released on return.
+func convDirectU8(acc, colsum []int32, w *PackedConvShift, qsrc []uint8, bsz int, g ConvGeom, zp uint8, simd bool, a *Arena) {
 	if g.Stride != 1 {
 		panic("tensor: ConvDirectU8 requires stride 1")
 	}
@@ -135,8 +138,8 @@ func convDirectU8(acc, colsum []int32, w *PackedConvShift, qsrc []uint8, bsz int
 	pw1 := g.InW + 2*g.Pad
 	L := bsz * pw1
 	rows := (g.InH + 2*g.Pad) * g.InC
-	bufp := getBlkU8(rows*L + g.KW - 1 + 31)
-	buf := *bufp
+	mk := a.Mark()
+	buf := Raw[uint8](a, rows*L+g.KW-1+31)
 	fill(buf, zp)
 	for iy := 0; iy < g.InH; iy++ {
 		for c := 0; c < g.InC; c++ {
@@ -148,8 +151,8 @@ func convDirectU8(acc, colsum []int32, w *PackedConvShift, qsrc []uint8, bsz int
 		}
 	}
 
-	convDirectRows(acc, colsum, w, buf, g, pw1, L, n, simd)
-	putBlkU8(bufp)
+	convDirectRows(acc, colsum, w, buf, g, pw1, L, n, simd, a)
+	a.Release(mk)
 }
 
 // convDirectRows runs the direct convolution, every image of the batch at
@@ -162,8 +165,9 @@ func convDirectU8(acc, colsum []int32, w *PackedConvShift, qsrc []uint8, bsz int
 // dropped), and on SIMD the last 32-wide block simply overhangs W — the
 // tile rows are padded to a 32 multiple and the buffer carries matching
 // slack, so a bsz=1 forward (the sequential per-image decision path) still
-// runs entirely on the wide kernels even when pw1 < 32.
-func convDirectRows(acc, colsum []int32, w *PackedConvShift, buf []uint8, g ConvGeom, pw1, L, n int, simd bool) {
+// runs entirely on the wide kernels even when pw1 < 32. The tile is drawn
+// from a; the caller releases it.
+func convDirectRows(acc, colsum []int32, w *PackedConvShift, buf []uint8, g ConvGeom, pw1, L, n int, simd bool, a *Arena) {
 	m := w.OutC
 	mm := m + 1 // + colsum ones row
 	kf := w.KH * g.InC
@@ -174,8 +178,7 @@ func convDirectRows(acc, colsum []int32, w *PackedConvShift, buf []uint8, g Conv
 	if simd {
 		lds = (W + 31) &^ 31
 	}
-	tp := getBlkI32(mm * lds)
-	t := (*tp)[:mm*lds]
+	t := Raw[int32](a, mm*lds)
 	for y := 0; y < oh; y++ {
 		base := y * g.InC * L
 		for dx := 0; dx < g.KW; dx++ {
@@ -243,7 +246,6 @@ func convDirectRows(acc, colsum []int32, w *PackedConvShift, buf []uint8, g Conv
 			copy(dst[b*oh*ow:][:ow], trow[b*pw1:][:ow])
 		}
 	}
-	putBlkI32(tp)
 }
 
 // gemmU8QuadAcc is gemmU8Quad with c += instead of c =, used for the

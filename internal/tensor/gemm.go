@@ -32,7 +32,8 @@ type Float interface {
 
 // GemmInto computes C = A×B into an existing m×n tensor with the served
 // GEMM, overwriting every element (C's prior contents are ignored, so
-// arena Raw buffers are fine). It panics on any shape mismatch.
+// arena Raw buffers are fine), its edge scratch drawn from a private
+// arena. It panics on any shape mismatch.
 func GemmInto(c, a, b *T) {
 	if a.Rank() != 2 || b.Rank() != 2 || c.Rank() != 2 {
 		panic(fmt.Sprintf("tensor: GemmInto requires rank-2 operands, got C%v = A%v × B%v", c.Shape, a.Shape, b.Shape))
@@ -42,7 +43,7 @@ func GemmInto(c, a, b *T) {
 	if b.Shape[0] != k || c.Shape[0] != m || c.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: GemmInto shape mismatch: C%v = A%v × B%v", c.Shape, a.Shape, b.Shape))
 	}
-	gemmServed(c.Data, a.Data, b.Data, m, k, n)
+	gemmServed(c.Data, a.Data, b.Data, m, k, n, NewArena())
 }
 
 // GemmInto32Fast is GemmInto for float32 tensors. Its only caller is the
@@ -53,12 +54,13 @@ func GemmInto32Fast(c, a, b *T32) {
 	if len(as) != 2 || len(bs) != 2 || len(cs) != 2 || bs[0] != as[1] || cs[0] != as[0] || cs[1] != bs[1] {
 		panic(fmt.Sprintf("tensor: GemmInto32Fast shape mismatch: C%v = A%v × B%v", cs, as, bs))
 	}
-	gemmServed(c.Data, a.Data, b.Data, as[0], as[1], bs[1])
+	gemmServed(c.Data, a.Data, b.Data, as[0], as[1], bs[1], NewArena())
 }
 
-// gemmServed computes the dense m×n product C = A×B (A m×k, B k×n).
-func gemmServed[F Float](cd, ad, bd []F, m, k, n int) {
-	gemmFMA(cd, ad, bd, m, k, n, n, n)
+// gemmServed computes the dense m×n product C = A×B (A m×k, B k×n), its
+// edge scratch drawn from a.
+func gemmServed[F Float](cd, ad, bd []F, m, k, n int, a *Arena) {
+	gemmFMA(cd, ad, bd, m, k, n, n, n, a)
 }
 
 // fmaLanes is the column width of F's microkernel. The AVX2 kernels hold
@@ -126,15 +128,15 @@ func gemm4Go[F Float](a *F, lda int, b *F, ldb int, c *F, ldc int, k int) {
 // C[0:m][0:n] = A×B for A m×k (row stride k), B k×n (row stride ldb) and
 // C row stride ldc — both n on the explicit path; the implicit conv path
 // passes a generated block with ldb = block width — on the served
-// microkernel.
-func gemmFMA[F Float](cd, ad, bd []F, m, k, n, ldc, ldb int) {
-	gemmWith(fmaGemm4[F], cd, ad, bd, m, k, n, ldc, ldb)
+// microkernel, drawing its edge scratch from a.
+func gemmFMA[F Float](cd, ad, bd []F, m, k, n, ldc, ldb int, a *Arena) {
+	gemmWith(fmaGemm4[F], cd, ad, bd, m, k, n, ldc, ldb, a)
 }
 
 // gemmWith is gemmFMA on a given microkernel body (the tests hold each
 // body to its own reference chain through it). Full blocks run in place;
 // the edges go through gemmEdges.
-func gemmWith[F Float](body gemm4Body[F], cd, ad, bd []F, m, k, n, ldc, ldb int) {
+func gemmWith[F Float](body gemm4Body[F], cd, ad, bd []F, m, k, n, ldc, ldb int, a *Arena) {
 	if k == 0 {
 		for i := 0; i < m; i++ {
 			clear(cd[i*ldc : i*ldc+n])
@@ -149,7 +151,7 @@ func gemmWith[F Float](body gemm4Body[F], cd, ad, bd []F, m, k, n, ldc, ldb int)
 		}
 	}
 	if mb < m || nb < n {
-		gemmEdges(body, cd, ad, bd, m, k, n, ldc, ldb)
+		gemmEdges(body, cd, ad, bd, m, k, n, ldc, ldb, a)
 	}
 }
 
@@ -158,16 +160,17 @@ func gemmWith[F Float](body gemm4Body[F], cd, ad, bd []F, m, k, n, ldc, ldb int)
 // the m mod 4 tail rows of every column. The tail of B is copied into a
 // zero-padded k×fmaLanes scratch and the tail rows of A into a
 // zero-padded 4×k one; the microkernel runs into a 4×fmaLanes scratch C
-// and the valid part is copied out. Rows and lanes are independent, so an
-// edge element gets exactly the arithmetic it would get inside a full
-// block — which is what makes an image's output independent of where in
-// the batch it sits (the columns are B·OH·OW, so the column tail is the
-// last image's).
-func gemmEdges[F Float](body gemm4Body[F], cd, ad, bd []F, m, k, n, ldc, ldb int) {
+// and the valid part is copied out; the scratch is drawn from a and
+// released on return. Rows and lanes are independent, so an edge element
+// gets exactly the arithmetic it would get inside a full block — which is
+// what makes an image's output independent of where in the batch it sits
+// (the columns are B·OH·OW, so the column tail is the last image's).
+func gemmEdges[F Float](body gemm4Body[F], cd, ad, bd []F, m, k, n, ldc, ldb int, a *Arena) {
 	w := fmaLanes[F]()
 	mb, nb := m&^3, n-n%w
-	sp := implicitBlk[F](4*k + k*w + 4*w)
-	ap, bp, cp := (*sp)[:4*k], (*sp)[4*k:4*k+k*w], (*sp)[4*k+k*w:]
+	mk := a.Mark()
+	sp := Raw[F](a, 4*k+k*w+4*w)
+	ap, bp, cp := sp[:4*k], sp[4*k:4*k+k*w], sp[4*k+k*w:]
 	// edge runs one padded block and copies its rows × cols corner to C[i][j].
 	edge := func(a, b *F, lb, i, j, rows, cols int) {
 		body(a, k, b, lb, &cp[0], w, k)
@@ -193,5 +196,5 @@ func gemmEdges[F Float](body gemm4Body[F], cd, ad, bd []F, m, k, n, ldc, ldb int
 			edge(&ap[0], &bp[0], w, mb, nb, m-mb, n-nb)
 		}
 	}
-	implicitBlkPut(sp)
+	a.Release(mk)
 }

@@ -64,7 +64,7 @@ func gemmChainCheck[F Float](t *testing.T, asm func(a *F, lda int, b *F, ldb int
 					for i := range c {
 						c[i] = 7 // must be overwritten inside [0, n), kept outside
 					}
-					gemmWith(bd.run, c, a, b, m, k, n, ldc, ldb)
+					gemmWith(bd.run, c, a, b, m, k, n, ldc, ldb, NewArena())
 					for i := 0; i < m; i++ {
 						for j := 0; j < ldc; j++ {
 							want := F(7)

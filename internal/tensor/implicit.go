@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"fmt"
-	"sync"
 	"unsafe"
 )
 
@@ -12,9 +11,10 @@ import (
 // and then streamed back through the GEMM, twice over the memory bus for
 // data that is pure index permutation of the input images. The drivers
 // here instead generate each cache-blocked B panel on the fly, directly
-// from the image tensor, into a small pooled block that stays L1/L2
-// resident while every row group of the weight matrix sweeps it. The
-// full column matrix never exists.
+// from the image tensor, into a small block of the caller's arena that
+// stays L1/L2 resident while every row group of the weight matrix sweeps
+// it, and is released when the driver returns. The full column matrix
+// never exists.
 //
 // Bit-identity contract: the float driver runs each generated block
 // through the one float GEMM driver (gemmFMA), and a column's bits depend
@@ -24,106 +24,15 @@ import (
 // drivers' integer accumulation is exact in any order, so they match
 // Im2ColBatchU8+GemmU8Into. TestImplicitGemm* lock both.
 
-// implicitBlkFloats / implicitBlkBytes are the minimum capacities of the
-// pooled generation blocks, sized to the largest block any model-zoo
-// layer requests so steady-state inference never allocates: float
-// blocks are at most k×implicitJW elements (plus gemmEdges' padded
-// scratch), byte blocks at most k×quantJB.
-const (
-	implicitBlkFloats = 16384
-	implicitBlkBytes  = 65536
-)
-
-var (
-	implicitPool64  sync.Pool // *[]float64
-	implicitPool32  sync.Pool // *[]float32
-	implicitPoolU8  sync.Pool // *[]uint8
-	implicitPoolI32 sync.Pool // *[]int32
-)
-
-// The get/put pairs traffic in *[]T so the same heap box cycles through
-// the pool — a steady-state get/put allocates nothing (Put(&local) would
-// heap-allocate a slice-header box per call). An undersized cached block
-// (possible only for layers beyond the implicitBlk* sizing) is dropped and
-// replaced by a bigger one, which then recirculates.
-
-func getBlk64(n int) *[]float64 {
-	if v, ok := implicitPool64.Get().(*[]float64); ok && cap(*v) >= n {
-		*v = (*v)[:n]
-		return v
-	}
-	s := AlignedF64(max(n, implicitBlkFloats))[:n]
-	return &s
-}
-
-func putBlk64(p *[]float64) { implicitPool64.Put(p) }
-
-func getBlk32(n int) *[]float32 {
-	if v, ok := implicitPool32.Get().(*[]float32); ok && cap(*v) >= n {
-		*v = (*v)[:n]
-		return v
-	}
-	s := AlignedF32(max(n, implicitBlkFloats))[:n]
-	return &s
-}
-
-func putBlk32(p *[]float32) { implicitPool32.Put(p) }
-
-func getBlkU8(n int) *[]uint8 {
-	if v, ok := implicitPoolU8.Get().(*[]uint8); ok && cap(*v) >= n {
-		*v = (*v)[:n]
-		return v
-	}
-	s := AlignedU8(max(n, implicitBlkBytes))[:n]
-	return &s
-}
-
-func putBlkU8(p *[]uint8) { implicitPoolU8.Put(p) }
-
-func getBlkI32(n int) *[]int32 {
-	if v, ok := implicitPoolI32.Get().(*[]int32); ok && cap(*v) >= n {
-		*v = (*v)[:n]
-		return v
-	}
-	s := AlignedI32(max(n, implicitBlkFloats))[:n]
-	return &s
-}
-
-func putBlkI32(p *[]int32) { implicitPoolI32.Put(p) }
-
-// implicitBlk dispatches getBlk64/getBlk32 by element type for the
-// width-generic driver. The any-boxing is resolved at instantiation; the
-// default arm only exists for exotic Float instantiations in tests.
-func implicitBlk[F Float](n int) *[]F {
-	var zero F
-	switch any(zero).(type) {
-	case float64:
-		return any(getBlk64(n)).(*[]F)
-	case float32:
-		return any(getBlk32(n)).(*[]F)
-	}
-	s := make([]F, n)
-	return &s
-}
-
-func implicitBlkPut[F Float](p *[]F) {
-	switch v := any(p).(type) {
-	case *[]float64:
-		putBlk64(v)
-	case *[]float32:
-		putBlk32(v)
-	}
-}
-
 // ConvGemmIm2Col computes cm = weight × im2col(batch) for the f64 path
 // without materializing the column matrix: cm is [OutC, bsz·OutH·OutW],
 // weight [OutC, InC·KH·KW], src the packed image-major batch. Results are
 // bit-identical to Im2ColBatch followed by the served GEMM (see convGemm).
 // Its only caller is the benchmark kernel probe; served convolutions reach
-// the driver through Conv.
+// the driver through Conv. It draws its scratch from a private arena.
 func ConvGemmIm2Col(cm, weight *T, src []float64, bsz int, g ConvGeom) {
 	m, k, n := implicitCheck(cm.Shape, weight.Shape, len(src), bsz, g, "ConvGemmIm2Col")
-	convGemm(cm.Data, weight.Data, src, m, k, n, bsz, g)
+	convGemm(cm.Data, weight.Data, src, m, k, n, bsz, g, NewArena())
 }
 
 // implicitJW is the column width of the generation blocks of the implicit
@@ -148,27 +57,28 @@ const ImplicitConvMinN = 4096
 // the benchmark kernel probe.
 func ConvGemmIm2Col32(cm, weight *T32, src []float32, bsz int, g ConvGeom) {
 	m, k, n := implicitCheck(cm.Shape, weight.Shape, len(src), bsz, g, "ConvGemmIm2Col32")
-	convGemm(cm.Data, weight.Data, src, m, k, n, bsz, g)
+	convGemm(cm.Data, weight.Data, src, m, k, n, bsz, g, NewArena())
 }
 
 // convGemm is the implicit-GEMM driver of both float widths: it generates
-// implicitJW-column panels and runs each through gemmFMA, so every column
-// is the chain the explicit lowering feeding the served GEMM computes.
-func convGemm[F Float](cd, ad, src []F, m, k, n, bsz int, g ConvGeom) {
+// implicitJW-column panels into scratch from a and runs each through
+// gemmFMA, so every column is the chain the explicit lowering feeding the
+// served GEMM computes.
+func convGemm[F Float](cd, ad, src []F, m, k, n, bsz int, g ConvGeom, a *Arena) {
 	if k == 0 {
 		clear(cd[:m*n])
 		return
 	}
-	blkp := implicitBlk[F](k * implicitJW)
-	blk := *blkp
+	mk := a.Mark()
+	blk := Raw[F](a, k*implicitJW)
 	assertAligned64("FMA B panel", unsafe.Pointer(&blk[0]))
 	for jb := 0; jb < n; jb += implicitJW {
 		bw := min(implicitJW, n-jb)
 		b := blk[:k*bw]
 		im2colBlock(b, src, g, 0, k, jb, bw, bw, 0)
-		gemmFMA(cd[jb:], ad, b, m, k, bw, n, bw)
+		gemmFMA(cd[jb:], ad, b, m, k, bw, n, bw, a)
 	}
-	implicitBlkPut(blkp)
+	a.Release(mk)
 }
 
 // implicitCheck validates the operand shapes shared by the implicit conv
@@ -195,30 +105,30 @@ func implicitCheck(cmShape, wShape []int, srcLen, bsz int, g ConvGeom, name stri
 // im2col(qsrc), with per-column sums in colsum, padding positions taking
 // the zero point zp. Integer results are identical to Im2ColBatchU8
 // followed by GemmU8Into for any blocking, so this is bit-identical to
-// the explicit path by construction.
+// the explicit path by construction. Its only caller is the benchmark
+// kernel probe (served convolutions reach the driver through ConvU8); it
+// draws its scratch from a private arena.
 func ConvGemmU8Im2Col(c, colsum []int32, a []uint8, m int, qsrc []uint8, bsz int, g ConvGeom, zp uint8) {
-	k := g.InC * g.KH * g.KW
-	n := bsz * g.OutH() * g.OutW()
-	if k > MaxQuantK {
-		panic(fmt.Sprintf("tensor: ConvGemmU8Im2Col k=%d exceeds MaxQuantK=%d", k, MaxQuantK))
-	}
-	chw := g.InC * g.InH * g.InW
-	if len(a) != m*k || len(qsrc) != bsz*chw || len(c) < m*n || len(colsum) < n {
-		panic(fmt.Sprintf("tensor: ConvGemmU8Im2Col size mismatch m=%d k=%d n=%d (a=%d src=%d c=%d colsum=%d)", m, k, n, len(a), len(qsrc), len(c), len(colsum)))
-	}
-	convGemmU8(c, colsum, a, qsrc, m, k, n, bsz, g, zp, simdAvailable)
+	convGemmU8(c, colsum, a, qsrc, m, g.InC*g.KH*g.KW, bsz*g.OutH()*g.OutW(), bsz, g, zp, simdAvailable, NewArena())
 }
 
-// convGemmU8 is the shape-checked driver of ConvGemmU8Im2Col (simd as in
-// gemmU8): per implicitJW-column generation block it fills the byte block,
-// derives its column sums in one pass, and runs the same kernels gemmU8
-// uses — the SWAR 2×32 tiles over the 32-aligned span, the scalar kernels
-// over the remainder — with ldb = block width. Integer accumulation is
-// order-independent, so any block width is exact.
-func convGemmU8(c, colsum []int32, a, qsrc []uint8, m, k, n, bsz int, g ConvGeom, zp uint8, simd bool) {
+// convGemmU8 is the shape-checked implicit driver of the int8 convolution
+// (simd as in gemmU8; k and n as in ConvGemmU8Im2Col): per
+// implicitJW-column generation block, drawn from ar, it fills the byte
+// block, derives its column sums in one pass, and runs the same kernels
+// gemmU8 uses — the SWAR 2×32 tiles over the 32-aligned span, the scalar
+// kernels over the remainder — with ldb = block width. Integer
+// accumulation is order-independent, so any block width is exact.
+func convGemmU8(c, colsum []int32, a, qsrc []uint8, m, k, n, bsz int, g ConvGeom, zp uint8, simd bool, ar *Arena) {
+	if k > MaxQuantK {
+		panic(fmt.Sprintf("tensor: convGemmU8 k=%d exceeds MaxQuantK=%d", k, MaxQuantK))
+	}
+	if chw := g.InC * g.InH * g.InW; len(a) != m*k || len(qsrc) != bsz*chw || len(c) < m*n || len(colsum) < n {
+		panic(fmt.Sprintf("tensor: convGemmU8 size mismatch m=%d k=%d n=%d (a=%d src=%d c=%d colsum=%d)", m, k, n, len(a), len(qsrc), len(c), len(colsum)))
+	}
 	simd = simd && k > 0
-	blkp := getBlkU8(k * implicitJW)
-	blk := *blkp
+	mk := ar.Mark()
+	blk := Raw[uint8](ar, k*implicitJW)
 	assertAligned64("u8 im2col B panel", unsafe.Pointer(&blk[0]))
 	for jb := 0; jb < n; jb += implicitJW {
 		je := min(jb+implicitJW, n)
@@ -264,5 +174,5 @@ func convGemmU8(c, colsum []int32, a, qsrc []uint8, m, k, n, bsz int, g ConvGeom
 			}
 		}
 	}
-	putBlkU8(blkp)
+	ar.Release(mk)
 }

@@ -176,21 +176,8 @@ func GemmU8Into(c, colsum []int32, a, b []uint8, m, k, n int) {
 	gemmU8(c, colsum, a, b, m, k, n, simdAvailable)
 }
 
-// GemmU8PreInto is GemmU8Into for a prepacked B operand whose column sums
-// are already known (PackedU8T carries them): same product, same kernels,
-// but the per-call colsum pass is skipped entirely.
-func GemmU8PreInto(c []int32, a, b []uint8, m, k, n int) {
-	if k > MaxQuantK {
-		panic(fmt.Sprintf("tensor: GemmU8PreInto k=%d exceeds MaxQuantK=%d", k, MaxQuantK))
-	}
-	if len(a) != m*k || len(b) != k*n || len(c) < m*n {
-		panic(fmt.Sprintf("tensor: GemmU8PreInto size mismatch m=%d k=%d n=%d (a=%d b=%d c=%d)", m, k, n, len(a), len(b), len(c)))
-	}
-	gemmU8(c, nil, a, b, m, k, n, simdAvailable)
-}
-
 // gemmU8 is the shape-checked driver of GemmU8Into: it computes C and,
-// when colsum is non-nil, colsum (nil = GemmU8PreInto's prepacked B, sums
+// when colsum is non-nil, colsum (nil = DenseU8's prepacked B, sums
 // precomputed) on the calling goroutine, on the vector kernels when simd
 // is set and the scalar SWAR kernels otherwise. The entry points pass
 // simdAvailable, the bit-identity tests false.

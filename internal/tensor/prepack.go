@@ -18,8 +18,8 @@ import (
 // explicit im2col lowering, which is the correctness bar locked by
 // prepack_test.go.
 
-// cacheLine is the alignment (bytes) of packed panels and pooled kernel
-// scratch: one x86 cache line, also the DDR burst granule.
+// cacheLine is the alignment (bytes) of packed panels and arena scratch:
+// one x86 cache line, also the DDR burst granule.
 const cacheLine = 64
 
 // alignedOffset returns how many elements of size elem to skip from base
@@ -102,9 +102,9 @@ type PackedU8T struct {
 	Bits []uint8
 	// ColSum[o] = Σ_k Bits[k*N+o] — the biased per-column sum of the
 	// packed operand, the reference value the ABFT column-checksum
-	// verifier checks GEMM colsum output against. Consumers must copy it
-	// into scratch before handing it to VerifyGemmU8: the verifier's
-	// injection and repair seams write through the slice.
+	// verifier checks GEMM colsum output against. DenseU8 hands the
+	// verifier a scratch copy: its injection and repair seams write
+	// through the slice.
 	ColSum []int32
 }
 

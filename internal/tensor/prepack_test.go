@@ -79,11 +79,11 @@ func TestImplicitGemmF64BitIdentical(t *testing.T) {
 		cols := New(k, n)
 		Im2ColBatch(cols, srcs, g)
 		want := New(tc.outC, n)
-		gemmServed(want.Data, weight.Data, cols.Data, tc.outC, k, n)
+		gemmServed(want.Data, weight.Data, cols.Data, tc.outC, k, n, NewArena())
 
 		got := New(tc.outC, n)
 		got.FillUniform(rng, -9, 9) // must be fully overwritten
-		convGemm(got.Data, weight.Data, packed, tc.outC, k, n, bsz, g)
+		convGemm(got.Data, weight.Data, packed, tc.outC, k, n, bsz, g, NewArena())
 
 		for i, v := range got.Data {
 			if v != want.Data[i] {
@@ -115,13 +115,13 @@ func TestImplicitGemm32BitIdentical(t *testing.T) {
 		cols := New32(k, n)
 		Im2ColBatch32(cols, src, bsz, g)
 		want := New32(tc.outC, n)
-		gemmServed(want.Data, weight.Data, cols.Data, tc.outC, k, n)
+		gemmServed(want.Data, weight.Data, cols.Data, tc.outC, k, n, NewArena())
 
 		got := New32(tc.outC, n)
 		for i := range got.Data {
 			got.Data[i] = 777
 		}
-		convGemm(got.Data, weight.Data, src.Data, tc.outC, k, n, bsz, g)
+		convGemm(got.Data, weight.Data, src.Data, tc.outC, k, n, bsz, g, NewArena())
 
 		for i, v := range got.Data {
 			if v != want.Data[i] {
@@ -159,7 +159,7 @@ func TestImplicitGemmU8BitIdentical(t *testing.T) {
 			for i := range gotC {
 				gotC[i] = -9
 			}
-			convGemmU8(gotC, gotCS, a, qsrc, tc.outC, k, n, bsz, g, zp, simd)
+			convGemmU8(gotC, gotCS, a, qsrc, tc.outC, k, n, bsz, g, zp, simd, NewArena())
 
 			for i, v := range gotC {
 				if v != wantC[i] {
@@ -215,7 +215,7 @@ func TestConvDirectU8BitIdentical(t *testing.T) {
 			for i := range gotCS {
 				gotCS[i] = -9
 			}
-			convDirectU8(gotC, gotCS, pack, qsrc, bsz, g, zp, simd)
+			convDirectU8(gotC, gotCS, pack, qsrc, bsz, g, zp, simd, NewArena())
 
 			for i, v := range gotC {
 				if v != wantC[i] {
@@ -235,7 +235,7 @@ func TestConvDirectU8BitIdentical(t *testing.T) {
 }
 
 // TestGemmU8PreIntoMatchesGemmU8Into verifies the colsum-free uint8 GEMM
-// entry point produces the exact accumulators of GemmU8Into, and that
+// that DenseU8 runs produces the exact accumulators of GemmU8Into, and that
 // PackQuantTranspose's precomputed ColSum equals the per-call column sums
 // GemmU8Into derives — the two halves of the prepacked int8 Dense path.
 func TestGemmU8PreIntoMatchesGemmU8Into(t *testing.T) {
@@ -379,44 +379,87 @@ func FuzzPrepackRoundTrip(f *testing.F) {
 	})
 }
 
-// TestImplicitGemmZeroAlloc checks the steady-state allocation contract:
-// once the block and pack pools are warm, a serial-sized implicit conv call
-// performs zero heap allocations — the full point of the pointer-cycling
-// sync.Pool plumbing. The f64 shape leaves a column tail (n mod 8 = 4)
-// and tail rows (m mod 4 = 2), so the edges' pooled block is covered too.
+// TestImplicitGemmZeroAlloc checks the steady-state allocation contract of
+// kernel scratch: every kernel draws its blocks, padded edges, padded rows
+// and checksum arrays from the caller's arena, so once the arena has grown
+// to a call, the call performs zero heap allocations — plain or verified,
+// and under the race detector too (there is no pool left to drop a Put).
+// Every kernel hands its scratch back before it returns: only Conv's
+// explicit lowering leaves a buffer live, its column matrix.
+// The float shape leaves edge columns at both widths (n = 300 is 4 mod 8
+// and 12 mod 16, and the second generation block is 44 wide) and edge
+// rows (m = 10 is 2 mod 4). The wide int8 conv (m·k·255² > 2³¹) takes the
+// int64 checksums.
 func TestImplicitGemmZeroAlloc(t *testing.T) {
 	g := ConvGeom{InC: 16, InH: 10, InW: 10, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	bsz, outC := 3, 10 // m·n·k ≈ 430k MACs
+	bsz, outC := 3, 10
 	k := g.InC * g.KH * g.KW
 	n := bsz * g.OutH() * g.OutW()
 	chw := g.InC * g.InH * g.InW
 
-	// The race detector makes sync.Pool drop a random share of Puts on
-	// purpose, so a warm pool still misses now and then: the calls run
-	// (and are race-checked), only the count is not asserted.
-	assertZero := func(name string, run func()) {
-		t.Helper()
-		run() // warm the pools
-		if allocs := testing.AllocsPerRun(20, run); allocs != 0 && !raceEnabled {
-			t.Fatalf("steady-state %s allocates %.1f times per call, want 0", name, allocs)
+	rng := rand.New(rand.NewSource(147))
+	w64 := New(outC, k)
+	w64.FillNormal(rng, 0, 1)
+	src64 := New(bsz, chw)
+	src64.FillNormal(rng, 0, 1)
+	wd64 := New(outC, chw)
+	wd64.FillNormal(rng, 0, 1)
+	w32, src32, wd32 := To32(w64), To32(src64), To32(wd64)
+	cm64, cm32 := make([]float64, outC*n), make([]float32, outC*n)
+	d64, d32 := make([]float64, bsz*outC), make([]float32, bsz*outC)
+
+	qw := QuantizeWeightsSym(w64.Data, outC, k)
+	shift := PackConvShiftU8(qw.Bits, outC, g.InC, g.KH, g.KW)
+	dense := PackQuantTranspose(QuantizeWeightsSym(wd64.Data, outC, chw))
+	qsrc := make([]uint8, bsz*chw)
+	rng.Read(qsrc)
+	acc, colsum, dacc := make([]int32, outC*n), make([]int32, n), make([]int32, bsz*outC)
+
+	gw := ConvGeom{InC: 64, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	kw := gw.InC * gw.KH * gw.KW
+	ww := New(64, kw)
+	ww.FillNormal(rng, 0, 1)
+	qww := QuantizeWeightsSym(ww.Data, 64, kw)
+	shiftw := PackConvShiftU8(qww.Bits, 64, gw.InC, gw.KH, gw.KW)
+	qsrcw := make([]uint8, gw.InC*gw.InH*gw.InW)
+	rng.Read(qsrcw)
+	accw, colsumw := make([]int32, 64*16), make([]int32, 16)
+
+	a := NewArena()
+	cases := []struct {
+		name string
+		live int // buffers the call leaves drawn
+		run  func()
+	}{
+		{"f64 implicit driver", 0, func() { convGemm(cm64, w64.Data, src64.Data, outC, k, n, bsz, g, a) }},
+		{"f32 implicit driver", 0, func() { convGemm(cm32, w32.Data, src32.Data, outC, k, n, bsz, g, a) }},
+		{"f64 Conv", 1, func() { Conv(cm64, w64.Data, src64.Data, outC, bsz, g, a) }},
+		{"f32 Conv", 1, func() { Conv(cm32, w32.Data, src32.Data, outC, bsz, g, a) }},
+		{"f64 MatMulTransB", 0, func() { MatMulTransB(d64, src64.Data, wd64.Data, bsz, chw, outC, a) }},
+		{"f32 MatMulTransB", 0, func() { MatMulTransB(d32, src32.Data, wd32.Data, bsz, chw, outC, a) }},
+		{"int8 direct ConvU8", 0, func() { ConvU8(acc, colsum, qw, shift, qsrc, bsz, g, 3, a) }},
+		{"int8 implicit ConvU8", 0, func() { ConvU8(acc, colsum, qw, nil, qsrc, bsz, g, 3, a) }},
+		{"int8 DenseU8", 0, func() { DenseU8(dacc, qsrc, dense, bsz, a) }},
+		{"int8 wide ConvU8", 0, func() { ConvU8(accw, colsumw, qww, shiftw, qsrcw, 1, gw, 0, a) }},
+	}
+	for _, sink := range []*AbftStats{nil, {}} {
+		a.SetAbft(sink)
+		for _, tc := range cases {
+			run := func() {
+				tc.run()
+				a.Reset()
+			}
+			run() // grow the arena to the call
+			if tc.run(); a.Live() != tc.live {
+				t.Errorf("%s (verified %v) returned with %d buffers live, want %d", tc.name, sink != nil, a.Live(), tc.live)
+			}
+			a.Reset()
+			if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+				t.Errorf("steady-state %s (verified %v) allocates %.1f times per call, want 0", tc.name, sink != nil, allocs)
+			}
+		}
+		if c := sink.Counts(); sink != nil && (c.Checks == 0 || c.Detected != 0) {
+			t.Errorf("verified runs: sink counts %+v, want checks and no detections", c)
 		}
 	}
-
-	rng := rand.New(rand.NewSource(147))
-	weight := New(outC, k)
-	weight.FillNormal(rng, 0, 1)
-	src := make([]float64, bsz*chw)
-	for i := range src {
-		src[i] = rng.NormFloat64()
-	}
-	cm := New(outC, n)
-	assertZero("ConvGemmIm2Col", func() { convGemm(cm.Data, weight.Data, src, outC, k, n, bsz, g) })
-
-	a := make([]uint8, outC*k)
-	qsrc := make([]uint8, bsz*chw)
-	rng.Read(a)
-	rng.Read(qsrc)
-	acc := make([]int32, outC*n)
-	colsum := make([]int32, n)
-	assertZero("ConvGemmU8Im2Col", func() { ConvGemmU8Im2Col(acc, colsum, a, outC, qsrc, bsz, g, 0) })
 }

@@ -2,11 +2,12 @@ package tensor
 
 import "fmt"
 
-// The served float products. Every float layer the inference graph runs
-// (nn.Net, DESIGN.md §7/§9) reaches the kernels through these two entries,
-// one instantiation per element width: the lowering dispatch and the
-// verified-mode checksum epilogue live here once, not in each backend's
-// layer bodies.
+// The served products. Every conv and dense layer the inference graph runs
+// (nn.Net, DESIGN.md §7/§9) reaches the kernels through these entries —
+// Conv and MatMulTransB at both float widths, ConvU8 and DenseU8 for int8:
+// the lowering dispatch and the verified-mode checksum epilogue live here
+// once, not in each backend's layer bodies. Each draws its working scratch
+// from the caller's arena and hands it back before returning.
 
 // Conv computes the convolution product cm = weight × im2col(src) of one
 // batch: cm [m, bsz·OutH·OutW] channel-major, weight [m, InC·KH·KW], src
@@ -24,14 +25,14 @@ func Conv[F Float](cm, weight, src []F, m, bsz int, g ConvGeom, a *Arena) {
 		panic(fmt.Sprintf("tensor: Conv operand lengths cm=%d weight=%d src=%d for m=%d B=%d geom %+v", len(cm), len(weight), len(src), m, bsz, g))
 	}
 	if n >= ImplicitConvMinN {
-		convGemm(cm, weight, src, m, k, n, bsz, g)
+		convGemm(cm, weight, src, m, k, n, bsz, g, a)
 	} else {
 		cols := Raw[F](a, k*n)
 		im2colBlock(cols, src, g, 0, k, 0, n, n, 0)
-		gemmServed(cm, weight, cols, m, k, n)
+		gemmServed(cm, weight, cols, m, k, n, a)
 	}
 	if s := a.Abft(); s != nil {
-		s.Record(verifyConv(cm, weight, src, m, bsz, g))
+		s.Record(verifyConv(cm, weight, src, m, bsz, g, a))
 	}
 }
 
@@ -44,6 +45,52 @@ func MatMulTransB[F Float](c, x, w []F, m, k, n int, a *Arena) {
 	}
 	matMulTransB(c, x, w, m, k, n)
 	if s := a.Abft(); s != nil {
-		s.Record(verifyMatMulTransB(c, x, w, m, k, n))
+		s.Record(verifyMatMulTransB(c, x, w, m, k, n, a))
+	}
+}
+
+// ConvU8 computes the int8 convolution product of one batch: acc (int32,
+// [w.M, bsz·OutH·OutW]) = w.Bits × im2col(qsrc) and the per-column sums
+// colsum, qsrc the quantized image-major batch padded with zp. shift is
+// w's compile-time PackConvShiftU8 panels, nil where the conv cannot take
+// the direct driver: a stride-1 conv runs the direct shift convolution
+// (convDirectU8), which builds no column operand at all, and a strided
+// one the implicit GEMM (convGemmU8). Integer accumulation is exact in
+// any order, so both equal Im2ColBatchU8 + GemmU8Into bit for bit. When a
+// carries an ABFT sink, the exact checksum epilogue then checks and
+// repairs acc and colsum.
+func ConvU8(acc, colsum []int32, w QuantWeights, shift *PackedConvShift, qsrc []uint8, bsz int, g ConvGeom, zp uint8, a *Arena) {
+	if shift != nil {
+		convDirectU8(acc, colsum, shift, qsrc, bsz, g, zp, simdAvailable, a)
+	} else {
+		convGemmU8(acc, colsum, w.Bits, qsrc, w.M, g.InC*g.KH*g.KW, bsz*g.OutH()*g.OutW(), bsz, g, zp, simdAvailable, a)
+	}
+	if s := a.Abft(); s != nil {
+		s.Record(verifyConvU8(acc, colsum, w.Bits, w.M, qsrc, bsz, g, zp, a))
+	}
+}
+
+// DenseU8 computes the int8 dense-layer product acc [m, w.N] = x [m, w.K]
+// × w.Bits, x the quantized activation rows and w the compile-time
+// transposed weights; w.ColSum stands in for the per-call column sums.
+// When a carries an ABFT sink, the exact checksum epilogue then checks and
+// repairs acc against a scratch copy of w.ColSum (the verifier's injection
+// and repair write through the column sums). It panics on mismatched
+// lengths.
+func DenseU8(acc []int32, x []uint8, w *PackedU8T, m int, a *Arena) {
+	k, n := w.K, w.N
+	if k > MaxQuantK {
+		panic(fmt.Sprintf("tensor: DenseU8 k=%d exceeds MaxQuantK=%d", k, MaxQuantK))
+	}
+	if len(x) != m*k || len(acc) < m*n {
+		panic(fmt.Sprintf("tensor: DenseU8 size mismatch m=%d k=%d n=%d (x=%d acc=%d)", m, k, n, len(x), len(acc)))
+	}
+	gemmU8(acc, nil, x, w.Bits, m, k, n, simdAvailable)
+	if s := a.Abft(); s != nil {
+		mk := a.Mark()
+		cs := Raw[int32](a, n)
+		copy(cs, w.ColSum)
+		s.Record(verifyGemmU8(acc, cs, x, w.Bits, m, k, n, a))
+		a.Release(mk)
 	}
 }

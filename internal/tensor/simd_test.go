@@ -127,7 +127,7 @@ func columnPositionCheck[F Float](t *testing.T, rng *rand.Rand) {
 				copy(sub[p*w:], b[p*n+j0:p*n+j1])
 			}
 			c := make([]F, m*w)
-			gemmServed(c, a, sub, m, k, w)
+			gemmServed(c, a, sub, m, k, w, NewArena())
 			return c
 		}
 		full := cols(0, n)

@@ -55,7 +55,7 @@ func WinogradConv3x3Pre(dst, src *T, bsz, outC int, u []float64, bias []float64,
 	tt := bsz * (h / 4) * (w / 4)
 	v := Raw[float64](a, 36*inC*tt)
 	mm := Raw[float64](a, 36*outC*tt)
-	winoConvPre(dst.Data, src.Data, bsz, outC, bias, g, u, v, mm)
+	winoConvPre(dst.Data, src.Data, bsz, outC, bias, g, u, v, mm, a)
 }
 
 // WinogradConv3x3F32Pre is WinogradConv3x3Pre for float32, consuming a
@@ -76,14 +76,14 @@ func WinogradConv3x3F32Pre(dst, src *T32, bsz, outC int, u []float32, bias []flo
 	tt := bsz * (h / 4) * (w / 4)
 	v := Raw[float32](a, 36*inC*tt)
 	mm := Raw[float32](a, 36*outC*tt)
-	winoConvPre(dst.Data, src.Data, bsz, outC, bias, g, u, v, mm)
+	winoConvPre(dst.Data, src.Data, bsz, outC, bias, g, u, v, mm, a)
 }
 
 // winoConvPre is the width-generic Winograd pipeline from the filter
 // transform on (u already holds U = G·g·Gᵀ): input transform, the 36
-// transform-domain GEMMs through gemmServed, and the fused output transform
-// + bias add.
-func winoConvPre[F Float](dst, src []F, bsz, outC int, bias []F, g ConvGeom, u, v, mm []F) {
+// transform-domain GEMMs through gemmServed (edge scratch from a), and the
+// fused output transform + bias add.
+func winoConvPre[F Float](dst, src []F, bsz, outC int, bias []F, g ConvGeom, u, v, mm []F, a *Arena) {
 	inC, h, w := g.InC, g.InH, g.InW
 	th, tw := h/4, w/4
 	tiles := th * tw
@@ -93,7 +93,7 @@ func winoConvPre[F Float](dst, src []F, bsz, outC int, bias []F, g ConvGeom, u, 
 
 	// 36 transform-domain GEMMs: M[f] = U[f] (OutC×InC) × V[f] (InC×tt).
 	for f := 0; f < 36; f++ {
-		gemmServed(mm[f*outC*tt:(f+1)*outC*tt], u[f*outC*inC:(f+1)*outC*inC], v[f*inC*tt:(f+1)*inC*tt], outC, inC, tt)
+		gemmServed(mm[f*outC*tt:(f+1)*outC*tt], u[f*outC*inC:(f+1)*outC*inC], v[f*inC*tt:(f+1)*inC*tt], outC, inC, tt, a)
 	}
 
 	winoOutput(dst, mm, bias, bsz, outC, h, w, th, tw, tt)
