@@ -135,11 +135,6 @@ func BenchmarkExtSoftVote(b *testing.B) { benchExperiment(b, "ext-softvote") }
 // (extension; paper §V out-of-distribution detection neighbours).
 func BenchmarkExtOutOfDistribution(b *testing.B) { benchExperiment(b, "ext-ood") }
 
-// BenchmarkExtThroughput runs the live-inference throughput comparison of
-// per-image Classify and batched ClassifyBatch (extension; paper §IV cost
-// containment).
-func BenchmarkExtThroughput(b *testing.B) { benchExperiment(b, "ext-throughput") }
-
 // BenchmarkExtServing runs the HTTP serving throughput/latency study over
 // the dynamic-batching server (extension; paper §IV-C latency budget).
 func BenchmarkExtServing(b *testing.B) { benchExperiment(b, "ext-serving") }

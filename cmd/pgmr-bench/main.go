@@ -20,7 +20,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/report"
 )
@@ -39,13 +38,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	quiet := fs.Bool("quiet", false, "suppress training progress")
 	csvDir := fs.String("csv", "", "also write each result as CSV into this directory")
 	jsonPath := fs.String("json", "", "write all results as a JSON array to this file (\"-\" = stdout)")
-	workers := fs.Int("workers", 0, "worker-pool size for throughput experiments (0 = GOMAXPROCS)")
-	backend := fs.String("backend", "", "numeric backend for throughput experiments: f64, f32 or int8 (default f64)")
-	verified := fs.Bool("verified", false, "enable ABFT checksum verification in throughput experiments")
-	cacheMB := fs.Int("cache-mb", 64, "ext-caching: prediction-cache budget in MiB")
-	cacheTTL := fs.Duration("cache-ttl", 0, "ext-caching: cache entry TTL (0 = entries never expire)")
+	workers := fs.Int("workers", 0, "worker-pool size of the serving, caching, cluster and SLO experiments' systems (0 = GOMAXPROCS)")
+	cacheMB := fs.Int("cache-mb", 64, "ext-caching2, ext-cluster: prediction-cache budget in MiB")
+	cacheTTL := fs.Duration("cache-ttl", 0, "ext-caching2: cache entry TTL (0 = entries never expire)")
 	cacheDir := fs.String("cache-dir", "", "ext-caching2: persistent L2 cache directory (empty = run-scoped temp dir)")
-	zipfS := fs.Float64("zipf", 1.1, "ext-caching: Zipf skew exponent of the duplicate workload (> 1)")
+	zipfS := fs.Float64("zipf", 1.1, "ext-caching2, ext-cluster: Zipf skew exponent of the duplicate workload (> 1)")
 	slo := fs.Duration("slo", 50*time.Millisecond, "ext-slo: per-request latency budget of the adaptive-cascade sweep (> 0)")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: pgmr-bench [-list] [-quiet] [-csv DIR] [-json FILE] <experiment-id>... | all\n")
@@ -66,11 +63,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *slo <= 0 {
 		fmt.Fprintf(stderr, "pgmr-bench: -slo must be a positive duration, got %v\n", *slo)
-		fs.Usage()
-		return 2
-	}
-	if _, err := core.ParseBackend(*backend); err != nil {
-		fmt.Fprintf(stderr, "pgmr-bench: %v\n", err)
 		fs.Usage()
 		return 2
 	}
@@ -104,8 +96,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	ctx := experiments.NewContext()
 	ctx.Workers = *workers
-	ctx.Backend = *backend
-	ctx.Verified = *verified
 	ctx.CacheMB = *cacheMB
 	ctx.CacheTTL = *cacheTTL
 	ctx.CacheDir = *cacheDir

@@ -79,9 +79,10 @@ type SystemConfig struct {
 	// (see internal/core), so cached entries under a fingerprint are always
 	// the reference decisions of that configuration.
 	Policy string
-	// Salt carries decision-relevant configuration the member names cannot
-	// see — e.g. RAMR precision bits, which rewrite the network weights
-	// after the system is assembled.
+	// Salt carries decision-relevant configuration the other fields cannot
+	// see. Every served system passes the literal "bits=0" (the retired
+	// simulated-precision setting), so keys, persisted segments and cluster
+	// fingerprints keep the bytes they were written with.
 	Salt string
 }
 

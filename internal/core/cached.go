@@ -190,8 +190,8 @@ func (p *PredictionCache) Stats() CacheStats {
 // Decision — thresholds, staging shape, the member set (variant keys) in
 // priority order, the per-member backend schedule (reduced-precision
 // kernels shift softmax rows), and the attached stage-policy descriptor —
-// plus a caller salt for transformations the member names cannot see (e.g.
-// RAMR precision bits, which rewrite network weights after assembly).
+// plus a caller salt for configuration those fields cannot see (served
+// systems pass the literal "bits=0"; see cache.SystemConfig.Salt).
 // Workers is deliberately excluded: it changes wall-clock time, never
 // decisions. The policy descriptor is belt-and-braces: degraded
 // batches are never stored anyway (see classifyBatchCachedWith), but
@@ -275,45 +275,19 @@ func isCtxErr(err error) bool {
 type runOneFn func(context.Context, *tensor.T) (Decision, error)
 type runBatchFn func(context.Context, []*tensor.T) ([]Decision, bool, error)
 
-// classifyCached is the single-image cached path: probe, then join or lead
-// the singleflight for the key. Followers whose own context is still live
-// retry when the leader's caller gave up.
+// classifyCached is the single-image cached path: the batched one at a
+// batch of one. Its batch runner is the static engine with no policy, so
+// single-image Classify stays on the reference schedule and its result is
+// always stored.
 func (s *System) classifyCached(ctx context.Context, x *tensor.T) (Decision, error) {
-	return s.classifyCachedWith(ctx, x, s.classifyUncached)
-}
-
-func (s *System) classifyCachedWith(ctx context.Context, x *tensor.T, runOne runOneFn) (Decision, error) {
-	pc := s.Cache
-	k := pc.KeyFor(x)
-	if d, ok := pc.get(k); ok {
-		return cloneDecision(d), nil
+	static := func(ctx context.Context, xs []*tensor.T) ([]Decision, bool, error) {
+		return s.classifyBatchStaged(ctx, xs, nil, s.batchStageArenaInfer())
 	}
-	for {
-		f, leader := pc.group.Join(k)
-		if leader {
-			d, err := runOne(ctx, x)
-			if err != nil {
-				pc.group.Finish(k, f, Decision{}, err)
-				return Decision{}, err
-			}
-			pc.put(k, cloneDecision(d))
-			pc.group.Finish(k, f, cloneDecision(d), nil)
-			return d, nil
-		}
-		pc.coalesced.Add(1)
-		d, err := f.Wait(ctx)
-		if err == nil {
-			return cloneDecision(d), nil
-		}
-		if ctx.Err() != nil || !isCtxErr(err) {
-			return Decision{}, err
-		}
-		// The leader's caller cancelled; ours did not. Re-probe (another
-		// leader may have landed the value meanwhile) and try again.
-		if d, ok := pc.get(k); ok {
-			return cloneDecision(d), nil
-		}
+	ds, err := s.classifyBatchCachedWith(ctx, []*tensor.T{x}, static, s.classifyUncached)
+	if err != nil {
+		return Decision{}, err
 	}
+	return ds[0], nil
 }
 
 // classifyBatchCached is the batched cached path. Within one call, each

@@ -126,6 +126,16 @@ func TestClassifyBatchCachedMatchesSequentialTables(t *testing.T) {
 	}
 }
 
+// classifyOneCached is the single-image cached path (classifyCached) on
+// the table seams: the batched cached path at a batch of one.
+func classifyOneCached(s *System, x *tensor.T, runBatch runBatchFn, runOne runOneFn) (Decision, error) {
+	ds, err := s.classifyBatchCachedWith(context.Background(), []*tensor.T{x}, runBatch, runOne)
+	if err != nil {
+		return Decision{}, err
+	}
+	return ds[0], nil
+}
+
 // TestClassifyCachedSingle covers the single-image cached path: miss →
 // compute+fill, hit → no recompute, and mutation safety of the returned
 // Votes map.
@@ -135,16 +145,16 @@ func TestClassifyCachedSingle(t *testing.T) {
 	s := tableSystem(3, Thresholds{Conf: 0.1, Freq: 2}, true, 1, 1)
 	s.EnableCache(testCacheConfig(), "")
 	var calls atomic.Int64
-	runOne, _ := tableRunners(s, tables, &calls)
+	runOne, runBatch := tableRunners(s, tables, &calls)
 
 	x := tensor.New(1)
 	want, _ := s.classifySequential(context.Background(), x, tableInfer(tables[0]))
 
-	d1, err := s.classifyCachedWith(context.Background(), x, runOne)
+	d1, err := classifyOneCached(s, x, runBatch, runOne)
 	if err != nil || !reflect.DeepEqual(d1, want) {
 		t.Fatalf("first call = %+v, %v; want %+v", d1, err, want)
 	}
-	d2, err := s.classifyCachedWith(context.Background(), x, runOne)
+	d2, err := classifyOneCached(s, x, runBatch, runOne)
 	if err != nil || !reflect.DeepEqual(d2, want) {
 		t.Fatalf("second call = %+v, %v; want %+v", d2, err, want)
 	}
@@ -155,7 +165,7 @@ func TestClassifyCachedSingle(t *testing.T) {
 	for k := range d2.Votes {
 		d2.Votes[k] = 999
 	}
-	d3, _ := s.classifyCachedWith(context.Background(), x, runOne)
+	d3, _ := classifyOneCached(s, x, runBatch, runOne)
 	if !reflect.DeepEqual(d3, want) {
 		t.Fatal("cached decision corrupted by caller mutation")
 	}
@@ -176,6 +186,10 @@ func TestClassifyCachedCoalescesConcurrent(t *testing.T) {
 		<-release
 		return Decision{Label: 7, Reliable: true, Votes: map[int]int{7: 2}, Activated: 2}, nil
 	}
+	runBatch := func(ctx context.Context, xs []*tensor.T) ([]Decision, bool, error) {
+		d, err := runOne(ctx, xs[0])
+		return []Decision{d}, true, err
+	}
 
 	x := tensor.New(1)
 	const callers = 12
@@ -184,7 +198,7 @@ func TestClassifyCachedCoalescesConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			d, err := s.classifyCachedWith(context.Background(), x, runOne)
+			d, err := classifyOneCached(s, x, runBatch, runOne)
 			if err != nil || d.Label != 7 {
 				t.Errorf("coalesced call = %+v, %v", d, err)
 			}

@@ -23,23 +23,14 @@ type Context struct {
 	Zoo *model.Zoo
 	GPU perf.GPU
 
-	// Workers caps the worker pool used by throughput experiments
-	// (ext-throughput); 0 selects runtime.GOMAXPROCS(0).
+	// Workers caps the worker pool of the systems the serving, caching,
+	// cluster and SLO experiments build; 0 selects runtime.GOMAXPROCS(0).
 	Workers int
 
-	// Backend selects the numeric execution backend for throughput
-	// experiments ("f64", "f32" or "int8"; empty = f64). Reduced backends
-	// run the compiled kernels of internal/nn (DESIGN.md §9).
-	Backend string
-
-	// Verified turns on ABFT checksum verification (DESIGN.md §10) for the
-	// systems throughput-style experiments build, so overhead is measured
-	// with kernel epilogues checking row/column sums.
-	Verified bool
-
-	// CacheMB and CacheTTL parameterize the prediction cache the ext-caching
-	// experiment attaches (budget in MiB; TTL 0 = entries never expire), and
-	// ZipfS is the skew exponent (> 1) of its duplicate-heavy workload.
+	// CacheMB is the budget in MiB of the prediction cache the ext-caching2
+	// and ext-cluster experiments attach, and ZipfS the skew exponent (> 1)
+	// of their duplicate-heavy workload. CacheTTL is ext-caching2's entry
+	// TTL (0 = entries never expire).
 	CacheMB  int
 	CacheTTL time.Duration
 	ZipfS    float64
@@ -106,8 +97,8 @@ type Result struct {
 	Header []string
 	Rows   [][]string
 	Notes  []string
-	// CacheTiers is the machine-readable cache-tier summary attached by the
-	// caching experiments; nil elsewhere. It reaches pgmr-bench's -json
+	// CacheTiers is the machine-readable cache-tier summary attached by
+	// ext-caching2; nil elsewhere. It reaches pgmr-bench's -json
 	// output verbatim, so dashboards can track tier behavior without parsing
 	// table rows.
 	CacheTiers *CacheTierStats `json:",omitempty"`

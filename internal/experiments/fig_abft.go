@@ -17,7 +17,7 @@ func init() {
 
 // abftFlipTarget returns the per-backend campaign size: a tiny smoke
 // campaign by default (CI budget), the full ≥1000-flip campaign under
-// PGMR_FULL=1 (matching BENCH_abft.json, which always runs at full scale).
+// PGMR_FULL=1.
 func abftFlipTarget() int {
 	if os.Getenv("PGMR_FULL") == "1" {
 		return 1000
@@ -125,7 +125,7 @@ func ExtAbft(ctx *Context) (*Result, error) {
 			fmt.Sprintf("%d/%d rounds", faultFree, rounds))
 	}
 	res.AddNote("4-member convnet system, staged activation, B=32; flips land in live kernel output buffers (high-order mantissa/exponent bits)")
-	res.AddNote("campaign size %d flips/backend (PGMR_FULL=1 for the 1000-flip campaign); BENCH_abft.json carries the pinned full-scale numbers", target)
+	res.AddNote("campaign size %d flips/backend (PGMR_FULL=1 for the 1000-flip campaign)", target)
 	return res, nil
 }
 

@@ -17,8 +17,8 @@ func init() {
 	register("ext-caching2", ExtCaching2)
 }
 
-// ExtCaching2 extends ext-caching to the persistent L2 tier: it measures
-// how fast a restarted server's cache recovers — the cold-start
+// ExtCaching2 measures the prediction cache's persistent L2 tier: how fast
+// a restarted server's cache recovers — the cold-start
 // time-to-99%-hit-ratio — with and without a disk tier under the in-memory
 // cache. A first process warms a tiered cache on a Zipf workload and shuts
 // down cleanly; then the same stream is replayed against (a) a fresh

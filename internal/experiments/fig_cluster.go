@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
-	"runtime"
 	"sync"
 	"time"
 
@@ -14,7 +13,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/model"
-	"repro/internal/perf"
 	"repro/internal/tensor"
 )
 
@@ -52,7 +50,7 @@ func (cb *countingBackend) ClassifyBatchContext(ctx context.Context, xs []*tenso
 // both passes and both cluster sizes is DeepEqual-identical to a
 // single-process baseline, each unique image is computed by exactly one
 // node (its ring owner), and no request degrades to fallback while every
-// peer is up. The measured points land in BENCH_cluster.json.
+// peer is up.
 func ExtCluster(ctx *Context) (*Result, error) {
 	b, err := model.ByName("convnet")
 	if err != nil {
@@ -114,9 +112,8 @@ func ExtCluster(ctx *Context) (*Result, error) {
 	// runCluster stands up n in-process nodes over loopback, streams the
 	// workload from every node concurrently (cold then warm pass), verifies
 	// the acceptance properties, and returns the measured point.
-	runCluster := func(n int) (perf.ClusterPoint, error) {
-		var point perf.ClusterPoint
-		point.Nodes = n
+	runCluster := func(n int) (clusterPoint, error) {
+		point := clusterPoint{Nodes: n}
 
 		ids := make([]string, n)
 		peers := map[string]string{}
@@ -238,7 +235,6 @@ func ExtCluster(ctx *Context) (*Result, error) {
 			st := nd.Stats()
 			point.Owned += st.Owned
 			point.Forwarded += st.Forwarded
-			point.Fallback += st.Fallback
 			if st.Fallback != 0 || st.ForwardErrors != 0 {
 				return point, fmt.Errorf("ext-cluster: node %s degraded with every peer up: %+v", nd.NodeID(), st)
 			}
@@ -250,31 +246,16 @@ func ExtCluster(ctx *Context) (*Result, error) {
 			point.HitRatio = float64(hits) / float64(hits+misses)
 		}
 		point.UniqueComputes = len(unique)
-		point.Identical = true
 		return point, nil
 	}
 
-	points := make([]perf.ClusterPoint, 0, 2)
+	points := make([]clusterPoint, 0, 2)
 	for _, n := range []int{1, 3} {
 		p, err := runCluster(n)
 		if err != nil {
 			return nil, err
 		}
 		points = append(points, p)
-	}
-
-	report := perf.ClusterReport{
-		Benchmark:  b.Name,
-		Members:    4,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		PoolImages: pool,
-		ZipfS:      s,
-		Batch:      batch,
-		Frames:     len(frames),
-		Points:     points,
-	}
-	if err := perf.WriteClusterReport(perf.ClusterReportPath(), report); err != nil {
-		return nil, fmt.Errorf("ext-cluster: writing report: %w", err)
 	}
 
 	res := &Result{
@@ -290,6 +271,22 @@ func ExtCluster(ctx *Context) (*Result, error) {
 	res.AddNote("4-member %s systems, Zipf(s=%.2f) over a %d-image pool, batch=%d; every node streams the full %d-frame workload concurrently, twice (cold then warm)",
 		b.Name, s, pool, batch, len(frames))
 	res.AddNote("every decision of both passes verified DeepEqual-identical to the single-process baseline; each unique image computed on exactly one node; zero fallbacks with all peers up")
-	res.AddNote("report written to %s", perf.ClusterReportPath())
 	return res, nil
+}
+
+// clusterPoint is one cluster size's row of ExtCluster's table.
+type clusterPoint struct {
+	// Nodes is the cluster size; Images the aggregate image count of each
+	// pass (every node streams the full workload concurrently).
+	Nodes, Images int
+	// ColdImgPerSec is the aggregate throughput of the cache-cold first
+	// pass, WarmImgPerSec of the second pass over the same stream.
+	ColdImgPerSec, WarmImgPerSec float64
+	// HitRatio is the warm pass's hit ratio summed over every node's cache.
+	HitRatio float64
+	// Owned and Forwarded are the routing counters summed over nodes.
+	Owned, Forwarded uint64
+	// UniqueComputes is how many distinct image keys entered an engine
+	// anywhere in the cluster.
+	UniqueComputes int
 }

@@ -54,8 +54,8 @@ func (b servingBackend) ClassifyBatchContext(ctx context.Context, images []polyg
 // ExtServing is an extension beyond the paper's figures: it stands up the
 // HTTP serving subsystem (dynamic batching + admission control) on
 // localhost, drives it with closed-loop concurrent clients, and reports
-// end-to-end throughput and latency percentiles per concurrency level —
-// the serving-side counterpart of ext-throughput. The paper's §IV-C
+// end-to-end throughput and latency percentiles per concurrency level.
+// The paper's §IV-C
 // latency-budget discussion is about exactly this deployment shape: how
 // much wall-clock the redundant system costs once requests arrive over a
 // network interface instead of a benchmark loop.

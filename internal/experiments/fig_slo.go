@@ -5,14 +5,12 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"runtime"
 	"time"
 
 	polygraph "repro"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/model"
-	"repro/internal/perf"
 	"repro/internal/policy"
 	"repro/internal/server"
 	"repro/internal/server/telemetry"
@@ -35,8 +33,7 @@ func init() {
 // capacities its p99 comes out below the static server's. These are
 // asserted as orderings, not as wall-clock values, so the verdict does not
 // depend on the speed of the box; whether the absolute budget was met is
-// reported per point. The measured Pareto lands in BENCH_slo.json
-// (perf.SLOReportPath).
+// reported per point.
 func ExtSLO(ctx *Context) (*Result, error) {
 	if ctx.SLO <= 0 {
 		return nil, fmt.Errorf("ext-slo: Context.SLO must be positive, got %v", ctx.SLO)
@@ -177,7 +174,7 @@ func ExtSLO(ctx *Context) (*Result, error) {
 		maxRequests = 5000
 	}
 	// Offered loads are in images/s; requests carry imagesPerReq images.
-	runPoint := func(base string, imgRate float64) (*server.LoadResult, float64, int, error) {
+	runPoint := func(base string, imgRate float64) (*server.LoadResult, error) {
 		reqRate := imgRate / imagesPerReq
 		reqs := int(reqRate * window.Seconds())
 		if reqs < 40 {
@@ -193,22 +190,17 @@ func ExtSLO(ctx *Context) (*Result, error) {
 		if warmup > reqs/2 {
 			warmup = reqs / 2
 		}
-		lr, err := server.RunLoad(context.Background(), server.LoadConfig{
+		return server.RunLoad(context.Background(), server.LoadConfig{
 			URL: base, Images: images, Concurrency: 32, Requests: reqs, Rate: reqRate,
 			ImagesPerRequest: imagesPerReq, Warmup: warmup,
 		})
-		return lr, reqRate, warmup, err
 	}
 
 	res := &Result{
 		ID: "ext-slo", Title: fmt.Sprintf("SLO-driven adaptive cascade vs static serving under open-loop load (extension; budget %v)", ctx.SLO),
 		Header: []string{"load", "mode", "img/s", "ok", "rej", "fail", "p50", "p99", "p99<=SLO", "tier"},
 	}
-	report := perf.SLOReport{
-		Benchmark: b.Name, Members: len(sysAdapt.Members),
-		SLOMs: float64(ctx.SLO.Microseconds()) / 1000, GoMaxProcs: runtime.GOMAXPROCS(0),
-		ImagesPerRequest: imagesPerReq,
-	}
+	var points []sloPoint
 	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 	agreement := -1.0
 
@@ -218,27 +210,19 @@ func ExtSLO(ctx *Context) (*Result, error) {
 			if mode == "slo" {
 				base = baseAdapt
 			}
-			lr, reqRate, warmup, err := runPoint(base, imgRate)
+			lr, err := runPoint(base, imgRate)
 			if err != nil {
 				return fmt.Errorf("ext-slo: %s at %s: %w", mode, name, err)
 			}
 			met := lr.P99 <= ctx.SLO && lr.OK > 0
-			pt := perf.SLOPoint{
-				Mode: mode, RateReqPerSec: reqRate, RateImgPerSec: imgRate,
-				Requests: lr.Requests, OK: lr.OK, Rejected: lr.Rejected, Failed: lr.Failed,
-				Warmup: warmup,
-				P50Ms:  ms(lr.P50), P90Ms: ms(lr.P90), P99Ms: ms(lr.P99),
-				MetBudget: met,
-			}
+			pt := sloPoint{OK: lr.OK, P99Ms: ms(lr.P99), MetBudget: met}
 			tierCell := "-"
 			if mode == "slo" {
 				sn := ctl.Snapshot()
 				pt.Tier, pt.TierName = sn.Tier, sn.TierName
-				pt.StepDowns, pt.StepUps = sn.StepDowns, sn.StepUps
-				pt.BudgetMisses, pt.Escalations = sn.BudgetMisses, sn.Escalations
 				tierCell = fmt.Sprintf("%d (%s)", sn.Tier, sn.TierName)
 			}
-			report.Points = append(report.Points, pt)
+			points = append(points, pt)
 			res.AddRow(name, mode, fmt.Sprintf("%.0f", imgRate),
 				fmt.Sprint(lr.OK), fmt.Sprint(lr.Rejected), fmt.Sprint(lr.Failed),
 				lr.P50.Round(10*time.Microsecond).String(), lr.P99.Round(10*time.Microsecond).String(),
@@ -307,14 +291,13 @@ func ExtSLO(ctx *Context) (*Result, error) {
 	if err := runModes("band", band); err != nil {
 		return nil, err
 	}
-	bandStatic := report.Points[len(report.Points)-2]
-	bandSLO := report.Points[len(report.Points)-1]
+	bandStatic := points[len(points)-2]
+	bandSLO := points[len(points)-1]
 	if err := runModes("over", 2*capFloor); err != nil {
 		return nil, err
 	}
-	overSLO := report.Points[len(report.Points)-1]
+	overSLO := points[len(points)-1]
 
-	report.AgreementLowLoad = agreement
 	res.AddNote("capacities (closed loop, %d images/request): static %.0f img/s, degraded ceiling %.0f img/s; band point offered %.0f img/s", imagesPerReq, capStatic, capFloor, band)
 	res.AddNote("low-load decision agreement with the static cascade: %s (floor 99%%)", pct(agreement))
 	if agreement < 0.99 {
@@ -337,13 +320,19 @@ func ExtSLO(ctx *Context) (*Result, error) {
 	}
 	res.AddNote("band point at %.0f img/s: -slo at tier %d (%s) p99 %.1fms (inside the %v budget: %v) vs static p99 %.1fms (inside: %v)",
 		band, bandSLO.Tier, bandSLO.TierName, bandSLO.P99Ms, ctx.SLO, bandSLO.MetBudget, bandStatic.P99Ms, bandStatic.MetBudget)
-	path := perf.SLOReportPath()
-	if err := perf.WriteSLOReport(path, report); err != nil {
-		res.AddNote("BENCH_slo.json not written (%v); run from the repo root or set PGMR_BENCH_SLO_JSON", err)
-	} else {
-		res.AddNote("measured Pareto written to %s", path)
-	}
 	return res, nil
+}
+
+// sloPoint is what ExtSLO's assertions read back from one (mode, offered
+// load) run: successful requests, the post-warmup p99 in milliseconds,
+// whether it met the budget, and the controller's tier after the run
+// (zero for static points).
+type sloPoint struct {
+	OK        int
+	P99Ms     float64
+	MetBudget bool
+	Tier      int
+	TierName  string
 }
 
 // decisionAgreement classifies the pool through both systems and returns

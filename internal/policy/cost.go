@@ -95,8 +95,9 @@ type costTable struct {
 }
 
 // priorRatio approximates a backend's per-image cost relative to f64 —
-// used only before the backend has been measured at a stage (the measured
-// BENCH_quant.json speedups: f32 ≈ 5.6×, int8 ≈ 3.3× over f64 at B=32).
+// used only before the backend has been measured at a stage (fixed priors
+// from an early B=32 measurement: f32 ≈ 5.6×, int8 ≈ 3.3× over f64; the
+// benchmark's nn.forward_us_per_image.*.b32 probes time the current ratios).
 var priorRatio = [numBackends]float64{1, 1.0 / 5.6, 1.0 / 3.3}
 
 // observe folds one per-(image·member) latency sample (microseconds) in.

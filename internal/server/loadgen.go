@@ -77,9 +77,8 @@ func (r *LoadResult) String() string {
 }
 
 // RunLoad drives a serving endpoint with closed-loop concurrent clients and
-// returns throughput and latency percentiles — the serving-side counterpart
-// of the ext-throughput experiment. 429 responses count as Rejected (the
-// admission controller doing its job), not as failures.
+// returns throughput and latency percentiles. 429 responses count as
+// Rejected (the admission controller doing its job), not as failures.
 func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 	if cfg.URL == "" {
 		return nil, fmt.Errorf("server: LoadConfig.URL is required")

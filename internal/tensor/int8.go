@@ -35,8 +35,9 @@ import (
 // each other because every term is ≤ 255·255 and k is capped at MaxQuantK:
 // k·255² ≤ 2³¹−1. On a port-limited scalar CPU this roughly doubles
 // multiply throughput over widened scalar int math, and the uint8 operand
-// matrices are 8× smaller than float64 — which is where the measured
-// speedup of the int8 backend comes from (internal/perf/BENCH_quant.json).
+// matrices are 8× smaller than float64 — which is where the speedup of the
+// int8 backend comes from (the benchmark's nn.forward_us_per_image.int8.b32
+// against .f64.b32).
 
 // MaxQuantK is the largest K (dot-product length) the uint8 GEMM accepts:
 // beyond it a 32-bit SWAR lane could overflow (k·255·255 must stay below
