@@ -22,6 +22,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -61,18 +62,39 @@ type Meta struct {
 
 // Dataset is a generated dataset with train/val/test splits. Val is the
 // profiling split used for threshold selection; Test is held out for final
-// evaluation, mirroring the paper's methodology.
+// evaluation, mirroring the paper's methodology. The training split is
+// drawn on first read (Train): bring-up over a trained zoo never reads it.
 type Dataset struct {
 	Name    string
 	Classes int
 	InShape []int // [C,H,W]
 
-	Train []nn.Sample
-	Val   []nn.Sample
-	Test  []nn.Sample
+	Val  []nn.Sample
+	Test []nn.Sample
 
 	// TestMeta is aligned with Test.
 	TestMeta []Meta
+
+	gen       *gen
+	trainOnce sync.Once
+	train     []nn.Sample
+}
+
+// trainDraws counts the training splits generated in this process.
+var trainDraws atomic.Int64
+
+// TrainDraws reports how many training splits this process has generated,
+// across all datasets.
+func TrainDraws() int64 { return trainDraws.Load() }
+
+// Train returns the training split, generating it on the first call. It
+// draws from its own RNG (Seed+1), so when it is drawn does not change it.
+func (d *Dataset) Train() []nn.Sample {
+	d.trainOnce.Do(func() {
+		trainDraws.Add(1)
+		d.train = d.gen.split(rand.New(rand.NewSource(d.gen.cfg.Seed+1)), d.gen.cfg.TrainN, nil)
+	})
+	return d.train
 }
 
 // Config parameterizes a synthetic dataset family.
@@ -130,27 +152,24 @@ func Generate(cfg Config) (*Dataset, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	// Each split draws from its own RNG and gen is read-only once built, so
+	// the splits generate concurrently, and Train whenever it is first
+	// read, bit-identically to one after another
+	// (TestGenerateMatchesCommittedDigests).
 	d := &Dataset{
 		Name:    cfg.Name,
 		Classes: cfg.Classes,
 		InShape: []int{cfg.Channels, cfg.H, cfg.W},
+		gen:     newGen(cfg),
 	}
-	// Each split draws from its own RNG and gen is read-only once built, so
-	// the three splits generate concurrently and bit-identically to one
-	// after another (TestGenerateMatchesCommittedDigests).
-	g := newGen(cfg)
 	var wg sync.WaitGroup
-	wg.Add(2)
+	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		d.Train = g.split(rand.New(rand.NewSource(cfg.Seed+1)), cfg.TrainN, nil)
-	}()
-	go func() {
-		defer wg.Done()
-		d.Val = g.split(rand.New(rand.NewSource(cfg.Seed+2)), cfg.ValN, nil)
+		d.Val = d.gen.split(rand.New(rand.NewSource(cfg.Seed+2)), cfg.ValN, nil)
 	}()
 	d.TestMeta = make([]Meta, 0, cfg.TestN)
-	d.Test = g.split(rand.New(rand.NewSource(cfg.Seed+3)), cfg.TestN, &d.TestMeta)
+	d.Test = d.gen.split(rand.New(rand.NewSource(cfg.Seed+3)), cfg.TestN, &d.TestMeta)
 	wg.Wait()
 	return d, nil
 }

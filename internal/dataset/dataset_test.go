@@ -2,8 +2,11 @@ package dataset
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/nn"
 )
 
 func smallConfig() Config {
@@ -20,13 +23,13 @@ func TestGenerateSplitsAndShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Train) != 60 || len(d.Val) != 30 || len(d.Test) != 48 {
-		t.Fatalf("split sizes: %d/%d/%d", len(d.Train), len(d.Val), len(d.Test))
+	if len(d.Train()) != 60 || len(d.Val) != 30 || len(d.Test) != 48 {
+		t.Fatalf("split sizes: %d/%d/%d", len(d.Train()), len(d.Val), len(d.Test))
 	}
 	if len(d.TestMeta) != len(d.Test) {
 		t.Fatalf("TestMeta length %d != Test length %d", len(d.TestMeta), len(d.Test))
 	}
-	for _, s := range d.Train {
+	for _, s := range d.Train() {
 		if !shapeIs(s.X.Shape, 3, 16, 16) {
 			t.Fatalf("sample shape %v", s.X.Shape)
 		}
@@ -57,12 +60,12 @@ func TestGenerateIsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range d1.Train {
-		if d1.Train[i].Label != d2.Train[i].Label {
+	for i := range d1.Train() {
+		if d1.Train()[i].Label != d2.Train()[i].Label {
 			t.Fatalf("labels differ at %d", i)
 		}
-		for j := range d1.Train[i].X.Data {
-			if d1.Train[i].X.Data[j] != d2.Train[i].X.Data[j] {
+		for j := range d1.Train()[i].X.Data {
+			if d1.Train()[i].X.Data[j] != d2.Train()[i].X.Data[j] {
 				t.Fatalf("pixel differs at sample %d pixel %d", i, j)
 			}
 		}
@@ -75,8 +78,8 @@ func TestGenerateDifferentSeedsDiffer(t *testing.T) {
 	cfg.Seed = 43
 	d2, _ := Generate(cfg)
 	same := true
-	for j := range d1.Train[0].X.Data {
-		if d1.Train[0].X.Data[j] != d2.Train[0].X.Data[j] {
+	for j := range d1.Train()[0].X.Data {
+		if d1.Train()[0].X.Data[j] != d2.Train()[0].X.Data[j] {
 			same = false
 			break
 		}
@@ -106,7 +109,7 @@ func TestClassBalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := make([]int, d.Classes)
-	for _, s := range d.Train {
+	for _, s := range d.Train() {
 		counts[s.Label]++
 	}
 	for c, n := range counts {
@@ -231,7 +234,7 @@ func TestQuickSamplesBounded(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, s := range d.Train {
+		for _, s := range d.Train() {
 			for _, v := range s.X.Data {
 				if v < 0 || v > 1 || math.IsNaN(v) {
 					return false
@@ -242,5 +245,36 @@ func TestQuickSamplesBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTrainDrawnOnce: the training split is not drawn by Generate, and
+// concurrent first reads draw it once and all see the same samples.
+func TestTrainDrawnOnce(t *testing.T) {
+	before := TrainDraws()
+	d, err := Generate(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := TrainDraws() - before; n != 0 {
+		t.Fatalf("Generate drew %d training splits", n)
+	}
+	got := make([][]nn.Sample, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = d.Train()
+		}()
+	}
+	wg.Wait()
+	if n := TrainDraws() - before; n != 1 {
+		t.Fatalf("4 concurrent reads drew %d training splits, want 1", n)
+	}
+	for i := range got {
+		if len(got[i]) != 60 || &got[i][0] != &got[0][0] {
+			t.Fatalf("read %d saw a different split (%d samples)", i, len(got[i]))
+		}
 	}
 }

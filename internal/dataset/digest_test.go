@@ -40,7 +40,7 @@ func digestDataset(d *Dataset) string {
 		binary.LittleEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
 	}
-	for _, split := range [][]nn.Sample{d.Train, d.Val, d.Test} {
+	for _, split := range [][]nn.Sample{d.Train(), d.Val, d.Test} {
 		put(uint64(len(split)))
 		for _, s := range split {
 			for _, dim := range s.X.Shape {

@@ -281,8 +281,8 @@ func (z *Zoo) Network(b Benchmark, v Variant) (*nn.Network, error) {
 			z.logf("cached %s / %s is collapsed; retraining", b.Name, v.Key())
 		}
 	}
-	z.logf("training %s / %s (%d samples)", b.Name, v.Key(), len(ds.Train))
-	train := applyPreproc(pp, ds.Train)
+	z.logf("training %s / %s (%d samples)", b.Name, v.Key(), len(ds.Train()))
+	train := applyPreproc(pp, ds.Train())
 	probe := applyPreproc(pp, probeSlice(ds.Val))
 
 	// Training occasionally collapses into a constant predictor on heavily
@@ -531,7 +531,7 @@ func newRandFor(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 func SplitSamples(ds *dataset.Dataset, s Split) []nn.Sample {
 	switch s {
 	case SplitTrain:
-		return ds.Train
+		return ds.Train()
 	case SplitVal:
 		return ds.Val
 	case SplitTest:

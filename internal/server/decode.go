@@ -2,8 +2,10 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"io"
+	"math/bits"
 	"strconv"
 	"sync"
 )
@@ -146,15 +148,17 @@ func (d *scanner) peek() byte {
 	return 0
 }
 
-func (d *scanner) ws() {
-	for d.i < len(d.b) {
-		switch d.b[d.i] {
-		case ' ', '\t', '\r', '\n':
-			d.i++
-		default:
-			return
+func (d *scanner) ws() { d.i = skipWS(d.b, d.i) }
+
+// skipWS returns the index of the first byte at or after i that is not
+// JSON whitespace.
+func skipWS(b []byte, i int) int {
+	for ; i < len(b) && b[i] <= ' '; i++ {
+		if c := b[i]; c != ' ' && c != '\t' && c != '\r' && c != '\n' {
+			break
 		}
 	}
+	return i
 }
 
 // take consumes c if it is the next byte after optional whitespace.
@@ -292,6 +296,21 @@ var pow10 = [...]float64{
 }
 
 // pixels decodes an array of numbers into the slab and returns its window.
+//
+// The element loop keeps the body, the cursor and the slab in locals and
+// decodes the short form inline: one integer digit d, then either a byte
+// that ends the number (the value is d) or a point and 1–7 fraction digits
+// — what json.Marshal writes for a pixel in [0, 1] rounded to four places.
+// The fraction is loaded as one little-endian word; a per-byte class mask
+// and TrailingZeros64 find its first non-digit byte, which ends the token,
+// and the digits, with d prepended, reduce to m < 10^8 in three multiplies
+// (eightDigits). float64(m)/10^n is the quotient parsePixel forms for the
+// same m and n, so the value is ParseFloat's to the bit. The ten bytes from
+// d on hold d, the point and the word, and a token of at most seven
+// fraction digits ends inside the word, so i+10 ≤ len(b) is the whole
+// bound. Every other token — a sign, several integer digits, eight or more
+// fraction digits, an exponent, or one in the body's last ten bytes — goes
+// to parsePixel.
 func (d *scanner) pixels() ([]float64, bool) {
 	if !d.take('[') {
 		return nil, false
@@ -303,18 +322,67 @@ func (d *scanner) pixels() ([]float64, bool) {
 	if d.take(']') {
 		return d.slab[start:start:start], true
 	}
+	b, i, slab := d.b, d.i, d.slab
 	for {
-		d.ws()
-		f, end, ok := parsePixel(d.b, d.i)
-		if !ok || len(d.slab) == cap(d.slab) {
+		i = skipWS(b, i)
+		if len(slab) == cap(slab) {
 			return nil, false
 		}
-		d.slab = append(d.slab, f)
-		d.i = end
-		if !d.take(',') {
-			return d.slab[start:len(d.slab):len(d.slab)], d.take(']')
+		var f float64
+		short := false
+		if i+10 <= len(b) && b[i]-'0' <= 9 {
+			t := b[i : i+10 : i+10]
+			switch c := t[1]; {
+			case c == '.':
+				// x's digit bytes are 0–9. Any other byte is ≥ 10, so it
+				// or its sum with 0x76 has the top bit set, and a carry
+				// out of it reaches only bytes above it: n counts the
+				// leading digits.
+				x := binary.LittleEndian.Uint64(t[2:]) ^ 0x3030303030303030
+				n := bits.TrailingZeros64((x+0x7676767676767676|x)&0x8080808080808080) / 8
+				// An exponent would continue the number; any other byte
+				// ends it there, as in parsePixel.
+				if 1 <= n && n <= 7 && byte(x>>(8*n))^'0'|0x20 != 'e' {
+					m := eightDigits(x<<(64-8*n) | uint64(t[0]-'0')<<(56-8*n))
+					f = float64(m) / pow10[n]
+					i += 2 + n
+					short = true
+				}
+			case c-'0' > 9 && c|0x20 != 'e':
+				f = float64(t[0] - '0')
+				i++
+				short = true
+			}
 		}
+		if !short {
+			var end int
+			var ok bool
+			if f, end, ok = parsePixel(b, i); !ok {
+				return nil, false
+			}
+			i = end
+		}
+		slab = append(slab, f)
+		if i < len(b) && b[i] == ',' {
+			i++
+			continue
+		}
+		d.i, d.slab = i, slab
+		if !d.take(',') {
+			return slab[start:len(slab):len(slab)], d.take(']')
+		}
+		i = d.i
 	}
+}
+
+// eightDigits returns the eight-digit decimal number whose digits are v's
+// bytes (each 0–9), the lowest byte the most significant: adjacent digits,
+// then pairs, then quadruples merge in one multiply each, no lane
+// overflowing into the next.
+func eightDigits(v uint64) uint64 {
+	v = v * (10<<8 + 1) >> 8
+	v = (v & 0x00FF00FF00FF00FF) * (100<<16 + 1) >> 16
+	return (v & 0x0000FFFF0000FFFF) * (10000<<32 + 1) >> 32
 }
 
 // parsePixel decodes the JSON number at b[i:] and returns it with the index

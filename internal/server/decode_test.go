@@ -57,6 +57,7 @@ func sameRequest(a, b classifyRequest) error {
 // on every field. It reports whether the scanner took the body.
 func checkDecode(t *testing.T, body []byte) (fast bool) {
 	t.Helper()
+	body = body[:len(body):len(body)] // a read past the end panics
 	var want classifyRequest
 	wantErr := json.Unmarshal(body, &want)
 
@@ -260,12 +261,15 @@ var pixelSeeds = []string{
 func TestParsePixelSeeds(t *testing.T) {
 	for _, s := range pixelSeeds {
 		checkParsePixel(t, s)
+		checkPixelLoop(t, s)
 	}
 	// Every short decimal, the shape image bodies are made of, and random
 	// digit strings around the 15-digit / 10^±22 edges of the fast path.
 	for k := 0; k <= 10000; k++ {
-		checkParsePixel(t, strconv.FormatFloat(float64(k)/10000, 'f', -1, 64))
-		checkParsePixel(t, fmt.Sprintf("0.%04d", k%10000))
+		for _, s := range []string{strconv.FormatFloat(float64(k)/10000, 'f', -1, 64), fmt.Sprintf("0.%04d", k%10000)} {
+			checkParsePixel(t, s)
+			checkPixelLoop(t, s)
+		}
 	}
 	rng := rand.New(rand.NewSource(15))
 	digits := func(n int) string {
@@ -301,13 +305,76 @@ func TestParsePixelSeeds(t *testing.T) {
 	}
 }
 
+// checkPixelLoop holds the scanner's pixel loop, whose short form decodes
+// without parsePixel, to ParseFloat: tok twice in one array, once ending
+// near the end of the body and once followed by room for a word read, must
+// decode to ParseFloat's value bit for bit when tok is a JSON number
+// ParseFloat takes, and be declined when ParseFloat reports it out of
+// range. Every body is also held to the differential property.
+func checkPixelLoop(t *testing.T, tok string) {
+	t.Helper()
+	for _, pad := range []string{"", strings.Repeat(" ", 12)} {
+		body := []byte(`{"image":{"pixels":[` + tok + "," + tok + "]}}" + pad)
+		fast := checkDecode(t, body)
+		if !jsonNumber(tok) {
+			continue
+		}
+		want, err := strconv.ParseFloat(tok, 64)
+		if err != nil {
+			if fast {
+				t.Fatalf("scanner took %q, ParseFloat: %v", body, err)
+			}
+			continue
+		}
+		var req classifyRequest
+		if !scanClassify(body, &req) {
+			t.Fatalf("scanner declined %q", body)
+		}
+		for _, p := range req.Image.Pixels {
+			if math.Float64bits(p) != math.Float64bits(want) {
+				t.Fatalf("scanner read %q as %v (%#x), ParseFloat %v (%#x)", tok, p, math.Float64bits(p), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
 func FuzzParsePixel(f *testing.F) {
 	for _, s := range pixelSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		checkParsePixel(t, s)
+		checkPixelLoop(t, s)
 	})
+}
+
+// TestPixelsShortFormBoundaries walks the pixel loop's short form across
+// its edges: every shape it takes (d, d.d … d.ddddddd) and the eight-digit
+// fraction it leaves to parsePixel, each followed by every byte that ends,
+// extends or breaks a number, with the token ending 0–11 bytes before the
+// end of the body — truncated bodies included. The scanner must agree with
+// json.Unmarshal and take every valid body.
+func TestPixelsShortFormBoundaries(t *testing.T) {
+	shapes := []string{
+		"0", "7", "0.5", "9.99", "1.000", "0.4863", "3.14159", "0.999999",
+		"9.9999999", "0.0000001", "0.12345678",
+	}
+	// Each following byte opens a tail that completes the body, padded
+	// with spaces so that every cut from 0 to 11 bytes exists.
+	tails := []string{",1]}}", "]}}", " ]}}", "\t]}}", "e1]}}", "E-2]}}", ".5]}}", "4]}}"}
+	for _, tok := range shapes {
+		for _, tail := range tails {
+			tail += strings.Repeat(" ", 11)
+			for k := 0; k <= 11; k++ {
+				for _, head := range []string{`{"image":{"pixels":[`, `{"image":{"pixels":[0.25, `} {
+					body := []byte(head + tok + tail[:k])
+					if fast := checkDecode(t, body); !fast && json.Valid(body) {
+						t.Errorf("scanner declined the valid body %q", body)
+					}
+				}
+			}
+		}
+	}
 }
 
 // canonicalBody is the request json.Marshal makes for n images of the given
