@@ -36,7 +36,7 @@ type qconv32 struct {
 	outC int
 
 	qw    tensor.QuantWeights
-	shift *tensor.PackedConvShift // compile-time kernel-column panels (stride-1 only)
+	shift *tensor.PackedConvShift // compile-time channel-pair weight panels (stride-1 only)
 	deq   []float32
 	corr  []int32
 	bias  []float32

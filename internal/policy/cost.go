@@ -95,10 +95,12 @@ type costTable struct {
 }
 
 // priorRatio approximates a backend's per-image cost relative to f64 —
-// used only before the backend has been measured at a stage (fixed priors
-// from an early B=32 measurement: f32 ≈ 5.6×, int8 ≈ 3.3× over f64; the
-// benchmark's nn.forward_us_per_image.*.b32 probes time the current ratios).
-var priorRatio = [numBackends]float64{1, 1.0 / 5.6, 1.0 / 3.3}
+// used only before the backend has been measured at a stage. The priors
+// are the benchmark's nn.forward_us_per_image.*.b32 probes, averaged over
+// two traced runs (`bash benchmark/run.sh --workload batch32_int8
+// --trace 1`, seeds 7 and 8, 2-vCPU AVX2 box): f64 75.0 µs, f32 53.1,
+// int8 50.0 — f32 ≈ 1.4× and int8 ≈ 1.5× cheaper than f64.
+var priorRatio = [numBackends]float64{1, 1.0 / 1.4, 1.0 / 1.5}
 
 // observe folds one per-(image·member) latency sample (microseconds) in.
 func (t *costTable) observe(stage, backend, bucket int, micros, alpha float64) {

@@ -1,78 +1,86 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"fmt"
 )
 
 // Direct shift convolution for the int8 backend (DESIGN.md §14). im2col —
 // explicit or implicit — writes every input byte KH·KW times; at the model
 // zoo's 3×3 kernels that write amplification is the dominant cost of the
-// whole quantized convolution, dwarfing the SWAR GEMM itself. The direct
-// driver never builds patch columns at all. It copies the quantized batch
-// once into a zero-point-padded buffer whose rows are interleaved by
-// channel — row r = (iy+Pad)·InC + c holds channel c of padded image row
-// iy, with every image of the batch laid side by side in the same row —
-// and exploits a property of that layout under stride 1: the KH·InC patch
-// rows feeding output row y, ordered (kh, c), are exactly the contiguous
-// buffer rows [y·InC, y·InC+KH·InC) at constant stride L, just
-// window-shifted by kw. So for each (output row, kernel column kw) one
-// GEMM pass over all bsz·paddedW columns consumes the padded buffer
-// directly with ldb = L — the operand is the image batch itself. The
-// kw ≥ 1 passes use accumulating kernel variants, folding the KW partial
-// products in-register instead of through a Go-side add pass, and the
-// weight panels carry an extra all-ones row whose tile row is exactly the
-// per-column byte sum — colsum falls out of the same kernel sweep.
+// whole quantized convolution, dwarfing the GEMM itself. The direct driver
+// never builds patch columns at all. It copies the quantized batch once
+// into a zero-point-padded buffer of channel-pair rows — row
+// r = (iy+Pad)·⌈InC/2⌉ + c/2 holds channels c and c+1 of padded image row
+// iy in adjacent bytes, every image of the batch laid side by side in the
+// same row (an odd InC gets one zero-point channel whose weights are 0) —
+// and exploits a property of that layout under stride 1: the KH·⌈InC/2⌉
+// pair rows feeding output row y, ordered (kh, c/2), are exactly the
+// contiguous buffer rows starting at y·⌈InC/2⌉, at constant stride, just
+// window-shifted by kw. So one kernel sweep per (output row, 32 columns,
+// output-channel pair) consumes the padded buffer directly, tap after tap
+// in registers: the operand is the image batch itself. The weights are
+// widened at compile time to dwords w[c] | w[c+1]<<16, so a vpmaddwd of
+// the zero-extended pair row against a broadcast dword forms both
+// channels' products of 8 columns with no shuffles, and they carry an
+// extra row that is 1 on real channels, whose output is exactly the
+// per-column byte sum — colsum falls out of the same sweep.
 //
 // The summation order over k differs from the explicit lowering's (the
-// kernel column becomes the outermost split, with KW partial products
-// added per output), which is exactly why this driver exists only for the
-// int8 path: int32 accumulation is associative, every partial sum fits
-// int32 (k ≤ MaxQuantK), so acc and colsum match Im2ColBatchU8 +
-// GemmU8Into bit for bit — locked by TestConvDirectU8BitIdentical. The
-// float backends keep the order-preserving implicit drivers instead.
-//
-// The weights are reordered once at compile time (PackConvShiftU8) into
-// KW matrices of shape [OutC+1, KH·InC] so each kernel-column pass reads
-// its A operand contiguously.
+// kernel column becomes the outermost split), which is exactly why this
+// driver exists only for the int8 path: int32 accumulation is associative,
+// every partial sum fits int32 (k ≤ MaxQuantK), so acc and colsum match
+// Im2ColBatchU8 + GemmU8Into bit for bit — locked by
+// TestConvDirectU8BitIdentical. The float backends keep the
+// order-preserving implicit drivers instead.
 
 // PackedConvShift is the compile-time weight layout of the direct uint8
-// convolution: KW matrices, one per kernel column, each [OutC+1, KH·InC]
-// with k ordered (kh, c) — the order the shifted window of the padded
-// channel-interleaved image presents its rows in. Row OutC of every
-// matrix is all ones: its GEMM output row is the per-column input byte
-// sum, which accumulated across the KW passes is exactly colsum.
+// convolution: rows() output rows (OutC real channels, the colsum row,
+// and a zero row when OutC+1 is odd), each [KW][KH·⌈InC/2⌉] dwords with
+// the inner index ordered (kh, c/2) — the order the shifted window of the
+// channel-pair buffer presents its rows in.
 type PackedConvShift struct {
 	OutC, InC, KH, KW int
-	// Bits[(dx·(OutC+1)+o)·KH·InC + kh·InC + c] = biased weight
-	// (o, c, kh, kw) of the [OutC, InC·KH·KW] conv weight matrix for
-	// o < OutC, and 1 for o == OutC (the colsum row).
-	Bits []uint8
+	// Bits[(o·KW + kw)·KH·⌈InC/2⌉ + kh·⌈InC/2⌉ + c/2] = w(o, c, kh, kw) |
+	// w(o, c+1, kh, kw)<<16 for even c and o < OutC, w the biased weight
+	// of the [OutC, InC·KH·KW] conv weight matrix; the high half is 0 where
+	// c+1 = InC. Row OutC holds 1 in every half of a real channel (the
+	// colsum row), and the padding row is 0.
+	Bits []uint32
 }
 
-// PackConvShiftU8 reorders a quantized conv weight matrix (QuantWeights
-// layout: [OutC, InC·KH·KW], k ordered (c, kh, kw)) into the kernel-column
-// panels the direct driver consumes and appends the all-ones colsum row to
-// each panel. Pure permutation plus the constant row: no weight changes.
+// pairs is the number of channel-pair rows per padded image row.
+func (p *PackedConvShift) pairs() int { return (p.InC + 1) / 2 }
+
+// rows is the number of weight rows: OutC and the colsum row, rounded up
+// to the kernels' row pairs.
+func (p *PackedConvShift) rows() int { return (p.OutC + 2) &^ 1 }
+
+// PackConvShiftU8 widens a quantized conv weight matrix (QuantWeights
+// layout: [OutC, InC·KH·KW], k ordered (c, kh, kw)) into the channel-pair
+// panels the direct driver consumes and appends the colsum row. Pure
+// permutation plus constants: no weight changes.
 func PackConvShiftU8(bits []uint8, outC, inC, kh, kw int) *PackedConvShift {
 	if len(bits) != outC*inC*kh*kw {
 		panic(fmt.Sprintf("tensor: PackConvShiftU8 len %d, want %d×%d×%d×%d", len(bits), outC, inC, kh, kw))
 	}
-	kf := kh * inC
-	p := &PackedConvShift{
-		OutC: outC, InC: inC, KH: kh, KW: kw,
-		Bits: AlignedU8(kw * (outC + 1) * kf),
-	}
-	for dx := 0; dx < kw; dx++ {
-		mtx := p.Bits[dx*(outC+1)*kf:]
-		for o := 0; o < outC; o++ {
-			row := mtx[o*kf : o*kf+kf]
+	p := &PackedConvShift{OutC: outC, InC: inC, KH: kh, KW: kw}
+	cp := p.pairs()
+	kf := kh * cp
+	p.Bits = alignedSlice[uint32](p.rows() * kw * kf)
+	for o := 0; o <= outC; o++ {
+		for dx := 0; dx < kw; dx++ {
+			row := p.Bits[(o*kw+dx)*kf:][:kf]
 			for dy := 0; dy < kh; dy++ {
 				for c := 0; c < inC; c++ {
-					row[dy*inC+c] = bits[o*inC*kh*kw+c*kh*kw+dy*kw+dx]
+					v := uint32(1)
+					if o < outC {
+						v = uint32(bits[((o*inC+c)*kh+dy)*kw+dx])
+					}
+					row[dy*cp+c/2] |= v << (16 * (c & 1))
 				}
 			}
 		}
-		fill(mtx[outC*kf:(outC+1)*kf], 1)
 	}
 	return p
 }
@@ -104,9 +112,9 @@ func ConvDirectU8(acc, colsum []int32, w *PackedConvShift, qsrc []uint8, bsz int
 	convDirectU8(acc, colsum, w, qsrc, bsz, g, zp, simdAvailable, NewArena())
 }
 
-// convDirectU8 is ConvDirectU8 on the vector kernels when simd is set and
-// the scalar SWAR kernels otherwise; simd as in gemmU8. Its padded rows
-// and its int32 tile are drawn from a and released on return.
+// convDirectU8 is ConvDirectU8 on the vector kernel when simd is set and
+// its pure-Go body otherwise. Its padded rows and its int32 tile are drawn
+// from a and released on return.
 func convDirectU8(acc, colsum []int32, w *PackedConvShift, qsrc []uint8, bsz int, g ConvGeom, zp uint8, simd bool, a *Arena) {
 	if g.Stride != 1 {
 		panic("tensor: ConvDirectU8 requires stride 1")
@@ -127,27 +135,33 @@ func convDirectU8(acc, colsum []int32, w *PackedConvShift, qsrc []uint8, bsz int
 		panic(fmt.Sprintf("tensor: ConvDirectU8 size mismatch m=%d k=%d n=%d (src=%d acc=%d colsum=%d)", m, k, n, len(qsrc), len(acc), len(colsum)))
 	}
 
-	// One buffer row per (padded image row, channel), all images of the
-	// batch concatenated: slot b occupies columns [b·pw1, (b+1)·pw1). The
-	// trailing slack bytes let the window-shifted views (and the last
-	// SIMD block, which may overhang the sweep width by up to 31 columns)
-	// read past the final row without a bounds trap; the KW-1 garbage
-	// columns at the end of each image slot (a window straddling the seam
-	// into the next image's padding) land in tile columns ≥ OutW and are
-	// never copied out.
+	// One buffer row of 2·L bytes per (padded image row, channel pair), all
+	// images of the batch concatenated: slot b occupies columns
+	// [b·pw1, (b+1)·pw1). Every window a real output reads ends at or
+	// before column L; the sweep's last block may overhang it by up to 31
+	// columns, which the trailing slack absorbs without a bounds trap. The
+	// KW-1 garbage columns at the end of each image slot (a window
+	// straddling the seam into the next image's padding) land in tile
+	// columns ≥ OutW and are never copied out.
+	simd = simd && k > 0 // the vector kernel takes at least one step
+	cp := w.pairs()
 	pw1 := g.InW + 2*g.Pad
 	L := bsz * pw1
-	rows := (g.InH + 2*g.Pad) * g.InC
 	mk := a.Mark()
-	buf := Raw[uint8](a, rows*L+g.KW-1+31)
+	buf := Raw[uint8](a, 2*(g.InH+2*g.Pad)*cp*L+64)
 	fill(buf, zp)
-	for iy := 0; iy < g.InH; iy++ {
-		for c := 0; c < g.InC; c++ {
-			dr := buf[((iy+g.Pad)*g.InC+c)*L:]
-			sr := qsrc[c*hw+iy*g.InW:]
-			for b := 0; b < bsz; b++ {
-				copy(dr[b*pw1+g.Pad:][:g.InW], sr[b*chw:][:g.InW])
+	var zrow []uint8 // the zero-point channel of an odd InC
+	if g.InC%2 != 0 {
+		zrow = Raw[uint8](a, hw)
+		fill(zrow, zp)
+	}
+	for c := 0; c < g.InC; c += 2 {
+		for b := 0; b < bsz; b++ {
+			s0, s1 := qsrc[b*chw+c*hw:][:hw], zrow
+			if c+1 < g.InC {
+				s1 = qsrc[b*chw+(c+1)*hw:][:hw]
 			}
+			interleave(buf[2*((g.Pad*cp+c/2)*L+b*pw1+g.Pad):], 2*cp*L, s0, s1, g.InW, simd)
 		}
 	}
 
@@ -155,82 +169,67 @@ func convDirectU8(acc, colsum []int32, w *PackedConvShift, qsrc []uint8, bsz int
 	a.Release(mk)
 }
 
+// interleave writes the rows of w columns of the channel planes s0 and
+// s1 into the pair rows of d (stride ldd bytes): d[2x] = s0[x] and
+// d[2x+1] = s1[x], on the vector kernel when simd is set, else (and for
+// the last w mod 8 columns) four columns per 64-bit word.
+func interleave(d []uint8, ldd int, s0, s1 []uint8, w int, simd bool) {
+	for r := 0; r < len(s0); r += w {
+		dr, lo, hi := d[r/w*ldd:][:2*w], s0[r:][:w], s1[r:][:w]
+		x := 0
+		if simd && w >= 8 {
+			x = w &^ 7
+			interleaveU8AVX(&dr[0], &lo[0], &hi[0], x)
+		}
+		for ; x+4 <= w; x += 4 {
+			binary.LittleEndian.PutUint64(dr[2*x:], spreadBytes(binary.LittleEndian.Uint32(lo[x:]))|spreadBytes(binary.LittleEndian.Uint32(hi[x:]))<<8)
+		}
+		for ; x < w; x++ {
+			dr[2*x], dr[2*x+1] = lo[x], hi[x]
+		}
+	}
+}
+
+// spreadBytes moves byte i of v to byte 2i of the result.
+func spreadBytes(v uint32) uint64 {
+	x := uint64(v)
+	x = (x | x<<16) & 0x0000ffff0000ffff
+	return (x | x<<8) & 0x00ff00ff00ff00ff
+}
+
 // convDirectRows runs the direct convolution, every image of the batch at
-// once, on the calling goroutine. Per output row it runs one GEMM pass
-// per kernel column into an L2-resident tile — pass 0 with the
-// overwriting kernels, passes ≥ 1 with the accumulating variants — then
-// scatters the real columns of the tile into acc and the ones-row into
-// colsum. The sweep covers W = (bsz-1)·pw1 + ow columns: every real
-// output lands in [0, W) (only the final image slot's garbage tail is
-// dropped), and on SIMD the last 32-wide block simply overhangs W — the
-// tile rows are padded to a 32 multiple and the buffer carries matching
-// slack, so a bsz=1 forward (the sequential per-image decision path) still
-// runs entirely on the wide kernels even when pw1 < 32. The tile is drawn
-// from a; the caller releases it.
+// once, on the calling goroutine. Per output row it computes a tile of
+// rows() × W int32, each output-channel pair in one kernel sweep over all
+// taps, then scatters the real columns of the tile into acc and the colsum
+// row into colsum. The sweep covers W = (bsz-1)·pw1 + ow columns: every
+// real output lands in [0, W) (only the final image slot's garbage tail is
+// dropped), and the last block simply overhangs W — 32 columns wide on the
+// vector kernel, 4 on the Go body — into the padded tile row and the
+// buffer's slack, so a bsz=1 forward (the sequential per-image decision
+// path) still runs entirely on the wide kernel even when pw1 < 32. The
+// tile is drawn from a; the caller releases it.
 func convDirectRows(acc, colsum []int32, w *PackedConvShift, buf []uint8, g ConvGeom, pw1, L, n int, simd bool, a *Arena) {
-	m := w.OutC
-	mm := m + 1 // + colsum ones row
-	kf := w.KH * g.InC
+	m, mm := w.OutC, w.rows()
+	kf := w.KH * w.pairs()
+	ldw := w.KW * kf
 	oh, ow := g.OutH(), g.OutW()
 	bsz := L / pw1
 	W := (bsz-1)*pw1 + ow
-	lds := W
+	blk := 4
 	if simd {
-		lds = (W + 31) &^ 31
+		blk = 32
 	}
+	lds := (W + blk - 1) / blk * blk
 	t := Raw[int32](a, mm*lds)
 	for y := 0; y < oh; y++ {
-		base := y * g.InC * L
-		for dx := 0; dx < g.KW; dx++ {
-			a := w.Bits[dx*mm*kf:]
-			view := buf[base+dx:]
+		view := buf[2*y*w.pairs()*L:]
+		for i := 0; i < mm; i += 2 {
 			if simd {
 				for jj := 0; jj < W; jj += 32 {
-					i := 0
-					if dx == 0 {
-						for ; i+2 <= mm; i += 2 {
-							u8Gemm2x32(&a[i*kf], kf, &view[jj], L, &t[i*lds+jj], lds, kf)
-						}
-						if i < mm {
-							u8GemmRow32(&a[i*kf], &view[jj], L, &t[i*lds+jj], kf)
-						}
-					} else {
-						for ; i+2 <= mm; i += 2 {
-							u8Gemm2x32Acc(&a[i*kf], kf, &view[jj], L, &t[i*lds+jj], lds, kf)
-						}
-						if i < mm {
-							u8GemmRow32Acc(&a[i*kf], &view[jj], L, &t[i*lds+jj], kf)
-						}
-					}
-				}
-			} else if dx == 0 {
-				i := 0
-				for ; i+4 <= mm; i += 4 {
-					j := 0
-					for ; j+4 <= W; j += 4 {
-						gemmU8Quad(t, a, view, kf, lds, L, i, j)
-					}
-					for ; j < W; j++ {
-						gemmU8Col(t, a, view, kf, lds, L, i, i+4, j)
-					}
-				}
-				for ; i < mm; i++ {
-					gemmU8Row(t, a, view, kf, lds, L, i, 0, W)
+					u8ConvTaps2x32(&w.Bits[i*ldw], ldw, &view[2*jj], 2*L, &t[i*lds+jj], lds, kf, w.KW)
 				}
 			} else {
-				i := 0
-				for ; i+4 <= mm; i += 4 {
-					j := 0
-					for ; j+4 <= W; j += 4 {
-						gemmU8QuadAcc(t, a, view, kf, lds, L, i, j)
-					}
-					for ; j < W; j++ {
-						gemmU8ColAcc(t, a, view, kf, lds, L, i, i+4, j)
-					}
-				}
-				for ; i < mm; i++ {
-					gemmU8RowAcc(t, a, view, kf, lds, L, i, 0, W)
-				}
+				convTaps2Go(t[i*lds:], lds, w.Bits[i*ldw:], ldw, view, 2*L, kf, w.KW)
 			}
 		}
 		for o := 0; o < m; o++ {
@@ -248,89 +247,36 @@ func convDirectRows(acc, colsum []int32, w *PackedConvShift, buf []uint8, g Conv
 	}
 }
 
-// gemmU8QuadAcc is gemmU8Quad with c += instead of c =, used for the
-// kernel-column passes dx ≥ 1 of the direct convolution. Safe in the SWAR
-// halves for the same reason the overwriting kernel is: every partial sum
-// of a ≤ MaxQuantK dot product fits int32 and is non-negative.
-func gemmU8QuadAcc(c []int32, a, b []uint8, k, ldc, ldb, i, j int) {
-	a0 := a[i*k : (i+1)*k]
-	a1 := a[(i+1)*k:][:k]
-	a2 := a[(i+2)*k:][:k]
-	a3 := a[(i+3)*k:][:k]
-	var q00, q01, q10, q11, q20, q21, q30, q31 uint64
-	bi := j
-	for p := 0; p < k; p++ {
-		brow := b[bi : bi+4]
-		v0 := uint64(brow[0]) | uint64(brow[1])<<32
-		v1 := uint64(brow[2]) | uint64(brow[3])<<32
-		bi += ldb
-		w0, w1, w2, w3 := uint64(a0[p]), uint64(a1[p]), uint64(a2[p]), uint64(a3[p])
-		q00 += v0 * w0
-		q01 += v1 * w0
-		q10 += v0 * w1
-		q11 += v1 * w1
-		q20 += v0 * w2
-		q21 += v1 * w2
-		q30 += v0 * w3
-		q31 += v1 * w3
-	}
-	r0 := c[i*ldc+j:][:4]
-	r1 := c[(i+1)*ldc+j:][:4]
-	r2 := c[(i+2)*ldc+j:][:4]
-	r3 := c[(i+3)*ldc+j:][:4]
-	r0[0] += int32(uint32(q00))
-	r0[1] += int32(q00 >> 32)
-	r0[2] += int32(uint32(q01))
-	r0[3] += int32(q01 >> 32)
-	r1[0] += int32(uint32(q10))
-	r1[1] += int32(q10 >> 32)
-	r1[2] += int32(uint32(q11))
-	r1[3] += int32(q11 >> 32)
-	r2[0] += int32(uint32(q20))
-	r2[1] += int32(q20 >> 32)
-	r2[2] += int32(uint32(q21))
-	r2[3] += int32(q21 >> 32)
-	r3[0] += int32(uint32(q30))
-	r3[1] += int32(q30 >> 32)
-	r3[2] += int32(uint32(q31))
-	r3[3] += int32(q31 >> 32)
-}
-
-// gemmU8ColAcc is gemmU8Col with c += instead of c =.
-func gemmU8ColAcc(c []int32, a, b []uint8, k, ldc, ldb, i0, i1, j int) {
-	for i := i0; i < i1; i++ {
-		arow := a[i*k : (i+1)*k]
-		var acc int32
-		bi := j
-		for _, av := range arow {
-			acc += int32(av) * int32(b[bi])
-			bi += ldb
+// convTaps2Go is the pure-Go body of u8ConvTaps2x32 on the same layout,
+// over the whole tile row pair c[0:ldc], c[ldc:2·ldc] (ldc a multiple of
+// 4) in 2×4 blocks. Each block carries SWAR accumulators — two int32
+// lanes per uint64, columns j, j+1 in one and j+2, j+3 in the other — and
+// splits each weight dword into its two channel halves, so one 64-bit
+// multiply-add advances two MACs. No lane overflows or carries: every
+// partial sum is non-negative and bounded by MaxQuantK·255².
+func convTaps2Go(c []int32, ldc int, w []uint32, ldw int, b []uint8, ldb, kf, kw int) {
+	w0, w1 := w[:kw*kf], w[ldw:][:kw*kf]
+	r0, r1 := c[:ldc], c[ldc:][:ldc]
+	for j := 0; j < ldc; j += 4 {
+		var q00, q01, q10, q11 uint64
+		for t := 0; t < kw; t++ {
+			bi := 2 * (j + t)
+			for s := t * kf; s < (t+1)*kf; s++ {
+				x := b[bi : bi+8]
+				bi += ldb
+				e0 := uint64(x[0]) | uint64(x[2])<<32 // channel c, columns j, j+1
+				o0 := uint64(x[1]) | uint64(x[3])<<32 // channel c+1
+				e1 := uint64(x[4]) | uint64(x[6])<<32 // columns j+2, j+3
+				o1 := uint64(x[5]) | uint64(x[7])<<32
+				a0, b0 := uint64(w0[s]&0xffff), uint64(w0[s]>>16)
+				a1, b1 := uint64(w1[s]&0xffff), uint64(w1[s]>>16)
+				q00 += e0*a0 + o0*b0
+				q01 += e1*a0 + o1*b0
+				q10 += e0*a1 + o0*b1
+				q11 += e1*a1 + o1*b1
+			}
 		}
-		c[i*ldc+j] += acc
-	}
-}
-
-// gemmU8RowAcc is gemmU8Row with c += instead of c =.
-func gemmU8RowAcc(c []int32, a, b []uint8, k, ldc, ldb, i, j0, j1 int) {
-	arow := a[i*k : (i+1)*k]
-	j := j0
-	for ; j+2 <= j1; j += 2 {
-		var q uint64
-		bi := j
-		for _, av := range arow {
-			q += (uint64(b[bi]) | uint64(b[bi+1])<<32) * uint64(av)
-			bi += ldb
-		}
-		c[i*ldc+j] += int32(uint32(q))
-		c[i*ldc+j+1] += int32(q >> 32)
-	}
-	if j < j1 {
-		var acc int32
-		bi := j
-		for _, av := range arow {
-			acc += int32(av) * int32(b[bi])
-			bi += ldb
-		}
-		c[i*ldc+j] += acc
+		r0[j], r0[j+1], r0[j+2], r0[j+3] = int32(uint32(q00)), int32(q00>>32), int32(uint32(q01)), int32(q01>>32)
+		r1[j], r1[j+1], r1[j+2], r1[j+3] = int32(uint32(q10)), int32(q10>>32), int32(uint32(q11)), int32(q11>>32)
 	}
 }

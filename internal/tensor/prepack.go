@@ -106,6 +106,12 @@ type PackedU8T struct {
 	// verifier a scratch copy: its injection and repair seams write
 	// through the slice.
 	ColSum []int32
+	// Wide is Bits with zero columns appended up to the next multiple of
+	// 32 — the [K, ⌈N/32⌉·32] operand the vector kernel sweeps in whole
+	// 32-column blocks, so a narrow head (the zoo's N = 10 classifiers)
+	// does not fall to the scalar remainder rows. Nil when N is already a
+	// multiple of 32.
+	Wide []uint8
 }
 
 // PackQuantTranspose packs per-row symmetric quantized weights into the
@@ -131,8 +137,17 @@ func PackQuantTranspose(q QuantWeights) *PackedU8T {
 		}
 		p.ColSum[o] = sum
 	}
+	if ld := wideLD(q.M); ld != q.M {
+		p.Wide = AlignedU8(q.K * ld)
+		for k := 0; k < q.K; k++ {
+			copy(p.Wide[k*ld:], p.Bits[k*q.M:(k+1)*q.M])
+		}
+	}
 	return p
 }
+
+// wideLD is the row stride of PackedU8T.Wide for n output channels.
+func wideLD(n int) int { return (n + 31) &^ 31 }
 
 // Unpack reconstructs the original [N, K] row-major biased weight matrix
 // from the transposed pack — the bit-exact inverse of PackQuantTranspose.

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"unsafe"
@@ -175,39 +176,55 @@ func TestImplicitGemmU8BitIdentical(t *testing.T) {
 	}
 }
 
+// directCases are the named direct-convolution shapes: both channel
+// parities (InC 1 and 3 pad a zero-point channel), both parities of
+// OutC+1 (odd ones pad a zero weight row), 1×1, 5×5 and KH ≠ KW kernels, a
+// batch sweep narrower than one 32-column block, and single-image
+// forwards at the convnet's shapes.
+var directCases = []struct {
+	name      string
+	g         ConvGeom
+	bsz, outC int
+}{
+	{"InC1/rows5", ConvGeom{InC: 1, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}, 2, 4},
+	{"InC3/rows6", ConvGeom{InC: 3, InH: 9, InW: 7, KH: 3, KW: 3, Stride: 1, Pad: 1}, 3, 5},
+	{"KW1/rows7", ConvGeom{InC: 4, InH: 6, InW: 6, KH: 1, KW: 1, Stride: 1, Pad: 0}, 2, 6},
+	{"KW5/rows4", ConvGeom{InC: 2, InH: 9, InW: 9, KH: 5, KW: 5, Stride: 1, Pad: 2}, 2, 3},
+	{"KH3_KW5", ConvGeom{InC: 5, InH: 7, InW: 10, KH: 3, KW: 5, Stride: 1, Pad: 1}, 2, 7},
+	{"KH5_KW1", ConvGeom{InC: 3, InH: 8, InW: 6, KH: 5, KW: 1, Stride: 1, Pad: 2}, 2, 4},
+	{"narrow_sweep", ConvGeom{InC: 2, InH: 5, InW: 5, KH: 3, KW: 3, Stride: 1, Pad: 1}, 3, 3},
+	{"bsz1/conv1", ConvGeom{InC: 3, InH: 32, InW: 32, KH: 3, KW: 3, Stride: 1, Pad: 1}, 1, 8},
+	{"bsz1/conv2", ConvGeom{InC: 8, InH: 16, InW: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}, 1, 12},
+}
+
 // TestConvDirectU8BitIdentical locks the direct shift convolution —
-// kernel-column weight panels over the padded channel-interleaved image —
+// channel-pair weight panels over the padded channel-pair image rows —
 // against Im2ColBatchU8 + GemmU8Into, accumulators and column sums both,
-// on every kernel leg. Only stride-1 geometries are eligible (the
-// qconv32 dispatch gates on the same predicate).
+// on every kernel leg: the named directCases, then every stride-1 shape
+// of the random sweep (the qconv32 dispatch gates on the same predicate).
 func TestConvDirectU8BitIdentical(t *testing.T) {
 	for _, simd := range kernelLegs() {
 		rng := rand.New(rand.NewSource(144))
-		tested := 0
-		for ci, tc := range implicitGeoms(rng) {
-			g, bsz := tc.g, tc.bsz
-			if g.Stride != 1 {
-				continue
-			}
-			tested++
+		check := func(t *testing.T, g ConvGeom, bsz, outC int) {
+			t.Helper()
 			k := g.InC * g.KH * g.KW
 			n := bsz * g.OutH() * g.OutW()
 			chw := g.InC * g.InH * g.InW
 			zp := uint8(rng.Intn(256))
 
-			a := make([]uint8, tc.outC*k)
+			a := make([]uint8, outC*k)
 			qsrc := make([]uint8, bsz*chw)
 			rng.Read(a)
 			rng.Read(qsrc)
 
 			qcols := make([]uint8, k*n)
 			Im2ColBatchU8(qcols, qsrc, bsz, g, zp)
-			wantC := make([]int32, tc.outC*n)
+			wantC := make([]int32, outC*n)
 			wantCS := make([]int32, n)
-			gemmU8(wantC, wantCS, a, qcols, tc.outC, k, n, simd)
+			gemmU8(wantC, wantCS, a, qcols, outC, k, n, simd)
 
-			pack := PackConvShiftU8(a, tc.outC, g.InC, g.KH, g.KW)
-			gotC := make([]int32, tc.outC*n)
+			pack := PackConvShiftU8(a, outC, g.InC, g.KH, g.KW)
+			gotC := make([]int32, outC*n)
 			gotCS := make([]int32, n)
 			for i := range gotC {
 				gotC[i] = -9
@@ -219,17 +236,66 @@ func TestConvDirectU8BitIdentical(t *testing.T) {
 
 			for i, v := range gotC {
 				if v != wantC[i] {
-					t.Fatalf("simd=%v case %d (geom %+v bsz %d zp %d): acc %d: direct %d explicit %d", simd, ci, g, bsz, zp, i, v, wantC[i])
+					t.Fatalf("simd=%v (geom %+v bsz %d zp %d): acc %d: direct %d explicit %d", simd, g, bsz, zp, i, v, wantC[i])
 				}
 			}
 			for j, v := range gotCS {
 				if v != wantCS[j] {
-					t.Fatalf("simd=%v case %d (geom %+v): colsum %d: direct %d explicit %d", simd, ci, g, j, v, wantCS[j])
+					t.Fatalf("simd=%v (geom %+v bsz %d): colsum %d: direct %d explicit %d", simd, g, bsz, j, v, wantCS[j])
 				}
+			}
+		}
+		for _, tc := range directCases {
+			t.Run(fmt.Sprintf("simd=%v/%s", simd, tc.name), func(t *testing.T) { check(t, tc.g, tc.bsz, tc.outC) })
+		}
+		tested := 0
+		for _, tc := range implicitGeoms(rng) {
+			if tc.g.Stride == 1 {
+				tested++
+				check(t, tc.g, tc.bsz, tc.outC)
 			}
 		}
 		if tested < 10 {
 			t.Fatalf("simd=%v: only %d stride-1 geometries tested — sweep too thin", simd, tested)
+		}
+	}
+}
+
+// TestPackConvShiftU8Unpacks reads PackConvShiftU8's panels back into the
+// QuantWeights layout: every real weight is where the direct kernel looks
+// for it, the zero-point channel's and the padding row's halves are 0,
+// and the colsum row is 1 exactly on real channels.
+func TestPackConvShiftU8Unpacks(t *testing.T) {
+	rng := rand.New(rand.NewSource(148))
+	for _, tc := range directCases {
+		g, outC := tc.g, tc.outC
+		bits := make([]uint8, outC*g.InC*g.KH*g.KW)
+		rng.Read(bits)
+		p := PackConvShiftU8(bits, outC, g.InC, g.KH, g.KW)
+		cp := (g.InC + 1) / 2
+		kf := g.KH * cp
+		if p.rows()%2 != 0 || p.rows() < outC+1 || p.rows() > outC+2 || len(p.Bits) != p.rows()*g.KW*kf {
+			t.Fatalf("%s: %d rows, %d words", tc.name, p.rows(), len(p.Bits))
+		}
+		for o := 0; o < p.rows(); o++ {
+			for dx := 0; dx < g.KW; dx++ {
+				for dy := 0; dy < g.KH; dy++ {
+					for c := 0; c < 2*cp; c++ {
+						got := p.Bits[(o*g.KW+dx)*kf+dy*cp+c/2] >> (16 * (c & 1)) & 0xffff
+						var want uint32
+						switch {
+						case c >= g.InC || o > outC:
+						case o == outC:
+							want = 1
+						default:
+							want = uint32(bits[((o*g.InC+c)*g.KH+dy)*g.KW+dx])
+						}
+						if got != want {
+							t.Fatalf("%s: row %d tap (%d,%d) channel %d: %d, want %d", tc.name, o, dy, dx, c, got, want)
+						}
+					}
+				}
+			}
 		}
 	}
 }
@@ -270,6 +336,38 @@ func TestGemmU8PreIntoMatchesGemmU8Into(t *testing.T) {
 					t.Fatalf("simd=%v trial %d: ColSum[%d]=%d, GemmU8Into colsum %d", simd, trial, j, v, wantCS[j])
 				}
 			}
+		}
+	}
+}
+
+// TestDenseU8MatchesGemmU8 holds the served int8 Dense product to the
+// scalar SWAR GEMM over widths below, at and between 32-column blocks —
+// the vector leg runs the narrow ones against the zero-padded Wide
+// operand — plain and verified.
+func TestDenseU8MatchesGemmU8(t *testing.T) {
+	rng := rand.New(rand.NewSource(149))
+	a := NewArena()
+	for _, n := range []int{1, 10, 31, 32, 33, 40, 64, 100} {
+		for _, sink := range []*AbftStats{nil, {}} {
+			a.SetAbft(sink)
+			m, k := 1+rng.Intn(33), 1+rng.Intn(300)
+			x, bits := make([]uint8, m*k), make([]uint8, n*k)
+			rng.Read(x)
+			rng.Read(bits)
+			p := PackQuantTranspose(QuantWeights{M: n, K: k, Bits: bits, Scale: make([]float64, n), RowSum: make([]int32, n)})
+			want := make([]int32, m*n)
+			gemmU8(want, nil, x, p.Bits, m, k, n, false)
+			got := make([]int32, m*n)
+			DenseU8(got, x, p, m, a)
+			for i, v := range got {
+				if v != want[i] {
+					t.Fatalf("n=%d m=%d k=%d verified=%v: acc %d: DenseU8 %d, scalar %d", n, m, k, sink != nil, i, v, want[i])
+				}
+			}
+			if c := sink.Counts(); sink != nil && (c.Checks != uint64(n) || c.Detected != 0) {
+				t.Fatalf("n=%d: verified counts %+v, want %d checks and no detections", n, c, n)
+			}
+			a.Reset()
 		}
 	}
 }
@@ -329,6 +427,14 @@ func TestPackQuantTransposeRoundTrip(t *testing.T) {
 		for i, v := range back {
 			if v != bits[i] {
 				t.Fatalf("trial %d: unpack[%d]=%d, want %d", trial, i, v, bits[i])
+			}
+		}
+		if ld := (m + 31) &^ 31; (p.Wide == nil) != (ld == m) || p.Wide != nil && (len(p.Wide) != k*ld || !Aligned64(p.Wide)) {
+			t.Fatalf("trial %d: Wide of %d bytes for K=%d N=%d", trial, len(p.Wide), k, m)
+		}
+		for i, v := range p.Wide {
+			if kk, o := i/wideLD(m), i%wideLD(m); o < m && v != p.Bits[kk*m+o] || o >= m && v != 0 {
+				t.Fatalf("trial %d: Wide[%d,%d]=%d", trial, kk, o, v)
 			}
 		}
 		for o := 0; o < m; o++ {

@@ -72,7 +72,10 @@ func ConvU8(acc, colsum []int32, w QuantWeights, shift *PackedConvShift, qsrc []
 
 // DenseU8 computes the int8 dense-layer product acc [m, w.N] = x [m, w.K]
 // × w.Bits, x the quantized activation rows and w the compile-time
-// transposed weights; w.ColSum stands in for the per-call column sums.
+// transposed weights; w.ColSum stands in for the per-call column sums. On
+// the vector kernel a width that is not a multiple of 32 runs against
+// w.Wide into a scratch tile whose first N columns are acc — the padding
+// columns multiply zero weights, so acc is the same exact product.
 // When a carries an ABFT sink, the exact checksum epilogue then checks and
 // repairs acc against a scratch copy of w.ColSum (the verifier's injection
 // and repair write through the column sums). It panics on mismatched
@@ -85,7 +88,18 @@ func DenseU8(acc []int32, x []uint8, w *PackedU8T, m int, a *Arena) {
 	if len(x) != m*k || len(acc) < m*n {
 		panic(fmt.Sprintf("tensor: DenseU8 size mismatch m=%d k=%d n=%d (x=%d acc=%d)", m, k, n, len(x), len(acc)))
 	}
-	gemmU8(acc, nil, x, w.Bits, m, k, n, simdAvailable)
+	if simdAvailable && w.Wide != nil {
+		ld := wideLD(n)
+		mk := a.Mark()
+		t := Raw[int32](a, m*ld)
+		gemmU8(t, nil, x, w.Wide, m, k, ld, true)
+		for i := 0; i < m; i++ {
+			copy(acc[i*n:(i+1)*n], t[i*ld:])
+		}
+		a.Release(mk)
+	} else {
+		gemmU8(acc, nil, x, w.Bits, m, k, n, simdAvailable)
+	}
 	if s := a.Abft(); s != nil {
 		mk := a.Mark()
 		cs := Raw[int32](a, n)

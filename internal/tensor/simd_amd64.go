@@ -53,16 +53,20 @@ func u8GemmRow32(a *uint8, b *uint8, ldb int, c *int32, k int)
 //go:noescape
 func u8Gemm2x32(a *uint8, lda int, b *uint8, ldb int, c *int32, ldc int, k int)
 
-// u8GemmRow32Acc / u8Gemm2x32Acc are the accumulating variants (c += block
-// product instead of c =) used by the direct-convolution driver to fold
-// the per-kernel-column partial products in-register. Same exact-arithmetic
-// contract — int32 adds of non-negative partials bounded by MaxQuantK·255².
+// u8ConvTaps2x32 computes the direct convolution's 2×32 block: C rows 0
+// and 1 (stride ldc elements, overwritten) = the weight dword rows at w and
+// w+ldw, each [kw][kf], against the kf channel-pair rows of b (stride ldb
+// bytes) read at column offsets 0..kw-1 — every kernel tap in one sweep.
+// Exact int32 arithmetic, as u8Gemm2x32; kf and kw must be ≥ 1.
 //
 //go:noescape
-func u8GemmRow32Acc(a *uint8, b *uint8, ldb int, c *int32, k int)
+func u8ConvTaps2x32(w *uint32, ldw int, b *uint8, ldb int, c *int32, ldc int, kf int, kw int)
 
+// interleaveU8AVX writes d[2x] = s0[x] and d[2x+1] = s1[x] for x in
+// [0, n); n must be a multiple of 8.
+//
 //go:noescape
-func u8Gemm2x32Acc(a *uint8, lda int, b *uint8, ldb int, c *int32, ldc int, k int)
+func interleaveU8AVX(d *uint8, s0 *uint8, s1 *uint8, n int)
 
 // quantizeU8AVX quantizes n float32 values (n a multiple of 32) to uint8:
 // dst[i] = clamp(trunc(src[i]·invScale + z + 0.5), 0, 255), bit-identical

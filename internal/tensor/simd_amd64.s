@@ -397,118 +397,28 @@ u2_done:
 	VZEROUPPER
 	RET
 
-// func u8GemmRow32Acc(a *uint8, b *uint8, ldb int, c *int32, k int)
+// func u8ConvTaps2x32(w *uint32, ldw int, b *uint8, ldb int, c *int32, ldc int, kf int, kw int)
 //
-// Accumulating variant of u8GemmRow32: c[0:32] += Σ_p a[p]·b[p·ldb + j].
-// Identical loop; the epilogue adds the existing C values (int32
-// wraparound, exact) before the store. The direct-convolution driver uses
-// it to fold the kernel-column partial products without a Go-side pass.
-TEXT ·u8GemmRow32Acc(SB), NOSPLIT, $0-40
-	MOVQ a+0(FP), SI
-	MOVQ b+8(FP), DI
-	MOVQ ldb+16(FP), R8
-	MOVQ c+24(FP), R9
-	MOVQ k+32(FP), CX
-
-	VPXOR Y0, Y0, Y0
-	VPXOR Y1, Y1, Y1
-	VPXOR Y2, Y2, Y2
-	VPXOR Y3, Y3, Y3
-
-	CMPQ CX, $2
-	JL   u8a_tail
-
-u8a_loop:
-	VPMOVZXBW (DI), Y8           // row p, cols 0-15 as words
-	VPMOVZXBW 16(DI), Y9         // row p, cols 16-31
-	VPMOVZXBW (DI)(R8*1), Y10    // row p+1, cols 0-15
-	VPMOVZXBW 16(DI)(R8*1), Y11  // row p+1, cols 16-31
-
-	MOVBLZX (SI), AX     // pair (a[p], a[p+1]) packed in one dword
-	MOVBLZX 1(SI), BX
-	SHLL    $16, BX
-	ORL     BX, AX
-	VMOVD   AX, X12      // VEX move: a legacy MOVQ here stalls on dirty YMM uppers
-	VPBROADCASTD X12, Y12
-
-	VPUNPCKLWD Y10, Y8, Y13
-	VPUNPCKHWD Y10, Y8, Y8
-	VPUNPCKLWD Y11, Y9, Y14
-	VPUNPCKHWD Y11, Y9, Y9
-
-	VPMADDWD Y12, Y13, Y13
-	VPADDD   Y13, Y0, Y0
-	VPMADDWD Y12, Y8, Y8
-	VPADDD   Y8, Y1, Y1
-	VPMADDWD Y12, Y14, Y14
-	VPADDD   Y14, Y2, Y2
-	VPMADDWD Y12, Y9, Y9
-	VPADDD   Y9, Y3, Y3
-
-	ADDQ $2, SI
-	LEAQ (DI)(R8*2), DI
-	SUBQ $2, CX
-	CMPQ CX, $2
-	JGE  u8a_loop
-
-u8a_tail:
-	TESTQ CX, CX
-	JZ    u8a_done
-
-	VPMOVZXBW (DI), Y8
-	VPMOVZXBW 16(DI), Y9
-	VPXOR     Y10, Y10, Y10
-	VPXOR     Y11, Y11, Y11
-
-	MOVBLZX (SI), AX  // pair (a[k-1], 0)
-	VMOVD   AX, X12
-	VPBROADCASTD X12, Y12
-
-	VPUNPCKLWD Y10, Y8, Y13
-	VPUNPCKHWD Y10, Y8, Y8
-	VPUNPCKLWD Y11, Y9, Y14
-	VPUNPCKHWD Y11, Y9, Y9
-
-	VPMADDWD Y12, Y13, Y13
-	VPADDD   Y13, Y0, Y0
-	VPMADDWD Y12, Y8, Y8
-	VPADDD   Y8, Y1, Y1
-	VPMADDWD Y12, Y14, Y14
-	VPADDD   Y14, Y2, Y2
-	VPMADDWD Y12, Y9, Y9
-	VPADDD   Y9, Y3, Y3
-
-u8a_done:
-	VPERM2I128 $0x20, Y1, Y0, Y8
-	VPERM2I128 $0x31, Y1, Y0, Y9
-	VPERM2I128 $0x20, Y3, Y2, Y10
-	VPERM2I128 $0x31, Y3, Y2, Y11
-	VPADDD  (R9), Y8, Y8
-	VPADDD  32(R9), Y9, Y9
-	VPADDD  64(R9), Y10, Y10
-	VPADDD  96(R9), Y11, Y11
-	VMOVDQU Y8, (R9)
-	VMOVDQU Y9, 32(R9)
-	VMOVDQU Y10, 64(R9)
-	VMOVDQU Y11, 96(R9)
-	VZEROUPPER
-	RET
-
-// func u8Gemm2x32Acc(a *uint8, lda int, b *uint8, ldb int, c *int32, ldc int, k int)
-//
-// Accumulating variant of u8Gemm2x32: both C rows get += the block
-// product. Same loop body; the epilogue adds the existing C rows before
-// the stores.
-TEXT ·u8Gemm2x32Acc(SB), NOSPLIT, $0-56
-	MOVQ a+0(FP), SI
-	MOVQ lda+8(FP), R11
+// The direct convolution's 2×32 block over every kernel tap:
+// C[r][j] = Σ_t Σ_s w[r·ldw + t·kf + s] ⋅ B[s·ldb + 2(j+t)], r ∈ {0, 1},
+// j in [0,32), where each weight is a dword (w[c] | w[c+1]<<16) and each
+// B row holds channels c, c+1 of a column in adjacent bytes, so one
+// vpmaddwd of the zero-extended bytes against the broadcast dword forms
+// both channels' products of 8 columns. The words are in column order,
+// hence the plain stores. Per step: 4 zero-extends, 2 broadcasts from
+// memory, 8 vpmaddwd + vpaddd. Exact int32 arithmetic: products and pair
+// sums are non-negative and bounded by MaxQuantK·255².
+TEXT ·u8ConvTaps2x32(SB), NOSPLIT, $0-64
+	MOVQ w+0(FP), SI
+	MOVQ ldw+8(FP), R11
 	MOVQ b+16(FP), DI
 	MOVQ ldb+24(FP), R8
 	MOVQ c+32(FP), R9
 	MOVQ ldc+40(FP), R10
-	MOVQ k+48(FP), CX
+	MOVQ kf+48(FP), DX
+	MOVQ kw+56(FP), R12
 
-	ADDQ SI, R11       // A row 1
+	SHLQ $2, R11       // weight row stride in bytes
 	SHLQ $2, R10
 	ADDQ R9, R10       // C row 1
 
@@ -521,123 +431,91 @@ TEXT ·u8Gemm2x32Acc(SB), NOSPLIT, $0-56
 	VPXOR Y6, Y6, Y6
 	VPXOR Y7, Y7, Y7
 
-	CMPQ CX, $2
-	JL   u2a_tail
+ct_tap:
+	MOVQ DI, BX        // first window row at this tap
+	MOVQ DX, CX
 
-u2a_loop:
-	VPMOVZXBW (DI), Y8           // B row p, cols 0-15 as words
-	VPMOVZXBW 16(DI), Y9         // B row p, cols 16-31
-	VPMOVZXBW (DI)(R8*1), Y10    // B row p+1, cols 0-15
-	VPMOVZXBW 16(DI)(R8*1), Y11  // B row p+1, cols 16-31
+ct_step:
+	VPMOVZXBW (BX), Y8     // cols 0-7, channel pairs as words
+	VPMOVZXBW 16(BX), Y9   // cols 8-15
+	VPMOVZXBW 32(BX), Y10  // cols 16-23
+	VPMOVZXBW 48(BX), Y11  // cols 24-31
+	VPBROADCASTD (SI), Y12        // row 0 weight pair
+	VPBROADCASTD (SI)(R11*1), Y13 // row 1 weight pair
 
-	MOVBLZX (SI), AX     // row 0 pair (a[p], a[p+1])
-	MOVBLZX 1(SI), BX
-	SHLL    $16, BX
-	ORL     BX, AX
-	VMOVD   AX, X14
-	VPBROADCASTD X14, Y14
-	MOVBLZX (R11), AX    // row 1 pair
-	MOVBLZX 1(R11), BX
-	SHLL    $16, BX
-	ORL     BX, AX
-	VMOVD   AX, X15
-	VPBROADCASTD X15, Y15
+	VPMADDWD Y12, Y8, Y14
+	VPADDD   Y14, Y0, Y0
+	VPMADDWD Y12, Y9, Y15
+	VPADDD   Y15, Y1, Y1
+	VPMADDWD Y12, Y10, Y14
+	VPADDD   Y14, Y2, Y2
+	VPMADDWD Y12, Y11, Y15
+	VPADDD   Y15, Y3, Y3
 
-	VPUNPCKLWD Y10, Y8, Y12
-	VPUNPCKHWD Y10, Y8, Y8
-	VPUNPCKLWD Y11, Y9, Y13
-	VPUNPCKHWD Y11, Y9, Y9
+	VPMADDWD Y13, Y8, Y8
+	VPADDD   Y8, Y4, Y4
+	VPMADDWD Y13, Y9, Y9
+	VPADDD   Y9, Y5, Y5
+	VPMADDWD Y13, Y10, Y10
+	VPADDD   Y10, Y6, Y6
+	VPMADDWD Y13, Y11, Y11
+	VPADDD   Y11, Y7, Y7
 
-	VPMADDWD Y14, Y12, Y10  // row 0 into Y0-Y3 (Y10/Y11 free as temps)
-	VPADDD   Y10, Y0, Y0
-	VPMADDWD Y14, Y8, Y10
-	VPADDD   Y10, Y1, Y1
-	VPMADDWD Y14, Y13, Y10
-	VPADDD   Y10, Y2, Y2
-	VPMADDWD Y14, Y9, Y10
-	VPADDD   Y10, Y3, Y3
+	ADDQ $4, SI
+	ADDQ R8, BX
+	DECQ CX
+	JNZ  ct_step
 
-	VPMADDWD Y15, Y12, Y12  // row 1 into Y4-Y7, consuming the interleaves
-	VPADDD   Y12, Y4, Y4
-	VPMADDWD Y15, Y8, Y8
-	VPADDD   Y8, Y5, Y5
-	VPMADDWD Y15, Y13, Y13
-	VPADDD   Y13, Y6, Y6
-	VPMADDWD Y15, Y9, Y9
-	VPADDD   Y9, Y7, Y7
+	ADDQ $2, DI        // next tap: the window shifts one column
+	DECQ R12
+	JNZ  ct_tap
 
-	ADDQ $2, SI
-	ADDQ $2, R11
-	LEAQ (DI)(R8*2), DI
-	SUBQ $2, CX
-	CMPQ CX, $2
-	JGE  u2a_loop
-
-u2a_tail:
-	TESTQ CX, CX
-	JZ    u2a_done
-
-	VPMOVZXBW (DI), Y8
-	VPMOVZXBW 16(DI), Y9
-	VPXOR     Y10, Y10, Y10
-	VPXOR     Y11, Y11, Y11
-
-	MOVBLZX (SI), AX   // pair (a[k-1], 0)
-	VMOVD   AX, X14
-	VPBROADCASTD X14, Y14
-	MOVBLZX (R11), AX
-	VMOVD   AX, X15
-	VPBROADCASTD X15, Y15
-
-	VPUNPCKLWD Y10, Y8, Y12
-	VPUNPCKHWD Y10, Y8, Y8
-	VPUNPCKLWD Y11, Y9, Y13
-	VPUNPCKHWD Y11, Y9, Y9
-
-	VPMADDWD Y14, Y12, Y10
-	VPADDD   Y10, Y0, Y0
-	VPMADDWD Y14, Y8, Y10
-	VPADDD   Y10, Y1, Y1
-	VPMADDWD Y14, Y13, Y10
-	VPADDD   Y10, Y2, Y2
-	VPMADDWD Y14, Y9, Y10
-	VPADDD   Y10, Y3, Y3
-
-	VPMADDWD Y15, Y12, Y12
-	VPADDD   Y12, Y4, Y4
-	VPMADDWD Y15, Y8, Y8
-	VPADDD   Y8, Y5, Y5
-	VPMADDWD Y15, Y13, Y13
-	VPADDD   Y13, Y6, Y6
-	VPMADDWD Y15, Y9, Y9
-	VPADDD   Y9, Y7, Y7
-
-u2a_done:
-	VPERM2I128 $0x20, Y1, Y0, Y8
-	VPERM2I128 $0x31, Y1, Y0, Y9
-	VPERM2I128 $0x20, Y3, Y2, Y10
-	VPERM2I128 $0x31, Y3, Y2, Y11
-	VPADDD  (R9), Y8, Y8
-	VPADDD  32(R9), Y9, Y9
-	VPADDD  64(R9), Y10, Y10
-	VPADDD  96(R9), Y11, Y11
-	VMOVDQU Y8, (R9)
-	VMOVDQU Y9, 32(R9)
-	VMOVDQU Y10, 64(R9)
-	VMOVDQU Y11, 96(R9)
-	VPERM2I128 $0x20, Y5, Y4, Y8
-	VPERM2I128 $0x31, Y5, Y4, Y9
-	VPERM2I128 $0x20, Y7, Y6, Y10
-	VPERM2I128 $0x31, Y7, Y6, Y11
-	VPADDD  (R10), Y8, Y8
-	VPADDD  32(R10), Y9, Y9
-	VPADDD  64(R10), Y10, Y10
-	VPADDD  96(R10), Y11, Y11
-	VMOVDQU Y8, (R10)
-	VMOVDQU Y9, 32(R10)
-	VMOVDQU Y10, 64(R10)
-	VMOVDQU Y11, 96(R10)
+	VMOVDQU Y0, (R9)
+	VMOVDQU Y1, 32(R9)
+	VMOVDQU Y2, 64(R9)
+	VMOVDQU Y3, 96(R9)
+	VMOVDQU Y4, (R10)
+	VMOVDQU Y5, 32(R10)
+	VMOVDQU Y6, 64(R10)
+	VMOVDQU Y7, 96(R10)
 	VZEROUPPER
+	RET
+
+// func interleaveU8AVX(d *uint8, s0 *uint8, s1 *uint8, n int)
+//
+// d[2x] = s0[x], d[2x+1] = s1[x] for x in [0, n), n a multiple of 8: the
+// direct convolution's channel-pair rows, 16 columns per unpack pair.
+TEXT ·interleaveU8AVX(SB), NOSPLIT, $0-32
+	MOVQ d+0(FP), DI
+	MOVQ s0+8(FP), SI
+	MOVQ s1+16(FP), DX
+	MOVQ n+24(FP), CX
+	CMPQ CX, $16
+	JL   il_tail
+
+il_loop:
+	VMOVDQU    (SI), X0
+	VMOVDQU    (DX), X1
+	VPUNPCKLBW X1, X0, X2
+	VPUNPCKHBW X1, X0, X3
+	VMOVDQU    X2, (DI)
+	VMOVDQU    X3, 16(DI)
+	ADDQ $16, SI
+	ADDQ $16, DX
+	ADDQ $32, DI
+	SUBQ $16, CX
+	CMPQ CX, $16
+	JGE  il_loop
+
+il_tail:
+	TESTQ CX, CX
+	JZ    il_done
+	VMOVQ      (SI), X0
+	VMOVQ      (DX), X1
+	VPUNPCKLBW X1, X0, X2
+	VMOVDQU    X2, (DI)
+
+il_done:
 	RET
 
 // quantPerm<> reorders the dword groups left interleaved by the

@@ -24,11 +24,11 @@ func u8Gemm2x32(a *uint8, lda int, b *uint8, ldb int, c *int32, ldc int, k int) 
 	panic("tensor: SIMD kernel called on non-amd64 target")
 }
 
-func u8GemmRow32Acc(a *uint8, b *uint8, ldb int, c *int32, k int) {
+func u8ConvTaps2x32(w *uint32, ldw int, b *uint8, ldb int, c *int32, ldc int, kf int, kw int) {
 	panic("tensor: SIMD kernel called on non-amd64 target")
 }
 
-func u8Gemm2x32Acc(a *uint8, lda int, b *uint8, ldb int, c *int32, ldc int, k int) {
+func interleaveU8AVX(d *uint8, s0 *uint8, s1 *uint8, n int) {
 	panic("tensor: SIMD kernel called on non-amd64 target")
 }
 
