@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -69,9 +70,9 @@ func (b Backend) String() string {
 // ranges reflect what that member's network actually sees. Members already
 // prepared are recompiled — PrepareBackends is idempotent and must be
 // called again after retraining or backend reassignment: the f64 net
-// shares the layers' weights but folds each normalization's running
-// variance at compile time, and the reduced-precision nets copy
-// everything. A network the compiler refuses (one with an ActivationHook)
+// shares the layers' convolution weights but folds each normalization's
+// running variance and packs each Dense layer's weights at compile time,
+// and the reduced-precision nets copy everything. A network the compiler refuses (one with an ActivationHook)
 // is an error naming the member, on every backend. Call it before
 // EnableCache so the fingerprint covers the final backend schedule.
 func (s *System) PrepareBackends(calib []*tensor.T) error {
@@ -80,30 +81,17 @@ func (s *System) PrepareBackends(calib []*tensor.T) error {
 		if err := m.compileF64(); err != nil {
 			return err
 		}
-		switch m.Backend {
-		case BackendF64:
-		case BackendF32:
-			net, err := m.Net.Compile32()
-			if err != nil {
-				return fmt.Errorf("core: member %s: %w", m.Name, err)
-			}
-			m.net = net
-		case BackendInt8:
-			if len(calib) == 0 {
-				return fmt.Errorf("core: member %s uses the int8 backend; PrepareBackends needs a calibration sample", m.Name)
-			}
-			pre := make([]*tensor.T, len(calib))
-			for j, x := range calib {
-				pre[j] = m.Pre.Apply(x)
-			}
-			net, err := m.Net.CompileInt8(pre)
-			if err != nil {
-				return fmt.Errorf("core: member %s: %w", m.Name, err)
-			}
-			m.net = net
-		default:
-			return fmt.Errorf("core: member %s: unknown backend %d", m.Name, int(m.Backend))
+		if m.Backend == BackendF64 {
+			continue
 		}
+		if m.Backend == BackendInt8 && len(calib) == 0 {
+			return fmt.Errorf("core: member %s uses the int8 backend; PrepareBackends needs a calibration sample", m.Name)
+		}
+		net, err := m.compile(m.Backend, calib)
+		if err != nil {
+			return err
+		}
+		m.net = net
 	}
 	return nil
 }
@@ -124,26 +112,45 @@ func (s *System) PrepareAdaptive(calib []*tensor.T) error {
 	}
 	for i := range s.Members {
 		m := &s.Members[i]
-		if m.alt[BackendF32] == nil {
-			net, err := m.Net.Compile32()
+		for _, be := range []Backend{BackendF32, BackendInt8} {
+			if m.alt[be] != nil {
+				continue
+			}
+			net, err := m.compile(be, calib)
 			if err != nil {
-				return fmt.Errorf("core: member %s: %w", m.Name, err)
+				return err
 			}
-			m.alt[BackendF32] = net
-		}
-		if m.alt[BackendInt8] == nil {
-			pre := make([]*tensor.T, len(calib))
-			for j, x := range calib {
-				pre[j] = m.Pre.Apply(x)
-			}
-			net, err := m.Net.CompileInt8(pre)
-			if err != nil {
-				return fmt.Errorf("core: member %s: %w", m.Name, err)
-			}
-			m.alt[BackendInt8] = net
+			m.alt[be] = net
 		}
 	}
 	return nil
+}
+
+// compile compiles the member's net for backend be: nn.Compile at float64
+// or float32, or CompileInt8 calibrated on the member's OWN preprocessed
+// view of the raw sample calib, so activation ranges reflect what its
+// network actually sees. Errors name the member.
+func (m *Member) compile(be Backend, calib []*tensor.T) (compiledNet, error) {
+	var net compiledNet
+	var err error
+	switch be {
+	case BackendF64:
+		net, err = nn.Compile[float64](m.Net)
+	case BackendF32:
+		net, err = m.Net.Compile32()
+	case BackendInt8:
+		pre := make([]*tensor.T, len(calib))
+		for j, x := range calib {
+			pre[j] = m.Pre.Apply(x)
+		}
+		net, err = m.Net.CompileInt8(pre)
+	default:
+		err = fmt.Errorf("unknown backend %d", int(be))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: member %s: %w", m.Name, err)
+	}
+	return net, nil
 }
 
 // Backends returns the per-member backend schedule in priority order —

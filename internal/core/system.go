@@ -67,9 +67,9 @@ func (m *Member) resolveNet(be Backend, override bool) compiledNet {
 // until PrepareBackends assigns another backend and which a policy's f64
 // override runs.
 func (m *Member) compileF64() error {
-	net, err := nn.Compile[float64](m.Net)
+	net, err := m.compile(BackendF64, nil)
 	if err != nil {
-		return fmt.Errorf("core: member %s: %w", m.Name, err)
+		return err
 	}
 	m.net, m.alt[BackendF64] = net, net
 	return nil

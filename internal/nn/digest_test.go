@@ -20,26 +20,26 @@ import (
 // epilogue, node or softmax that moves one bit of one row changes a
 // digest.
 var servedRowsDigests = map[string]string{
-	"lenet5/f64":       "4d228fd8efe069a2",
-	"lenet5/f32":       "e177ea1e54482960",
-	"lenet5/int8":      "09c56e3f5acb18bb",
-	"convnet/f64":      "44b4aa9ec9fdd1ba",
-	"convnet/f32":      "6ce9e8acb6025b4e",
+	"lenet5/f64":       "4e3b73b6611cad98",
+	"lenet5/f32":       "ebeb180e2a19f959",
+	"lenet5/int8":      "ea568c099b238885",
+	"convnet/f64":      "9d11181fe03917a9",
+	"convnet/f32":      "4be24668a6c2e6fe",
 	"convnet/int8":     "b304b2c6c2c92347",
-	"resnet20/f64":     "ce70521cc3b98b9e",
-	"resnet20/f32":     "109f15ed0f9dd08d",
+	"resnet20/f64":     "018a543764be8607",
+	"resnet20/f32":     "06f0ed7924b31c30",
 	"resnet20/int8":    "7199253b646148ae",
-	"densenet40/f64":   "f21d749f9940d362",
-	"densenet40/f32":   "f2eff1dab6c7b3c1",
+	"densenet40/f64":   "e449e379a2b48904",
+	"densenet40/f32":   "4b2fb88f219c5173",
 	"densenet40/int8":  "e4fbe5d273bd1925",
-	"alexnet/f64":      "1a2f76c410619c56",
-	"alexnet/f32":      "e6a1f929c639a712",
-	"alexnet/int8":     "37d94a32d588e3d8",
-	"resnet34/f64":     "c3a65b31969925a7",
-	"resnet34/f32":     "fc6c73ddb35be1f2",
+	"alexnet/f64":      "faed0138bd302204",
+	"alexnet/f32":      "d91e8f0401357f8d",
+	"alexnet/int8":     "51780df387fe2feb",
+	"resnet34/f64":     "7a3e18551255871d",
+	"resnet34/f32":     "5d2d84f896e6b29d",
 	"resnet34/int8":    "803235425d154820",
-	"every-layer/f64":  "0a0af32bed456139",
-	"every-layer/f32":  "b1ca260bd36eb781",
+	"every-layer/f64":  "0450930f202a6cd1",
+	"every-layer/f32":  "b8945287a284ee75",
 	"every-layer/int8": "efc5d4730157be4e",
 }
 
@@ -47,26 +47,26 @@ var servedRowsDigests = map[string]string{
 // as a 386 build computes them: the GEMM rounds each product before it
 // adds it, and math.Exp is the pure-Go one.
 var servedRowsDigestsGo = map[string]string{
-	"lenet5/f64":       "422ffc4437c8304a",
-	"lenet5/f32":       "14cc14afdd4b601b",
+	"lenet5/f64":       "39f9c953447c183d",
+	"lenet5/f32":       "9392150a6cda5866",
 	"lenet5/int8":      "964162c28c9b72d1",
-	"convnet/f64":      "1efda05f510518ae",
-	"convnet/f32":      "f1a4973c331c7e22",
+	"convnet/f64":      "79afe8e658ee5df8",
+	"convnet/f32":      "49c016272aacc0cc",
 	"convnet/int8":     "854cec5eda836d43",
-	"resnet20/f64":     "7e099402b0049a6f",
-	"resnet20/f32":     "2434ce16fd417815",
+	"resnet20/f64":     "79f26fad0aeca64f",
+	"resnet20/f32":     "dbaacefe9d8cb88f",
 	"resnet20/int8":    "2b61e22707c4ffdb",
-	"densenet40/f64":   "88364933f790e738",
-	"densenet40/f32":   "ccaff848ab4e51af",
+	"densenet40/f64":   "ce04d44433dc65bb",
+	"densenet40/f32":   "3d8d73a1adeea63f",
 	"densenet40/int8":  "f38a9824746769f8",
-	"alexnet/f64":      "7f83ba2e23874c31",
-	"alexnet/f32":      "eac8741245532733",
-	"alexnet/int8":     "a6588267caf47b4b",
-	"resnet34/f64":     "7e971b1328c44748",
-	"resnet34/f32":     "a93b9477069e0110",
+	"alexnet/f64":      "6c9cdafc7776fd67",
+	"alexnet/f32":      "f6829e0dfcbcfdab",
+	"alexnet/int8":     "e26ace65cbc3b91c",
+	"resnet34/f64":     "cae506c98870c79c",
+	"resnet34/f32":     "22ca741195400e84",
 	"resnet34/int8":    "5d40dc3b88aeb130",
-	"every-layer/f64":  "ca9cb9fe38602168",
-	"every-layer/f32":  "0adb736d3a20e57f",
+	"every-layer/f64":  "93e7fa3ba8781a1b",
+	"every-layer/f32":  "2e8506d8f8eacc12",
 	"every-layer/int8": "18f0275a36d133e1",
 }
 

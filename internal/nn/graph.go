@@ -23,9 +23,11 @@ import (
 // product for the whole batch (tensor.Conv: the implicit GEMM at batched
 // widths, im2col + FMA GEMM below), and its epilogue absorbs the ReLU and
 // 2×2 max-pool that follow it, fused once at compile time (Net.fuse,
-// nn/epilogue.go). A Dense layer is one [B, In] × [Out, In]ᵀ product
-// (tensor.MatMulTransB); the remaining element-wise, pooling and norm
-// nodes stream the batch backing in one pass.
+// nn/epilogue.go). A Dense layer is one [B, In] × [In, Out] product on
+// the same GEMM (tensor.Dense), against the layer's weights transposed and
+// zero-padded to the kernel's column block once at compile time; the
+// remaining element-wise, pooling and norm nodes stream the batch backing
+// in one pass.
 //
 // Floating-point contract. Batch composition never changes an image's
 // output: every kernel computes each image's elements with one fixed chain
@@ -38,8 +40,8 @@ import (
 // oracle — a Net[float64]'s predictions (argmax) are identical and its
 // softmax probabilities agree within 1e-9 (TestInferBatchArenaMatchesInfer):
 // the FMA GEMM fuses each ascending-k multiply-add where Forward rounds
-// twice, and the Dense product adds its bias after the dot product instead
-// of before. float32 carries ~7 decimal digits and the zoo logits sit in
+// twice, and the Dense product adds its bias after the product instead of
+// before. float32 carries ~7 decimal digits and the zoo logits sit in
 // single digits, so a Net[float32]'s rows agree with the f64 net's to
 // ~1e-6 and top-1 predictions on ≥99% of inputs (the backend property
 // tests). Every width's softmax runs in float64 (softmaxRow).
@@ -80,9 +82,10 @@ type Net32 = Net[float32]
 
 // Compile compiles the network into an inference net at element width E:
 // one node per layer, then the epilogue fuse pass. A Net[float64] shares
-// the layers' weight, bias and normalization slices — compiling costs no
-// weight memory — but folds each ChannelNorm's σ = √(var+ε) once; a
-// Net[float32] holds float32 copies of everything. Compile again after
+// the layers' convolution weights, biases and normalization slices, but
+// folds each ChannelNorm's σ = √(var+ε) once and holds each Dense layer's
+// weights as a transposed pack (tensor.PackDense); a Net[float32] holds
+// float32 copies of everything. Compile again after
 // training. Networks with an ActivationHook are refused: the hook contract
 // is Forward's per-layer mutation, which a fused graph cannot honor.
 func Compile[E tensor.Float](n *Network) (*Net[E], error) {
@@ -135,7 +138,7 @@ func newNode[E tensor.Float](l Layer) (node[E], error) {
 	case *Conv2D:
 		return newConvNode[E](t), nil
 	case *Dense:
-		return &denseNode[E]{in: t.In, out: t.Out, weight: asWidth[E](t.weight.Value.Data), bias: asWidth[E](t.bias.Value.Data)}, nil
+		return &denseNode[E]{w: tensor.PackDense(asWidth[E](t.weight.Value.Data), t.Out, t.In), bias: asWidth[E](t.bias.Value.Data)}, nil
 	case *ReLU:
 		return reluNode[E]{}, nil
 	case *LeakyReLU:
@@ -342,26 +345,20 @@ func (c *convNode[E]) forward(src []E, in []int, bsz int, a *tensor.Arena) ([]E,
 }
 
 // denseNode is the compiled fully connected layer: the batch is already a
-// [B, In] row-major matrix, so the layer is one X × Wᵀ product plus a bias
-// row broadcast.
+// [B, In] row-major matrix, so the layer is one tensor.Dense — the served
+// GEMM against the compile-time transposed weight pack, plus the bias.
 type denseNode[E tensor.Float] struct {
-	in, out      int
-	weight, bias []E // [Out, In], [Out]
+	w    *tensor.Packed[E] // [In, LD] transpose of the [Out, In] weights
+	bias []E               // [Out]
 }
 
 func (d *denseNode[E]) forward(src []E, in []int, bsz int, a *tensor.Arena) ([]E, []int) {
-	if prodShape(in) != d.in {
-		panic(fmt.Sprintf("nn: dense node: batched input of %d elements, want %d", prodShape(in), d.in))
+	if prodShape(in) != d.w.K {
+		panic(fmt.Sprintf("nn: dense node: batched input of %d elements, want %d", prodShape(in), d.w.K))
 	}
-	dst := tensor.Raw[E](a, bsz*d.out)
-	tensor.MatMulTransB(dst, src[:bsz*d.in], d.weight, bsz, d.in, d.out, a)
-	for b := 0; b < bsz; b++ {
-		row := dst[b*d.out : (b+1)*d.out]
-		for o, bv := range d.bias {
-			row[o] += bv
-		}
-	}
-	return dst, []int{d.out}
+	dst := tensor.Raw[E](a, bsz*d.w.N)
+	tensor.Dense(dst, src[:bsz*d.w.K], d.w, d.bias, bsz, a)
+	return dst, []int{d.w.N}
 }
 
 // reluNode rectifies the whole batch backing in place with the epilogue

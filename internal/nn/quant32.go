@@ -111,7 +111,7 @@ func (q *qconv32) forward(src []float32, in []int, bsz int, a *tensor.Arena) ([]
 
 // qdense32 is the quantized fully connected node. It keeps activations in
 // their natural [B, In] row layout and runs them against the compile-time
-// transposed weight pack [In, Out], so there is no per-call activation
+// transposed weight pack [In, LD], so there is no per-call activation
 // transpose, output scatter or weight-side column-sum pass; the zero-point
 // correction uses the activation row sums instead. The dequant epilogue is
 // the operation sequence of tensor.DequantRow (c − 128·rowsum − corr,
@@ -119,7 +119,7 @@ func (q *qconv32) forward(src []float32, in []int, bsz int, a *tensor.Arena) ([]
 type qdense32 struct {
 	in, out int
 
-	packed *tensor.PackedU8T // compile-time [In, Out] transpose of the quantized weights
+	packed *tensor.Packed[uint8] // compile-time [In, LD] transpose of the quantized weights
 	deq    []float32
 	corr   []int32
 	bias   []float32
@@ -132,7 +132,7 @@ func newQDense32(d *Dense, scale float32, zp uint8) *qdense32 {
 	qw := tensor.QuantizeWeightsSym(d.weight.Value.Data, d.Out, d.In)
 	q := &qdense32{
 		in: d.In, out: d.Out,
-		packed:   tensor.PackQuantTranspose(qw),
+		packed:   tensor.PackDense(qw.Bits, d.Out, d.In),
 		deq:      make([]float32, d.Out),
 		corr:     make([]int32, d.Out),
 		bias:     make([]float32, d.Out),

@@ -7,22 +7,22 @@ import (
 )
 
 // Algorithm-based fault tolerance (ABFT) for the inference kernels, after
-// FT-CNN (Zhao et al., arXiv 2003.12203; DESIGN.md §10). Every hot matrix
-// product C = A×B satisfies a checksum invariant that is cheap to predict
-// from the operands and cheap to measure on the output:
+// FT-CNN (Zhao et al., arXiv 2003.12203; DESIGN.md §10). Every served
+// product C = A×B — a convolution, B = im2col(src), or a Dense layer, B
+// its transposed weight pack as a 1×1 convolution (gemmGeom) — satisfies
+// a column-checksum invariant that is cheap to predict from the operands
+// and cheap to measure on the output:
 //
-//	column checksums:  Σ_i C[i][j] = Σ_p (Σ_i A[i][p])·B[p][j]
-//	row checksums:     Σ_j C[i][j] = Σ_p A[i][p]·(Σ_j B[p][j])
+//	Σ_i C[i][j] = Σ_p (Σ_i A[i][p])·B[p][j]
 //
-// Predicting one side costs O(mk + kn) multiply-adds and measuring the
-// other costs O(mn) — a (1/m + 1/n + 1/k) fraction of the O(mkn) GEMM — so
-// a transient compute fault (a bit flip in an accumulator, a wrong store)
-// is caught in the kernel epilogue at a few percent overhead. A mismatch
-// localizes the fault to one output column (or row), which is re-executed
-// with the served kernel and re-checked, bounded by
-// abftMaxRetries; a persistent mismatch (e.g. a corrupted operand buffer,
-// which re-execution faithfully reproduces) is reported uncorrectable so
-// the caller can flag the result as suspect.
+// Predicting it costs O(mk + kn) multiply-adds and measuring it O(mn) — a
+// (1/m + 1/n + 1/k) fraction of the O(mkn) GEMM — so a transient compute
+// fault (a bit flip in an accumulator, a wrong store) is caught in the
+// kernel epilogue at a few percent overhead. A mismatch localizes the
+// fault to one output column, which is re-executed with the served kernel
+// and re-checked, bounded by abftMaxRetries; a persistent mismatch (e.g.
+// a corrupted operand buffer, which re-execution faithfully reproduces) is
+// reported uncorrectable so the caller can flag the result as suspect.
 //
 // Verification is a pure epilogue: the verified wrappers run the exact
 // same kernel as the unverified path and never touch clean output values,
@@ -30,7 +30,7 @@ import (
 // (locked by the abft property tests).
 //
 // Float paths compare against a relative tolerance derived from the
-// accumulation-chain length and the column/row magnitude: checksums are
+// accumulation-chain length and the column magnitude: checksums are
 // accumulated in float64 and a column passes when
 //
 //	|predicted − actual| ≤ abftTol·((k+m)·ε·bound + (m+1)·(k+1)·η)
@@ -56,7 +56,7 @@ const (
 	// is large; keeping the multiplier small preserves sensitivity to
 	// mid-mantissa bit flips.
 	abftTol = 8.0
-	// abftMaxRetries bounds re-execution of a mismatched column/row before
+	// abftMaxRetries bounds re-execution of a mismatched column before
 	// it is declared uncorrectable.
 	abftMaxRetries = 2
 
@@ -69,11 +69,11 @@ const (
 )
 
 // VerifyOutcome reports what one verified kernel invocation found. Checks
-// counts checksum comparisons (columns, rows or whole products depending
-// on the kernel); Detected counts mismatches; every detected mismatch ends
-// up either Corrected (re-execution restored the invariant) or
-// Uncorrectable (the mismatch persisted — the operands themselves are
-// corrupt, or the fault recurs).
+// counts checksum comparisons, one per output column of the product;
+// Detected counts mismatches; every detected mismatch ends up either
+// Corrected (re-execution restored the invariant) or Uncorrectable (the
+// mismatch persisted — the operands themselves are corrupt, or the fault
+// recurs).
 type VerifyOutcome struct {
 	Checks        int
 	Detected      int
@@ -227,7 +227,7 @@ func abftMismatch(pred, act, tol, bnd, lim float64) bool {
 	return d > tol
 }
 
-// abftColTol returns the float tolerance for one column/row with magnitude
+// abftColTol returns the float tolerance for one column with magnitude
 // envelope bnd, chain length k and summation length m.
 func abftColTol(bnd float64, k, m int, eps, eta float64) float64 {
 	return abftTol * (float64(k+m)*eps*bnd + float64(m+1)*float64(k+1)*eta)
@@ -308,28 +308,14 @@ func unpadCols[T any](dst, pp []T, bsz int, g ConvGeom) {
 	}
 }
 
-// abftProxyPass reports whether a finite disagreement d is inside the
-// tolerance implied by the magnitude proxy actAbs = Σ|C| of the checked
-// column/row. The triangle inequality puts actAbs at or below the true
-// Σ|A|·|B| envelope, so the implied tolerance never exceeds the real one: a
-// pass here is a pass of the full check, while a miss only escalates to the
-// exact (strided, more expensive) envelope — never straight to a
-// detection. This two-tier scheme keeps the hot O(kn) prediction pass down
-// to one multiply-add per B element; clean columns almost never escalate
-// because real rounding error sits orders of magnitude under the proxy
-// tolerance. A non-finite proxy tolerance (actAbs inflated to ±Inf/NaN,
-// possibly by the very fault being hunted) must escalate too, so the
-// envelope rule of abftMismatch can judge it.
-func abftProxyPass(d, actAbs float64, k, m int, eps, eta float64) bool {
-	scale, floor := abftProxyTerms(k, m, eps, eta)
-	t := scale*actAbs + floor
-	return d <= t && t <= math.MaxFloat64
-}
-
-// abftProxyTerms precomputes the loop-invariant pieces of abftColTol so the
-// per-column fast tier costs one multiply-add: tol = scale·bnd + floor. A
-// non-finite bnd (or an overflowing product) yields a non-finite tol, which
-// the `t <= MaxFloat64` guard at the use site routes to the slow tier.
+// abftProxyTerms precomputes the loop-invariant pieces of abftColTol for
+// the fast tier of verifyConvCols, which judges a column by the magnitude
+// proxy Σ|C[i][j]| in one multiply-add: tol = scale·proxy + floor. The
+// triangle inequality puts the proxy at or below the true Σ|A|·|B|
+// envelope, so a pass is a pass of the exact check and a miss only
+// escalates to it. A non-finite proxy (or an overflowing product) yields a
+// non-finite tol, which the `t <= MaxFloat64` guard at the use site routes
+// to the exact tier.
 func abftProxyTerms(k, m int, eps, eta float64) (scale, floor float64) {
 	return abftTol * float64(k+m) * eps, abftTol * float64(m+1) * float64(k+1) * eta
 }
@@ -653,96 +639,6 @@ func verifyConvCols[F Float](cd, ad, src []F, m, bsz int, g ConvGeom, eps, eta, 
 	return o
 }
 
-// verifyGemmRowsTransB checks every row of the already-computed product
-// cd = ad×bdᵀ (bd stored [n, k] row-major) against float64 row checksums.
-// Row granularity fits the transposed layout: the B column sums Σ_j bd[j][p]
-// stream bd row-major once. Scratch and the retry hook come from a, as in
-// verifyConvCols.
-func verifyGemmRowsTransB[F Float](cd, ad, bd []F, m, k, n int, eps, eta, lim float64, a *Arena) VerifyOutcome {
-	o := VerifyOutcome{Checks: m}
-	if m == 0 || k == 0 || n == 0 {
-		return o
-	}
-	mk := a.Mark()
-	bSum := Raw[F](a, k)
-	copy(bSum, bd[:k])
-	for j := 1; j < n; j++ {
-		row := bd[j*k : (j+1)*k]
-		for p, v := range row {
-			bSum[p] += v
-		}
-	}
-	// The |B| column sums only feed the exact envelope of the slow tier, so
-	// they are built lazily: a fully clean call never pays the second pass.
-	var bAbs []float64
-	ensureBAbs := func() {
-		if bAbs != nil {
-			return
-		}
-		bAbs = Raw[float64](a, k)
-		for p := range bAbs {
-			bAbs[p] = 0
-		}
-		for j := 0; j < n; j++ {
-			row := bd[j*k : (j+1)*k]
-			for p, v := range row {
-				bAbs[p] += math.Abs(float64(v))
-			}
-		}
-	}
-	for i := 0; i < m; i++ {
-		arow := ad[i*k : (i+1)*k]
-		pred := float64(dotUnrolled(arow, bSum))
-		crow := cd[i*n : (i+1)*n]
-		var actF, actAbsF F
-		for _, v := range crow {
-			actF += v
-			if v < 0 {
-				v = -v
-			}
-			actAbsF += v
-		}
-		act, actAbs := float64(actF), float64(actAbsF)
-		d := pred - act
-		if d < 0 {
-			d = -d
-		}
-		if abftProxyPass(d, actAbs, k, n, eps, eta) {
-			continue
-		}
-		ensureBAbs()
-		var bnd float64
-		for p, v := range arow {
-			bnd += math.Abs(float64(v)) * bAbs[p]
-		}
-		tol := abftColTol(bnd, k, n, eps, eta)
-		if !abftMismatch(pred, act, tol, bnd, lim) {
-			continue
-		}
-		o.Detected++
-		ok := false
-		for r := 0; r < abftMaxRetries; r++ {
-			a.Abft().retry(r)
-			matMulTransB(crow, arow, bd, 1, k, n)
-			var s float64
-			for _, v := range crow {
-				s += float64(v)
-			}
-			if !abftMismatch(pred, s, tol, bnd, lim) {
-				ok = true
-				break
-			}
-		}
-		if ok {
-			o.Corrected++
-		} else {
-			o.Uncorrectable++
-		}
-	}
-	a.Release(mk)
-	return o
-}
-
 // verifyConv checks and repairs an already-computed convolution product
 // cm = weight × im2col(src): cm [m, bsz·OutH·OutW], weight
 // [m, InC·KH·KW], src the packed image-major batch — the operands of Conv,
@@ -752,14 +648,6 @@ func verifyConv[F Float](cm, weight, src []F, m, bsz int, g ConvGeom, a *Arena) 
 	injectF(a.Abft(), cm)
 	eps, eta, lim := abftBounds[F]()
 	return verifyConvCols(cm, weight, src, m, bsz, g, eps, eta, lim, a)
-}
-
-// verifyMatMulTransB checks and repairs an already-computed c = x×wᵀ
-// (x [m, k], w stored [n, k]); a as in verifyConv.
-func verifyMatMulTransB[F Float](c, x, w []F, m, k, n int, a *Arena) VerifyOutcome {
-	injectF(a.Abft(), c)
-	eps, eta, lim := abftBounds[F]()
-	return verifyGemmRowsTransB(c, x, w, m, k, n, eps, eta, lim, a)
 }
 
 // abftBounds returns F's unit roundoff, smallest subnormal and largest
@@ -777,12 +665,16 @@ func abftBounds[F Float]() (eps, eta, lim float64) {
 // biased weights w [m, InC·KH·KW] and the quantized batch qsrc, padding
 // with zp). The int32 accumulators are exact, so the checksum must match
 // exactly — any difference is a fault. Both the accumulators and the
-// column sums are covered. a as in verifyConv.
+// column sums are covered; a nil colsum (DenseU8, whose product has none)
+// checks the accumulators alone. a as in verifyConv.
 func verifyConvU8(acc, colsum []int32, w []uint8, m int, qsrc []uint8, bsz int, g ConvGeom, zp uint8, a *Arena) VerifyOutcome {
 	k := g.InC * g.KH * g.KW
 	n := bsz * g.OutH() * g.OutW()
+	if colsum != nil {
+		colsum = colsum[:n]
+	}
 	if s := a.Abft(); s != nil && s.Injector != nil {
-		s.Injector.CorruptI32(acc[:m*n], colsum[:n])
+		s.Injector.CorruptI32(acc[:m*n], colsum)
 	}
 	// When every clean intermediate fits in int32 (m·k·255² bounds both the
 	// prediction and the accumulator sum), the checksum arithmetic runs in
@@ -797,8 +689,9 @@ func verifyConvU8(acc, colsum []int32, w []uint8, m int, qsrc []uint8, bsz int, 
 }
 
 // verifyGemmU8 checks and repairs an already-computed plain uint8 product
-// (c, colsum as produced by GemmU8Into): verifyConvU8 over the 1×1
-// geometry under which b [k, n] is its own im2col matrix.
+// (c, colsum as produced by GemmU8Into; colsum nil for DenseU8's tile):
+// verifyConvU8 over the 1×1 geometry under which b [k, n] is its own
+// im2col matrix.
 func verifyGemmU8(c, colsum []int32, a, b []uint8, m, k, n int, ar *Arena) VerifyOutcome {
 	return verifyConvU8(c, colsum, a, m, b, 1, gemmGeom(k, n), 0, ar)
 }
@@ -853,7 +746,7 @@ func verifyConvU8Cols[I int32 | int64](c, colsum []int32, a, qsrc []uint8, m, k,
 		}
 	}
 	for j := 0; j < n; j++ {
-		if act[j] == pred[j] && I(colsum[j]) == csRef[j] {
+		if act[j] == pred[j] && (colsum == nil || I(colsum[j]) == csRef[j]) {
 			continue
 		}
 		o.Detected++
@@ -864,7 +757,9 @@ func verifyConvU8Cols[I int32 | int64](c, colsum []int32, a, qsrc []uint8, m, k,
 			gemmU8Col(c[j:], a, col, k, n, 1, 0, m, 0)
 			// k ≤ MaxQuantK keeps Σ_p b[p][j] ≤ k·255 far below 2³¹, so the
 			// reference value is the exact int32 the kernel computes.
-			colsum[j] = int32(csRef[j])
+			if colsum != nil {
+				colsum[j] = int32(csRef[j])
+			}
 			var s I
 			for i := 0; i < m; i++ {
 				s += I(c[i*n+j])

@@ -28,11 +28,6 @@ func verifyGemm32(c, a, b *T32) VerifyOutcome {
 	return verifyConv(c.Data, a.Data, b.Data, a.Shape[0], 1, gemmGeom(b.Shape[0], b.Shape[1]), NewArena())
 }
 
-// verifyTransB runs the dense-layer row checksum on C = A×Bᵀ (B [n, k]).
-func verifyTransB(c, a, b *T) VerifyOutcome {
-	return verifyMatMulTransB(c.Data, a.Data, b.Data, a.Shape[0], a.Shape[1], b.Shape[0], NewArena())
-}
-
 // TestVerifyGemmCleanBitIdentical locks the epilogue contract of the f64
 // verified GEMM: on a fault-free run verification reports zero detections
 // and leaves the output bit-identical to the unverified kernel's, across
@@ -326,57 +321,53 @@ func convVerifyCheck[F Float](t *testing.T, name string, w, src []F, m, bsz int,
 	}
 }
 
-// TestVerifyMatMulTransB covers the row-checksum check of the batched
-// Dense kernels (f64 and f32): clean bit-identity, then detection and
-// bit-exact repair (the repair path re-runs the same matMulTransB row).
-func TestVerifyMatMulTransB(t *testing.T) {
-	rng := rand.New(rand.NewSource(28))
-	m, k, n := 7, 64, 10 // B=7 images, In=64, Out=10
+// TestVerifyDenseTileFlip strikes the float Dense tile between the GEMM
+// and the checksum epilogue — a high-order bit of a real output, and a
+// padding column turned nonzero — through the sink's injector: the
+// verified call must detect and repair each flip, serving the clean bits.
+func TestVerifyDenseTileFlip(t *testing.T) {
+	t.Run("f64", func(t *testing.T) { denseFlipCheck[float64](t, 152, 61) })
+	t.Run("f32", func(t *testing.T) { denseFlipCheck[float32](t, 153, 29) })
+}
 
-	a := New(m, k)
-	a.FillNormal(rng, 0, 1)
-	b := New(n, k)
-	b.FillNormal(rng, 0, 1)
-	clean := New(m, n)
-	MatMulTransBInto(clean, a, b)
-	c := New(m, n)
-	MatMulTransBInto(c, a, b)
-	if o := verifyTransB(c, a, b); o.Checks != m || o.Detected != 0 {
-		t.Fatalf("clean f64 run: outcome %+v", o)
-	}
-	for i := range c.Data {
-		if math.Float64bits(c.Data[i]) != math.Float64bits(clean.Data[i]) {
-			t.Fatalf("clean f64 run diverged at %d", i)
-		}
-	}
-	flipBit64(&c.Data[13], 61)
-	if o := verifyTransB(c, a, b); o.Detected != 1 || o.Corrected != 1 {
-		t.Fatalf("f64 flip: outcome %+v", o)
-	}
-	for i := range c.Data {
-		if math.Float64bits(c.Data[i]) != math.Float64bits(clean.Data[i]) {
-			t.Fatalf("f64 repair: element %d = %v, want %v", i, c.Data[i], clean.Data[i])
-		}
-	}
+// tileFlipper is an AbftInjector that flips bit of element at in every
+// float buffer it is handed.
+type tileFlipper struct{ at, bit int }
 
-	a32 := New32(m, k)
-	fillNormal32(a32, rng)
-	b32 := New32(n, k)
-	fillNormal32(b32, rng)
-	clean32 := New32(m, n)
-	matMulTransB(clean32.Data, a32.Data, b32.Data, m, k, n)
-	c32 := New32(m, n)
-	matMulTransB(c32.Data, a32.Data, b32.Data, m, k, n)
-	if o := verifyMatMulTransB(c32.Data, a32.Data, b32.Data, m, k, n, NewArena()); o.Checks != m || o.Detected != 0 {
-		t.Fatalf("clean f32 run: outcome %+v", o)
+func (f tileFlipper) CorruptF64(buf []float64) { flipBit64(&buf[f.at], uint(f.bit)) }
+func (f tileFlipper) CorruptF32(buf []float32) { flipBit32(&buf[f.at], uint(f.bit)) }
+func (tileFlipper) CorruptI32(_, _ []int32)    {}
+
+func denseFlipCheck[F Float](t *testing.T, seed int64, bit int) {
+	rng := rand.New(rand.NewSource(seed))
+	m, k, n := 5, 64, 10
+	norm := func(n int) []F {
+		v := make([]F, n)
+		for i := range v {
+			v[i] = F(rng.NormFloat64())
+		}
+		return v
 	}
-	flipBit32(&c32.Data[31], 29)
-	if o := verifyMatMulTransB(c32.Data, a32.Data, b32.Data, m, k, n, NewArena()); o.Detected != 1 || o.Corrected != 1 {
-		t.Fatalf("f32 flip: outcome %+v", o)
-	}
-	for i := range c32.Data {
-		if math.Float32bits(c32.Data[i]) != math.Float32bits(clean32.Data[i]) {
-			t.Fatalf("f32 repair: element %d = %v, want %v", i, c32.Data[i], clean32.Data[i])
+	x, w, bias := norm(m*k), norm(n*k), norm(n)
+	p := PackDense(w, n, k)
+	want := make([]F, m*n)
+	Dense(want, x, p, bias, m, NewArena())
+	// Element 3·LD+7 is row 3's real column 7; 2·LD+n is row 2's first
+	// padding column, whose clean value is +0 (bit 62 or 29 sets its
+	// exponent).
+	for _, at := range []int{3*p.LD + 7, 2*p.LD + n} {
+		sink := &AbftStats{Injector: tileFlipper{at, bit}}
+		a := NewArena()
+		a.SetAbft(sink)
+		got := make([]F, m*n)
+		Dense(got, x, p, bias, m, a)
+		if c := sink.Counts(); c.Detected != 1 || c.Corrected != 1 || c.Uncorrectable != 0 {
+			t.Fatalf("flip at %d: counts %+v, want one detected and corrected", at, c)
+		}
+		for i, v := range got {
+			if float64bitsOf(v) != float64bitsOf(want[i]) {
+				t.Fatalf("flip at %d: out[%d] = %v, clean %v", at, i, v, want[i])
+			}
 		}
 	}
 }
@@ -433,8 +424,8 @@ func gemmBodyFor[F Float](simd bool) gemm4Body[F] {
 
 // TestAbftZeroFalsePositivesCleanGemms runs 500 clean randomized GEMMs
 // through the verified kernels — f64, f32 and int8 products of both the
-// vector kernels and the pure-Go bodies, across random shapes and scale
-// regimes spanning denormal to huge — and
+// vector kernels and the pure-Go bodies, and the served f64 Dense, across
+// random shapes and scale regimes spanning denormal to huge — and
 // requires zero detections: the tolerance derivation must never flag a
 // fault-free product.
 func TestAbftZeroFalsePositivesCleanGemms(t *testing.T) {
@@ -471,15 +462,17 @@ func TestAbftZeroFalsePositivesCleanGemms(t *testing.T) {
 			if o := verifyGemm32(c, a, b); o.Detected != 0 {
 				t.Fatalf("run %d f32 %dx%dx%d scale %g: false positive %+v", run, m, k, n, scale, o)
 			}
-		case 2: // f64 transposed-B (batched Dense shape)
+		case 2: // f64 served Dense: the padded pack, verified in the call
 			a := New(m, k)
 			a.FillNormal(rng, 0, scale)
-			b := New(n, k)
-			b.FillNormal(rng, 0, scale)
-			c := New(m, n)
-			MatMulTransBInto(c, a, b)
-			if o := verifyTransB(c, a, b); o.Detected != 0 {
-				t.Fatalf("run %d transB %dx%dx%d scale %g: false positive %+v", run, m, k, n, scale, o)
+			w := New(n, k)
+			w.FillNormal(rng, 0, scale)
+			sink := &AbftStats{}
+			ar := NewArena()
+			ar.SetAbft(sink)
+			Dense(make([]float64, m*n), a.Data, PackDense(w.Data, n, k), make([]float64, n), m, ar)
+			if c := sink.Counts(); c.Detected != 0 {
+				t.Fatalf("run %d Dense %dx%dx%d scale %g: false positive %+v", run, m, k, n, scale, c)
 			}
 		case 3: // int8
 			a := make([]uint8, m*k)
@@ -555,12 +548,17 @@ func FuzzChecksumVerify(f *testing.F) {
 			t.Fatalf("f32 GEMM false mismatch: %+v", o)
 		}
 
-		bt := New(n, k)
-		fill(bt.Data, m*k+k*n)
-		ct := New(m, n)
-		MatMulTransBInto(ct, a, bt)
-		if o := verifyTransB(ct, a, bt); o.Detected != 0 {
-			t.Fatalf("f64 transB false mismatch: %+v", o)
+		// The served Dense on a's rows, its [n, k] weights the next bytes.
+		wt := New(n, k)
+		fill(wt.Data, m*k+k*n)
+		sink := &AbftStats{}
+		ar := NewArena()
+		ar.SetAbft(sink)
+		Dense(make([]float64, m*n), a.Data, PackDense(wt.Data, n, k), make([]float64, n), m, ar)
+		wt32 := To32(wt)
+		Dense(make([]float32, m*n), a32.Data, PackDense(wt32.Data, n, k), make([]float32, n), m, ar)
+		if c := sink.Counts(); c.Detected != 0 {
+			t.Fatalf("Dense false mismatch: %+v", c)
 		}
 
 		ua := make([]uint8, m*k)

@@ -123,6 +123,8 @@ func MatMulTransAInto(c, a, b *T) {
 }
 
 // MatMulTransBInto computes C = A×Bᵀ where A is m×k, B is n×k, C is m×n.
+// Conv2D.Backward uses it for the weight gradient; the served Dense layer
+// runs Dense against a transposed pack instead.
 func MatMulTransBInto(c, a, b *T) {
 	m, k := a.Shape[0], a.Shape[1]
 	n := b.Shape[0]
@@ -159,9 +161,9 @@ func axpyUnrolled[F Float](dst []F, alpha F, src []F) {
 }
 
 // dotUnrolled returns the dot product of equal-length slices with 4-way
-// unrolling into independent accumulators. It serves the dense layers
-// (MatMulTransB), so each product is converted explicitly: no target fuses
-// it with the add, and every target computes the same bits.
+// unrolling into independent accumulators. Only training calls it
+// (MatMulTransBInto in Conv2D.Backward); each product is converted
+// explicitly, so no target fuses it with the add.
 func dotUnrolled[F Float](a, b []F) F {
 	n := len(a)
 	var s0, s1, s2, s3 F

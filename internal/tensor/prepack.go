@@ -5,16 +5,15 @@ import (
 	"unsafe"
 )
 
-// Compile-time weight prepacking (DESIGN.md §14). The int8 Dense layer
-// used to re-derive the weight-side column sums (and transpose the
-// activations) on every call, work that depends only on the frozen
-// weights.
+// Compile-time weight prepacking (DESIGN.md §14): work that depends only
+// on the frozen weights — the Dense layers' transpose and padding — is
+// done once when a net is compiled.
 //
 // This file holds the pack formats. The packed buffers are plain slices in
-// kernel-native order, allocated cache-line aligned (AlignedF64 and
-// friends) so panel bases coincide with cache lines and the AVX2 entry
-// points can assert alignment in debug builds. Packing reorders storage,
-// never arithmetic: every consumer produces bit-identical results to the
+// kernel-native order, allocated cache-line aligned (alignedSlice) so
+// panel bases coincide with cache lines and the AVX2 entry points can
+// assert alignment in debug builds. Packing reorders storage, never
+// arithmetic: every consumer produces bit-identical results to the
 // explicit im2col lowering, which is the correctness bar locked by
 // prepack_test.go.
 
@@ -49,20 +48,6 @@ func AlignedF32(n int) []float32 {
 	return buf[off : off+n : off+n]
 }
 
-// AlignedI32 is AlignedF64 for int32.
-func AlignedI32(n int) []int32 {
-	buf := make([]int32, n+cacheLine/4)
-	off := alignedOffset(unsafe.Pointer(&buf[0]), 4)
-	return buf[off : off+n : off+n]
-}
-
-// AlignedU8 is AlignedF64 for bytes.
-func AlignedU8(n int) []uint8 {
-	buf := make([]uint8, n+cacheLine)
-	off := alignedOffset(unsafe.Pointer(&buf[0]), 1)
-	return buf[off : off+n : off+n]
-}
-
 // alignedSlice is the generic form of the Aligned* allocators, used by
 // the arena regions whose element type is a type parameter. Element
 // sizes that don't divide a cache line evenly (none in this package) fall
@@ -88,78 +73,47 @@ func Aligned64[E any](s []E) bool {
 	return uintptr(unsafe.Pointer(&s[0]))&(cacheLine-1) == 0
 }
 
-// PackedU8T is a compile-time pack of symmetric-quantized weights for the
-// int8 Dense layer: the biased [M, K] weight matrix stored transposed as
-// [K, M] so the per-image GEMM runs activations-major (A = quantized
-// activation rows as they arrive, no per-call transpose), plus the
-// per-output-channel biased column sums Σ_k Bits[k][o] that verified mode
-// needs — precomputed here so the zero-point bookkeeping stops being
-// per-call work.
-type PackedU8T struct {
-	K, N int // K = input features, N = output channels (= QuantWeights.M)
-	// Bits is the [K, N] transposed biased weight matrix, cache-line
-	// aligned: Bits[k*N+o] = QuantWeights.Bits[o*K+k].
-	Bits []uint8
-	// ColSum[o] = Σ_k Bits[k*N+o] — the biased per-column sum of the
-	// packed operand, the reference value the ABFT column-checksum
-	// verifier checks GEMM colsum output against. DenseU8 hands the
-	// verifier a scratch copy: its injection and repair seams write
-	// through the slice.
-	ColSum []int32
-	// Wide is Bits with zero columns appended up to the next multiple of
-	// 32 — the [K, ⌈N/32⌉·32] operand the vector kernel sweeps in whole
-	// 32-column blocks, so a narrow head (the zoo's N = 10 classifiers)
-	// does not fall to the scalar remainder rows. Nil when N is already a
-	// multiple of 32.
-	Wide []uint8
+// Packed is the compile-time weight pack of a Dense layer at element type
+// E — float64, float32, or the biased uint8 bits of the int8 backend: the
+// [N, K] row-major weight matrix stored transposed as [K, LD], cache-line
+// aligned, so the served GEMM runs the activation rows as they arrive
+// (A = x [B, K], no per-call transpose) against it. LD is N rounded up to
+// the column block of E's GEMM kernel (denseLD) and the padding columns
+// are zero, so a narrow head (the zoo's N = 10 classifiers) runs in whole
+// kernel blocks instead of the edge path. The pack reorders storage, never
+// arithmetic: W[k*LD+o] = w[o*K+k].
+type Packed[E Float | uint8] struct {
+	K, N, LD int // K = input features, N = output channels
+	W        []E
 }
 
-// PackQuantTranspose packs per-row symmetric quantized weights into the
-// transposed panel layout the prepacked int8 Dense path consumes. The
-// pack is pure data movement — Unpack reconstructs q.Bits bit-exactly
-// (locked by FuzzPrepackRoundTrip).
-func PackQuantTranspose(q QuantWeights) *PackedU8T {
-	if len(q.Bits) != q.M*q.K {
-		panic(fmt.Sprintf("tensor: PackQuantTranspose bits len %d, want %d×%d", len(q.Bits), q.M, q.K))
+// PackDense packs the [n, k] row-major weights w of a Dense layer.
+func PackDense[E Float | uint8](w []E, n, k int) *Packed[E] {
+	if len(w) != n*k {
+		panic(fmt.Sprintf("tensor: PackDense weights len %d, want %d×%d", len(w), n, k))
 	}
-	p := &PackedU8T{
-		K:      q.K,
-		N:      q.M,
-		Bits:   AlignedU8(q.K * q.M),
-		ColSum: AlignedI32(q.M),
-	}
-	for o := 0; o < q.M; o++ {
-		row := q.Bits[o*q.K : (o+1)*q.K]
-		var sum int32
-		for k, v := range row {
-			p.Bits[k*q.M+o] = v
-			sum += int32(v)
-		}
-		p.ColSum[o] = sum
-	}
-	if ld := wideLD(q.M); ld != q.M {
-		p.Wide = AlignedU8(q.K * ld)
-		for k := 0; k < q.K; k++ {
-			copy(p.Wide[k*ld:], p.Bits[k*q.M:(k+1)*q.M])
+	ld := denseLD[E](n)
+	p := &Packed[E]{K: k, N: n, LD: ld, W: alignedSlice[E](k * ld)}
+	for o := 0; o < n; o++ {
+		for kk, v := range w[o*k : (o+1)*k] {
+			p.W[kk*ld+o] = v
 		}
 	}
 	return p
 }
 
-// wideLD is the row stride of PackedU8T.Wide for n output channels.
-func wideLD(n int) int { return (n + 31) &^ 31 }
-
-// Unpack reconstructs the original [N, K] row-major biased weight matrix
-// from the transposed pack — the bit-exact inverse of PackQuantTranspose.
-func (p *PackedU8T) Unpack() []uint8 {
-	out := make([]uint8, p.N*p.K)
-	for k := 0; k < p.K; k++ {
-		row := p.Bits[k*p.N : (k+1)*p.N]
-		for o, v := range row {
-			out[o*p.K+k] = v
-		}
+// denseLD is the row stride of a Dense pack of n output columns: n rounded
+// up to the column block of E's GEMM kernel — fmaLanes for the floats (8
+// float64, 16 float32), 32 for the int8 kernel.
+func denseLD[E Float | uint8](n int) int {
+	w := 32
+	switch any(*new(E)).(type) {
+	case float64:
+		w = fmaLanes[float64]()
+	case float32:
+		w = fmaLanes[float32]()
 	}
-	return out
+	return (n + w - 1) / w * w
 }
 
 // PackWinoFilter precomputes the Winograd F(4×4,3×3) filter transform

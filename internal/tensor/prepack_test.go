@@ -1,7 +1,9 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"unsafe"
@@ -301,9 +303,7 @@ func TestPackConvShiftU8Unpacks(t *testing.T) {
 }
 
 // TestGemmU8PreIntoMatchesGemmU8Into verifies the colsum-free uint8 GEMM
-// that DenseU8 runs produces the exact accumulators of GemmU8Into, and that
-// PackQuantTranspose's precomputed ColSum equals the per-call column sums
-// GemmU8Into derives — the two halves of the prepacked int8 Dense path.
+// that DenseU8 runs produces the exact accumulators of GemmU8Into.
 func TestGemmU8PreIntoMatchesGemmU8Into(t *testing.T) {
 	for _, simd := range kernelLegs() {
 		rng := rand.New(rand.NewSource(144))
@@ -328,48 +328,103 @@ func TestGemmU8PreIntoMatchesGemmU8Into(t *testing.T) {
 				}
 			}
 
-			// ColSum of a pack of B's transpose is the column sums of B.
-			q := QuantWeights{M: n, K: k, Bits: transposeU8(b, k, n), Scale: make([]float64, n), RowSum: make([]int32, n)}
-			p := PackQuantTranspose(q)
-			for j, v := range p.ColSum {
-				if v != wantCS[j] {
-					t.Fatalf("simd=%v trial %d: ColSum[%d]=%d, GemmU8Into colsum %d", simd, trial, j, v, wantCS[j])
-				}
-			}
 		}
 	}
 }
 
-// TestDenseU8MatchesGemmU8 holds the served int8 Dense product to the
-// scalar SWAR GEMM over widths below, at and between 32-column blocks —
-// the vector leg runs the narrow ones against the zero-padded Wide
-// operand — plain and verified.
-func TestDenseU8MatchesGemmU8(t *testing.T) {
-	rng := rand.New(rand.NewSource(149))
+// denseWidths are the output widths the Dense tests sweep: below, at and
+// between the column blocks of the three kernels (8, 16 and 32 columns).
+var denseWidths = []int{1, 10, 15, 16, 17, 31, 32, 33, 40, 64, 100}
+
+// TestDenseMatchesChains holds the served Dense entries of every width to
+// their oracle, plain and verified: each float output bit for bit to the
+// ascending-p chain of the served GEMM body (the chains of
+// TestGemmBodiesMatchChains: fused on AVX2, unfused in gemm4Go) plus the
+// bias, each int8 accumulator to the scalar SWAR GEMM. A verified call
+// checks every column of the padded tile.
+func TestDenseMatchesChains(t *testing.T) {
+	t.Run("f64", func(t *testing.T) {
+		denseChainCheck(t, 150, func(a, b, c float64) float64 { return math.FMA(a, b, c) })
+	})
+	t.Run("f32", func(t *testing.T) { denseChainCheck(t, 151, fma32) })
+	t.Run("int8", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(149))
+		a := NewArena()
+		for _, n := range denseWidths {
+			for _, sink := range []*AbftStats{nil, {}} {
+				a.SetAbft(sink)
+				m, k := 1+rng.Intn(33), 1+rng.Intn(300)
+				x, bits := make([]uint8, m*k), make([]uint8, n*k)
+				rng.Read(x)
+				rng.Read(bits)
+				p := PackDense(bits, n, k)
+				want := make([]int32, m*n)
+				gemmU8(want, nil, x, transposeU8(bits, n, k), m, k, n, false)
+				got := make([]int32, m*n)
+				DenseU8(got, x, p, m, a)
+				for i, v := range got {
+					if v != want[i] {
+						t.Fatalf("n=%d m=%d k=%d verified=%v: acc %d: DenseU8 %d, scalar %d", n, m, k, sink != nil, i, v, want[i])
+					}
+				}
+				denseCountsCheck(t, sink, a, p.LD)
+			}
+		}
+	})
+}
+
+// denseChainCheck is TestDenseMatchesChains at float width F; fused is
+// the AVX2 body's multiply-add.
+func denseChainCheck[F Float](t *testing.T, seed int64, fused func(a, b, c F) F) {
+	chain := func(a, b, c F) F { return c + F(a*b) }
+	if simdAvailable {
+		chain = fused
+	}
+	rng := rand.New(rand.NewSource(seed))
+	norm := func(n int) []F {
+		v := make([]F, n)
+		for i := range v {
+			v[i] = F(rng.NormFloat64())
+		}
+		return v
+	}
 	a := NewArena()
-	for _, n := range []int{1, 10, 31, 32, 33, 40, 64, 100} {
+	for _, n := range denseWidths {
 		for _, sink := range []*AbftStats{nil, {}} {
 			a.SetAbft(sink)
 			m, k := 1+rng.Intn(33), 1+rng.Intn(300)
-			x, bits := make([]uint8, m*k), make([]uint8, n*k)
-			rng.Read(x)
-			rng.Read(bits)
-			p := PackQuantTranspose(QuantWeights{M: n, K: k, Bits: bits, Scale: make([]float64, n), RowSum: make([]int32, n)})
-			want := make([]int32, m*n)
-			gemmU8(want, nil, x, p.Bits, m, k, n, false)
-			got := make([]int32, m*n)
-			DenseU8(got, x, p, m, a)
-			for i, v := range got {
-				if v != want[i] {
-					t.Fatalf("n=%d m=%d k=%d verified=%v: acc %d: DenseU8 %d, scalar %d", n, m, k, sink != nil, i, v, want[i])
+			x, w, bias := norm(m*k), norm(n*k), norm(n)
+			p := PackDense(w, n, k)
+			got := make([]F, m*n)
+			Dense(got, x, p, bias, m, a)
+			for i := 0; i < m; i++ {
+				for o := 0; o < n; o++ {
+					var want F
+					for q := 0; q < k; q++ {
+						want = chain(x[i*k+q], w[o*k+q], want)
+					}
+					if want += bias[o]; float64bitsOf(got[i*n+o]) != float64bitsOf(want) {
+						t.Fatalf("n=%d m=%d k=%d verified=%v: out[%d][%d] = %v, chain %v", n, m, k, sink != nil, i, o, got[i*n+o], want)
+					}
 				}
 			}
-			if c := sink.Counts(); sink != nil && (c.Checks != uint64(n) || c.Detected != 0) {
-				t.Fatalf("n=%d: verified counts %+v, want %d checks and no detections", n, c, n)
-			}
-			a.Reset()
+			denseCountsCheck(t, sink, a, p.LD)
 		}
 	}
+}
+
+// denseCountsCheck requires a verified Dense call to have checked the ld
+// columns of its tile with no detection, and every call to have handed
+// its scratch back; it then resets a.
+func denseCountsCheck(t *testing.T, sink *AbftStats, a *Arena, ld int) {
+	t.Helper()
+	if c := sink.Counts(); sink != nil && (c.Checks != uint64(ld) || c.Detected != 0) {
+		t.Fatalf("ld=%d: verified counts %+v, want %d checks and no detections", ld, c, ld)
+	}
+	if a.Live() != 0 || a.Drawn() != 0 {
+		t.Fatalf("ld=%d: %d buffers (%d bytes) left drawn", ld, a.Live(), a.Drawn())
+	}
+	a.Reset()
 }
 
 func transposeU8(b []uint8, k, n int) []uint8 {
@@ -389,8 +444,8 @@ func TestAlignedAllocators(t *testing.T) {
 	for _, n := range []int{1, 7, 64, 1000, 16384} {
 		f64 := AlignedF64(n)
 		f32 := AlignedF32(n)
-		i32 := AlignedI32(n)
-		u8 := AlignedU8(n)
+		i32 := alignedSlice[int32](n)
+		u8 := alignedSlice[uint8](n)
 		if !Aligned64(f64) || !Aligned64(f32) || !Aligned64(i32) || !Aligned64(u8) {
 			t.Fatalf("n=%d: misaligned base (f64=%v f32=%v i32=%v u8=%v)", n, Aligned64(f64), Aligned64(f32), Aligned64(i32), Aligned64(u8))
 		}
@@ -407,79 +462,93 @@ func TestAlignedAllocators(t *testing.T) {
 	}
 }
 
-// TestPackQuantTransposeRoundTrip is the deterministic companion of
-// FuzzPrepackRoundTrip: pack → unpack reconstructs the weights bit-exactly
-// and ColSum matches a direct recount.
-func TestPackQuantTransposeRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(146))
-	for trial := 0; trial < 50; trial++ {
-		m := 1 + rng.Intn(16)
-		k := 1 + rng.Intn(300)
-		bits := make([]uint8, m*k)
-		rng.Read(bits)
-		q := QuantWeights{M: m, K: k, Bits: bits, Scale: make([]float64, m), RowSum: make([]int32, m)}
+// unpackDense is the test-side inverse of PackDense: the [N, K] row-major
+// weights, plus whether every padding column of the pack is zero.
+func unpackDense[E Float | uint8](p *Packed[E]) (w []E, padZero bool) {
+	w, padZero = make([]E, p.N*p.K), true
+	for k := 0; k < p.K; k++ {
+		for o, v := range p.W[k*p.LD : (k+1)*p.LD] {
+			if o < p.N {
+				w[o*p.K+k] = v
+			} else if v != 0 {
+				padZero = false
+			}
+		}
+	}
+	return w, padZero
+}
 
-		p := PackQuantTranspose(q)
-		if p.K != k || p.N != m || !Aligned64(p.Bits) || !Aligned64(p.ColSum) {
-			t.Fatalf("trial %d: pack metadata/alignment wrong (K=%d N=%d)", trial, p.K, p.N)
-		}
-		back := p.Unpack()
-		for i, v := range back {
-			if v != bits[i] {
-				t.Fatalf("trial %d: unpack[%d]=%d, want %d", trial, i, v, bits[i])
-			}
-		}
-		if ld := (m + 31) &^ 31; (p.Wide == nil) != (ld == m) || p.Wide != nil && (len(p.Wide) != k*ld || !Aligned64(p.Wide)) {
-			t.Fatalf("trial %d: Wide of %d bytes for K=%d N=%d", trial, len(p.Wide), k, m)
-		}
-		for i, v := range p.Wide {
-			if kk, o := i/wideLD(m), i%wideLD(m); o < m && v != p.Bits[kk*m+o] || o >= m && v != 0 {
-				t.Fatalf("trial %d: Wide[%d,%d]=%d", trial, kk, o, v)
-			}
-		}
-		for o := 0; o < m; o++ {
-			var sum int32
-			for _, v := range bits[o*k : (o+1)*k] {
-				sum += int32(v)
-			}
-			if p.ColSum[o] != sum {
-				t.Fatalf("trial %d: ColSum[%d]=%d, want %d", trial, o, p.ColSum[o], sum)
-			}
+// packRoundTrip packs w [n, k] and requires the pack's shape — LD the
+// least multiple of the kernel's column block not below n, the buffer
+// cache-line aligned — and a bit-exact unpack with zero padding.
+func packRoundTrip[E Float | uint8](t *testing.T, w []E, n, k, block int) {
+	t.Helper()
+	p := PackDense(w, n, k)
+	if p.K != k || p.N != n || p.LD%block != 0 || p.LD < n || p.LD-n >= block || len(p.W) != k*p.LD || !Aligned64(p.W) {
+		t.Fatalf("pack of [%d, %d]: K=%d N=%d LD=%d len=%d aligned=%v, column block %d", n, k, p.K, p.N, p.LD, len(p.W), Aligned64(p.W), block)
+	}
+	back, padZero := unpackDense(p)
+	if !padZero {
+		t.Fatalf("pack of [%d, %d]: nonzero padding column", n, k)
+	}
+	for i, v := range back {
+		if float64(v) != float64(w[i]) {
+			t.Fatalf("pack of [%d, %d]: unpack[%d]=%v, want %v", n, k, i, v, w[i])
 		}
 	}
 }
 
-// FuzzPrepackRoundTrip throws arbitrary weight byte matrices at the
-// transposed pack and demands bit-exact reconstruction plus exact column
-// sums — the pack must be pure data movement for any shape and content.
+// TestPackDenseRoundTrip is the deterministic companion of
+// FuzzPrepackRoundTrip at every width: pack → unpack reconstructs the
+// weights bit-exactly, the padding is zero and LD is the kernel's block.
+func TestPackDenseRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(146))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(70)
+		k := 1 + rng.Intn(300)
+		bits := make([]uint8, n*k)
+		rng.Read(bits)
+		w64, w32 := make([]float64, n*k), make([]float32, n*k)
+		for i := range w64 {
+			w64[i] = rng.NormFloat64()
+			w32[i] = float32(rng.NormFloat64())
+		}
+		packRoundTrip(t, bits, n, k, 32)
+		packRoundTrip(t, w64, n, k, fmaLanes[float64]())
+		packRoundTrip(t, w32, n, k, fmaLanes[float32]())
+	}
+}
+
+// FuzzPrepackRoundTrip throws arbitrary weight byte matrices at the Dense
+// pack and demands bit-exact reconstruction with zero padding — the pack
+// must be pure data movement for any shape and content. The bytes are
+// packed as the int8 bits and, eight at a time, as float64 bit patterns
+// (NaN and ±Inf included, compared by bits).
 func FuzzPrepackRoundTrip(f *testing.F) {
 	f.Add(uint8(3), []byte("prepack roundtrip"))
 	f.Add(uint8(1), []byte{})
 	f.Add(uint8(16), make([]byte, 400))
 	f.Fuzz(func(t *testing.T, mr uint8, raw []byte) {
-		m := int(mr)%16 + 1
-		k := len(raw)/m + 1
-		bits := make([]uint8, m*k)
+		n := int(mr)%40 + 1
+		k := len(raw)/n + 1
+		bits := make([]uint8, n*k)
 		copy(bits, raw)
-		q := QuantWeights{M: m, K: k, Bits: bits, Scale: make([]float64, m), RowSum: make([]int32, m)}
+		packRoundTrip(t, bits, n, k, 32)
 
-		p := PackQuantTranspose(q)
-		back := p.Unpack()
-		if len(back) != len(bits) {
-			t.Fatalf("unpack length %d, want %d", len(back), len(bits))
+		w := make([]float64, n*(len(raw)/8/n+1))
+		for i := range w {
+			if (i+1)*8 <= len(raw) {
+				w[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
+			}
+		}
+		p := PackDense(w, n, len(w)/n)
+		back, padZero := unpackDense(p)
+		if !padZero {
+			t.Fatalf("n=%d: nonzero padding column", n)
 		}
 		for i, v := range back {
-			if v != bits[i] {
-				t.Fatalf("m=%d k=%d: unpack[%d]=%d, want %d", m, k, i, v, bits[i])
-			}
-		}
-		for o := 0; o < m; o++ {
-			var sum int32
-			for _, v := range bits[o*k : (o+1)*k] {
-				sum += int32(v)
-			}
-			if p.ColSum[o] != sum {
-				t.Fatalf("m=%d k=%d: ColSum[%d]=%d, want %d", m, k, o, p.ColSum[o], sum)
+			if math.Float64bits(v) != math.Float64bits(w[i]) {
+				t.Fatalf("n=%d: unpack[%d] bits %x, want %x", n, i, math.Float64bits(v), math.Float64bits(w[i]))
 			}
 		}
 	})
@@ -513,10 +582,12 @@ func TestImplicitGemmZeroAlloc(t *testing.T) {
 	w32, src32, wd32 := To32(w64), To32(src64), To32(wd64)
 	cm64, cm32 := make([]float64, outC*n), make([]float32, outC*n)
 	d64, d32 := make([]float64, bsz*outC), make([]float32, bsz*outC)
+	pd64, pd32 := PackDense(wd64.Data, outC, chw), PackDense(wd32.Data, outC, chw)
+	b64, b32 := make([]float64, outC), make([]float32, outC)
 
 	qw := QuantizeWeightsSym(w64.Data, outC, k)
 	shift := PackConvShiftU8(qw.Bits, outC, g.InC, g.KH, g.KW)
-	dense := PackQuantTranspose(QuantizeWeightsSym(wd64.Data, outC, chw))
+	dense := PackDense(QuantizeWeightsSym(wd64.Data, outC, chw).Bits, outC, chw)
 	qsrc := make([]uint8, bsz*chw)
 	rng.Read(qsrc)
 	acc, colsum, dacc := make([]int32, outC*n), make([]int32, n), make([]int32, bsz*outC)
@@ -541,8 +612,8 @@ func TestImplicitGemmZeroAlloc(t *testing.T) {
 		{"f32 implicit driver", 0, func() { convGemm(cm32, w32.Data, src32.Data, outC, k, n, bsz, g, a) }},
 		{"f64 Conv", 1, func() { Conv(cm64, w64.Data, src64.Data, outC, bsz, g, a) }},
 		{"f32 Conv", 1, func() { Conv(cm32, w32.Data, src32.Data, outC, bsz, g, a) }},
-		{"f64 MatMulTransB", 0, func() { MatMulTransB(d64, src64.Data, wd64.Data, bsz, chw, outC, a) }},
-		{"f32 MatMulTransB", 0, func() { MatMulTransB(d32, src32.Data, wd32.Data, bsz, chw, outC, a) }},
+		{"f64 Dense", 0, func() { Dense(d64, src64.Data, pd64, b64, bsz, a) }},
+		{"f32 Dense", 0, func() { Dense(d32, src32.Data, pd32, b32, bsz, a) }},
 		{"int8 direct ConvU8", 0, func() { ConvU8(acc, colsum, qw, shift, qsrc, bsz, g, 3, a) }},
 		{"int8 implicit ConvU8", 0, func() { ConvU8(acc, colsum, qw, nil, qsrc, bsz, g, 3, a) }},
 		{"int8 DenseU8", 0, func() { DenseU8(dacc, qsrc, dense, bsz, a) }},

@@ -4,7 +4,7 @@ import "fmt"
 
 // The served products. Every conv and dense layer the inference graph runs
 // (nn.Net, DESIGN.md §7/§9) reaches the kernels through these entries —
-// Conv and MatMulTransB at both float widths, ConvU8 and DenseU8 for int8:
+// Conv and Dense at both float widths, ConvU8 and DenseU8 for int8:
 // the lowering dispatch and the verified-mode checksum epilogue live here
 // once, not in each backend's layer bodies. Each draws its working scratch
 // from the caller's arena and hands it back before returning.
@@ -36,17 +36,32 @@ func Conv[F Float](cm, weight, src []F, m, bsz int, g ConvGeom, a *Arena) {
 	}
 }
 
-// MatMulTransB computes the dense-layer product c = x × wᵀ: x [m, k], w
-// [n, k], c [m, n]. When a carries an ABFT sink, the row-checksum
-// epilogue then checks and repairs c. It panics on mismatched lengths.
-func MatMulTransB[F Float](c, x, w []F, m, k, n int, a *Arena) {
-	if len(c) != m*n || len(x) != m*k || len(w) != n*k {
-		panic(fmt.Sprintf("tensor: MatMulTransB operand lengths c=%d x=%d w=%d for %d×%d×%d", len(c), len(x), len(w), m, k, n))
+// Dense computes the dense-layer output c [m, w.N] = x [m, w.K] × wᵀ +
+// bias, x the activation rows and w the layer's compile-time pack: the
+// served GEMM runs x against w.W into an arena tile [m, w.LD], so every
+// output is the ascending-p chain of every other served float product.
+// When a carries an ABFT sink, the conv column-checksum epilogue checks and
+// repairs the tile — x × w.W is the 1×1 convolution of one w.K-channel
+// 1×w.LD image (gemmGeom) — before the w.N real columns are copied out
+// with the bias added. It panics on mismatched lengths.
+func Dense[F Float](c, x []F, w *Packed[F], bias []F, m int, a *Arena) {
+	k, n, ld := w.K, w.N, w.LD
+	if len(c) != m*n || len(x) != m*k || len(bias) != n {
+		panic(fmt.Sprintf("tensor: Dense operand lengths c=%d x=%d bias=%d for m=%d k=%d n=%d", len(c), len(x), len(bias), m, k, n))
 	}
-	matMulTransB(c, x, w, m, k, n)
+	mk := a.Mark()
+	t := Raw[F](a, m*ld)
+	gemmServed(t, x, w.W, m, k, ld, a)
 	if s := a.Abft(); s != nil {
-		s.Record(verifyMatMulTransB(c, x, w, m, k, n, a))
+		s.Record(verifyConv(t, x, w.W, m, 1, gemmGeom(k, ld), a))
 	}
+	for i := 0; i < m; i++ {
+		row, tr := c[i*n:(i+1)*n], t[i*ld:i*ld+n]
+		for o, bv := range bias {
+			row[o] = tr[o] + bv
+		}
+	}
+	a.Release(mk)
 }
 
 // ConvU8 computes the int8 convolution product of one batch: acc (int32,
@@ -71,40 +86,28 @@ func ConvU8(acc, colsum []int32, w QuantWeights, shift *PackedConvShift, qsrc []
 }
 
 // DenseU8 computes the int8 dense-layer product acc [m, w.N] = x [m, w.K]
-// × w.Bits, x the quantized activation rows and w the compile-time
-// transposed weights; w.ColSum stands in for the per-call column sums. On
-// the vector kernel a width that is not a multiple of 32 runs against
-// w.Wide into a scratch tile whose first N columns are acc — the padding
-// columns multiply zero weights, so acc is the same exact product.
-// When a carries an ABFT sink, the exact checksum epilogue then checks and
-// repairs acc against a scratch copy of w.ColSum (the verifier's injection
-// and repair write through the column sums). It panics on mismatched
-// lengths.
-func DenseU8(acc []int32, x []uint8, w *PackedU8T, m int, a *Arena) {
-	k, n := w.K, w.N
+// × the biased weight bits of w, x the quantized activation rows: Dense's
+// tile-and-copy shape on the uint8 GEMM, whose integer accumulation is
+// exact, so the padding changes no bit. The verified epilogue is the exact
+// column checksum of the tile; the Dense product has no column-sum output
+// (the dequantization corrects with the activation row sums). It panics on
+// mismatched lengths.
+func DenseU8(acc []int32, x []uint8, w *Packed[uint8], m int, a *Arena) {
+	k, n, ld := w.K, w.N, w.LD
 	if k > MaxQuantK {
 		panic(fmt.Sprintf("tensor: DenseU8 k=%d exceeds MaxQuantK=%d", k, MaxQuantK))
 	}
 	if len(x) != m*k || len(acc) < m*n {
 		panic(fmt.Sprintf("tensor: DenseU8 size mismatch m=%d k=%d n=%d (x=%d acc=%d)", m, k, n, len(x), len(acc)))
 	}
-	if simdAvailable && w.Wide != nil {
-		ld := wideLD(n)
-		mk := a.Mark()
-		t := Raw[int32](a, m*ld)
-		gemmU8(t, nil, x, w.Wide, m, k, ld, true)
-		for i := 0; i < m; i++ {
-			copy(acc[i*n:(i+1)*n], t[i*ld:])
-		}
-		a.Release(mk)
-	} else {
-		gemmU8(acc, nil, x, w.Bits, m, k, n, simdAvailable)
-	}
+	mk := a.Mark()
+	t := Raw[int32](a, m*ld)
+	gemmU8(t, nil, x, w.W, m, k, ld, simdAvailable)
 	if s := a.Abft(); s != nil {
-		mk := a.Mark()
-		cs := Raw[int32](a, n)
-		copy(cs, w.ColSum)
-		s.Record(verifyGemmU8(acc, cs, x, w.Bits, m, k, n, a))
-		a.Release(mk)
+		s.Record(verifyGemmU8(t, nil, x, w.W, m, k, ld, a))
 	}
+	for i := 0; i < m; i++ {
+		copy(acc[i*n:(i+1)*n], t[i*ld:])
+	}
+	a.Release(mk)
 }

@@ -217,24 +217,12 @@ type ClusterStats struct {
 	Conns               int
 }
 
-// PolicyOptions tunes the SLO controller (Options.SLO). Zero fields select
-// the defaults documented on policy.Config.
+// PolicyOptions tunes the SLO controller (Options.SLO). The controller's
+// other knobs keep the defaults documented on policy.Config.
 type PolicyOptions struct {
 	// MaxBatch is the serving batch cap the controller adapts around —
 	// pass the same value the server is configured with. Default 64.
 	MaxBatch int
-	// MaxBatchCap bounds how far the controller may grow the batch under
-	// load. Default max(4×MaxBatch, 256).
-	MaxBatchCap int
-	// Safety is the fraction of SLO budgeted for (default 0.8).
-	Safety float64
-	// Alpha is the EWMA weight of new cost samples (default 0.2).
-	Alpha float64
-	// StepUpAfter and StepUpHold gate recovery: consecutive healthy
-	// decisions (default 3) and minimum time since the last tier change
-	// (default max(4×SLO, 100ms)) before stepping one tier back up.
-	StepUpAfter int
-	StepUpHold  time.Duration
 }
 
 // CacheOptions configures the prediction cache (Options.Cache).
@@ -414,11 +402,6 @@ func Build(benchmark string, opts Options) (*System, error) {
 		}
 		if po := opts.Policy; po != nil {
 			pcfg.BaseMaxBatch = po.MaxBatch
-			pcfg.MaxBatchCap = po.MaxBatchCap
-			pcfg.Safety = po.Safety
-			pcfg.Alpha = po.Alpha
-			pcfg.StepUpAfter = po.StepUpAfter
-			pcfg.StepUpHold = po.StepUpHold
 		}
 		ctl, err := policy.New(pcfg)
 		if err != nil {
