@@ -30,8 +30,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -487,22 +485,4 @@ func (s *Store[V]) Len() int {
 		sh.mu.Unlock()
 	}
 	return n
-}
-
-// Keys returns the indexed keys in an unspecified order (tests and
-// compaction audits).
-func (s *Store[V]) Keys() []cache.Key {
-	var ks []cache.Key
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for k := range sh.idx {
-			ks = append(ks, k)
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(ks, func(a, b int) bool {
-		return strings.Compare(ks[a].String(), ks[b].String()) < 0
-	})
-	return ks
 }

@@ -36,13 +36,6 @@ func (r *Range) Observe(v float64) {
 	}
 }
 
-// ObserveSlice widens the range over every element of vs.
-func (r *Range) ObserveSlice(vs []float64) {
-	for _, v := range vs {
-		r.Observe(v)
-	}
-}
-
 // ObserveSlice32 widens the range over a float32 activation buffer — the
 // storage format of the backend forward pass that drives calibration.
 func (r *Range) ObserveSlice32(vs []float32) {

@@ -14,7 +14,9 @@ func TestRangeObserve(t *testing.T) {
 	if !r.Empty() {
 		t.Fatal("NaN must not populate the range")
 	}
-	r.ObserveSlice([]float64{2, -3, 5})
+	for _, v := range []float64{2, -3, 5} {
+		r.Observe(v)
+	}
 	r.ObserveSlice32([]float32{4, -1})
 	if r.Lo != -3 || r.Hi != 5 {
 		t.Fatalf("range [%g, %g], want [-3, 5]", r.Lo, r.Hi)

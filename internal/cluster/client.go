@@ -98,13 +98,6 @@ func (p *peerClient) Classify(ctx context.Context, fp cache.Fingerprint, shape [
 	return res.d, nil
 }
 
-// Ping round-trips an empty request — the harness's health probe.
-func (p *peerClient) Ping(ctx context.Context) error {
-	var idb [8]byte
-	_, err := p.call(ctx, msgPing, idb[:])
-	return err
-}
-
 // call runs one correlated request/response exchange. The first 8 payload
 // bytes must be the request-id placeholder; call stamps the real id.
 func (p *peerClient) call(ctx context.Context, typ byte, payload []byte) (callResult, error) {

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/nn"
-	"repro/internal/preprocess"
 	"repro/internal/tensor"
 )
 
@@ -56,7 +55,7 @@ func unpreparedSystem(t *testing.T, b model.Benchmark, backend Backend) (*System
 	pres := []string{"ORG", "FlipX", "FlipY"}
 	members := make([]Member, len(pres))
 	for i, p := range pres {
-		members[i] = Member{Name: p, Pre: preprocess.MustByName(p), Net: net, Backend: backend}
+		members[i] = Member{Name: p, Pre: mustPre(t, p), Net: net, Backend: backend}
 	}
 	sys, err := NewSystem(members, Thresholds{Conf: 0.2, Freq: 2})
 	if err != nil {
@@ -202,7 +201,7 @@ func TestPrepareBackendsErrors(t *testing.T) {
 		nn.NewConv2D(1, 3, 3, 1, 1, rng), nn.NewReLU(), nn.NewMaxPool2D(2),
 		nn.NewFlatten(), nn.NewDense(3*4*4, 4, rng),
 	)
-	sys, err := NewSystem([]Member{{Name: "ORG", Pre: preprocess.MustByName("ORG"), Net: net, Backend: BackendInt8}},
+	sys, err := NewSystem([]Member{{Name: "ORG", Pre: mustPre(t, "ORG"), Net: net, Backend: BackendInt8}},
 		Thresholds{Conf: 0.2, Freq: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +228,7 @@ func TestPrepareBackendsErrors(t *testing.T) {
 			t.Errorf("%s: PrepareBackends on a hooked network = %v, want an error naming member ORG", be, err)
 		}
 	}
-	if _, err := NewSystem([]Member{{Name: "ORG", Pre: preprocess.MustByName("ORG"), Net: net}},
+	if _, err := NewSystem([]Member{{Name: "ORG", Pre: mustPre(t, "ORG"), Net: net}},
 		Thresholds{Conf: 0.2, Freq: 1}); err == nil || !strings.Contains(err.Error(), "member ORG") {
 		t.Errorf("NewSystem on a hooked network = %v, want an error naming member ORG", err)
 	}
@@ -266,7 +265,7 @@ func TestBackendInt8SharedRace(t *testing.T) {
 	pres := []string{"ORG", "FlipX", "FlipY", "Gamma(2)"}
 	members := make([]Member, len(pres))
 	for i, p := range pres {
-		members[i] = Member{Name: p, Pre: preprocess.MustByName(p), Net: net, Backend: BackendInt8}
+		members[i] = Member{Name: p, Pre: mustPre(t, p), Net: net, Backend: BackendInt8}
 	}
 	sys, err := NewSystem(members, Thresholds{Conf: 0.2, Freq: 2})
 	if err != nil {

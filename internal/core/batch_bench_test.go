@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/nn"
-	"repro/internal/preprocess"
 	"repro/internal/tensor"
 )
 
@@ -24,7 +23,7 @@ func benchFixture(b *testing.B) (*System, []*tensor.T) {
 			nn.NewConv2D(6, 8, 3, 1, 1, rng), nn.NewReLU(), nn.NewMaxPool2D(2),
 			nn.NewFlatten(), nn.NewDense(8*4*4, 10, rng),
 		)
-		members[i] = Member{Name: p, Pre: preprocess.MustByName(p), Net: net}
+		members[i] = Member{Name: p, Pre: mustPre(b, p), Net: net}
 	}
 	sys, err := NewSystem(members, Thresholds{Conf: 0.3, Freq: 3})
 	if err != nil {

@@ -148,12 +148,6 @@ func (p *PredictionCache) Lookup(x *tensor.T) (Decision, bool) {
 	return cloneDecision(d), true
 }
 
-// Insert stores a decision for an input (clone-in: the caller keeps
-// ownership of d).
-func (p *PredictionCache) Insert(x *tensor.T, d Decision) {
-	p.put(p.KeyFor(x), cloneDecision(d))
-}
-
 // Stats snapshots the cache counters across both tiers.
 func (p *PredictionCache) Stats() CacheStats {
 	l1 := p.tier.L1().Stats()

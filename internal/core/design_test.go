@@ -21,7 +21,7 @@ func testBenchmark(name string) model.Benchmark {
 		// leaves mispredictions for the MR system to detect.
 		Build: func(rng *rand.Rand, classes int, in []int) *nn.Network {
 			return nn.MustNetwork(in, classes,
-				nn.NewConv2D(in[0], 4, 3, 1, 1, rng), nn.NewReLU(), nn.NewMaxPool2D(4),
+				nn.NewConv2D(in[0], 4, 3, 1, 1, rng), nn.NewReLU(), nn.NewMaxPool2D(2), nn.NewMaxPool2D(2),
 				nn.NewFlatten(),
 				nn.NewDense(4*(in[1]/4)*(in[2]/4), classes, rng),
 			)
@@ -215,7 +215,7 @@ func TestNewSystemValidation(t *testing.T) {
 	}
 }
 
-func mustPre(t *testing.T, name string) preprocess.Preprocessor {
+func mustPre(t testing.TB, name string) preprocess.Preprocessor {
 	t.Helper()
 	v := model.Variant{Preproc: name}
 	p, err := v.Preprocessor()

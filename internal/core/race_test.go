@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/nn"
-	"repro/internal/preprocess"
 	"repro/internal/tensor"
 )
 
@@ -28,7 +27,7 @@ func raceFixture(t *testing.T) (*System, []*tensor.T) {
 	pres := []string{"ORG", "FlipX", "FlipY", "Gamma(2)"}
 	members := make([]Member, len(pres))
 	for i, p := range pres {
-		members[i] = Member{Name: p, Pre: preprocess.MustByName(p), Net: net}
+		members[i] = Member{Name: p, Pre: mustPre(t, p), Net: net}
 	}
 	sys, err := NewSystem(members, Thresholds{Conf: 0.2, Freq: 2})
 	if err != nil {

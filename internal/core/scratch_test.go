@@ -93,6 +93,17 @@ func TestClassifyBatchAllocBound(t *testing.T) {
 	}
 }
 
+// slabGrown reports whether a's slab for E has grown: a draw that outgrows
+// the slab comes from the heap, so a one-element draw allocates only on an
+// empty slab.
+func slabGrown[E tensor.ArenaElem](a *tensor.Arena) bool {
+	return testing.AllocsPerRun(1, func() {
+		m := a.Mark()
+		tensor.Raw[E](a, 1)
+		a.Release(m)
+	}) == 0
+}
+
 // TestScratchGrowsOnlyServedSlabs holds the lazy-arena promise of
 // batchScratch: a worker's one arena grows only the slabs of the element
 // types its members' nets draw. After a ClassifyBatch, a pure-f64 System
@@ -110,16 +121,16 @@ func TestScratchGrowsOnlyServedSlabs(t *testing.T) {
 			t.Fatalf("%s: no scratch went back to the free list", be)
 		}
 		for _, sc := range sys.scratch.free {
-			f64, f32 := tensor.SlabLen[float64](&sc.a), tensor.SlabLen[float32](&sc.a)
-			u8, i32 := tensor.SlabLen[uint8](&sc.a), tensor.SlabLen[int32](&sc.a)
+			f64, f32 := slabGrown[float64](&sc.a), slabGrown[float32](&sc.a)
+			u8, i32 := slabGrown[uint8](&sc.a), slabGrown[int32](&sc.a)
 			switch be {
 			case BackendF64:
-				if f64 == 0 || f32 != 0 || u8 != 0 || i32 != 0 {
-					t.Errorf("f64 system slabs f64=%d f32=%d u8=%d i32=%d, want only f64 grown", f64, f32, u8, i32)
+				if !f64 || f32 || u8 || i32 {
+					t.Errorf("f64 system slabs grown f64=%v f32=%v u8=%v i32=%v, want only f64", f64, f32, u8, i32)
 				}
 			case BackendInt8:
-				if f64 != 0 || f32 == 0 || u8 == 0 || i32 == 0 {
-					t.Errorf("int8 system slabs f64=%d f32=%d u8=%d i32=%d, want no f64 and the rest grown", f64, f32, u8, i32)
+				if f64 || !f32 || !u8 || !i32 {
+					t.Errorf("int8 system slabs grown f64=%v f32=%v u8=%v i32=%v, want all but f64", f64, f32, u8, i32)
 				}
 			}
 		}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/nn"
-	"repro/internal/preprocess"
 	"repro/internal/tensor"
 )
 
@@ -106,7 +105,7 @@ func TestVerifiedUncorrectableAbstains(t *testing.T) {
 		nn.NewConv2D(1, 3, 3, 1, 1, rng), nn.NewReLU(), nn.NewMaxPool2D(2),
 		nn.NewFlatten(), nn.NewDense(3*4*4, 4, rng),
 	)
-	sys, err := NewSystem([]Member{{Name: "ORG", Pre: preprocess.MustByName("ORG"), Net: net}},
+	sys, err := NewSystem([]Member{{Name: "ORG", Pre: mustPre(t, "ORG"), Net: net}},
 		Thresholds{Conf: 0.5, Freq: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +171,7 @@ func TestVerifiedUncorrectableAbstainsPerTile(t *testing.T) {
 	)
 	// Thr_Conf just above chance: the uniform row of an abstaining member
 	// never clears it, a clean row usually does.
-	sys, err := NewSystem([]Member{{Name: "ORG", Pre: preprocess.MustByName("ORG"), Net: net}},
+	sys, err := NewSystem([]Member{{Name: "ORG", Pre: mustPre(t, "ORG"), Net: net}},
 		Thresholds{Conf: 0.26, Freq: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -80,12 +80,9 @@ type Dataset struct {
 	train     []nn.Sample
 }
 
-// trainDraws counts the training splits generated in this process.
+// trainDraws counts the training splits generated in this process, for
+// the tests that hold bring-up to the validation and test splits.
 var trainDraws atomic.Int64
-
-// TrainDraws reports how many training splits this process has generated,
-// across all datasets.
-func TrainDraws() int64 { return trainDraws.Load() }
 
 // Train returns the training split, generating it on the first call. It
 // draws from its own RNG (Seed+1), so when it is drawn does not change it.

@@ -53,3 +53,7 @@ func TestWritePNGErrors(t *testing.T) {
 		t.Error("2-channel tensor accepted")
 	}
 }
+
+// TrainDraws reports how many training splits this process has generated,
+// across all datasets.
+func TrainDraws() int64 { return trainDraws.Load() }

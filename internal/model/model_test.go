@@ -90,7 +90,7 @@ func tinyBenchmark() Benchmark {
 		PaperAccuracy: 0.5,
 		Build: func(rng *rand.Rand, classes int, in []int) *nn.Network {
 			return nn.MustNetwork(in, classes,
-				nn.NewMaxPool2D(4),
+				nn.NewMaxPool2D(2), nn.NewMaxPool2D(2),
 				nn.NewFlatten(),
 				nn.NewDense((in[1]/4)*(in[2]/4)*in[0], classes, rng),
 			)
@@ -242,6 +242,43 @@ func TestZooLogitsHooked(t *testing.T) {
 	}
 	if _, err := zoo.LogitsHooked(b, Variant{}, SplitVal, "", nil); err == nil {
 		t.Error("empty tag accepted")
+	}
+}
+
+// TestInvalidateLogitsKeepsOtherProfiles: retraining a member under one
+// profile drops that profile's recorded outputs of the member and nothing
+// else: the other profile's recordings and other members' stay on disk.
+func TestInvalidateLogitsKeepsOtherProfiles(t *testing.T) {
+	dir := t.TempDir()
+	fast, full := NewZoo(dir, dataset.Fast), NewZoo(dir, dataset.Full)
+	b := tinyBenchmark()
+	v, other := Variant{Preproc: "FlipX"}, Variant{Preproc: "FlipY"}
+	write := func(path string) string {
+		if err := os.WriteFile(path, []byte("x"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	gone := []string{
+		write(fast.logitsPath(b, v, SplitVal, "")),
+		write(fast.logitsPath(b, v, SplitTest, "")),
+		write(fast.logitsPath(b, v, SplitVal, "__b11")),
+	}
+	kept := []string{
+		write(full.logitsPath(b, v, SplitVal, "")),
+		write(full.logitsPath(b, v, SplitTest, "__b11")),
+		write(fast.logitsPath(b, other, SplitVal, "")),
+	}
+	fast.invalidateLogits(b, v)
+	for _, p := range gone {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("%s survived invalidation (stat error %v)", filepath.Base(p), err)
+		}
+	}
+	for _, p := range kept {
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("%s: %v", filepath.Base(p), err)
+		}
 	}
 }
 

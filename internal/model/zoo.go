@@ -309,8 +309,10 @@ func (z *Zoo) Network(b Benchmark, v Variant) (*nn.Network, error) {
 	return net, nil
 }
 
-// invalidateLogits drops all cached recorded outputs of one member, in
-// memory and on disk.
+// invalidateLogits drops all cached recorded outputs of one member under
+// this zoo's profile and fingerprint, in memory and on disk. Another
+// profile's recordings of the same member belong to another trained net
+// and stay.
 func (z *Zoo) invalidateLogits(b Benchmark, v Variant) {
 	prefix := b.Name + "|" + v.Key() + "|"
 	z.mu.Lock()
@@ -323,7 +325,7 @@ func (z *Zoo) invalidateLogits(b Benchmark, v Variant) {
 	if z.Dir == "" {
 		return
 	}
-	pattern := filepath.Join(z.Dir, fmt.Sprintf("%s__%s__*.logits.gob", b.Name, v.Key()))
+	pattern := filepath.Join(z.Dir, fmt.Sprintf("%s__%s__*__%s__%s*.logits.gob", b.Name, v.Key(), z.profileTag(), z.fingerprint(b)))
 	matches, err := filepath.Glob(pattern)
 	if err != nil {
 		return

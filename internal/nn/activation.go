@@ -142,12 +142,3 @@ func softmaxRow[E tensor.Float](out []float64, logits []E) {
 		out[i] *= inv
 	}
 }
-
-// SoftmaxTemp applies temperature-scaled softmax: softmax(logits / T).
-// Temperature T=1 reproduces Softmax; T>1 softens the distribution. Used by
-// the calibration experiments (paper §IV-E).
-func SoftmaxTemp(logits *tensor.T, temp float64) *tensor.T {
-	scaled := logits.Clone()
-	scaled.Scale(1 / temp)
-	return Softmax(scaled)
-}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -237,6 +238,59 @@ func TestCompileErrors(t *testing.T) {
 	if _, err := f.net.CompileInt8([]*tensor.T{f.xs[0], tensor.New(1, 2, 2)}); err == nil {
 		t.Error("CompileInt8 accepted mixed calibration shapes")
 	}
+}
+
+// squareLayer is a layer kind the compiler has no node for.
+type squareLayer struct{}
+
+func (squareLayer) Name() string                          { return "square" }
+func (squareLayer) OutShape(in []int) ([]int, error)      { return in, nil }
+func (squareLayer) Forward(x *tensor.T, _ bool) *tensor.T { return x.Clone() }
+func (squareLayer) Backward(g *tensor.T) *tensor.T        { return g }
+func (squareLayer) Params() []*nn.Param                   { return nil }
+
+// TestCompileRefusesUnbuiltKinds covers newNode's refusal: a layer kind
+// with no inference node, and a max-pool other than the 2×2 every zoo
+// topology uses, are refused at every width with an error naming the
+// kind.
+func TestCompileRefusesUnbuiltKinds(t *testing.T) {
+	xs := []*tensor.T{tensor.New(1, 6, 6)}
+	for _, tc := range []struct {
+		layer nn.Layer
+		kind  string
+	}{
+		{squareLayer{}, "nn_test.squareLayer"},
+		{nn.NewMaxPool2D(3), "maxpool3x3"},
+	} {
+		net := nn.MustNetwork([]int{1, 6, 6}, 2, tc.layer, nn.NewFlatten(), nn.NewDense(prodOut(t, tc.layer, 1, 6, 6), 2, rand.New(rand.NewSource(1))))
+		for _, w := range []struct {
+			name    string
+			compile func() error
+		}{
+			{"f64", func() error { _, err := nn.Compile[float64](net); return err }},
+			{"f32", func() error { _, err := net.Compile32(); return err }},
+			{"int8", func() error { _, err := net.CompileInt8(xs); return err }},
+		} {
+			err := w.compile()
+			if err == nil || !strings.Contains(err.Error(), "no inference node") || !strings.Contains(err.Error(), tc.kind) {
+				t.Errorf("%s of a net with %s: error %v, want a refusal naming %q", w.name, tc.layer.Name(), err, tc.kind)
+			}
+		}
+	}
+}
+
+// prodOut is the element count of l's output for input shape in.
+func prodOut(t *testing.T, l nn.Layer, in ...int) int {
+	t.Helper()
+	out, err := l.OutShape(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 1
+	for _, d := range out {
+		n *= d
+	}
+	return n
 }
 
 // TestNet32EmptyBatch covers the degenerate entry point.

@@ -9,13 +9,12 @@ import (
 
 // ResidualBlock is a two-convolution residual unit:
 //
-//	y = ReLU( norm2(conv2( ReLU(norm1(conv1(x))) )) + proj(x) )
+//	y = ReLU( conv2( ReLU(conv1(x)) ) + proj(x) )
 //
 // proj is the identity when the input and output shapes match, and a strided
 // 1×1 convolution otherwise (the ResNet "option B" projection shortcut).
 type ResidualBlock struct {
 	conv1, conv2 *Conv2D
-	norm1, norm2 *ChannelNorm
 	relu1        *ReLU
 	proj         *Conv2D // nil for identity shortcut
 	outRelu      *ReLU
@@ -26,36 +25,21 @@ type ResidualBlock struct {
 var _ Layer = (*ResidualBlock)(nil)
 var _ Counter = (*ResidualBlock)(nil)
 
-// NewResidualBlock creates a residual block mapping inC channels to outC
-// channels, downsampling spatially by stride, with channel normalization
-// after each convolution.
-func NewResidualBlock(inC, outC, stride int, rng *rand.Rand) *ResidualBlock {
-	return newResidualBlock(inC, outC, stride, true, rng)
-}
-
-// NewPlainResidualBlock creates a residual block without normalization
+// NewPlainResidualBlock creates a residual block mapping inC channels to
+// outC channels, downsampling spatially by stride, without normalization
 // layers. The per-sample EMA normalization substitute can destabilize long
-// chains of residual blocks, so the deeper zoo models use plain blocks with
-// down-scaled second-conv initialization instead.
+// chains of residual blocks, so the block down-scales its second conv's
+// initialization instead.
 func NewPlainResidualBlock(inC, outC, stride int, rng *rand.Rand) *ResidualBlock {
-	return newResidualBlock(inC, outC, stride, false, rng)
-}
-
-func newResidualBlock(inC, outC, stride int, norm bool, rng *rand.Rand) *ResidualBlock {
 	b := &ResidualBlock{
 		conv1:   NewConv2D(inC, outC, 3, stride, 1, rng),
 		relu1:   NewReLU(),
 		conv2:   NewConv2D(outC, outC, 3, 1, 1, rng),
 		outRelu: NewReLU(),
 	}
-	if norm {
-		b.norm1 = NewChannelNorm(outC)
-		b.norm2 = NewChannelNorm(outC)
-	} else {
-		// Scale down the residual branch output at init so each block starts
-		// near-identity, the standard normalization-free residual trick.
-		b.conv2.weight.Value.Scale(0.5)
-	}
+	// Scale down the residual branch output at init so each block starts
+	// near-identity, the standard normalization-free residual trick.
+	b.conv2.weight.Value.Scale(0.5)
 	if inC != outC || stride != 1 {
 		b.proj = NewConv2D(inC, outC, 1, stride, 0, rng)
 	}
@@ -94,14 +78,8 @@ func (b *ResidualBlock) OutShape(in []int) ([]int, error) {
 // Forward implements Layer.
 func (b *ResidualBlock) Forward(x *tensor.T, train bool) *tensor.T {
 	h := b.conv1.Forward(x, train)
-	if b.norm1 != nil {
-		h = b.norm1.Forward(h, train)
-	}
 	h = b.relu1.Forward(h, train)
 	h = b.conv2.Forward(h, train)
-	if b.norm2 != nil {
-		h = b.norm2.Forward(h, train)
-	}
 
 	var shortcut *tensor.T
 	if b.proj != nil {
@@ -121,15 +99,8 @@ func (b *ResidualBlock) Forward(x *tensor.T, train bool) *tensor.T {
 func (b *ResidualBlock) Backward(grad *tensor.T) *tensor.T {
 	g := b.outRelu.Backward(grad)
 	// g is the gradient of both the main path output and the shortcut.
-	dMain := g
-	if b.norm2 != nil {
-		dMain = b.norm2.Backward(dMain)
-	}
-	dMain = b.conv2.Backward(dMain)
+	dMain := b.conv2.Backward(g)
 	dMain = b.relu1.Backward(dMain)
-	if b.norm1 != nil {
-		dMain = b.norm1.Backward(dMain)
-	}
 	dx := b.conv1.Backward(dMain)
 	if b.proj != nil {
 		dx.AddInPlace(b.proj.Backward(g))
@@ -141,45 +112,17 @@ func (b *ResidualBlock) Backward(grad *tensor.T) *tensor.T {
 
 // Params implements Layer.
 func (b *ResidualBlock) Params() []*Param {
-	ps := append([]*Param(nil), b.conv1.Params()...)
-	if b.norm1 != nil {
-		ps = append(ps, b.norm1.Params()...)
-	}
-	ps = append(ps, b.conv2.Params()...)
-	if b.norm2 != nil {
-		ps = append(ps, b.norm2.Params()...)
-	}
+	ps := append(b.conv1.Params(), b.conv2.Params()...)
 	if b.proj != nil {
 		ps = append(ps, b.proj.Params()...)
 	}
 	return ps
 }
 
-// StateTensors implements Stateful, forwarding the normalization state of
-// the block's sub-layers.
-func (b *ResidualBlock) StateTensors() []*tensor.T {
-	var ts []*tensor.T
-	if b.norm1 != nil {
-		ts = append(ts, b.norm1.StateTensors()...)
-	}
-	if b.norm2 != nil {
-		ts = append(ts, b.norm2.StateTensors()...)
-	}
-	return ts
-}
-
 // Stats implements Counter.
 func (b *ResidualBlock) Stats(in []int) Stats {
 	s1, _ := b.conv1.OutShape(in)
-	st := b.conv1.Stats(in)
-	if b.norm1 != nil {
-		st = addStats(st, b.norm1.Stats(s1))
-	}
-	st = addStats(st, b.conv2.Stats(s1))
-	if b.norm2 != nil {
-		s2, _ := b.conv2.OutShape(s1)
-		st = addStats(st, b.norm2.Stats(s2))
-	}
+	st := addStats(b.conv1.Stats(in), b.conv2.Stats(s1))
 	if b.proj != nil {
 		st = addStats(st, b.proj.Stats(in))
 	}

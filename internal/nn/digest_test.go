@@ -13,6 +13,10 @@ import (
 	"repro/internal/tensor"
 )
 
+// zooDigestSkip is the number of seed-97 draws digestFixtures skips before
+// it perturbs the zoo fixtures' parameters.
+const zooDigestSkip = 15508
+
 // servedRowsDigests are the SHA-256 digests (first 16 hex digits) of the
 // served softmax rows of digestFixtures, per fixture and backend, on the
 // AVX2 kernels. Each covers B ∈ {1, 7, 32}, unverified then verified,
@@ -38,9 +42,9 @@ var servedRowsDigests = map[string]string{
 	"resnet34/f64":     "7a3e18551255871d",
 	"resnet34/f32":     "5d2d84f896e6b29d",
 	"resnet34/int8":    "803235425d154820",
-	"every-layer/f64":  "0450930f202a6cd1",
-	"every-layer/f32":  "b8945287a284ee75",
-	"every-layer/int8": "efc5d4730157be4e",
+	"every-layer/f64":  "452169bfe9dbec52",
+	"every-layer/f32":  "77dca995e1ada1b7",
+	"every-layer/int8": "195495484df90981",
 }
 
 // servedRowsDigestsGo are servedRowsDigests on the pure-Go kernel bodies,
@@ -65,43 +69,47 @@ var servedRowsDigestsGo = map[string]string{
 	"resnet34/f64":     "cae506c98870c79c",
 	"resnet34/f32":     "22ca741195400e84",
 	"resnet34/int8":    "5d40dc3b88aeb130",
-	"every-layer/f64":  "93e7fa3ba8781a1b",
-	"every-layer/f32":  "2e8506d8f8eacc12",
-	"every-layer/int8": "18f0275a36d133e1",
+	"every-layer/f64":  "c8025a9b34726da9",
+	"every-layer/f32":  "c13ca907238a8ab7",
+	"every-layer/int8": "8da8ac311d91754e",
 }
 
 // digestFixtures are the zoo topologies of backendFixtures plus a network
-// with every layer kind (leaky rectifiers on both branches, a 3×3 pool,
-// plain and projected residual blocks, a dense unit, dropout), with
-// nonzero biases and β, γ ≠ 1 and running statistics away from (0, 1), so
-// a dropped bias, a misplaced norm term or a wrongly folded σ shows.
+// with every layer kind the zoo builds, in every node form the compiler
+// makes of them: a conv with its ReLU and 2×2 pool fused, a bias-only
+// conv, projected and plain residual blocks, a dense unit, a standalone
+// 2×2 pool after a non-conv node and a standalone ReLU. Every fixture gets
+// nonzero biases, and its norms β, γ ≠ 1 and running statistics away from
+// (0, 1), so a dropped bias, a misplaced norm term or a wrongly folded σ
+// shows.
 func digestFixtures(t testing.TB) []backendFixture {
 	fs := backendFixtures(t)
-	rng := rand.New(rand.NewSource(97))
+	erng := rand.New(rand.NewSource(98))
 	every := nn.MustNetwork([]int{3, 12, 12}, 5,
-		nn.NewConv2D(3, 4, 3, 1, 1, rng),
+		nn.NewConv2D(3, 4, 3, 1, 1, erng),
 		nn.NewReLU(),
 		nn.NewMaxPool2D(2),
-		nn.NewConv2D(4, 4, 3, 1, 1, rng),
-		nn.NewChannelNorm(4),
+		nn.NewConv2D(4, 4, 3, 1, 1, erng),
+		nn.NewPlainResidualBlock(4, 6, 1, erng),
+		nn.NewPlainResidualBlock(6, 6, 1, erng),
+		nn.NewDenseUnit(6, 2, erng),
+		nn.NewMaxPool2D(2),
 		nn.NewReLU(),
-		nn.NewResidualBlock(4, 6, 1, rng),
-		nn.NewPlainResidualBlock(6, 6, 1, rng),
-		nn.NewDenseUnit(6, 2, rng),
-		nn.NewMaxPool2D(3),
-		nn.NewLeakyReLU(0.1),
-		nn.NewLeakyReLU(2),
-		nn.NewDropout(0.3, 7),
-		nn.NewGlobalAvgPool(),
 		nn.NewFlatten(),
-		nn.NewDense(8, 5, rng),
+		nn.NewDense(72, 5, erng),
 	)
 	xs := make([]*tensor.T, 32)
 	for i := range xs {
 		xs[i] = tensor.New(3, 12, 12)
-		xs[i].FillUniform(rng, 0, 1)
+		xs[i].FillUniform(erng, 0, 1)
 	}
 	fs = append(fs, backendFixture{name: "every-layer", net: every, xs: xs})
+	// The zoo fixtures' terms are drawn from seed 97 after the first
+	// zooDigestSkip draws, the stream their committed digests were taken on.
+	rng := rand.New(rand.NewSource(97))
+	for range zooDigestSkip {
+		rng.Int63()
+	}
 	for _, f := range fs {
 		for _, p := range f.net.Params() {
 			switch p.Name {

@@ -56,7 +56,7 @@ import (
 // arena-owned backing that no later node reads (InferBatch copies the
 // caller's images in at entry; composite nodes keep their shortcut and
 // concat inputs away from the rectifiers), so rectifiers overwrite src in
-// place and inference Dropout returns it.
+// place.
 type node[E tensor.Float] interface {
 	forward(src []E, in []int, bsz int, a *tensor.Arena) ([]E, []int)
 }
@@ -141,26 +141,14 @@ func newNode[E tensor.Float](l Layer) (node[E], error) {
 		return &denseNode[E]{w: tensor.PackDense(asWidth[E](t.weight.Value.Data), t.Out, t.In), bias: asWidth[E](t.bias.Value.Data)}, nil
 	case *ReLU:
 		return reluNode[E]{}, nil
-	case *LeakyReLU:
-		return leakyNode[E]{alpha: E(t.Alpha), exact: t.Alpha >= 0 && t.Alpha <= 1}, nil
 	case *Flatten:
 		return flattenNode[E]{}, nil
-	case *Dropout:
-		return identityNode[E]{}, nil
 	case *MaxPool2D:
-		return maxPoolNode[E]{k: t.K}, nil
-	case *AvgPool2D:
-		return avgPoolNode[E]{}, nil
-	case *ChannelNorm:
-		return newNormNode[E](t), nil
+		if t.K == 2 {
+			return maxPoolNode[E]{}, nil
+		}
 	case *ResidualBlock:
 		r := &residualNode[E]{conv1: newConvNode[E](t.conv1), conv2: newConvNode[E](t.conv2)}
-		if t.norm1 != nil {
-			r.norm1 = newNormNode[E](t.norm1)
-		}
-		if t.norm2 != nil {
-			r.norm2 = newNormNode[E](t.norm2)
-		}
 		if t.proj != nil {
 			r.proj = newConvNode[E](t.proj)
 		}
@@ -168,7 +156,7 @@ func newNode[E tensor.Float](l Layer) (node[E], error) {
 	case *DenseUnit:
 		return &denseUnitNode[E]{conv: newConvNode[E](t.conv), norm: newNormNode[E](t.norm)}, nil
 	}
-	return nil, fmt.Errorf("nn: compile: no inference node for layer type %T", l)
+	return nil, fmt.Errorf("nn: compile: no inference node for layer type %T (%s)", l, l.Name())
 }
 
 // asWidth returns a layer's float64 parameters at width E: the slice itself
@@ -195,10 +183,9 @@ func castInto[E tensor.Float](dst []E, src []float64) {
 }
 
 // fuse folds each convolution node's trailing ReLU and 2×2 max-pool nodes
-// into its epilogue (nn/epilogue.go), and a plain residual block's inner
-// rectifier into its first convolution. LeakyReLU and other pool sizes
-// stay nodes of their own. Run it last: it drops the absorbed nodes, so
-// node indices no longer follow layers.
+// into its epilogue (nn/epilogue.go), and a residual block's inner
+// rectifier into its first convolution. Run it last: it drops the absorbed
+// nodes, so node indices no longer follow layers.
 func (n *Net[E]) fuse() {
 	fused := make([]node[E], 0, len(n.nodes))
 	for i := 0; i < len(n.nodes); i++ {
@@ -210,9 +197,7 @@ func (n *Net[E]) fuse() {
 		case *qconv32:
 			epi = &t.epi
 		case *residualNode[E]:
-			if t.norm1 == nil {
-				t.conv1.epi = tensor.EpiReLU
-			}
+			t.conv1.epi = tensor.EpiReLU
 		}
 		for _, want := range []tensor.Epi{tensor.EpiReLU, tensor.EpiPool} {
 			if epi != nil && i+1 < len(n.nodes) && stage(n.nodes[i+1]) == want {
@@ -228,13 +213,11 @@ func (n *Net[E]) fuse() {
 // stage classifies a node for fuse: tensor.EpiReLU, tensor.EpiPool, or 0
 // for a node no epilogue absorbs.
 func stage[E tensor.Float](nd node[E]) tensor.Epi {
-	switch t := any(nd).(type) {
+	switch any(nd).(type) {
 	case reluNode[E]:
 		return tensor.EpiReLU
 	case maxPoolNode[E]:
-		if t.k == 2 {
-			return tensor.EpiPool
-		}
+		return tensor.EpiPool
 	}
 	return 0
 }
@@ -373,29 +356,6 @@ func (reluNode[E]) forward(src []E, in []int, _ int, _ *tensor.Arena) ([]E, []in
 	return src, in
 }
 
-// leakyNode is LeakyReLU, in place like reluNode. For the usual
-// 0 ≤ α ≤ 1 the rectifier is exactly max(v, α·v) — branchless; other
-// slopes keep the literal comparison.
-type leakyNode[E tensor.Float] struct {
-	alpha E
-	exact bool
-}
-
-func (l leakyNode[E]) forward(src []E, in []int, _ int, _ *tensor.Arena) ([]E, []int) {
-	if l.exact {
-		for i, v := range src {
-			src[i] = max(v, l.alpha*v)
-		}
-		return src, in
-	}
-	for i, v := range src {
-		if !(v > 0) {
-			src[i] = l.alpha * v
-		}
-	}
-	return src, in
-}
-
 // flattenNode is a pure shape change: the image-major backing is already
 // flat per image.
 type flattenNode[E tensor.Float] struct{}
@@ -404,65 +364,18 @@ func (flattenNode[E]) forward(src []E, in []int, _ int, _ *tensor.Arena) ([]E, [
 	return src, []int{prodShape(in)}
 }
 
-// identityNode forwards the backing unchanged (inference Dropout).
-type identityNode[E tensor.Float] struct{}
+// maxPoolNode is the 2×2 MaxPool2D, the only pool the zoo builds: the
+// epilogue kernel's pool-only stage (branchless; a data-dependent compare
+// mispredicts constantly on conv activations), applied to each (image,
+// channel) plane. 2×2 pools that follow a convolution ride in its epilogue
+// instead.
+type maxPoolNode[E tensor.Float] struct{}
 
-func (identityNode[E]) forward(src []E, in []int, _ int, _ *tensor.Arena) ([]E, []int) {
-	return src, in
-}
-
-// maxPoolNode is MaxPool2D: the epilogue kernel's pool-only stage for the
-// ubiquitous K=2 (branchless; the data-dependent compare of the general
-// kernel mispredicts constantly on conv activations), applied to each
-// (image, channel) plane, and the general K×K kernel otherwise. 2×2 pools
-// that follow a convolution ride in its epilogue instead.
-type maxPoolNode[E tensor.Float] struct{ k int }
-
-func (p maxPoolNode[E]) forward(src []E, in []int, bsz int, a *tensor.Arena) ([]E, []int) {
+func (maxPoolNode[E]) forward(src []E, in []int, bsz int, a *tensor.Arena) ([]E, []int) {
 	ch, h, w := in[0], in[1], in[2]
-	oh, ow := h/p.k, w/p.k
-	dst := tensor.Raw[E](a, bsz*ch*oh*ow)
-	if p.k == 2 {
-		rectifyPlanes(dst, src, bsz*ch, h, w, tensor.EpiPool)
-		return dst, []int{ch, oh, ow}
-	}
-	// Every (image, channel) plane pools on its own: treat the batch as
-	// bsz·ch planes of one channel each.
-	for pl := 0; pl < bsz*ch; pl++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				best := E(math.Inf(-1))
-				for ky := 0; ky < p.k; ky++ {
-					row := src[pl*h*w+(oy*p.k+ky)*w+ox*p.k:]
-					for kx := 0; kx < p.k; kx++ {
-						if v := row[kx]; v > best {
-							best = v
-						}
-					}
-				}
-				dst[pl*oh*ow+oy*ow+ox] = best
-			}
-		}
-	}
-	return dst, []int{ch, oh, ow}
-}
-
-// avgPoolNode is the global average pool. The channel sum accumulates in
-// float64 at every width, so an f32 net's division matches the f64 net's
-// within one f32 rounding.
-type avgPoolNode[E tensor.Float] struct{}
-
-func (avgPoolNode[E]) forward(src []E, in []int, bsz int, a *tensor.Arena) ([]E, []int) {
-	ch, hw := in[0], in[1]*in[2]
-	dst := tensor.Raw[E](a, bsz*ch)
-	for pl := range dst {
-		s := 0.0
-		for _, v := range src[pl*hw : (pl+1)*hw] {
-			s += float64(v)
-		}
-		dst[pl] = E(s / float64(hw))
-	}
-	return dst, []int{ch}
+	dst := tensor.Raw[E](a, bsz*ch*(h/2)*(w/2))
+	rectifyPlanes(dst, src, bsz*ch, h, w, tensor.EpiPool)
+	return dst, []int{ch, h / 2, w / 2}
 }
 
 // normNode is ChannelNorm's inference affine (v−μ)·γ/σ + β, per channel.
@@ -511,21 +424,14 @@ func (n *normNode[E]) forward(src []E, in []int, bsz int, a *tensor.Arena) ([]E,
 // backing, so the in-place add never aliases the shortcut.
 type residualNode[E tensor.Float] struct {
 	conv1, conv2, proj *convNode[E]
-	norm1, norm2       *normNode[E]
 }
 
 func (r *residualNode[E]) forward(src []E, in []int, bsz int, a *tensor.Arena) ([]E, []int) {
 	h, hs := r.conv1.forward(src, in, bsz, a)
-	if r.norm1 != nil {
-		h, hs = r.norm1.forward(h, hs, bsz, a)
-	}
 	if r.conv1.epi&tensor.EpiReLU == 0 {
 		h, hs = reluNode[E]{}.forward(h, hs, bsz, a)
 	}
 	h, hs = r.conv2.forward(h, hs, bsz, a)
-	if r.norm2 != nil {
-		h, hs = r.norm2.forward(h, hs, bsz, a)
-	}
 	shortcut := src
 	if r.proj != nil {
 		shortcut, _ = r.proj.forward(src, in, bsz, a)

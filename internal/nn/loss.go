@@ -23,19 +23,3 @@ func SoftmaxCrossEntropy(logits *tensor.T, label int) (loss float64, grad *tenso
 	grad.Data[label] -= 1
 	return loss, grad
 }
-
-// NLL returns the mean negative log-likelihood of probability vectors against
-// labels; used by the temperature-scaling calibration optimizer.
-func NLL(probs [][]float64, labels []int) float64 {
-	if len(probs) != len(labels) {
-		panic(fmt.Sprintf("nn: NLL length mismatch: %d probs vs %d labels", len(probs), len(labels)))
-	}
-	if len(probs) == 0 {
-		return 0
-	}
-	total := 0.0
-	for i, pv := range probs {
-		total += -math.Log(math.Max(pv[labels[i]], 1e-300))
-	}
-	return total / float64(len(probs))
-}

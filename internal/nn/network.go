@@ -96,13 +96,6 @@ func (n *Network) Params() []*Param {
 	return ps
 }
 
-// ZeroGrads clears all accumulated parameter gradients.
-func (n *Network) ZeroGrads() {
-	for _, p := range n.Params() {
-		p.Grad.Zero()
-	}
-}
-
 // StateTensors returns all non-trainable state tensors (normalization
 // running statistics) in a stable order, for serialization.
 func (n *Network) StateTensors() []*tensor.T {
@@ -142,13 +135,4 @@ func (n *Network) LayerStats() []Stats {
 		shape = out
 	}
 	return stats
-}
-
-// TotalStats aggregates LayerStats over the whole network.
-func (n *Network) TotalStats() Stats {
-	var total Stats
-	for _, s := range n.LayerStats() {
-		total = addStats(total, s)
-	}
-	return total
 }

@@ -49,23 +49,6 @@ func TestSoftmaxStability(t *testing.T) {
 	}
 }
 
-func TestSoftmaxTempBehaviour(t *testing.T) {
-	logits := tensor.FromSlice([]float64{2, 1, 0}, 3)
-	base := Softmax(logits)
-	hot := SoftmaxTemp(logits, 4) // higher temperature flattens
-	cold := SoftmaxTemp(logits, 0.25)
-	if !(hot.Data[0] < base.Data[0] && base.Data[0] < cold.Data[0]) {
-		t.Errorf("temperature ordering violated: hot %.4f base %.4f cold %.4f",
-			hot.Data[0], base.Data[0], cold.Data[0])
-	}
-	one := SoftmaxTemp(logits, 1)
-	for i := range one.Data {
-		if math.Abs(one.Data[i]-base.Data[i]) > 1e-12 {
-			t.Errorf("T=1 should equal softmax")
-		}
-	}
-}
-
 func TestSoftmaxCrossEntropy(t *testing.T) {
 	logits := tensor.FromSlice([]float64{0, 0, 0}, 3)
 	loss, grad := SoftmaxCrossEntropy(logits, 1)
@@ -87,15 +70,6 @@ func TestSoftmaxCrossEntropy(t *testing.T) {
 		if s := g.Sum(); math.Abs(s) > 1e-9 {
 			t.Errorf("grad sum = %v, want 0", s)
 		}
-	}
-}
-
-func TestNLL(t *testing.T) {
-	probs := [][]float64{{0.5, 0.5}, {0.9, 0.1}}
-	labels := []int{0, 0}
-	want := (-math.Log(0.5) - math.Log(0.9)) / 2
-	if got := NLL(probs, labels); math.Abs(got-want) > 1e-12 {
-		t.Errorf("NLL = %v, want %v", got, want)
 	}
 }
 
@@ -272,11 +246,14 @@ func TestSaveParamsFileRoundTrip(t *testing.T) {
 func TestNetworkStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	net := buildTinyNet(rng, 2)
-	total := net.TotalStats()
+	var total Stats
+	for _, s := range net.LayerStats() {
+		total = addStats(total, s)
+	}
 	// conv: 8*8*4 outputs × 1*3*3 = 2304 MACs; dense: 64×2 = 128.
 	wantMACs := 8*8*4*9 + 64*2
 	if total.MACs != wantMACs {
-		t.Errorf("TotalStats MACs = %d, want %d", total.MACs, wantMACs)
+		t.Errorf("summed LayerStats MACs = %d, want %d", total.MACs, wantMACs)
 	}
 	if total.ParamElems != net.NumParams() {
 		t.Errorf("ParamElems = %d, NumParams = %d; want equal", total.ParamElems, net.NumParams())
@@ -342,20 +319,20 @@ func TestSGDClipNorm(t *testing.T) {
 	}
 }
 
-func TestInferAllAndLogitsAll(t *testing.T) {
+func TestLogitsAllMatchesInfer(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	net := buildTinyNet(rng, 2)
 	samples := twoBlobSamples(rng, 6)
-	probs := InferAll(net, samples)
 	logits := LogitsAll(net, samples)
-	if len(probs) != 6 || len(logits) != 6 {
-		t.Fatalf("lengths: %d, %d", len(probs), len(logits))
+	if len(logits) != 6 {
+		t.Fatalf("LogitsAll returned %d rows, want 6", len(logits))
 	}
-	for i := range probs {
+	for i, s := range samples {
+		probs := net.Infer(s.X)
 		fromLogits := Softmax(tensor.FromSlice(logits[i], len(logits[i])))
-		for j := range probs[i] {
-			if math.Abs(probs[i][j]-fromLogits.Data[j]) > 1e-12 {
-				t.Fatalf("sample %d: InferAll disagrees with softmax(LogitsAll)", i)
+		for j := range probs.Data {
+			if math.Abs(probs.Data[j]-fromLogits.Data[j]) > 1e-12 {
+				t.Fatalf("sample %d: Infer disagrees with softmax(LogitsAll)", i)
 			}
 		}
 	}

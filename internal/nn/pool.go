@@ -97,66 +97,3 @@ func (p *MaxPool2D) Stats(in []int) Stats {
 	oh, ow := in[1]/p.K, in[2]/p.K
 	return Stats{ActElems: in[0] * oh * ow}
 }
-
-// AvgPool2D is a global average pooling layer reducing [C,H,W] to [C].
-type AvgPool2D struct {
-	inShape []int
-}
-
-var _ Layer = (*AvgPool2D)(nil)
-var _ Counter = (*AvgPool2D)(nil)
-
-// NewGlobalAvgPool creates a global average pooling layer.
-func NewGlobalAvgPool() *AvgPool2D { return &AvgPool2D{} }
-
-// Name implements Layer.
-func (p *AvgPool2D) Name() string { return "globalavgpool" }
-
-// OutShape implements Layer.
-func (p *AvgPool2D) OutShape(in []int) ([]int, error) {
-	if len(in) != 3 {
-		return nil, shapeErr(p.Name(), in, "[C H W]")
-	}
-	return []int{in[0]}, nil
-}
-
-// Forward implements Layer.
-func (p *AvgPool2D) Forward(x *tensor.T, train bool) *tensor.T {
-	ch, hw := x.Shape[0], x.Shape[1]*x.Shape[2]
-	out := tensor.New(ch)
-	for c := 0; c < ch; c++ {
-		s := 0.0
-		for _, v := range x.Data[c*hw : (c+1)*hw] {
-			s += v
-		}
-		out.Data[c] = s / float64(hw)
-	}
-	if train {
-		p.inShape = append([]int(nil), x.Shape...)
-	}
-	return out
-}
-
-// Backward implements Layer.
-func (p *AvgPool2D) Backward(grad *tensor.T) *tensor.T {
-	if p.inShape == nil {
-		panic("nn: AvgPool2D.Backward called before Forward(train=true)")
-	}
-	ch, hw := p.inShape[0], p.inShape[1]*p.inShape[2]
-	dx := tensor.New(p.inShape...)
-	inv := 1.0 / float64(hw)
-	for c := 0; c < ch; c++ {
-		g := grad.Data[c] * inv
-		row := dx.Data[c*hw : (c+1)*hw]
-		for i := range row {
-			row[i] = g
-		}
-	}
-	return dx
-}
-
-// Params implements Layer.
-func (p *AvgPool2D) Params() []*Param { return nil }
-
-// Stats implements Counter.
-func (p *AvgPool2D) Stats(in []int) Stats { return Stats{ActElems: in[0]} }

@@ -93,22 +93,23 @@ func checkVerifiedRowsMatchServed(t *testing.T, xs []*tensor.T, run func(xs []*t
 }
 
 // TestVerifiedDrawsServedScratch holds verified mode to the served
-// lowering's scratch: at B=32 a verified forward returns with exactly as
-// many arena buffers live, and exactly as many bytes drawn, as an
-// unverified one, for every zoo topology on the f64, f32 and int8 nets. A
-// verified-only lowering held across the forward — say, an im2col matrix
-// materialized for the checksums to read — would show in both. The
-// checksum epilogues draw their own scratch between an arena Mark and
-// Release, so it leaves no trace at return; it shows only in the slabs,
-// which grow to cover it. The test logs that difference, the checksum
-// scratch cost, per topology and backend. On a warm arena the verified
-// forward also makes exactly the served forward's heap allocations (its
-// result rows and shape bookkeeping): no kernel scratch comes from the
-// heap in either mode.
+// lowering's scratch: at B=32 a verified forward returns at exactly the
+// arena position of an unverified one — as many buffers live, as many
+// elements drawn from each slab — for every zoo topology on the f64, f32
+// and int8 nets. A verified-only lowering held across the forward — say,
+// an im2col matrix materialized for the checksums to read — would show in
+// both. The checksum epilogues draw their own scratch between an arena
+// Mark and Release, so it leaves no trace at return; it shows only in the
+// slabs, which grow to cover it. The test logs that difference, the
+// checksum scratch cost, per topology and backend. On a warm arena the
+// verified forward also makes exactly the served forward's heap
+// allocations (its result rows and shape bookkeeping): no kernel scratch
+// comes from the heap in either mode.
 func TestVerifiedDrawsServedScratch(t *testing.T) {
 	type draws struct {
-		live, drawn, slab int
-		allocs            float64
+		at          tensor.ArenaMark
+		drawn, slab int
+		allocs      float64
 	}
 	for _, f := range backendFixtures(t) {
 		net64, err := nn.Compile[float64](f.net)
@@ -131,20 +132,20 @@ func TestVerifiedDrawsServedScratch(t *testing.T) {
 				a := tensor.NewArena()
 				a.SetAbft(abft)
 				be.infer(f.xs[:32], a)
-				d := draws{live: a.Live(), drawn: a.Drawn()}
+				d := draws{at: a.Mark(), drawn: a.Drawn()}
 				a.Reset()
-				d.slab = 8*tensor.SlabLen[float64](a) + 4*tensor.SlabLen[float32](a) + tensor.SlabLen[uint8](a) +
-					4*tensor.SlabLen[int32](a) + 8*tensor.SlabLen[int64](a)
 				d.allocs = testing.AllocsPerRun(3, func() {
 					be.infer(f.xs[:32], a)
 					a.Reset()
 				})
+				d.slab = 8*slabLen[float64](a) + 4*slabLen[float32](a) + slabLen[uint8](a) +
+					4*slabLen[int32](a) + 8*slabLen[int64](a)
 				return d
 			}
 			served, verified := run(nil), run(&tensor.AbftStats{})
-			if verified.live != served.live || verified.drawn != served.drawn {
-				t.Errorf("%s/%s: verified forward returned with %d buffers live, %d bytes drawn; served %d, %d",
-					f.name, be.name, verified.live, verified.drawn, served.live, served.drawn)
+			if verified.at != served.at {
+				t.Errorf("%s/%s: verified forward returned at arena position %+v (%d bytes drawn); served %+v (%d)",
+					f.name, be.name, verified.at, verified.drawn, served.at, served.drawn)
 			}
 			if verified.allocs != served.allocs {
 				t.Errorf("%s/%s: warm verified forward allocates %.1f times, served %.1f",
@@ -154,6 +155,35 @@ func TestVerifiedDrawsServedScratch(t *testing.T) {
 				f.name, be.name, served.slab, verified.slab, verified.slab-served.slab)
 		}
 	}
+}
+
+// slabLen returns the length in elements of a's slab for E: the largest
+// buffer a fresh draw takes without allocating, since a draw that outgrows
+// the slab comes from the heap. Its probes raise the size the next Reset
+// grows the slab to, so take it last.
+func slabLen[E tensor.ArenaElem](a *tensor.Arena) int {
+	fits := func(n int) bool {
+		return testing.AllocsPerRun(1, func() {
+			m := a.Mark()
+			tensor.Raw[E](a, n)
+			a.Release(m)
+		}) == 0
+	}
+	if !fits(1) {
+		return 0
+	}
+	lo, hi := 1, 2
+	for fits(hi) {
+		lo, hi = hi, 2*hi
+	}
+	for hi-lo > 1 {
+		if mid := (lo + hi) / 2; fits(mid) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // TestSharedNetworkConcurrent hammers one network's compiled f64, f32 and

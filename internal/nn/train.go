@@ -113,17 +113,6 @@ func Accuracy(net *Network, samples []Sample) float64 {
 	return float64(correct) / float64(len(samples))
 }
 
-// InferAll runs inference over all samples and returns the softmax
-// probability vector for each. This is the bulk entry point used to record
-// member-network outputs once so that threshold sweeps are post-processing.
-func InferAll(net *Network, samples []Sample) [][]float64 {
-	out := make([][]float64, len(samples))
-	for i, s := range samples {
-		out[i] = append([]float64(nil), net.Infer(s.X).Data...)
-	}
-	return out
-}
-
 // LogitsAll runs the forward pass over all samples and returns raw logits;
 // used by the calibration experiments, which re-apply temperature-scaled
 // softmax.

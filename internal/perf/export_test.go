@@ -1,5 +1,10 @@
 package perf
 
+import "math"
+
+// Test fixtures: the second and third device of the cost-model tests and
+// a regime diagnostic. The experiments cost on TitanX only.
+
 // DriveAGX returns constants in the regime of the NVIDIA DRIVE AGX platform
 // the paper's §IV-C two-GPU scenario references: two Tensor-Core-class GPUs
 // with an automotive power envelope. Per-GPU throughput is below the
@@ -16,7 +21,9 @@ func DriveAGX() GPU {
 }
 
 // EmbeddedCPU returns constants for a CPU-only edge deployment — a useful
-// worst case for latency-budget reasoning with no accelerator available.
+// worst case for latency-budget reasoning with no accelerator available,
+// and the one device whose kernel-launch overhead and idle power are
+// nonzero, so the tests reach those terms of the cost model.
 func EmbeddedCPU() GPU {
 	return GPU{
 		Name:           "embedded CPU",
@@ -27,4 +34,23 @@ func EmbeddedCPU() GPU {
 		KernelOverhead: 1e-6,
 		IdlePower:      5,
 	}
+}
+
+// MemoryBoundFraction reports the fraction of layer latency that is
+// memory-bound, the test's check on the model regime.
+func MemoryBoundFraction(g GPU, layers []LayerCost) float64 {
+	var mem, total float64
+	for _, l := range layers {
+		compute := l.MACs / g.PeakMACs
+		memory := l.Bytes / g.MemBW
+		t := math.Max(compute, memory)
+		total += t
+		if memory >= compute {
+			mem += t
+		}
+	}
+	if total == 0 {
+		return 0
+	}
+	return mem / total
 }

@@ -49,7 +49,7 @@ type GPU struct {
 // full-size networks amortize per-layer launch costs over millions of MACs,
 // whereas this repository's scaled-down substitutes would otherwise be
 // launch-dominated and hide the precision-scaling mechanism entirely
-// (DESIGN.md §1). EmbeddedCPU keeps non-zero overheads as a contrast.
+// (DESIGN.md §1).
 func TitanX() GPU {
 	return GPU{
 		Name:          "TITAN X (Pascal)",
@@ -113,25 +113,6 @@ func costOf(g GPU, layers []LayerCost) Cost {
 	}
 	c.Energy += g.IdlePower * c.Latency
 	return c
-}
-
-// MemoryBoundFraction reports the fraction of layer latency that is
-// memory-bound, a diagnostic for the model regime.
-func MemoryBoundFraction(g GPU, layers []LayerCost) float64 {
-	var mem, total float64
-	for _, l := range layers {
-		compute := l.MACs / g.PeakMACs
-		memory := l.Bytes / g.MemBW
-		t := math.Max(compute, memory)
-		total += t
-		if memory >= compute {
-			mem += t
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return mem / total
 }
 
 // SystemConfig describes an MR system execution for costing.
@@ -198,20 +179,6 @@ func SystemCost(cfg SystemConfig, activations []int) (Cost, error) {
 	}
 	inv := 1 / float64(len(activations))
 	return Cost{Energy: total.Energy * inv, Latency: total.Latency * inv}, nil
-}
-
-// TailLatency returns the worst-case (all members activated) latency of the
-// system — the quantity the §IV-C discussion compares against the 100 ms
-// autonomous-driving budget.
-func TailLatency(cfg SystemConfig) float64 {
-	n := len(cfg.MemberCosts)
-	all := make([]int, 1)
-	all[0] = n
-	c, err := SystemCost(cfg, all)
-	if err != nil {
-		return 0
-	}
-	return c.Latency
 }
 
 // FullActivations returns a slice of length samples filled with n, for

@@ -144,16 +144,6 @@ func TestSystemCostOverheadsAndClamping(t *testing.T) {
 	}
 }
 
-func TestTailLatency(t *testing.T) {
-	cfg := SystemConfig{
-		MemberCosts: []Cost{{Latency: 0.01}, {Latency: 0.02}},
-		GPUs:        1,
-	}
-	if got := TailLatency(cfg); math.Abs(got-0.03) > 1e-12 {
-		t.Errorf("TailLatency = %v, want 0.03", got)
-	}
-}
-
 func TestRAMRSavingShape(t *testing.T) {
 	// The headline cost mechanism: a 4-member system at 14 bits with ~2.3
 	// mean activations must cost well under 4× baseline and within ~2×.

@@ -50,15 +50,6 @@ func ByName(name string) (Preprocessor, error) {
 	}
 }
 
-// MustByName is ByName that panics on error; for compile-time-fixed configs.
-func MustByName(name string) Preprocessor {
-	p, err := ByName(name)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // splitArg parses "Base(arg)" into its parts.
 func splitArg(name string) (base, arg string, ok bool) {
 	open := strings.IndexByte(name, '(')
@@ -66,23 +57,4 @@ func splitArg(name string) (base, arg string, ok bool) {
 		return name, "", false
 	}
 	return name[:open], name[open+1 : len(name)-1], true
-}
-
-// Candidates returns the standard candidate pool used by the PolygraphMR
-// greedy system-design procedure (paper §III-G and Table I). The pool
-// deliberately includes Scale(0.8), which the paper's Fig. 8 analysis shows
-// to be a weaker diversity source, so the selection step has something to
-// reject.
-func Candidates() []Preprocessor {
-	return []Preprocessor{
-		AdHist{},
-		ConNorm{},
-		FlipX{},
-		FlipY{},
-		Gamma{G: 1.5},
-		Gamma{G: 2},
-		Hist{},
-		ImAdj{},
-		Scale{P: 0.8},
-	}
 }

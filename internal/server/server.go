@@ -268,9 +268,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	return nil
 }
 
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // API payloads.
 
 type imageJSON struct {

@@ -4,14 +4,11 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"repro/internal/stream"
 )
 
 // Metrics is the pre-registered series bundle for the PolygraphMR serving
-// subsystem. Everything the server, the dynamic batcher, and the stream
-// processor report flows through one of these handles, so /metrics is a
-// single-registry render.
+// subsystem. Everything the server and the dynamic batcher report flows
+// through one of these handles, so /metrics is a single-registry render.
 type Metrics struct {
 	Registry *Registry
 
@@ -33,11 +30,6 @@ type Metrics struct {
 	Escalated *Counter   // predictions flagged for escalation
 	Agreement *Histogram // accepted member votes for the winning label
 	Activated *Histogram // member networks consulted per decision
-
-	// Stream deadline accounting (internal/stream).
-	StreamFrames   *Counter   // frames observed via ObserveFrame
-	DeadlineMisses *Counter   // frames whose latency exceeded the budget
-	FrameSeconds   *Histogram // per-frame classification latency
 
 	// Prediction cache (internal/cache). Hits/Misses count the server's
 	// pre-admission probe outcomes; the gauges mirror the backend cache's
@@ -132,10 +124,6 @@ func NewMetrics(maxMembers int) *Metrics {
 		Escalated: r.Counter("pgmr_decisions_total", "Decision outcomes by reliability verdict.", Label{"outcome", "escalated"}),
 		Agreement: r.Histogram("pgmr_decision_agreement", "Accepted member votes for the winning label.", LinearBuckets(1, 1, maxMembers)),
 		Activated: r.Histogram("pgmr_decision_activated", "Member networks consulted per decision (RADE staged activation).", LinearBuckets(1, 1, maxMembers)),
-
-		StreamFrames:   r.Counter("pgmr_stream_frames_total", "Stream frames observed."),
-		DeadlineMisses: r.Counter("pgmr_stream_deadline_misses_total", "Stream frames whose latency exceeded the deadline budget."),
-		FrameSeconds:   r.Histogram("pgmr_stream_frame_seconds", "Per-frame stream classification latency in seconds.", latency),
 
 		CacheHits:      r.Counter("pgmr_cache_hits_total", "Images served from the prediction cache by the pre-admission probe."),
 		CacheMisses:    r.Counter("pgmr_cache_misses_total", "Probed images that missed the prediction cache and entered the admission queue."),
@@ -278,19 +266,6 @@ func (m *Metrics) ObserveDecision(reliable bool, agreement, activated int) {
 	}
 	m.Agreement.Observe(float64(agreement))
 	m.Activated.Observe(float64(activated))
-}
-
-// ObserveFrame ingests one stream frame: the deadline-miss accounting the
-// stream package computes (a miss is only possible with a positive budget —
-// stream.Frame.DeadlineMiss is never set when Config.Budget is 0) plus the
-// frame latency and its decision outcome.
-func (m *Metrics) ObserveFrame(f stream.Frame) {
-	m.StreamFrames.Inc()
-	if f.DeadlineMiss {
-		m.DeadlineMisses.Inc()
-	}
-	m.FrameSeconds.Observe(f.Latency.Seconds())
-	m.ObserveDecision(f.Decision.Reliable, f.Decision.Votes[f.Decision.Label], f.Decision.Activated)
 }
 
 // ObserveResponse records one finished HTTP classify request.

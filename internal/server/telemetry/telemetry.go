@@ -7,9 +7,8 @@
 // The package has two levels: the generic Registry/Counter/Gauge/Histogram
 // primitives in this file, and the domain Metrics bundle (metrics.go) that
 // pre-registers every series the PolygraphMR serving path reports —
-// request/response counters, batch-size and latency histograms, decision
-// outcomes (reliable vs. escalated, per-member agreement), and the stream
-// package's deadline-miss accounting.
+// request/response counters, batch-size and latency histograms and
+// decision outcomes (reliable vs. escalated, per-member agreement).
 package telemetry
 
 import (

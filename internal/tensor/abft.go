@@ -253,8 +253,16 @@ func gemmGeom(k, n int) ConvGeom {
 // out once channel-major, images stacked, every plane padded by g.Pad on
 // each side ([InC][bsz][InH+2·Pad][InW+2·Pad]), and row p = (c, kh, kw)
 // of B is the channel-c block of that layout shifted by (kh, kw) — read in
-// a padded column layout, whose extra positions unpadCols drops.
-// Strided convolutions generate each row with im2colBlock instead.
+// a padded column layout, whose extra positions unpadCols drops. An
+// unpadded batch of one image or one channel is already in that layout —
+// every verified Dense is one, through gemmGeom — so its rows are read from
+// src in place. Strided convolutions generate each row with im2colBlock
+// instead.
+
+// rowsInPlace reports whether convRows reads B's rows from src itself.
+func rowsInPlace(bsz int, g ConvGeom) bool {
+	return g.Stride == 1 && g.Pad == 0 && (bsz == 1 || g.InC == 1)
+}
 
 // convRowsLen returns the length of the rows convRows hands out and of the
 // scratch it lays them out in.
@@ -264,7 +272,11 @@ func convRowsLen(bsz int, g ConvGeom) (rowLen, size int) {
 		return n, n
 	}
 	pw, plane := g.InW+2*g.Pad, (g.InH+2*g.Pad)*(g.InW+2*g.Pad)
-	return (bsz-1)*plane + (g.OutH()-1)*pw + g.OutW(), g.InC * bsz * plane
+	rowLen = (bsz-1)*plane + (g.OutH()-1)*pw + g.OutW()
+	if rowsInPlace(bsz, g) {
+		return rowLen, 0
+	}
+	return rowLen, g.InC * bsz * plane
 }
 
 // convRows calls f(p, x) for every row p of B = im2col(src) in ascending
@@ -281,12 +293,16 @@ func convRows[E Float | uint8](src []E, bsz int, g ConvGeom, pad E, xs []E, f fu
 		return
 	}
 	pw, plane, hw := g.InW+2*g.Pad, (g.InH+2*g.Pad)*(g.InW+2*g.Pad), g.InH*g.InW
-	fill(xs, pad)
-	for c := 0; c < g.InC; c++ {
-		for b := 0; b < bsz; b++ {
-			dst, img := xs[(c*bsz+b)*plane+g.Pad*pw+g.Pad:], src[(b*g.InC+c)*hw:]
-			for y := 0; y < g.InH; y++ {
-				copy(dst[y*pw:y*pw+g.InW], img[y*g.InW:(y+1)*g.InW])
+	if rowsInPlace(bsz, g) {
+		xs = src
+	} else {
+		fill(xs, pad)
+		for c := 0; c < g.InC; c++ {
+			for b := 0; b < bsz; b++ {
+				dst, img := xs[(c*bsz+b)*plane+g.Pad*pw+g.Pad:], src[(b*g.InC+c)*hw:]
+				for y := 0; y < g.InH; y++ {
+					copy(dst[y*pw:y*pw+g.InW], img[y*g.InW:(y+1)*g.InW])
+				}
 			}
 		}
 	}

@@ -80,11 +80,6 @@ func Raw[E ArenaElem](a *Arena, n int) []E {
 	return slab[E](a).get(n)
 }
 
-// SlabLen returns the length in elements of a's slab for E: 0 until a
-// call drawing E has been followed by a Reset, then the largest total any
-// single call had drawn at once, scratch it released included.
-func SlabLen[E ArenaElem](a *Arena) int { return len(slab[E](a).slab) }
-
 // slab returns a's region for E.
 func slab[E ArenaElem](a *Arena) *bump[E] {
 	var b any
@@ -139,10 +134,6 @@ func (a *Arena) Release(m ArenaMark) {
 	a.i64.release(m.i64)
 	a.live = m.live
 }
-
-// Live returns the number of buffers handed out since the last Reset and
-// not released.
-func (a *Arena) Live() int { return a.live }
 
 // Drawn returns the bytes handed out since the last Reset and not
 // released, each buffer rounded up to whole cache lines.

@@ -2,24 +2,6 @@ package tensor
 
 import "fmt"
 
-// MatMul computes C = A×B for 2-d tensors A (m×k) and B (k×n), returning a
-// new m×n tensor. The inner loops are ordered i-k-j so the innermost loop
-// streams both B and C rows sequentially, which is the dominant factor for
-// pure-Go throughput.
-func MatMul(a, b *T) *T {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		panic(fmt.Sprintf("tensor: MatMul requires rank-2 operands, got %v × %v", a.Shape, b.Shape))
-	}
-	m, k := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner dimensions differ: %v × %v", a.Shape, b.Shape))
-	}
-	c := New(m, n)
-	MatMulInto(c, a, b)
-	return c
-}
-
 // MatMulInto computes C = A×B into an existing m×n tensor, overwriting it.
 // It panics on any shape mismatch.
 //

@@ -63,16 +63,6 @@ func alignedSlice[E any](n int) []E {
 	return buf[off : off+n : off+n]
 }
 
-// Aligned64 reports whether the first element of a non-empty slice sits
-// on a cache-line boundary (always true for Aligned* allocations; the
-// debug asserts use it).
-func Aligned64[E any](s []E) bool {
-	if len(s) == 0 {
-		return true
-	}
-	return uintptr(unsafe.Pointer(&s[0]))&(cacheLine-1) == 0
-}
-
 // Packed is the compile-time weight pack of a Dense layer at element type
 // E — float64, float32, or the biased uint8 bits of the int8 backend: the
 // [N, K] row-major weight matrix stored transposed as [K, LD], cache-line

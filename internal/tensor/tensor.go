@@ -52,9 +52,6 @@ func FromSlice(data []float64, shape ...int) *T {
 // Len returns the total number of elements.
 func (t *T) Len() int { return len(t.Data) }
 
-// Dim returns the size of dimension i.
-func (t *T) Dim(i int) int { return t.Shape[i] }
-
 // Rank returns the number of dimensions.
 func (t *T) Rank() int { return len(t.Shape) }
 
@@ -96,10 +93,6 @@ func (t *T) index(idx ...int) int {
 	return off
 }
 
-// At returns the element at the given index. Intended for tests and cold
-// paths; hot code should index Data directly.
-func (t *T) At(idx ...int) float64 { return t.Data[t.index(idx...)] }
-
 // Set stores v at the given index.
 func (t *T) Set(v float64, idx ...int) { t.Data[t.index(idx...)] = v }
 
@@ -124,16 +117,6 @@ func (t *T) AddInPlace(o *T) {
 	}
 	for i, v := range o.Data {
 		t.Data[i] += v
-	}
-}
-
-// Axpy computes t += alpha*o element-wise.
-func (t *T) Axpy(alpha float64, o *T) {
-	if len(t.Data) != len(o.Data) {
-		panic(fmt.Sprintf("tensor: Axpy length mismatch %d vs %d", len(t.Data), len(o.Data)))
-	}
-	for i, v := range o.Data {
-		t.Data[i] += alpha * v
 	}
 }
 
@@ -164,21 +147,6 @@ func (t *T) Sum() float64 {
 	}
 	return s
 }
-
-// Dot returns the inner product of t and o viewed as flat vectors.
-func (t *T) Dot(o *T) float64 {
-	if len(t.Data) != len(o.Data) {
-		panic(fmt.Sprintf("tensor: Dot length mismatch %d vs %d", len(t.Data), len(o.Data)))
-	}
-	s := 0.0
-	for i, v := range t.Data {
-		s += v * o.Data[i]
-	}
-	return s
-}
-
-// L2Norm returns the Euclidean norm of the flattened tensor.
-func (t *T) L2Norm() float64 { return math.Sqrt(t.Dot(t)) }
 
 // SameShape reports whether t and o have identical shapes.
 func (t *T) SameShape(o *T) bool {

@@ -21,10 +21,10 @@ func testSystem(t *testing.T) *System {
 		nn.NewConv2D(1, 3, 3, 1, 1, rng), nn.NewReLU(), nn.NewMaxPool2D(2),
 		nn.NewFlatten(), nn.NewDense(3*4*4, 4, rng),
 	)
-	names := []string{"ORG", "FlipX", "FlipY", "Gamma(2)"}
+	names := []preprocess.Preprocessor{preprocess.Identity{}, preprocess.FlipX{}, preprocess.FlipY{}, preprocess.Gamma{G: 2}}
 	members := make([]core.Member, len(names))
 	for i, p := range names {
-		members[i] = core.Member{Name: p, Pre: preprocess.MustByName(p), Net: net}
+		members[i] = core.Member{Name: p.Name(), Pre: p, Net: net}
 	}
 	sys, err := core.NewSystem(members, core.Thresholds{Conf: 0.2, Freq: 2})
 	if err != nil {

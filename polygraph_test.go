@@ -2,8 +2,6 @@ package polygraph
 
 import (
 	"testing"
-
-	"repro/internal/dataset"
 )
 
 func TestImageValidate(t *testing.T) {
@@ -160,27 +158,5 @@ func TestTestImages(t *testing.T) {
 	}
 	if _, _, err := TestImages("bogus", 1); err == nil {
 		t.Error("unknown benchmark accepted")
-	}
-}
-
-// TestWarmBuildDrawsNoTrainingSplit: bring-up over a trained zoo reads the
-// validation and test splits only, so it never generates the training
-// split.
-func TestWarmBuildDrawsNoTrainingSplit(t *testing.T) {
-	if testing.Short() {
-		t.Skip("end-to-end build in -short mode")
-	}
-	build := func() {
-		sys, err := Build("convnet", Options{Quiet: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys.Close()
-	}
-	build() // trains and caches any member the shared zoo lacks
-	before := dataset.TrainDraws()
-	build()
-	if n := dataset.TrainDraws() - before; n != 0 {
-		t.Errorf("a warm-zoo Build generated %d training splits, want 0", n)
 	}
 }
