@@ -98,7 +98,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ctx.Workers = *workers
 	ctx.CacheMB = *cacheMB
 	ctx.CacheTTL = *cacheTTL
-	ctx.CacheDir = *cacheDir
+	ctx.L2Dir = *cacheDir
 	ctx.ZipfS = *zipfS
 	ctx.SLO = *slo
 	if !*quiet {

@@ -32,9 +32,6 @@ func main() {
 	}
 
 	ctx := experiments.NewContext()
-	ctx.Zoo.Progress = func(f string, a ...any) {
-		fmt.Fprintf(os.Stderr, "# "+f+"\n", a...)
-	}
 
 	var sb strings.Builder
 	var results []*experiments.Result

@@ -1,6 +1,7 @@
-// Command pgmr-train warms the model zoo: it trains and caches every member
-// network and recorded output the experiment suite needs, so subsequent
-// pgmr-bench / pgmr-report runs are compute-light.
+// Command pgmr-train is the zoo's one writer: it trains every member
+// network of model.Members whose weight file is missing and records the
+// val and test outputs each member lacks, so pgmr, pgmr-bench, pgmr-report
+// and polygraph.Build only ever load.
 //
 // Usage:
 //
@@ -9,12 +10,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"time"
 
-	"repro/internal/dataset"
 	"repro/internal/model"
 )
 
@@ -50,37 +52,19 @@ func main() {
 }
 
 func warm(zoo *model.Zoo, benches []model.Benchmark) error {
-	want := func(b model.Benchmark, v model.Variant) error {
-		for _, split := range []model.Split{model.SplitVal, model.SplitTest} {
-			if _, err := zoo.Logits(b, v, split); err != nil {
-				return fmt.Errorf("%s/%s: %w", b.Name, v.Key(), err)
-			}
-		}
-		return nil
-	}
-	wideCopies := 14
-	if zoo.Profile == dataset.Full {
-		wideCopies = 100
-	}
 	for _, b := range benches {
-		if err := want(b, model.Variant{}); err != nil {
-			return err
-		}
-		for _, v := range model.CandidatePool() {
-			if err := want(b, v); err != nil {
+		for _, v := range model.Members(b, zoo.Profile) {
+			_, err := zoo.Network(b, v)
+			if errors.Is(err, fs.ErrNotExist) {
+				_, err = zoo.Train(b, v)
+			}
+			if err != nil {
 				return err
 			}
-		}
-		inits := 5 // 6_MR and Fig. 7
-		if b.Name == "convnet" {
-			inits = wideCopies - 1 // Fig. 5 degrees and Fig. 13 wide ensemble
-			if err := want(b, model.Variant{Preproc: "Scale(0.8)"}); err != nil {
-				return err
-			}
-		}
-		for i := 1; i <= inits; i++ {
-			if err := want(b, model.Variant{Init: i}); err != nil {
-				return err
+			for _, split := range []model.Split{model.SplitVal, model.SplitTest} {
+				if _, err := zoo.Logits(b, v, split); err != nil {
+					return fmt.Errorf("%s/%s: %w", b.Name, v.Key(), err)
+				}
 			}
 		}
 		fmt.Printf("[%s] %s ready\n", time.Now().Format("15:04:05"), b.Name)

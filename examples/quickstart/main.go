@@ -6,8 +6,8 @@
 //
 //	go run ./examples/quickstart
 //
-// The first run trains the member CNNs (a few minutes on one CPU) and
-// caches them under testdata/zoo; later runs start instantly.
+// It loads the trained member CNNs committed under testdata/zoo; nothing
+// is trained.
 package main
 
 import (

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/dataset"
 	"repro/internal/model"
 	"repro/internal/tensor"
 )
@@ -271,9 +270,9 @@ func TestClassifyBatchEmpty(t *testing.T) {
 // member fan-out and ClassifyBatch at any Workers setting must reproduce the
 // serial Classify decision exactly — including the float64 Confidence.
 func TestParallelAndBatchMatchOnRealSystem(t *testing.T) {
-	zoo := model.NewZoo(t.TempDir(), dataset.Fast)
 	b := testBenchmark("corepar")
 	variants := []model.Variant{{}, {Preproc: "FlipX"}, {Preproc: "Gamma(2)"}, {Preproc: "FlipY"}}
+	zoo := trainedZoo(t, b, variants)
 	seq, err := BuildSystem(zoo, b, variants)
 	if err != nil {
 		t.Fatal(err)

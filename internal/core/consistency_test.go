@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"repro/internal/dataset"
 	"repro/internal/metrics"
 	"repro/internal/model"
 )
@@ -16,9 +15,9 @@ func TestLiveSystemMatchesRecordedStaged(t *testing.T) {
 	if testing.Short() {
 		t.Skip("zoo-backed consistency test in -short mode")
 	}
-	zoo := model.NewZoo(t.TempDir(), dataset.Fast)
 	b := testBenchmark("consistency")
 	variants := []model.Variant{{}, {Preproc: "FlipX"}, {Preproc: "Gamma(2)"}, {Preproc: "FlipY"}}
+	zoo := trainedZoo(t, b, variants)
 
 	valRec, err := BuildRecorded(zoo, b, variants, model.SplitVal)
 	if err != nil {

@@ -30,10 +30,23 @@ func testBenchmark(name string) model.Benchmark {
 	}
 }
 
-func TestBuildRecordedFromZoo(t *testing.T) {
+// trainedZoo returns a zoo in a temporary directory holding b's members
+// for variants, trained.
+func trainedZoo(t *testing.T, b model.Benchmark, variants []model.Variant) *model.Zoo {
+	t.Helper()
 	zoo := model.NewZoo(t.TempDir(), dataset.Fast)
+	for _, v := range variants {
+		if _, err := zoo.Train(b, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return zoo
+}
+
+func TestBuildRecordedFromZoo(t *testing.T) {
 	b := testBenchmark("coretest")
 	variants := []model.Variant{{}, {Preproc: "FlipX"}}
+	zoo := trainedZoo(t, b, variants)
 	rec, err := BuildRecorded(zoo, b, variants, model.SplitVal)
 	if err != nil {
 		t.Fatal(err)
@@ -54,13 +67,13 @@ func TestBuildRecordedFromZoo(t *testing.T) {
 }
 
 func TestGreedyDesignSelectsAndImproves(t *testing.T) {
-	zoo := model.NewZoo(t.TempDir(), dataset.Fast)
 	b := testBenchmark("coredesign")
 	candidates := []model.Variant{
 		{Preproc: "FlipX"},
 		{Preproc: "Gamma(2)"},
 		{Preproc: "Scale(0.8)"},
 	}
+	zoo := trainedZoo(t, b, append([]model.Variant{{}}, candidates...))
 	design, err := GreedyDesign(zoo, b, candidates, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -102,8 +115,8 @@ func TestGreedyDesignValidation(t *testing.T) {
 }
 
 func TestPreprocessorDelta(t *testing.T) {
-	zoo := model.NewZoo(t.TempDir(), dataset.Fast)
 	b := testBenchmark("coredelta")
+	zoo := trainedZoo(t, b, []model.Variant{{}, {Preproc: "FlipX"}})
 	p, err := PreprocessorDelta(zoo, b, model.Variant{Preproc: "FlipX"}, model.SplitVal)
 	if err != nil {
 		t.Fatal(err)
@@ -149,9 +162,9 @@ func TestNegativeShareAndCompare(t *testing.T) {
 }
 
 func TestBuildSystemAndClassify(t *testing.T) {
-	zoo := model.NewZoo(t.TempDir(), dataset.Fast)
 	b := testBenchmark("coresys")
 	variants := []model.Variant{{}, {Preproc: "FlipX"}, {Preproc: "Gamma(2)"}}
+	zoo := trainedZoo(t, b, variants)
 	sys, err := BuildSystem(zoo, b, variants)
 	if err != nil {
 		t.Fatal(err)

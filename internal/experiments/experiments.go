@@ -35,9 +35,9 @@ type Context struct {
 	CacheTTL time.Duration
 	ZipfS    float64
 
-	// CacheDir, when non-empty, is where the ext-caching2 experiment keeps
+	// L2Dir, when non-empty, is where the ext-caching2 experiment keeps
 	// its persistent L2 tier; empty selects a run-scoped temp directory.
-	CacheDir string
+	L2Dir string
 
 	// SLO is the per-request latency budget the ext-slo experiment steers
 	// the adaptive cascade to (must be > 0; default 50ms — enough headroom
@@ -49,7 +49,7 @@ type Context struct {
 	designs map[string]*core.Design
 }
 
-// NewContext builds a context on the default zoo (repo-local disk cache,
+// NewContext builds a context on the default zoo (the committed testdata/zoo,
 // PGMR_FULL-selected profile) and the TITAN-X-like GPU model.
 func NewContext() *Context {
 	return &Context{
@@ -78,16 +78,6 @@ func (c *Context) Design(b model.Benchmark, n int) (*core.Design, error) {
 	}
 	c.designs[key] = d
 	return d, nil
-}
-
-// InitVariants returns ORG plus n−1 random-init replicas — the traditional
-// MR configuration.
-func InitVariants(n int) []model.Variant {
-	vs := make([]model.Variant, n)
-	for i := 1; i < n; i++ {
-		vs[i] = model.Variant{Init: i}
-	}
-	return vs
 }
 
 // Result is a rendered experiment outcome.

@@ -52,9 +52,9 @@ func TestResultString(t *testing.T) {
 }
 
 func TestInitVariants(t *testing.T) {
-	vs := InitVariants(3)
+	vs := model.InitVariants(3)
 	if len(vs) != 3 {
-		t.Fatalf("InitVariants(3) = %v", vs)
+		t.Fatalf("model.InitVariants(3) = %v", vs)
 	}
 	if vs[0].Key() != "ORG" || vs[1].Key() != "ORG#1" || vs[2].Key() != "ORG#2" {
 		t.Errorf("InitVariants keys: %s %s %s", vs[0].Key(), vs[1].Key(), vs[2].Key())

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/calibrate"
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/metrics"
 	"repro/internal/model"
 )
@@ -13,16 +12,6 @@ import (
 func init() {
 	register("fig13", Fig13AblationPareto)
 	register("fig14", Fig14TemperatureScaling)
-}
-
-// fig13WideCopies is the size of the wide weight-init MR ensemble the
-// 6_PGMR is challenged with (the paper uses 100; the fast profile uses 14 —
-// already 2.3× the PGMR size — to bound single-CPU training time).
-func fig13WideCopies(p dataset.Profile) int {
-	if p == dataset.Full {
-		return 100
-	}
-	return 14
 }
 
 // Fig13AblationPareto reproduces Fig. 13 on ConvNet/CIFAR-10: it separates
@@ -39,7 +28,7 @@ func Fig13AblationPareto(ctx *Context) (*Result, error) {
 		return nil, err
 	}
 	orgFP := 1 - orgAcc
-	wide := fig13WideCopies(ctx.Profile())
+	wide := model.Replicas(b, ctx.Profile())
 
 	design, err := ctx.Design(b, 6)
 	if err != nil {
@@ -52,7 +41,7 @@ func Fig13AblationPareto(ctx *Context) (*Result, error) {
 	}
 
 	// 6_MR: majority vote over six weight-init replicas (no engine).
-	mr6, err := core.BuildRecorded(ctx.Zoo, b, InitVariants(6), model.SplitTest)
+	mr6, err := core.BuildRecorded(ctx.Zoo, b, model.InitVariants(6), model.SplitTest)
 	if err != nil {
 		return nil, err
 	}
@@ -64,8 +53,8 @@ func Fig13AblationPareto(ctx *Context) (*Result, error) {
 		name     string
 		variants []model.Variant
 	}{
-		{"6_MR_DE", InitVariants(6)},
-		{fmt.Sprintf("%d_MR_DE", wide), InitVariants(wide)},
+		{"6_MR_DE", model.InitVariants(6)},
+		{fmt.Sprintf("%d_MR_DE", wide), model.InitVariants(wide)},
 		{"6_PGMR", design.Variants},
 	} {
 		fe, err := evalAtFloor(ctx, b, cfg.variants)

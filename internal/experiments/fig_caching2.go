@@ -66,7 +66,7 @@ func ExtCaching2(ctx *Context) (*Result, error) {
 		frames[i] = ds.Test[zipf.Uint64()].X
 	}
 
-	dir := ctx.CacheDir
+	dir := ctx.L2Dir
 	if dir == "" {
 		if dir, err = os.MkdirTemp("", "pgmr-l2-*"); err != nil {
 			return nil, err

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/nn"
@@ -84,14 +83,6 @@ func labelAccuracy(rec *core.Recorded) float64 {
 	return float64(correct) / float64(rec.Samples())
 }
 
-// bitsSweep is the precision grid used by the cost experiments.
-func bitsSweep(p dataset.Profile) []int {
-	if p == dataset.Full {
-		return precision.SweepBits()
-	}
-	return []int{11, 12, 13, 14, 15, 16, 17, 18, 24, 32}
-}
-
 // minBitsORG finds the smallest width at which the ORG member keeps its
 // full-precision accuracy on the validation split (within tol).
 func minBitsORG(ctx *Context, b model.Benchmark, sweep []int, tol float64) (int, error) {
@@ -164,7 +155,7 @@ func Fig6PrecisionSweep(ctx *Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, bits := range bitsSweep(ctx.Profile()) {
+	for _, bits := range precision.SweepBits(ctx.Profile()) {
 		orgProbs, err := quantProbs(ctx, b, model.Variant{}, model.SplitVal, bits)
 		if err != nil {
 			return nil, err
@@ -175,11 +166,11 @@ func Fig6PrecisionSweep(ctx *Context) (*Result, error) {
 		}
 		res.AddRow(fmt.Sprint(bits), pct(metrics.Accuracy(orgProbs, labels)), pct(labelAccuracy(rec)))
 	}
-	orgBits, err := minBitsORG(ctx, b, bitsSweep(ctx.Profile()), bitsTolerance)
+	orgBits, err := minBitsORG(ctx, b, precision.SweepBits(ctx.Profile()), bitsTolerance)
 	if err != nil {
 		return nil, err
 	}
-	pgmrBits, err := minBitsPGMR(ctx, b, design.Variants, bitsSweep(ctx.Profile()), bitsTolerance)
+	pgmrBits, err := minBitsPGMR(ctx, b, design.Variants, precision.SweepBits(ctx.Profile()), bitsTolerance)
 	if err != nil {
 		return nil, err
 	}
@@ -329,7 +320,7 @@ func Fig11PrecisionPareto(ctx *Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sweep := bitsSweep(ctx.Profile())
+	sweep := precision.SweepBits(ctx.Profile())
 	orgBits, err := minBitsORG(ctx, b, sweep, bitsTolerance)
 	if err != nil {
 		return nil, err

@@ -139,7 +139,7 @@ func Fig9NormalizedFP(ctx *Context) (*Result, error) {
 			name     string
 			variants func() ([]model.Variant, error)
 		}{
-			{"4_MR", func() ([]model.Variant, error) { return InitVariants(4), nil }},
+			{"4_MR", func() ([]model.Variant, error) { return model.InitVariants(4), nil }},
 			{"4_PGMR", func() ([]model.Variant, error) {
 				d, err := ctx.Design(b, 4)
 				if err != nil {
@@ -147,7 +147,7 @@ func Fig9NormalizedFP(ctx *Context) (*Result, error) {
 				}
 				return d.Variants, nil
 			}},
-			{"6_MR", func() ([]model.Variant, error) { return InitVariants(6), nil }},
+			{"6_MR", func() ([]model.Variant, error) { return model.InitVariants(6), nil }},
 			{"6_PGMR", func() ([]model.Variant, error) {
 				d, err := ctx.Design(b, 6)
 				if err != nil {

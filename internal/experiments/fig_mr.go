@@ -34,7 +34,7 @@ func Fig5MRDegree(ctx *Context) (*Result, error) {
 	}
 	degrees := fig5Degrees(ctx.Profile())
 	maxN := degrees[len(degrees)-1]
-	rec, err := core.BuildRecorded(ctx.Zoo, b, InitVariants(maxN), model.SplitTest)
+	rec, err := core.BuildRecorded(ctx.Zoo, b, model.InitVariants(maxN), model.SplitTest)
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +78,7 @@ func Fig7Agreement(ctx *Context) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		rec, err := core.BuildRecorded(ctx.Zoo, b, InitVariants(4), model.SplitTest)
+		rec, err := core.BuildRecorded(ctx.Zoo, b, model.InitVariants(4), model.SplitTest)
 		if err != nil {
 			return nil, err
 		}

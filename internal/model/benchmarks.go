@@ -1,8 +1,8 @@
 // Package model defines the six-benchmark suite of the PolygraphMR paper
 // (Table II) — LeNet-5/MNIST, ConvNet/CIFAR-10, ResNet20/CIFAR-10,
-// DenseNet40/CIFAR-10, AlexNet/ImageNet, ResNet34/ImageNet — and a caching
-// trainer ("the zoo") that trains each (benchmark, variant) pair once and
-// persists weights and recorded outputs.
+// DenseNet40/CIFAR-10, AlexNet/ImageNet, ResNet34/ImageNet — and "the
+// zoo", which loads each (benchmark, variant) member's committed weights
+// and recorded outputs; Zoo.Train, called by cmd/pgmr-train, writes them.
 //
 // Substitution note (DESIGN.md §1): datasets are the synthetic substitutes
 // from internal/dataset, and each topology keeps its structural family

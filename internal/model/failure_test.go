@@ -1,6 +1,9 @@
 package model
 
 import (
+	"bytes"
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,63 +12,55 @@ import (
 	"repro/internal/dataset"
 )
 
-// TestZooRecoversFromCorruptNetCache injects a corrupt weight file at the
-// exact cache path and verifies the zoo falls back to retraining rather
-// than failing or serving garbage.
-func TestZooRecoversFromCorruptNetCache(t *testing.T) {
-	dir := t.TempDir()
-	zoo := NewZoo(dir, dataset.Fast)
-	b := tinyBenchmark()
-
-	// Plant garbage at the cache path.
-	path := zoo.netPath(b, Variant{})
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+// refuses plants garbage at path, one of b's files, and asserts that load
+// fails naming the file and the pgmr-train command that remakes it, that
+// the bytes on disk are unchanged and that nothing else is written.
+func refuses(t *testing.T, zoo *Zoo, b Benchmark, path string, load func() error) {
+	t.Helper()
+	garbage := []byte("not a gob snapshot")
+	if err := os.WriteFile(path, garbage, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, []byte("not a gob snapshot"), 0o644); err != nil {
-		t.Fatal(err)
+	zoo.Progress = func(f string, _ ...any) { t.Errorf("zoo logged %q on a corrupt file", f) }
+	err := load()
+	if err == nil {
+		t.Fatal("corrupt file accepted")
 	}
-
-	trained := 0
-	zoo.Progress = func(f string, _ ...any) {
-		if strings.HasPrefix(f, "training") {
-			trained++
+	for _, want := range []string{filepath.Base(path), "go run ./cmd/pgmr-train " + b.Name} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
 		}
 	}
-	if _, err := zoo.Network(b, Variant{}); err != nil {
-		t.Fatalf("zoo failed on corrupt cache: %v", err)
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, garbage) {
+		t.Errorf("corrupt file rewritten: %q", got)
 	}
-	if trained != 1 {
-		t.Errorf("trained %d times, want retrain exactly once", trained)
-	}
-	// The corrupt file must have been replaced with a loadable snapshot.
-	zoo2 := NewZoo(dir, dataset.Fast)
-	zoo2.Progress = func(string, ...any) { t.Error("retrained despite repaired cache") }
-	if _, err := zoo2.Network(b, Variant{}); err != nil {
-		t.Fatal(err)
+	if entries, _ := os.ReadDir(filepath.Dir(path)); len(entries) != 1 {
+		t.Errorf("%d files in the zoo dir, want only the planted one", len(entries))
 	}
 }
 
-// TestZooRecoversFromCorruptLogitsCache does the same for recorded outputs.
-func TestZooRecoversFromCorruptLogitsCache(t *testing.T) {
-	dir := t.TempDir()
-	zoo := NewZoo(dir, dataset.Fast)
+// TestZooRefusesCorruptNet: a weight file that does not decode is an
+// error naming the file and pgmr-train; nothing is trained or written.
+func TestZooRefusesCorruptNet(t *testing.T) {
+	zoo := NewZoo(t.TempDir(), dataset.Fast)
 	b := tinyBenchmark()
+	refuses(t, zoo, b, zoo.netPath(b, Variant{}), func() error {
+		_, err := zoo.Logits(b, Variant{}, SplitVal)
+		return err
+	})
+}
 
-	path := zoo.logitsPath(b, Variant{}, SplitVal, "")
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, []byte{0x00, 0x01}, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ls, err := zoo.Logits(b, Variant{}, SplitVal)
-	if err != nil {
-		t.Fatalf("zoo failed on corrupt logits cache: %v", err)
-	}
-	if len(ls) == 0 {
-		t.Fatal("no logits recomputed")
-	}
+// TestZooRefusesCorruptLogits: a recording that does not decode is an
+// error naming the file and pgmr-train, not a silent re-recording over it.
+func TestZooRefusesCorruptLogits(t *testing.T) {
+	zoo := NewZoo("", dataset.Fast)
+	b := tinyBenchmark()
+	mustTrain(t, zoo, b, Variant{})
+	zoo.Dir = t.TempDir()
+	refuses(t, zoo, b, zoo.logitsPath(b, Variant{}, SplitVal, ""), func() error {
+		_, err := zoo.Logits(b, Variant{}, SplitVal)
+		return err
+	})
 }
 
 // TestZooMemoryOnlyMode verifies a dir-less zoo works end to end without
@@ -73,6 +68,10 @@ func TestZooRecoversFromCorruptLogitsCache(t *testing.T) {
 func TestZooMemoryOnlyMode(t *testing.T) {
 	zoo := NewZoo("", dataset.Fast)
 	b := tinyBenchmark()
+	if _, err := zoo.Network(b, Variant{}); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("untrained member: err %v, want fs.ErrNotExist", err)
+	}
+	mustTrain(t, zoo, b, Variant{Preproc: "FlipY"})
 	if _, err := zoo.Logits(b, Variant{Preproc: "FlipY"}, SplitTest); err != nil {
 		t.Fatal(err)
 	}
@@ -88,12 +87,12 @@ func TestZooUnknownDatasetAndPreprocessor(t *testing.T) {
 		t.Error("unknown dataset accepted")
 	}
 	b := tinyBenchmark()
-	if _, err := zoo.Network(b, Variant{Preproc: "Bogus"}); err == nil {
+	if _, err := zoo.Train(b, Variant{Preproc: "Bogus"}); err == nil {
 		t.Error("unknown preprocessor accepted")
 	}
 	b2 := b
 	b2.DatasetName = "missing"
-	if _, err := zoo.Network(b2, Variant{}); err == nil {
+	if _, err := zoo.Train(b2, Variant{}); err == nil {
 		t.Error("benchmark with missing dataset accepted")
 	}
 }

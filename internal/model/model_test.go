@@ -1,6 +1,8 @@
 package model
 
 import (
+	"errors"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -104,14 +106,16 @@ func TestZooTrainsAndCaches(t *testing.T) {
 	zoo := NewZoo(dir, dataset.Fast)
 	b := tinyBenchmark()
 
+	if _, err := zoo.Network(b, Variant{}); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("Network before Train: err %v, want fs.ErrNotExist", err)
+	}
 	trained := 0
 	zoo.Progress = func(f string, _ ...any) {
 		if strings.HasPrefix(f, "training") {
 			trained++
 		}
 	}
-
-	net1, err := zoo.Network(b, Variant{})
+	net1, err := zoo.Train(b, Variant{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +123,7 @@ func TestZooTrainsAndCaches(t *testing.T) {
 		t.Fatalf("trained %d times, want 1", trained)
 	}
 
-	// Second request: memoized, no retraining.
+	// Network after Train: memoized, no retraining.
 	net2, err := zoo.Network(b, Variant{})
 	if err != nil {
 		t.Fatal(err)
@@ -151,15 +155,15 @@ func TestZooTrainsAndCaches(t *testing.T) {
 func TestZooVariantsDiffer(t *testing.T) {
 	zoo := NewZoo(t.TempDir(), dataset.Fast)
 	b := tinyBenchmark()
-	org, err := zoo.Network(b, Variant{})
+	org, err := zoo.Train(b, Variant{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	flip, err := zoo.Network(b, Variant{Preproc: "FlipX"})
+	flip, err := zoo.Train(b, Variant{Preproc: "FlipX"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	init1, err := zoo.Network(b, Variant{Init: 1})
+	init1, err := zoo.Train(b, Variant{Init: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,6 +190,7 @@ func TestZooLogitsShapeAndCache(t *testing.T) {
 	dir := t.TempDir()
 	zoo := NewZoo(dir, dataset.Fast)
 	b := tinyBenchmark()
+	mustTrain(t, zoo, b, Variant{})
 	ls, err := zoo.Logits(b, Variant{}, SplitVal)
 	if err != nil {
 		t.Fatal(err)
@@ -216,6 +221,7 @@ func TestZooLogitsShapeAndCache(t *testing.T) {
 func TestZooLogitsHooked(t *testing.T) {
 	zoo := NewZoo(t.TempDir(), dataset.Fast)
 	b := tinyBenchmark()
+	mustTrain(t, zoo, b, Variant{})
 	base, err := zoo.Logits(b, Variant{}, SplitVal)
 	if err != nil {
 		t.Fatal(err)
@@ -242,6 +248,13 @@ func TestZooLogitsHooked(t *testing.T) {
 	}
 	if _, err := zoo.LogitsHooked(b, Variant{}, SplitVal, "", nil); err == nil {
 		t.Error("empty tag accepted")
+	}
+}
+
+func mustTrain(t *testing.T, zoo *Zoo, b Benchmark, v Variant) {
+	t.Helper()
+	if _, err := zoo.Train(b, v); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -285,6 +298,7 @@ func TestInvalidateLogitsKeepsOtherProfiles(t *testing.T) {
 func TestZooAccuracyBeatsChance(t *testing.T) {
 	zoo := NewZoo(t.TempDir(), dataset.Fast)
 	b := tinyBenchmark()
+	mustTrain(t, zoo, b, Variant{})
 	acc, err := zoo.Accuracy(b, Variant{}, SplitTest)
 	if err != nil {
 		t.Fatal(err)

@@ -2,8 +2,10 @@ package model
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -57,6 +59,42 @@ func CandidatePool() []Variant {
 	return vs
 }
 
+// InitVariants returns ORG plus n−1 random-init replicas — the traditional
+// MR configuration.
+func InitVariants(n int) []Variant {
+	vs := make([]Variant, n)
+	for i := 1; i < n; i++ {
+		vs[i] = Variant{Init: i}
+	}
+	return vs
+}
+
+// Replicas is the size of the widest random-init ensemble the experiments
+// read for a benchmark: six (6_MR, Fig. 7) everywhere, and on convnet the
+// wide ensemble Fig. 5 and Fig. 13 sweep — the paper's 100, or 14 at the
+// fast profile (already 2.3× the PGMR size) to bound single-CPU training.
+func Replicas(b Benchmark, p dataset.Profile) int {
+	switch {
+	case b.Name != "convnet":
+		return 6
+	case p == dataset.Full:
+		return 100
+	default:
+		return 14
+	}
+}
+
+// Members lists every member the experiments read for a benchmark at a
+// profile, ORG first: the candidate pool, convnet's Scale(0.8) (Fig. 8)
+// and the random-init replicas.
+func Members(b Benchmark, p dataset.Profile) []Variant {
+	vs := append([]Variant{{}}, CandidatePool()...)
+	if b.Name == "convnet" {
+		vs = append(vs, Variant{Preproc: "Scale(0.8)"})
+	}
+	return append(vs, InitVariants(Replicas(b, p))[1:]...)
+}
+
 // Preprocessor resolves the variant's preprocessor.
 func (v Variant) Preprocessor() (preprocess.Preprocessor, error) {
 	if v.Preproc == "" {
@@ -90,17 +128,18 @@ func (s Split) String() string {
 	}
 }
 
-// Zoo trains and caches the model suite. All artifacts — trained weights and
-// recorded per-split logits — are cached in memory and on disk, keyed by
-// (benchmark, variant, profile), so every experiment shares one training of
-// each member network. A Zoo is safe for use from a single goroutine.
+// Zoo loads the model suite: trained weights and recorded per-split logits,
+// kept in memory and on disk keyed by (benchmark, variant, profile). Only
+// Train writes a weight file; a recording missing from disk is recorded
+// from the loaded net on first use and saved. A Zoo is safe for use from a
+// single goroutine.
 type Zoo struct {
-	// Dir is the on-disk cache directory. Empty disables disk caching.
+	// Dir is the on-disk directory. Empty keeps everything in memory.
 	Dir string
 	// Profile selects dataset scale.
 	Profile dataset.Profile
-	// Progress, when non-nil, receives human-readable notes on cache misses
-	// (a training run starting, etc.).
+	// Progress, when non-nil, receives human-readable notes on training
+	// runs.
 	Progress func(format string, args ...any)
 
 	mu       sync.Mutex
@@ -123,13 +162,13 @@ func NewZoo(dir string, p dataset.Profile) *Zoo {
 	}
 }
 
-// DefaultZoo returns a zoo rooted at <repo>/testdata/zoo when the repository
-// root can be located from the working directory, and a memory-only zoo
-// otherwise.
+// DefaultZoo returns the committed zoo, <repo>/testdata/zoo, with the
+// repository root located from the working directory (testdata/zoo under
+// the working directory when no go.mod is above it).
 func DefaultZoo() *Zoo {
-	dir := ""
+	dir := filepath.Join("testdata", "zoo")
 	if root, err := FindRepoRoot(); err == nil {
-		dir = filepath.Join(root, "testdata", "zoo")
+		dir = filepath.Join(root, dir)
 	}
 	return NewZoo(dir, dataset.ActiveProfile())
 }
@@ -233,7 +272,10 @@ func (z *Zoo) logitsPath(b Benchmark, v Variant, split Split, tag string) string
 }
 
 // Network returns the trained member network for (benchmark, variant),
-// training it on the variant-preprocessed train split on first use.
+// from memory or from its file in Dir. It never trains: a member that is
+// not in memory and whose file is missing or does not decode is an error
+// naming the file and the command that trains it. An error for a missing
+// file wraps fs.ErrNotExist.
 func (z *Zoo) Network(b Benchmark, v Variant) (*nn.Network, error) {
 	key := b.Name + "|" + v.Key()
 	z.mu.Lock()
@@ -243,70 +285,77 @@ func (z *Zoo) Network(b Benchmark, v Variant) (*nn.Network, error) {
 	}
 	z.mu.Unlock()
 
+	if z.Dir == "" {
+		return nil, fmt.Errorf("model: %s / %s is not trained in this memory-only zoo: %w", b.Name, v.Key(), fs.ErrNotExist)
+	}
 	ds, err := z.Dataset(b.DatasetName)
 	if err != nil {
 		return nil, err
 	}
-	rng := newRandFor(seedFor(b.Name, v))
-	net := b.Build(rng, ds.Classes, ds.InShape)
-
-	pp, err := v.Preprocessor()
-	if err != nil {
-		return nil, fmt.Errorf("model: variant %s: %w", v.Key(), err)
+	path := z.netPath(b, v)
+	net := b.Build(newRandFor(seedFor(b.Name, v)), ds.Classes, ds.InShape)
+	if err := net.LoadParamsFile(path); err != nil {
+		return nil, fmt.Errorf("model: loading %s: %w (`go run ./cmd/pgmr-train %s` trains the members whose files are missing)", path, err, b.Name)
 	}
-
-	path := ""
-	if z.Dir != "" {
-		path = z.netPath(b, v)
-		if err := net.LoadParamsFile(path); err == nil {
-			// Cached nets written before the collapse-retry ladder existed
-			// may be collapsed; detect and retrain them once. The ladder
-			// marker accepts the net whatever the probe says (it stops
-			// hopeless variants retraining on every load), so it is
-			// checked first and spares the probe.
-			ok := z.hasRetryMarker(path)
-			if !ok {
-				acc, err := probeAccuracy(net, applyPreproc(pp, probeSlice(ds.Val)))
-				if err != nil {
-					return nil, fmt.Errorf("model: probing %s/%s: %w", b.Name, v.Key(), err)
-				}
-				ok = acc > collapseThreshold(ds.Classes)
-			}
-			if ok {
-				z.mu.Lock()
-				z.nets[key] = net
-				z.mu.Unlock()
-				return net, nil
-			}
-			z.logf("cached %s / %s is collapsed; retraining", b.Name, v.Key())
-		}
-	}
-	z.logf("training %s / %s (%d samples)", b.Name, v.Key(), len(ds.Train()))
-	train := applyPreproc(pp, ds.Train())
-	probe := applyPreproc(pp, probeSlice(ds.Val))
-
-	// Training occasionally collapses into a constant predictor on heavily
-	// transformed inputs (the loss plateaus at ln C). Retry with a halved
-	// learning rate — deterministically — and keep the best attempt.
-	net, retried, err := z.trainWithRetries(b, v, train, probe, ds)
-	if err != nil {
-		return nil, err
-	}
-	if path != "" {
-		if err := net.SaveParamsFile(path); err != nil {
-			return nil, fmt.Errorf("model: caching %s/%s: %w", b.Name, v.Key(), err)
-		}
-		if retried {
-			z.writeRetryMarker(path)
-		}
-	}
-	// Any recorded outputs of a previous (e.g. collapsed) instance of this
-	// member are now stale.
-	z.invalidateLogits(b, v)
 	z.mu.Lock()
 	z.nets[key] = net
 	z.mu.Unlock()
 	return net, nil
+}
+
+// Train trains the member (benchmark, variant) on its variant-preprocessed
+// train split, saves it to Dir (when set) and drops the member's recorded
+// outputs, which belonged to the net it replaces. Training occasionally
+// collapses into a constant (near-chance) predictor on heavily transformed
+// inputs (the loss plateaus at ln C), so up to twice it retries with a
+// halved learning rate — deterministically — and keeps the attempt with
+// the best probe accuracy.
+func (z *Zoo) Train(b Benchmark, v Variant) (*nn.Network, error) {
+	ds, err := z.Dataset(b.DatasetName)
+	if err != nil {
+		return nil, err
+	}
+	pp, err := v.Preprocessor()
+	if err != nil {
+		return nil, fmt.Errorf("model: variant %s: %w", v.Key(), err)
+	}
+	z.logf("training %s / %s (%d samples)", b.Name, v.Key(), len(ds.Train()))
+	train := applyPreproc(pp, ds.Train())
+	probe := applyPreproc(pp, probeSlice(ds.Val))
+	var best *nn.Network
+	bestAcc := -1.0
+	lr := b.Train.LR
+	for attempt := 0; attempt < 3; attempt++ {
+		net := b.Build(newRandFor(seedFor(b.Name, v)+int64(attempt)), ds.Classes, ds.InShape)
+		cfg := b.Train
+		cfg.LR = lr
+		cfg.Seed = seedFor(b.Name, v) + 7 + int64(attempt)
+		if _, err := nn.Train(net, train, cfg); err != nil {
+			return nil, fmt.Errorf("model: training %s/%s: %w", b.Name, v.Key(), err)
+		}
+		acc, err := probeAccuracy(net, probe)
+		if err != nil {
+			return nil, fmt.Errorf("model: probing %s/%s: %w", b.Name, v.Key(), err)
+		}
+		if acc > bestAcc {
+			best, bestAcc = net, acc
+		}
+		if acc > collapseThreshold(ds.Classes) || attempt == 2 {
+			break
+		}
+		z.logf("  %s / %s collapsed (probe acc %.3f); retrying at lr %.4g", b.Name, v.Key(), acc, lr/2)
+		lr /= 2
+	}
+	if z.Dir != "" {
+		if err := best.SaveParamsFile(z.netPath(b, v)); err != nil {
+			return nil, fmt.Errorf("model: saving %s/%s: %w", b.Name, v.Key(), err)
+		}
+	}
+	z.invalidateLogits(b, v)
+	z.mu.Lock()
+	z.nets[b.Name+"|"+v.Key()] = best
+	z.mu.Unlock()
+	return best, nil
 }
 
 // invalidateLogits drops all cached recorded outputs of one member under
@@ -380,54 +429,6 @@ func probeAccuracy(net *nn.Network, samples []nn.Sample) (float64, error) {
 	return float64(correct) / float64(len(samples)), nil
 }
 
-// trainWithRetries trains a fresh network, retrying with halved learning
-// rates when the result is a collapsed (near-chance) predictor, and returns
-// the best attempt by probe accuracy plus whether any retry was needed.
-func (z *Zoo) trainWithRetries(b Benchmark, v Variant, train, probe []nn.Sample, ds *dataset.Dataset) (*nn.Network, bool, error) {
-	var best *nn.Network
-	bestAcc := -1.0
-	lr := b.Train.LR
-	retried := false
-	for attempt := 0; attempt < 3; attempt++ {
-		net := b.Build(newRandFor(seedFor(b.Name, v)+int64(attempt)), ds.Classes, ds.InShape)
-		cfg := b.Train
-		cfg.LR = lr
-		cfg.Seed = seedFor(b.Name, v) + 7 + int64(attempt)
-		if _, err := nn.Train(net, train, cfg); err != nil {
-			return nil, retried, fmt.Errorf("model: training %s/%s: %w", b.Name, v.Key(), err)
-		}
-		acc, err := probeAccuracy(net, probe)
-		if err != nil {
-			return nil, retried, fmt.Errorf("model: probing %s/%s: %w", b.Name, v.Key(), err)
-		}
-		if acc > bestAcc {
-			best, bestAcc = net, acc
-		}
-		if acc > collapseThreshold(ds.Classes) {
-			break
-		}
-		retried = true
-		z.logf("  %s / %s collapsed (probe acc %.3f); retrying at lr %.4g", b.Name, v.Key(), acc, lr/2)
-		lr /= 2
-	}
-	return best, retried, nil
-}
-
-// hasRetryMarker reports whether the collapse-retry ladder already ran for
-// the cached net at path.
-func (z *Zoo) hasRetryMarker(path string) bool {
-	_, err := os.Stat(path + ".retried")
-	return err == nil
-}
-
-// writeRetryMarker records that the retry ladder ran for path, so a variant
-// that remains near chance after all attempts is not retrained on every
-// load.
-func (z *Zoo) writeRetryMarker(path string) {
-	// Best effort: a missing marker only costs a redundant retrain later.
-	_ = os.WriteFile(path+".retried", []byte("retry ladder completed\n"), 0o644)
-}
-
 // Logits returns the raw member logits on every sample of the split, in
 // split order, computing and caching them on first use. The variant's
 // preprocessor is applied to each sample before inference, exactly as
@@ -459,11 +460,15 @@ func (z *Zoo) logitsTagged(b Benchmark, v Variant, split Split, tag string, hook
 	path := ""
 	if z.Dir != "" {
 		path = z.logitsPath(b, v, split, tag)
-		if ls, err := loadLogits(path); err == nil {
+		ls, err := loadLogits(path)
+		if err == nil {
 			z.mu.Lock()
 			z.logits[key] = ls
 			z.mu.Unlock()
 			return ls, nil
+		}
+		if !errors.Is(err, fs.ErrNotExist) {
+			return nil, fmt.Errorf("%w (delete it; `go run ./cmd/pgmr-train %s` or the next read records it again)", err, b.Name)
 		}
 	}
 

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/dataset"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -145,9 +146,12 @@ func Apply(net *nn.Network, f Format) error {
 	return nil
 }
 
-// SweepBits is the default bit-width sweep of the Fig. 6 / Fig. 11
-// experiments: fine granularity in the interesting 10–20 region, then coarse
-// steps up to fp32.
-func SweepBits() []int {
-	return []int{10, 11, 12, 13, 14, 15, 16, 17, 18, 20, 24, 32}
+// SweepBits is the bit-width sweep of the Fig. 6 / 10 / 11 experiments at
+// a dataset profile: fine granularity in the interesting 10–20 region, then
+// coarse steps up to fp32 (which needs no simulation).
+func SweepBits(p dataset.Profile) []int {
+	if p == dataset.Full {
+		return []int{10, 11, 12, 13, 14, 15, 16, 17, 18, 20, 24, 32}
+	}
+	return []int{11, 12, 13, 14, 15, 16, 17, 18, 24, 32}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/dataset"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -218,13 +219,15 @@ func TestAccuracyDegradesGracefully(t *testing.T) {
 }
 
 func TestSweepBits(t *testing.T) {
-	bits := SweepBits()
-	if bits[0] != 10 || bits[len(bits)-1] != 32 {
-		t.Errorf("SweepBits = %v", bits)
-	}
-	for i := 1; i < len(bits); i++ {
-		if bits[i] <= bits[i-1] {
-			t.Error("SweepBits not increasing")
+	for _, p := range []dataset.Profile{dataset.Fast, dataset.Full} {
+		bits := SweepBits(p)
+		if bits[0] < 10 || bits[len(bits)-1] != 32 {
+			t.Errorf("SweepBits(%v) = %v", p, bits)
+		}
+		for i := 1; i < len(bits); i++ {
+			if bits[i] <= bits[i-1] {
+				t.Errorf("SweepBits(%v) not increasing", p)
+			}
 		}
 	}
 }

@@ -29,7 +29,6 @@ import (
 	"repro/internal/cache/persist"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/model"
 	"repro/internal/policy"
 	"repro/internal/tensor"
@@ -131,9 +130,6 @@ type Options struct {
 	// rate staying at or below this fraction (the paper's §III-E FP-limit
 	// user demand) — instead of the default 100%-TP-floor selection.
 	FPBudget float64
-	// CacheDir overrides the trained-model cache directory; empty selects
-	// <repo>/testdata/zoo.
-	CacheDir string
 	// Cache, when non-nil, attaches a content-addressed prediction cache:
 	// Classify/ClassifyBatch return cached decisions for repeated images,
 	// concurrent identical inputs share one ensemble pass, and duplicates
@@ -162,9 +158,10 @@ type Options struct {
 	// identical to single-node serving; an unreachable owner degrades to
 	// local compute, never to an error.
 	Cluster *ClusterOptions
-	// Quiet suppresses training progress output.
+	// Quiet suppresses the zoo's progress notes.
 	Quiet bool
-	// Progress, when non-nil and not Quiet, receives training notes.
+	// Progress, when non-nil and not Quiet, receives the zoo's progress
+	// notes. The zoo notes only training runs, which Build never starts.
 	Progress func(format string, args ...any)
 }
 
@@ -295,9 +292,11 @@ func BenchmarkNames() []string {
 }
 
 // Build assembles a PolygraphMR system for the named benchmark (see
-// BenchmarkNames). Member networks are trained on first use and cached on
-// disk, so the first Build of a benchmark can take seconds to minutes and
-// subsequent builds are fast.
+// BenchmarkNames) from the committed zoo, <repo>/testdata/zoo: it loads
+// the trained members and their recorded outputs and never trains. A
+// member whose weight file is missing — for instance in a Build run
+// outside the repository — is an error naming the file and the
+// `go run ./cmd/pgmr-train <benchmark>` command that trains it.
 func Build(benchmark string, opts Options) (*System, error) {
 	b, err := model.ByName(benchmark)
 	if err != nil {
@@ -310,9 +309,6 @@ func Build(benchmark string, opts Options) (*System, error) {
 		return nil, fmt.Errorf("polygraph: Members must be in [2, 8], got %d", opts.Members)
 	}
 	zoo := model.DefaultZoo()
-	if opts.CacheDir != "" {
-		zoo = model.NewZoo(opts.CacheDir, dataset.ActiveProfile())
-	}
 	if opts.Progress != nil && !opts.Quiet {
 		zoo.Progress = opts.Progress
 	}
